@@ -7,8 +7,18 @@ All continuum fields in this package are inverse transforms of the form
 with a smooth (often complex, vector-valued) kernel and a phase whose
 local frequency is bounded by a known ``rate``.  They are evaluated with
 composite 16-point Gauss-Legendre panels sized from the oscillation rate,
-then verified by doubling the panel count until the change on a probe
-subset of the output grid is below tolerance.
+then verified by doubling the panel count until the change on the output
+grid is below tolerance.
+
+The panels have equal width, so each of the 16 local Gauss-Legendre
+nodes forms a uniform grid across panels.  On a uniform output grid the
+node-by-point contraction therefore splits into 16 chirp-z transforms
+(Rabiner-Schafer-Rader 1969; Bluestein 1970), each costing
+``O((N + M) log(N + M))`` instead of ``O(N M)``; convergence is then
+checked on every output point.  Any other grid is contracted directly,
+and checked on a 33-point probe subset before the final contraction.
+The same chirp-z primitive serves the sublattice sums in
+:mod:`diatomic_waves.initial_data`, whose sites are uniform.
 
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
@@ -18,10 +28,10 @@ the half-band ``[0, b]``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import QuadratureError
 
@@ -29,6 +39,19 @@ __all__ = ["panel_nodes", "oscillation_panels", "synthesize_field"]
 
 _ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
+
+#: Largest panel level :func:`synthesize_field` builds; past it the rate is
+#: out of reach in memory and time, so the call fails instead of hanging.
+_MAX_NODES = 1 << 23
+
+#: 2 pi = _TWO_PI_HI + _TWO_PI_LO; the first has 29 significant bits, so
+#: ``n * _TWO_PI_HI`` is exact for ``n < 2**24`` (Cody-Waite reduction).
+_TWO_PI_HI = 421657428 / 2**26
+_TWO_PI_LO = 3.968374318722162e-09
+
+#: Deviation from an arithmetic progression, in units of ``eps * max|a|``,
+#: that still counts as uniform (``linspace`` and scaling stay within it).
+_UNIFORM_ULPS = 8.0
 
 
 def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,27 +79,149 @@ def oscillation_panels(
     return max(min_panels, need)
 
 
-def _contract(
-    g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool, threads: int
+
+
+def _progression(a: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``(start, step)`` if every column of the 2-D array ``a`` is
+    ``a[i] = start + i * step`` (one common step) to a few ulps of ``max|a|``,
+    else None."""
+    n = a.shape[0]
+    if n == 0:
+        return None
+    start = a[0]
+    step = float(np.mean(a[-1] - a[0])) / (n - 1) if n > 1 else 0.0
+    dev = np.max(np.abs(a - (start + step * np.arange(n)[:, None])))
+    tol = _UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(a))
+    return (start, step) if dev <= tol else None
+
+
+def _panel_columns(p: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``(p0, dp)`` if ``p`` is panel-strided, else None.
+
+    Panel-strided means a flat array of whole equal-width panels in the
+    layout of :func:`panel_nodes`: column ``c`` of ``p.reshape(-1, 16)``
+    is the arithmetic progression ``p0[c] + i * dp``.
+    """
+    if p.ndim != 1 or p.size == 0 or p.size % _ORDER:
+        return None
+    return _progression(p.reshape(-1, _ORDER))
+
+
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """``exp(i theta)`` for real ``theta``, without a complex ``exp``."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _chirp(half: float, k: np.ndarray) -> np.ndarray:
+    """``exp(i half k^2)`` for integer-valued ``k``.
+
+    ``half * k^2`` can exceed the phases of the sum itself by orders of
+    magnitude, so it is reduced modulo 2 pi before rounding: ``half`` is
+    split so that its leading part times ``k^2`` is exact, and that product
+    is reduced with the two-part 2 pi.
+    """
+    k2 = k * k
+    shift = int(np.frexp(half)[1]) - 53 + int(np.max(k2, initial=0.0)).bit_length()
+    lead = np.ldexp(np.round(np.ldexp(half, -shift)), shift)
+    t = lead * k2
+    n = np.round(t / (2.0 * np.pi))
+    return _cis((t - n * _TWO_PI_HI) - n * _TWO_PI_LO + (half - lead) * k2)
+
+
+def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Chirp-z transform ``f(h)[i] = sum_j h[j] exp(i alpha j i)`` for ``i < m``.
+
+    ``h`` has shape ``(n, k)``; the result has shape ``(m, k)``.  Bluestein's
+    identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` turns the sum into one
+    linear convolution with the chirp ``exp(-i alpha k^2 / 2)``, done by FFT
+    in ``O((n + m) log(n + m))``; the chirp's transform is computed once here.
+    """
+    half = 0.5 * alpha
+    pre = _chirp(half, np.arange(n, dtype=float))[:, None]
+    size = sfft.next_fast_len(n + m - 1)
+    k = np.concatenate((np.arange(m), np.arange(m - size, 0)), dtype=float)
+    chirp_hat = sfft.fft(_chirp(-half, k))[:, None]
+    post = _chirp(half, np.arange(m, dtype=float))[:, None]
+
+    def apply(h: np.ndarray) -> np.ndarray:
+        spectrum = sfft.fft(h * pre, size, axis=0) * chirp_hat
+        return post * sfft.ifft(spectrum, axis=0, overwrite_x=True)[:m]
+
+    return apply
+
+
+def _exp_sum(
+    transform: Callable[[np.ndarray], np.ndarray],
+    g: np.ndarray,
+    q: np.ndarray,
+    q0: float,
+    x0: float,
+    steps: np.ndarray,
+    resid: np.ndarray,
 ) -> np.ndarray:
-    """``out[i] = sum_j g[j] * e(p[j] * x[i])`` with ``e = exp(i.)`` or ``2 cos``."""
-    m = g.shape[1]
-    out = np.empty((x.size, m), dtype=complex)
+    """``out[i] = sum_j g[j] exp(i q[j] x[i])`` on two near-uniform grids.
 
-    def run(indices: np.ndarray) -> None:
-        for i in indices:
-            if even_fold:
-                phase = 2.0 * np.cos(p * x[i])
-            else:
-                phase = np.exp(1j * (p * x[i]))
-            out[i] = phase @ g
+    ``q[j] = q0 + j dq`` up to a few ulps, ``x[i] = x0 + steps[i] + resid[i]``
+    with ``steps[i] = i dx`` and a tiny residual, and ``transform`` is
+    ``_chirp_z(len(q), len(x), dq * dx)``.  ``q[j] x0`` is applied per term
+    and the residual to first order, so what the transform approximates is
+    ``q[j] (x[i] - x0)``, whose size is set by the width of the x grid, not
+    by its offset.  ``g`` has shape ``(n, k)``; the result ``(m, k)``.
+    """
+    h = g * _cis(q * x0)[:, None]
+    s = transform(np.concatenate((h, h * q[:, None]), axis=1))
+    k = g.shape[1]
+    return _cis(q0 * steps)[:, None] * (s[:, :k] + 1j * resid[:, None] * s[:, k:])
 
-    if threads > 1 and x.size > 2 * threads:
-        chunks = np.array_split(np.arange(x.size), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
-    else:
-        run(np.arange(x.size))
+
+def _contract_direct(
+    g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
+) -> np.ndarray:
+    """``out[i] = sum_j g[j] * e(p[j] * x[i])`` with ``e = exp(i.)`` or ``2 cos``,
+    one output point at a time."""
+    out = np.empty((x.size, g.shape[1]), dtype=complex)
+    for i in range(x.size):
+        if even_fold:
+            phase = 2.0 * np.cos(p * x[i])
+        else:
+            phase = np.exp(1j * (p * x[i]))
+        out[i] = phase @ g
+    return out
+
+
+def _contract(
+    g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
+) -> np.ndarray:
+    """As :func:`_contract_direct`, by chirp-z when ``x`` is uniform and
+    ``p`` panel-strided (one local-node column at a time).
+
+    The two agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``: the
+    offset ``x[0]`` and the grids' last-ulp deviations from exact
+    progressions are applied exactly or to first order, so only phases of
+    the size of ``p (x - x[0])`` pass through the transforms.
+    """
+    grid = _progression(x[:, None])
+    columns = _panel_columns(p) if grid is not None else None
+    if columns is None:
+        return _contract_direct(g, p, x, even_fold)
+    (x0,), dx = grid
+    p0, dp = columns
+    steps = np.arange(x.size) * dx
+    resid = (x - x0) - steps
+    k = g.shape[1]
+    g_cols = g.reshape(-1, _ORDER, k)
+    p_cols = p.reshape(-1, _ORDER)
+    transform = _chirp_z(p_cols.shape[0], x.size, dp * dx)
+    out = np.zeros((x.size, k), dtype=complex)
+    for c in range(_ORDER):
+        g_c = g_cols[:, c]
+        if even_fold:  # sum g 2 cos(p x) = sum g e^{ipx} + conj(sum conj(g) e^{ipx})
+            g_c = np.concatenate((g_c, g_c.conj()), axis=1)
+        s = _exp_sum(transform, g_c, p_cols[:, c], p0[c], x0, steps, resid)
+        out += s[:, :k] + s[:, k:].conj() if even_fold else s
     return out
 
 
@@ -92,7 +237,6 @@ def synthesize_field(
     nodes_per_cycle: float = 10.0,
     max_doublings: int = 6,
     even_fold: bool = False,
-    threads: int = 1,
 ) -> np.ndarray:
     """Evaluate ``F(x) = int_a^b kernel(p) exp(i p x) dp`` on a grid.
 
@@ -107,8 +251,6 @@ def synthesize_field(
     even_fold:
         If true, evaluate ``int_{-b}^{b}`` of an even kernel folded to
         ``[a=0, b]`` with a ``2 cos(p x)`` weight.
-    threads:
-        Worker threads for the output contraction (the BLAS-bound part).
 
     Returns
     -------
@@ -118,18 +260,28 @@ def synthesize_field(
     Raises
     ------
     QuadratureError
-        If doubling the panel count ``max_doublings`` times never brings
-        the probe-subset change below ``atol + rtol * scale``.
+        If a panel level would exceed ``_MAX_NODES`` nodes, or if doubling
+        the panel count ``max_doublings`` times never brings the change on
+        the checked points (every point of a uniform grid, else a probe
+        subset) below ``atol + rtol * scale``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_probe = min(x.size, 33)
-    probe_idx = np.unique(np.round(np.linspace(0, x.size - 1, n_probe)).astype(int))
-    x_probe = x[probe_idx]
+    if _progression(x[:, None]) is not None:
+        x_check = x
+    else:
+        n_probe = min(x.size, 33)
+        probe_idx = np.unique(np.round(np.linspace(0, x.size - 1, n_probe)).astype(int))
+        x_check = x[probe_idx]
 
     was_1d = False
 
     def weighted(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal was_1d
+        if n_panels * _ORDER > _MAX_NODES:
+            raise QuadratureError(
+                f"oscillation rate {rate:.3e} needs {n_panels * _ORDER} quadrature "
+                f"nodes, above the limit of {_MAX_NODES}"
+            )
         p, w = panel_nodes(a, b, n_panels)
         vals = np.asarray(kernel(p))
         if vals.ndim == 1:
@@ -139,17 +291,17 @@ def synthesize_field(
 
     panels = oscillation_panels(rate, a, b, nodes_per_cycle)
     p1, g1 = weighted(panels)
-    f1 = _contract(g1, p1, x_probe, even_fold, threads)
+    f1 = _contract(g1, p1, x_check, even_fold)
     err = float("inf")  # no doubling attempted yet: convergence unverified
     scale = float(np.max(np.abs(f1)))
     for _ in range(max_doublings):
         panels2 = 2 * panels
         p2, g2 = weighted(panels2)
-        f2 = _contract(g2, p2, x_probe, even_fold, threads)
+        f2 = _contract(g2, p2, x_check, even_fold)
         err = float(np.max(np.abs(f2 - f1)))
         scale = float(np.max(np.abs(f2)))
         if err <= atol + rtol * scale:
-            full = _contract(g2, p2, x, even_fold, threads)
+            full = f2 if x_check is x else _contract(g2, p2, x, even_fold)
             return full[:, 0] if was_1d else full
         panels, p1, g1, f1 = panels2, p2, g2, f2
     raise QuadratureError(

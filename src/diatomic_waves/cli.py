@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,16 +136,45 @@ class ScenarioConfig:
         return out
 
 
+def _finite(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} = {raw!r} is not finite")
+    return value
+
+
 def _get_float(section, key: str, default: float | None = None) -> float:
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required key '{key}' in [{section.name}]")
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a number") from None
+    return _finite(raw, f"[{section.name}] {key}")
+
+
+def _parse_times(cfg: configparser.ConfigParser) -> tuple[float, ...]:
+    if not cfg.has_section("times") or not cfg["times"].get("values"):
+        raise ConfigError("missing [times] values = ... list")
+    times = tuple(
+        _finite(tok, "[times] values entry")
+        for tok in cfg["times"]["values"].split(",")
+        if tok.strip()
+    )
+    if not times:
+        raise ConfigError("[times] values list is empty")
+    # Output files and report keys are labelled t{t:g}; no two times may share one.
+    labels: dict[str, float] = {}
+    for t in times:
+        label = f"t{t:g}"
+        if label in labels:
+            raise ConfigError(
+                f"[times] values {labels[label]!r} and {t!r} share the output label {label}"
+            )
+        labels[label] = t
+    return times
 
 
 def _get_int(section, key: str, default: int) -> int:
@@ -256,19 +286,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if points < 2:
         raise ConfigError(f"[grid] points must be >= 2, got {points!r}")
 
-    if not cfg.has_section("times") or not cfg["times"].get("values"):
-        raise ConfigError("missing [times] values = ... list")
-    try:
-        times = tuple(
-            float(tok) for tok in cfg["times"]["values"].split(",") if tok.strip()
-        )
-    except ValueError:
-        raise ConfigError(
-            f"[times] values = {cfg['times']['values']!r} is not a number list"
-        ) from None
-    if not times:
-        raise ConfigError("[times] values list is empty")
-
+    times = _parse_times(cfg)
     methods = _parse_methods(cfg)
 
     kw: dict = {}
@@ -282,7 +300,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if num.get("ode_dt"):
             kw["ode_dt"] = _get_float(num, "ode_dt")
         if num.get("stencil"):
-            coeffs = tuple(float(tok) for tok in num["stencil"].split(","))
+            coeffs = tuple(
+                _finite(tok, "[numerics] stencil entry") for tok in num["stencil"].split(",")
+            )
             if len(coeffs) != 3:
                 raise ConfigError(f"[numerics] stencil needs 3 coefficients, got {coeffs!r}")
             kw["stencil"] = coeffs
@@ -335,7 +355,6 @@ def _run_method(
     method: str,
     x: np.ndarray,
     t: float,
-    threads: int,
     ode_states: dict[float, WaveField] | None,
 ) -> WaveField:
     params, profile, mu = config.params, config.profile, config.mu
@@ -354,7 +373,6 @@ def _run_method(
             atol=config.atol,
             nodes_per_cycle=config.nodes_per_cycle,
             max_doublings=config.max_doublings,
-            threads=threads,
         )
     if method == "uas_integral":
         field = uas_integral(
@@ -367,7 +385,6 @@ def _run_method(
             atol=config.atol,
             nodes_per_cycle=config.nodes_per_cycle,
             max_doublings=config.max_doublings,
-            threads=threads,
         )
         return WaveField(x=x, u=field, v=field.copy(), t=t, method=method)
     if method == "gaussian_airy":
@@ -419,7 +436,7 @@ def _echo_scenario(config: ScenarioConfig, out) -> None:
     print(f"methods: {', '.join(config.methods)}; times: {config.times}", file=out)
 
 
-def cmd_dispersion(config: ScenarioConfig, out_dir: Path, threads: int) -> None:
+def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
     disp = Dispersion(config.params)
     crit = disp.critical
     header = config.header()
@@ -460,7 +477,7 @@ def _common_grid(config: ScenarioConfig, ode_states: dict[float, WaveField] | No
     return np.linspace(config.x_min, config.x_max, config.points)
 
 
-def cmd_simulate(config: ScenarioConfig, out_dir: Path, threads: int) -> None:
+def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     for method in config.methods:
         _check_method_regime(config, method)
     ode_states = _ode_fields(config) if "ode" in config.methods else None
@@ -468,13 +485,13 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path, threads: int) -> None:
     for method in config.methods:
         x = _common_grid(config, ode_states if method == "ode" else None)
         for t in config.times:
-            fld = _run_method(config, method, x, t, threads, ode_states)
+            fld = _run_method(config, method, x, t, ode_states)
             name = f"field_{method}_t{t:g}.csv"
             write_fields_csv(out_dir / name, [fld], header)
             print(f"wrote {out_dir / name}")
 
 
-def cmd_compare(config: ScenarioConfig, out_dir: Path, threads: int) -> None:
+def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods (first is the reference)")
     for method in config.methods:
@@ -486,9 +503,9 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path, threads: int) -> None:
     reference_name = config.methods[0]
     lines.append(f"reference = {reference_name}")
     for t in config.times:
-        ref = _run_method(config, reference_name, x, t, threads, ode_states)
+        ref = _run_method(config, reference_name, x, t, ode_states)
         for method in config.methods[1:]:
-            test = _run_method(config, method, x, t, threads, ode_states)
+            test = _run_method(config, method, x, t, ode_states)
             metrics = compare_fields(ref, test, window=config.compare_window)
             tag = f"{method}.t={t:g}"
             lines.append(f"{tag}.l_inf = {metrics.l_inf!r}")
@@ -516,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario configuration file")
         p.add_argument("--out", default=".", help="output directory (created if needed)")
-        p.add_argument("--threads", type=int, default=1, help="quadrature worker threads")
         p.set_defaults(func=fn)
     return parser
 
@@ -528,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_scenario(config, sys.stdout)
-        args.func(config, out_dir, max(1, args.threads))
+        args.func(config, out_dir)
     except ConfigError as exc:  # includes RegimeError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,14 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._quadrature import oscillation_panels, panel_nodes, synthesize_field
+from ._quadrature import (
+    _chirp_z,
+    _exp_sum,
+    _panel_columns,
+    oscillation_panels,
+    panel_nodes,
+    synthesize_field,
+)
 from .errors import ConfigError, QuadratureError
 
 __all__ = [
@@ -263,28 +270,42 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     """Sublattice sum ``sum_n W(xi_n) exp(-i p xi_n)`` (n even or odd).
 
     Vectorized over ``p``; always returns a complex array (exactly real
-    for even profiles, where the folded cosine form is used).
+    for even profiles, where the folded cosine form is used).  The sites
+    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
+    chirp-z transforms; any other ``p`` by a blocked direct sum.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     xi = _sublattice_sites(profile, delta, component)
     vals = profile.value(xi)
-    out = np.empty(p_arr.shape, dtype=complex)
     if profile.is_even:
-        pos = xi > 0.0
-        xi_pos = xi[pos]
-        w_pos = 2.0 * vals[pos]
         w0 = float(vals[np.abs(xi) < 0.5 * delta].sum())  # site at xi = 0, if present
-        for start in range(0, p_arr.size, 8192):
-            blk = p_arr[start : start + 8192]
-            out[start : start + 8192] = (
-                np.cos(blk[:, None] * xi_pos[None, :]) @ w_pos + w0
-            )
+        pos = xi > 0.0
+        xi, vals = xi[pos], 2.0 * vals[pos]
+    columns = _panel_columns(p_arr)
+    if columns is not None:
+        # Roles swapped: the sites are the summed grid and each local-node
+        # column of p an output grid; exp(-i p xi) = exp(i (-xi) p).
+        p0, dp = columns
+        p_cols = p_arr.reshape(-1, p0.size)
+        m = p_cols.shape[0]
+        steps = np.arange(m) * dp
+        transform = _chirp_z(xi.size, m, -2.0 * delta * dp)
+        out = np.empty((m, p0.size), dtype=complex)
+        for c, start in enumerate(p0):
+            resid = (p_cols[:, c] - start) - steps
+            sums = _exp_sum(transform, vals[:, None], -xi, -xi[0], start, steps, resid)
+            out[:, c] = sums[:, 0]
+        out = out.ravel()
+        if profile.is_even:
+            out = (out.real + w0).astype(complex)
     else:
+        out = np.empty(p_arr.shape, dtype=complex)
         for start in range(0, p_arr.size, 8192):
             blk = p_arr[start : start + 8192]
-            out[start : start + 8192] = (
-                np.exp(-1j * blk[:, None] * xi[None, :]) @ vals
-            )
+            if profile.is_even:
+                out[start : start + 8192] = np.cos(blk[:, None] * xi[None, :]) @ vals + w0
+            else:
+                out[start : start + 8192] = np.exp(-1j * blk[:, None] * xi[None, :]) @ vals
     if np.isscalar(p) or np.ndim(p) == 0:
         return out[0]
     return out
@@ -306,7 +327,6 @@ def kws_interpolate(
     component: int = 1,
     *,
     rtol: float = 1e-8,
-    threads: int = 1,
 ) -> np.ndarray:
     """Reconstruct the profile from its band data (sampling-theorem form).
 
@@ -323,13 +343,9 @@ def kws_interpolate(
         return semi_discrete_ft(profile, delta, p, component)
 
     if profile.is_even:
-        field = synthesize_field(
-            kern, 0.0, edge, xi_arr, rate, rtol=rtol, even_fold=True, threads=threads
-        )
+        field = synthesize_field(kern, 0.0, edge, xi_arr, rate, rtol=rtol, even_fold=True)
     else:
-        field = synthesize_field(
-            kern, -edge, edge, xi_arr, rate, rtol=rtol, threads=threads
-        )
+        field = synthesize_field(kern, -edge, edge, xi_arr, rate, rtol=rtol)
     out = (delta / np.pi) * field.real
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out[0])

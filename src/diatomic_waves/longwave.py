@@ -109,7 +109,6 @@ def uas_integral(
     atol: float = 1e-13,
     nodes_per_cycle: float = 10.0,
     max_doublings: int = 6,
-    threads: int = 1,
 ):
     """Reduced single-mode amplitude by direct quadrature.
 
@@ -142,7 +141,6 @@ def uas_integral(
         atol=atol,
         nodes_per_cycle=nodes_per_cycle,
         max_doublings=max_doublings,
-        threads=threads,
     )
     if profile.is_even:
         # Even real profile: What is real and even, so the two half-lines

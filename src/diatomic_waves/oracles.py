@@ -248,7 +248,6 @@ def solve_quadrature(
     atol: float = 1e-13,
     nodes_per_cycle: float = 10.0,
     max_doublings: int = 6,
-    threads: int = 1,
 ) -> WaveField:
     """Mode synthesis of the exact lattice solution over the reduced band.
 
@@ -300,7 +299,6 @@ def solve_quadrature(
             nodes_per_cycle=nodes_per_cycle,
             max_doublings=max_doublings,
             even_fold=True,
-            threads=threads,
         )
     else:
         field = synthesize_field(
@@ -313,7 +311,6 @@ def solve_quadrature(
             atol=atol,
             nodes_per_cycle=nodes_per_cycle,
             max_doublings=max_doublings,
-            threads=threads,
         )
     return WaveField(
         x=x_arr,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -317,3 +319,45 @@ def test_numerical_failure_exit_code(tmp_path):
     ) + "\n[numerics]\nrtol = 1e-15\natol = 1e-16\nnodes_per_cycle = 1\nmax_doublings = 0\n"
     code = cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.replace("mu = 0.04", "mu = nan"),
+        lambda s: s.replace("gamma1 = 0.82", "gamma1 = inf"),
+        lambda s: s.replace("x_min = -0.5", "x_min = -inf"),
+        lambda s: s.replace("values = 0.3", "values = 0.3, nan"),
+        lambda s: s.replace("values = 0.3", "values = inf"),
+        lambda s: s + "\n[numerics]\nrtol = nan\n",
+        lambda s: s + "\n[numerics]\nstencil = 3, -3, inf\n",
+        lambda s: s + "\n[numerics]\nstencil = 3, -3, two\n",
+        lambda s: s + "\n[compare]\nwindow_min = -inf\nwindow_max = 0.2\n",
+    ],
+)
+def test_non_finite_inputs_exit_2(tmp_path, capsys, mutate):
+    path = _write(tmp_path, mutate(BASE))
+    code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["0.1, 0.1000001", "0.3, 0.3", "0.25, 0.5, 0.5"])
+def test_colliding_time_labels_exit_2(tmp_path, capsys, values):
+    path = _write(tmp_path, BASE.replace("values = 0.3", f"values = {values}"))
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "share the output label" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["uas_integral", "quadrature_full"])
+def test_huge_time_exits_3_quickly(tmp_path, capsys, method):
+    text = BASE.replace("values = 0.3", "values = 1e6").replace(
+        "names = gaussian_airy, dalembert", f"names = {method}"
+    )
+    start = time.perf_counter()
+    code = cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert time.perf_counter() - start < 10.0
+    assert "quadrature nodes" in capsys.readouterr().err
