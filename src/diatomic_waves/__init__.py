@@ -4,8 +4,8 @@ The package models the evolution of a smooth initial displacement on a
 chain of alternating heavy/light masses, in the three regimes set by the
 ratio ``delta = h / mu`` of lattice step to excitation width:
 
-* ``oracles`` — brute-force references: velocity-Verlet chain integration
-  and Brillouin-zone mode-synthesis quadrature;
+* ``oracles`` — brute-force references: exact modal propagation of the
+  chain and Brillouin-zone mode-synthesis quadrature;
 * ``longwave`` — ``delta << 1`` weak-dispersion closed forms (Airy-kernel
   integral, Gaussian/Airy convolution, d'Alembert limit);
 * ``shortwave`` — ``delta = 1`` acoustic/optical front and uniform
@@ -33,6 +33,7 @@ from .dispersion import (
 )
 from .errors import (
     BoundaryError,
+    ChainSizeError,
     ConfigError,
     DiatomicWavesError,
     NumericalError,
@@ -93,6 +94,7 @@ __all__ = [
     "AIRY_AI_ZERO",
     "OPTICAL",
     "BoundaryError",
+    "ChainSizeError",
     "ConfigError",
     "CriticalPoint",
     "DiatomicWavesError",

@@ -71,6 +71,11 @@ class LatticeParams:
     h: float
 
     def __post_init__(self) -> None:
+        if not all(np.isfinite((self.gamma1, self.gamma2, self.h))):
+            raise ConfigError(
+                "lattice parameters must be finite, got "
+                f"gamma1={self.gamma1!r}, gamma2={self.gamma2!r}, h={self.h!r}"
+            )
         if not (0.0 < self.gamma1 < self.gamma2):
             raise ConfigError(
                 "lattice parameters require 0 < gamma1 < gamma2, got "

@@ -36,3 +36,8 @@ class QuadratureError(NumericalError):
 class BoundaryError(NumericalError):
     """The lattice simulation domain was too small: the wave packet
     reached the fixed boundary sites within the requested time span."""
+
+
+class ChainSizeError(NumericalError):
+    """The chain the time-domain oracle would need for the requested times
+    exceeds its site limit."""

@@ -2,9 +2,10 @@
 
 Two independent routes to the "true" lattice motion:
 
-* :func:`integrate_lattice` — direct velocity-Verlet integration of the
-  equations of motion on a finite chain with fixed distant ends (the
-  time-domain oracle; symplectic, energy-tracked);
+* :func:`integrate_lattice` — exact propagation of the equations of
+  motion on a finite chain with fixed distant ends, by a sine transform
+  per sublattice and ``cos(Omega t)`` per 2x2 mode block (the time-domain
+  oracle; no time step, energy-tracked);
 * :func:`solve_quadrature` — numerically exact mode synthesis over the
   reduced band (the frequency-domain oracle), optionally restricted to
   the acoustic or optical branch.
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import dst, idst
 
 from ._quadrature import synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
-from .errors import BoundaryError, ConfigError
+from .errors import BoundaryError, ChainSizeError, ConfigError
 from .initial_data import InitialProfile, spectral_vector
 
 __all__ = [
@@ -43,6 +45,9 @@ __all__ = [
 ]
 
 _QUADRATURE_MODES = ("full", "acoustic", "optical")
+#: Largest chain :func:`integrate_lattice` builds; each site costs 24 bytes
+#: per snapshot, so the cap keeps one snapshot near 100 MB.
+_MAX_SITES = 2**22
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,8 @@ class EnergyReport:
     """Total lattice energy at the recorded times.
 
     ``drift`` is the maximum relative deviation from the initial energy —
-    the integrator's primary health metric (symplectic schemes bound it
-    uniformly in time at fixed step).
+    the oracle's health metric; exact modal propagation keeps it at
+    rounding level.
     """
 
     times: np.ndarray
@@ -131,36 +136,94 @@ def _lattice_energy(
     return kinetic + 0.5 * float(np.sum(d * d))
 
 
+def _chain_modes(g1: float, g2: float, n: int):
+    """Frequencies and rotations of the 2x2 blocks of a chain of ``2n + 1``
+    sites with heavy ends.
+
+    Mode ``m = 1..n-1`` (``phi = pi m / (2n)``) pairs the heavy amplitude
+    ``sqrt(g1) y1 sin(2k phi)`` with the light one ``sqrt(g2) y2
+    sin((2k-1) phi)`` through the symmetric block ``[[2 g1, -2 c r], [-2 c r,
+    2 g2]]``, ``c = cos phi``, ``r = sqrt(g1 g2)``.  Returns the optical and
+    acoustic frequencies and ``(cos theta, sin theta)``, the optical
+    eigenvector in ``(y1, y2)``.  The acoustic eigenvalue is taken as
+    ``det / lambda_+`` with ``det = 4 g1 g2 sin^2 phi``: the difference
+    ``tr/2 - disc`` would lose the low modes to cancellation.
+    """
+    phi = np.pi * np.arange(1, n) / (2 * n)
+    off = -2.0 * np.cos(phi) * np.sqrt(g1 * g2)
+    lam_plus = (g1 + g2) + np.hypot(g1 - g2, off)
+    lam_minus = 4.0 * g1 * g2 * np.sin(phi) ** 2 / lam_plus
+    theta = 0.5 * np.arctan2(off, g1 - g2)
+    return np.sqrt(lam_plus), np.sqrt(lam_minus), np.cos(theta), np.sin(theta)
+
+
+def _propagate(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
+    """Exact motion from rest of a chain of ``2n + 1`` sites, heavy at even
+    positions, with both end sites held at their initial values.
+
+    The linear interpolation between the end values is a static solution;
+    the rest has zero ends and splits into 2x2 blocks under a sine
+    transform per sublattice (DST-I on the heavy interior sites, DST-II on
+    the light sites; mode ``n`` is light only, ``Omega^2 = 2 g2``).  Each
+    block evolves by ``cos(Omega t)``.  Yields ``(displacement, velocity)``
+    per time.
+    """
+    n = (w0.size - 1) // 2
+    s = np.arange(w0.size) / (2 * n)
+    static = w0[0] * (1.0 - s) + w0[-1] * s  # exact at both ends
+    free = w0 - static
+    r1, r2 = np.sqrt(g1), np.sqrt(g2)
+    y1 = dst(free[2:-1:2] / r1, type=1, norm="ortho")
+    y2 = dst(free[1::2] / r2, type=2, norm="ortho")
+    om_opt, om_ac, cs, sn = _chain_modes(g1, g2, n)
+    omega = np.concatenate([om_opt, om_ac, [np.sqrt(2.0 * g2)]])
+    z = np.concatenate([cs * y1 + sn * y2[:-1], cs * y2[:-1] - sn * y1, y2[-1:]])
+
+    def sites(coeff: np.ndarray, base: np.ndarray) -> np.ndarray:
+        opt, ac, top = coeff[: n - 1], coeff[n - 1 : 2 * n - 2], coeff[2 * n - 2 :]
+        out = base.copy()
+        out[2:-1:2] += r1 * idst(cs * opt - sn * ac, type=1, norm="ortho")
+        out[1::2] += r2 * idst(
+            np.concatenate([sn * opt + cs * ac, top]), type=2, norm="ortho"
+        )
+        return out
+
+    rest = np.zeros_like(w0)
+    for t in times:
+        phase = omega * t
+        yield sites(np.cos(phase) * z, static), sites(-omega * np.sin(phase) * z, rest)
+
+
 def integrate_lattice(
     params: LatticeParams,
     profile: InitialProfile,
     mu: float,
     times,
     *,
-    dt: float | None = None,
     margin: float = 2.0,
     boundary_tol: float = 1e-10,
 ) -> tuple[list[LatticeState], EnergyReport]:
-    """Velocity-Verlet integration from rest with fixed distant ends.
+    """Exact motion of the chain from rest with fixed distant ends.
+
+    The chain is propagated mode by mode (see :func:`_propagate`), with no
+    time step; the only error is rounding.
 
     Parameters
     ----------
     times:
         Strictly increasing positive instants at which to record states.
-    dt:
-        Integration step.  The default ``2.5e-4 / omega_top`` (with
-        ``omega_top`` the top of the optical band) keeps the relative
-        energy oscillation of the scheme below 1e-8.
     margin:
         Extra room (in profile-width units) beyond the causal cone plus
         front width; the run aborts with :class:`BoundaryError` if the
         solution ever reaches the fixed ends above ``boundary_tol``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ConfigError(f"record times must be finite, got {times!r}")
     if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
         raise ConfigError("record times must be strictly increasing and positive")
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     delta = params.h / mu
     disp = Dispersion(params)
     t_max = float(times[-1])
@@ -174,46 +237,27 @@ def integrate_lattice(
         + margin
         + 4.0 * delta
     )
-    n_half = int(np.ceil(xi_max / delta))
+    half = np.ceil(xi_max / delta)
+    # 2 n_half + 1 sites once n_half is rounded up to even; a nan fails too
+    if not 2.0 * half + 3.0 <= _MAX_SITES:
+        raise ChainSizeError(
+            f"the chain would need about {2.0 * half:.3g} sites "
+            f"(limit {_MAX_SITES}); reduce the times or increase mu"
+        )
+    n_half = int(half)
     n_half += n_half % 2  # even endpoints
     index = np.arange(-n_half, n_half + 1)
     gamma = np.where(index % 2 == 0, params.gamma1, params.gamma2)
     h = params.h
     w = profile.value(index * delta)
-    v = np.zeros_like(w)
-    gh2 = gamma / (h * h)
 
-    band = disp.band_edges()
-    omega_top = band["optical_top"] / h
-    if dt is None:
-        dt = 2.5e-4 / omega_top
-    if dt <= 0.0 or dt * omega_top >= 2.0:
-        raise ConfigError(
-            f"dt = {dt!r} is not positive and stable (omega_top * dt < 2 required)"
-        )
-
-    accel = np.zeros_like(w)
-
-    def update_accel() -> None:
-        accel[1:-1] = gh2[1:-1] * (w[2:] - 2.0 * w[1:-1] + w[:-2])
-
-    update_accel()
-    e0 = _lattice_energy(w, v, gamma, h)
+    e0 = _lattice_energy(w, np.zeros_like(w), gamma, h)
     states: list[LatticeState] = []
     energies = np.empty(times.size)
-    t_cur = 0.0
-    for i, t_next in enumerate(times):
-        n_steps = max(1, int(np.ceil((t_next - t_cur) / dt)))
-        step = (t_next - t_cur) / n_steps
-        half = 0.5 * step
-        for _ in range(n_steps):
-            v += half * accel
-            w += step * v
-            update_accel()
-            v += half * accel
-        t_cur = t_next
+    motion = _propagate(w, params.gamma1 / (h * h), params.gamma2 / (h * h), times)
+    for i, (t_next, (w_t, v_t)) in enumerate(zip(times, motion)):
         edge_amp = max(
-            float(np.max(np.abs(w[:2]))), float(np.max(np.abs(w[-2:])))
+            float(np.max(np.abs(w_t[:2]))), float(np.max(np.abs(w_t[-2:])))
         )
         if edge_amp > boundary_tol:
             raise BoundaryError(
@@ -221,14 +265,14 @@ def integrate_lattice(
                 f"(edge amplitude {edge_amp:.2e} > {boundary_tol:.1e}); "
                 "increase margin"
             )
-        energies[i] = _lattice_energy(w, v, gamma, h)
+        energies[i] = _lattice_energy(w_t, v_t, gamma, h)
         states.append(
             LatticeState(
                 delta=delta,
                 mu=mu,
                 index=index.copy(),
-                displacement=w.copy(),
-                velocity=v.copy(),
+                displacement=w_t,
+                velocity=v_t,
                 t=float(t_next),
             )
         )

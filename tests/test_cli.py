@@ -361,3 +361,37 @@ def test_huge_time_exits_3_quickly(tmp_path, capsys, method):
     assert code == 3
     assert time.perf_counter() - start < 10.0
     assert "quadrature nodes" in capsys.readouterr().err
+
+
+def test_huge_time_ode_exits_3_quickly(tmp_path, capsys):
+    text = BASE.replace("values = 0.3", "values = 1e6").replace(
+        "names = gaussian_airy, dalembert", "names = ode"
+    )
+    start = time.perf_counter()
+    code = cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert time.perf_counter() - start < 10.0
+    assert "sites" in capsys.readouterr().err
+
+
+def test_ode_dt_key_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, BASE + "\n[numerics]\node_dt = 1e-4\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "exactly" in capsys.readouterr().err
+
+
+def test_compare_ode_against_quadrature_on_lattice_sites(tmp_path):
+    # each ode row holds a heavy site's u and the light site to its right's v;
+    # the continuum method must be sampled at those same two sites
+    text = BASE.replace("h = 0.008", "h = 0.04").replace(
+        "names = gaussian_airy, dalembert", "names = ode, quadrature_full"
+    ).replace("values = 0.3", "values = 0.1, 0.3")
+    out_dir = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", str(_write(tmp_path, text)), "--out", str(out_dir)])
+    assert code == 0
+    report = (out_dir / "compare_report.txt").read_text().splitlines()
+    entries = dict(ln.split(" = ") for ln in report if not ln.startswith("#"))
+    for t in ("0.1", "0.3"):
+        assert float(entries[f"quadrature_full.t={t}.rel_l_inf"]) <= 1e-5
+        assert float(entries[f"quadrature_full.t={t}.ref_peak"]) > 0.1

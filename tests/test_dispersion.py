@@ -34,6 +34,12 @@ def test_params_require_gamma_ordering():
         LatticeParams(gamma1=0.82, gamma2=1.27, h=1.5)
 
 
+def test_params_require_finite_values():
+    for bad in (dict(gamma2=np.inf), dict(gamma1=np.nan), dict(h=np.nan)):
+        with pytest.raises(ConfigError):
+            LatticeParams(**{"gamma1": 0.82, "gamma2": 1.27, "h": 0.01, **bad})
+
+
 def test_from_masses_requires_mass_ordering():
     with pytest.raises(ConfigError):
         LatticeParams.from_masses(3.81e-26, 5.88e-26, 15.0, 2.82e-10, 1e-3)

@@ -1,15 +1,23 @@
-"""Reference solvers: lattice ODE integration and band quadrature."""
+"""Reference solvers: exact chain propagation and band quadrature."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
 import _reference as ref
 from diatomic_waves import (
     BoundaryError,
+    ChainSizeError,
     ConfigError,
+    GaussianProfile,
+    LatticeParams,
     TableProfile,
     WaveField,
     compare_fields,
@@ -19,6 +27,7 @@ from diatomic_waves import (
     solve_quadrature,
     write_fields_csv,
 )
+from diatomic_waves import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +94,8 @@ def test_quadrature_validation(desk, gaussian):
 # ---------------------------------------------------------------------------
 
 def test_ode_matches_quadrature(desk, gaussian):
-    # two independent routes to the same solution: symplectic integration
-    # of the equations of motion vs direct mode synthesis
+    # two independent routes to the same solution: exact propagation of
+    # the chain's equations of motion vs direct mode synthesis
     h = 0.05
     params = desk(h)
     states, energy = integrate_lattice(params, gaussian, h, [0.1, 0.25])
@@ -129,8 +138,6 @@ def test_ode_times_validation(desk, gaussian):
         integrate_lattice(params, gaussian, 0.05, [-0.1, 0.2])
     with pytest.raises(ConfigError):
         integrate_lattice(params, gaussian, 0.05, [])
-    with pytest.raises(ConfigError):
-        integrate_lattice(params, gaussian, 0.05, [0.1], dt=-1.0)
 
 
 def test_ode_boundary_guard(desk, gaussian):
@@ -138,6 +145,132 @@ def test_ode_boundary_guard(desk, gaussian):
         integrate_lattice(
             desk(0.05), gaussian, 0.05, [0.1], margin=0.0, boundary_tol=0.0
         )
+
+
+def test_ode_input_guards(desk, gaussian):
+    params = desk(0.05)
+    for mu, times in ((np.nan, [0.1]), (np.inf, [0.1]), (0.05, [np.nan]), (0.05, [0.1, np.inf])):
+        with pytest.raises(ConfigError):
+            integrate_lattice(params, gaussian, mu, times)
+    # the chain for t = 1e6 would need ~4e7 sites: refused before allocating
+    start = time.perf_counter()
+    with pytest.raises(ChainSizeError):
+        integrate_lattice(params, gaussian, 0.05, [1e6])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ode_matches_quadrature_longwave(desk, gaussian):
+    # delta = 0.005: ~8k sites, out of reach of a time-stepping oracle
+    h, mu = 2.5e-4, 0.05
+    params = desk(h)
+    states, energy = integrate_lattice(params, gaussian, mu, [0.25, 0.5])
+    assert states[0].index.size > 8000
+    assert energy.drift <= 1e-8
+    for state in states:
+        quad = solve_quadrature(params, gaussian, mu, state.x, state.t)
+        even = state.even_mask
+        err_u = np.max(np.abs(quad.u[even] - state.displacement[even]))
+        err_v = np.max(np.abs(quad.v[~even] - state.displacement[~even]))
+        assert max(err_u, err_v) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# exact modal propagation against dense linear algebra (21-site chain)
+# ---------------------------------------------------------------------------
+
+G1, G2 = 0.82 / 0.05**2, 1.27 / 0.05**2
+N_HALF = 10  # 2 * N_HALF + 1 = 21 sites, heavy at both ends
+
+
+def _dense_interior():
+    """Stiffness of the 19 interior sites, mass-symmetrized: diagonal 2 g_j,
+    off-diagonal -sqrt(g1 g2)."""
+    g = np.where(np.arange(1, 2 * N_HALF) % 2 == 0, G1, G2)
+    return g, 2.0 * g, np.full(g.size - 1, -np.sqrt(G1 * G2))
+
+
+def test_chain_modes_match_tridiagonal_eigenvalues():
+    _, diag, off = _dense_interior()
+    omega_opt, omega_ac, _, _ = oracles._chain_modes(G1, G2, N_HALF)
+    blocks = np.concatenate([omega_opt**2, omega_ac**2, [2.0 * G2]])
+    expected = eigh_tridiagonal(diag, off, eigvals_only=True)
+    assert_allclose(np.sort(blocks), expected, rtol=1e-13, atol=1e-12 * expected[-1])
+
+
+def test_chain_modes_keep_low_acoustic_modes():
+    # the long-wave signal rides on the lowest acoustic modes, whose eigenvalue
+    # is ~1e-7 of the optical one on a 8k-site chain; 40-digit reference
+    import mpmath
+
+    mpmath.mp.dps = 40
+    n = 4000
+    omega_opt, omega_ac, _, _ = oracles._chain_modes(G1, G2, n)
+    for m in (1, 2, 3, n // 2, n - 1):
+        c = mpmath.cos(mpmath.pi * m / (2 * n))
+        root = mpmath.sqrt((mpmath.mpf(G1) - G2) ** 2 + 4 * c**2 * G1 * G2)
+        lam_plus, lam_minus = float(G1 + G2 + root), float(mpmath.mpf(G1) + G2 - root)
+        assert omega_opt[m - 1] ** 2 == pytest.approx(lam_plus, rel=1e-14, abs=0)
+        assert omega_ac[m - 1] ** 2 == pytest.approx(lam_minus, rel=1e-13, abs=0)
+
+
+def test_propagation_matches_dense_cosine():
+    rng = np.random.default_rng(7)
+    w0 = rng.standard_normal(2 * N_HALF + 1)  # nonzero ends: static part exercised
+    g, diag, off = _dense_interior()
+    stiff = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam, q = np.linalg.eigh(stiff)
+    omega = np.sqrt(lam)
+    # equilibrium with the ends held: the discrete Laplacian of x_eq vanishes
+    lap = (np.diag(np.full(g.size, 2.0)) - np.diag(np.ones(g.size - 1), 1)
+           - np.diag(np.ones(g.size - 1), -1))
+    rhs = np.zeros(g.size)
+    rhs[0], rhs[-1] = w0[0], w0[-1]
+    x_eq = np.linalg.solve(lap, rhs)
+    y0 = q.T @ ((w0[1:-1] - x_eq) / np.sqrt(g))
+    times = np.array([1e-3, 0.03, 0.4, 2.0])
+    for t, (w, v) in zip(times, oracles._propagate(w0, G1, G2, times)):
+        w_ref = x_eq + np.sqrt(g) * (q @ (np.cos(omega * t) * y0))
+        v_ref = np.sqrt(g) * (q @ (-omega * np.sin(omega * t) * y0))
+        assert (w[0], w[-1]) == (w0[0], w0[-1])
+        assert (v[0], v[-1]) == (0.0, 0.0)
+        assert_allclose(w[1:-1], w_ref, rtol=0, atol=1e-12)
+        assert_allclose(v[1:-1], v_ref, rtol=0, atol=1e-12 * np.max(np.abs(v_ref)))
+
+
+ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE_SETTINGS
+@given(
+    gamma1=st.floats(0.1, 2.0),
+    ratio=st.floats(1.01, 20.0),
+    delta=st.floats(0.1, 1.0),
+    mu=st.floats(0.02, 0.2),
+    t=st.floats(0.01, 0.5),
+)
+def test_exact_oracle_invariants(gamma1, ratio, delta, mu, t):
+    params = LatticeParams(gamma1, gamma1 * ratio, delta * mu)
+    states, energy = integrate_lattice(params, GaussianProfile(), mu, [t, 2.0 * t])
+    assert energy.drift <= 1e-12
+    for state in states:
+        w = state.displacement
+        assert np.all(state.index == -state.index[::-1])
+        assert_allclose(w, w[::-1], rtol=0, atol=1e-12 * np.max(np.abs(w)))
+
+
+@ORACLE_SETTINGS
+@given(
+    gamma1=st.floats(0.1, 2.0),
+    ratio=st.floats(1.01, 20.0),
+    delta=st.floats(0.1, 1.0),
+    t=st.floats(1e-14, 1e-10),
+)
+def test_exact_oracle_tiny_time_returns_samples(gamma1, ratio, delta, t):
+    mu = 0.05
+    params = LatticeParams(gamma1, gamma1 * ratio, delta * mu)
+    profile = GaussianProfile()
+    (state,), _ = integrate_lattice(params, profile, mu, [t])
+    assert_allclose(state.displacement, profile.value(state.xi), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
