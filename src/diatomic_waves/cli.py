@@ -15,9 +15,9 @@ section headers (INI). Sections: ``[lattice]`` (either ``gamma1``,
 ``gamma2``, ``h`` or the physical ``m_heavy``, ``m_light``, ``spring_k``,
 ``spacing``, ``window``), ``[scale]`` (exactly one of ``mu`` /
 ``n_atoms``), ``[profile]``, ``[grid]``, ``[times]``, ``[methods]``, and
-optional ``[numerics]`` / ``[compare]``.  Every output file echoes the
-resolved configuration in its comment header, so identical configs give
-byte-identical outputs.
+optional ``[numerics]`` / ``[compare]``; any other section or key is a
+configuration error.  Every output file echoes the resolved configuration
+in its comment header, so identical configs give byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration/regime error, 3 numerical failure.
 """
@@ -131,6 +131,40 @@ class ScenarioConfig:
                 f"{self.compare_window[0]!r}, {self.compare_window[1]!r}"
             )
         return out
+
+
+#: Every section and key a scenario file may set.
+_KNOWN_KEYS = {
+    "lattice": ("gamma1", "gamma2", "h", "m_heavy", "m_light", "spring_k", "spacing", "window"),
+    "scale": ("mu", "n_atoms"),
+    "profile": ("kind", "path"),
+    "grid": ("x_min", "x_max", "points"),
+    "times": ("values",),
+    "methods": ("names",),
+    "numerics": (
+        "rtol", "atol", "nodes_per_cycle", "max_doublings", "dispersion_points",
+        "stencil", "front_side",
+    ),
+    "compare": ("window_min", "window_max"),
+}
+
+
+def _reject_unknown_keys(cfg: configparser.ConfigParser) -> None:
+    """A misspelt section or key would otherwise silently take its default."""
+    for name in cfg.sections():
+        known = _KNOWN_KEYS.get(name)
+        if known is None:
+            sections = "], [".join(_KNOWN_KEYS)
+            raise ConfigError(f"unknown section [{name}]; known sections: [{sections}]")
+        if name == "numerics" and "ode_dt" in cfg[name]:
+            raise ConfigError(
+                "[numerics] ode_dt is not a setting: the ode oracle propagates "
+                "the chain exactly, without a time step; remove the key"
+            )
+        unknown = [key for key in cfg[name] if key not in known]
+        if unknown:
+            keys = ", ".join(known)
+            raise ConfigError(f"unknown key '{unknown[0]}' in [{name}]; known keys: {keys}")
 
 
 def _finite(raw: str, where: str) -> float:
@@ -268,6 +302,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     read = cfg.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    _reject_unknown_keys(cfg)
     params = _parse_lattice(cfg)
     mu = _parse_mu(cfg, params)
     profile, profile_kind = _parse_profile(cfg)
@@ -294,11 +329,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         kw["nodes_per_cycle"] = _get_float(num, "nodes_per_cycle", 10.0)
         kw["max_doublings"] = _get_int(num, "max_doublings", 6)
         kw["dispersion_points"] = _get_int(num, "dispersion_points", 201)
-        if "ode_dt" in num:
-            raise ConfigError(
-                "[numerics] ode_dt is not a setting: the ode oracle propagates "
-                "the chain exactly, without a time step; remove the key"
-            )
         if num.get("stencil"):
             coeffs = tuple(
                 _finite(tok, "[numerics] stencil entry") for tok in num["stencil"].split(",")

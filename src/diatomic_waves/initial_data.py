@@ -269,12 +269,13 @@ def _sublattice_sites(profile: InitialProfile, delta: float, component: int) -> 
 def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -> np.ndarray:
     """Sublattice sum ``sum_n W(xi_n) exp(-i p xi_n)`` (n even or odd).
 
-    Vectorized over ``p``; always returns a complex array (exactly real
-    for even profiles, where the folded cosine form is used).  The sites
+    Vectorized over ``p`` of any shape; always returns a complex array of
+    shape ``p.shape`` (exactly real for even profiles, where the folded
+    cosine form is used).  ``p`` is summed in flattened order; the sites
     are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
-    chirp-z transforms; any other ``p`` by a blocked direct sum.
+    chirp-z transforms, any other ``p`` by a blocked direct sum.
     """
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    p_arr = np.asarray(p, dtype=float).ravel()
     xi = _sublattice_sites(profile, delta, component)
     vals = profile.value(xi)
     if profile.is_even:
@@ -308,7 +309,7 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
                 out[start : start + 8192] = np.exp(-1j * blk[:, None] * xi[None, :]) @ vals
     if np.isscalar(p) or np.ndim(p) == 0:
         return out[0]
-    return out
+    return out.reshape(np.shape(p))
 
 
 def spectral_vector(profile: InitialProfile, delta: float, p) -> np.ndarray:

@@ -80,8 +80,8 @@ def classify_regime(
     breaks down (``strong_dispersion``) and callers should use the
     full-band or short-wave evaluators instead.
     """
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     if not 0.0 < band[0] < band[1]:
         raise ConfigError(f"regime band must satisfy 0 < lo < hi, got {band!r}")
     ratio = params.h**2 / mu**3
@@ -120,10 +120,10 @@ def uas_integral(
     truncated where ``|What|`` falls below the profile cutoff.  Both
     displacement components equal this amplitude up to ``O(delta^2)``.
     """
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
-    if t < 0.0:
-        raise ConfigError(f"t must be non-negative, got {t!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"t must be finite and non-negative, got {t!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed
@@ -181,11 +181,11 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     combined before exponentiation (their sum is bounded by the peak
     value; neither factor alone is representable when ``t -> 0+``).
     """
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
-    if t <= 0.0:
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    if not (np.isfinite(t) and t > 0.0):
         raise ConfigError(
-            f"the Airy closed form degenerates at t <= 0 (got t={t!r}); "
+            f"the Airy closed form needs a finite t > 0 (got t={t!r}); "
             "use uas_integral for early times"
         )
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -221,8 +221,10 @@ def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, 
     the plain wave equation, hence accurate to ``O(t h^2/mu^3)`` in the
     ``wave_equation`` regime.
     """
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    if not np.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     ct = Dispersion(params).sound_speed * t
     out = 0.5 * (
@@ -257,8 +259,8 @@ def residual_pde_check(
     """
     if equation not in ("wave", "dispersive6"):
         raise ConfigError(f"equation must be 'wave' or 'dispersive6', got {equation!r}")
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed

@@ -302,10 +302,10 @@ def solve_quadrature(
     """
     if mode not in _QUADRATURE_MODES:
         raise ConfigError(f"mode must be one of {_QUADRATURE_MODES}, got {mode!r}")
-    if t < 0.0:
-        raise ConfigError(f"t must be non-negative, got {t!r}")
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"t must be finite and non-negative, got {t!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     delta = params.h / mu
     edge = np.pi / (2.0 * delta)

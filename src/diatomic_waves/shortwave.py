@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .airy import airy_ai_pair, envelope_amplitude
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
@@ -69,12 +68,15 @@ CONTINUATION_WIDTHS = 5.0
 
 _Z_FLOOR = 1e-12
 _ROOT_RESIDUAL = 1e-10
+#: Halvings of a stationary bracket (width <= pi/2): 2^-60 pi/2 = 1.4e-18
+#: in momentum, far below what the residual bound and the amplitudes resolve.
+_BISECTIONS = 60
 _GL_PSI_NODES, _GL_PSI_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _require_unit_delta(params: LatticeParams, mu: float) -> None:
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu!r}")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     if abs(params.h - mu) > 1e-9 * mu:
         raise RegimeError(
             f"short-wave evaluators require delta = h/mu = 1, got "
@@ -84,8 +86,8 @@ def _require_unit_delta(params: LatticeParams, mu: float) -> None:
 
 
 def _require_positive_time(t: float) -> None:
-    if t <= 0.0:
-        raise ConfigError(f"short-wave asymptotics require t > 0, got {t!r}")
+    if not (np.isfinite(t) and t > 0.0):
+        raise ConfigError(f"short-wave asymptotics require finite t > 0, got {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,104 +195,90 @@ def _split_with_continuation(
 
 @dataclass(frozen=True)
 class StationaryPoints:
-    """Stationary-phase data of one mode at one ``(x, t)``.
+    """Stationary-phase data of one mode at the points ``x`` at one ``t``.
 
-    ``momenta`` holds ``(p,)`` for the acoustic mode or
-    ``(p_minus, p_plus)`` straddling ``p*`` for the optical mode;
-    ``action`` is the non-negative Airy phase (``S`` acoustic, ``Psi``
-    optical) and ``carrier`` the optical mean phase ``Theta`` (zero for
-    acoustic).  ``window`` is the x-interval of this side on which the
-    stationary problem is solvable (front excluded).
+    ``momenta`` has shape ``x.shape + (1,)`` holding ``p`` for the
+    acoustic mode, or ``x.shape + (2,)`` holding ``(p_minus, p_plus)``
+    straddling ``p*`` for the optical mode; ``action`` (shape ``x.shape``)
+    is the non-negative Airy phase (``S`` acoustic, ``Psi`` optical) and
+    ``carrier`` the optical mean phase ``Theta`` (zero for acoustic).
     """
 
-    branch: str
-    side: str
-    x: float
-    t: float
-    momenta: tuple[float, ...]
-    action: float
-    carrier: float
-    window: tuple[float, float]
+    momenta: np.ndarray
+    action: np.ndarray
+    carrier: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.branch not in ("acoustic", "optical"):
-            raise ConfigError(f"unknown branch {self.branch!r}")
-        if self.side not in ("left", "right"):
-            raise ConfigError(f"unknown side {self.side!r}")
-        if not self.action >= 0.0:
+        if not np.all(self.action >= 0.0):
             raise NumericalError(
-                f"negative action {self.action!r} at x={self.x!r}, t={self.t!r}: "
-                "point lies beyond the continuation region"
+                f"negative action (min {float(np.min(self.action))!r}): a point lies "
+                "beyond the continuation region"
             )
 
 
-def _bracket_root(fn: Callable[[float], float], lo: float, hi: float, what: str) -> float:
-    f_lo, f_hi = fn(lo), fn(hi)
-    # Roots may sit exactly on a bracket edge (e.g. x = 0 puts the acoustic
-    # point at the zone edge), where fn returns rounding noise of either sign.
-    if abs(f_lo) <= _ROOT_RESIDUAL:
-        return lo
-    if abs(f_hi) <= _ROOT_RESIDUAL:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+def _bisect(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise root of ``fn``, decreasing through zero on each ``[lo, hi]``.
+
+    Without a sign change a bracket collapses onto an endpoint; the
+    caller's residual check rejects that unless the root is the endpoint
+    (as at ``x = 0``, where ``fn`` there is rounding noise of either sign).
+    """
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        above = fn(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _reject_beyond_front(x: np.ndarray, front: float, branch: str, speed: str) -> None:
+    beyond = np.abs(x) >= front
+    if np.any(beyond):
         raise NumericalError(
-            f"{what}: no sign change on [{lo!r}, {hi!r}] "
-            f"(f(lo)={f_lo!r}, f(hi)={f_hi!r})"
+            f"x={float(x[beyond][0])!r} is on or beyond the {branch} front |x| = {speed} = "
+            f"{front!r}; use {branch}_front_airy there"
         )
-    return float(brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
-def acoustic_stationary(params: LatticeParams, x: float, t: float) -> StationaryPoints:
+def acoustic_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
     """Acoustic stationary momentum ``p`` solving ``omega_1'(p) = |x| / t``.
 
     The group speed of the smooth acoustic branch decreases from ``c``
     at ``p = 0`` to ``0`` at the zone edge ``p = pi/2``, so there is a
-    unique root for ``|x| < c t`` (``p -> pi/2`` as ``x -> 0``).  The
+    unique root for ``|x| < c t`` (``p -> pi/2`` as ``x -> 0``), found for
+    every point of ``x`` (scalar or array) at once by bisection.  The
     stored action ``S = omega_1(p) t - p |x|`` is computed in the
     cancellation-free Legendre form ``t m(p) + p (t omega_1'(p) - |x|)``.
     """
     _require_positive_time(t)
     disp = Dispersion(params)
-    c = disp.sound_speed
-    ax = abs(float(x))
-    if ax >= c * t:
-        raise NumericalError(
-            f"x={x!r} is on or beyond the acoustic front |x| = c t = {c * t!r}; "
-            "use acoustic_front_airy there"
-        )
+    x_arr = np.asarray(x, dtype=float)
+    _reject_beyond_front(x_arr, disp.sound_speed * t, "acoustic", "c t")
+    ax = np.abs(x_arr)
     target = ax / t
 
-    def fn(p: float) -> float:
-        return float(disp.omega1_smooth_derivs(p, 1)[1]) - target
+    def residual_fn(p: np.ndarray) -> np.ndarray:
+        return disp.omega1_smooth_derivs(p, 1)[1] - target
 
-    p = _bracket_root(fn, 0.0, np.pi / 2.0, "acoustic stationary point")
-    residual = abs(fn(p))
-    if residual > _ROOT_RESIDUAL:
+    p = _bisect(residual_fn, np.zeros_like(ax), np.full_like(ax, np.pi / 2.0))
+    omega1_p = disp.omega1_smooth_derivs(p, 1)[1]
+    residual = np.max(np.abs(omega1_p - target), initial=0.0)
+    if not residual <= _ROOT_RESIDUAL:
         raise NumericalError(f"acoustic stationary residual {residual:.3e} > {_ROOT_RESIDUAL}")
-    omega1_p = float(disp.omega1_smooth_derivs(p, 1)[1])
-    action = float(t * disp.legendre_omega1(p) + p * (t * omega1_p - ax))
-    side = "right" if x >= 0.0 else "left"
-    window = (0.0, c * t) if side == "right" else (-c * t, 0.0)
-    return StationaryPoints(
-        branch="acoustic",
-        side=side,
-        x=float(x),
-        t=float(t),
-        momenta=(p,),
-        action=action,
-        carrier=0.0,
-        window=window,
-    )
+    action = t * disp.legendre_omega1(p) + p * (t * omega1_p - ax)
+    return StationaryPoints(momenta=p[..., None], action=action, carrier=np.zeros_like(action))
 
 
-def optical_stationary(params: LatticeParams, x: float, t: float) -> StationaryPoints:
+def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
     """Optical stationary pair ``p_- < p* < p_+`` with phases ``Theta, Psi``.
 
     Both momenta solve ``omega_2'(p) = -|x| / t`` (the optical group
     speed runs from 0 at the zone centre through ``-c*`` at ``p*`` back
-    to 0 at the zone edge); they exist for ``|x| < c* t``.  With the
-    side phase ``Phi(p) = p x + omega_2(p) t`` (right) or
-    ``p x - omega_2(p) t`` (left), the stored values are
+    to 0 at the zone edge); they exist for ``|x| < c* t`` and are found
+    for every point of ``x`` (scalar or array) at once by bisection on
+    ``[0, p*]`` and ``[p*, pi/2]``.  With the side phase
+    ``Phi(p) = p x + omega_2(p) t`` (``x >= 0``) or
+    ``p x - omega_2(p) t`` (``x < 0``), the stored values are
     ``Theta = (Phi(p_+) + Phi(p_-)) / 2`` and the non-negative
     ``Psi = -(t/2) * int_{p_-}^{p_+} (p_+ - s) omega_2''(s) ds``
     (equal to half the phase spread ``|Phi(p_max) - Phi(p_min)|``,
@@ -299,51 +287,38 @@ def optical_stationary(params: LatticeParams, x: float, t: float) -> StationaryP
     _require_positive_time(t)
     disp = Dispersion(params)
     crit = disp.critical
-    ax = abs(float(x))
-    if ax >= crit.c_star * t:
-        raise NumericalError(
-            f"x={x!r} is on or beyond the optical front |x| = c* t = "
-            f"{crit.c_star * t!r}; use optical_front_airy there"
-        )
-    target = -ax / t
+    x_arr = np.asarray(x, dtype=float)
+    _reject_beyond_front(x_arr, crit.c_star * t, "optical", "c* t")
+    target = (-np.abs(x_arr) / t)[..., None]
+    # omega_2' falls on [0, p*] and rises on [p*, pi/2]; the sign flip makes
+    # the residual decreasing on both brackets.
+    flip = np.array([1.0, -1.0])
+    shape = x_arr.shape + (2,)
 
-    def fn(p: float) -> float:
-        return float(disp.omega2_derivs(p, 1)[1]) - target
+    def residual_fn(p: np.ndarray) -> np.ndarray:
+        return flip * (disp.omega2_derivs(p, 1)[1] - target)
 
-    p_minus = _bracket_root(fn, 0.0, crit.p_star, "optical stationary point p-")
-    p_plus = _bracket_root(fn, crit.p_star, np.pi / 2.0, "optical stationary point p+")
-    for p_root, tag in ((p_minus, "p-"), (p_plus, "p+")):
-        residual = abs(fn(p_root))
-        if residual > _ROOT_RESIDUAL:
-            raise NumericalError(
-                f"optical stationary residual at {tag}: {residual:.3e} > {_ROOT_RESIDUAL}"
-            )
+    momenta = _bisect(
+        residual_fn,
+        np.broadcast_to((0.0, crit.p_star), shape),
+        np.broadcast_to((crit.p_star, np.pi / 2.0), shape),
+    )
+    residual = np.max(np.abs(residual_fn(momenta)), initial=0.0)
+    if not residual <= _ROOT_RESIDUAL:
+        raise NumericalError(f"optical stationary residual {residual:.3e} > {_ROOT_RESIDUAL}")
+    p_minus, p_plus = momenta[..., 0], momenta[..., 1]
 
     # Psi = -(t/2) int_{p-}^{p+} (p+ - s) w2''(s) ds  by 32-node Gauss-Legendre.
     half = 0.5 * (p_plus - p_minus)
     mid = 0.5 * (p_plus + p_minus)
-    nodes = mid + half * _GL_PSI_NODES
+    nodes = mid[..., None] + half[..., None] * _GL_PSI_NODES
     w2dd = disp.omega2_derivs(nodes, 2)[2]
-    psi = float(-0.5 * t * half * np.dot(_GL_PSI_WEIGHTS, (p_plus - nodes) * w2dd))
+    psi = -0.5 * t * half * (((p_plus[..., None] - nodes) * w2dd) @ _GL_PSI_WEIGHTS)
 
-    w2_minus = float(disp.omega2_derivs(p_minus, 0)[0])
-    w2_plus = float(disp.omega2_derivs(p_plus, 0)[0])
-    side = "right" if x >= 0.0 else "left"
-    sgn = 1.0 if side == "right" else -1.0
-    phi_minus = p_minus * x + sgn * w2_minus * t
-    phi_plus = p_plus * x + sgn * w2_plus * t
-    theta = 0.5 * (phi_plus + phi_minus)
-    window = (0.0, crit.c_star * t) if side == "right" else (-crit.c_star * t, 0.0)
-    return StationaryPoints(
-        branch="optical",
-        side=side,
-        x=float(x),
-        t=float(t),
-        momenta=(p_minus, p_plus),
-        action=psi,
-        carrier=theta,
-        window=window,
-    )
+    sgn = np.where(x_arr >= 0.0, 1.0, -1.0)[..., None]
+    phi = momenta * x_arr[..., None] + sgn * disp.omega2_derivs(momenta, 0)[0] * t
+    theta = 0.5 * (phi[..., 1] + phi[..., 0])
+    return StationaryPoints(momenta=momenta, action=psi, carrier=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -451,53 +426,13 @@ def optical_front_airy(
 # Uniform evaluators
 # ---------------------------------------------------------------------------
 
-def _acoustic_uniform_point(
-    disp: Dispersion, profile: InitialProfile, mu: float, x: float, t: float
-) -> np.ndarray:
-    sp = acoustic_stationary(disp.params, x, t)
-    p = sp.momenta[0]
-    omega1_dd = float(disp.omega1_smooth_derivs(p, 2)[2])
-    mat = disp.modal_matrix(p, ACOUSTIC)
-    vt = spectral_vector(profile, 1.0, p)[0]
-    amp = (mat @ vt) / np.sqrt(t * abs(omega1_dd))
-    env = envelope_amplitude(sp.action / mu, -1 if sp.side == "right" else +1)
-    return np.sqrt(2.0 * mu / np.pi) * (amp * env).real
-
-
-def _optical_uniform_point(
-    disp: Dispersion, profile: InitialProfile, mu: float, x: float, t: float
-) -> np.ndarray:
-    sp = optical_stationary(disp.params, x, t)
-    p_minus, p_plus = sp.momenta
-    b = []
-    for p_root in (p_minus, p_plus):
-        omega2_dd = float(disp.omega2_derivs(p_root, 2)[2])
-        mat = disp.modal_matrix(p_root, OPTICAL)
-        vt = spectral_vector(profile, 1.0, p_root)[0]
-        b.append((mat @ vt) / np.sqrt(t * abs(omega2_dd)))
-    b_minus, b_plus = b
-    # Phi is maximal at p_minus on the right side and at p_plus on the left;
-    # the maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
-    if sp.side == "right":
-        b_max, b_min = b_minus, b_plus
-    else:
-        b_max, b_min = b_plus, b_minus
-    y = sp.action / mu
-    combo = b_max * envelope_amplitude(y, +1) + b_min * envelope_amplitude(y, -1)
-    carrier = np.exp(1j * sp.carrier / mu)
-    return np.sqrt(2.0 * mu / np.pi) * (carrier * combo).real
-
-
 def _dispatch_uniform(
-    params: LatticeParams,
-    profile: InitialProfile,
-    mu: float,
     x_arr: np.ndarray,
     t: float,
     *,
     front_speed: float,
     width: float,
-    point_fn: Callable[[float], np.ndarray],
+    interior_fn: Callable[[np.ndarray], np.ndarray],
     front_fn: Callable[[np.ndarray, str], np.ndarray],
 ) -> np.ndarray:
     """Assemble interior / front-band / outside values on a grid."""
@@ -508,8 +443,8 @@ def _dispatch_uniform(
     interior = np.abs(x_arr) <= switch
     right_band = (x_arr > switch) & (x_arr <= outer)
     left_band = (x_arr < -switch) & (x_arr >= -outer)
-    for i in np.flatnonzero(interior):
-        out[i] = point_fn(float(x_arr[i]))
+    if np.any(interior):
+        out[interior] = interior_fn(x_arr[interior])
     if np.any(right_band):
         out[right_band] = front_fn(x_arr[right_band], "right")
     if np.any(left_band):
@@ -531,9 +466,9 @@ def acoustic_uniform(
     ``sqrt(2 mu / pi) Re[ A(p) Vtilde(p) A_pm(S/mu) ] / sqrt(t |omega_1''(p)|)``
     at the stationary momentum (``A_minus`` right of the origin,
     ``A_plus`` left; both sides meet continuously at ``x = 0``), handed
-    over to :func:`acoustic_front_airy` within half an envelope width of
-    the front ``|x| = c t`` and zero beyond the 5-width continuation
-    margin.  Returns shape ``(n, 2)``.
+    over to :func:`acoustic_front_airy` from ``FRONT_SWITCH_WIDTHS``
+    envelope widths inside the front ``|x| = c t`` and zero beyond
+    ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape ``(n, 2)``.
     """
     _require_unit_delta(params, mu)
     _require_positive_time(t)
@@ -541,15 +476,24 @@ def acoustic_uniform(
     disp = Dispersion(params)
     q = disp.dispersion_coefficient
     width = mu ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0)
+
+    def interior(xs: np.ndarray) -> np.ndarray:
+        sp = acoustic_stationary(params, xs, t)
+        p = sp.momenta[:, 0]
+        curv = disp.omega1_smooth_derivs(p, 2)[2]
+        amp = np.einsum(
+            "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
+        ) / np.sqrt(t * np.abs(curv))[:, None]
+        a_plus = envelope_amplitude(sp.action / mu, +1)
+        env = np.where(xs >= 0.0, a_plus.conj(), a_plus)  # A_minus = conj(A_plus)
+        return np.sqrt(2.0 * mu / np.pi) * (amp * env[:, None]).real
+
     return _dispatch_uniform(
-        params,
-        profile,
-        mu,
         x_arr,
         t,
         front_speed=disp.sound_speed,
         width=width,
-        point_fn=lambda xi: _acoustic_uniform_point(disp, profile, mu, xi, t),
+        interior_fn=interior,
         front_fn=lambda xs, side: acoustic_front_airy(
             params, profile, mu, xs, t, side, stencil=stencil
         ),
@@ -570,9 +514,10 @@ def optical_uniform(
     ``sqrt(2 mu / pi) Re{ e^{i Theta/mu} [ b(p_max) A_plus(Psi/mu)
     + b(p_min) A_minus(Psi/mu) ] }`` with
     ``b(p) = B(p) Vtilde(p) / sqrt(t |omega_2''(p)|)`` at the stationary
-    pair, handed over to :func:`optical_front_airy` within half an
-    envelope width of ``|x| = c* t`` and zero beyond the 5-width margin.
-    Returns shape ``(n, 2)``.
+    pair, handed over to :func:`optical_front_airy` from
+    ``FRONT_SWITCH_WIDTHS`` envelope widths inside ``|x| = c* t`` and
+    zero beyond ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape
+    ``(n, 2)``.
     """
     _require_unit_delta(params, mu)
     _require_positive_time(t)
@@ -580,15 +525,30 @@ def optical_uniform(
     disp = Dispersion(params)
     crit = disp.critical
     width = mu ** (2.0 / 3.0) * (crit.q_star * t) ** (1.0 / 3.0)
+
+    def interior(xs: np.ndarray) -> np.ndarray:
+        sp = optical_stationary(params, xs, t)
+        p = sp.momenta  # (n, 2): p_minus, p_plus
+        curv = disp.omega2_derivs(p, 2)[2]
+        b = np.einsum(
+            "nkij,nkj->nki", disp.modal_matrix(p, OPTICAL), spectral_vector(profile, 1.0, p)
+        ) / np.sqrt(t * np.abs(curv))[..., None]
+        # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
+        # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
+        right = (xs >= 0.0)[:, None]
+        b_max = np.where(right, b[:, 0], b[:, 1])
+        b_min = np.where(right, b[:, 1], b[:, 0])
+        a_plus = envelope_amplitude(sp.action / mu, +1)[:, None]
+        combo = b_max * a_plus + b_min * a_plus.conj()  # A_minus = conj(A_plus)
+        carrier = np.exp(1j * sp.carrier / mu)[:, None]
+        return np.sqrt(2.0 * mu / np.pi) * (carrier * combo).real
+
     return _dispatch_uniform(
-        params,
-        profile,
-        mu,
         x_arr,
         t,
         front_speed=crit.c_star,
         width=width,
-        point_fn=lambda xi: _optical_uniform_point(disp, profile, mu, xi, t),
+        interior_fn=interior,
         front_fn=lambda xs, side: optical_front_airy(
             params, profile, mu, xs, t, side, stencil=stencil
         ),

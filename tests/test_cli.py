@@ -381,6 +381,22 @@ def test_ode_dt_key_exits_2(tmp_path, capsys):
     assert "exactly" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("\n[numerics]\nrtoll = 1e-3\n", "unknown key 'rtoll' in [numerics]; known keys: rtol, atol"),
+        ("\n[numeric]\nrtol = 1e-3\n", "unknown section [numeric]; known sections: [lattice]"),
+    ],
+)
+def test_unknown_config_keys_exit_2(tmp_path, capsys, extra, named):
+    # a misspelt key or section must not silently fall back to the default
+    path = _write(tmp_path, BASE + extra)
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_compare_ode_against_quadrature_on_lattice_sites(tmp_path):
     # each ode row holds a heavy site's u and the light site to its right's v;
     # the continuum method must be sampled at those same two sites

@@ -18,6 +18,7 @@ from diatomic_waves import (
     semi_discrete_ft,
     spectral_vector,
 )
+from diatomic_waves._quadrature import panel_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,25 @@ def test_spectral_vector_shapes(gaussian):
     assert_allclose(vec[0, 1], ref.GAUSSIAN_SUBLATTICE_SUMS[(1.0, 0.4, 2)], rtol=1e-13)
     arr = spectral_vector(gaussian, 1.0, np.linspace(0, 1, 5))
     assert arr.shape == (5, 2)
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_spectral_vector_accepts_2d_momenta(gaussian, even):
+    # p of any shape is summed in flattened order: the optical stationary
+    # pair arrives as an (n, 2) array, panel nodes may arrive as (n, 16)
+    xi = np.linspace(-6.0, 8.0, 701)
+    profile = gaussian if even else TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
+    pairs = np.array([[0.1, 0.9], [0.4, 1.3], [1.5, 0.2]])
+    panels = panel_nodes(-1.5, 1.5, 4)[0].reshape(4, 16)
+    for p in (pairs, panels):
+        got = spectral_vector(profile, 1.0, p)
+        assert got.shape == p.shape + (2,)
+        np.testing.assert_array_equal(got, spectral_vector(profile, 1.0, p.ravel()).reshape(got.shape))
+        for component in (1, 2):
+            np.testing.assert_array_equal(
+                semi_discrete_ft(profile, 1.0, p, component),
+                semi_discrete_ft(profile, 1.0, p.ravel(), component).reshape(p.shape),
+            )
 
 
 def test_semi_discrete_component_validation(gaussian):

@@ -20,11 +20,19 @@ from diatomic_waves import (
     LatticeParams,
     TableProfile,
     WaveField,
+    acoustic_front_airy,
+    acoustic_uniform,
     compare_fields,
     integrate_lattice,
     kws_interpolate,
+    optical_front_airy,
+    optical_uniform,
     read_fields_csv,
+    shortwave_total,
     solve_quadrature,
+    uas_dalembert,
+    uas_gaussian_airy,
+    uas_integral,
     write_fields_csv,
 )
 from diatomic_waves import oracles
@@ -157,6 +165,30 @@ def test_ode_input_guards(desk, gaussian):
     with pytest.raises(ChainSizeError):
         integrate_lattice(params, gaussian, 0.05, [1e6])
     assert time.perf_counter() - start < 1.0
+
+
+_FIELD_ENTRY_POINTS = {
+    "solve_quadrature": solve_quadrature,
+    "uas_integral": uas_integral,
+    "uas_gaussian_airy": lambda p, g, mu, x, t: uas_gaussian_airy(p, mu, x, t),
+    "uas_dalembert": uas_dalembert,
+    "acoustic_front_airy": acoustic_front_airy,
+    "optical_front_airy": optical_front_airy,
+    "acoustic_uniform": acoustic_uniform,
+    "optical_uniform": optical_uniform,
+    "shortwave_total": shortwave_total,
+}
+
+
+@pytest.mark.parametrize("bad", ["t=nan", "t=inf", "mu=nan"])
+@pytest.mark.parametrize("entry", sorted(_FIELD_ENTRY_POINTS))
+def test_field_entry_points_reject_non_finite(desk, gaussian, entry, bad):
+    # delta = 1 with finite inputs is valid for every entry point
+    kwargs = {"mu": 0.01, "t": 0.25}
+    name, value = bad.split("=")
+    kwargs[name] = float(value)
+    with pytest.raises(ConfigError):
+        _FIELD_ENTRY_POINTS[entry](desk(0.01), gaussian, kwargs["mu"], [0.1], kwargs["t"])
 
 
 def test_ode_matches_quadrature_longwave(desk, gaussian):

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from diatomic_waves import (
     ACOUSTIC,
@@ -106,7 +109,6 @@ def test_three_point_continue_quadratic_exact():
 def test_acoustic_stationary_structure(params, disp):
     sp = acoustic_stationary(params, 0.25, T)
     p = sp.momenta[0]
-    assert sp.branch == "acoustic" and sp.side == "right"
     assert abs(disp.omega1_smooth_derivs(p, 1)[1] - 0.25 / T) < 1e-10
     # S = omega_1 t - p |x|, directly
     assert_allclose(
@@ -115,7 +117,6 @@ def test_acoustic_stationary_structure(params, disp):
     assert sp.carrier == 0.0
     # mirrored point
     sp_left = acoustic_stationary(params, -0.25, T)
-    assert sp_left.side == "left"
     assert_allclose(sp_left.action, sp.action, rtol=1e-13)
     assert_allclose(sp_left.momenta[0], p, rtol=1e-13)
 
@@ -191,22 +192,83 @@ def test_optical_stationary_front_rejection(params, disp):
         optical_stationary(params, -c_star * T, T)
 
 
+def _brentq_root(fn, lo, hi):
+    """Per-point reference root; an endpoint root (x = 0) is taken as is,
+    since ``fn`` there is rounding noise of either sign."""
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_lo * f_hi > 0.0:
+        return lo if abs(f_lo) < abs(f_hi) else hi
+    return brentq(fn, lo, hi, xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
+
+
+STATIONARY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_FRACTIONS = st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=12)
+
+
+@STATIONARY_SETTINGS
+@given(frac=_FRACTIONS, t=st.floats(0.05, 1.0))
+def test_acoustic_stationary_grid_properties(params, disp, frac, t):
+    x = np.array(frac) * disp.sound_speed * t
+    sp = acoustic_stationary(params, x, t)
+    assert sp.momenta.shape == x.shape + (1,) and sp.action.shape == x.shape
+    p = sp.momenta[:, 0]
+    assert np.max(np.abs(disp.omega1_smooth_derivs(p, 1)[1] - np.abs(x) / t)) <= 1e-10
+    ref = [
+        _brentq_root(lambda s, xi=xi: disp.omega1_smooth_derivs(s, 1)[1] - abs(xi) / t, 0.0, np.pi / 2)
+        for xi in x
+    ]
+    assert_allclose(p, ref, rtol=0, atol=1e-12)
+    assert np.all(sp.action >= 0.0)
+    mirrored = acoustic_stationary(params, -x, t)
+    np.testing.assert_array_equal(mirrored.momenta, sp.momenta)
+    np.testing.assert_array_equal(mirrored.action, sp.action)
+    single = acoustic_stationary(params, x[0], t)
+    assert single.momenta.shape == (1,)
+    assert_allclose(single.momenta, sp.momenta[0], rtol=4e-16, atol=0)
+    assert_allclose(single.action, sp.action[0], rtol=4e-16, atol=0)
+
+
+@STATIONARY_SETTINGS
+@given(frac=_FRACTIONS, t=st.floats(0.05, 1.0))
+def test_optical_stationary_grid_properties(params, disp, frac, t):
+    crit = disp.critical
+    x = np.array(frac) * crit.c_star * t
+    sp = optical_stationary(params, x, t)
+    assert sp.momenta.shape == x.shape + (2,) and sp.action.shape == x.shape
+    speed = disp.omega2_derivs(sp.momenta, 1)[1]
+    assert np.max(np.abs(speed + np.abs(x)[:, None] / t)) <= 1e-10
+    for xi, (p_minus, p_plus) in zip(x, sp.momenta):
+        def fn(s, xi=xi):
+            return disp.omega2_derivs(s, 1)[1] + abs(xi) / t
+
+        assert abs(p_minus - _brentq_root(fn, 0.0, crit.p_star)) <= 1e-12
+        assert abs(p_plus - _brentq_root(fn, crit.p_star, np.pi / 2)) <= 1e-12
+        assert p_minus < crit.p_star < p_plus
+    assert np.all(sp.action >= 0.0)
+    mirrored = optical_stationary(params, -x, t)
+    np.testing.assert_array_equal(mirrored.momenta, sp.momenta)
+    np.testing.assert_array_equal(mirrored.action, sp.action)
+    single = optical_stationary(params, x[0], t)
+    assert single.momenta.shape == (2,)
+    assert_allclose(single.momenta, sp.momenta[0], rtol=4e-16, atol=0)
+    assert_allclose(single.action, sp.action[0], rtol=1e-15, atol=1e-18)
+    assert_allclose(single.carrier, sp.carrier[0], rtol=1e-15, atol=1e-18)
+
+
+@pytest.mark.parametrize("solver", [acoustic_stationary, optical_stationary])
+def test_stationary_nan_input_fails_checks(params, solver):
+    # NaN compares false against the front, so the residual check must catch it
+    with pytest.raises(NumericalError, match="residual"):
+        solver(params, np.array([0.1, np.nan]), T)
+    with pytest.raises(NumericalError, match="residual"):
+        solver(params, np.nan, T)
+    with pytest.raises(ConfigError):
+        solver(params, 0.1, np.nan)
+
+
 def test_stationary_points_validation():
-    with pytest.raises(ConfigError):
-        StationaryPoints(
-            branch="torsional", side="right", x=0.1, t=0.5,
-            momenta=(0.3,), action=0.1, carrier=0.0, window=(0.0, 0.5),
-        )
-    with pytest.raises(ConfigError):
-        StationaryPoints(
-            branch="acoustic", side="middle", x=0.1, t=0.5,
-            momenta=(0.3,), action=0.1, carrier=0.0, window=(0.0, 0.5),
-        )
     with pytest.raises(NumericalError):
-        StationaryPoints(
-            branch="acoustic", side="right", x=0.1, t=0.5,
-            momenta=(0.3,), action=-1e-3, carrier=0.0, window=(0.0, 0.5),
-        )
+        StationaryPoints(momenta=(0.3,), action=-1e-3, carrier=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +372,7 @@ def test_optical_uniform_matches_wkb_interior(params, disp, gaussian):
                 / np.sqrt(T * abs(curv))
             )
         b_minus, b_plus = b
-        b_max, b_min = (b_minus, b_plus) if sp.side == "right" else (b_plus, b_minus)
+        b_max, b_min = (b_minus, b_plus) if x >= 0 else (b_plus, b_minus)
         y = sp.action / MU
         combo = b_max * np.exp(1j * (y - np.pi / 4.0)) + b_min * np.exp(
             -1j * (y - np.pi / 4.0)
