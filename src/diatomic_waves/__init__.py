@@ -12,7 +12,7 @@ ratio ``delta = h / mu`` of lattice step to excitation width:
   Airy-envelope evaluators;
 * ``dispersion``, ``initial_data``, ``airy`` — the shared machinery:
   branch frequencies and modal projectors, semi-discrete spectral data,
-  and the Airy function built from scratch.
+  and the Airy function (scipy.special plus a large-argument tail).
 """
 
 from .airy import (
@@ -44,12 +44,10 @@ from .initial_data import (
     GapReport,
     GaussianProfile,
     InitialProfile,
-    LatticeSamples,
     TableProfile,
     kws_interpolate,
     load_profile_table,
     poisson_gap,
-    sample_lattice,
     semi_discrete_ft,
     spectral_vector,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "GaussianProfile",
     "InitialProfile",
     "LatticeParams",
-    "LatticeSamples",
     "LatticeState",
     "LongwaveRegime",
     "NumericalError",
@@ -133,7 +130,6 @@ __all__ = [
     "poisson_gap",
     "read_fields_csv",
     "residual_pde_check",
-    "sample_lattice",
     "semi_discrete_ft",
     "shortwave_total",
     "solve_quadrature",

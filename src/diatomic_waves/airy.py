@@ -1,31 +1,32 @@
-"""Airy function of the first kind, implemented from scratch.
+"""Airy function of the first kind: ``scipy.special`` plus a short tail.
 
 The wave fronts of the lattice are universally described by ``Ai`` and its
-derivative, so the package carries its own evaluator rather than relying
-on an external special-function library (library values appear only in
-tests, as an independent cross-check).
+derivative: the long-wave closed form and the short-wave front and uniform
+forms all go through this module.
 
 Evaluation strategy
 -------------------
-* ``|z| < 7.4`` — Maclaurin series ``Ai = Ai(0) f(z) + Ai'(0) g(z)``
-  accumulated in extended precision (``np.longdouble``).  The series
-  suffers cancellation growing like ``exp((2/3)|z|^{3/2})``; at the
-  switch point the largest term is ~7e5, so extended precision keeps the
-  absolute error near 1e-13.
-* ``z >= 7.4`` — exponential asymptotic expansion with optimal
-  truncation (error well below 1e-12 relative).
-* ``z <= -7.4`` — trigonometric asymptotic expansion with optimal
-  truncation (error ~1e-12 relative at the switch, improving rapidly).
+* ``|z| < _TAIL_SWITCH`` (``1e4``) — ``scipy.special.airy`` for ``Ai`` and
+  ``Ai'``, ``scipy.special.airye`` for the scaled ``Ai e^{(2/3) z^{3/2}}``.
+* ``|z| >= _TAIL_SWITCH`` — the large-argument expansions of DLMF §9.7
+  (9.7.5, 9.7.6, 9.7.9, 9.7.10) with the fixed terms ``k = 0..2``.  At the
+  switch ``zeta = (2/3) |z|^{3/2} ~ 6.7e5``, so the first dropped term
+  ``u_3 / zeta^3`` is ~1e-19: the sum is exact to rounding.
 
-``airy_ai_scaled`` returns ``Ai(z) exp((2/3) z^{3/2})`` for ``z >= 0``
-without overflow; it switches to the asymptotic branch earlier (at 6)
-because on the scaled quantity the asymptotic series is already more
-accurate there than the cancellation-limited Maclaurin sum.
+Why the tail exists: scipy (1.17) returns NaN for ``|z| >~ 1.07e6``, and
+the long-wave closed form goes past that on fine lattices (``z ~ 1.8e6``
+at ``h = 2.5e-4``, ``mu = 0.05``, ``t = 0.1``).  On the oscillating side
+the phase ``zeta`` is rounded like any float, so there ``Ai`` and ``Ai'``
+carry an absolute error of a few ``eps * zeta`` times their amplitude,
+which is the conditioning of the function, not of the sum.
+
+A NaN argument gives NaN.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from .errors import ConfigError
 
@@ -43,146 +44,53 @@ __all__ = [
 AIRY_AI_ZERO = 0.35502805388781723926
 AIRY_AI_PRIME_ZERO = -0.25881940379280679841
 
-_SERIES_SWITCH = 7.4
-_SCALED_SWITCH = 6.0
+# |z| from which the asymptotic tail replaces scipy.special.
+_TAIL_SWITCH = 1e4
+
 _SQRT_PI = 1.7724538509055160273
 
-# Extended-precision copies of the origin values for the series.
-_AI0_LD = np.longdouble("0.355028053887817239260063186004183176398")
-_AIP0_LD = np.longdouble("-0.258819403792806798405183560189203963479")
+# u_k, v_k of DLMF 9.7.2 for k = 0, 1, 2.
+_U1, _U2 = 5.0 / 72.0, 385.0 / 10368.0
+_V1, _V2 = -7.0 / 72.0, -455.0 / 10368.0
 
 
-def _asymptotic_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First ``n`` coefficients u_k, v_k of the large-|z| expansions.
-
-    ``u_0 = v_0 = 1``, ``u_{k+1} = u_k (6k+1)(6k+5) / (72 (k+1))``,
-    ``v_k = -u_k (6k+1) / (6k-1)`` for ``k >= 1``.
-    """
-    u = np.empty(n)
-    v = np.empty(n)
-    u[0] = v[0] = 1.0
-    for k in range(n - 1):
-        u[k + 1] = u[k] * (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1))
-    for k in range(1, n):
-        v[k] = -u[k] * (6 * k + 1) / (6 * k - 1.0)
-    return u, v
-
-
-_U_COEF, _V_COEF = _asymptotic_coefficients(40)
-
-
-def _maclaurin_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') by Maclaurin series, extended-precision accumulation."""
-    zl = z.astype(np.longdouble)
-    z3 = zl * zl * zl
-    # running terms: a_k of f, b_k of g, fp_k of f', gp_k of g'
-    a = np.ones_like(zl)
-    b = zl.copy()
-    ap = 0.5 * zl * zl  # f'-term with index 1
-    bp = np.ones_like(zl)  # g'-term with index 0
-    f = a.copy()
-    g = b.copy()
-    fp = ap.copy()
-    gp = bp.copy()
-    zmax = float(np.max(np.abs(z))) if z.size else 0.0
-    kmax = 30 + int(2.5 * zmax ** 1.5)
-    for k in range(1, kmax):
-        a = a * z3 / ((3 * k - 1) * (3 * k))
-        b = b * z3 / ((3 * k) * (3 * k + 1))
-        bp = bp * z3 / ((3 * k) * (3 * k - 2))
-        if k >= 2:
-            ap = ap * z3 * k / ((k - 1) * (3 * k - 1) * (3 * k))
-            fp = fp + ap
-        f = f + a
-        g = g + b
-        gp = gp + bp
-        if k % 8 == 0:
-            tmax = max(
-                float(np.max(np.abs(a))),
-                float(np.max(np.abs(b))),
-                float(np.max(np.abs(ap))),
-                float(np.max(np.abs(bp))),
-            )
-            if tmax < 1e-25 * (1.0 + float(np.max(np.abs(f)))):
-                break
-    ai = _AI0_LD * f + _AIP0_LD * g
-    aip = _AI0_LD * fp + _AIP0_LD * gp
-    return ai.astype(float), aip.astype(float)
-
-
-def _asymptotic_sum(zeta: np.ndarray, coef: np.ndarray, stride: int, offset: int) -> np.ndarray:
-    """Optimally truncated sum of ``coef[j] * zeta**-(stride*j + offset)``.
-
-    Terms are added while their magnitude keeps decreasing (classic
-    optimal truncation of a divergent asymptotic series); elements stop
-    independently once their terms start to grow.
-    """
-    acc = np.zeros_like(zeta)
-    prev = np.full_like(zeta, np.inf)
-    active = np.ones_like(zeta, dtype=bool)
-    inv = 1.0 / zeta
-    for j, c in enumerate(coef):
-        term = c * inv ** (stride * j + offset)
-        mag = np.abs(term)
-        grow = mag >= prev
-        active = active & ~grow
-        if not np.any(active):
-            break
-        acc = np.where(active, acc + term, acc)
-        prev = mag
-    return acc
-
-
-def _exponential_branch(z: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') for large positive z; if scaled, omit exp(-zeta)."""
-    zeta = (2.0 / 3.0) * z ** 1.5
-    n = _U_COEF.size
-    s_ai = _asymptotic_sum(zeta, _U_COEF * (-1.0) ** np.arange(n), 1, 0)
-    s_aip = _asymptotic_sum(zeta, _V_COEF * (-1.0) ** np.arange(n), 1, 0)
-    damp = 1.0 if scaled else np.exp(-zeta)
-    z4 = z ** 0.25
-    ai = damp * s_ai / (2.0 * _SQRT_PI * z4)
-    aip = -damp * z4 * s_aip / (2.0 * _SQRT_PI)
+def _decaying_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Ai, Ai') * e^{zeta}`` for ``z >= _TAIL_SWITCH`` (DLMF 9.7.5-6)."""
+    r = 1.0 / ((2.0 / 3.0) * z**1.5)
+    z4 = z**0.25
+    ai = (1.0 - _U1 * r + _U2 * r * r) / (2.0 * _SQRT_PI * z4)
+    aip = -z4 * (1.0 - _V1 * r + _V2 * r * r) / (2.0 * _SQRT_PI)
     return ai, aip
 
 
-def _trigonometric_branch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') for large negative z (argument passed as x = -z > 0)."""
+def _oscillating_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Ai, Ai')`` for ``z <= -_TAIL_SWITCH`` (DLMF 9.7.9-10)."""
     x = -z
-    zeta = (2.0 / 3.0) * x ** 1.5
-    n = _U_COEF.size
-    n2 = (n + 1) // 2
-    sign = (-1.0) ** np.arange(n2)
-    p_sum = _asymptotic_sum(zeta, _U_COEF[0::2][:n2] * sign, 2, 0)
-    q_sum = _asymptotic_sum(zeta, _U_COEF[1::2][:n2] * sign[: _U_COEF[1::2].size], 2, 1)
-    r_sum = _asymptotic_sum(zeta, _V_COEF[0::2][:n2] * sign, 2, 0)
-    s_sum = _asymptotic_sum(zeta, _V_COEF[1::2][:n2] * sign[: _V_COEF[1::2].size], 2, 1)
-    w = zeta - 0.25 * np.pi
-    cw, sw = np.cos(w), np.sin(w)
-    x4 = x ** 0.25
-    ai = (cw * p_sum + sw * q_sum) / (_SQRT_PI * x4)
-    aip = (sw * r_sum - cw * s_sum) * x4 / _SQRT_PI
+    zeta = (2.0 / 3.0) * x**1.5
+    r = 1.0 / zeta
+    cw, sw = np.cos(zeta - 0.25 * np.pi), np.sin(zeta - 0.25 * np.pi)
+    x4 = x**0.25
+    ai = (cw * (1.0 - _U2 * r * r) + sw * _U1 * r) / (_SQRT_PI * x4)
+    aip = x4 * (sw * (1.0 - _V2 * r * r) - cw * _V1 * r) / _SQRT_PI
     return ai, aip
 
 
 def airy_ai_pair(z) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``(Ai(z), Ai'(z))`` elementwise for real ``z``.
 
-    Absolute accuracy ~1e-13 everywhere; relative accuracy ~1e-12 on the
-    asymptotic ranges.  Scalar input returns scalar outputs.
+    Scalar input returns scalar outputs.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    ai = np.empty_like(z_arr)
-    aip = np.empty_like(z_arr)
-    ser = np.abs(z_arr) < _SERIES_SWITCH
-    pos = z_arr >= _SERIES_SWITCH
-    neg = z_arr <= -_SERIES_SWITCH
-    if np.any(ser):
-        ai[ser], aip[ser] = _maclaurin_pair(z_arr[ser])
+    ai, aip, _, _ = special.airy(z_arr)
+    pos = z_arr >= _TAIL_SWITCH
+    neg = z_arr <= -_TAIL_SWITCH
     if np.any(pos):
-        ai[pos], aip[pos] = _exponential_branch(z_arr[pos], scaled=False)
+        zp = z_arr[pos]
+        damp = np.exp(-(2.0 / 3.0) * zp**1.5)
+        ai_s, aip_s = _decaying_tail(zp)
+        ai[pos], aip[pos] = damp * ai_s, damp * aip_s
     if np.any(neg):
-        ai[neg], aip[neg] = _trigonometric_branch(z_arr[neg])
+        ai[neg], aip[neg] = _oscillating_tail(z_arr[neg])
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(ai[0]), float(aip[0])
     return ai, aip
@@ -207,15 +115,10 @@ def airy_ai_scaled(z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < 0.0):
         raise ConfigError("airy_ai_scaled requires z >= 0")
-    out = np.empty_like(z_arr)
-    small = z_arr < _SCALED_SWITCH
-    if np.any(small):
-        zs = z_arr[small]
-        ai_small, _ = _maclaurin_pair(zs)
-        out[small] = ai_small * np.exp((2.0 / 3.0) * zs ** 1.5)
-    big = ~small
+    out = special.airye(z_arr)[0]
+    big = z_arr >= _TAIL_SWITCH
     if np.any(big):
-        out[big] = _exponential_branch(z_arr[big], scaled=True)[0]
+        out[big] = _decaying_tail(z_arr[big])[0]
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out[0])
     return out

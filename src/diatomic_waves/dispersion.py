@@ -124,15 +124,6 @@ class LatticeParams:
         gamma2 = spring_k * spacing**2 / (m_light * c0_sq)
         return cls(gamma1=gamma1, gamma2=gamma2, h=spacing / window)
 
-    @property
-    def gamma_sum(self) -> float:
-        return self.gamma1 + self.gamma2
-
-    @property
-    def gamma_prod(self) -> float:
-        return self.gamma1 * self.gamma2
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     """Inflection point of the optical group velocity.
@@ -174,26 +165,9 @@ class Dispersion:
         """``G(r) = gamma2 - gamma1 + C(r)`` (always positive)."""
         return self._gdiff + self.aux_c(r)
 
-    def aux_j(self, p):
-        """Normalizer ``J(p) = G(2p)^2 + 4 gamma1 gamma2 cos(p)^2``.
-
-        Strictly positive on the whole zone: at the zone edge
-        ``J(pi/2) = 4 (gamma2 - gamma1)^2 > 0`` for distinct masses.
-        """
-        cp = np.cos(p)
-        g = self.aux_g(2.0 * p)
-        return g * g + 4.0 * self._gprod * cp * cp
-
     # ------------------------------------------------------------------
     # branch frequencies
     # ------------------------------------------------------------------
-    def omega(self, p, branch: int):
-        if branch == ACOUSTIC:
-            return self.omega1(p)
-        if branch == OPTICAL:
-            return self.omega2(p)
-        raise ConfigError(f"branch must be {ACOUSTIC} or {OPTICAL}, got {branch!r}")
-
     def omega1(self, p):
         """Acoustic branch, cancellation-free for small ``p``."""
         return self._two_sqrt_gprod * np.abs(np.sin(p)) / self.omega2(p)
@@ -271,25 +245,6 @@ class Dispersion:
             out.append(d3)
         return tuple(out)
 
-    def omega_deriv(self, p, branch: int, order: int):
-        """Single derivative ``d^order omega_branch / dp^order``.
-
-        For the acoustic branch the argument must satisfy ``p > 0`` (where
-        the branch is smooth and equals its odd extension); the branch has
-        a kink at ``p = 0`` so two-sided derivatives do not exist there.
-        """
-        if branch == ACOUSTIC:
-            p_arr = np.asarray(p, dtype=float)
-            if np.any(p_arr <= 0.0):
-                raise ConfigError(
-                    "acoustic derivatives require p > 0 (kink at p = 0); "
-                    "use omega1_smooth_derivs for the odd extension"
-                )
-            return self.omega1_smooth_derivs(p, order)[order]
-        if branch == OPTICAL:
-            return self.omega2_derivs(p, order)[order]
-        raise ConfigError(f"branch must be {ACOUSTIC} or {OPTICAL}, got {branch!r}")
-
     # ------------------------------------------------------------------
     # long-wave constants
     # ------------------------------------------------------------------
@@ -363,28 +318,6 @@ class Dispersion:
             return b
         raise ConfigError(f"branch must be {ACOUSTIC} or {OPTICAL}, got {branch!r}")
 
-    def eigenvector_matrix(self, p):
-        """Matrix ``F(p)`` whose columns span the two modes.
-
-        ``F = [[G(2p), 2 gamma1 cos p], [2 gamma2 cos p, -G(2p)]]`` with
-        ``F^2 = J(p) I`` and ``det F = -J(p)``, hence ``F^{-1} = F / J``.
-        """
-        p = np.asarray(p, dtype=float)
-        g1, g2 = self.params.gamma1, self.params.gamma2
-        cp = np.cos(p)
-        g = self.aux_g(2.0 * p)
-        f = np.empty(p.shape + (2, 2), dtype=float)
-        f[..., 0, 0] = g
-        f[..., 0, 1] = 2.0 * g1 * cp
-        f[..., 1, 0] = 2.0 * g2 * cp
-        f[..., 1, 1] = -g
-        return f
-
-    def eigenvector_matrix_inv(self, p):
-        """Inverse of :meth:`eigenvector_matrix`, using ``F^{-1} = F / J``."""
-        p = np.asarray(p, dtype=float)
-        return self.eigenvector_matrix(p) / self.aux_j(p)[..., None, None]
-
     # ------------------------------------------------------------------
     # phase helpers used by the stationary-phase evaluators
     # ------------------------------------------------------------------
@@ -410,12 +343,3 @@ class Dispersion:
         )
         trig = np.where(small, series, sp - p * cp)
         return self._two_sqrt_gprod / w0 * (trig + p * sp * w1 / w0)
-
-    def band_edges(self) -> dict[str, float]:
-        """Characteristic band frequencies (zone edge and zone center)."""
-        g1, g2 = self.params.gamma1, self.params.gamma2
-        return {
-            "acoustic_top": float(np.sqrt(2.0 * g1)),
-            "optical_bottom": float(np.sqrt(2.0 * g2)),
-            "optical_top": float(np.sqrt(2.0 * (g1 + g2))),
-        }

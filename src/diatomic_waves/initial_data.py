@@ -33,6 +33,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._quadrature import (
+    _ORDER,
     _chirp_z,
     _exp_sum,
     _panel_columns,
@@ -47,8 +48,6 @@ __all__ = [
     "GaussianProfile",
     "TableProfile",
     "load_profile_table",
-    "LatticeSamples",
-    "sample_lattice",
     "semi_discrete_ft",
     "spectral_vector",
     "kws_interpolate",
@@ -57,6 +56,13 @@ __all__ = [
 ]
 
 _HALF_SQRT_2PI = np.sqrt(np.pi / 2.0)
+
+# Panel count from which semi_discrete_ft sums panel-strided p by chirp-z.
+# The chirp path costs ~1-2 ms whatever the panel count M (one transform per
+# local node), the blocked sum ~M * sites.  Measured break-even (Gaussian,
+# 2-vCPU x86): M ~ 8-16 at delta = 0.005-0.01 (~800 sites), ~100 at
+# delta = 0.1, ~900 at delta = 1; short-wave front bands pass M = 1.
+_CHIRP_MIN_PANELS = 32
 
 
 class InitialProfile(abc.ABC):
@@ -229,32 +235,6 @@ def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
     return TableProfile(np.asarray(xi), np.asarray(values), cutoff=cutoff)
 
 
-@dataclass(frozen=True)
-class LatticeSamples:
-    """Initial displacement sampled at lattice sites ``xi = index * delta``."""
-
-    delta: float
-    index: np.ndarray
-    values: np.ndarray
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.index * self.delta
-
-    @property
-    def even_mask(self) -> np.ndarray:
-        return self.index % 2 == 0
-
-
-def sample_lattice(profile: InitialProfile, delta: float, pad: int = 2) -> LatticeSamples:
-    """Sample the profile at all sites within its support (plus ``pad`` sites)."""
-    if delta <= 0.0:
-        raise ConfigError(f"delta must be positive, got {delta!r}")
-    n_max = int(np.ceil(profile.support_radius() / delta)) + pad
-    index = np.arange(-n_max, n_max + 1)
-    return LatticeSamples(delta=delta, index=index, values=profile.value(index * delta))
-
-
 def _sublattice_sites(profile: InitialProfile, delta: float, component: int) -> np.ndarray:
     r = profile.support_radius() + 2.0 * delta
     if component == 1:  # even sites 2k
@@ -272,8 +252,9 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     Vectorized over ``p`` of any shape; always returns a complex array of
     shape ``p.shape`` (exactly real for even profiles, where the folded
     cosine form is used).  ``p`` is summed in flattened order; the sites
-    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
-    chirp-z transforms, any other ``p`` by a blocked direct sum.
+    are uniform, so panel-strided ``p`` (quadrature nodes) of at least
+    ``_CHIRP_MIN_PANELS`` panels is summed by chirp-z transforms, any other
+    ``p`` by a blocked direct sum.
     """
     p_arr = np.asarray(p, dtype=float).ravel()
     xi = _sublattice_sites(profile, delta, component)
@@ -282,7 +263,7 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         w0 = float(vals[np.abs(xi) < 0.5 * delta].sum())  # site at xi = 0, if present
         pos = xi > 0.0
         xi, vals = xi[pos], 2.0 * vals[pos]
-    columns = _panel_columns(p_arr)
+    columns = _panel_columns(p_arr) if p_arr.size >= _ORDER * _CHIRP_MIN_PANELS else None
     if columns is not None:
         # Roles swapped: the sites are the summed grid and each local-node
         # column of p an output grid; exp(-i p xi) = exp(i (-xi) p).

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import _reference as ref
+from diatomic_waves import airy
 from diatomic_waves import (
     AIRY_AI_PRIME_ZERO,
     AIRY_AI_ZERO,
@@ -99,6 +100,67 @@ def test_scaled_consistency_with_plain():
     z = np.linspace(0.0, 8.0, 17)
     expected = airy_ai(z) * np.exp((2.0 / 3.0) * z**1.5)
     assert_allclose(airy_ai_scaled(z), expected, rtol=1e-8)
+
+
+def _table(table: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    z = np.array(sorted(table))
+    return z, np.array([table[v][0] for v in z]), np.array([table[v][1] for v in z])
+
+
+def _phase_conditioned_bound(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute error bounds for (Ai, Ai') at large |z|: 8 eps zeta times the
+    envelope.  On z < 0 a relative rounding of zeta = (2/3)|z|^{3/2} moves the
+    phase by eps * zeta; on z > 0 the envelope carries e^{-zeta}."""
+    x = np.abs(z)
+    zeta = (2.0 / 3.0) * x**1.5
+    decay = np.where(z > 0.0, 0.5 * np.exp(-zeta), 1.0)
+    scale = 8.0 * np.finfo(float).eps * zeta * decay / np.sqrt(np.pi)
+    return scale * x**-0.25, scale * x**0.25
+
+
+def test_values_at_library_accuracy():
+    z, ai_ref, aip_ref = _table(ref.AIRY_TABLE)
+    ai, aip = airy_ai_pair(z)
+    assert_allclose(ai, ai_ref, rtol=1e-13, atol=1e-15)
+    assert_allclose(aip, aip_ref, rtol=1e-13, atol=1e-15)
+    zs = np.array(sorted(ref.AIRY_SCALED_TABLE))
+    expected = np.array([ref.AIRY_SCALED_TABLE[v] for v in zs])
+    assert_allclose(airy_ai_scaled(zs), expected, rtol=1e-14)
+
+
+def test_far_range_against_frozen_table():
+    z, ai_ref, aip_ref = _table(ref.AIRY_FAR_TABLE)
+    assert z.min() <= -1e7 and z.max() >= 1e7  # past scipy's range on both sides
+    ai, aip = airy_ai_pair(z)
+    bound_ai, bound_aip = _phase_conditioned_bound(z)
+    assert np.all(np.abs(ai - ai_ref) <= bound_ai)
+    assert np.all(np.abs(aip - aip_ref) <= bound_aip)
+
+
+def test_tail_switch_sides_match_mpmath():
+    switch = airy._TAIL_SWITCH
+    for side in (-1.0, 1.0):
+        inner = np.nextafter(side * switch, 0.0)
+        z = np.array([inner, side * switch])  # library, then tail
+        ai, aip = airy_ai_pair(z)
+        bound_ai, bound_aip = _phase_conditioned_bound(z)
+        for k in range(2):
+            expected = ref.AIRY_FAR_TABLE[z[k]]
+            assert abs(ai[k] - expected[0]) <= bound_ai[k]
+            assert abs(aip[k] - expected[1]) <= bound_aip[k]
+    # one ulp below the switch moves the scaled value by ~1e-16 relative
+    for z in (np.nextafter(switch, 0.0), switch):
+        assert_allclose(airy_ai_scaled(z), ref.AIRY_SCALED_TABLE[switch], rtol=1e-14)
+
+
+def test_nan_in_nan_out():
+    ai, aip = airy_ai_pair(np.nan)
+    assert np.isnan(ai) and np.isnan(aip)
+    z = np.array([-2e6, np.nan, 0.0, np.nan, 2e6])
+    ai, aip = airy_ai_pair(z)
+    assert np.array_equal(np.isnan(ai), np.isnan(z))
+    assert np.array_equal(np.isnan(aip), np.isnan(z))
+    assert np.isnan(airy_ai_scaled(np.nan))
 
 
 # ---------------------------------------------------------------------------

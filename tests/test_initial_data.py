@@ -1,4 +1,4 @@
-"""Profiles, lattice sampling, semi-discrete transforms, spectral gaps."""
+"""Profiles, semi-discrete transforms, spectral gaps."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from diatomic_waves import (
     kws_interpolate,
     load_profile_table,
     poisson_gap,
-    sample_lattice,
     semi_discrete_ft,
     spectral_vector,
 )
@@ -83,37 +82,6 @@ def test_load_profile_table(tmp_path, gaussian):
     short.write_text("0.0,1.0\n1.0,0.5\n")
     with pytest.raises(ConfigError):
         load_profile_table(short)
-
-
-# ---------------------------------------------------------------------------
-# lattice sampling
-# ---------------------------------------------------------------------------
-
-def test_sample_lattice_unit_delta(gaussian):
-    samples = sample_lattice(gaussian, 1.0)
-    assert np.all(np.diff(samples.index) == 1)
-    assert_allclose(samples.xi, samples.index * 1.0)
-    centre = samples.values[samples.index == 0]
-    assert_allclose(centre, [1.0])
-    assert_allclose(
-        samples.values[np.abs(samples.index) == 2], np.exp(-2.0) * np.ones(2)
-    )
-    assert_allclose(
-        samples.values[np.abs(samples.index) == 1], np.exp(-0.5) * np.ones(2)
-    )
-    # even sites alternate with odd sites
-    assert np.array_equal(samples.even_mask, samples.index % 2 == 0)
-
-
-def test_sample_lattice_counts_significant_sites(gaussian):
-    # delta = 0.01 resolves the bump: even sites sit at 2*k*delta, so the
-    # window |xi| <= sqrt(2 ln 1e4) ~ 4.29 holds ~429 of them
-    samples = sample_lattice(gaussian, 0.01)
-    strong = np.abs(samples.values) > 1e-4
-    n_even = int(np.count_nonzero(strong & samples.even_mask))
-    assert 400 < n_even < 460
-    with pytest.raises(ConfigError):
-        sample_lattice(gaussian, 0.0)
 
 
 # ---------------------------------------------------------------------------

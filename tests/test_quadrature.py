@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diatomic_waves import GaussianProfile, TableProfile, semi_discrete_ft
 from diatomic_waves import _quadrature as quad
+from diatomic_waves import initial_data
 from diatomic_waves.errors import QuadratureError
 
 #: Largest panel level any workload or test builds today (the long-wave front).
@@ -112,21 +113,56 @@ def test_front_size_contraction_matches_direct_sum():
     assert np.max(np.abs(fast[sample] - direct)) <= 1e-12 * np.sum(np.abs(g))
 
 
+def _spy_chirp(monkeypatch) -> list:
+    """Record the panel count of every chirp-z transform semi_discrete_ft builds."""
+    calls = []
+    chirp_z = initial_data._chirp_z
+
+    def spy(n, m, step):
+        calls.append(m)
+        return chirp_z(n, m, step)
+
+    monkeypatch.setattr(initial_data, "_chirp_z", spy)
+    return calls
+
+
 @pytest.mark.parametrize("delta", [0.005, 0.1, 1.0])
 @pytest.mark.parametrize("component", [1, 2])
-def test_strided_semi_discrete_ft_matches_blocked_sum(delta, component):
+def test_strided_semi_discrete_ft_matches_blocked_sum(delta, component, monkeypatch):
     gaussian = GaussianProfile()
     edge = np.pi / (2.0 * delta)
+    chirps = _spy_chirp(monkeypatch)
     for a in (0.0, -edge):
         p, _ = quad.panel_nodes(a, edge, 300)
         assert quad._panel_columns(p) is not None
+        chirps.clear()
         fast = semi_discrete_ft(gaussian, delta, p, component)
+        assert chirps == [300]  # the chirp-z path is the one tested
         # one extra node breaks the panel stride, so this is the blocked sum
         blocked = semi_discrete_ft(gaussian, delta, np.append(p, 0.0), component)[:-1]
         scale = np.sum(gaussian.value(np.arange(-2000, 2001) * delta))
         assert np.max(np.abs(fast - blocked)) <= 1e-12 * scale
         assert np.all(fast.imag == 0.0)
         assert np.all(blocked.imag == 0.0)
+
+
+@pytest.mark.parametrize("n_panels", [1, 2, initial_data._CHIRP_MIN_PANELS - 1])
+@pytest.mark.parametrize("delta", [0.005, 1.0])
+def test_few_panels_take_the_blocked_sum(n_panels, delta, monkeypatch):
+    """Below the crossover, panel-strided p (the front band's single panel
+    included) is summed exactly as any other p, without a transform."""
+    gaussian = GaussianProfile()
+    chirps = _spy_chirp(monkeypatch)
+    p, _ = quad.panel_nodes(-0.3, 1.2, n_panels)
+    assert quad._panel_columns(p) is not None
+    for component in (1, 2):
+        strided = semi_discrete_ft(gaussian, delta, p, component)
+        blocked = semi_discrete_ft(gaussian, delta, np.append(p, 0.0), component)[:-1]
+        assert np.array_equal(strided, blocked)
+    assert chirps == []
+    p, _ = quad.panel_nodes(-0.3, 1.2, initial_data._CHIRP_MIN_PANELS)
+    semi_discrete_ft(gaussian, delta, p, 1)
+    assert chirps == [initial_data._CHIRP_MIN_PANELS]
 
 
 def test_strided_semi_discrete_ft_of_asymmetric_profile():

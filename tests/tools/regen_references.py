@@ -16,6 +16,7 @@ script whenever reference scenarios change.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import mpmath as mp
@@ -88,7 +89,19 @@ AIRY_GRID = [
     "7.4", "8.2", "12.0",
 ]
 
-AIRY_SCALED_GRID = ["0.0", "0.9", "3.0", "6.0", "6.1", "20.0", "60.0", "200.0"]
+AIRY_SCALED_GRID = [
+    "0.0", "0.9", "3.0", "6.0", "6.1", "20.0", "60.0", "200.0",
+    "9999.5", "10000.0", "10000.5", "1e5", "1e7", "1e12",
+]
+
+# Large |z|: both sides of the evaluator's switch at |z| = 1e4 and beyond
+# scipy's range (~1.07e6).  These are floats, evaluated exactly as given:
+# at |z| = 1e7 a decimal-vs-binary difference of one ulp moves Ai' by ~1e-7.
+_Z = 1e4
+AIRY_FAR_GRID = [
+    -1e7, -1e5, -10000.5, -_Z, math.nextafter(-_Z, 0.0), -9999.5,
+    9999.5, math.nextafter(_Z, 0.0), _Z, 10000.5, 1e5, 1e7,
+]
 
 ENVELOPE_Y_VALUES = ["0.3", "2.0", "30.0"]
 
@@ -280,6 +293,13 @@ def main() -> None:
     out.write("AIRY_TABLE = {\n")
     for z_str in AIRY_GRID:
         z = mp.mpf(z_str)
+        pair = (mp.airyai(z), mp.airyai(z, derivative=1))
+        out.write(f"    {fmt(z)}: ({fmt(pair[0])}, {fmt(pair[1])}),\n")
+    out.write("}\n\n")
+
+    out.write("AIRY_FAR_TABLE = {\n")
+    for z_float in AIRY_FAR_GRID:
+        z = mp.mpf(z_float)
         pair = (mp.airyai(z), mp.airyai(z, derivative=1))
         out.write(f"    {fmt(z)}: ({fmt(pair[0])}, {fmt(pair[1])}),\n")
     out.write("}\n\n")
