@@ -28,8 +28,9 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .longwave import classify_regime, uas_dalembert, uas_gaussian_airy, uas_int
 from .oracles import WaveField, compare_fields, integrate_lattice, solve_quadrature, write_fields_csv
 from .shortwave import (
     DEFAULT_STENCIL,
+    _require_unit_delta,
     acoustic_front_airy,
     acoustic_uniform,
     optical_front_airy,
@@ -47,30 +49,7 @@ from .shortwave import (
     shortwave_total,
 )
 
-__all__ = ["METHOD_NAMES", "ScenarioConfig", "load_config", "main"]
-
-#: Canonical method registry; values are the regime family used for gating.
-METHOD_NAMES = {
-    "ode": "oracle",
-    "quadrature_full": "oracle",
-    "quadrature_acoustic": "oracle",
-    "quadrature_optical": "oracle",
-    "uas_integral": "longwave",
-    "gaussian_airy": "longwave",
-    "dalembert": "longwave",
-    "acoustic_uniform": "shortwave",
-    "optical_uniform": "shortwave",
-    "acoustic_front": "shortwave",
-    "optical_front": "shortwave",
-    "shortwave_total": "shortwave",
-}
-
-_ALIASES = {
-    "quadrature_ac": "quadrature_acoustic",
-    "quadrature_opt": "quadrature_optical",
-    "uas_gaussian_airy": "gaussian_airy",
-    "uas_dalembert": "dalembert",
-}
+__all__ = ["METHODS", "ScenarioConfig", "load_config", "main"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +77,16 @@ class ScenarioConfig:
     @property
     def delta(self) -> float:
         return self.params.h / self.mu
+
+    @property
+    def problem(self) -> tuple[LatticeParams, InitialProfile, float]:
+        """The leading ``(params, profile, mu)`` arguments of the evaluators."""
+        return self.params, self.profile, self.mu
+
+    @property
+    def band(self) -> dict:
+        """Panel-refinement keywords of the band integrals."""
+        return {k: getattr(self, k) for k in ("rtol", "atol", "nodes_per_cycle", "max_doublings")}
 
     def header(self) -> dict[str, str]:
         """Resolved configuration as flat echo keys for output headers."""
@@ -127,10 +116,119 @@ class ScenarioConfig:
             "numerics.front_side": self.front_side,
         }
         if self.compare_window is not None:
-            out["compare.window"] = (
-                f"{self.compare_window[0]!r}, {self.compare_window[1]!r}"
-            )
+            out["compare.window"] = ", ".join(repr(w) for w in self.compare_window)
         return out
+
+
+def _any_regime(config: ScenarioConfig, name: str) -> None:
+    """The exact oracles hold at every delta."""
+
+
+def _longwave(config: ScenarioConfig, name: str) -> None:
+    if config.delta >= 1.0:
+        raise ConfigError(
+            f"method {name!r} is a long-wave (delta << 1) evaluator but "
+            f"delta = h/mu = {config.delta:g}; valid here: "
+            "ode, quadrature_*, short-wave evaluators"
+        )
+
+
+def _gaussian(config: ScenarioConfig, name: str) -> None:
+    _longwave(config, name)
+    if config.profile_kind != "gaussian":
+        raise ConfigError(
+            f"method {name!r} is the Gaussian-data closed form; use "
+            "uas_integral for tabulated profiles"
+        )
+
+
+def _shortwave(config: ScenarioConfig, name: str) -> None:
+    _require_unit_delta(config.params, config.mu)
+
+
+def _quadrature(mode: str) -> Callable:
+    return lambda c, x, t: solve_quadrature(*c.problem, x, t, mode, **c.band)
+
+
+class Method(NamedTuple):
+    """A CLI method: its regime check and its evaluator."""
+
+    check: Callable[[ScenarioConfig, str], None]
+    #: ``(config, x, t)`` -> a WaveField, an ``(n, 2)`` heavy/light pair or a
+    #: scalar long-wave amplitude; None for the chain oracle (see _fields).
+    evaluate: Callable | None
+    aliases: tuple[str, ...] = ()
+
+
+#: Every method the CLI runs, by canonical name.  The evaluators name the
+#: library functions in their bodies, so they call whatever this module binds
+#: at call time (perfbench's tracer rebinds them).
+METHODS: dict[str, Method] = {
+    "ode": Method(_any_regime, None),
+    "quadrature_full": Method(_any_regime, _quadrature("full")),
+    "quadrature_acoustic": Method(_any_regime, _quadrature("acoustic"), ("quadrature_ac",)),
+    "quadrature_optical": Method(_any_regime, _quadrature("optical"), ("quadrature_opt",)),
+    "uas_integral": Method(_longwave, lambda c, x, t: uas_integral(*c.problem, x, t, **c.band)),
+    "gaussian_airy": Method(
+        _gaussian, lambda c, x, t: uas_gaussian_airy(c.params, c.mu, x, t), ("uas_gaussian_airy",)
+    ),
+    "dalembert": Method(
+        _longwave, lambda c, x, t: uas_dalembert(*c.problem, x, t), ("uas_dalembert",)
+    ),
+    "acoustic_uniform": Method(
+        _shortwave, lambda c, x, t: acoustic_uniform(*c.problem, x, t, stencil=c.stencil)
+    ),
+    "optical_uniform": Method(
+        _shortwave, lambda c, x, t: optical_uniform(*c.problem, x, t, stencil=c.stencil)
+    ),
+    "acoustic_front": Method(
+        _shortwave,
+        lambda c, x, t: acoustic_front_airy(*c.problem, x, t, c.front_side, stencil=c.stencil),
+    ),
+    "optical_front": Method(
+        _shortwave,
+        lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side, stencil=c.stencil),
+    ),
+    "shortwave_total": Method(
+        _shortwave, lambda c, x, t: shortwave_total(*c.problem, x, t, stencil=c.stencil)
+    ),
+}
+
+
+def _components(out) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` of an evaluator's output: a WaveField, an ``(n, 2)``
+    heavy/light pair, or a scalar long-wave amplitude on both rails."""
+    if isinstance(out, WaveField):
+        return out.u, out.v
+    if out.ndim == 2:
+        return out[:, 0], out[:, 1]
+    return out, out
+
+
+def _fields(
+    config: ScenarioConfig, method: str, x: np.ndarray | None, rows: bool = False
+) -> list[WaveField]:
+    """``method``'s field on ``x`` at every configured time.
+
+    With ``rows`` each row is laid out like the chain's: ``u`` at the heavy
+    site ``x``, ``v`` at the light site ``x + h`` to its right.  The chain
+    oracle ignores ``x``: it integrates once for all times and keeps the
+    cells of its own sites that lie in the grid window.
+    """
+    evaluate = METHODS[method].evaluate
+    if evaluate is None:
+        states, _ = integrate_lattice(config.params, config.profile, config.mu, config.times)
+        cells = [state.to_staggered_field() for state in states]
+        keep = (cells[0].x >= config.x_min) & (cells[0].x <= config.x_max)  # same sites at every t
+        return [WaveField(c.x[keep], c.u[keep], c.v[keep], c.t, c.method) for c in cells]
+    sites = np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
+    out = []
+    for t in config.times:
+        u, v = _components(evaluate(config, sites, t))
+        if rows:
+            u, v = u[0::2], v[1::2]
+        out.append(WaveField(x=x, u=u, v=v, t=t, method=method))
+    return out
 
 
 #: Every section and key a scenario file may set.
@@ -177,12 +275,10 @@ def _finite(raw: str, where: str) -> float:
     return value
 
 
-def _get_float(section, key: str, default: float | None = None) -> float:
+def _get_float(section, key: str) -> float:
     raw = section.get(key)
     if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in [{section.name}]")
-        return default
+        raise ConfigError(f"missing required key '{key}' in [{section.name}]")
     return _finite(raw, f"[{section.name}] {key}")
 
 
@@ -208,7 +304,7 @@ def _parse_times(cfg: configparser.ConfigParser) -> tuple[float, ...]:
     return times
 
 
-def _get_int(section, key: str, default: int) -> int:
+def _get_int(section, key: str, default: int | None = None) -> int:
     raw = section.get(key)
     if raw is None:
         return default
@@ -222,26 +318,15 @@ def _parse_lattice(cfg: configparser.ConfigParser) -> LatticeParams:
     if not cfg.has_section("lattice"):
         raise ConfigError("missing [lattice] section")
     sec = cfg["lattice"]
-    direct = {"gamma1", "gamma2", "h"} & set(sec)
-    physical = {"m_heavy", "m_light", "spring_k", "spacing", "window"} & set(sec)
-    if direct and physical:
+    direct, physical = _KNOWN_KEYS["lattice"][:3], _KNOWN_KEYS["lattice"][3:]
+    if set(direct) & set(sec) and set(physical) & set(sec):
         raise ConfigError(
             "[lattice] mixes the direct (gamma1/gamma2/h) and physical "
             "(m_heavy/m_light/spring_k/spacing/window) parameter routes"
         )
-    if direct:
-        return LatticeParams(
-            gamma1=_get_float(sec, "gamma1"),
-            gamma2=_get_float(sec, "gamma2"),
-            h=_get_float(sec, "h"),
-        )
-    return LatticeParams.from_masses(
-        m_heavy=_get_float(sec, "m_heavy"),
-        m_light=_get_float(sec, "m_light"),
-        spring_k=_get_float(sec, "spring_k"),
-        spacing=_get_float(sec, "spacing"),
-        window=_get_float(sec, "window"),
-    )
+    if set(direct) & set(sec):
+        return LatticeParams(**{key: _get_float(sec, key) for key in direct})
+    return LatticeParams.from_masses(**{key: _get_float(sec, key) for key in physical})
 
 
 def _parse_mu(cfg: configparser.ConfigParser, params: LatticeParams) -> float:
@@ -283,13 +368,15 @@ def _parse_methods(cfg: configparser.ConfigParser) -> tuple[str, ...]:
         raise ConfigError("missing [methods] names = ... list")
     names = []
     for raw in cfg["methods"]["names"].split(","):
-        name = _ALIASES.get(raw.strip(), raw.strip())
-        if not name:
+        raw = raw.strip()
+        if not raw:
             continue
-        if name not in METHOD_NAMES:
-            raise ConfigError(
-                f"unknown method {raw.strip()!r}; registry: {', '.join(sorted(METHOD_NAMES))}"
-            )
+        name = next((k for k, m in METHODS.items() if raw == k or raw in m.aliases), None)
+        if name is None:
+            raise ConfigError(f"unknown method {raw!r}; registry: {', '.join(sorted(METHODS))}")
+        if name in names:
+            # Both would write the same field files; compare would test a method against itself.
+            raise ConfigError(f"[methods] names lists method {name!r} twice ({raw!r})")
         names.append(name)
     if not names:
         raise ConfigError("[methods] names list is empty")
@@ -321,14 +408,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
     times = _parse_times(cfg)
     methods = _parse_methods(cfg)
 
+    # Only the keys present are parsed; the defaults live on ScenarioConfig.
     kw: dict = {}
     if cfg.has_section("numerics"):
         num = cfg["numerics"]
-        kw["rtol"] = _get_float(num, "rtol", 1e-8)
-        kw["atol"] = _get_float(num, "atol", 1e-13)
-        kw["nodes_per_cycle"] = _get_float(num, "nodes_per_cycle", 10.0)
-        kw["max_doublings"] = _get_int(num, "max_doublings", 6)
-        kw["dispersion_points"] = _get_int(num, "dispersion_points", 201)
+        for key in ("rtol", "atol", "nodes_per_cycle"):
+            if key in num:
+                kw[key] = _get_float(num, key)
+        for key in ("max_doublings", "dispersion_points"):
+            if key in num:
+                kw[key] = _get_int(num, key)
         if num.get("stencil"):
             coeffs = tuple(
                 _finite(tok, "[numerics] stencil entry") for tok in num["stencil"].split(",")
@@ -336,10 +425,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
             if len(coeffs) != 3:
                 raise ConfigError(f"[numerics] stencil needs 3 coefficients, got {coeffs!r}")
             kw["stencil"] = coeffs
-        side = num.get("front_side", "right").strip()
-        if side not in ("left", "right"):
-            raise ConfigError(f"[numerics] front_side must be left or right, got {side!r}")
-        kw["front_side"] = side
+        if "front_side" in num:
+            side = num["front_side"].strip()
+            if side not in ("left", "right"):
+                raise ConfigError(f"[numerics] front_side must be left or right, got {side!r}")
+            kw["front_side"] = side
     if cfg.has_section("compare"):
         cmp_sec = cfg["compare"]
         if "window_min" in cmp_sec or "window_max" in cmp_sec:
@@ -348,106 +438,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 _get_float(cmp_sec, "window_max"),
             )
 
-    return ScenarioConfig(
-        params=params,
-        profile=profile,
-        profile_kind=profile_kind,
-        mu=mu,
-        x_min=x_min,
-        x_max=x_max,
-        points=points,
-        times=times,
-        methods=methods,
-        **kw,
+    config = ScenarioConfig(
+        params, profile, profile_kind, mu, x_min, x_max, points, times, methods, **kw
     )
-
-
-def _check_method_regime(config: ScenarioConfig, method: str) -> None:
-    """Reject method/regime mismatches before any heavy work."""
-    family = METHOD_NAMES[method]
-    delta = config.delta
-    if family == "longwave" and delta >= 1.0:
-        raise ConfigError(
-            f"method {method!r} is a long-wave (delta << 1) evaluator but "
-            f"delta = h/mu = {delta:g}; valid here: "
-            "ode, quadrature_*, short-wave evaluators"
-        )
-    if method == "gaussian_airy" and config.profile_kind != "gaussian":
-        raise ConfigError(
-            "method 'gaussian_airy' is the Gaussian-data closed form; use "
-            "uas_integral for tabulated profiles"
-        )
-    # Short-wave evaluators enforce delta == 1 themselves (RegimeError).
-
-
-def _run_method(
-    config: ScenarioConfig,
-    method: str,
-    x: np.ndarray,
-    t: float,
-    ode_states: dict[float, WaveField] | None,
-) -> WaveField:
-    params, profile, mu = config.params, config.profile, config.mu
-    if method == "ode":
-        assert ode_states is not None
-        return ode_states[t]
-    if method.startswith("quadrature_"):
-        return solve_quadrature(
-            params,
-            profile,
-            mu,
-            x,
-            t,
-            mode=method.removeprefix("quadrature_"),
-            rtol=config.rtol,
-            atol=config.atol,
-            nodes_per_cycle=config.nodes_per_cycle,
-            max_doublings=config.max_doublings,
-        )
-    if method == "uas_integral":
-        field = uas_integral(
-            params,
-            profile,
-            mu,
-            x,
-            t,
-            rtol=config.rtol,
-            atol=config.atol,
-            nodes_per_cycle=config.nodes_per_cycle,
-            max_doublings=config.max_doublings,
-        )
-        return WaveField(x=x, u=field, v=field.copy(), t=t, method=method)
-    if method == "gaussian_airy":
-        field = uas_gaussian_airy(params, mu, x, t)
-        return WaveField(x=x, u=field, v=field.copy(), t=t, method=method)
-    if method == "dalembert":
-        field = uas_dalembert(params, profile, mu, x, t)
-        return WaveField(x=x, u=field, v=field.copy(), t=t, method=method)
-    if method == "shortwave_total":
-        out = shortwave_total(params, profile, mu, x, t, stencil=config.stencil)
-        return WaveField(x=x, u=out.u, v=out.v, t=t, method=method)
-    if method in ("acoustic_uniform", "optical_uniform"):
-        fn = acoustic_uniform if method.startswith("acoustic") else optical_uniform
-        pair = fn(params, profile, mu, x, t, stencil=config.stencil)
-        return WaveField(x=x, u=pair[:, 0], v=pair[:, 1], t=t, method=method)
-    if method in ("acoustic_front", "optical_front"):
-        fn = acoustic_front_airy if method.startswith("acoustic") else optical_front_airy
-        pair = fn(params, profile, mu, x, t, config.front_side, stencil=config.stencil)
-        return WaveField(x=x, u=pair[:, 0], v=pair[:, 1], t=t, method=method)
-    raise ConfigError(f"unknown method {method!r}")  # unreachable via registry
-
-
-def _ode_fields(config: ScenarioConfig) -> dict[float, WaveField]:
-    """Integrate the chain once and snapshot the staggered field per time."""
-    states, _ = integrate_lattice(config.params, config.profile, config.mu, config.times)
-    out: dict[float, WaveField] = {}
-    for state in states:
-        fld = state.to_staggered_field()
-        mask = (fld.x >= config.x_min) & (fld.x <= config.x_max)
-        out[state.t] = WaveField(
-            x=fld.x[mask], u=fld.u[mask], v=fld.v[mask], t=state.t, method="ode"
-        )
-    return out
+    # Every method's regime is checked before any command does work.
+    for method in methods:
+        METHODS[method].check(config, method)
+    return config
 
 
 def _echo_scenario(config: ScenarioConfig, out) -> None:
@@ -464,7 +461,8 @@ def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
     disp = Dispersion(config.params)
     crit = disp.critical
     header = config.header()
-    lines = [f"# {k} = {header[k]}" for k in sorted(header)]
+    comments = [f"# {k} = {header[k]}" for k in sorted(header)]
+    lines = list(comments)
     for key, value in (
         ("gamma1", config.params.gamma1),
         ("gamma2", config.params.gamma2),
@@ -484,8 +482,7 @@ def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
     p = np.linspace(0.0, np.pi / 2.0, config.dispersion_points)
     w1 = disp.omega1(p)
     w2 = disp.omega2(p)
-    rows = ["p,omega1,omega2"]
-    rows = [f"# {k} = {header[k]}" for k in sorted(header)] + rows
+    rows = comments + ["p,omega1,omega2"]
     for pi, a, b in zip(p, w1, w2):
         rows.append(f"{float(pi)!r},{float(a)!r},{float(b)!r}")
     (out_dir / "dispersion_branches.csv").write_text("\n".join(rows) + "\n")
@@ -493,42 +490,12 @@ def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
     print(f"wrote {out_dir / 'dispersion_branches.csv'}")
 
 
-def _common_grid(config: ScenarioConfig, ode_states: dict[float, WaveField] | None):
-    if ode_states is not None:
-        # Lattice sites are the only grid the chain oracle can produce.
-        first = next(iter(ode_states.values()))
-        return first.x
-    return np.linspace(config.x_min, config.x_max, config.points)
-
-
-def _run_at_sites(
-    config: ScenarioConfig,
-    method: str,
-    x: np.ndarray,
-    t: float,
-    ode_states: dict[float, WaveField],
-) -> WaveField:
-    """A method's field laid out like the ode rows: ``u`` at the heavy site
-    ``x``, ``v`` at the light site ``x + h`` to its right."""
-    if method == "ode":
-        return ode_states[t]
-    sites = np.empty(2 * x.size)
-    sites[0::2] = x
-    sites[1::2] = x + config.params.h
-    fld = _run_method(config, method, sites, t, None)
-    return WaveField(x=x, u=fld.u[0::2], v=fld.v[1::2], t=t, method=method)
-
-
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
-    for method in config.methods:
-        _check_method_regime(config, method)
-    ode_states = _ode_fields(config) if "ode" in config.methods else None
     header = config.header()
+    x = np.linspace(config.x_min, config.x_max, config.points)
     for method in config.methods:
-        x = _common_grid(config, ode_states if method == "ode" else None)
-        for t in config.times:
-            fld = _run_method(config, method, x, t, ode_states)
-            name = f"field_{method}_t{t:g}.csv"
+        for fld in _fields(config, method, x):
+            name = f"field_{method}_t{fld.t:g}.csv"
             write_fields_csv(out_dir / name, [fld], header)
             print(f"wrote {out_dir / name}")
 
@@ -536,21 +503,23 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
 def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods (first is the reference)")
-    for method in config.methods:
-        _check_method_regime(config, method)
-    ode_states = _ode_fields(config) if "ode" in config.methods else None
-    x = _common_grid(config, ode_states)
-    # With ode present every method is sampled on the chain's sites.
-    run = _run_at_sites if ode_states is not None else _run_method
+    # With ode present the chain is integrated once and every other method is
+    # sampled on its sites.
+    ode = _fields(config, "ode", None) if "ode" in config.methods else None
+    x = ode[0].x if ode else np.linspace(config.x_min, config.x_max, config.points)
+    fields = {
+        m: ode if m == "ode" else _fields(config, m, x, rows=ode is not None)
+        for m in config.methods
+    }
     header = config.header()
     lines = [f"# {k} = {header[k]}" for k in sorted(header)]
     reference_name = config.methods[0]
     lines.append(f"reference = {reference_name}")
-    for t in config.times:
-        ref = run(config, reference_name, x, t, ode_states)
+    for i, t in enumerate(config.times):
         for method in config.methods[1:]:
-            test = run(config, method, x, t, ode_states)
-            metrics = compare_fields(ref, test, window=config.compare_window)
+            metrics = compare_fields(
+                fields[reference_name][i], fields[method][i], window=config.compare_window
+            )
             tag = f"{method}.t={t:g}"
             lines.append(f"{tag}.l_inf = {metrics.l_inf!r}")
             lines.append(f"{tag}.l2 = {metrics.l2!r}")

@@ -9,7 +9,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 import _reference as ref
-from diatomic_waves import cli, read_fields_csv
+from diatomic_waves import (
+    LatticeParams,
+    acoustic_front_airy,
+    acoustic_uniform,
+    cli,
+    integrate_lattice,
+    optical_front_airy,
+    optical_uniform,
+    read_fields_csv,
+    shortwave_total,
+    solve_quadrature,
+    uas_dalembert,
+    uas_gaussian_airy,
+    uas_integral,
+)
 from diatomic_waves.errors import ConfigError
 
 from conftest import NACL_INPUTS
@@ -411,3 +425,109 @@ def test_compare_ode_against_quadrature_on_lattice_sites(tmp_path):
     for t in ("0.1", "0.3"):
         assert float(entries[f"quadrature_full.t={t}.rel_l_inf"]) <= 1e-5
         assert float(entries[f"quadrature_full.t={t}.ref_peak"]) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the method table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "h, names",
+    [
+        ("0.008", "dalembert, shortwave_total"),  # short-wave part at delta = 0.2
+        ("0.04", "ode, quadrature_full, uas_integral"),  # long-wave part at delta = 1
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_mixed_regime_exits_2_before_any_work(tmp_path, capsys, h, names, command):
+    text = BASE.replace("h = 0.008", f"h = {h}").replace(
+        "names = gaussian_airy, dalembert", f"names = {names}"
+    )
+    out_dir = tmp_path / "o"
+    code = cli.main([command, "--config", str(_write(tmp_path, text)), "--out", str(out_dir)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "names", ["gaussian_airy, uas_gaussian_airy", "dalembert, gaussian_airy, dalembert"]
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_duplicate_method_exits_2(tmp_path, capsys, names, command):
+    # one method listed twice would write its files twice and compare with itself
+    text = BASE.replace("names = gaussian_airy, dalembert", f"names = {names}")
+    out_dir = tmp_path / "o"
+    code = cli.main([command, "--config", str(_write(tmp_path, text)), "--out", str(out_dir)])
+    assert code == 2
+    assert "twice" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+_WIRING_NUMERICS = """
+[numerics]
+rtol = 1e-9
+atol = 1e-14
+nodes_per_cycle = 12
+max_doublings = 5
+stencil = 3, -3, 2
+front_side = left
+"""
+
+
+def _library_field(method, params, profile, mu, x, t):
+    """``(x, u, v)`` of ``method`` by a direct library call, with the
+    settings of ``_WIRING_NUMERICS``."""
+    band = dict(rtol=1e-9, atol=1e-14, nodes_per_cycle=12.0, max_doublings=5)
+    stencil = (3.0, -3.0, 2.0)
+    if method == "ode":
+        states, _ = integrate_lattice(params, profile, mu, (t,))
+        cells = states[0].to_staggered_field()
+        keep = (cells.x >= -0.5) & (cells.x <= 0.5)
+        return cells.x[keep], cells.u[keep], cells.v[keep]
+    if method.startswith("quadrature_"):
+        fld = solve_quadrature(params, profile, mu, x, t, method.split("_")[1], **band)
+        return x, fld.u, fld.v
+    if method in ("uas_integral", "gaussian_airy", "dalembert"):
+        amp = {
+            "uas_integral": lambda: uas_integral(params, profile, mu, x, t, **band),
+            "gaussian_airy": lambda: uas_gaussian_airy(params, mu, x, t),
+            "dalembert": lambda: uas_dalembert(params, profile, mu, x, t),
+        }[method]()
+        return x, amp, amp
+    if method == "shortwave_total":
+        fld = shortwave_total(params, profile, mu, x, t, stencil=stencil)
+        return x, fld.u, fld.v
+    pair = {
+        "acoustic_uniform": lambda: acoustic_uniform(params, profile, mu, x, t, stencil=stencil),
+        "optical_uniform": lambda: optical_uniform(params, profile, mu, x, t, stencil=stencil),
+        "acoustic_front": lambda: acoustic_front_airy(
+            params, profile, mu, x, t, "left", stencil=stencil
+        ),
+        "optical_front": lambda: optical_front_airy(
+            params, profile, mu, x, t, "left", stencil=stencil
+        ),
+    }[method]()
+    return x, pair[:, 0], pair[:, 1]
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_every_method_writes_its_library_field(tmp_path, gaussian, method):
+    # long-wave methods at delta = 0.2, every other one at delta = 1
+    h = "0.008" if method in ("uas_integral", "gaussian_airy", "dalembert") else "0.04"
+    text = (
+        BASE.replace("h = 0.008", f"h = {h}")
+        .replace("points = 81", "points = 41")
+        .replace("names = gaussian_airy, dalembert", f"names = {method}")
+        + _WIRING_NUMERICS
+    )
+    out_dir = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out_dir)]) == 0
+    (fld,), _ = read_fields_csv(out_dir / f"field_{method}_t0.3.csv")
+    params = LatticeParams(gamma1=0.82, gamma2=1.27, h=float(h))
+    x, u, v = _library_field(method, params, gaussian, 0.04, np.linspace(-0.5, 0.5, 41), 0.3)
+    assert fld.method == method
+    assert np.array_equal(fld.x, x)
+    assert np.array_equal(fld.u, u)
+    assert np.array_equal(fld.v, v)
+    assert np.max(np.abs(np.concatenate([u, v]))) > 1e-3  # a field, not zeros
