@@ -75,8 +75,11 @@ def oscillation_panels(
     spans ``2 pi / rate``.
     """
     cycles = abs(rate) * (b - a) / (2.0 * np.pi)
-    need = int(np.ceil(cycles * nodes_per_cycle / _ORDER))
-    return max(min_panels, need)
+    need = cycles * nodes_per_cycle / _ORDER
+    if need <= min_panels:
+        return min_panels
+    # inf and nan count as past the node cap, which synthesize_field rejects
+    return int(np.ceil(need)) if need < _MAX_NODES else _MAX_NODES
 
 
 

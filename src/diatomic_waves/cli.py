@@ -19,6 +19,11 @@ optional ``[numerics]`` / ``[compare]``; any other section or key is a
 configuration error.  Every output file echoes the resolved configuration
 in its comment header, so identical configs give byte-identical outputs.
 
+Methods: ``METHODS`` maps each method name to its regime check, its
+evaluator and its aliases.  Every listed method's check runs when the file
+is loaded, before any command does work, and a method listed twice (after
+alias resolution) is a configuration error.
+
 Exit codes: 0 success, 2 configuration/regime error, 3 numerical failure.
 """
 
@@ -151,18 +156,17 @@ def _quadrature(mode: str) -> Callable:
 
 
 class Method(NamedTuple):
-    """A CLI method: its regime check and its evaluator."""
+    """A CLI method: its regime check, its evaluator ``(config, x, t)`` (None
+    for the chain oracle, see _fields) and its aliases."""
 
     check: Callable[[ScenarioConfig, str], None]
-    #: ``(config, x, t)`` -> a WaveField, an ``(n, 2)`` heavy/light pair or a
-    #: scalar long-wave amplitude; None for the chain oracle (see _fields).
     evaluate: Callable | None
     aliases: tuple[str, ...] = ()
 
 
 #: Every method the CLI runs, by canonical name.  The evaluators name the
-#: library functions in their bodies, so they call whatever this module binds
-#: at call time (perfbench's tracer rebinds them).
+#: library functions in their bodies, so a rebinding of those module names
+#: (as perfbench's tracer does) is seen.
 METHODS: dict[str, Method] = {
     "ode": Method(_any_regime, None),
     "quadrature_full": Method(_any_regime, _quadrature("full")),
@@ -196,8 +200,7 @@ METHODS: dict[str, Method] = {
 
 
 def _components(out) -> tuple[np.ndarray, np.ndarray]:
-    """``(u, v)`` of an evaluator's output: a WaveField, an ``(n, 2)``
-    heavy/light pair, or a scalar long-wave amplitude on both rails."""
+    """``(u, v)`` of a WaveField, an ``(n, 2)`` pair or a scalar amplitude."""
     if isinstance(out, WaveField):
         return out.u, out.v
     if out.ndim == 2:
@@ -208,13 +211,10 @@ def _components(out) -> tuple[np.ndarray, np.ndarray]:
 def _fields(
     config: ScenarioConfig, method: str, x: np.ndarray | None, rows: bool = False
 ) -> list[WaveField]:
-    """``method``'s field on ``x`` at every configured time.
-
-    With ``rows`` each row is laid out like the chain's: ``u`` at the heavy
-    site ``x``, ``v`` at the light site ``x + h`` to its right.  The chain
-    oracle ignores ``x``: it integrates once for all times and keeps the
-    cells of its own sites that lie in the grid window.
-    """
+    """``method``'s field on ``x`` at every configured time; with ``rows``,
+    ``u`` at the heavy site ``x`` and ``v`` at the light site ``x + h``.  The
+    chain oracle ignores ``x``: it integrates once and keeps its own cells
+    inside the grid window."""
     evaluate = METHODS[method].evaluate
     if evaluate is None:
         states, _ = integrate_lattice(config.params, config.profile, config.mu, config.times)
@@ -425,6 +425,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
             if len(coeffs) != 3:
                 raise ConfigError(f"[numerics] stencil needs 3 coefficients, got {coeffs!r}")
             kw["stencil"] = coeffs
+        if kw.get("dispersion_points", 2) < 2:
+            raise ConfigError(f"[numerics] dispersion_points must be >= 2, got {num[key]}")
         if "front_side" in num:
             side = num["front_side"].strip()
             if side not in ("left", "right"):
@@ -503,8 +505,7 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
 def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods (first is the reference)")
-    # With ode present the chain is integrated once and every other method is
-    # sampled on its sites.
+    # With ode, the chain is integrated once and every method sampled on its sites.
     ode = _fields(config, "ode", None) if "ode" in config.methods else None
     x = ode[0].x if ode else np.linspace(config.x_min, config.x_max, config.points)
     fields = {

@@ -260,9 +260,12 @@ class Dispersion:
         ``q = c (gamma1^2 - gamma1 gamma2 + gamma2^2) / (2 (gamma1+gamma2)^2)``.
         """
         g1, g2 = self.params.gamma1, self.params.gamma2
-        return float(
-            self.sound_speed * (g1 * g1 - g1 * g2 + g2 * g2) / (2.0 * self._gsum**2)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            gsum_sq = np.float64(self._gsum) ** 2
+            q = self.sound_speed * (g1 * g1 - g1 * g2 + g2 * g2) / (2.0 * gsum_sq)
+        if not np.isfinite(q):
+            raise ConfigError(f"gamma2 = {g2!r} puts the dispersion coefficient out of range")
+        return float(q)
 
     # ------------------------------------------------------------------
     # optical critical point

@@ -39,5 +39,5 @@ class BoundaryError(NumericalError):
 
 
 class ChainSizeError(NumericalError):
-    """The chain the time-domain oracle would need for the requested times
-    exceeds its site limit."""
+    """A lattice an oracle would need exceeds the site limit: the time-domain
+    chain for the requested times, or the sites a sublattice sum spans."""

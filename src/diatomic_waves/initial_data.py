@@ -33,7 +33,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._quadrature import (
-    _ORDER,
     _chirp_z,
     _exp_sum,
     _panel_columns,
@@ -41,7 +40,7 @@ from ._quadrature import (
     panel_nodes,
     synthesize_field,
 )
-from .errors import ConfigError, QuadratureError
+from .errors import ChainSizeError, ConfigError, QuadratureError
 
 __all__ = [
     "InitialProfile",
@@ -57,12 +56,15 @@ __all__ = [
 
 _HALF_SQRT_2PI = np.sqrt(np.pi / 2.0)
 
-# Panel count from which semi_discrete_ft sums panel-strided p by chirp-z.
-# The chirp path costs ~1-2 ms whatever the panel count M (one transform per
-# local node), the blocked sum ~M * sites.  Measured break-even (Gaussian,
-# 2-vCPU x86): M ~ 8-16 at delta = 0.005-0.01 (~800 sites), ~100 at
-# delta = 0.1, ~900 at delta = 1; short-wave front bands pass M = 1.
-_CHIRP_MIN_PANELS = 32
+#: Most lattice sites a sublattice sum or the time-domain chain may span;
+#: each chain site costs 24 bytes per snapshot, so one stays near 100 MB.
+_MAX_SITES = 2**22
+
+# Node-site terms (p.size x summed sites) from which semi_discrete_ft sums
+# panel-strided p by chirp-z: ~1-2 ms nearly whatever the size, against
+# ~p.size x sites for the blocked sum.  Measured break-even (Gaussian, 2-vCPU
+# x86): ~4e4-1e5 terms at delta = 0.005-0.1, above 2e5 at delta = 1 (6-7 sites).
+_CHIRP_MIN_TERMS = 2**16
 
 
 class InitialProfile(abc.ABC):
@@ -216,20 +218,24 @@ class TableProfile(InitialProfile):
 
 def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
     """Read a two-column CSV ``xi,w`` (with optional header) into a profile."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read profile table {path}: {exc}") from None
     xi, values = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
+    for row in rows:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            a, b = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            # tolerate a single header line
+            if not xi:
                 continue
-            try:
-                a, b = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                # tolerate a single header line
-                if not xi:
-                    continue
-                raise ConfigError(f"malformed profile table row: {row!r}") from None
-            xi.append(a)
-            values.append(b)
+            raise ConfigError(f"malformed profile table row: {row!r}") from None
+        xi.append(a)
+        values.append(b)
     if len(xi) < 4:
         raise ConfigError(f"profile table {path} has fewer than 4 usable rows")
     return TableProfile(np.asarray(xi), np.asarray(values), cutoff=cutoff)
@@ -237,11 +243,16 @@ def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
 
 def _sublattice_sites(profile: InitialProfile, delta: float, component: int) -> np.ndarray:
     r = profile.support_radius() + 2.0 * delta
+    half = np.ceil(r / (2.0 * delta))
+    if not 2.0 * half + 2.0 <= _MAX_SITES:  # a nan fails too
+        raise ChainSizeError(
+            f"the profile spans about {2.0 * half:.3g} sites of a sublattice "
+            f"(limit {_MAX_SITES}); decrease mu"
+        )
+    k_max = int(half)
     if component == 1:  # even sites 2k
-        k_max = int(np.ceil(r / (2.0 * delta)))
         return 2.0 * delta * np.arange(-k_max, k_max + 1)
     if component == 2:  # odd sites 2k+1, symmetric about 0
-        k_max = int(np.ceil(r / (2.0 * delta)))
         return delta * (2.0 * np.arange(-k_max - 1, k_max + 1) + 1.0)
     raise ConfigError(f"component must be 1 (even sites) or 2 (odd sites), got {component!r}")
 
@@ -252,9 +263,9 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     Vectorized over ``p`` of any shape; always returns a complex array of
     shape ``p.shape`` (exactly real for even profiles, where the folded
     cosine form is used).  ``p`` is summed in flattened order; the sites
-    are uniform, so panel-strided ``p`` (quadrature nodes) of at least
-    ``_CHIRP_MIN_PANELS`` panels is summed by chirp-z transforms, any other
-    ``p`` by a blocked direct sum.
+    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
+    chirp-z transforms once ``p.size`` times the number of summed sites
+    reaches ``_CHIRP_MIN_TERMS``, any other ``p`` by a blocked direct sum.
     """
     p_arr = np.asarray(p, dtype=float).ravel()
     xi = _sublattice_sites(profile, delta, component)
@@ -263,7 +274,7 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         w0 = float(vals[np.abs(xi) < 0.5 * delta].sum())  # site at xi = 0, if present
         pos = xi > 0.0
         xi, vals = xi[pos], 2.0 * vals[pos]
-    columns = _panel_columns(p_arr) if p_arr.size >= _ORDER * _CHIRP_MIN_PANELS else None
+    columns = _panel_columns(p_arr) if p_arr.size * xi.size >= _CHIRP_MIN_TERMS else None
     if columns is not None:
         # Roles swapped: the sites are the summed grid and each local-node
         # column of p an output grid; exp(-i p xi) = exp(i (-xi) p).
@@ -324,10 +335,8 @@ def kws_interpolate(
     def kern(p: np.ndarray) -> np.ndarray:
         return semi_discrete_ft(profile, delta, p, component)
 
-    if profile.is_even:
-        field = synthesize_field(kern, 0.0, edge, xi_arr, rate, rtol=rtol, even_fold=True)
-    else:
-        field = synthesize_field(kern, -edge, edge, xi_arr, rate, rtol=rtol)
+    a = 0.0 if profile.is_even else -edge  # an even profile folds onto [0, edge]
+    field = synthesize_field(kern, a, edge, xi_arr, rate, rtol=rtol, even_fold=profile.is_even)
     out = (delta / np.pi) * field.real
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out[0])

@@ -46,6 +46,7 @@ __all__ = [
 
 _SQRT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_TINY = np.finfo(float).tiny
 
 #: Default ``h^2 / mu^3`` band classified as weak dispersion.
 DEFAULT_REGIME_BAND = (0.1, 10.0)
@@ -84,7 +85,8 @@ def classify_regime(
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     if not 0.0 < band[0] < band[1]:
         raise ConfigError(f"regime band must satisfy 0 < lo < hi, got {band!r}")
-    ratio = params.h**2 / mu**3
+    with np.errstate(over="ignore", divide="ignore"):  # mu**3 past the float range
+        ratio = float(np.float64(params.h) ** 2 / np.float64(mu) ** 3)
     if ratio < band[0]:
         regime = "wave_equation"
     elif ratio <= band[1]:
@@ -130,38 +132,26 @@ def uas_integral(
     q = disp.dispersion_coefficient
     cut = profile.hat_radius()
     transport = t * c / mu
-    cubic = t * q * params.h**2 / (3.0 * mu**3)
+    with np.errstate(over="ignore"):  # mu**3 past the float range: no cubic phase
+        cubic = float(t * q * params.h**2 / (3.0 * np.float64(mu) ** 3))
     rate = float(np.max(np.abs(x_arr))) / mu + transport + 3.0 * cubic * cut**2
 
     def phase(p: np.ndarray) -> np.ndarray:
         return np.exp(1j * (transport * p - cubic * p**3))
 
-    kwargs = dict(
-        rtol=rtol,
-        atol=atol,
-        nodes_per_cycle=nodes_per_cycle,
-        max_doublings=max_doublings,
-    )
-    if profile.is_even:
-        # Even real profile: What is real and even, so the two half-lines
-        # fold onto [0, cut] with a 2 cos(p x / mu) weight.
-        def kern(p: np.ndarray) -> np.ndarray:
-            return _INV_SQRT_2PI * profile.fourier_hat(p) * phase(p)
+    def kern(p: np.ndarray) -> np.ndarray:
+        return _INV_SQRT_2PI * profile.fourier_hat(p) * phase(p)
 
-        field = synthesize_field(
-            kern, 0.0, cut, x_arr / mu, rate, even_fold=True, **kwargs
-        )
-        out = field.real
-    else:
-        def kern_pos(p: np.ndarray) -> np.ndarray:
-            return _INV_SQRT_2PI * profile.fourier_hat(p) * phase(p)
-
+    kw = dict(rtol=rtol, atol=atol, nodes_per_cycle=nodes_per_cycle, max_doublings=max_doublings)
+    # The + half-line.  An even real profile has What real and even, so the
+    # - half-line folds onto it with a 2 cos(p x / mu) weight.
+    out = synthesize_field(kern, 0.0, cut, x_arr / mu, rate, even_fold=profile.is_even, **kw).real
+    if not profile.is_even:
         def kern_neg(p: np.ndarray) -> np.ndarray:
             return _INV_SQRT_2PI * profile.fourier_hat(-p) * phase(p)
 
-        plus = synthesize_field(kern_pos, 0.0, cut, x_arr / mu, rate, **kwargs)
-        minus = synthesize_field(kern_neg, 0.0, cut, -x_arr / mu, rate, **kwargs)
-        out = (plus + minus).real
+        minus = synthesize_field(kern_neg, 0.0, cut, -x_arr / mu, rate, **kw)
+        out = out + minus.real
     if _scalar_in(x):
         return float(out[0])
     return out
@@ -175,11 +165,13 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     ``-(x - c t) / mu``, and
     ``T(a) = e^{-a/(2 lam)} Ai(-lam^{-1/3} (a - 1/(4 lam)))``.
 
-    Each term is evaluated in log space: for non-negative Airy argument
-    ``z`` the product uses the scaled tail ``Ai(z) e^{(2/3) z^{3/2}}`` so
-    the growing exponential prefactor and the decaying Airy factor are
-    combined before exponentiation (their sum is bounded by the peak
-    value; neither factor alone is representable when ``t -> 0+``).
+    Where the Airy argument ``z`` is non-negative the product uses the
+    scaled tail ``Ai(z) e^{(2/3) z^{3/2}}``, and with ``r = sqrt(1 - 4 lam a)``
+    the three exponents combine exactly into
+    ``1/(12 lam^2) - a/(2 lam) - (2/3) z^{3/2} = -(2/3) a^2 (1 + 2r) / (1 + r)^2``,
+    which has no cancellation (it is ``-a^2/2`` at ``r = 1``).  Once
+    ``lam^2`` underflows the form is at its ``lam -> 0`` limit to rounding,
+    the d'Alembert half-sum ``(e^{-a_+^2/2} + e^{-a_-^2/2}) / 2``.
     """
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
@@ -192,23 +184,33 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
-    lam = q * t * params.h**2 / mu**3
-    log_pre = np.log(_SQRT_HALF_PI) - np.log(lam) / 3.0 + 1.0 / (12.0 * lam**2)
+    with np.errstate(over="ignore"):
+        lam = float(q * t * np.float64(params.h) ** 2 / np.float64(mu) ** 3)
+    if not np.isfinite(lam):
+        raise ConfigError(f"lam = q t h^2 / mu^3 overflows (t={t!r}, mu={mu!r})")
 
     def term(a: np.ndarray) -> np.ndarray:
+        log_pre = np.log(_SQRT_HALF_PI) - np.log(lam) / 3.0
         z = -((a - 0.25 / lam) / np.cbrt(lam))
-        expo = log_pre - 0.5 * a / lam
         out = np.empty_like(a)
         grow = z >= 0.0
         if np.any(grow):
-            zg = z[grow]
-            out[grow] = np.exp(expo[grow] - (2.0 / 3.0) * zg**1.5) * airy_ai_scaled(zg)
+            ag = a[grow]
+            r = np.sqrt(np.maximum(1.0 - 4.0 * lam * ag, 0.0))
+            expo = log_pre - (2.0 / 3.0) * ag**2 * (1.0 + 2.0 * r) / (1.0 + r) ** 2
+            out[grow] = np.exp(expo) * airy_ai_scaled(z[grow])
         if np.any(~grow):
-            out[~grow] = np.exp(expo[~grow]) * airy_ai(z[~grow])
+            ad = a[~grow]
+            expo = log_pre + (1.0 - 6.0 * lam * ad) / (12.0 * lam * lam)  # 4 lam a > 1
+            out[~grow] = np.exp(expo) * airy_ai(z[~grow])
         return out
 
     ct = c * t
-    out = term((x_arr + ct) / mu) + term(-(x_arr - ct) / mu)
+    a_plus, a_minus = (x_arr + ct) / mu, -(x_arr - ct) / mu
+    if lam * lam < _TINY:
+        out = 0.5 * (np.exp(-0.5 * a_plus**2) + np.exp(-0.5 * a_minus**2))
+    else:
+        out = term(a_plus) + term(a_minus)
     if _scalar_in(x):
         return float(out[0])
     return out

@@ -30,7 +30,7 @@ from scipy.fft import dst, idst
 from ._quadrature import synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import BoundaryError, ChainSizeError, ConfigError
-from .initial_data import InitialProfile, spectral_vector
+from .initial_data import _MAX_SITES, InitialProfile, spectral_vector
 
 __all__ = [
     "WaveField",
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 _QUADRATURE_MODES = ("full", "acoustic", "optical")
-#: Largest chain :func:`integrate_lattice` builds; each site costs 24 bytes
-#: per snapshot, so the cap keeps one snapshot near 100 MB.
-_MAX_SITES = 2**22
 
 
 @dataclass(frozen=True)
@@ -308,6 +305,8 @@ def solve_quadrature(
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     delta = params.h / mu
+    if delta == 0.0:
+        raise ConfigError(f"delta = h/mu underflows to 0 (h={params.h!r}, mu={mu!r})")
     edge = np.pi / (2.0 * delta)
     disp = Dispersion(params)
     t_over_h = t / params.h
@@ -331,31 +330,19 @@ def solve_quadrature(
             out += np.einsum("nij,nj->ni", b_mat, vt) * phase[:, None]
         return (delta / np.pi) * out
 
-    if profile.is_even:
-        field = synthesize_field(
-            kern,
-            0.0,
-            edge,
-            x_arr / mu,
-            rate,
-            rtol=rtol,
-            atol=atol,
-            nodes_per_cycle=nodes_per_cycle,
-            max_doublings=max_doublings,
-            even_fold=True,
-        )
-    else:
-        field = synthesize_field(
-            kern,
-            -edge,
-            edge,
-            x_arr / mu,
-            rate,
-            rtol=rtol,
-            atol=atol,
-            nodes_per_cycle=nodes_per_cycle,
-            max_doublings=max_doublings,
-        )
+    # An even profile folds the band onto [0, edge] (see synthesize_field).
+    field = synthesize_field(
+        kern,
+        0.0 if profile.is_even else -edge,
+        edge,
+        x_arr / mu,
+        rate,
+        rtol=rtol,
+        atol=atol,
+        nodes_per_cycle=nodes_per_cycle,
+        max_doublings=max_doublings,
+        even_fold=profile.is_even,
+    )
     return WaveField(
         x=x_arr,
         u=field[:, 0].real,

@@ -169,23 +169,17 @@ def _split_with_continuation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a ``z >= 0`` split on a mixed-sign grid.
 
-    Negative arguments use the mirrored three-point rule
+    Negative arguments use :func:`three_point_continue` mirrored,
     ``g(z) = c0 g(0) + c1 g(-z) + c2 g(-2z)`` (with ``z < 0``, so the
     sample points ``-z`` and ``-2z`` are on the defined side).
     """
-    c0, c1, c2 = stencil
     pos = z >= 0.0
     v1 = np.empty(z.shape + (2,), dtype=complex)
     v2 = np.empty_like(v1)
     if np.any(pos):
         v1[pos], v2[pos] = split(z[pos])
     if np.any(~pos):
-        zn = z[~pos]
-        a1, a2 = split(np.zeros_like(zn))
-        b1, b2 = split(-zn)
-        d1, d2 = split(-2.0 * zn)
-        v1[~pos] = c0 * a1 + c1 * b1 + c2 * d1
-        v2[~pos] = c0 * a2 + c1 * b2 + c2 * d2
+        v1[~pos], v2[~pos] = three_point_continue(lambda s: split(-s), -z[~pos], stencil)
     return v1, v2
 
 

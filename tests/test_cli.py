@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _reference as ref
@@ -522,7 +524,8 @@ def test_every_method_writes_its_library_field(tmp_path, gaussian, method):
         + _WIRING_NUMERICS
     )
     out_dir = tmp_path / "o"
-    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out_dir)]) == 0
+    config_path = _write(tmp_path, text)
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out_dir)]) == 0
     (fld,), _ = read_fields_csv(out_dir / f"field_{method}_t0.3.csv")
     params = LatticeParams(gamma1=0.82, gamma2=1.27, h=float(h))
     x, u, v = _library_field(method, params, gaussian, 0.04, np.linspace(-0.5, 0.5, 41), 0.3)
@@ -531,3 +534,113 @@ def test_every_method_writes_its_library_field(tmp_path, gaussian, method):
     assert np.array_equal(fld.u, u)
     assert np.array_equal(fld.v, v)
     assert np.max(np.abs(np.concatenate([u, v]))) > 1e-3  # a field, not zeros
+
+
+# ---------------------------------------------------------------------------
+# any INI text: an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_FUZZ_TOKENS = ("-1", "0", "1", "2", "0.5", "1e-300", "1e300", "nan", "two", "")
+_FUZZ_PATHS = ("missing", "binary", "directory")
+
+
+def _fuzz_scenario(table: str, kind: str) -> dict:
+    """A small valid scenario as ``(section, key) -> value``."""
+    names = "gaussian_airy, uas_integral, dalembert, quadrature_full"
+    if kind == "table":
+        names = "quadrature_full, dalembert"  # the table's transform decays too slowly for uas_*
+    return {
+        ("lattice", "gamma1"): "0.82",
+        ("lattice", "gamma2"): "1.27",
+        ("lattice", "h"): "0.008",
+        ("scale", "mu"): "0.04",
+        ("profile", "kind"): kind,
+        ("profile", "path"): table,
+        ("grid", "x_min"): "-0.5",
+        ("grid", "x_max"): "0.5",
+        ("grid", "points"): "41",
+        ("times", "values"): "0.1, 0.3",
+        ("methods", "names"): names,
+        ("numerics", "rtol"): "1e-8",
+        ("numerics", "atol"): "1e-13",
+        ("numerics", "nodes_per_cycle"): "10",
+        ("numerics", "max_doublings"): "6",
+        ("numerics", "dispersion_points"): "11",
+        ("numerics", "stencil"): "3, -3, 1",
+        ("numerics", "front_side"): "right",
+    }
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_no_ini_input_gives_a_traceback(tmp_path, data):
+    """Replacing 1-3 values of a valid scenario by tokens of a fixed alphabet
+    (numbers at and past the float range, nan, words, empty, unreadable
+    table paths) gives exit code 0, 2 or 3."""
+    table = tmp_path / "bump.csv"
+    xi = np.linspace(-6.0, 6.0, 121)
+    rows = zip(xi.tolist(), np.exp(-0.5 * xi**2).tolist())
+    table.write_text("\n".join(f"{a!r},{b!r}" for a, b in rows))
+    (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81,\x92\n" * 8)
+    paths = {
+        "missing": str(tmp_path / "absent.csv"),
+        "binary": str(tmp_path / "binary.csv"),
+        "directory": str(tmp_path),
+    }
+    values = _fuzz_scenario(str(table), data.draw(st.sampled_from(["gaussian", "table"])))
+    keys = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3, unique=True))
+    for key in keys:
+        token = data.draw(st.sampled_from(_FUZZ_TOKENS + _FUZZ_PATHS))
+        values[key] = paths.get(token, token)
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in sections.items())
+    config = _write(tmp_path, text)
+    for command in ("simulate", "dispersion"):
+        out_dir = tmp_path / f"out_{command}"
+        assert cli.main([command, "--config", str(config), "--out", str(out_dir)]) in (0, 2, 3)
+
+
+def _quadrature(text: str) -> str:
+    return text.replace("names = gaussian_airy, dalembert", "names = quadrature_full")
+
+
+def _table_at(path: str):
+    return lambda s: s + f"\n[profile]\nkind = table\npath = {path}\n"
+
+
+@pytest.mark.parametrize(
+    "command, mutate, code, says",
+    [
+        ("dispersion", lambda s: s + "\n[numerics]\ndispersion_points = -1\n", 2, ">= 2"),
+        ("simulate", _table_at("absent.csv"), 2, "cannot read profile table"),
+        ("simulate", _table_at("."), 2, "cannot read profile table"),
+        ("simulate", _table_at("binary.csv"), 2, "cannot read profile table"),
+        ("dispersion", lambda s: s.replace("mu = 0.04", "mu = 1e300"), 0, ""),
+        ("simulate", lambda s: s.replace("mu = 0.04", "mu = 1e300"), 0, ""),
+        ("simulate", lambda s: s.replace("mu = 0.04", "mu = 1e-300"), 2, "long-wave"),
+        ("simulate", lambda s: s.replace("gamma2 = 1.27", "gamma2 = 1e300"), 2, "dispersion coef"),
+        ("simulate", lambda s: _quadrature(s).replace("mu = 0.04", "mu = 1e300"), 3, "sublattice"),
+        (
+            "simulate",
+            lambda s: _quadrature(s).replace("mu = 0.04", "mu = 1e300").replace("0.008", "1e-300"),
+            2,
+            "underflows",
+        ),
+    ],
+)
+def test_inputs_that_raised_tracebacks_exit_cleanly(
+    tmp_path, monkeypatch, capsys, command, mutate, code, says
+):
+    monkeypatch.chdir(tmp_path)  # table paths are relative to it
+    (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81,\x92\n" * 8)
+    path = _write(tmp_path, mutate(BASE))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    assert says in capsys.readouterr().err

@@ -37,6 +37,13 @@ def test_classify_regime_three_labels(desk):
     assert strong.ratio > 10.0
 
 
+def test_classify_regime_past_the_float_range(desk):
+    # mu**3 overflows or underflows; the ratio is then 0 or inf, not an error
+    assert classify_regime(desk(0.008), 1e300).ratio == 0.0
+    far = classify_regime(desk(0.008), 1e-300)
+    assert far.ratio == np.inf and far.regime == "strong_dispersion"
+
+
 def test_classify_regime_validation(desk):
     with pytest.raises(ConfigError):
         classify_regime(desk(0.01), 0.05, band=(1.0, 0.5))
@@ -88,6 +95,32 @@ def test_closed_form_matches_integral(desk, gaussian):
     direct = uas_integral(params, gaussian, mu, x, t)
     closed = uas_gaussian_airy(params, mu, x, t)
     assert np.max(np.abs(closed - direct)) < 1e-7
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 0.25, 0.5])
+def test_closed_form_equals_integral_to_rounding(desk, gaussian, t):
+    # lam = q t h^2 / mu^3 ~ 1e-6 .. 1e-4 here: the exponents 1/(12 lam^2) and
+    # a/(2 lam) must not be formed separately, they cancel to -a^2/2
+    params = desk(2.5e-4)
+    mu = 0.05
+    x = np.linspace(-0.7, 0.7, 401)
+    closed = uas_gaussian_airy(params, mu, x, t)
+    direct = uas_integral(params, gaussian, mu, x, t)
+    assert np.max(np.abs(closed - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "h, t",
+    [(2.5e-4, t) for t in (1e-6, 1e-9, 1e-100, 1e-148, 1e-200, 1e-300)] + [(1e-300, 0.3)],
+)
+def test_closed_form_tends_to_dalembert_as_lam_vanishes(desk, h, t):
+    # down to lam ~ 1e-154 the closed form itself, below it its lam -> 0 limit
+    params = desk(h)
+    mu = 0.05
+    x = np.linspace(-0.7, 0.7, 401)
+    ct = Dispersion(params).sound_speed * t
+    half_sum = 0.5 * (np.exp(-0.5 * ((x + ct) / mu) ** 2) + np.exp(-0.5 * ((x - ct) / mu) ** 2))
+    assert np.max(np.abs(uas_gaussian_airy(params, mu, x, t) - half_sum)) <= 1e-13
 
 
 def test_closed_form_symmetry_and_validation(desk):

@@ -126,18 +126,26 @@ def _spy_chirp(monkeypatch) -> list:
     return calls
 
 
+def _summed_sites(profile, delta: float, component: int) -> int:
+    """Sites semi_discrete_ft sums for an even profile (the positive half)."""
+    return int(np.count_nonzero(initial_data._sublattice_sites(profile, delta, component) > 0))
+
+
 @pytest.mark.parametrize("delta", [0.005, 0.1, 1.0])
 @pytest.mark.parametrize("component", [1, 2])
 def test_strided_semi_discrete_ft_matches_blocked_sum(delta, component, monkeypatch):
     gaussian = GaussianProfile()
     edge = np.pi / (2.0 * delta)
     chirps = _spy_chirp(monkeypatch)
+    # at least 300 panels, and enough node-site terms for the chirp-z path
+    sites = _summed_sites(gaussian, delta, component)
+    n_panels = max(300, -(-initial_data._CHIRP_MIN_TERMS // (quad._ORDER * sites)))
     for a in (0.0, -edge):
-        p, _ = quad.panel_nodes(a, edge, 300)
+        p, _ = quad.panel_nodes(a, edge, n_panels)
         assert quad._panel_columns(p) is not None
         chirps.clear()
         fast = semi_discrete_ft(gaussian, delta, p, component)
-        assert chirps == [300]  # the chirp-z path is the one tested
+        assert chirps == [n_panels]  # the chirp-z path is the one tested
         # one extra node breaks the panel stride, so this is the blocked sum
         blocked = semi_discrete_ft(gaussian, delta, np.append(p, 0.0), component)[:-1]
         scale = np.sum(gaussian.value(np.arange(-2000, 2001) * delta))
@@ -146,31 +154,40 @@ def test_strided_semi_discrete_ft_matches_blocked_sum(delta, component, monkeypa
         assert np.all(blocked.imag == 0.0)
 
 
-@pytest.mark.parametrize("n_panels", [1, 2, initial_data._CHIRP_MIN_PANELS - 1])
+@pytest.mark.parametrize("n_panels", [1, 2, 31, "below", "above"])
 @pytest.mark.parametrize("delta", [0.005, 1.0])
 def test_few_panels_take_the_blocked_sum(n_panels, delta, monkeypatch):
-    """Below the crossover, panel-strided p (the front band's single panel
-    included) is summed exactly as any other p, without a transform."""
+    """Panel-strided p takes chirp-z exactly when p.size times the summed
+    sites reaches _CHIRP_MIN_TERMS; below that (the front band's single
+    panel included) it is summed as any other p, without a transform.
+    "below"/"above" are the panel counts on either side of the threshold."""
     gaussian = GaussianProfile()
     chirps = _spy_chirp(monkeypatch)
-    p, _ = quad.panel_nodes(-0.3, 1.2, n_panels)
-    assert quad._panel_columns(p) is not None
     for component in (1, 2):
+        sites = _summed_sites(gaussian, delta, component)
+        below = (initial_data._CHIRP_MIN_TERMS - 1) // (quad._ORDER * sites)
+        m = {"below": below, "above": below + 1}.get(n_panels, n_panels)
+        p, _ = quad.panel_nodes(-0.3, 1.2, m)
+        assert quad._panel_columns(p) is not None
+        chirps.clear()
         strided = semi_discrete_ft(gaussian, delta, p, component)
+        if m > below:
+            assert chirps == [m]
+            continue
+        assert chirps == []
         blocked = semi_discrete_ft(gaussian, delta, np.append(p, 0.0), component)[:-1]
         assert np.array_equal(strided, blocked)
-    assert chirps == []
-    p, _ = quad.panel_nodes(-0.3, 1.2, initial_data._CHIRP_MIN_PANELS)
-    semi_discrete_ft(gaussian, delta, p, 1)
-    assert chirps == [initial_data._CHIRP_MIN_PANELS]
 
 
-def test_strided_semi_discrete_ft_of_asymmetric_profile():
+def test_strided_semi_discrete_ft_of_asymmetric_profile(monkeypatch):
     xi = np.linspace(-6.0, 8.0, 701)
     skew = TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
-    p, _ = quad.panel_nodes(-np.pi, np.pi, 64)
+    chirps = _spy_chirp(monkeypatch)
+    p, _ = quad.panel_nodes(-np.pi, np.pi, 256)  # 4096 nodes x 19-20 sites
     for component in (1, 2):
+        chirps.clear()
         fast = semi_discrete_ft(skew, 0.5, p, component)
+        assert chirps == [256]
         blocked = semi_discrete_ft(skew, 0.5, np.append(p, 0.0), component)[:-1]
         assert np.max(np.abs(fast - blocked)) <= 1e-12 * np.sum(np.abs(skew.value(xi)))
         assert np.max(np.abs(fast.imag)) > 1e-3
