@@ -211,15 +211,16 @@ def _components(out) -> tuple[np.ndarray, np.ndarray]:
 def _fields(
     config: ScenarioConfig, method: str, x: np.ndarray | None, rows: bool = False
 ) -> list[WaveField]:
-    """``method``'s field on ``x`` at every configured time; with ``rows``,
-    ``u`` at the heavy site ``x`` and ``v`` at the light site ``x + h``.  The
-    chain oracle ignores ``x``: it integrates once and keeps its own cells
-    inside the grid window."""
+    """``method``'s field on ``x`` at every configured time (``rows``: ``u`` at
+    the heavy site ``x``, ``v`` at the light site ``x + h``).  The chain oracle
+    ignores ``x``; it integrates once and keeps its cells in the grid window."""
     evaluate = METHODS[method].evaluate
     if evaluate is None:
         states, _ = integrate_lattice(config.params, config.profile, config.mu, config.times)
         cells = [state.to_staggered_field() for state in states]
         keep = (cells[0].x >= config.x_min) & (cells[0].x <= config.x_max)  # same sites at every t
+        if not keep.any():
+            raise ConfigError("the [grid] window holds no cell of the chain (x = 2 k h); widen it")
         return [WaveField(c.x[keep], c.u[keep], c.v[keep], c.t, c.method) for c in cells]
     sites = np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
     out = []
@@ -375,7 +376,6 @@ def _parse_methods(cfg: configparser.ConfigParser) -> tuple[str, ...]:
         if name is None:
             raise ConfigError(f"unknown method {raw!r}; registry: {', '.join(sorted(METHODS))}")
         if name in names:
-            # Both would write the same field files; compare would test a method against itself.
             raise ConfigError(f"[methods] names lists method {name!r} twice ({raw!r})")
         names.append(name)
     if not names:
@@ -495,8 +495,10 @@ def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     header = config.header()
     x = np.linspace(config.x_min, config.x_max, config.points)
+    # The chain is integrated first, so its failures leave no file.
+    ode = _fields(config, "ode", None) if "ode" in config.methods else None
     for method in config.methods:
-        for fld in _fields(config, method, x):
+        for fld in ode if method == "ode" else _fields(config, method, x):
             name = f"field_{method}_t{fld.t:g}.csv"
             write_fields_csv(out_dir / name, [fld], header)
             print(f"wrote {out_dir / name}")
@@ -507,11 +509,9 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
         raise ConfigError("compare needs at least two methods (first is the reference)")
     # With ode, the chain is integrated once and every method sampled on its sites.
     ode = _fields(config, "ode", None) if "ode" in config.methods else None
-    x = ode[0].x if ode else np.linspace(config.x_min, config.x_max, config.points)
-    fields = {
-        m: ode if m == "ode" else _fields(config, m, x, rows=ode is not None)
-        for m in config.methods
-    }
+    rows = ode is not None
+    x = ode[0].x if rows else np.linspace(config.x_min, config.x_max, config.points)
+    fields = {m: ode if m == "ode" else _fields(config, m, x, rows) for m in config.methods}
     header = config.header()
     lines = [f"# {k} = {header[k]}" for k in sorted(header)]
     reference_name = config.methods[0]

@@ -612,6 +612,14 @@ def _quadrature(text: str) -> str:
     return text.replace("names = gaussian_airy, dalembert", "names = quadrature_full")
 
 
+def _narrow_ode_window(text: str) -> str:
+    # at delta = 1 the cells are 2 h = 0.08 apart; this window holds none
+    text = text.replace("h = 0.008", "h = 0.04").replace("x_min = -0.5", "x_min = 0.001")
+    return text.replace("x_max = 0.5", "x_max = 0.002").replace(
+        "names = gaussian_airy, dalembert", "names = quadrature_full, ode"
+    )
+
+
 def _table_at(path: str):
     return lambda s: s + f"\n[profile]\nkind = table\npath = {path}\n"
 
@@ -634,6 +642,8 @@ def _table_at(path: str):
             2,
             "underflows",
         ),
+        ("simulate", _narrow_ode_window, 2, "no cell of the chain"),
+        ("compare", _narrow_ode_window, 2, "no cell of the chain"),
     ],
 )
 def test_inputs_that_raised_tracebacks_exit_cleanly(
@@ -642,5 +652,8 @@ def test_inputs_that_raised_tracebacks_exit_cleanly(
     monkeypatch.chdir(tmp_path)  # table paths are relative to it
     (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81,\x92\n" * 8)
     path = _write(tmp_path, mutate(BASE))
-    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    out_dir = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out", str(out_dir)]) == code
     assert says in capsys.readouterr().err
+    if code:
+        assert not any(out_dir.glob("*"))  # no partial results
