@@ -80,7 +80,6 @@ from .shortwave import (
     optical_uniform,
     shortwave_total,
     split_about_pstar,
-    split_even_odd,
     three_point_continue,
 )
 
@@ -135,7 +134,6 @@ __all__ = [
     "solve_quadrature",
     "spectral_vector",
     "split_about_pstar",
-    "split_even_odd",
     "three_point_continue",
     "uas_dalembert",
     "uas_gaussian_airy",

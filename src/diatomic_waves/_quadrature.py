@@ -263,7 +263,8 @@ def synthesize_field(
     Raises
     ------
     QuadratureError
-        If a panel level would exceed ``_MAX_NODES`` nodes, or if doubling
+        If a panel level would exceed ``_MAX_NODES`` nodes (the first level's
+        doubling is checked before the kernel is called), or if doubling
         the panel count ``max_doublings`` times never brings the change on
         the checked points (every point of a uniform grid, else a probe
         subset) below ``atol + rtol * scale``.
@@ -278,13 +279,16 @@ def synthesize_field(
 
     was_1d = False
 
-    def weighted(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal was_1d
+    def require_level(n_panels: int) -> None:
         if n_panels * _ORDER > _MAX_NODES:
             raise QuadratureError(
                 f"oscillation rate {rate:.3e} needs {n_panels * _ORDER} quadrature "
                 f"nodes, above the limit of {_MAX_NODES}"
             )
+
+    def weighted(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal was_1d
+        require_level(n_panels)
         p, w = panel_nodes(a, b, n_panels)
         vals = np.asarray(kernel(p))
         if vals.ndim == 1:
@@ -293,6 +297,7 @@ def synthesize_field(
         return p, vals * w[:, None]
 
     panels = oscillation_panels(rate, a, b, nodes_per_cycle)
+    require_level(2 * panels)  # every return follows at least one doubling
     p1, g1 = weighted(panels)
     f1 = _contract(g1, p1, x_check, even_fold)
     err = float("inf")  # no doubling attempted yet: convergence unverified

@@ -31,16 +31,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import gamma
 
-from ._quadrature import (
-    _chirp_z,
-    _exp_sum,
-    _panel_columns,
-    oscillation_panels,
-    panel_nodes,
-    synthesize_field,
-)
-from .errors import ChainSizeError, ConfigError, QuadratureError
+from ._quadrature import _chirp_z, _exp_sum, _panel_columns, synthesize_field
+from .errors import ChainSizeError, ConfigError
 
 __all__ = [
     "InitialProfile",
@@ -65,6 +59,10 @@ _MAX_SITES = 2**22
 # ~p.size x sites for the blocked sum.  Measured break-even (Gaussian, 2-vCPU
 # x86): ~4e4-1e5 terms at delta = 0.005-0.1, above 2e5 at delta = 1 (6-7 sites).
 _CHIRP_MIN_TERMS = 2**16
+
+# theta^k coefficients (row k, odd rows without their -i) of m_j (column j), see fourier_hat
+_K = np.arange(22)[:, None]
+_MOMENT_SERIES = (-1.0) ** (_K // 2) / (gamma(_K + 1.0) * (_K + np.arange(4) + 1.0))
 
 
 class InitialProfile(abc.ABC):
@@ -92,7 +90,7 @@ class InitialProfile(abc.ABC):
 
     @abc.abstractmethod
     def hat_radius(self) -> float:
-        """Radius beyond which ``|fourier_hat| < cutoff``."""
+        """Radius where ``|fourier_hat|`` is truncated (see :meth:`TableProfile.hat_radius`)."""
 
 
 class GaussianProfile(InitialProfile):
@@ -127,7 +125,10 @@ class TableProfile(InitialProfile):
     """Profile given by samples, interpolated with a natural cubic spline.
 
     Outside the tabulated interval the profile is identically zero, so
-    tables should decay to (near) zero at both ends.
+    tables should decay to (near) zero at both ends: end values ``W_0``,
+    ``W_n`` leave a transform tail up to ``(|W_0| + |W_n|) / (sqrt(2 pi) |p|)``,
+    above the cutoff out to ``p ~ (|W_0| + |W_n|) / (sqrt(2 pi) cutoff max|W|)``
+    (~1800 for a unit Gaussian on [-6, 8] centred at 1, ends 2.3e-11).
     """
 
     def __init__(self, xi: np.ndarray, values: np.ndarray, cutoff: float = 1e-14):
@@ -147,6 +148,10 @@ class TableProfile(InitialProfile):
         self._xi = xi
         self._values = values
         self._spline = CubicSpline(xi, values, bc_type="natural")
+        self._gaps = np.diff(xi)
+        # spline.c[3 - j] is w_j; per interval, w_j d^(j+1) and the series of their sum
+        self._weights = self._spline.c[::-1] * self._gaps ** np.arange(1, 5)[:, None]
+        self._series = _MOMENT_SERIES @ self._weights
         self._radius = float(max(abs(xi[0]), abs(xi[-1])))
         # evenness: symmetric grid and mirrored values within tolerance
         scale = float(np.max(np.abs(values))) or 1.0
@@ -168,44 +173,39 @@ class TableProfile(InitialProfile):
         return out
 
     def fourier_hat(self, p):
-        scalar = np.isscalar(p) or np.ndim(p) == 0
+        """Exact transform of the spline: on ``[xi_i, xi_i + d]`` its cubic ``sum_j w_j s^j``
+        gives ``e^{-i p xi_i} sum_j w_j d^{j+1} m_j(p d)``, ``m_j(theta) = int_0^1 u^j
+        e^{-i theta u} du``, by its series below ``|theta| = 1`` and above by the recurrence
+        ``m_j = (j m_{j-1} - e^{-i theta}) / (i theta)`` (``j m_{j-1}`` is 1 at j = 0)."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        rate = float(np.max(np.abs(p_arr))) if p_arr.size else 1.0
-        base = max(1, oscillation_panels(rate, self._xi[0], self._xi[-1], min_panels=1))
-        per_knot = max(1, int(np.ceil(base / max(1, self._xi.size - 1))))
-        out = self._hat_fixed(p_arr, per_knot)
-        check = self._hat_fixed(p_arr, 2 * per_knot)
-        err = float(np.max(np.abs(out - check)))
-        scale = float(np.max(np.abs(check))) or 1.0
-        if err > 1e-13 + 1e-10 * scale:
-            raise QuadratureError(
-                f"table-profile transform not converged: change {err:.2e}"
-            )
-        return check[0] if scalar else check
-
-    def _hat_fixed(self, p: np.ndarray, panels_per_interval: int) -> np.ndarray:
-        nodes_list = []
-        weights_list = []
-        for lo, hi in zip(self._xi[:-1], self._xi[1:]):
-            n, w = panel_nodes(lo, hi, panels_per_interval)
-            nodes_list.append(n)
-            weights_list.append(w)
-        nodes = np.concatenate(nodes_list)
-        weights = np.concatenate(weights_list)
-        wv = weights * self._spline(nodes)
-        out = np.empty(p.shape, dtype=complex)
-        for start in range(0, p.size, 4096):
-            blk = p[start : start + 4096]
-            out[start : start + 4096] = (
-                np.exp(-1j * blk[:, None] * nodes[None, :]) @ wv
-            )
-        return out / np.sqrt(2.0 * np.pi)
+        out = np.empty(p_arr.shape, dtype=complex)
+        rows = max(1, 2**16 // self._gaps.size)  # blocks of about 1 MB per array
+        for start in range(0, p_arr.size, rows):
+            blk = p_arr[start : start + rows, None]
+            theta = blk * self._gaps
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                inv, e = -1j / theta, np.exp(-1j * theta)  # 1/(i theta); 0 takes the series
+                m, cubic = 1.0, 0.0
+                for j in range(4):
+                    m = (max(j, 1) * m - e) * inv
+                    cubic = cubic + self._weights[j] * m
+                small = np.any(np.abs(theta) < 1.0, axis=1)  # the rows that need the series
+                th = theta[small]
+                th2, (even, odd) = th * th, self._series[-2:]
+                for k in range(self._series.shape[0] - 4, -1, -2):
+                    even, odd = even * th2 + self._series[k], odd * th2 + self._series[k + 1]
+                cubic[small] = np.where(np.abs(th) < 1.0, even - 1j * th * odd, cubic[small])
+            out[start : start + rows] = (np.exp(-1j * (blk * self._xi[:-1])) * cubic).sum(axis=1)
+        out /= np.sqrt(2.0 * np.pi)
+        return out[0] if np.ndim(p) == 0 else out
 
     def support_radius(self) -> float:
         return self._radius
 
     def hat_radius(self) -> float:
-        # scan outward until the transform magnitude stays below cutoff
+        """First ``p`` of 4, 8, ..., 2048 whose 16-point window ``[0.75 p, p]`` is below
+        ``cutoff * max|W|``, else 4096; no bound: the spline's alias peaks near ``2 pi k / step``
+        fall as ``k^-4`` (Gaussian on 361 knots over [-9, 9]: 16, ``|What(123.65)| = 9.3e-9``)."""
         scale = float(np.max(np.abs(self._values))) or 1.0
         p_hi = 4.0
         while p_hi < 4096.0:

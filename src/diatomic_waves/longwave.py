@@ -119,8 +119,11 @@ def uas_integral(
 
     The integrand has a kink at ``p = 0`` from ``|p|``, so the line is
     split there and each half-line is integrated separately; the tail is
-    truncated where ``|What|`` falls below the profile cutoff.  Both
-    displacement components equal this amplitude up to ``O(delta^2)``.
+    truncated at ``profile.hat_radius()``.  For a table that radius comes
+    from a windowed scan, and whatever of ``What`` lies past it is dropped
+    (the spline's alias peaks near ``2 pi k / step``; see
+    :meth:`TableProfile.hat_radius`).  Both displacement components equal
+    this amplitude up to ``O(delta^2)``.
     """
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")

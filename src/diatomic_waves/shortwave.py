@@ -7,7 +7,8 @@ O(1) energy and the field splits into an acoustic part moving at speed
 the small parameter ``mu = h``:
 
 * *front Airy* forms, valid in an ``O(mu^{2/3})`` neighbourhood of the
-  front, built from even/odd spectral splits and the Airy kernel;
+  front, built from spectral splits about the critical momentum (``0``
+  acoustic, ``p*`` optical) and the Airy kernel;
 * *uniform* forms, valid from the interior up to the front, built from
   stationary-phase data and the envelope amplitudes ``A_pm(y)`` (which
   reduce to WKB away from the front and to the front Airy forms at it).
@@ -42,7 +43,6 @@ from .oracles import WaveField
 
 __all__ = [
     "StationaryPoints",
-    "split_even_odd",
     "split_about_pstar",
     "three_point_continue",
     "acoustic_stationary",
@@ -94,27 +94,6 @@ def _require_positive_time(t: float) -> None:
 # Spectral splits and continuation
 # ---------------------------------------------------------------------------
 
-def split_even_odd(profile: InitialProfile, z) -> tuple[np.ndarray, np.ndarray]:
-    """Even/odd split of the unit-step spectral vector in ``z = p**2``.
-
-    ``V1(z) = (V(sqrt z) + V(-sqrt z)) / 2`` and
-    ``V2(z) = (V(sqrt z) - V(-sqrt z)) / (2 sqrt z)``, so that
-    ``V(p) = V1(p^2) + p V2(p^2)``.  Both return shape ``z.shape + (2,)``
-    complex arrays; for real lattice data ``V1`` is real and ``V2``
-    purely imaginary.  Requires ``z >= 0`` (use
-    :func:`three_point_continue` beyond the front).
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0.0):
-        raise ConfigError("split_even_odd needs z >= 0; continue negative z explicitly")
-    root = np.sqrt(np.maximum(z_arr, _Z_FLOOR))
-    vp = spectral_vector(profile, 1.0, root)
-    vm = spectral_vector(profile, 1.0, -root)
-    v1 = 0.5 * (vp + vm)
-    v2 = (vp - vm) / (2.0 * root[..., None])
-    return v1, v2
-
-
 def split_about_pstar(
     profile: InitialProfile, p_star: float, eta
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +101,9 @@ def split_about_pstar(
 
     ``F1(eta) = (V(p* - sqrt eta) + V(p* + sqrt eta)) / 2`` and
     ``F2(eta) = (V(p* - sqrt eta) - V(p* + sqrt eta)) / (2 sqrt eta)``
-    (minus side first, matching the front formulas that consume them).
-    Requires ``eta >= 0``.
+    (minus side first, matching the front formulas that consume them), so
+    ``V(p* -+ sqrt eta) = F1 +- sqrt(eta) F2``.  At ``p* = 0`` these are the
+    even/odd parts of ``V`` in ``eta = p^2``.  Requires ``eta >= 0``.
     """
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.any(eta_arr < 0.0):
@@ -319,6 +299,63 @@ def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
 # Front Airy evaluators
 # ---------------------------------------------------------------------------
 
+def _front_airy(
+    params: LatticeParams,
+    profile: InitialProfile,
+    mu: float,
+    x,
+    t: float,
+    front: str,
+    stencil: tuple[float, float, float],
+    branch: int,
+) -> np.ndarray:
+    """Airy form of one branch near its front, about its critical momentum ``p_c``.
+
+    The branch enters through its front speed ``s``, curvature ``k``,
+    ``omega = omega(p_c)``, projector ``P = P(p_c)`` and weight ``n``
+    (acoustic: ``c``, ``q``, ``p_c = 0``, ``omega_1(0) = 0``, ``A(0)``, 1;
+    optical: ``c*``, ``q*``, ``p*``, ``omega_2(p*)``, ``B(p*)``, 2 for the
+    pair ``+-p*``).  With ``y = x - s t``, ``w = mu^{2/3} (k t)^{1/3}`` and
+    ``r = (mu/(k t))^{1/3}``, the right front is
+    ``n r Re{ e^{i (p_c x + omega t)/mu} P [F1 Ai(y/w) + i r F2 Ai'(y/w)] }``
+    with the splits ``F1``, ``F2`` about ``p_c`` at ``-y/(k t)``, continued
+    by the three-point rule beyond the front.  The left front takes
+    ``y = -(x + s t)``, ``p_c x - omega t`` and ``-i`` on the ``Ai'`` term.
+    Returns shape ``(len(x), 2)`` (heavy, light components).
+    """
+    _require_unit_delta(params, mu)
+    _require_positive_time(t)
+    if front not in ("left", "right"):
+        raise ConfigError(f"front must be 'left' or 'right', got {front!r}")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    disp = Dispersion(params)
+    if branch == ACOUSTIC:  # the carrier is 1
+        p_c, omega_c, weight = 0.0, 0.0, 1.0
+        speed, curv = disp.sound_speed, disp.dispersion_coefficient
+    else:
+        crit = disp.critical
+        p_c, speed, curv, weight = crit.p_star, crit.c_star, crit.q_star, 2.0
+        omega_c = float(disp.omega2_derivs(p_c, 0)[0])
+    width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
+    cube = (mu / (curv * t)) ** (1.0 / 3.0)
+    if front == "right":
+        z = -(x_arr - speed * t) / (curv * t)
+        ai_arg = (x_arr - speed * t) / width
+        phase = (p_c * x_arr + omega_c * t) / mu
+        deriv_sign = +1.0
+    else:
+        z = (x_arr + speed * t) / (curv * t)
+        ai_arg = -(x_arr + speed * t) / width
+        phase = (p_c * x_arr - omega_c * t) / mu
+        deriv_sign = -1.0
+    f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), z, stencil)
+    ai, aip = airy_ai_pair(ai_arg)
+    combo = f1 * ai[:, None] + deriv_sign * 1j * cube * f2 * aip[:, None]
+    carrier = np.exp(1j * phase)
+    projected = np.einsum("ij,nj->ni", disp.modal_matrix(p_c, branch), combo)
+    return weight * cube * (carrier[:, None] * projected).real
+
+
 def acoustic_front_airy(
     params: LatticeParams,
     profile: InitialProfile,
@@ -331,37 +368,12 @@ def acoustic_front_airy(
 ) -> np.ndarray:
     """Airy representation of the acoustic mode near a front ``x = +-ct``.
 
-    Right front:
-    ``(mu/(q t))^{1/3} A(0) Re[ V1(-(x - ct)/(q t)) Ai((x - ct)/w)
-    - i (mu/(q t))^{1/3} V2(-(x - ct)/(q t)) Ai'((x - ct)/w) ]``
-    with ``w = mu^{2/3} (q t)^{1/3}``; the left front mirrors the
-    argument and flips the ``Ai'`` sign.  ``V1``/``V2`` are the even/odd
-    spectral splits, continued by the three-point rule beyond the front.
-    Returns shape ``(n, 2)`` (heavy, light components).
+    :func:`_front_airy` about ``p_c = 0``: speed ``c``, curvature ``q``,
+    projector ``A(0)``, carrier 1 and weight 1.  The splits about 0 are the
+    even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
+    (heavy, light components).
     """
-    _require_unit_delta(params, mu)
-    _require_positive_time(t)
-    if front not in ("left", "right"):
-        raise ConfigError(f"front must be 'left' or 'right', got {front!r}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    disp = Dispersion(params)
-    c = disp.sound_speed
-    q = disp.dispersion_coefficient
-    width = mu ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0)
-    cube = (mu / (q * t)) ** (1.0 / 3.0)
-    if front == "right":
-        z = -(x_arr - c * t) / (q * t)
-        ai_arg = (x_arr - c * t) / width
-        deriv_sign = -1.0
-    else:
-        z = (x_arr + c * t) / (q * t)
-        ai_arg = -(x_arr + c * t) / width
-        deriv_sign = +1.0
-    v1, v2 = _split_with_continuation(lambda s: split_even_odd(profile, s), z, stencil)
-    ai, aip = airy_ai_pair(ai_arg)
-    combo = v1 * ai[:, None] + deriv_sign * 1j * cube * v2 * aip[:, None]
-    a0 = disp.modal_matrix(0.0, ACOUSTIC)
-    return cube * combo.real @ a0.T
+    return _front_airy(params, profile, mu, x, t, front, stencil, ACOUSTIC)
 
 
 def optical_front_airy(
@@ -376,44 +388,12 @@ def optical_front_airy(
 ) -> np.ndarray:
     """Airy-envelope representation of the optical mode near ``x = +-c*t``.
 
-    Right front:
-    ``2 (mu/(q* t))^{1/3} Re{ e^{i Phi_1(p*)/mu} B(p*) [ F1(-(x - c*t)/(q* t))
-    Ai((x - c*t)/w*) + i (mu/(q* t))^{1/3} F2(...) Ai'(...) ] }``
-    with ``w* = mu^{2/3} (q* t)^{1/3}`` and the carrier phase
-    ``Phi_1(p*) = p* x + omega_2(p*) t``; the left front uses
-    ``Phi_2(p*) = p* x - omega_2(p*) t``, mirrored arguments, and a
-    ``-i`` on the ``Ai'`` term.  The output oscillates at the carrier
-    wavelength ``~ mu / p*`` under an Airy envelope.
+    :func:`_front_airy` about ``p*``: speed ``c*``, curvature ``q*``,
+    projector ``B(p*)``, carrier ``e^{i (p* x +- omega_2(p*) t)/mu}`` (right
+    front ``+``) and weight 2.  The output oscillates at the carrier
+    wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
-    _require_unit_delta(params, mu)
-    _require_positive_time(t)
-    if front not in ("left", "right"):
-        raise ConfigError(f"front must be 'left' or 'right', got {front!r}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    disp = Dispersion(params)
-    crit = disp.critical
-    omega2_star = float(disp.omega2_derivs(crit.p_star, 0)[0])
-    width = mu ** (2.0 / 3.0) * (crit.q_star * t) ** (1.0 / 3.0)
-    cube = (mu / (crit.q_star * t)) ** (1.0 / 3.0)
-    if front == "right":
-        z = -(x_arr - crit.c_star * t) / (crit.q_star * t)
-        ai_arg = (x_arr - crit.c_star * t) / width
-        phase = (crit.p_star * x_arr + omega2_star * t) / mu
-        deriv_sign = +1.0
-    else:
-        z = (x_arr + crit.c_star * t) / (crit.q_star * t)
-        ai_arg = -(x_arr + crit.c_star * t) / width
-        phase = (crit.p_star * x_arr - omega2_star * t) / mu
-        deriv_sign = -1.0
-    f1, f2 = _split_with_continuation(
-        lambda s: split_about_pstar(profile, crit.p_star, s), z, stencil
-    )
-    ai, aip = airy_ai_pair(ai_arg)
-    combo = f1 * ai[:, None] + deriv_sign * 1j * cube * f2 * aip[:, None]
-    carrier = np.exp(1j * phase)
-    b_star = disp.modal_matrix(crit.p_star, OPTICAL)
-    projected = np.einsum("ij,nj->ni", b_star, combo)
-    return 2.0 * cube * (carrier[:, None] * projected).real
+    return _front_airy(params, profile, mu, x, t, front, stencil, OPTICAL)
 
 
 # ---------------------------------------------------------------------------

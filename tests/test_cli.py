@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 import _reference as ref
 from diatomic_waves import (
     LatticeParams,
+    TableProfile,
     acoustic_front_airy,
     acoustic_uniform,
     cli,
@@ -534,6 +535,68 @@ def test_every_method_writes_its_library_field(tmp_path, gaussian, method):
     assert np.array_equal(fld.u, u)
     assert np.array_equal(fld.v, v)
     assert np.max(np.abs(np.concatenate([u, v]))) > 1e-3  # a field, not zeros
+
+
+def _even_table():
+    half = np.linspace(0.0, 9.0, 181)
+    xi = np.concatenate((-half[:0:-1], half))  # 361 knots, exactly mirrored
+    return TableProfile(xi, np.exp(-0.5 * xi * xi))
+
+
+def _asymmetry(u, v, rows_mirror):
+    """Largest ``|f(k) - f(mirror(k))|`` of ``u`` and ``v`` over the rows, and the peak."""
+    worst = 0.0
+    for f, mirror in zip((u, v), rows_mirror):
+        pair = mirror >= 0
+        worst = max(worst, float(np.max(np.abs(f[pair] - f[mirror[pair]]))))
+    return worst, float(np.max(np.abs(np.concatenate([u, v]))))
+
+
+@pytest.mark.parametrize(
+    "method", sorted(set(cli.METHODS) - {"acoustic_front", "optical_front"})
+)
+def test_even_profile_gives_even_field(gaussian, method):
+    """Every two-sided method maps even data to an even field: ``u`` and ``v``
+    at ``-x`` equal those at ``x``.  On the chain, cell ``k`` holds the heavy
+    site ``2k`` and the light site ``2k + 1``, whose mirrors are the heavy site
+    of cell ``-k`` and the light site of cell ``-k - 1``."""
+    mu, t = 0.04, 0.3
+    half = np.linspace(0.0, 0.5, 41)
+    x = np.concatenate((-half[:0:-1], half))
+    ran = 0
+    for kind, profile in (("gaussian", gaussian), ("table", _even_table())):
+        for delta in (0.05, 1.0):
+            config = cli.ScenarioConfig(
+                params=LatticeParams(gamma1=0.82, gamma2=1.27, h=delta * mu),
+                profile=profile,
+                profile_kind=kind,
+                mu=mu,
+                x_min=-0.5,
+                x_max=0.5,
+                points=x.size,
+                times=(t,),
+                methods=(method,),
+            )
+            try:
+                cli.METHODS[method].check(config, method)
+            except ConfigError:
+                continue  # outside the method's regime
+            evaluate = cli.METHODS[method].evaluate
+            if evaluate is None:
+                (state,), _ = integrate_lattice(config.params, profile, mu, (t,))
+                cells = state.to_staggered_field()
+                k = np.rint(cells.x / (2.0 * config.params.h)).astype(int)
+                row = {int(c): i for i, c in enumerate(k)}
+                mirrors = [np.array([row.get(int(-c - s), -1) for c in k]) for s in (0, 1)]
+                worst, peak = _asymmetry(cells.u, cells.v, mirrors)
+            else:
+                u, v = cli._components(evaluate(config, x, t))
+                mirror = np.arange(x.size)[::-1]
+                worst, peak = _asymmetry(u, v, (mirror, mirror))
+            assert peak > 0.0  # (the optical part at delta = 0.05 is ~2e-5)
+            assert worst <= 1e-12 * peak, (kind, delta, worst, peak)
+            ran += 1
+    assert ran > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _reference as ref
@@ -200,6 +202,24 @@ def test_modal_matrices_projector_identities(disp):
     assert_allclose(a @ b, np.zeros_like(a), rtol=0, atol=1e-13)
     # even in p
     assert_allclose(a, disp.modal_matrix(-p, ACOUSTIC), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gamma1=st.floats(0.01, 10.0),
+    ratio=st.floats(1.0 + 1e-6, 100.0),
+    p=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+)
+def test_modal_projectors_are_complementary_and_idempotent(gamma1, ratio, p):
+    disp = Dispersion(LatticeParams(gamma1=gamma1, gamma2=gamma1 * ratio, h=0.01))
+    p = np.array(p)
+    a = disp.modal_matrix(p, ACOUSTIC)
+    b = disp.modal_matrix(p, OPTICAL)
+    assert_allclose(a + b, np.broadcast_to(np.eye(2), a.shape), rtol=0, atol=1e-15)
+    # oblique projectors: entries grow with gamma2/gamma1, rounding with their square
+    tol = 1e-15 * max(1.0, float(np.max(np.abs(a)))) ** 2
+    assert_allclose(a @ a, a, rtol=0, atol=tol)
+    assert_allclose(b @ b, b, rtol=0, atol=tol)
 
 
 def test_modal_matrix_zone_centre(disp):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -52,6 +55,45 @@ def test_table_profile_matches_gaussian(gaussian):
     assert_allclose(table.fourier_hat(p), gaussian.fourier_hat(p), atol=1e-8)
     # outside the tabulated interval the profile is identically zero
     assert table.value(9.0) == 0.0
+
+
+def _spline_table(name: str) -> TableProfile:
+    """The tables of ``tests/tools/regen_references.py::spline_tables``,
+    built from the same float64 numbers."""
+    if name == "uniform":
+        xs = [(k - 60) / 10 for k in range(141)]
+        centre = 1.0
+    else:
+        xs = [-6.0 + 14.0 * (k / 129) + 1.5 * math.sin(2.0 * math.pi * (k / 129)) for k in range(130)]
+        centre = 0.7
+    ws = [math.exp(-0.5 * (x - centre) * (x - centre)) for x in xs]
+    return TableProfile(np.array(xs), np.array(ws))
+
+
+@pytest.mark.parametrize("name", ["uniform", "graded"])
+def test_table_transform_matches_exact_spline_integral(name):
+    # frozen 50-digit mp.quad of each cubic of the natural spline, from p = 0
+    # through the series/recurrence switch at |p d| = 1 and the alias peak to 4096
+    table = _spline_table(name)
+    cases = {p: v for (n, p), v in ref.SPLINE_TRANSFORMS.items() if n == name}
+    p = np.array(sorted(cases))
+    got = table.fourier_hat(p)
+    assert np.max(np.abs(got - np.array([cases[q] for q in p]))) <= 1e-15
+    np.testing.assert_array_equal(table.fourier_hat(-p), np.conj(got))
+    assert table.fourier_hat(0.5) == got[p == 0.5][0]  # scalar in, scalar out
+
+
+def test_table_transform_memory_does_not_grow_with_momentum():
+    # the transform used to build quadrature nodes for max|p| at every p
+    table = _spline_table("uniform")
+    p = np.linspace(0.0, 512.0, 256)
+    tracemalloc.start()
+    try:
+        table.fourier_hat(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_table_profile_validation():

@@ -229,6 +229,9 @@ def test_node_count_guard_fails_before_building_the_level():
         calls.append(p.size)
         return np.ones_like(p)
 
-    with pytest.raises(QuadratureError, match="quadrature nodes"):
-        quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), 1e9)
+    # 1e9: the first level is past the cap; 5e5: its 6.37M nodes fit, but the
+    # 12.7M-node doubling that must verify it does not, so neither is built
+    for rate, message in ((1e9, "quadrature nodes"), (5e5, "needs 12732416 quadrature nodes")):
+        with pytest.raises(QuadratureError, match=message):
+            quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), rate)
     assert calls == []

@@ -230,6 +230,75 @@ BAND_CASES = [  # (h = mu, t, x)
 
 
 # ---------------------------------------------------------------------------
+# continuum transform of natural cubic spline tables
+# ---------------------------------------------------------------------------
+
+
+def spline_tables() -> dict[str, tuple[list[float], list[float]]]:
+    """The tables of ``tests/test_initial_data.py``, as the same float64 numbers.
+
+    ``uniform``: 141 knots, step 0.1 on [-6, 8], a Gaussian centred at 1;
+    ``graded``: 130 knots ``-6 + 14 u + 1.5 sin(2 pi u)`` (gaps 0.035 to 0.18),
+    a Gaussian centred at 0.7.
+    """
+    uniform = [(k - 60) / 10 for k in range(141)]
+    graded = [-6.0 + 14.0 * (k / 129) + 1.5 * math.sin(2.0 * math.pi * (k / 129)) for k in range(130)]
+    return {
+        "uniform": (uniform, [math.exp(-0.5 * (x - 1.0) * (x - 1.0)) for x in uniform]),
+        "graded": (graded, [math.exp(-0.5 * (x - 0.7) * (x - 0.7)) for x in graded]),
+    }
+
+
+def natural_spline(xs: list[mp.mpf], ys: list[mp.mpf]) -> list[tuple]:
+    """Coefficients ``(a, b, c, d)`` of ``a + b s + c s^2 + d s^3``, ``s = xi - xi_i``,
+    on each interval of the natural cubic spline through the knots."""
+    n = len(xs) - 1
+    h = [xs[i + 1] - xs[i] for i in range(n)]
+    # second derivatives M_1 .. M_{n-1} (M_0 = M_n = 0): tridiagonal elimination
+    diag = [2 * (h[i - 1] + h[i]) for i in range(1, n)]
+    rhs = [6 * ((ys[i + 1] - ys[i]) / h[i] - (ys[i] - ys[i - 1]) / h[i - 1]) for i in range(1, n)]
+    for r in range(1, n - 1):
+        w = h[r] / diag[r - 1]
+        diag[r] -= w * h[r]
+        rhs[r] -= w * rhs[r - 1]
+    m = [mp.mpf(0)] * (n + 1)
+    for r in range(n - 2, -1, -1):
+        m[r + 1] = (rhs[r] - (h[r + 1] * m[r + 2] if r + 2 < n else 0)) / diag[r]
+    return [
+        (
+            ys[i],
+            (ys[i + 1] - ys[i]) / h[i] - h[i] * (2 * m[i] + m[i + 1]) / 6,
+            m[i] / 2,
+            (m[i + 1] - m[i]) / (6 * h[i]),
+        )
+        for i in range(n)
+    ]
+
+
+def spline_transform(xs: list[mp.mpf], cubics: list[tuple], p: mp.mpf) -> mp.mpc:
+    """``(1/sqrt(2 pi)) int S(xi) e^{-i p xi} dxi`` by ``mp.quad`` of each cubic,
+    on Gauss-Legendre pieces of at most 4 radians of phase."""
+    total = mp.mpc(0)
+    for lo, hi, (a, b, c, d) in zip(xs[:-1], xs[1:], cubics):
+        def integrand(s, lo=lo, a=a, b=b, c=c, d=d):
+            u = s - lo
+            return (a + u * (b + u * (c + u * d))) * mp.expj(-p * s)
+
+        pieces = int(mp.ceil(abs(p) * (hi - lo) / 4)) + 1
+        total += mp.quad(integrand, mp.linspace(lo, hi, pieces + 1), method="gauss-legendre")
+    return total / mp.sqrt(2 * mp.pi)
+
+
+#: Momenta per table: p = 0 and near it, each side of |p d| = 1 (the step
+#: 0.1; the graded table's widest and narrowest gaps), the spline's alias
+#: peak (uniform: near 2 pi / 0.1; graded: the largest bump past 30), far out.
+SPLINE_P_VALUES = {
+    "uniform": [0.0, 1e-9, 1e-3, 0.5, 9.9999, 10.0001, 60.799, 1000.0, 4096.0],
+    "graded": [0.0, 1e-9, 1e-3, 0.5, 5.5078, 5.5079, 28.1896, 28.1897, 43.642, 1000.0, 4096.0],
+}
+
+
+# ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
@@ -331,6 +400,16 @@ def main() -> None:
         )
         key = f"({fmt(mp.mpf(h_str))}, {fmt(mp.mpf(mu_str))}, {fmt(mp.mpf(t_str))}, {fmt(mp.mpf(x_str))})"
         out.write(f"    {key}: {fmt(val)},\n")
+    out.write("}\n\n")
+
+    print("spline-table transforms (slow) ...")
+    out.write("SPLINE_TRANSFORMS = {\n")
+    for name, (xs, ys) in spline_tables().items():
+        knots = [mp.mpf(v) for v in xs]
+        cubics = natural_spline(knots, [mp.mpf(v) for v in ys])
+        for p in SPLINE_P_VALUES[name]:
+            val = spline_transform(knots, cubics, mp.mpf(p))
+            out.write(f'    ("{name}", {p!r}): {fmt(val)},\n')
     out.write("}\n\n")
 
     print("band quadrature (slow) ...")
