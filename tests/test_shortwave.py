@@ -57,23 +57,34 @@ def _skew_profile():
 # spectral splits and continuation
 # ---------------------------------------------------------------------------
 
+def test_split_even_odd_reconstructs(gaussian):
+    # about p_c = 0 (acoustic front) the split gives the even/odd parts of V
+    # in eta = p^2: V(p) = F1 - p F2, V(-p) = F1 + p F2
+    skew = _skew_profile()
+    p = np.array([0.2, 0.8, 1.3])
+    v1, v2 = split_about_pstar(skew, 0.0, p**2)
+    assert_allclose(v1 - p[:, None] * v2, spectral_vector(skew, 1.0, p), rtol=1e-12)
+    assert_allclose(v1 + p[:, None] * v2, spectral_vector(skew, 1.0, -p), rtol=1e-12)
+    # even data has no odd part
+    _, g2 = split_about_pstar(gaussian, 0.0, p**2)
+    assert np.max(np.abs(g2)) < 1e-12
+    with pytest.raises(ConfigError):
+        split_about_pstar(gaussian, 0.0, np.array([-0.1]))
+
+
 def test_split_about_pstar_reconstructs(disp, gaussian):
-    # about p* (optical) and about p_c = 0 (acoustic: the even/odd parts in p^2),
-    # for even data and for a skewed table
+    # about p* (optical front), for even data and for a skewed table
+    p_star = disp.critical.p_star
     eta = np.array([0.01, 0.09, 0.25])
     root = np.sqrt(eta)
     for prof in (gaussian, _skew_profile()):
-        for p_star in (disp.critical.p_star, 0.0):
-            f1, f2 = split_about_pstar(prof, p_star, eta)
-            minus = f1 + root[:, None] * f2
-            plus = f1 - root[:, None] * f2
-            assert_allclose(minus, spectral_vector(prof, 1.0, p_star - root), rtol=1e-12)
-            assert_allclose(plus, spectral_vector(prof, 1.0, p_star + root), rtol=1e-12)
-            with pytest.raises(ConfigError):
-                split_about_pstar(prof, p_star, -0.2)
-    # even data has no odd part about p_c = 0
-    _, g2 = split_about_pstar(gaussian, 0.0, eta)
-    assert np.max(np.abs(g2)) < 1e-12
+        f1, f2 = split_about_pstar(prof, p_star, eta)
+        minus = f1 + root[:, None] * f2
+        plus = f1 - root[:, None] * f2
+        assert_allclose(minus, spectral_vector(prof, 1.0, p_star - root), rtol=1e-12)
+        assert_allclose(plus, spectral_vector(prof, 1.0, p_star + root), rtol=1e-12)
+        with pytest.raises(ConfigError):
+            split_about_pstar(prof, p_star, -0.2)
 
 
 def test_three_point_continue_quadratic_exact():
