@@ -330,7 +330,7 @@ def kws_interpolate(
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     edge = np.pi / (2.0 * delta)
-    rate = float(np.max(np.abs(xi_arr))) + profile.support_radius() + 2.0 * delta
+    rate = float(np.max(np.abs(xi_arr), initial=0.0)) + profile.support_radius() + 2.0 * delta
 
     def kern(p: np.ndarray) -> np.ndarray:
         return semi_discrete_ft(profile, delta, p, component)

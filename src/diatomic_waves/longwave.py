@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import synthesize_field
+from ._quadrature import legendre_bessel_field, synthesize_field
 from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
 from .dispersion import Dispersion, LatticeParams
@@ -118,10 +118,27 @@ def uas_integral(
     exp[i t (c |p| / mu - q h^2 p^2 |p| / (3 mu^3))] dp``
 
     The integrand has a kink at ``p = 0`` from ``|p|``, so the line is
-    split there and each half-line is integrated separately; the tail is
-    truncated at ``profile.hat_radius()``.  For a table that radius comes
-    from a windowed scan, and whatever of ``What`` lies past it is dropped
-    (the spline's alias peaks near ``2 pi k / step``; see
+    split there into two travelling frames, each an integral over
+    ``[0, cut]`` with the cubic phase ``e^{-i cubic p^3}``: the + half-line
+    is the left-moving wave, ``What(p)`` at offset ``y = (ct + x)/mu``, and
+    the - half-line (``p -> -p``) the right-moving one, ``What(-p)`` at
+    ``y = (ct - x)/mu``.  Each frame is sized by its own rate
+    ``max|y| + 3 cubic cut^2``, so a window on one front does not pay for
+    the other front's offset:
+
+    * a frame far from its front on the whole grid goes to
+      :func:`~diatomic_waves._quadrature.legendre_bessel_field`, whose cost
+      does not depend on ``y``; its guard ``min |y| cut / 2 > 2 k`` (for
+      Legendre order ``k``) and its own convergence check decide where
+      it applies;
+    * any other frame is a :func:`synthesize_field` call on the grid
+      ``+-x/mu`` with the transport phase in the kernel;
+    * when both frames are of that kind and the profile is even, one
+      folded call on ``x/mu`` at the larger rate serves both.
+
+    The tail is truncated at ``profile.hat_radius()``.  For a table that
+    radius comes from a windowed scan, and whatever of ``What`` lies past
+    it is dropped (the spline's alias peaks near ``2 pi k / step``; see
     :meth:`TableProfile.hat_radius`).  Both displacement components equal
     this amplitude up to ``O(delta^2)``.
     """
@@ -137,24 +154,36 @@ def uas_integral(
     transport = t * c / mu
     with np.errstate(over="ignore"):  # mu**3 past the float range: no cubic phase
         cubic = float(t * q * params.h**2 / (3.0 * np.float64(mu) ** 3))
-    rate = float(np.max(np.abs(x_arr))) / mu + transport + 3.0 * cubic * cut**2
-
-    def phase(p: np.ndarray) -> np.ndarray:
-        return np.exp(1j * (transport * p - cubic * p**3))
-
-    def kern(p: np.ndarray) -> np.ndarray:
-        return _INV_SQRT_2PI * profile.fourier_hat(p) * phase(p)
-
+    spread = 3.0 * cubic * cut**2
     kw = dict(rtol=rtol, atol=atol, nodes_per_cycle=nodes_per_cycle, max_doublings=max_doublings)
-    # The + half-line.  An even real profile has What real and even, so the
-    # - half-line folds onto it with a 2 cos(p x / mu) weight.
-    out = synthesize_field(kern, 0.0, cut, x_arr / mu, rate, even_fold=profile.is_even, **kw).real
-    if not profile.is_even:
-        def kern_neg(p: np.ndarray) -> np.ndarray:
-            return _INV_SQRT_2PI * profile.fourier_hat(-p) * phase(p)
 
-        minus = synthesize_field(kern_neg, 0.0, cut, -x_arr / mu, rate, **kw)
-        out = out + minus.real
+    def kern(sign: float, drift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """``What(sign p) e^{i (drift p - cubic p^3)} / sqrt(2 pi)``."""
+        return lambda p: _INV_SQRT_2PI * profile.fourier_hat(sign * p) * np.exp(
+            1j * (drift * p - cubic * p**3)
+        )
+
+    offsets = {sign: transport + sign * x_arr / mu for sign in (1.0, -1.0)}  # (ct +- x)/mu
+    frames = {
+        sign: legendre_bessel_field(kern(sign, 0.0), 0.0, cut, y, rtol=rtol, atol=atol)
+        for sign, y in offsets.items()
+    }
+    if profile.is_even and frames[1.0] is None and frames[-1.0] is None:
+        # What is real and even, so the - half-line folds onto the + one
+        # with a 2 cos(p x / mu) weight, at the larger of the two rates.
+        rate = float(np.max(np.abs(x_arr), initial=0.0)) / mu + transport + spread
+        out = synthesize_field(
+            kern(1.0, transport), 0.0, cut, x_arr / mu, rate, even_fold=True, **kw
+        ).real
+    else:
+        out = np.zeros(x_arr.size)
+        for sign, field in frames.items():
+            if field is None:
+                rate = float(np.max(np.abs(offsets[sign]), initial=0.0)) + spread
+                field = synthesize_field(
+                    kern(sign, transport), 0.0, cut, sign * x_arr / mu, rate, **kw
+                )
+            out += field.real
     if _scalar_in(x):
         return float(out[0])
     return out

@@ -314,7 +314,7 @@ def solve_quadrature(
         speed = disp.critical.c_star
     else:
         speed = disp.sound_speed
-    rate = (float(np.max(np.abs(x_arr))) + t * speed) / mu
+    rate = (float(np.max(np.abs(x_arr), initial=0.0)) + t * speed) / mu
 
     def kern(p: np.ndarray) -> np.ndarray:
         s = delta * p
@@ -342,7 +342,7 @@ def solve_quadrature(
         nodes_per_cycle=nodes_per_cycle,
         max_doublings=max_doublings,
         even_fold=profile.is_even,
-    )
+    ).reshape(x_arr.size, 2)  # an empty grid comes back 1-D
     return WaveField(
         x=x_arr,
         u=field[:, 0].real,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,13 +12,18 @@ import _reference as ref
 from diatomic_waves import (
     ConfigError,
     Dispersion,
+    GaussianProfile,
+    LatticeParams,
     LongwaveRegime,
+    TableProfile,
     classify_regime,
     residual_pde_check,
     uas_dalembert,
     uas_gaussian_airy,
     uas_integral,
 )
+from diatomic_waves import longwave
+from diatomic_waves._quadrature import synthesize_field
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +89,121 @@ def test_integral_even_in_x(desk, gaussian):
 def test_integral_scalar_returns_float(desk, gaussian):
     out = uas_integral(desk(0.02), gaussian, 0.2, 0.45, 0.5)
     assert isinstance(out, float)
+
+
+# The travelling-frame split, against the formulation it replaced: both
+# half-lines through synthesize_field at the rate of the whole line.
+FRAME_H, FRAME_MU = 0.002, 0.04
+_SKEW_XI = np.linspace(-9.0, 10.0, 175)
+SKEW = TableProfile(_SKEW_XI, np.exp(-0.5 * (_SKEW_XI - 0.7) ** 2))
+
+
+def _whole_line_rate_reference(params, profile, mu, x, t):
+    disp = Dispersion(params)
+    cut = profile.hat_radius()
+    transport = t * disp.sound_speed / mu
+    cubic = t * disp.dispersion_coefficient * params.h**2 / (3.0 * mu**3)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    rate = float(np.max(np.abs(x_arr))) / mu + transport + 3.0 * cubic * cut**2
+    out = np.zeros(x_arr.size)
+    for sign in (1.0, -1.0):
+        def kern(p, sign=sign):
+            return profile.fourier_hat(sign * p) * np.exp(
+                1j * (transport * p - cubic * p**3)
+            ) / np.sqrt(2.0 * np.pi)
+
+        out += synthesize_field(kern, 0.0, cut, sign * x_arr / mu, rate).real
+    return out
+
+
+def _frame_grids(t: float) -> dict:
+    ct = Dispersion(LatticeParams(0.82, 1.27, FRAME_H)).sound_speed * t
+    right = ct + FRAME_MU * np.linspace(-20.0, 5.0, 201)
+    return {
+        "right": right,
+        "left": -right,
+        "two_front": np.linspace(-(ct + 0.05), ct + 0.05, 401),
+        "ahead": ct + FRAME_MU * np.linspace(8.0, 40.0, 101),  # (ct - x)/mu < 0
+        "scalar": ct - 0.5 * FRAME_MU,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _wave_peak(table: bool, t: float) -> float:
+    """Peak of the field on the right front's zoom (at t = 0, the bump)."""
+    field = _whole_line_rate_reference(
+        LatticeParams(0.82, 1.27, FRAME_H), SKEW if table else GaussianProfile(),
+        FRAME_MU, _frame_grids(t)["right"], t,
+    )
+    return float(np.max(np.abs(field)))
+
+
+#: Path each frame takes: "far" (the Legendre-Bessel rule), "near" (its own
+#: synthesize_field call) or "fold" (one even-fold call for both).
+FRAME_CASES = [
+    pytest.param(t, grid, gaussian_paths, table_paths, id=f"t{t:g}-{grid}")
+    for t, grid, gaussian_paths, table_paths in (
+        (0.0, "right", "fold", "near near"),
+        (0.0, "two_front", "fold", "near near"),
+        (0.0, "scalar", "fold", "near near"),
+        (2.0, "right", "far near", "far near"),
+        (2.0, "left", "near far", "near far"),
+        (2.0, "two_front", "fold", "near near"),
+        (2.0, "ahead", "far near", "far near"),
+        (2.0, "scalar", "far near", "far near"),
+    )
+]
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["gaussian", "skew_table"])
+@pytest.mark.parametrize("t, grid, gaussian_paths, table_paths", FRAME_CASES)
+def test_frames_match_whole_line_rate(monkeypatch, t, grid, gaussian_paths, table_paths, table):
+    """Each frame sized by its own rate (or taken by the far rule) gives the
+    whole-line-rate field to 1e-12 of the wave's peak, on front zooms, the
+    two-front grid, ahead of a front, at t = 0 and for a scalar x."""
+    profile = SKEW if table else GaussianProfile()
+    params = LatticeParams(0.82, 1.27, FRAME_H)
+    paths = []
+    far_rule = longwave.legendre_bessel_field
+    quadrature = longwave.synthesize_field
+
+    def far_spy(*args, **kwargs):
+        out = far_rule(*args, **kwargs)
+        if out is not None:
+            paths.append("far")
+        return out
+
+    def near_spy(*args, **kwargs):
+        paths.append("fold" if kwargs.get("even_fold") else "near")
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(longwave, "legendre_bessel_field", far_spy)
+    monkeypatch.setattr(longwave, "synthesize_field", near_spy)
+    x = _frame_grids(t)[grid]
+    got = uas_integral(params, profile, FRAME_MU, x, t)
+    monkeypatch.undo()
+    assert sorted(paths) == sorted((table_paths if table else gaussian_paths).split())
+    assert isinstance(got, float) == np.isscalar(x)
+    ref = _whole_line_rate_reference(params, profile, FRAME_MU, x, t)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * _wave_peak(table, t)
+
+
+def test_front_zoom_evaluates_few_kernel_points(nacl_params):
+    """On a zoom of one front (the long-wave front benchmark's grid), the far
+    frame no longer sizes the panels: the whole-line rate evaluated the
+    transform at 1,703,952 points."""
+    seen = []
+
+    class Counting(GaussianProfile):
+        def fourier_hat(self, p):
+            seen.append(np.size(p))
+            return super().fourier_hat(p)
+
+    mu, t = 80.0 * nacl_params.h, 0.5008247840889459
+    x = np.linspace(0.4994252139422566, 0.5011252139422566, 401)
+    got = uas_integral(nacl_params, Counting(), mu, x, t)
+    assert sum(seen) <= 20_000
+    assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,22 @@ from diatomic_waves import oracles
 # band quadrature
 # ---------------------------------------------------------------------------
 
+EMPTY_GRID_EVALUATORS = {
+    "uas_integral": lambda p, g, x: uas_integral(p, g, 0.05, x, 0.3),
+    "solve_quadrature": lambda p, g, x: solve_quadrature(p, g, 0.05, x, 0.3).u,
+    "kws_interpolate": lambda p, g, x: kws_interpolate(g, 0.2, x),
+    "uas_gaussian_airy": lambda p, g, x: uas_gaussian_airy(p, 0.05, x, 0.3),
+    "uas_dalembert": lambda p, g, x: uas_dalembert(p, g, 0.05, x, 0.3),
+    "shortwave_total": lambda p, g, x: shortwave_total(p, g, 0.01, x, 0.3).u,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_GRID_EVALUATORS))
+def test_empty_grid_gives_empty_field(name):
+    field = EMPTY_GRID_EVALUATORS[name](LatticeParams(0.82, 1.27, 0.01), GaussianProfile(), np.array([]))
+    assert np.shape(field) == (0,)
+
+
 @pytest.mark.parametrize("key", sorted(ref.BAND_SOLUTION))
 def test_quadrature_frozen_values(desk, gaussian, key):
     h, t, x = key

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diatomic_waves import GaussianProfile, TableProfile, semi_discrete_ft
+from diatomic_waves import Dispersion, GaussianProfile, LatticeParams, TableProfile, semi_discrete_ft
 from diatomic_waves import _quadrature as quad
 from diatomic_waves import initial_data
 from diatomic_waves.errors import QuadratureError
@@ -235,3 +235,122 @@ def test_node_count_guard_fails_before_building_the_level():
         with pytest.raises(QuadratureError, match=message):
             quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), rate)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (1e9, "needs 25464790912 quadrature nodes"),
+        (1e14, "needs 2546479089470336 quadrature nodes"),
+        (np.inf, "oscillation rate inf is not finite"),
+        (np.nan, "oscillation rate nan is not finite"),
+    ],
+)
+def test_refusal_names_the_node_count_it_needs(rate, message):
+    """Past the cap the refusal names the verifying doubling's true node
+    count (not the cap), and a non-finite rate is refused as such; either
+    way no level is built and the kernel is never called."""
+    calls = []
+
+    def kernel(p):
+        calls.append(p.size)
+        return np.ones_like(p)
+
+    with pytest.raises(QuadratureError, match=message):
+        quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), rate)
+    assert calls == []
+
+
+def test_empty_grid_calls_no_kernel():
+    def kernel(p):
+        raise AssertionError("kernel called on an empty grid")
+
+    for rule in (quad.synthesize_field, quad.legendre_bessel_field):
+        args = (1.0,) if rule is quad.synthesize_field else ()
+        out = rule(kernel, 0.0, 8.0, np.array([]), *args)
+        assert out.shape == (0,) and out.dtype == complex
+
+
+# ---------------------------------------------------------------------------
+# Legendre-Bessel (Filon) rule for frames far from their front
+# ---------------------------------------------------------------------------
+
+#: Dispersion coefficient of the desk lattice at h = 0.002, and a skewed
+#: spline table whose transform radius (16) lets the rule apply at
+#: moderate offsets.
+_FRAME_H = 0.002
+_FRAME_Q = Dispersion(LatticeParams(0.82, 1.27, _FRAME_H)).dispersion_coefficient
+_SKEW_XI = np.linspace(-9.0, 10.0, 175)
+_SKEW = TableProfile(_SKEW_XI, np.exp(-0.5 * (_SKEW_XI - 0.7) ** 2))
+
+
+def _frame_kernel(profile, sign: float, t: float, mu: float):
+    """A travelling frame's kernel ``What(sign p) e^{-i cubic p^3} / sqrt(2 pi)``."""
+    cubic = t * _FRAME_Q * _FRAME_H**2 / (3.0 * mu**3)
+
+    def kernel(p):
+        return profile.fourier_hat(sign * p) * np.exp(-1j * cubic * p**3) / np.sqrt(2.0 * np.pi)
+
+    return kernel, 3.0 * cubic * profile.hat_radius() ** 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    table=st.booleans(),
+    t=st.floats(0.0, 2.0),
+    mu=st.floats(0.03, 0.1),
+    log_offset=st.floats(0.0, 1.0),
+    width=st.floats(0.0, 20.0),
+    m=st.integers(1, 40),
+    ahead=st.booleans(),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_legendre_bessel_matches_quadrature_at_the_frame_rate(
+    table, t, mu, log_offset, width, m, ahead, sign
+):
+    """Far from its front the Filon rule gives what the panel quadrature
+    gives at that frame's own rate, on either side of the front."""
+    profile = _SKEW if table else GaussianProfile()
+    kernel, spread = _frame_kernel(profile, sign, t, mu)
+    cut = profile.hat_radius()
+    offset = 40.0 * (4.0 if table else 125.0) ** log_offset  # 40 to 160 or 5000
+    y = (-1.0 if ahead else 1.0) * (offset + np.linspace(0.0, width, m))
+    far = quad.legendre_bessel_field(kernel, 0.0, cut, y)
+    assert far is not None
+    ref = quad.synthesize_field(kernel, 0.0, cut, y, float(np.max(np.abs(y))) + spread)
+    assert np.max(np.abs(far - ref)) <= 1e-13
+
+
+def test_legendre_bessel_refuses_where_its_guard_fails():
+    """Order k needs min |(b - a) x / 2| > 2 k: below 64 the kernel is never
+    called, and between 64 and 128 the 32-point result has nothing to be
+    checked against, so it is not returned."""
+    calls = []
+
+    def kernel(p):
+        calls.append(p.size)
+        return np.exp(-0.5 * p * p)
+
+    for y in (np.linspace(-50.0, 50.0, 11), np.array([16.0, 1e4])):  # min omega 0, 64
+        assert quad.legendre_bessel_field(kernel, 0.0, 8.0, y) is None
+    assert calls == []
+    assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([30.0, 1e4])) is None
+    assert calls == [32]
+    assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([np.nan, 1e4])) is None
+
+
+def test_legendre_bessel_refuses_an_unresolved_kernel():
+    """A kernel that degree 255 cannot resolve gives None, not a value,
+    even where the guard holds for every order."""
+    calls = []
+
+    def kernel(p):
+        calls.append(p.size)
+        return np.exp(300j * p)
+
+    y = np.linspace(1e4, 1.001e4, 9)
+    assert quad.legendre_bessel_field(kernel, 0.0, 8.0, y) is None
+    assert calls == [32, 64, 128, 256]
+    resolved = quad.legendre_bessel_field(lambda p: np.exp(3j * p), 0.0, 8.0, y)
+    exact = (np.exp(8j * (3.0 + y)) - 1.0) / (1j * (3.0 + y))
+    assert np.max(np.abs(resolved - exact)) <= 1e-14  # exact's phase 8 y rounds
