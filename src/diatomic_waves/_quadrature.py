@@ -63,6 +63,11 @@ _TWO_PI_LO = 3.968374318722162e-09
 #: that still counts as uniform (``linspace`` and scaling stay within it).
 _UNIFORM_ULPS = 8.0
 
+#: Largest ``max|p| * max|r|`` for an output grid's residuals ``r`` from a
+#: progression: :func:`_exp_sum` applies the phase ``p r`` to first order, so
+#: its neglected second-order term stays below ``5e-17`` of each term.
+_RESIDUAL_PHASE = 1e-8
+
 #: Legendre orders :func:`legendre_bessel_field` tries, each checked
 #: against the one before.
 _LB_ORDERS = (32, 64, 128, 256)
@@ -113,6 +118,22 @@ def _progression(a: np.ndarray) -> tuple[np.ndarray, float] | None:
     dev = np.max(np.abs(a - (start + step * np.arange(n)[:, None])))
     tol = _UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(a))
     return (start, step) if dev <= tol else None
+
+
+def _output_grid(x: np.ndarray, p_max: float) -> tuple[float, float] | None:
+    """``(x0, dx)`` if the 1-D grid ``x`` is ``x0 + i dx`` up to residuals ``r``
+    with ``p_max * max|r| <= _RESIDUAL_PHASE``, else None.
+
+    The test is on the phase the residuals carry, not on ulps of ``max|x|``:
+    a grid formed as ``(c t - x) / mu`` sits hundreds of ulps off a
+    progression, which the first-order correction still makes exact.
+    """
+    n = x.size
+    if n == 0:
+        return None
+    step = float(x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
+    dev = float(np.max(np.abs(x - (x[0] + step * np.arange(n)))))
+    return (float(x[0]), step) if p_max * dev <= _RESIDUAL_PHASE else None
 
 
 def _panel_columns(p: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -215,19 +236,20 @@ def _contract_direct(
 def _contract(
     g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
 ) -> np.ndarray:
-    """As :func:`_contract_direct`, by chirp-z when ``x`` is uniform and
-    ``p`` panel-strided (one local-node column at a time).
+    """As :func:`_contract_direct`, by chirp-z when ``x`` is uniform (see
+    :func:`_output_grid`) and ``p`` panel-strided (one local-node column at a
+    time).
 
     The two agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``: the
-    offset ``x[0]`` and the grids' last-ulp deviations from exact
-    progressions are applied exactly or to first order, so only phases of
-    the size of ``p (x - x[0])`` pass through the transforms.
+    offset ``x[0]`` and the grids' deviations from exact progressions are
+    applied exactly or to first order, so only phases of the size of
+    ``p (x - x[0])`` pass through the transforms.
     """
-    grid = _progression(x[:, None])
+    grid = _output_grid(x, float(np.max(np.abs(p), initial=0.0)))
     columns = _panel_columns(p) if grid is not None else None
     if columns is None:
         return _contract_direct(g, p, x, even_fold)
-    (x0,), dx = grid
+    x0, dx = grid
     p0, dp = columns
     steps = np.arange(x.size) * dx
     resid = (x - x0) - steps
@@ -290,7 +312,7 @@ def synthesize_field(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         return np.zeros(0, dtype=complex)
-    if _progression(x[:, None]) is not None:
+    if _output_grid(x, max(abs(a), abs(b))) is not None:
         x_check = x
     else:
         n_probe = min(x.size, 33)

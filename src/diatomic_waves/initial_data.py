@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma
+from scipy.special import erfcinv, gamma
 
 from ._quadrature import _chirp_z, _exp_sum, _panel_columns, synthesize_field
 from .errors import ChainSizeError, ConfigError
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _HALF_SQRT_2PI = np.sqrt(np.pi / 2.0)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: Most lattice sites a sublattice sum or the time-domain chain may span;
 #: each chain site costs 24 bytes per snapshot, so one stays near 100 MB.
@@ -92,6 +93,11 @@ class InitialProfile(abc.ABC):
     def hat_radius(self) -> float:
         """Radius where ``|fourier_hat|`` is truncated (see :meth:`TableProfile.hat_radius`)."""
 
+    @abc.abstractmethod
+    def hat_l1_radius(self, tail: float) -> float:
+        """A radius ``r`` with ``int_{|p| >= r} |fourier_hat(p)| dp <= tail`` (the
+        smallest, up to rounding), or ``inf`` where no bound is known."""
+
 
 class GaussianProfile(InitialProfile):
     """Standard Gaussian bump ``W(xi) = exp(-xi^2 / 2)`` (self-dual)."""
@@ -119,6 +125,16 @@ class GaussianProfile(InitialProfile):
 
     def hat_radius(self) -> float:
         return self._radius
+
+    def hat_l1_radius(self, tail: float) -> float:
+        """``sqrt(2) erfcinv(tail / sqrt(2 pi))``, from ``int_{|p| >= r} e^{-p^2/2} dp =
+        sqrt(2 pi) erfc(r / sqrt(2))``, raised by 16 ulps to cover the rounding of
+        ``erfcinv``; 0 once ``tail`` reaches the whole mass ``sqrt(2 pi)``."""
+        if not tail > 0.0:  # also nan
+            return np.inf
+        if tail >= _SQRT_2PI:
+            return 0.0
+        return float(np.sqrt(2.0) * erfcinv(tail / _SQRT_2PI) * (1.0 + 16.0 * np.finfo(float).eps))
 
 
 class TableProfile(InitialProfile):
@@ -214,6 +230,10 @@ class TableProfile(InitialProfile):
                 return float(p_hi)
             p_hi *= 2.0
         return float(p_hi)
+
+    def hat_l1_radius(self, tail: float) -> float:
+        """``inf``: no bound on the transform's tail is known for a spline table."""
+        return np.inf
 
 
 def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
@@ -313,6 +333,23 @@ def spectral_vector(profile: InitialProfile, delta: float, p) -> np.ndarray:
     return out
 
 
+def _band_limits(profile: InitialProfile, delta: float, allowed: float) -> tuple[float, float]:
+    """Limits ``(a, b)`` of a band integral of the sublattice sums, cut where the data vanish.
+
+    By Poisson summation both sums are ``(sqrt(2 pi) / (2 delta)) sum_k (+-1)^k
+    What(p + k pi / delta)``.  For ``cut <= edge = pi / (2 delta)`` the alias images of
+    ``cut <= |p| <= edge`` are disjoint and lie in ``|q| >= cut``, so dropping that part of
+    the band lowers ``int |S| dp`` of either sum by at most ``(sqrt(2 pi) / (2 delta))
+    int_{|q| >= cut} |What|``.  ``b`` is the smaller of ``edge`` and the radius
+    (:meth:`InitialProfile.hat_l1_radius`) that keeps this at or below ``allowed``; ``a``
+    is 0 for an even profile (the band folds onto ``[0, b]``), else ``-b``.  Where no
+    bound is known, or ``allowed`` is 0, ``b`` is ``edge`` exactly.
+    """
+    edge = np.pi / (2.0 * delta)
+    cut = min(edge, profile.hat_l1_radius(allowed * 2.0 * delta / _SQRT_2PI))
+    return (0.0 if profile.is_even else -cut), cut
+
+
 def kws_interpolate(
     profile: InitialProfile,
     delta: float,
@@ -327,16 +364,18 @@ def kws_interpolate(
     reduced band ``B = [-pi/(2 delta), pi/(2 delta)]``.  At sublattice
     sites this reproduces the samples exactly; in between it is the
     band-limited interpolant, converging to ``W`` as ``delta -> 0``.
+
+    The band is cut (:func:`_band_limits`) where the rest changes the
+    integral by at most 5e-14, half the quadrature's ``atol``.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    edge = np.pi / (2.0 * delta)
     rate = float(np.max(np.abs(xi_arr), initial=0.0)) + profile.support_radius() + 2.0 * delta
 
     def kern(p: np.ndarray) -> np.ndarray:
         return semi_discrete_ft(profile, delta, p, component)
 
-    a = 0.0 if profile.is_even else -edge  # an even profile folds onto [0, edge]
-    field = synthesize_field(kern, a, edge, xi_arr, rate, rtol=rtol, even_fold=profile.is_even)
+    a, b = _band_limits(profile, delta, 5e-14)
+    field = synthesize_field(kern, a, b, xi_arr, rate, rtol=rtol, even_fold=profile.is_even)
     out = (delta / np.pi) * field.real
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out[0])

@@ -131,8 +131,9 @@ def uas_integral(
       does not depend on ``y``; its guard ``min |y| cut / 2 > 2 k`` (for
       Legendre order ``k``) and its own convergence check decide where
       it applies;
-    * any other frame is a :func:`synthesize_field` call on the grid
-      ``+-x/mu`` with the transport phase in the kernel;
+    * any other frame is a :func:`synthesize_field` call on its own grid
+      ``y``, formed as ``(c t +- x) / mu`` so the front is not moved by the
+      rounding of ``c t / mu``;
     * when both frames are of that kind and the profile is even, one
       folded call on ``x/mu`` at the larger rate serves both.
 
@@ -163,7 +164,9 @@ def uas_integral(
             1j * (drift * p - cubic * p**3)
         )
 
-    offsets = {sign: transport + sign * x_arr / mu for sign in (1.0, -1.0)}  # (ct +- x)/mu
+    # (ct +- x)/mu formed as one quotient: ct/mu +- x/mu would round terms of
+    # size ct/mu and move the front by ~eps ct/mu.
+    offsets = {sign: (c * t + sign * x_arr) / mu for sign in (1.0, -1.0)}
     frames = {
         sign: legendre_bessel_field(kern(sign, 0.0), 0.0, cut, y, rtol=rtol, atol=atol)
         for sign, y in offsets.items()
@@ -180,9 +183,7 @@ def uas_integral(
         for sign, field in frames.items():
             if field is None:
                 rate = float(np.max(np.abs(offsets[sign]), initial=0.0)) + spread
-                field = synthesize_field(
-                    kern(sign, transport), 0.0, cut, sign * x_arr / mu, rate, **kw
-                )
+                field = synthesize_field(kern(sign, 0.0), 0.0, cut, offsets[sign], rate, **kw)
             out += field.real
     if _scalar_in(x):
         return float(out[0])

@@ -30,7 +30,7 @@ from scipy.fft import dst, idst
 from ._quadrature import synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import BoundaryError, ChainSizeError, ConfigError
-from .initial_data import _MAX_SITES, InitialProfile, spectral_vector
+from .initial_data import _MAX_SITES, InitialProfile, _band_limits, spectral_vector
 
 __all__ = [
     "WaveField",
@@ -296,6 +296,17 @@ def solve_quadrature(
     + B(delta p) e^{i omega_2 t / h} ] Vtilde(p) e^{i p x / mu} dp``
     with ``omega_{1,2}`` evaluated at ``delta p``; ``mode`` keeps both
     branch terms ("full") or a single one ("acoustic"/"optical").
+
+    The band is cut to ``|p| <= cut`` where the data provably vanish.  By
+    AM-GM ``|A_01| <= sqrt(gamma1 / gamma2) / 2`` and ``|A_10| <=
+    sqrt(gamma2 / gamma1) / 2``, so the row sums of ``|A| + |B|`` are at most
+    ``M = 2 + sqrt(gamma2 / gamma1)``, and by the alias bound of
+    :func:`~diatomic_waves.initial_data._band_limits` the dropped part of
+    each component is at most ``M int_{|q| >= cut} |What| / sqrt(2 pi)``;
+    ``cut`` keeps that at or below ``atol / 2`` (Gaussian: ``M erfc(cut /
+    sqrt(2))``, ``cut ~ 7.68`` on the desk lattice at the default ``atol``).
+    A table profile, ``atol = 0`` or a band narrower than ``cut`` keeps the
+    whole band, bit for bit.
     """
     if mode not in _QUADRATURE_MODES:
         raise ConfigError(f"mode must be one of {_QUADRATURE_MODES}, got {mode!r}")
@@ -307,7 +318,8 @@ def solve_quadrature(
     delta = params.h / mu
     if delta == 0.0:
         raise ConfigError(f"delta = h/mu underflows to 0 (h={params.h!r}, mu={mu!r})")
-    edge = np.pi / (2.0 * delta)
+    gain = 2.0 + np.sqrt(params.gamma2 / params.gamma1)  # row sums of |A| + |B|
+    a, b = _band_limits(profile, delta, 0.5 * atol * np.pi / (delta * gain))
     disp = Dispersion(params)
     t_over_h = t / params.h
     if mode == "optical":
@@ -330,11 +342,11 @@ def solve_quadrature(
             out += np.einsum("nij,nj->ni", b_mat, vt) * phase[:, None]
         return (delta / np.pi) * out
 
-    # An even profile folds the band onto [0, edge] (see synthesize_field).
+    # An even profile folds the band onto [0, b] (see synthesize_field).
     field = synthesize_field(
         kern,
-        0.0 if profile.is_even else -edge,
-        edge,
+        a,
+        b,
         x_arr / mu,
         rate,
         rtol=rtol,

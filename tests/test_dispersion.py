@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,30 @@ def test_modal_projectors_are_complementary_and_idempotent(gamma1, ratio, p):
     tol = 1e-15 * max(1.0, float(np.max(np.abs(a)))) ** 2
     assert_allclose(a @ a, a, rtol=0, atol=tol)
     assert_allclose(b @ b, b, rtol=0, atol=tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gamma1=st.floats(0.01, 10.0),
+    ratio=st.floats(0.01, 100.0),
+    p=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+)
+def test_modal_off_diagonals_obey_am_gm(gamma1, ratio, p):
+    """``g^2 + 4 g1 g2 cos^2 p >= 4 g |cos p| sqrt(g1 g2)`` gives ``|A_01| <=
+    sqrt(g1/g2)/2`` and ``|A_10| <= sqrt(g2/g1)/2``, hence row sums of
+    ``|A| + |B|`` at most ``2 + sqrt(max/min)``: the constant of the band cut
+    in ``solve_quadrature``.  Both orders of the stiffnesses are drawn: the
+    projector formula does not need the ``gamma1 < gamma2`` that
+    ``LatticeParams`` enforces."""
+    g1, g2 = gamma1, gamma1 * ratio
+    disp = Dispersion(SimpleNamespace(gamma1=g1, gamma2=g2, h=0.01))
+    a = disp.modal_matrix(np.array(p), ACOUSTIC)
+    b = disp.modal_matrix(np.array(p), OPTICAL)
+    slack = 1.0 + 1e-14
+    assert np.all(np.abs(a[:, 0, 1]) <= 0.5 * np.sqrt(g1 / g2) * slack)
+    assert np.all(np.abs(a[:, 1, 0]) <= 0.5 * np.sqrt(g2 / g1) * slack)
+    rows = np.sum(np.abs(a) + np.abs(b), axis=-1)
+    assert np.all(rows <= (2.0 + np.sqrt(max(g1, g2) / min(g1, g2))) * slack)
 
 
 def test_modal_matrix_zone_centre(disp):

@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 import _reference as ref
 from diatomic_waves import (
@@ -20,7 +23,8 @@ from diatomic_waves import (
     semi_discrete_ft,
     spectral_vector,
 )
-from diatomic_waves._quadrature import panel_nodes
+from diatomic_waves import initial_data
+from diatomic_waves._quadrature import panel_nodes, synthesize_field
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +47,31 @@ def test_gaussian_cutoff_validation():
         GaussianProfile(cutoff=0.0)
     with pytest.raises(ConfigError):
         GaussianProfile(cutoff=0.5)
+
+
+def _gaussian_tail(r: float) -> float:
+    """``int_{|p| >= r} e^{-p^2/2} dp`` by adaptive quadrature (relative 1e-13)."""
+    return 2.0 * quad(lambda p: math.exp(-0.5 * p * p), r, math.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_tail=st.floats(-300.0, 0.0))
+def test_gaussian_hat_l1_radius_bounds_the_tail(log_tail):
+    """The closed-form radius leaves at most ``tail`` outside it (to quad's
+    1e-12 relative accuracy), and is the smallest such radius to 1e-6."""
+    tail = 10.0**log_tail
+    r = GaussianProfile().hat_l1_radius(tail)
+    assert _gaussian_tail(r) <= tail * (1.0 + 1e-12)
+    assert _gaussian_tail(r * (1.0 - 1e-6)) > tail
+
+
+def test_hat_l1_radius_limits(gaussian):
+    assert gaussian.hat_l1_radius(0.0) == math.inf
+    assert gaussian.hat_l1_radius(math.nan) == math.inf
+    assert gaussian.hat_l1_radius(math.sqrt(2.0 * math.pi)) == 0.0
+    assert gaussian.hat_l1_radius(1e3) == 0.0
+    xi = np.linspace(-8.5, 8.5, 341)
+    assert TableProfile(xi, gaussian.value(xi)).hat_l1_radius(1.0) == math.inf
 
 
 def test_table_profile_matches_gaussian(gaussian):
@@ -243,6 +272,24 @@ def test_kws_between_sites_converges(gaussian):
     ]
     assert err[1] < 0.2 * err[0]
     assert err[2] < 1e-6
+
+
+@pytest.mark.parametrize("component", [1, 2])
+@pytest.mark.parametrize("delta", [0.05, 0.01])
+def test_kws_band_cut_matches_whole_band(gaussian, delta, component):
+    """The reconstruction integrates a cut band; the whole-band call, written
+    out here, differs by at most the ``(delta / pi) atol`` of its quadrature
+    plus the rounding of a unit-size field."""
+    xi = np.linspace(-4.0, 4.0, 81)
+    edge = np.pi / (2.0 * delta)
+    assert initial_data._band_limits(gaussian, delta, 5e-14)[1] < 0.5 * edge
+    rate = 4.0 + gaussian.support_radius() + 2.0 * delta
+    def kern(p):
+        return semi_discrete_ft(gaussian, delta, p, component)
+
+    whole = synthesize_field(kern, 0.0, edge, xi, rate, even_fold=True)
+    got = kws_interpolate(gaussian, delta, xi, component)
+    assert np.max(np.abs(got - (delta / np.pi) * whole.real)) <= (delta / np.pi) * 1e-13 + 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from diatomic_waves import (
     uas_integral,
 )
 from diatomic_waves import longwave
+from diatomic_waves import _quadrature as quad
 from diatomic_waves._quadrature import synthesize_field
 
 
@@ -204,6 +205,24 @@ def test_front_zoom_evaluates_few_kernel_points(nacl_params):
     got = uas_integral(nacl_params, Counting(), mu, x, t)
     assert sum(seen) <= 20_000
     assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 1e-12
+
+
+def test_front_zoom_near_frame_takes_the_chirp_path(nacl_params, monkeypatch):
+    """The near frame's grid ``(c t - x) / mu`` sits hundreds of ulps off a
+    progression; its residual phase is still far inside what the first-order
+    correction keeps exact, so the contraction stays on chirp-z.  Formed as one
+    quotient, the offset no longer rounds ``c t / mu`` (about 22,000), and the
+    integral meets the closed form to rounding (3.5e-13 with ``ct/mu - x/mu``)."""
+    direct = []
+    contract_direct = quad._contract_direct
+    monkeypatch.setattr(
+        quad, "_contract_direct", lambda *args: direct.append(1) or contract_direct(*args)
+    )
+    mu, t = 80.0 * nacl_params.h, 0.5008247840889459
+    x = np.linspace(0.4994252139422566, 0.5011252139422566, 401)
+    got = uas_integral(nacl_params, GaussianProfile(), mu, x, t)
+    assert not direct
+    assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 2e-14
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,10 @@ from diatomic_waves import (
     uas_integral,
     write_fields_csv,
 )
-from diatomic_waves import oracles
+from diatomic_waves import initial_data, oracles
+from diatomic_waves._quadrature import synthesize_field
+from diatomic_waves.dispersion import ACOUSTIC, OPTICAL, Dispersion
+from diatomic_waves.initial_data import spectral_vector
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +63,120 @@ def test_empty_grid_gives_empty_field(name):
 
 @pytest.mark.parametrize("key", sorted(ref.BAND_SOLUTION))
 def test_quadrature_frozen_values(desk, gaussian, key):
-    h, t, x = key
-    field = solve_quadrature(desk(h), gaussian, h, np.array([x]), t)
+    h, mu, t, x = key
+    field = solve_quadrature(desk(h), gaussian, mu, np.array([x]), t)
     expected_u, expected_v = ref.BAND_SOLUTION[key]
     assert_allclose(field.u[0], expected_u, rtol=1e-9)
     assert_allclose(field.v[0], expected_v, rtol=1e-9)
     assert field.method == "quadrature_full"
     assert field.t == t
+
+
+def test_band_cut_against_whole_band_mpmath(desk, gaussian):
+    """At delta = 0.05 the quadrature integrates |p| <= 7.7 of a band of
+    |p| <= 31.4; the frozen value integrates all of it in mpmath."""
+    (key,) = [k for k in ref.BAND_SOLUTION if k[0] / k[1] < 0.1]
+    h, mu, t, x = key
+    field = solve_quadrature(desk(h), gaussian, mu, np.array([x]), t)
+    expected_u, expected_v = ref.BAND_SOLUTION[key]
+    assert abs(field.u[0] - expected_u) <= 1e-13
+    assert abs(field.v[0] - expected_v) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# band cut of the quadrature
+# ---------------------------------------------------------------------------
+
+def _whole_band_quadrature(params, profile, mu, x, t, mode="full", atol=1e-13):
+    """Reference for the band cut: ``solve_quadrature``'s synthesis as one
+    ``synthesize_field`` call over the whole band ``|p| <= pi / (2 delta)``."""
+    delta = params.h / mu
+    edge = np.pi / (2.0 * delta)
+    disp = Dispersion(params)
+    speed = disp.critical.c_star if mode == "optical" else disp.sound_speed
+    rate = (float(np.max(np.abs(x), initial=0.0)) + t * speed) / mu
+
+    def kern(p):
+        s = delta * p
+        vt = spectral_vector(profile, delta, p)
+        out = np.zeros_like(vt)
+        if mode in ("full", "acoustic"):
+            phase = np.exp(1j * disp.omega1(s) * (t / params.h))
+            out += np.einsum("nij,nj->ni", disp.modal_matrix(s, ACOUSTIC), vt) * phase[:, None]
+        if mode in ("full", "optical"):
+            phase = np.exp(1j * disp.omega2(s) * (t / params.h))
+            out += np.einsum("nij,nj->ni", disp.modal_matrix(s, OPTICAL), vt) * phase[:, None]
+        return (delta / np.pi) * out
+
+    field = synthesize_field(
+        kern, 0.0 if profile.is_even else -edge, edge, x / mu, rate,
+        atol=atol, even_fold=profile.is_even,
+    )
+    return field[:, 0].real, field[:, 1].real
+
+
+CUT_X = np.linspace(-0.7, 0.7, 141)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("mode", ["full", "acoustic", "optical"])
+@pytest.mark.parametrize("delta", [0.05, 0.01, 0.005])
+def test_band_cut_matches_whole_band(desk, gaussian, delta, mode, t):
+    mu = 0.05
+    params = desk(delta * mu)
+    field = solve_quadrature(params, gaussian, mu, CUT_X, t, mode)
+    u, v = _whole_band_quadrature(params, gaussian, mu, CUT_X, t, mode)
+    assert np.max(np.abs(field.u - u)) <= 1e-13
+    assert np.max(np.abs(field.v - v)) <= 1e-13
+
+
+def _skew_table():
+    xi = np.linspace(-8.0, 9.0, 171)
+    return TableProfile(xi, np.exp(-0.5 * (xi - 0.5) ** 2) * (1.0 + 0.3 * np.tanh(xi)))
+
+
+@pytest.mark.parametrize(
+    "case", ["delta1-gaussian", "delta1-table", "delta0.05-table", "atol0-gaussian"]
+)
+def test_band_cut_keeps_whole_band_bit_for_bit(desk, gaussian, case):
+    """Where the band is narrower than the cut radius (delta = 1), where no
+    bound is known (a table) and at atol = 0, nothing is cut."""
+    delta = 1.0 if case.startswith("delta1") else 0.05
+    profile = _skew_table() if case.endswith("table") else gaussian
+    atol = 0.0 if case.startswith("atol0") else 1e-13
+    mu = 0.05
+    params = desk(delta * mu)
+    x = np.linspace(-0.3, 0.3, 61)
+    field = solve_quadrature(params, profile, mu, x, 0.25, atol=atol)
+    u, v = _whole_band_quadrature(params, profile, mu, x, 0.25, atol=atol)
+    assert np.array_equal(field.u, u)
+    assert np.array_equal(field.v, v)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5])
+@pytest.mark.parametrize("mode", ["full", "acoustic"])
+def test_band_cut_nodes_on_bandsum_grid(desk, gaussian, monkeypatch, mode, t):
+    """The long-wave band-sum benchmark's lattice (delta = 0.005): the whole
+    band took up to 36,096 kernel nodes per call."""
+    nodes = []
+
+    def counting(profile, delta, p):
+        nodes.append(np.size(p))
+        return spectral_vector(profile, delta, p)
+
+    monkeypatch.setattr(oracles, "spectral_vector", counting)
+    solve_quadrature(desk(2.5e-4), gaussian, 0.05, np.linspace(-0.7, 0.7, 401), t, mode)
+    assert 0 < sum(nodes) <= 1000
+
+
+def test_band_cut_with_atol_past_the_mass(desk, gaussian):
+    """An atol above the data's whole L1 mass cuts the band to nothing: the
+    field is 0, which is within atol of the solution."""
+    params = desk(2.5e-4)
+    assert initial_data._band_limits(gaussian, 0.005, 1e3) == (0.0, 0.0)
+    field = solve_quadrature(params, gaussian, 0.05, np.linspace(-0.7, 0.7, 41), 0.25, atol=10.0)
+    assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
+    assert np.max(np.abs(field.u)) <= 10.0 and np.max(np.abs(field.v)) <= 10.0
 
 
 def test_quadrature_initial_time_is_interpolant(desk, gaussian):

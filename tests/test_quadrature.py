@@ -69,6 +69,7 @@ def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, columns, s
     p, w = quad.panel_nodes(a, a + width, n_panels)
     g = _weighted_kernel(p, w, columns, seed)
     assert quad._progression(x[:, None]) is not None
+    assert quad._output_grid(x, float(np.max(np.abs(p)))) is not None
     assert quad._panel_columns(p) is not None  # so the chirp-z path is the one tested
     fast = quad._contract(g, p, x, even_fold)
     direct = quad._contract_direct(g, p, x, even_fold)
@@ -83,6 +84,7 @@ def test_non_uniform_grid_takes_the_direct_path(even_fold):
     p, w = quad.panel_nodes(0.0, 6.0, 12)
     g = _weighted_kernel(p, w, 2, 3)
     assert quad._progression(x[:, None]) is None
+    assert quad._output_grid(x, 6.0) is None
     assert np.array_equal(
         quad._contract(g, p, x, even_fold), quad._contract_direct(g, p, x, even_fold)
     )
@@ -94,6 +96,26 @@ def test_progression_rejects_non_arithmetic_and_non_finite():
     assert quad._progression(x[:, None]) is None
     assert quad._progression(np.array([[0.0], [np.nan], [2.0]])) is None
     assert quad._panel_columns(np.linspace(0.0, 1.0, 17)) is None  # not whole panels
+
+
+def test_travelling_frame_grid_is_uniform_by_its_residual_phase():
+    """``(c t - x) / mu`` on the long-wave front zoom (NaCl, mu = 80 h, seed 1):
+    hundreds of ulps off a progression, so the ulp test of the panel columns
+    refuses it, but its residual phase ``max|p| max|r|`` is ~2e-11, which the
+    first-order correction keeps exact; a residual phase past 1e-8 is refused."""
+    mu, ct = 2.256e-05, 0.5008247840889459
+    y = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
+    p, w = quad.panel_nodes(0.0, 8.5, 60)
+    assert quad._progression(y[:, None]) is None
+    assert quad._output_grid(y, 8.5) is not None
+    g = _weighted_kernel(p, w, 1, 5)
+    fast = quad._contract(g, p, y, False)
+    assert np.max(np.abs(fast - quad._contract_direct(g, p, y, False))) <= 1e-13 * np.sum(np.abs(g))
+    bent = np.linspace(-1.0, 1.0, 11)
+    bent[5] += 2e-9
+    assert quad._output_grid(bent, 4.0) is not None
+    assert quad._output_grid(bent, 6.0) is None
+    assert quad._output_grid(np.array([0.0, np.nan, 2.0]), 1.0) is None
 
 
 def test_front_size_contraction_matches_direct_sum():
