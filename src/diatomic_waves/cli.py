@@ -415,6 +415,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
         for key in ("rtol", "atol", "nodes_per_cycle"):
             if key in num:
                 kw[key] = _get_float(num, key)
+        for key in ("rtol", "atol"):
+            if kw.get(key, 0.0) < 0.0:
+                raise ConfigError(f"[numerics] {key} must be >= 0, got {kw[key]!r}")
+        if kw.get("nodes_per_cycle", 1.0) <= 0.0:
+            raise ConfigError(
+                f"[numerics] nodes_per_cycle must be > 0, got {kw['nodes_per_cycle']!r}"
+            )
         for key in ("max_doublings", "dispersion_points"):
             if key in num:
                 kw[key] = _get_int(num, key)

@@ -16,16 +16,22 @@ sublattices at rest (zero initial velocity), sampled at lattice sites
 Conventions.  The continuum transform is unitary-angular:
 ``what(p) = (1/sqrt(2 pi)) * int W(xi) exp(-i p xi) dxi`` so the standard
 Gaussian ``exp(-xi^2/2)`` is self-dual.  The semi-discrete sums are plain
-site sums ``sum_n W(xi_n) exp(-i p xi_n)`` over one sublattice; by the
-Poisson summation formula they approach ``(1/delta) sqrt(pi/2) what(p)``
-inside the band, up to aliases that vanish faster than any power of
-``delta`` for smooth rapidly-decaying profiles.
+site sums ``sum_n W(xi_n) exp(-i p xi_n)`` over one sublattice.  By the
+Poisson summation formula each equals ``(sqrt(2 pi) / (2 delta)) sum_k
+(+-1)^k what(p + k pi / delta)`` (sign ``(-1)^k`` on the odd sites), so inside
+the band it approaches ``(1/delta) sqrt(pi/2) what(p)`` up to aliases that
+vanish faster than any power of ``delta`` for smooth rapidly-decaying
+profiles.  :func:`semi_discrete_ft` is always the site sum (and
+:func:`poisson_gap` measures it); the band data of :func:`spectral_vector`
+and :func:`kws_interpolate` take the Gaussian's sums from the few images
+instead wherever they are fewer than the sites.
 """
 
 from __future__ import annotations
 
 import abc
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -261,15 +267,19 @@ def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
     return TableProfile(np.asarray(xi), np.asarray(values), cutoff=cutoff)
 
 
-def _sublattice_sites(profile: InitialProfile, delta: float, component: int) -> np.ndarray:
-    r = profile.support_radius() + 2.0 * delta
-    half = np.ceil(r / (2.0 * delta))
+def _half_span(profile: InitialProfile, delta: float) -> float:
+    """Sites on each side of 0 that a sublattice sum spans; ChainSizeError past ``_MAX_SITES``."""
+    half = np.ceil((profile.support_radius() + 2.0 * delta) / (2.0 * delta))
     if not 2.0 * half + 2.0 <= _MAX_SITES:  # a nan fails too
         raise ChainSizeError(
             f"the profile spans about {2.0 * half:.3g} sites of a sublattice "
             f"(limit {_MAX_SITES}); decrease mu"
         )
-    k_max = int(half)
+    return float(half)
+
+
+def _sublattice_sites(profile: InitialProfile, delta: float, component: int) -> np.ndarray:
+    k_max = int(_half_span(profile, delta))
     if component == 1:  # even sites 2k
         return 2.0 * delta * np.arange(-k_max, k_max + 1)
     if component == 2:  # odd sites 2k+1, symmetric about 0
@@ -324,12 +334,62 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     return out.reshape(np.shape(p))
 
 
+def _image_order(profile: InitialProfile, delta: float, p: np.ndarray) -> int | None:
+    """Images ``K`` of the Poisson dual of the sublattice sums at ``p``, or None for the site sum.
+
+    ``K = ceil((max|p| + hat_radius) / (pi / delta))``: the images ``|k| > K`` lie beyond
+    ``hat_radius``, as the sites the site sum drops lie beyond ``support_radius``.  Tables keep
+    the site sum (their ``hat_radius`` is a scan that bounds nothing, and ``fourier_hat`` costs
+    far more than a site term), and so does any ``p`` whose ``2 K + 1`` images are no fewer than
+    the Gaussian's folded sites.  A Gaussian past the site sum's size limit is refused here.
+    """
+    if not isinstance(profile, GaussianProfile):
+        return None
+    half = _half_span(profile, delta)
+    if not 2.0 * math.ceil(profile.hat_radius() * delta / np.pi) + 1.0 < half:
+        return None  # too few sites even at p = 0 (delta ~ 1), known without scanning p
+    k_max = np.ceil((np.max(np.abs(p), initial=0.0) + profile.hat_radius()) * delta / np.pi)
+    return int(k_max) if 2.0 * k_max + 1.0 < half else None  # nan, inf: site sum
+
+
+def _image_sum(
+    profile: InitialProfile, delta: float, p: np.ndarray, component: int, k_max: int
+) -> np.ndarray:
+    """``(sqrt(2 pi) / (2 delta)) sum_{|k| <= k_max} s_k What(p + k pi / delta)``, the Poisson
+    dual of the sublattice sum, with ``s_k = 1`` (even sites) or ``(-1)^k`` (odd sites)."""
+    if component not in (1, 2):
+        raise ConfigError(f"component must be 1 (even sites) or 2 (odd sites), got {component!r}")
+    out = np.zeros(p.shape, dtype=complex)
+    for k in range(-k_max, k_max + 1):
+        sign = -1.0 if component == 2 and k % 2 else 1.0
+        out += sign * profile.fourier_hat(p + k * (np.pi / delta))
+    return (_SQRT_2PI / (2.0 * delta)) * out
+
+
+def _band_sum(profile: InitialProfile, delta: float, p: np.ndarray, component: int) -> np.ndarray:
+    """The sublattice sum of :func:`semi_discrete_ft` at ``p`` (an array), from its Poisson
+    images wherever :func:`_image_order` gives their count."""
+    k_max = _image_order(profile, delta, p)
+    if k_max is None:
+        return semi_discrete_ft(profile, delta, p, component)
+    return _image_sum(profile, delta, p, component, k_max)
+
+
 def spectral_vector(profile: InitialProfile, delta: float, p) -> np.ndarray:
-    """Stacked band data ``(even-site sum, odd-site sum)``, shape ``p.shape + (2,)``."""
+    """Stacked band data ``(even-site sum, odd-site sum)``, shape ``p.shape + (2,)``.
+
+    Each is the sublattice sum of :func:`semi_discrete_ft`.  For the Gaussian it is
+    taken from the Poisson dual, ``(sqrt(2 pi) / (2 delta)) sum_{|k| <= K} (+-1)^k
+    What(p + k pi / delta)``, truncated where every dropped image lies beyond
+    ``hat_radius``; at ``delta << 1`` that is one live image against hundreds of sites.
+    Tables, and grids where the images are no fewer than the summed sites (the Gaussian
+    at ``delta = 1``), keep the site sum.  Either path refuses a profile that spans more
+    than ``_MAX_SITES`` sites with :class:`~diatomic_waves.errors.ChainSizeError`.
+    """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     out = np.empty(p_arr.shape + (2,), dtype=complex)
-    out[..., 0] = semi_discrete_ft(profile, delta, p_arr, 1)
-    out[..., 1] = semi_discrete_ft(profile, delta, p_arr, 2)
+    out[..., 0] = _band_sum(profile, delta, p_arr, 1)
+    out[..., 1] = _band_sum(profile, delta, p_arr, 2)
     return out
 
 
@@ -366,13 +426,16 @@ def kws_interpolate(
     band-limited interpolant, converging to ``W`` as ``delta -> 0``.
 
     The band is cut (:func:`_band_limits`) where the rest changes the
-    integral by at most 5e-14, half the quadrature's ``atol``.
+    integral by at most 5e-14, half the quadrature's ``atol``.  The band data
+    are the sublattice sums of :func:`spectral_vector`: the Gaussian's from its
+    Poisson images, a table's (and the Gaussian's where the images are no fewer
+    than the sites) from the site sum.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     rate = float(np.max(np.abs(xi_arr), initial=0.0)) + profile.support_radius() + 2.0 * delta
 
     def kern(p: np.ndarray) -> np.ndarray:
-        return semi_discrete_ft(profile, delta, p, component)
+        return _band_sum(profile, delta, p, component)
 
     a, b = _band_limits(profile, delta, 5e-14)
     field = synthesize_field(kern, a, b, xi_arr, rate, rtol=rtol, even_fold=profile.is_even)

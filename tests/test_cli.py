@@ -399,6 +399,26 @@ def test_ode_dt_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("rtol = -1e-8", "rtol must be >= 0"),
+        ("atol = -1e-13", "atol must be >= 0"),
+        ("nodes_per_cycle = 0", "nodes_per_cycle must be > 0"),
+        ("nodes_per_cycle = -5", "nodes_per_cycle must be > 0"),
+    ],
+)
+def test_nonsense_tolerances_exit_2_before_any_work(tmp_path, capsys, setting, named):
+    # a negative tolerance used to double the quadrature to its cap and exit 3;
+    # a non-positive nodes_per_cycle was taken silently
+    text = BASE.replace("names = gaussian_airy, dalembert", "names = quadrature_full")
+    path = _write(tmp_path, text + f"\n[numerics]\n{setting}\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "extra, named",
     [
         ("\n[numerics]\nrtoll = 1e-3\n", "unknown key 'rtoll' in [numerics]; known keys: rtol, atol"),

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 import _reference as ref
 from diatomic_waves import (
+    ChainSizeError,
     ConfigError,
     GaussianProfile,
     TableProfile,
@@ -159,7 +160,14 @@ def test_load_profile_table(tmp_path, gaussian):
 # semi-discrete transforms
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("key", sorted(ref.GAUSSIAN_SUBLATTICE_SUMS))
+#: The long-wave keys (delta < 0.5) hold values down to 1.5e-10 (p = 7.5, delta = 0.005), where
+#: the site sum's rounding, 2.5e-14, is 1.7e-4 of the value; they are pinned further below.
+_SITE_SUM_KEYS = sorted(k for k in ref.GAUSSIAN_SUBLATTICE_SUMS if k[0] >= 0.5)
+_LONG_WAVE_KEYS = sorted(k for k in ref.GAUSSIAN_SUBLATTICE_SUMS if k[0] < 0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("key", _SITE_SUM_KEYS)
 def test_semi_discrete_ft_frozen(gaussian, key):
     delta, p, component = key
     got = semi_discrete_ft(gaussian, delta, p, component)
@@ -224,6 +232,86 @@ def test_spectral_vector_shapes(gaussian):
     assert_allclose(vec[0, 1], ref.GAUSSIAN_SUBLATTICE_SUMS[(1.0, 0.4, 2)], rtol=1e-13)
     arr = spectral_vector(gaussian, 1.0, np.linspace(0, 1, 5))
     assert arr.shape == (5, 2)
+
+
+@pytest.mark.parametrize("key", _LONG_WAVE_KEYS)
+def test_long_wave_band_data_frozen(gaussian, key):
+    # 50-digit site sums at delta = 0.05 and 0.005, inside the quadrature's cut:
+    # the image sum holds them to rtol 1e-13, the site sum to its rounding
+    delta, p, component = key
+    expected = ref.GAUSSIAN_SUBLATTICE_SUMS[key]
+    got = spectral_vector(gaussian, delta, p)[0, component - 1]
+    assert_allclose(got.real, expected, rtol=1e-13)
+    assert got.imag == 0.0
+    site = semi_discrete_ft(gaussian, delta, p, component)
+    assert abs(site.real - expected) <= 1e-13 * _SQRT_2PI / (2.0 * delta)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    log_delta=st.floats(-3.0, 0.0),
+    u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+    component=st.sampled_from([1, 2]),
+)
+def test_image_sum_matches_site_sum(log_delta, u, component):
+    """The Poisson image sum, truncated where every dropped image lies beyond
+    ``hat_radius``, is the site sum to 1e-13 of its scale ``sqrt(2 pi) / (2 delta)``
+    anywhere in the reduced band, also where the dispatcher keeps the site sum."""
+    gaussian = GaussianProfile()
+    delta = 10.0**log_delta
+    p = np.array(u) * np.pi / (2.0 * delta)
+    k_max = math.ceil((np.max(np.abs(p)) + gaussian.hat_radius()) * delta / math.pi)
+    images = initial_data._image_sum(gaussian, delta, p, component, k_max)
+    site = semi_discrete_ft(gaussian, delta, p, component)
+    scale = _SQRT_2PI / (2.0 * delta)
+    assert np.max(np.abs(images - site)) <= 1e-13 * scale
+    band = spectral_vector(gaussian, delta, p)[:, component - 1]
+    assert np.max(np.abs(band - site)) <= 1e-13 * scale
+
+
+def test_band_data_path(gaussian, monkeypatch):
+    # tables and the Gaussian at delta = 1 (9 images against 6 folded sites) keep
+    # the site sum; the Gaussian at delta << 1 takes its band data from the images
+    calls = []
+    site_sum = initial_data.semi_discrete_ft
+
+    def counting(profile, delta, p, component):
+        calls.append(delta)
+        return site_sum(profile, delta, p, component)
+
+    monkeypatch.setattr(initial_data, "semi_discrete_ft", counting)
+    xi = np.linspace(-8.5, 8.5, 341)
+    table = TableProfile(xi, gaussian.value(xi))
+    p = np.linspace(-3.0, 3.0, 7)
+    spectral_vector(table, 0.05, p)
+    assert calls == [0.05, 0.05]
+    spectral_vector(gaussian, 1.0, p)
+    assert calls[2:] == [1.0, 1.0]
+    spectral_vector(gaussian, 0.05, p)
+    spectral_vector(gaussian, 0.005, p)
+    kws_interpolate(gaussian, 0.05, np.linspace(-1.0, 1.0, 5))
+    assert len(calls) == 4
+    with pytest.raises(ConfigError):
+        kws_interpolate(gaussian, 0.05, 0.0, 3)
+
+
+def _refuses(call) -> bool:
+    try:
+        call()
+    except ChainSizeError:
+        return True
+    return False
+
+
+def test_band_data_refuse_the_site_sums_size(gaussian):
+    # ChainSizeError at the site count where semi_discrete_ft refuses, though the image
+    # path never builds the sites: a sum spans half = ceil(r / (2 delta) + 1) sites each
+    # side, refused once 2 half + 2 > _MAX_SITES, i.e. once r / (2 delta) > _MAX_SITES / 2 - 2
+    limit = gaussian.support_radius() / (2.0 * (initial_data._MAX_SITES // 2 - 2))
+    deltas = [limit * (1.0 - 1e-12), limit, limit * (1.0 + 1e-12), 8e-303, 1e-3]
+    refused = [_refuses(lambda: semi_discrete_ft(gaussian, d, 0.5, 1)) for d in deltas]
+    assert refused[0] and refused[3] and not refused[2] and not refused[4]
+    assert [_refuses(lambda: spectral_vector(gaussian, d, 0.5)) for d in deltas] == refused
 
 
 @pytest.mark.parametrize("even", [True, False])

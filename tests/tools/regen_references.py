@@ -144,6 +144,13 @@ SEMIDISCRETE_CASES = [
     ("1.0", "0.4", 1), ("1.0", "0.4", 2),
     ("1.0", "1.2", 1), ("1.0", "1.2", 2),
     ("0.5", "0.7", 1), ("0.5", "0.7", 2),
+    # long-wave band data (delta << 1), at momenta inside the quadrature's cut
+    ("0.05", "0.0", 1), ("0.05", "0.0", 2),
+    ("0.05", "1.3", 1), ("0.05", "1.3", 2),
+    ("0.05", "7.5", 1), ("0.05", "7.5", 2),
+    ("0.005", "0.0", 1), ("0.005", "0.0", 2),
+    ("0.005", "1.3", 1), ("0.005", "1.3", 2),
+    ("0.005", "7.5", 1), ("0.005", "7.5", 2),
 ]
 
 # ---------------------------------------------------------------------------
