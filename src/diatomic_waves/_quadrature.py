@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 
 __all__ = ["panel_nodes", "oscillation_panels", "synthesize_field", "legendre_bessel_field"]
 
@@ -267,6 +267,20 @@ def _contract(
     return out
 
 
+def _check_numerics(
+    rtol: float = 1e-8, atol: float = 1e-13, nodes_per_cycle: float = 10.0
+) -> None:
+    """Raise ``ConfigError`` unless ``rtol`` and ``atol`` are finite and
+    ``>= 0`` and ``nodes_per_cycle`` is finite and ``> 0``.  Negative
+    tolerances would only spend doublings up to the cap, and a non-positive
+    node density would silently build the minimum panel level."""
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
+    if not (np.isfinite(nodes_per_cycle) and nodes_per_cycle > 0.0):
+        raise ConfigError(f"nodes_per_cycle must be > 0 and finite, got {nodes_per_cycle!r}")
+
+
 def synthesize_field(
     kernel: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -302,6 +316,9 @@ def synthesize_field(
 
     Raises
     ------
+    ConfigError
+        If ``rtol``, ``atol`` or ``nodes_per_cycle`` is out of range (see
+        :func:`_check_numerics`); checked before anything else.
     QuadratureError
         If a panel level would exceed ``_MAX_NODES`` nodes (the first level's
         doubling is checked before the kernel is called), or if doubling
@@ -309,6 +326,7 @@ def synthesize_field(
         the checked points (every point of a uniform grid, else a probe
         subset) below ``atol + rtol * scale``.
     """
+    _check_numerics(rtol, atol, nodes_per_cycle)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         return np.zeros(0, dtype=complex)
@@ -409,8 +427,10 @@ def legendre_bessel_field(
     convergence or when ``k = 256`` has not converged.  The guard also
     makes it cheaper than :func:`synthesize_field`, which needs about
     ``10 r |x| / pi`` nodes.  An empty ``x`` gives an empty array without
-    calling the kernel.
+    calling the kernel.  Out-of-range tolerances raise ``ConfigError``
+    (:func:`_check_numerics`).
     """
+    _check_numerics(rtol, atol)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         return np.zeros(0, dtype=complex)

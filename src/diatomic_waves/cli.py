@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._quadrature import _check_numerics
 from .dispersion import Dispersion, LatticeParams
 from .errors import ConfigError, DiatomicWavesError, NumericalError
 from .initial_data import GaussianProfile, InitialProfile, load_profile_table
@@ -415,13 +416,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
         for key in ("rtol", "atol", "nodes_per_cycle"):
             if key in num:
                 kw[key] = _get_float(num, key)
-        for key in ("rtol", "atol"):
-            if kw.get(key, 0.0) < 0.0:
-                raise ConfigError(f"[numerics] {key} must be >= 0, got {kw[key]!r}")
-        if kw.get("nodes_per_cycle", 1.0) <= 0.0:
-            raise ConfigError(
-                f"[numerics] nodes_per_cycle must be > 0, got {kw['nodes_per_cycle']!r}"
-            )
+        try:  # refused here, before any work, by the quadrature's own check
+            _check_numerics(**kw)
+        except ConfigError as exc:
+            raise ConfigError(f"[numerics] {exc}") from None
         for key in ("max_doublings", "dispersion_points"):
             if key in num:
                 kw[key] = _get_int(num, key)

@@ -32,11 +32,11 @@ product form ``omega_1 = 2 sqrt(gamma1 gamma2) |sin p| / omega_2(p)``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 
@@ -50,6 +50,10 @@ __all__ = [
 
 ACOUSTIC = 1
 OPTICAL = 2
+
+#: Iteration cap of the bracketed Newton solve for ``p_star``; halving alone
+#: shrinks its initial bracket below one ulp in about 55 steps.
+_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -272,25 +276,44 @@ class Dispersion:
     # ------------------------------------------------------------------
     @cached_property
     def critical(self) -> CriticalPoint:
-        """Locate ``p_star`` with ``omega_2''(p_star) = 0`` by bracketed
-        root finding on the interior of the zone; derived speeds follow
-        analytically."""
+        """Locate ``p_star`` with ``omega_2''(p_star) = 0`` inside the zone.
 
-        def d2(p: float) -> float:
-            return float(self.omega2_derivs(p, 2)[2])
-
+        ``omega_2''`` must change sign from negative to positive on
+        ``[1e-3, pi/2 - 1e-3]`` (else ``ConfigError``).  The root is found
+        by bracketed Newton iteration on ``omega_2''``, with the slope
+        ``omega_2'''`` from the same ``omega2_derivs(p, 3)`` call.  Each
+        iterate replaces the bracket end of its own sign, and a Newton step
+        longer than 2 ulp that would leave the open bracket is replaced by
+        the bracket's midpoint, so the bracket always holds the root.  The
+        iteration stops once a step moves ``p`` by at most 2 ulp (a bracket
+        that narrow forces such a step), or after ``_NEWTON_CAP``
+        iterations.  The front speed and curvature follow analytically at
+        ``p_star``.
+        """
         lo, hi = 1e-3, np.pi / 2 - 1e-3
-        flo, fhi = d2(lo), d2(hi)
+        flo = float(self.omega2_derivs(lo, 2)[2])
+        fhi = float(self.omega2_derivs(hi, 2)[2])
         if not (flo < 0.0 < fhi):
             raise ConfigError(
                 "optical curvature does not change sign inside the zone; "
                 f"omega2''({lo:.3g}) = {flo:.3g}, omega2''({hi:.3g}) = {fhi:.3g}"
             )
-        p_star = brentq(d2, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        _, w1, _, w3 = self.omega2_derivs(p_star, 3)
-        return CriticalPoint(
-            p_star=float(p_star), c_star=float(-w1), q_star=float(w3 / 2.0)
-        )
+        p = 0.5 * (lo + hi)
+        for _ in range(_NEWTON_CAP):
+            _, _, d2, d3 = self.omega2_derivs(p, 3)
+            if d2 < 0.0:
+                lo = p
+            else:
+                hi = p
+            nxt = float(p - d2 / d3)
+            tol = 2.0 * math.ulp(p)
+            if not lo < nxt < hi and abs(nxt - p) > tol:
+                nxt = 0.5 * (lo + hi)
+            step, p = abs(nxt - p), nxt
+            if step <= tol:
+                break
+        _, w1, _, w3 = self.omega2_derivs(p, 3)
+        return CriticalPoint(p_star=p, c_star=float(-w1), q_star=float(w3 / 2.0))
 
     # ------------------------------------------------------------------
     # modal structure

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import erfcinv, gamma
 
 from ._quadrature import _chirp_z, _exp_sum, _panel_columns, synthesize_field
@@ -169,6 +168,9 @@ class TableProfile(InitialProfile):
         self.cutoff = cutoff
         self._xi = xi
         self._values = values
+        # imported here: only tables need the spline module, a heavy import
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(xi, values, bc_type="natural")
         self._gaps = np.diff(xi)
         # spline.c[3 - j] is w_j; per interval, w_j d^(j+1) and the series of their sum

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import legendre_bessel_field, synthesize_field
+from ._quadrature import _check_numerics, legendre_bessel_field, synthesize_field
 from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
 from .dispersion import Dispersion, LatticeParams
@@ -147,6 +147,7 @@ def uas_integral(
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     if not (np.isfinite(t) and t >= 0.0):
         raise ConfigError(f"t must be finite and non-negative, got {t!r}")
+    _check_numerics(rtol, atol, nodes_per_cycle)  # far frames never reach synthesize_field
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _reference as ref
+import diatomic_waves
 from diatomic_waves import (
     LatticeParams,
     TableProfile,
@@ -186,6 +192,47 @@ def test_load_config_table_profile(tmp_path, gaussian):
         cli.load_config(
             _write(tmp_path, BASE + "\n[profile]\nkind = chirp\n", "ck.ini")
         )
+
+
+#: Run in a fresh interpreter: start-up as the CLI sees it, then a table.
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import diatomic_waves
+import diatomic_waves.cli
+diatomic_waves.cli.load_config(sys.argv[1])
+heavy = ("scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.linalg")
+at_start = [name for name in heavy if name in sys.modules]
+xi = np.linspace(-6.0, 6.0, 41)
+table = diatomic_waves.TableProfile(xi, np.exp(-0.5 * xi * xi))
+print(json.dumps({
+    "file": diatomic_waves.__file__,
+    "at_start": at_start,
+    "interpolate_after_table": "scipy.interpolate" in sys.modules,
+    "knots": table.value(xi).tolist(),
+    "between": float(table.value(0.15)),
+}))
+"""
+
+
+def test_start_up_imports_no_heavy_scipy_module(tmp_path):
+    """Importing the package and the CLI and loading a Gaussian scenario must
+    not load ``scipy.optimize`` (with the ``sparse``, ``linalg`` and
+    ``spatial`` it pulls in) or ``scipy.interpolate``: they cost about a third
+    of the start-up time.  A table profile loads the spline module then."""
+    src = str(Path(diatomic_waves.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(_write(tmp_path, BASE))],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert Path(report["file"]).resolve() == Path(diatomic_waves.__file__).resolve()
+    assert report["at_start"] == []
+    assert report["interpolate_after_table"]
+    xi = np.linspace(-6.0, 6.0, 41)
+    assert_allclose(report["knots"], np.exp(-0.5 * xi * xi), rtol=0, atol=1e-15)
+    assert abs(report["between"] - np.exp(-0.5 * 0.15**2)) < 1e-3
 
 
 # ---------------------------------------------------------------------------

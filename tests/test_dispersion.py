@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 import _reference as ref
 from diatomic_waves import (
@@ -91,6 +92,25 @@ def test_critical_point_nacl(nacl_params):
     assert_allclose(crit.p_star, ref.NACL_CONSTANTS["p_star"], atol=1e-11)
     assert_allclose(crit.c_star, ref.NACL_CONSTANTS["c_star"], atol=1e-11)
     assert_allclose(crit.q_star, ref.NACL_CONSTANTS["q_star"], atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gamma1=st.floats(0.01, 10.0), ratio=st.floats(1.01, 1e4))
+def test_critical_point_matches_brent_reference(gamma1, ratio):
+    """The bracketed Newton ``p_star`` agrees with a Brent solve of
+    ``omega_2'' = 0`` run to ``xtol = 1e-16``, within 1e-13 (the ``xtol`` of
+    the Brent solve the package used before).  Ratios nearer 1 are left
+    out: ``omega_2''`` flattens there, so its root is ill-conditioned, and two
+    correct solvers differed by 1.4e-12 at ``gamma2 / gamma1 = 1.0005``."""
+    disp = Dispersion(LatticeParams(gamma1=gamma1, gamma2=gamma1 * ratio, h=0.01))
+    reference = brentq(
+        lambda p: float(disp.omega2_derivs(p, 2)[2]),
+        1e-3,
+        np.pi / 2 - 1e-3,
+        xtol=1e-16,
+        rtol=4.0 * np.finfo(float).eps,
+    )
+    assert abs(disp.critical.p_star - reference) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

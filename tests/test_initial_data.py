@@ -399,6 +399,33 @@ def test_poisson_gap_tiny_at_small_delta(gaussian):
     assert report.gap_between < 1e-12
 
 
+@pytest.mark.parametrize("delta", [0.5, 0.25, 0.2])
+def test_poisson_gap_is_the_nearest_alias_image(gaussian, delta):
+    """Where aliasing is above rounding, ``poisson_gap`` reads the Poisson
+    image term itself.  Each sublattice sum minus the continuum term is
+    ``P sum_{k != 0} (+-1)^k e^{-(p + k pi/delta)^2/2}`` with ``P =
+    sqrt(2 pi)/(2 delta)``, largest at the band edge ``e = pi/(2 delta)``,
+    where the ``k = -+1`` image sits at ``|q| = e``: each gap is ``T1 = P
+    e^{-e^2/2}`` (``gap_between``, from the odd ``k`` only, ``2 T1``).  The
+    next images sit at ``|q| >= 3 e``; their sum is below ``T3 = 4 P
+    e^{-9 e^2/2}`` (two of them, doubled for the rest).  The site sum adds its
+    own floor: rounding, ``16 eps P``, and the sites it drops below the
+    cutoff, ``2 cutoff / (1 - e^{-2 delta R})`` with ``R`` the support
+    radius.  At delta = 0.2 that floor is 17% of ``T1 = 2.5e-13``, while the
+    gate at delta = 0.01 only sees rounding."""
+    report = poisson_gap(gaussian, delta, n_grid=301)  # odd: the grid holds both edges
+    edge = np.pi / (2.0 * delta)
+    scale = np.sqrt(2.0 * np.pi) / (2.0 * delta)
+    one_image = scale * np.exp(-0.5 * edge**2)
+    next_images = 4.0 * scale * np.exp(-4.5 * edge**2)
+    dropped = 2.0 * gaussian.cutoff / (1.0 - np.exp(-2.0 * delta * gaussian.support_radius()))
+    bound = next_images + 16.0 * np.finfo(float).eps * scale + dropped
+    assert abs(report.gap_even - one_image) <= bound
+    assert abs(report.gap_odd - one_image) <= bound
+    assert abs(report.gap_between - 2.0 * one_image) <= 2.0 * bound
+    assert bound < 0.2 * one_image
+
+
 def test_poisson_gap_order_one_at_unit_delta(gaussian):
     # delta = 1: the two sublattice sums genuinely differ from the
     # continuum transform (this is what makes the regime distinct)

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diatomic_waves import Dispersion, GaussianProfile, LatticeParams, TableProfile, semi_discrete_ft
+from diatomic_waves import (
+    Dispersion,
+    GaussianProfile,
+    LatticeParams,
+    TableProfile,
+    kws_interpolate,
+    semi_discrete_ft,
+    solve_quadrature,
+    uas_integral,
+)
 from diatomic_waves import _quadrature as quad
 from diatomic_waves import initial_data
-from diatomic_waves.errors import QuadratureError
+from diatomic_waves.errors import ConfigError, QuadratureError
 
 #: Largest panel level any workload or test builds today (the long-wave front).
 LARGEST_LEVEL_NODES = 70_930 * 16
@@ -281,6 +290,67 @@ def test_refusal_names_the_node_count_it_needs(rate, message):
     with pytest.raises(QuadratureError, match=message):
         quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), rate)
     assert calls == []
+
+
+class _CountingGaussian(GaussianProfile):
+    """Gaussian that counts its evaluations: every quadrature kernel in the
+    package reads the profile through one of these two methods."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def value(self, xi):
+        self.calls += 1
+        return super().value(xi)
+
+    def fourier_hat(self, p):
+        self.calls += 1
+        return super().fourier_hat(p)
+
+
+_DESK_FINE = LatticeParams(gamma1=0.82, gamma2=1.27, h=0.002)
+_EVALUATORS = {
+    "solve_quadrature": lambda prof, **kw: solve_quadrature(
+        _DESK_FINE, prof, 0.04, np.linspace(-0.5, 0.5, 41), 0.3, **kw
+    ),
+    "uas_integral": lambda prof, **kw: uas_integral(
+        _DESK_FINE, prof, 0.04, np.linspace(-0.5, 0.5, 41), 0.3, **kw
+    ),
+    "kws_interpolate": lambda prof, **kw: kws_interpolate(
+        prof, 0.05, np.linspace(-2.0, 2.0, 41), **kw
+    ),
+}
+_BAD_NUMERICS = [
+    ("nodes_per_cycle", -5.0),
+    ("nodes_per_cycle", 0.0),
+    ("nodes_per_cycle", np.inf),
+    ("nodes_per_cycle", np.nan),
+    ("rtol", -1e-8),
+    ("rtol", np.nan),
+    ("rtol", np.inf),
+    ("atol", -1.0),
+    ("atol", np.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        (name, key, value)
+        for name in _EVALUATORS
+        for key, value in _BAD_NUMERICS
+        if name != "kws_interpolate" or key == "rtol"  # its one numerics keyword
+    ],
+)
+def test_nonsense_numerics_raise_before_any_kernel_call(name, key, value):
+    """A node density that is not finite and positive, or a tolerance that
+    is negative or not finite, is refused up front by the library, not only
+    by the CLI: no field comes back and the profile is never evaluated."""
+    profile = _CountingGaussian()
+    with pytest.raises(ConfigError, match=key):
+        _EVALUATORS[name](profile, **{key: value})
+    assert profile.calls == 0
 
 
 def test_empty_grid_calls_no_kernel():
