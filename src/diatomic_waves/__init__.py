@@ -45,7 +45,6 @@ from .initial_data import (
     GaussianProfile,
     InitialProfile,
     TableProfile,
-    kws_interpolate,
     load_profile_table,
     poisson_gap,
     semi_discrete_ft,
@@ -121,7 +120,6 @@ __all__ = [
     "compare_fields",
     "envelope_amplitude",
     "integrate_lattice",
-    "kws_interpolate",
     "load_profile_table",
     "optical_front_airy",
     "optical_stationary",

@@ -268,17 +268,20 @@ def _contract(
 
 
 def _check_numerics(
-    rtol: float = 1e-8, atol: float = 1e-13, nodes_per_cycle: float = 10.0
+    rtol: float = 1e-8, atol: float = 1e-13, nodes_per_cycle: float = 10.0, max_doublings: int = 6
 ) -> None:
     """Raise ``ConfigError`` unless ``rtol`` and ``atol`` are finite and
-    ``>= 0`` and ``nodes_per_cycle`` is finite and ``> 0``.  Negative
-    tolerances would only spend doublings up to the cap, and a non-positive
-    node density would silently build the minimum panel level."""
+    ``>= 0``, ``nodes_per_cycle`` is finite and ``> 0`` and ``max_doublings``
+    is an integer ``>= 1``.  Negative tolerances would only spend doublings up
+    to the cap, a non-positive node density would silently build the minimum
+    panel level, and without a doubling no result is ever returned."""
     for name, value in (("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
     if not (np.isfinite(nodes_per_cycle) and nodes_per_cycle > 0.0):
         raise ConfigError(f"nodes_per_cycle must be > 0 and finite, got {nodes_per_cycle!r}")
+    if not (isinstance(max_doublings, (int, np.integer)) and max_doublings >= 1):
+        raise ConfigError(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
 
 
 def synthesize_field(
@@ -317,8 +320,8 @@ def synthesize_field(
     Raises
     ------
     ConfigError
-        If ``rtol``, ``atol`` or ``nodes_per_cycle`` is out of range (see
-        :func:`_check_numerics`); checked before anything else.
+        If ``rtol``, ``atol``, ``nodes_per_cycle`` or ``max_doublings`` is
+        out of range (see :func:`_check_numerics`); checked before anything else.
     QuadratureError
         If a panel level would exceed ``_MAX_NODES`` nodes (the first level's
         doubling is checked before the kernel is called), or if doubling
@@ -326,7 +329,7 @@ def synthesize_field(
         the checked points (every point of a uniform grid, else a probe
         subset) below ``atol + rtol * scale``.
     """
-    _check_numerics(rtol, atol, nodes_per_cycle)
+    _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         return np.zeros(0, dtype=complex)

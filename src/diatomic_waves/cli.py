@@ -42,7 +42,7 @@ import numpy as np
 from ._quadrature import _check_numerics
 from .dispersion import Dispersion, LatticeParams
 from .errors import ConfigError, DiatomicWavesError, NumericalError
-from .initial_data import GaussianProfile, InitialProfile, load_profile_table
+from .initial_data import _MAX_SITES, GaussianProfile, InitialProfile, load_profile_table
 from .longwave import classify_regime, uas_dalembert, uas_gaussian_airy, uas_integral
 from .oracles import WaveField, compare_fields, integrate_lattice, solve_quadrature, write_fields_csv
 from .shortwave import (
@@ -403,8 +403,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     points = _get_int(grid, "points", 401)
     if not x_min < x_max:
         raise ConfigError(f"[grid] needs x_min < x_max, got {x_min!r}, {x_max!r}")
-    if points < 2:
-        raise ConfigError(f"[grid] points must be >= 2, got {points!r}")
+    if not 2 <= points <= _MAX_SITES:
+        raise ConfigError(f"[grid] points must be >= 2 and <= {_MAX_SITES}, got {points!r}")
 
     times = _parse_times(cfg)
     methods = _parse_methods(cfg)
@@ -413,16 +413,19 @@ def load_config(path: str | Path) -> ScenarioConfig:
     kw: dict = {}
     if cfg.has_section("numerics"):
         num = cfg["numerics"]
-        for key in ("rtol", "atol", "nodes_per_cycle"):
+        for key in ("rtol", "atol", "nodes_per_cycle", "max_doublings"):
             if key in num:
-                kw[key] = _get_float(num, key)
+                kw[key] = (_get_int if key == "max_doublings" else _get_float)(num, key)
         try:  # refused here, before any work, by the quadrature's own check
             _check_numerics(**kw)
         except ConfigError as exc:
             raise ConfigError(f"[numerics] {exc}") from None
-        for key in ("max_doublings", "dispersion_points"):
-            if key in num:
-                kw[key] = _get_int(num, key)
+        if "dispersion_points" in num:
+            n = kw["dispersion_points"] = _get_int(num, "dispersion_points")
+            if not 2 <= n <= _MAX_SITES:
+                raise ConfigError(
+                    f"[numerics] dispersion_points must be >= 2 and <= {_MAX_SITES}, got {n!r}"
+                )
         if num.get("stencil"):
             coeffs = tuple(
                 _finite(tok, "[numerics] stencil entry") for tok in num["stencil"].split(",")
@@ -430,8 +433,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
             if len(coeffs) != 3:
                 raise ConfigError(f"[numerics] stencil needs 3 coefficients, got {coeffs!r}")
             kw["stencil"] = coeffs
-        if kw.get("dispersion_points", 2) < 2:
-            raise ConfigError(f"[numerics] dispersion_points must be >= 2, got {num[key]}")
         if "front_side" in num:
             side = num["front_side"].strip()
             if side not in ("left", "right"):
@@ -569,6 +570,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("numerical failure: out of memory; reduce the grid or the times", file=sys.stderr)
         return 3
     except DiatomicWavesError as exc:
         print(f"error: {exc}", file=sys.stderr)

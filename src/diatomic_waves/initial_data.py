@@ -8,8 +8,6 @@ sublattices at rest (zero initial velocity), sampled at lattice sites
   spline interpolation), exposing values and continuum Fourier data;
 * the semi-discrete Fourier transforms of the even-site and odd-site
   samples over the reduced band ``B = [-pi/(2 delta), pi/(2 delta)]``;
-* reconstruction of the profile from its band data (an exact
-  interpolation identity at lattice sites);
 * the spectral "gap" diagnostics quantifying how fast the discrete sums
   approach the continuum transform as ``delta -> 0``.
 
@@ -23,8 +21,8 @@ the band it approaches ``(1/delta) sqrt(pi/2) what(p)`` up to aliases that
 vanish faster than any power of ``delta`` for smooth rapidly-decaying
 profiles.  :func:`semi_discrete_ft` is always the site sum (and
 :func:`poisson_gap` measures it); the band data of :func:`spectral_vector`
-and :func:`kws_interpolate` take the Gaussian's sums from the few images
-instead wherever they are fewer than the sites.
+take the Gaussian's sums from the few images instead wherever they are fewer
+than the sites.
 """
 
 from __future__ import annotations
@@ -38,7 +36,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfcinv, gamma
 
-from ._quadrature import _chirp_z, _exp_sum, _panel_columns, synthesize_field
+# synthesize_field is no longer called here; the binding stays because
+# perfbench/test_perfbench.py checks that its tracer patches it in this module.
+from ._quadrature import _chirp_z, _exp_sum, _panel_columns, synthesize_field  # noqa: F401
 from .errors import ChainSizeError, ConfigError
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "load_profile_table",
     "semi_discrete_ft",
     "spectral_vector",
-    "kws_interpolate",
     "GapReport",
     "poisson_gap",
 ]
@@ -354,27 +353,16 @@ def _image_order(profile: InitialProfile, delta: float, p: np.ndarray) -> int | 
     return int(k_max) if 2.0 * k_max + 1.0 < half else None  # nan, inf: site sum
 
 
-def _image_sum(
-    profile: InitialProfile, delta: float, p: np.ndarray, component: int, k_max: int
-) -> np.ndarray:
+def _image_sums(profile: InitialProfile, delta: float, p: np.ndarray, k_max: int) -> np.ndarray:
     """``(sqrt(2 pi) / (2 delta)) sum_{|k| <= k_max} s_k What(p + k pi / delta)``, the Poisson
-    dual of the sublattice sum, with ``s_k = 1`` (even sites) or ``(-1)^k`` (odd sites)."""
-    if component not in (1, 2):
-        raise ConfigError(f"component must be 1 (even sites) or 2 (odd sites), got {component!r}")
-    out = np.zeros(p.shape, dtype=complex)
+    dual of both sublattice sums, shape ``p.shape + (2,)``: ``s_k = 1`` (even sites) and
+    ``(-1)^k`` (odd sites), each image evaluated once for both."""
+    out = np.zeros(p.shape + (2,), dtype=complex)
     for k in range(-k_max, k_max + 1):
-        sign = -1.0 if component == 2 and k % 2 else 1.0
-        out += sign * profile.fourier_hat(p + k * (np.pi / delta))
+        image = profile.fourier_hat(p + k * (np.pi / delta))
+        out[..., 0] += image
+        out[..., 1] += -image if k % 2 else image
     return (_SQRT_2PI / (2.0 * delta)) * out
-
-
-def _band_sum(profile: InitialProfile, delta: float, p: np.ndarray, component: int) -> np.ndarray:
-    """The sublattice sum of :func:`semi_discrete_ft` at ``p`` (an array), from its Poisson
-    images wherever :func:`_image_order` gives their count."""
-    k_max = _image_order(profile, delta, p)
-    if k_max is None:
-        return semi_discrete_ft(profile, delta, p, component)
-    return _image_sum(profile, delta, p, component, k_max)
 
 
 def spectral_vector(profile: InitialProfile, delta: float, p) -> np.ndarray:
@@ -389,10 +377,10 @@ def spectral_vector(profile: InitialProfile, delta: float, p) -> np.ndarray:
     than ``_MAX_SITES`` sites with :class:`~diatomic_waves.errors.ChainSizeError`.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.empty(p_arr.shape + (2,), dtype=complex)
-    out[..., 0] = _band_sum(profile, delta, p_arr, 1)
-    out[..., 1] = _band_sum(profile, delta, p_arr, 2)
-    return out
+    k_max = _image_order(profile, delta, p_arr)
+    if k_max is not None:
+        return _image_sums(profile, delta, p_arr, k_max)
+    return np.stack([semi_discrete_ft(profile, delta, p_arr, c) for c in (1, 2)], axis=-1)
 
 
 def _band_limits(profile: InitialProfile, delta: float, allowed: float) -> tuple[float, float]:
@@ -410,41 +398,6 @@ def _band_limits(profile: InitialProfile, delta: float, allowed: float) -> tuple
     edge = np.pi / (2.0 * delta)
     cut = min(edge, profile.hat_l1_radius(allowed * 2.0 * delta / _SQRT_2PI))
     return (0.0 if profile.is_even else -cut), cut
-
-
-def kws_interpolate(
-    profile: InitialProfile,
-    delta: float,
-    xi,
-    component: int = 1,
-    *,
-    rtol: float = 1e-8,
-) -> np.ndarray:
-    """Reconstruct the profile from its band data (sampling-theorem form).
-
-    ``W_rec(xi) = (delta/pi) Re int_B Wtilde_c(p) exp(i p xi) dp`` over the
-    reduced band ``B = [-pi/(2 delta), pi/(2 delta)]``.  At sublattice
-    sites this reproduces the samples exactly; in between it is the
-    band-limited interpolant, converging to ``W`` as ``delta -> 0``.
-
-    The band is cut (:func:`_band_limits`) where the rest changes the
-    integral by at most 5e-14, half the quadrature's ``atol``.  The band data
-    are the sublattice sums of :func:`spectral_vector`: the Gaussian's from its
-    Poisson images, a table's (and the Gaussian's where the images are no fewer
-    than the sites) from the site sum.
-    """
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    rate = float(np.max(np.abs(xi_arr), initial=0.0)) + profile.support_radius() + 2.0 * delta
-
-    def kern(p: np.ndarray) -> np.ndarray:
-        return _band_sum(profile, delta, p, component)
-
-    a, b = _band_limits(profile, delta, 5e-14)
-    field = synthesize_field(kern, a, b, xi_arr, rate, rtol=rtol, even_fold=profile.is_even)
-    out = (delta / np.pi) * field.real
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out[0])
-    return out
 
 
 @dataclass(frozen=True)

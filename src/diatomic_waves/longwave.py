@@ -147,7 +147,7 @@ def uas_integral(
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     if not (np.isfinite(t) and t >= 0.0):
         raise ConfigError(f"t must be finite and non-negative, got {t!r}")
-    _check_numerics(rtol, atol, nodes_per_cycle)  # far frames never reach synthesize_field
+    _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)  # far frames skip synthesize_field
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dst, idst
 
-from ._quadrature import synthesize_field
+from ._quadrature import _check_numerics, synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import BoundaryError, ChainSizeError, ConfigError
 from .initial_data import _MAX_SITES, InitialProfile, _band_limits, spectral_vector
@@ -314,6 +314,7 @@ def solve_quadrature(
         raise ConfigError(f"t must be finite and non-negative, got {t!r}")
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     delta = params.h / mu
     if delta == 0.0:

@@ -235,6 +235,24 @@ def test_start_up_imports_no_heavy_scipy_module(tmp_path):
     assert abs(report["between"] - np.exp(-0.5 * 0.15**2)) < 1e-3
 
 
+def test_package_exports_match_the_modules():
+    """The package re-exports exactly its modules' public API and the error
+    classes, and every name resolves: a deleted function leaves no stale export."""
+    from diatomic_waves import airy, dispersion, errors, initial_data, longwave, oracles, shortwave
+
+    expected = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    for module in (airy, dispersion, initial_data, longwave, oracles, shortwave):
+        assert all(hasattr(module, name) for name in module.__all__), module.__name__
+        expected |= set(module.__all__)
+    assert len(diatomic_waves.__all__) == len(set(diatomic_waves.__all__))
+    assert set(diatomic_waves.__all__) == expected
+    assert all(hasattr(diatomic_waves, name) for name in diatomic_waves.__all__)
+
+
 # ---------------------------------------------------------------------------
 # commands through main()
 # ---------------------------------------------------------------------------
@@ -376,11 +394,24 @@ def test_bad_config_exit_code(tmp_path):
     assert code == 2
 
 
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # an evaluator that runs out of memory is a numerical failure, not a traceback
+    def exhausted(config, x, t):
+        raise MemoryError
+
+    method = cli.METHODS["gaussian_airy"]._replace(evaluate=exhausted)
+    monkeypatch.setitem(cli.METHODS, "gaussian_airy", method)
+    code = cli.main(["simulate", "--config", str(_write(tmp_path, BASE)), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: out of memory" in err and "Traceback" not in err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # starve the quadrature so panel refinement cannot converge
     text = BASE.replace(
         "names = gaussian_airy, dalembert", "names = quadrature_full"
-    ) + "\n[numerics]\nrtol = 1e-15\natol = 1e-16\nnodes_per_cycle = 1\nmax_doublings = 0\n"
+    ) + "\n[numerics]\nrtol = 1e-15\natol = 1e-16\nnodes_per_cycle = 1\nmax_doublings = 1\n"
     code = cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
     assert code == 3
 
@@ -452,11 +483,14 @@ def test_ode_dt_key_exits_2(tmp_path, capsys):
         ("atol = -1e-13", "atol must be >= 0"),
         ("nodes_per_cycle = 0", "nodes_per_cycle must be > 0"),
         ("nodes_per_cycle = -5", "nodes_per_cycle must be > 0"),
+        ("max_doublings = 0", "[numerics] max_doublings must be an integer >= 1"),
+        ("max_doublings = -3", "[numerics] max_doublings must be an integer >= 1"),
     ],
 )
 def test_nonsense_tolerances_exit_2_before_any_work(tmp_path, capsys, setting, named):
     # a negative tolerance used to double the quadrature to its cap and exit 3;
-    # a non-positive nodes_per_cycle was taken silently
+    # a non-positive nodes_per_cycle was taken silently; max_doublings <= 0
+    # exited 3 as a stalled refinement after the first kernel level
     text = BASE.replace("names = gaussian_airy, dalembert", "names = quadrature_full")
     path = _write(tmp_path, text + f"\n[numerics]\n{setting}\n")
     code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -758,6 +792,19 @@ def _table_at(path: str):
     "command, mutate, code, says",
     [
         ("dispersion", lambda s: s + "\n[numerics]\ndispersion_points = -1\n", 2, ">= 2"),
+        # numpy refused these grids with a 7.28 TiB _ArrayMemoryError traceback
+        (
+            "dispersion",
+            lambda s: s + f"\n[numerics]\ndispersion_points = {10**12}\n",
+            2,
+            f"[numerics] dispersion_points must be >= 2 and <= {2**22}, got {10**12}",
+        ),
+        (
+            "simulate",
+            lambda s: s.replace("points = 81", f"points = {10**12}"),
+            2,
+            f"[grid] points must be >= 2 and <= {2**22}, got {10**12}",
+        ),
         ("simulate", _table_at("absent.csv"), 2, "cannot read profile table"),
         ("simulate", _table_at("."), 2, "cannot read profile table"),
         ("simulate", _table_at("binary.csv"), 2, "cannot read profile table"),

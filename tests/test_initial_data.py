@@ -17,11 +17,12 @@ from diatomic_waves import (
     ChainSizeError,
     ConfigError,
     GaussianProfile,
+    LatticeParams,
     TableProfile,
-    kws_interpolate,
     load_profile_table,
     poisson_gap,
     semi_discrete_ft,
+    solve_quadrature,
     spectral_vector,
 )
 from diatomic_waves import initial_data
@@ -251,22 +252,45 @@ def test_long_wave_band_data_frozen(gaussian, key):
 @given(
     log_delta=st.floats(-3.0, 0.0),
     u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
-    component=st.sampled_from([1, 2]),
 )
-def test_image_sum_matches_site_sum(log_delta, u, component):
-    """The Poisson image sum, truncated where every dropped image lies beyond
-    ``hat_radius``, is the site sum to 1e-13 of its scale ``sqrt(2 pi) / (2 delta)``
-    anywhere in the reduced band, also where the dispatcher keeps the site sum."""
+def test_image_sum_matches_site_sum(log_delta, u):
+    """Both columns of the Poisson image sums, truncated where every dropped image
+    lies beyond ``hat_radius``, are the site sums to 1e-13 of their scale
+    ``sqrt(2 pi) / (2 delta)`` anywhere in the reduced band, also where the
+    dispatcher keeps the site sum."""
     gaussian = GaussianProfile()
     delta = 10.0**log_delta
     p = np.array(u) * np.pi / (2.0 * delta)
     k_max = math.ceil((np.max(np.abs(p)) + gaussian.hat_radius()) * delta / math.pi)
-    images = initial_data._image_sum(gaussian, delta, p, component, k_max)
-    site = semi_discrete_ft(gaussian, delta, p, component)
+    images = initial_data._image_sums(gaussian, delta, p, k_max)
+    band = spectral_vector(gaussian, delta, p)
+    assert images.shape == band.shape == p.shape + (2,)
     scale = _SQRT_2PI / (2.0 * delta)
-    assert np.max(np.abs(images - site)) <= 1e-13 * scale
-    band = spectral_vector(gaussian, delta, p)[:, component - 1]
-    assert np.max(np.abs(band - site)) <= 1e-13 * scale
+    for component in (1, 2):
+        site = semi_discrete_ft(gaussian, delta, p, component)
+        assert np.max(np.abs(images[:, component - 1] - site)) <= 1e-13 * scale
+        assert np.max(np.abs(band[:, component - 1] - site)) <= 1e-13 * scale
+
+
+class _CountingHat(GaussianProfile):
+    """Gaussian that counts its ``fourier_hat`` calls."""
+
+    calls = 0
+
+    def fourier_hat(self, p):
+        self.calls += 1
+        return super().fourier_hat(p)
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.5])
+def test_image_path_evaluates_each_image_once(delta):
+    # one pass over the 2 K + 1 images serves both sublattice sums
+    profile = _CountingHat()
+    p = np.linspace(0.0, np.pi / (2.0 * delta), 33)
+    k_max = initial_data._image_order(profile, delta, p)
+    assert k_max is not None and k_max >= 1
+    spectral_vector(profile, delta, p)
+    assert profile.calls == 2 * k_max + 1
 
 
 def test_band_data_path(gaussian, monkeypatch):
@@ -289,10 +313,7 @@ def test_band_data_path(gaussian, monkeypatch):
     assert calls[2:] == [1.0, 1.0]
     spectral_vector(gaussian, 0.05, p)
     spectral_vector(gaussian, 0.005, p)
-    kws_interpolate(gaussian, 0.05, np.linspace(-1.0, 1.0, 5))
     assert len(calls) == 4
-    with pytest.raises(ConfigError):
-        kws_interpolate(gaussian, 0.05, 0.0, 3)
 
 
 def _refuses(call) -> bool:
@@ -339,25 +360,33 @@ def test_semi_discrete_component_validation(gaussian):
 
 
 # ---------------------------------------------------------------------------
-# band-limited reconstruction
+# band-limited reconstruction: the exact quadrature at t = 0
 # ---------------------------------------------------------------------------
+
+# At t = 0 the modal projectors sum to the identity, so solve_quadrature returns
+# the Kotelnikov-Whittaker-Shannon interpolant of each sublattice's samples,
+# ``(delta / pi) Re int_B S_c(p) e^{i p xi} dp`` at ``xi = x / mu``: ``u`` from
+# the even sites, ``v`` from the odd ones.
+_MU = 0.05
+
+
+def _initial_field(delta: float, xi, **kw):
+    params = LatticeParams(gamma1=0.82, gamma2=1.27, h=delta * _MU)
+    return solve_quadrature(params, GaussianProfile(), _MU, _MU * np.asarray(xi), 0.0, **kw)
+
 
 def test_kws_reproduces_lattice_samples(gaussian):
     # the reconstruction is exact at the sites of its own sublattice
-    assert_allclose(kws_interpolate(gaussian, 1.0, 0.0, 1), 1.0, atol=1e-8)
-    assert_allclose(kws_interpolate(gaussian, 1.0, 2.0, 1), np.exp(-2.0), atol=1e-8)
-    assert_allclose(kws_interpolate(gaussian, 1.0, 1.0, 2), np.exp(-0.5), atol=1e-8)
-    assert_allclose(kws_interpolate(gaussian, 1.0, -3.0, 2), np.exp(-4.5), atol=1e-8)
+    field = _initial_field(1.0, [0.0, 2.0, 1.0, -3.0])
+    assert_allclose(field.u[:2], [1.0, np.exp(-2.0)], atol=1e-8)
+    assert_allclose(field.v[2:], [np.exp(-0.5), np.exp(-4.5)], atol=1e-8)
 
 
 def test_kws_between_sites_converges(gaussian):
     # off-lattice the band-limited interpolant approaches W as delta -> 0
     probe = np.array([0.31, 1.77])
     exact = gaussian.value(probe)
-    err = [
-        float(np.max(np.abs(kws_interpolate(gaussian, d, probe, 1) - exact)))
-        for d in (1.0, 0.5, 0.25)
-    ]
+    err = [float(np.max(np.abs(_initial_field(d, probe).u - exact))) for d in (1.0, 0.5, 0.25)]
     assert err[1] < 0.2 * err[0]
     assert err[2] < 1e-6
 
@@ -365,18 +394,23 @@ def test_kws_between_sites_converges(gaussian):
 @pytest.mark.parametrize("component", [1, 2])
 @pytest.mark.parametrize("delta", [0.05, 0.01])
 def test_kws_band_cut_matches_whole_band(gaussian, delta, component):
-    """The reconstruction integrates a cut band; the whole-band call, written
-    out here, differs by at most the ``(delta / pi) atol`` of its quadrature
-    plus the rounding of a unit-size field."""
+    """The quadrature integrates a cut band; the whole-band call, written out
+    here, differs by at most the ``(delta / pi) atol`` of its quadrature plus the
+    rounding of a unit-size field.  solve_quadrature's ``atol`` applies to the
+    field itself, so it is given that same ``(delta / pi) 1e-13``."""
     xi = np.linspace(-4.0, 4.0, 81)
     edge = np.pi / (2.0 * delta)
-    assert initial_data._band_limits(gaussian, delta, 5e-14)[1] < 0.5 * edge
+    atol = (delta / np.pi) * 1e-13
+    gain = 2.0 + np.sqrt(1.27 / 0.82)  # the cut solve_quadrature takes, see its docstring
+    cut = initial_data._band_limits(gaussian, delta, 0.5 * atol * np.pi / (delta * gain))[1]
+    assert cut < 0.5 * edge
     rate = 4.0 + gaussian.support_radius() + 2.0 * delta
     def kern(p):
         return semi_discrete_ft(gaussian, delta, p, component)
 
     whole = synthesize_field(kern, 0.0, edge, xi, rate, even_fold=True)
-    got = kws_interpolate(gaussian, delta, xi, component)
+    field = _initial_field(delta, xi, atol=atol)
+    got = field.u if component == 1 else field.v
     assert np.max(np.abs(got - (delta / np.pi) * whole.real)) <= (delta / np.pi) * 1e-13 + 1e-15
 
 

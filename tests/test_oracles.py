@@ -24,7 +24,6 @@ from diatomic_waves import (
     acoustic_uniform,
     compare_fields,
     integrate_lattice,
-    kws_interpolate,
     optical_front_airy,
     optical_uniform,
     read_fields_csv,
@@ -48,7 +47,6 @@ from diatomic_waves.initial_data import spectral_vector
 EMPTY_GRID_EVALUATORS = {
     "uas_integral": lambda p, g, x: uas_integral(p, g, 0.05, x, 0.3),
     "solve_quadrature": lambda p, g, x: solve_quadrature(p, g, 0.05, x, 0.3).u,
-    "kws_interpolate": lambda p, g, x: kws_interpolate(g, 0.2, x),
     "uas_gaussian_airy": lambda p, g, x: uas_gaussian_airy(p, 0.05, x, 0.3),
     "uas_dalembert": lambda p, g, x: uas_dalembert(p, g, 0.05, x, 0.3),
     "shortwave_total": lambda p, g, x: shortwave_total(p, g, 0.01, x, 0.3).u,
@@ -181,12 +179,14 @@ def test_band_cut_with_atol_past_the_mass(desk, gaussian):
 
 def test_quadrature_initial_time_is_interpolant(desk, gaussian):
     # at t = 0 the modal projectors sum to the identity, so the synthesis
-    # collapses to the band-limited interpolant of each sublattice
+    # collapses to the band-limited interpolant of each sublattice, which
+    # takes the initial samples at that sublattice's sites (x = n h)
     params = desk(0.05)
-    x = np.linspace(-0.12, 0.12, 9)
-    field = solve_quadrature(params, gaussian, 0.05, x, 0.0)
-    assert_allclose(field.u, kws_interpolate(gaussian, 1.0, x / 0.05, 1), atol=1e-6)
-    assert_allclose(field.v, kws_interpolate(gaussian, 1.0, x / 0.05, 2), atol=1e-6)
+    n = np.arange(-4, 5)
+    field = solve_quadrature(params, gaussian, 0.05, n * 0.05, 0.0)
+    samples = gaussian.value(n.astype(float))
+    assert_allclose(field.u[n % 2 == 0], samples[n % 2 == 0], atol=1e-6)
+    assert_allclose(field.v[n % 2 == 1], samples[n % 2 == 1], atol=1e-6)
 
 
 def test_full_is_acoustic_plus_optical(desk, gaussian):

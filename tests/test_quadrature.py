@@ -12,7 +12,6 @@ from diatomic_waves import (
     GaussianProfile,
     LatticeParams,
     TableProfile,
-    kws_interpolate,
     semi_discrete_ft,
     solve_quadrature,
     uas_integral,
@@ -317,8 +316,8 @@ _EVALUATORS = {
     "uas_integral": lambda prof, **kw: uas_integral(
         _DESK_FINE, prof, 0.04, np.linspace(-0.5, 0.5, 41), 0.3, **kw
     ),
-    "kws_interpolate": lambda prof, **kw: kws_interpolate(
-        prof, 0.05, np.linspace(-2.0, 2.0, 41), **kw
+    "synthesize_field": lambda prof, **kw: quad.synthesize_field(
+        prof.fourier_hat, 0.0, 8.0, np.linspace(-2.0, 2.0, 41), 10.0, **kw
     ),
 }
 _BAD_NUMERICS = [
@@ -331,22 +330,21 @@ _BAD_NUMERICS = [
     ("rtol", np.inf),
     ("atol", -1.0),
     ("atol", np.inf),
+    ("max_doublings", 0),
+    ("max_doublings", -3),
+    ("max_doublings", 2.5),
 ]
 
 
 @pytest.mark.parametrize(
     "name, key, value",
-    [
-        (name, key, value)
-        for name in _EVALUATORS
-        for key, value in _BAD_NUMERICS
-        if name != "kws_interpolate" or key == "rtol"  # its one numerics keyword
-    ],
+    [(name, key, value) for name in _EVALUATORS for key, value in _BAD_NUMERICS],
 )
 def test_nonsense_numerics_raise_before_any_kernel_call(name, key, value):
-    """A node density that is not finite and positive, or a tolerance that
-    is negative or not finite, is refused up front by the library, not only
-    by the CLI: no field comes back and the profile is never evaluated."""
+    """A node density that is not finite and positive, a tolerance that is
+    negative or not finite, or a doubling budget that is not an integer >= 1
+    is refused up front by the library, not only by the CLI: no field comes
+    back and the profile is never evaluated."""
     profile = _CountingGaussian()
     with pytest.raises(ConfigError, match=key):
         _EVALUATORS[name](profile, **{key: value})
