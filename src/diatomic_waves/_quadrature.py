@@ -48,6 +48,7 @@ from .errors import ConfigError, QuadratureError
 __all__ = ["panel_nodes", "oscillation_panels", "synthesize_field", "legendre_bessel_field"]
 
 _ORDER = 16
+_MIN_PANELS = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 
 #: Largest panel level :func:`synthesize_field` builds; past it the rate is
@@ -88,10 +89,8 @@ def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarr
     return nodes, weights.copy()
 
 
-def oscillation_panels(
-    rate: float, a: float, b: float, nodes_per_cycle: float = 10.0, min_panels: int = 8
-) -> int:
-    """Panel count so the densest oscillation gets ``nodes_per_cycle`` nodes.
+def oscillation_panels(rate: float, a: float, b: float, nodes_per_cycle: float = 10.0) -> int:
+    """Panel count so the densest oscillation gets ``nodes_per_cycle`` nodes, at least 8.
 
     ``rate`` is the maximum of ``|d(phase)/dp|`` over the band; one cycle
     spans ``2 pi / rate``.  The count is not capped: :func:`synthesize_field`
@@ -101,8 +100,8 @@ def oscillation_panels(
         raise QuadratureError(f"oscillation rate {rate!r} is not finite")
     cycles = abs(rate) * (b - a) / (2.0 * np.pi)
     need = cycles * nodes_per_cycle / _ORDER
-    if need <= min_panels:
-        return min_panels
+    if need <= _MIN_PANELS:
+        return _MIN_PANELS
     return int(np.ceil(need))
 
 

@@ -9,9 +9,10 @@ Evaluation strategy
 * ``|z| < _TAIL_SWITCH`` (``1e4``) — ``scipy.special.airy`` for ``Ai`` and
   ``Ai'``, ``scipy.special.airye`` for the scaled ``Ai e^{(2/3) z^{3/2}}``.
 * ``|z| >= _TAIL_SWITCH`` — the large-argument expansions of DLMF §9.7
-  (9.7.5, 9.7.6, 9.7.9, 9.7.10) with the fixed terms ``k = 0..2``.  At the
-  switch ``zeta = (2/3) |z|^{3/2} ~ 6.7e5``, so the first dropped term
-  ``u_3 / zeta^3`` is ~1e-19: the sum is exact to rounding.
+  (9.7.5 for the scaled ``Ai``, 9.7.9, 9.7.10) with the fixed terms
+  ``k = 0..2``; unscaled, ``Ai = 0`` and ``Ai' = -0`` on the decaying
+  side.  At the switch ``zeta = (2/3) |z|^{3/2} ~ 6.7e5``, so the first
+  dropped term ``u_3 / zeta^3`` is ~1e-19: the sum is exact to rounding.
 
 Why the tail exists: scipy (1.17) returns NaN for ``|z| >~ 1.07e6``, and
 the long-wave closed form goes past that on fine lattices (``z ~ 1.8e6``
@@ -54,13 +55,10 @@ _U1, _U2 = 5.0 / 72.0, 385.0 / 10368.0
 _V1, _V2 = -7.0 / 72.0, -455.0 / 10368.0
 
 
-def _decaying_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Ai, Ai') * e^{zeta}`` for ``z >= _TAIL_SWITCH`` (DLMF 9.7.5-6)."""
+def _decaying_tail(z: np.ndarray) -> np.ndarray:
+    """``Ai * e^{zeta}`` for ``z >= _TAIL_SWITCH`` (DLMF 9.7.5)."""
     r = 1.0 / ((2.0 / 3.0) * z**1.5)
-    z4 = z**0.25
-    ai = (1.0 - _U1 * r + _U2 * r * r) / (2.0 * _SQRT_PI * z4)
-    aip = -z4 * (1.0 - _V1 * r + _V2 * r * r) / (2.0 * _SQRT_PI)
-    return ai, aip
+    return (1.0 - _U1 * r + _U2 * r * r) / (2.0 * _SQRT_PI * z**0.25)
 
 
 def _oscillating_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,11 +82,8 @@ def airy_ai_pair(z) -> tuple[np.ndarray, np.ndarray]:
     ai, aip, _, _ = special.airy(z_arr)
     pos = z_arr >= _TAIL_SWITCH
     neg = z_arr <= -_TAIL_SWITCH
-    if np.any(pos):
-        zp = z_arr[pos]
-        damp = np.exp(-(2.0 / 3.0) * zp**1.5)
-        ai_s, aip_s = _decaying_tail(zp)
-        ai[pos], aip[pos] = damp * ai_s, damp * aip_s
+    # e^{-(2/3) z^{3/2}} underflows to 0 from the switch on (z^{3/2} >= 1e6)
+    ai[pos], aip[pos] = 0.0, -0.0
     if np.any(neg):
         ai[neg], aip[neg] = _oscillating_tail(z_arr[neg])
     if np.isscalar(z) or np.ndim(z) == 0:
@@ -118,7 +113,7 @@ def airy_ai_scaled(z):
     out = special.airye(z_arr)[0]
     big = z_arr >= _TAIL_SWITCH
     if np.any(big):
-        out[big] = _decaying_tail(z_arr[big])[0]
+        out[big] = _decaying_tail(z_arr[big])
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out[0])
     return out

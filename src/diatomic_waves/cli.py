@@ -46,7 +46,6 @@ from .initial_data import _MAX_SITES, GaussianProfile, InitialProfile, load_prof
 from .longwave import classify_regime, uas_dalembert, uas_gaussian_airy, uas_integral
 from .oracles import WaveField, compare_fields, integrate_lattice, solve_quadrature, write_fields_csv
 from .shortwave import (
-    DEFAULT_STENCIL,
     _require_unit_delta,
     acoustic_front_airy,
     acoustic_uniform,
@@ -75,7 +74,6 @@ class ScenarioConfig:
     atol: float = 1e-13
     nodes_per_cycle: float = 10.0
     max_doublings: int = 6
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL
     front_side: str = "right"
     dispersion_points: int = 201
     compare_window: tuple[float, float] | None = None
@@ -118,8 +116,8 @@ class ScenarioConfig:
             "numerics.atol": repr(self.atol),
             "numerics.nodes_per_cycle": repr(self.nodes_per_cycle),
             "numerics.max_doublings": repr(self.max_doublings),
-            "numerics.stencil": ", ".join(repr(c) for c in self.stencil),
             "numerics.front_side": self.front_side,
+            "numerics.dispersion_points": repr(self.dispersion_points),
         }
         if self.compare_window is not None:
             out["compare.window"] = ", ".join(repr(w) for w in self.compare_window)
@@ -180,23 +178,15 @@ METHODS: dict[str, Method] = {
     "dalembert": Method(
         _longwave, lambda c, x, t: uas_dalembert(*c.problem, x, t), ("uas_dalembert",)
     ),
-    "acoustic_uniform": Method(
-        _shortwave, lambda c, x, t: acoustic_uniform(*c.problem, x, t, stencil=c.stencil)
-    ),
-    "optical_uniform": Method(
-        _shortwave, lambda c, x, t: optical_uniform(*c.problem, x, t, stencil=c.stencil)
-    ),
+    "acoustic_uniform": Method(_shortwave, lambda c, x, t: acoustic_uniform(*c.problem, x, t)),
+    "optical_uniform": Method(_shortwave, lambda c, x, t: optical_uniform(*c.problem, x, t)),
     "acoustic_front": Method(
-        _shortwave,
-        lambda c, x, t: acoustic_front_airy(*c.problem, x, t, c.front_side, stencil=c.stencil),
+        _shortwave, lambda c, x, t: acoustic_front_airy(*c.problem, x, t, c.front_side)
     ),
     "optical_front": Method(
-        _shortwave,
-        lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side, stencil=c.stencil),
+        _shortwave, lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side)
     ),
-    "shortwave_total": Method(
-        _shortwave, lambda c, x, t: shortwave_total(*c.problem, x, t, stencil=c.stencil)
-    ),
+    "shortwave_total": Method(_shortwave, lambda c, x, t: shortwave_total(*c.problem, x, t)),
 }
 
 
@@ -242,8 +232,7 @@ _KNOWN_KEYS = {
     "times": ("values",),
     "methods": ("names",),
     "numerics": (
-        "rtol", "atol", "nodes_per_cycle", "max_doublings", "dispersion_points",
-        "stencil", "front_side",
+        "rtol", "atol", "nodes_per_cycle", "max_doublings", "dispersion_points", "front_side",
     ),
     "compare": ("window_min", "window_max"),
 }
@@ -426,13 +415,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 raise ConfigError(
                     f"[numerics] dispersion_points must be >= 2 and <= {_MAX_SITES}, got {n!r}"
                 )
-        if num.get("stencil"):
-            coeffs = tuple(
-                _finite(tok, "[numerics] stencil entry") for tok in num["stencil"].split(",")
-            )
-            if len(coeffs) != 3:
-                raise ConfigError(f"[numerics] stencil needs 3 coefficients, got {coeffs!r}")
-            kw["stencil"] = coeffs
         if "front_side" in num:
             side = num["front_side"].strip()
             if side not in ("left", "right"):
@@ -441,10 +423,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if cfg.has_section("compare"):
         cmp_sec = cfg["compare"]
         if "window_min" in cmp_sec or "window_max" in cmp_sec:
-            kw["compare_window"] = (
-                _get_float(cmp_sec, "window_min"),
-                _get_float(cmp_sec, "window_max"),
-            )
+            lo = _get_float(cmp_sec, "window_min")
+            hi = _get_float(cmp_sec, "window_max")
+            if not lo < hi:
+                raise ConfigError(f"[compare] needs window_min < window_max, got {lo!r}, {hi!r}")
+            if hi < x_min or lo > x_max:
+                raise ConfigError(
+                    f"[compare] window_min, window_max = {lo!r}, {hi!r} miss the [grid] "
+                    f"window [{x_min!r}, {x_max!r}]"
+                )
+            kw["compare_window"] = (lo, hi)
 
     config = ScenarioConfig(
         params, profile, profile_kind, mu, x_min, x_max, points, times, methods, **kw

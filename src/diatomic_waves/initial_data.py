@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import abc
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,8 +72,8 @@ _MOMENT_SERIES = (-1.0) ** (_K // 2) / (gamma(_K + 1.0) * (_K + np.arange(4) + 1
 class InitialProfile(abc.ABC):
     """A localized initial displacement ``W(xi)`` in profile-width units."""
 
-    #: values below this threshold are treated as zero when truncating
-    cutoff: float
+    #: values below this threshold (one for every profile) are treated as zero when truncating
+    cutoff = 1e-14
 
     @property
     @abc.abstractmethod
@@ -106,11 +105,7 @@ class InitialProfile(abc.ABC):
 class GaussianProfile(InitialProfile):
     """Standard Gaussian bump ``W(xi) = exp(-xi^2 / 2)`` (self-dual)."""
 
-    def __init__(self, cutoff: float = 1e-14):
-        if not 0.0 < cutoff < 1e-2:
-            raise ConfigError(f"cutoff must lie in (0, 1e-2), got {cutoff!r}")
-        self.cutoff = cutoff
-        self._radius = float(np.sqrt(-2.0 * np.log(cutoff)))
+    _radius = float(np.sqrt(-2.0 * np.log(InitialProfile.cutoff)))  # W(_radius) = cutoff
 
     @property
     def is_even(self) -> bool:
@@ -151,7 +146,7 @@ class TableProfile(InitialProfile):
     (~1800 for a unit Gaussian on [-6, 8] centred at 1, ends 2.3e-11).
     """
 
-    def __init__(self, xi: np.ndarray, values: np.ndarray, cutoff: float = 1e-14):
+    def __init__(self, xi: np.ndarray, values: np.ndarray):
         xi = np.asarray(xi, dtype=float)
         values = np.asarray(values, dtype=float)
         if xi.ndim != 1 or xi.size < 4:
@@ -162,9 +157,6 @@ class TableProfile(InitialProfile):
             raise ConfigError("profile table contains non-finite entries")
         if np.any(np.diff(xi) <= 0.0):
             raise ConfigError("profile table abscissae must be strictly increasing")
-        if not 0.0 < cutoff < 1e-2:
-            raise ConfigError(f"cutoff must lie in (0, 1e-2), got {cutoff!r}")
-        self.cutoff = cutoff
         self._xi = xi
         self._values = values
         # imported here: only tables need the spline module, a heavy import
@@ -243,7 +235,7 @@ class TableProfile(InitialProfile):
         return np.inf
 
 
-def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
+def load_profile_table(path: str | Path) -> TableProfile:
     """Read a two-column CSV ``xi,w`` (with optional header) into a profile."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -265,7 +257,7 @@ def load_profile_table(path: str | Path, cutoff: float = 1e-14) -> TableProfile:
         values.append(b)
     if len(xi) < 4:
         raise ConfigError(f"profile table {path} has fewer than 4 usable rows")
-    return TableProfile(np.asarray(xi), np.asarray(values), cutoff=cutoff)
+    return TableProfile(np.asarray(xi), np.asarray(values))
 
 
 def _half_span(profile: InitialProfile, delta: float) -> float:
@@ -347,8 +339,6 @@ def _image_order(profile: InitialProfile, delta: float, p: np.ndarray) -> int | 
     if not isinstance(profile, GaussianProfile):
         return None
     half = _half_span(profile, delta)
-    if not 2.0 * math.ceil(profile.hat_radius() * delta / np.pi) + 1.0 < half:
-        return None  # too few sites even at p = 0 (delta ~ 1), known without scanning p
     k_max = np.ceil((np.max(np.abs(p), initial=0.0) + profile.hat_radius()) * delta / np.pi)
     return int(k_max) if 2.0 * k_max + 1.0 < half else None  # nan, inf: site sum
 

@@ -48,8 +48,8 @@ _SQRT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _TINY = np.finfo(float).tiny
 
-#: Default ``h^2 / mu^3`` band classified as weak dispersion.
-DEFAULT_REGIME_BAND = (0.1, 10.0)
+#: The ``h^2 / mu^3`` band classified as weak dispersion.
+REGIME_BAND = (0.1, 10.0)
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,8 @@ class LongwaveRegime:
             raise ConfigError(f"unknown regime label {self.regime!r}")
 
 
-def classify_regime(
-    params: LatticeParams, mu: float, band: tuple[float, float] = DEFAULT_REGIME_BAND
-) -> LongwaveRegime:
-    """Classify ``h^2 / mu^3`` against the weak-dispersion ``band``.
+def classify_regime(params: LatticeParams, mu: float) -> LongwaveRegime:
+    """Classify ``h^2 / mu^3`` against the weak-dispersion :data:`REGIME_BAND` ``[0.1, 10]``.
 
     Below the band the cubic term is negligible over O(1) times
     (``wave_equation``); inside it both transport and dispersion matter
@@ -83,13 +81,11 @@ def classify_regime(
     """
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
-    if not 0.0 < band[0] < band[1]:
-        raise ConfigError(f"regime band must satisfy 0 < lo < hi, got {band!r}")
     with np.errstate(over="ignore", divide="ignore"):  # mu**3 past the float range
         ratio = float(np.float64(params.h) ** 2 / np.float64(mu) ** 3)
-    if ratio < band[0]:
+    if ratio < REGIME_BAND[0]:
         regime = "wave_equation"
-    elif ratio <= band[1]:
+    elif ratio <= REGIME_BAND[1]:
         regime = "weak_dispersion"
     else:
         regime = "strong_dispersion"
@@ -279,8 +275,6 @@ def residual_pde_check(
     t: float,
     *,
     equation: str = "dispersive6",
-    dx: float | None = None,
-    dt: float | None = None,
 ) -> float:
     """Normalized finite-difference residual of a continuum evaluator.
 
@@ -290,8 +284,11 @@ def residual_pde_check(
     (whose symbol is the exact square of the cubic phase ``c k - q h^2
     k^3 / 3``).  Spatial derivatives use 13-point central stencils and
     the time derivative a 7-point stencil, sampled by extra calls to
-    ``field_fn``; the sup-norm residual is normalized by the larger of
-    the ``U_tt`` and ``c^2 U_xx`` scales so the result is dimensionless.
+    ``field_fn``.  The space step is an eighth of the narrower of ``mu``
+    and the Airy width ``h^{2/3} (q t)^{1/3}``; the time step is half the
+    time the sound takes to cross it, and at most ``t / 8``.  The sup-norm
+    residual is normalized by the larger of the ``U_tt`` and ``c^2 U_xx``
+    scales so the result is dimensionless.
     """
     if equation not in ("wave", "dispersive6"):
         raise ConfigError(f"equation must be 'wave' or 'dispersive6', got {equation!r}")
@@ -301,15 +298,13 @@ def residual_pde_check(
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
-    if dx is None:
-        width = mu
-        if t > 0.0:
-            width = min(width, params.h ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0))
-        dx = width / 8.0
-    if dt is None:
-        dt = dx / (2.0 * c)
-        if t > 0.0:
-            dt = min(dt, t / 8.0)
+    width = mu
+    if t > 0.0:
+        width = min(width, params.h ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0))
+    dx = width / 8.0
+    dt = dx / (2.0 * c)
+    if t > 0.0:
+        dt = min(dt, t / 8.0)
 
     x_off = np.arange(-6, 7)
     t_off = np.arange(-3, 4)

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Quadratic-extrapolation stencil ``f(z) = c0 f(0) + c1 f(-z) + c2 f(-2z)``.
-DEFAULT_STENCIL = (3.0, -3.0, 1.0)
+STENCIL = (3.0, -3.0, 1.0)
 
 #: Switch from the uniform form to the front form at ``front - 0.01 width``.
 #: The stationary-point machinery stays numerically stable essentially up
@@ -116,22 +116,16 @@ def split_about_pstar(
     return f1, f2
 
 
-def three_point_continue(
-    f: Callable[[np.ndarray], np.ndarray],
-    z,
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL,
-):
+def three_point_continue(f: Callable[[np.ndarray], np.ndarray], z):
     """Quadratic extrapolation of ``f`` (defined for ``z <= 0``) to ``z > 0``.
 
-    ``f(z) ~= c0 f(0) + c1 f(-z) + c2 f(-2z)`` with the default stencil
-    ``(3, -3, 1)`` -- exact for polynomials of degree <= 2.  ``stencil``
-    is exposed because one printed source uses ``(3, -3, 2)`` for the
-    optical amplitudes; see the project ledger for the comparison.
+    ``f(z) ~= 3 f(0) - 3 f(-z) + f(-2z)`` (:data:`STENCIL`), exact for
+    polynomials of degree <= 2.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < 0.0):
         raise ConfigError("three_point_continue expects z >= 0 (continuation side)")
-    c0, c1, c2 = stencil
+    c0, c1, c2 = STENCIL
     out = (
         c0 * np.asarray(f(np.zeros_like(z_arr)))
         + c1 * np.asarray(f(-z_arr))
@@ -145,7 +139,6 @@ def three_point_continue(
 def _split_with_continuation(
     split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     z: np.ndarray,
-    stencil: tuple[float, float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a ``z >= 0`` split on a mixed-sign grid.
 
@@ -159,7 +152,7 @@ def _split_with_continuation(
     if np.any(pos):
         v1[pos], v2[pos] = split(z[pos])
     if np.any(~pos):
-        v1[~pos], v2[~pos] = three_point_continue(lambda s: split(-s), -z[~pos], stencil)
+        v1[~pos], v2[~pos] = three_point_continue(lambda s: split(-s), -z[~pos])
     return v1, v2
 
 
@@ -306,7 +299,6 @@ def _front_airy(
     x,
     t: float,
     front: str,
-    stencil: tuple[float, float, float],
     branch: int,
 ) -> np.ndarray:
     """Airy form of one branch near its front, about its critical momentum ``p_c``.
@@ -348,7 +340,7 @@ def _front_airy(
         ai_arg = -(x_arr + speed * t) / width
         phase = (p_c * x_arr - omega_c * t) / mu
         deriv_sign = -1.0
-    f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), z, stencil)
+    f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), z)
     ai, aip = airy_ai_pair(ai_arg)
     combo = f1 * ai[:, None] + deriv_sign * 1j * cube * f2 * aip[:, None]
     carrier = np.exp(1j * phase)
@@ -363,8 +355,6 @@ def acoustic_front_airy(
     x,
     t: float,
     front: str = "right",
-    *,
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL,
 ) -> np.ndarray:
     """Airy representation of the acoustic mode near a front ``x = +-ct``.
 
@@ -373,7 +363,7 @@ def acoustic_front_airy(
     even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
     (heavy, light components).
     """
-    return _front_airy(params, profile, mu, x, t, front, stencil, ACOUSTIC)
+    return _front_airy(params, profile, mu, x, t, front, ACOUSTIC)
 
 
 def optical_front_airy(
@@ -383,8 +373,6 @@ def optical_front_airy(
     x,
     t: float,
     front: str = "right",
-    *,
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL,
 ) -> np.ndarray:
     """Airy-envelope representation of the optical mode near ``x = +-c*t``.
 
@@ -393,7 +381,7 @@ def optical_front_airy(
     front ``+``) and weight 2.  The output oscillates at the carrier
     wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
-    return _front_airy(params, profile, mu, x, t, front, stencil, OPTICAL)
+    return _front_airy(params, profile, mu, x, t, front, OPTICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +420,6 @@ def acoustic_uniform(
     mu: float,
     x,
     t: float,
-    *,
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL,
 ) -> np.ndarray:
     """Uniform acoustic evaluator on the whole line.
 
@@ -468,9 +454,7 @@ def acoustic_uniform(
         front_speed=disp.sound_speed,
         width=width,
         interior_fn=interior,
-        front_fn=lambda xs, side: acoustic_front_airy(
-            params, profile, mu, xs, t, side, stencil=stencil
-        ),
+        front_fn=lambda xs, side: acoustic_front_airy(params, profile, mu, xs, t, side),
     )
 
 
@@ -480,8 +464,6 @@ def optical_uniform(
     mu: float,
     x,
     t: float,
-    *,
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL,
 ) -> np.ndarray:
     """Uniform optical evaluator on the whole line.
 
@@ -523,9 +505,7 @@ def optical_uniform(
         front_speed=crit.c_star,
         width=width,
         interior_fn=interior,
-        front_fn=lambda xs, side: optical_front_airy(
-            params, profile, mu, xs, t, side, stencil=stencil
-        ),
+        front_fn=lambda xs, side: optical_front_airy(params, profile, mu, xs, t, side),
     )
 
 
@@ -535,8 +515,6 @@ def shortwave_total(
     mu: float,
     x,
     t: float,
-    *,
-    stencil: tuple[float, float, float] = DEFAULT_STENCIL,
 ) -> WaveField:
     """Sum of the uniform acoustic and optical evaluators as a field.
 
@@ -545,8 +523,8 @@ def shortwave_total(
     near ``|x| = c* t``.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    total = acoustic_uniform(params, profile, mu, x_arr, t, stencil=stencil)
-    total = total + optical_uniform(params, profile, mu, x_arr, t, stencil=stencil)
+    total = acoustic_uniform(params, profile, mu, x_arr, t)
+    total = total + optical_uniform(params, profile, mu, x_arr, t)
     return WaveField(
         x=x_arr,
         u=total[:, 0],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -103,7 +104,6 @@ rtol = 1e-9
 atol = 1e-14
 nodes_per_cycle = 12
 max_doublings = 4
-stencil = 3, -3, 2
 front_side = left
 dispersion_points = 11
 
@@ -120,7 +120,6 @@ window_max = 0.2
     assert config.times == (0.3,)
     assert config.methods == ("gaussian_airy", "dalembert")
     assert config.rtol == 1e-9
-    assert config.stencil == (3.0, -3.0, 2.0)
     assert config.front_side == "left"
     assert config.dispersion_points == 11
     assert config.compare_window == (-0.2, 0.2)
@@ -165,6 +164,46 @@ def test_load_config_n_atoms_route(tmp_path):
 def test_load_config_rejects_malformed(tmp_path, mutate):
     with pytest.raises(ConfigError):
         cli.load_config(_write(tmp_path, mutate(BASE)))
+
+
+@pytest.mark.parametrize(
+    "window, named",
+    [
+        ("0.3, -0.3", "needs window_min < window_max"),
+        ("0.2, 0.2", "needs window_min < window_max"),
+        ("0.6, 0.9", "miss the [grid] window"),
+        ("-2.0, -0.51", "miss the [grid] window"),
+    ],
+)
+def test_bad_compare_window_is_refused_on_load(tmp_path, capsys, window, named):
+    # an inverted window used to run every method and only then find no grid points
+    lo, hi = window.split(", ")
+    path = _write(tmp_path, BASE + f"\n[compare]\nwindow_min = {lo}\nwindow_max = {hi}\n")
+    with pytest.raises(ConfigError, match="window_min"):
+        cli.load_config(path)
+    for command in ("simulate", "compare"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_header_echoes_every_config_field(tmp_path):
+    # a field without its echo lets two different runs write identical headers
+    keys = {
+        "params": ["lattice.gamma1", "lattice.gamma2", "lattice.h"],
+        "profile": ["profile.kind"],
+        "profile_kind": ["profile.kind"],
+        "mu": ["scale.mu"],
+        "times": ["times.values"],
+        "methods": ["methods.names"],
+        "compare_window": ["compare.window"],
+        **{name: [f"grid.{name}"] for name in ("x_min", "x_max", "points")},
+        **{name: [f"numerics.{name}"] for name in cli._KNOWN_KEYS["numerics"]},
+    }
+    assert set(keys) == {field.name for field in dataclasses.fields(cli.ScenarioConfig)}
+    text = BASE + "\n[compare]\nwindow_min = -0.2\nwindow_max = 0.2\n"
+    header = cli.load_config(_write(tmp_path, text)).header()
+    assert [key for group in keys.values() for key in group if key not in header] == []
 
 
 def test_load_config_missing_file(tmp_path):
@@ -425,8 +464,6 @@ def test_numerical_failure_exit_code(tmp_path):
         lambda s: s.replace("values = 0.3", "values = 0.3, nan"),
         lambda s: s.replace("values = 0.3", "values = inf"),
         lambda s: s + "\n[numerics]\nrtol = nan\n",
-        lambda s: s + "\n[numerics]\nstencil = 3, -3, inf\n",
-        lambda s: s + "\n[numerics]\nstencil = 3, -3, two\n",
         lambda s: s + "\n[compare]\nwindow_min = -inf\nwindow_max = 0.2\n",
     ],
 )
@@ -504,6 +541,11 @@ def test_nonsense_tolerances_exit_2_before_any_work(tmp_path, capsys, setting, n
     [
         ("\n[numerics]\nrtoll = 1e-3\n", "unknown key 'rtoll' in [numerics]; known keys: rtol, atol"),
         ("\n[numeric]\nrtol = 1e-3\n", "unknown section [numeric]; known sections: [lattice]"),
+        (
+            "\n[numerics]\nstencil = 3, -3, 1\n",
+            "unknown key 'stencil' in [numerics]; known keys: rtol, atol, nodes_per_cycle, "
+            "max_doublings, dispersion_points, front_side",
+        ),
     ],
 )
 def test_unknown_config_keys_exit_2(tmp_path, capsys, extra, named):
@@ -574,7 +616,6 @@ rtol = 1e-9
 atol = 1e-14
 nodes_per_cycle = 12
 max_doublings = 5
-stencil = 3, -3, 2
 front_side = left
 """
 
@@ -583,7 +624,6 @@ def _library_field(method, params, profile, mu, x, t):
     """``(x, u, v)`` of ``method`` by a direct library call, with the
     settings of ``_WIRING_NUMERICS``."""
     band = dict(rtol=1e-9, atol=1e-14, nodes_per_cycle=12.0, max_doublings=5)
-    stencil = (3.0, -3.0, 2.0)
     if method == "ode":
         states, _ = integrate_lattice(params, profile, mu, (t,))
         cells = states[0].to_staggered_field()
@@ -600,17 +640,13 @@ def _library_field(method, params, profile, mu, x, t):
         }[method]()
         return x, amp, amp
     if method == "shortwave_total":
-        fld = shortwave_total(params, profile, mu, x, t, stencil=stencil)
+        fld = shortwave_total(params, profile, mu, x, t)
         return x, fld.u, fld.v
     pair = {
-        "acoustic_uniform": lambda: acoustic_uniform(params, profile, mu, x, t, stencil=stencil),
-        "optical_uniform": lambda: optical_uniform(params, profile, mu, x, t, stencil=stencil),
-        "acoustic_front": lambda: acoustic_front_airy(
-            params, profile, mu, x, t, "left", stencil=stencil
-        ),
-        "optical_front": lambda: optical_front_airy(
-            params, profile, mu, x, t, "left", stencil=stencil
-        ),
+        "acoustic_uniform": lambda: acoustic_uniform(params, profile, mu, x, t),
+        "optical_uniform": lambda: optical_uniform(params, profile, mu, x, t),
+        "acoustic_front": lambda: acoustic_front_airy(params, profile, mu, x, t, "left"),
+        "optical_front": lambda: optical_front_airy(params, profile, mu, x, t, "left"),
     }[method]()
     return x, pair[:, 0], pair[:, 1]
 
@@ -730,7 +766,6 @@ def _fuzz_scenario(table: str, kind: str) -> dict:
         ("numerics", "nodes_per_cycle"): "10",
         ("numerics", "max_doublings"): "6",
         ("numerics", "dispersion_points"): "11",
-        ("numerics", "stencil"): "3, -3, 1",
         ("numerics", "front_side"): "right",
     }
 

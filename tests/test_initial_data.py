@@ -44,13 +44,6 @@ def test_gaussian_self_dual(gaussian):
     assert np.exp(-0.5 * r * r) <= gaussian.cutoff * (1.0 + 1e-12)
 
 
-def test_gaussian_cutoff_validation():
-    with pytest.raises(ConfigError):
-        GaussianProfile(cutoff=0.0)
-    with pytest.raises(ConfigError):
-        GaussianProfile(cutoff=0.5)
-
-
 def _gaussian_tail(r: float) -> float:
     """``int_{|p| >= r} e^{-p^2/2} dp`` by adaptive quadrature (relative 1e-13)."""
     return 2.0 * quad(lambda p: math.exp(-0.5 * p * p), r, math.inf, epsabs=0.0, epsrel=1e-13)[0]

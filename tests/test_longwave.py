@@ -54,8 +54,6 @@ def test_classify_regime_past_the_float_range(desk):
 
 def test_classify_regime_validation(desk):
     with pytest.raises(ConfigError):
-        classify_regime(desk(0.01), 0.05, band=(1.0, 0.5))
-    with pytest.raises(ConfigError):
         classify_regime(desk(0.01), -0.05)
     with pytest.raises(ConfigError):
         LongwaveRegime(h=0.01, mu=0.05, ratio=1.0, regime="mystery")

@@ -97,10 +97,6 @@ def test_three_point_continue_quadratic_exact():
     out = three_point_continue(quad, 0.5)
     assert np.ndim(out) == 0
     assert_allclose(out, quad(0.5), rtol=1e-13)
-    # a different stencil gives a genuinely different continuation
-    alt = three_point_continue(lambda z: np.exp(z), 1.0, stencil=(3.0, -3.0, 2.0))
-    default = three_point_continue(lambda z: np.exp(z), 1.0)
-    assert abs(alt - default) > 0.1
     with pytest.raises(ConfigError):
         three_point_continue(quad, -1.0)
 
