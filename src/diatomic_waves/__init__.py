@@ -12,7 +12,8 @@ ratio ``delta = h / mu`` of lattice step to excitation width:
   Airy-envelope evaluators;
 * ``dispersion``, ``initial_data``, ``airy`` — the shared machinery:
   branch frequencies and modal projectors, semi-discrete spectral data,
-  and the Airy function (scipy.special plus a large-argument tail).
+  and the Airy function (series, Laplace integral and large-argument tail,
+  all in numpy).
 """
 
 from .airy import (

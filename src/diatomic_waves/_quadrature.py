@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigError, QuadratureError
 
@@ -171,6 +170,27 @@ def _chirp(half: float, k: np.ndarray) -> np.ndarray:
     return _cis((t - n * _TWO_PI_HI) - n * _TWO_PI_LO + (half - lead) * k2)
 
 
+@lru_cache(maxsize=None)
+def _next_fast_len(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c 7^d 11^e >= n``: the lengths pocketfft, behind
+    ``numpy.fft``, transforms fastest (``scipy.fft.next_fast_len`` for complex data)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:  # the least p3 * 2^k >= n
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """Chirp-z transform ``f(h)[i] = sum_j h[j] exp(i alpha j i)`` for ``i < m``.
 
@@ -180,15 +200,17 @@ def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]
     in ``O((n + m) log(n + m))``; the chirp's transform is computed once here.
     """
     half = 0.5 * alpha
-    pre = _chirp(half, np.arange(n, dtype=float))[:, None]
-    size = sfft.next_fast_len(n + m - 1)
+    pre = _chirp(half, np.arange(n, dtype=float))
+    size = _next_fast_len(n + m - 1)
     k = np.concatenate((np.arange(m), np.arange(m - size, 0)), dtype=float)
-    chirp_hat = sfft.fft(_chirp(-half, k))[:, None]
-    post = _chirp(half, np.arange(m, dtype=float))[:, None]
+    chirp_hat = np.fft.fft(_chirp(-half, k))
+    post = _chirp(half, np.arange(m, dtype=float))
 
     def apply(h: np.ndarray) -> np.ndarray:
-        spectrum = sfft.fft(h * pre, size, axis=0) * chirp_hat
-        return post * sfft.ifft(spectrum, axis=0, overwrite_x=True)[:m]
+        # numpy.fft runs fastest along a contiguous last axis: transform h.T
+        spectrum = np.fft.fft(np.multiply(h.T, pre, order="C"), size)
+        spectrum *= chirp_hat
+        return (post * np.fft.ifft(spectrum)[:, :m]).T
 
     return apply
 

@@ -432,6 +432,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
                     f"[compare] window_min, window_max = {lo!r}, {hi!r} miss the [grid] "
                     f"window [{x_min!r}, {x_max!r}]"
                 )
+            step = params.h / mu * mu if "ode" in methods else None
+            if not _window_holds_a_point(lo, hi, x_min, x_max, points, step):
+                where = "cell of the chain (x = 2 k h)" if "ode" in methods else "[grid] point"
+                raise ConfigError(
+                    f"[compare] window_min, window_max = {lo!r}, {hi!r} hold no {where}; widen it"
+                )
             kw["compare_window"] = (lo, hi)
 
     config = ScenarioConfig(
@@ -441,6 +447,23 @@ def load_config(path: str | Path) -> ScenarioConfig:
     for method in methods:
         METHODS[method].check(config, method)
     return config
+
+
+def _window_holds_a_point(
+    lo: float, hi: float, x_min: float, x_max: float, points: int, step: float | None
+) -> bool:
+    """Whether ``[lo, hi]`` holds a point of the grid ``compare`` compares on: the
+    ``[grid]`` points, or, given the chain's site spacing ``step`` (``ode`` among
+    the methods), its cells ``x = 2 k step`` inside the ``[grid]`` window."""
+    a, b = max(lo, x_min), min(hi, x_max)
+    if step is None:
+        x = np.linspace(x_min, x_max, points)
+    elif b - a > 4.0 * step:
+        return True
+    else:  # the cells about [a, b], formed as integrate_lattice forms them
+        k = np.arange(np.floor(a / (2.0 * step)) - 1.0, np.ceil(b / (2.0 * step)) + 2.0)
+        x = (2.0 * k) * step
+    return bool(np.any((x >= a) & (x <= b)))
 
 
 def _echo_scenario(config: ScenarioConfig, out) -> None:

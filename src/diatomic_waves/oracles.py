@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from ._quadrature import _check_numerics, synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
@@ -154,6 +153,28 @@ def _chain_modes(g1: float, g2: float, n: int):
     return np.sqrt(lam_plus), np.sqrt(lam_minus), np.cos(theta), np.sin(theta)
 
 
+def _dst(x: np.ndarray, kind: int, inverse: bool = False) -> np.ndarray:
+    """Orthonormal DST-I (``kind = 1``, its own inverse) or DST-II of ``x``, or
+    the inverse of the latter (DST-III), as ``scipy.fft.dst``/``idst`` with
+    ``norm="ortho"`` define them.  Each is one real FFT of a zero-padded
+    sequence: ``sum_m v_m sin(2 pi k m / L) = -Im rfft(v)[k]``.
+    """
+    n = x.size
+    if kind == 1:  # sqrt(2 / (n + 1)) sum_j x_j sin(pi (j + 1)(k + 1) / (n + 1))
+        v = np.zeros(2 * n + 2)
+        v[1 : n + 1] = x
+        return -np.fft.rfft(v)[1 : n + 1].imag * np.sqrt(2.0 / (n + 1))
+    # 2 f_k sum_j x_j sin(pi (k + 1)(2 j + 1) / (2 n)), f_k = 1 / sqrt(2 n) but 1 / sqrt(4 n) at k = n - 1
+    scale = np.full(n, np.sqrt(2.0 / n))
+    scale[-1] = np.sqrt(1.0 / n)
+    v = np.zeros(4 * n)
+    if inverse:  # the transpose: k and j swap roles
+        v[1 : n + 1] = x * scale
+        return -np.fft.rfft(v)[1 : 2 * n : 2].imag
+    v[1 : 2 * n : 2] = x
+    return -np.fft.rfft(v)[1 : n + 1].imag * scale
+
+
 def _propagate(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
     """Exact motion from rest of a chain of ``2n + 1`` sites, heavy at even
     positions, with both end sites held at their initial values.
@@ -170,8 +191,8 @@ def _propagate(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
     static = w0[0] * (1.0 - s) + w0[-1] * s  # exact at both ends
     free = w0 - static
     r1, r2 = np.sqrt(g1), np.sqrt(g2)
-    y1 = dst(free[2:-1:2] / r1, type=1, norm="ortho")
-    y2 = dst(free[1::2] / r2, type=2, norm="ortho")
+    y1 = _dst(free[2:-1:2] / r1, 1)
+    y2 = _dst(free[1::2] / r2, 2)
     om_opt, om_ac, cs, sn = _chain_modes(g1, g2, n)
     omega = np.concatenate([om_opt, om_ac, [np.sqrt(2.0 * g2)]])
     z = np.concatenate([cs * y1 + sn * y2[:-1], cs * y2[:-1] - sn * y1, y2[-1:]])
@@ -179,10 +200,8 @@ def _propagate(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
     def sites(coeff: np.ndarray, base: np.ndarray) -> np.ndarray:
         opt, ac, top = coeff[: n - 1], coeff[n - 1 : 2 * n - 2], coeff[2 * n - 2 :]
         out = base.copy()
-        out[2:-1:2] += r1 * idst(cs * opt - sn * ac, type=1, norm="ortho")
-        out[1::2] += r2 * idst(
-            np.concatenate([sn * opt + cs * ac, top]), type=2, norm="ortho"
-        )
+        out[2:-1:2] += r1 * _dst(cs * opt - sn * ac, 1)
+        out[1::2] += r2 * _dst(np.concatenate([sn * opt + cs * ac, top]), 2, inverse=True)
         return out
 
     rest = np.zeros_like(w0)

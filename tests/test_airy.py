@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy import special
 
 import _reference as ref
 from diatomic_waves import airy
@@ -151,6 +155,119 @@ def test_tail_switch_sides_match_mpmath():
     # one ulp below the switch moves the scaled value by ~1e-16 relative
     for z in (np.nextafter(switch, 0.0), switch):
         assert_allclose(airy_ai_scaled(z), ref.AIRY_SCALED_TABLE[switch], rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels: series, Gauss-Laguerre ladder, their switches
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _envelope(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale of (Ai, Ai'): ``x^{-+1/4} / sqrt(pi)`` with ``x = max(|z|, 1)``, times
+    ``e^{-zeta} / 2`` on ``z > 0``."""
+    x = np.maximum(np.abs(z), 1.0)
+    decay = np.where(z > 0.0, 0.5 * np.exp(-(2.0 / 3.0) * np.abs(z) ** 1.5), 1.0)
+    return decay * x**-0.25 / np.sqrt(np.pi), decay * x**0.25 / np.sqrt(np.pi)
+
+
+def _bound(z: np.ndarray, ulps) -> tuple[np.ndarray, np.ndarray]:
+    """``_phase_conditioned_bound`` plus ``ulps`` eps of the envelope."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at z = 0
+        phase_ai, phase_aip = (np.nan_to_num(b) for b in _phase_conditioned_bound(z))
+    env_ai, env_aip = _envelope(z)
+    return phase_ai + ulps * _EPS * env_ai, phase_aip + ulps * _EPS * env_aip
+
+
+def _scipy_ulps(z: np.ndarray) -> np.ndarray:
+    """Envelope ulps allowed against scipy: 8, but 256 on ``0 < z < 3.5``, where
+    ``scipy.special.airy`` and ``airye`` are themselves off by up to ~190 ulps
+    of the envelope against 40-digit mpmath (this evaluator: 19)."""
+    return np.where((z > 0.0) & (z < 3.5), 256.0, 8.0)
+
+
+#: the whole range below the tail, and more often the switches near the origin
+_FINITE_Z = st.one_of(st.floats(-1e4, 1e4), st.floats(-25.0, 25.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(z=hnp.arrays(np.float64, st.integers(1, 40), elements=_FINITE_Z))
+def test_pair_against_scipy(z):
+    ai, aip = airy_ai_pair(z)
+    ref_ai, ref_aip, _, _ = special.airy(z)
+    bound_ai, bound_aip = _bound(z, _scipy_ulps(z))
+    # past z ~ 104 both underflow: their difference is below the smallest normal
+    assert np.all(np.abs(ai - ref_ai) <= np.maximum(bound_ai, 1e-300))
+    assert np.all(np.abs(aip - ref_aip) <= np.maximum(bound_aip, 1e-300))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(z=hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 25.0))))
+def test_scaled_against_scipy(z):
+    scale = 0.5 * np.maximum(z, 1.0) ** -0.25 / np.sqrt(np.pi)  # the envelope without e^{-zeta}
+    got = airy_ai_scaled(z)
+    assert np.all(np.abs(got - special.airye(z)[0]) <= _scipy_ulps(z) * _EPS * scale)
+
+
+def _branch(z: float) -> tuple:
+    """What serves ``z``: the series, or the integrals' Gauss-Laguerre rung."""
+    if airy._SERIES_LOW < z < airy._SERIES_HIGH:
+        return ("series",)
+    edges = airy._DECAYING_EDGES if z > 0.0 else airy._OSCILLATING_EDGES
+    zeta = (2.0 / 3.0) * np.abs(np.array([z])) ** 1.5
+    return ("integral", z > 0.0, int(edges.searchsorted(zeta, side="right")[0]))
+
+
+def _switch_pairs() -> list[tuple[float, float]]:
+    """The frozen switch points: each branch's first float, then its neighbour."""
+    zs = list(ref.AIRY_SWITCH_TABLE)
+    return list(zip(zs[::2], zs[1::2]))
+
+
+def test_frozen_switch_points_bracket_every_switch():
+    pairs = _switch_pairs()
+    for first, other in pairs:
+        assert other == np.nextafter(first, 0.0)
+        assert _branch(first) != _branch(other)
+    # every switch below the tail is frozen: the two series ends and each rung step
+    steps = 2 + np.count_nonzero(airy._DECAYING_EDGES) + np.count_nonzero(airy._OSCILLATING_EDGES)
+    assert len({(_branch(a), _branch(b)) for a, b in pairs}) == len(pairs) == steps
+
+
+def test_switch_points_match_mpmath():
+    z = np.array(list(ref.AIRY_SWITCH_TABLE))
+    ai_ref, aip_ref, scaled_ref = (np.array(col, dtype=float) for col in zip(*ref.AIRY_SWITCH_TABLE.values()))
+    ai, aip = airy_ai_pair(z)
+    bound_ai, bound_aip = _bound(z, 8.0)
+    assert np.all(np.abs(ai - ai_ref) <= bound_ai)
+    assert np.all(np.abs(aip - aip_ref) <= bound_aip)
+    pos = z > 0.0
+    assert_allclose(airy_ai_scaled(z[pos]), scaled_ref[pos], rtol=8.0 * _EPS)
+
+
+def test_switches_are_seamless():
+    # one ulp either side of each switch, after the function's own first-order
+    # change, the two branches agree to a few ulps of the envelope
+    for first, other in _switch_pairs():
+        z = np.array([first, other])
+        ai, aip = airy_ai_pair(z)
+        dz = first - other
+        bound_ai, bound_aip = _bound(z[:1], 4.0)
+        assert abs(ai[0] - ai[1] - dz * aip[1]) <= bound_ai[0]
+        assert abs(aip[0] - aip[1] - dz * first * ai[1]) <= bound_aip[0]
+        if first > 0.0:
+            scaled = airy_ai_scaled(z)
+            assert_allclose(scaled[0], scaled[1], rtol=4.0 * _EPS)
+
+
+def test_values_do_not_depend_on_the_array():
+    # each point is summed alone, so a value is the same in any array and as a scalar
+    z = np.array(list(ref.AIRY_SWITCH_TABLE) + [-40.0, -2.0, -0.3, 0.0, 0.7, 2.2, 9.0, 30.0])
+    ai, aip = airy_ai_pair(z)
+    for k in range(z.size):
+        assert airy_ai_pair(float(z[k])) == (ai[k], aip[k])
+        assert np.array_equal(airy_ai_pair(z[k:][::-1])[0][-1:], ai[k : k + 1])
 
 
 def test_nan_in_nan_out():

@@ -187,6 +187,68 @@ def test_bad_compare_window_is_refused_on_load(tmp_path, capsys, window, named):
     assert not (tmp_path / "o").exists()
 
 
+def _count_work(monkeypatch) -> list[str]:
+    """Record every evaluator call and every chain integration the CLI makes."""
+    calls: list[str] = []
+    for name, method in list(cli.METHODS.items()):
+        if method.evaluate is not None:
+            def counted(*args, _name=name, _evaluate=method.evaluate):
+                calls.append(_name)
+                return _evaluate(*args)
+
+            monkeypatch.setitem(cli.METHODS, name, method._replace(evaluate=counted))
+
+    def integrate(*args, **kwargs):
+        calls.append("ode")
+        return integrate_lattice(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_lattice", integrate)
+    return calls
+
+
+def test_window_between_grid_points_is_refused_before_any_method(tmp_path, monkeypatch, capsys):
+    # the window sits between the grid points 0.1 and 0.1125: every method used to
+    # run (about 0.8 s) before compare_fields found nothing to compare
+    calls = _count_work(monkeypatch)
+    text = BASE.replace(
+        "names = gaussian_airy, dalembert", "names = quadrature_full, gaussian_airy, dalembert"
+    )
+    path = _write(tmp_path, text + "\n[compare]\nwindow_min = 0.1001\nwindow_max = 0.1002\n")
+    assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[compare] window_min, window_max = 0.1001, 0.1002 hold no [grid] point" in err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "methods, window, code",
+    [
+        # the chain's cells sit at x = 2 k h = 0.016 k: 0.096, 0.112, ...
+        ("dalembert, ode", "0.0999, 0.1001", 2),  # holds the grid point 0.1, no cell
+        ("dalembert, ode", "0.1001, 0.1002", 2),
+        ("dalembert, ode", "0.1115, 0.1125", 0),  # holds the cell 0.112
+        ("dalembert, gaussian_airy", "0.0999, 0.1001", 0),
+    ],
+)
+def test_window_is_checked_on_the_compared_grid(tmp_path, monkeypatch, capsys, methods, window, code):
+    """With ``ode`` the fields are compared on the chain's cells, without it on
+    the grid; the window is refused on load exactly when it holds none of them."""
+    calls = _count_work(monkeypatch)
+    lo, hi = window.split(", ")
+    text = BASE.replace("names = gaussian_airy, dalembert", f"names = {methods}")
+    path = _write(tmp_path, text + f"\n[compare]\nwindow_min = {lo}\nwindow_max = {hi}\n")
+    assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        where = "cell of the chain (x = 2 k h)" if "ode" in methods else "[grid] point"
+        assert f"hold no {where}; widen it" in err
+        assert calls == []
+    else:
+        report = (tmp_path / "o" / "compare_report.txt").read_text()
+        assert ".n_points = 1\n" in report
+
+
 def test_header_echoes_every_config_field(tmp_path):
     # a field without its echo lets two different runs write identical headers
     keys = {
@@ -235,39 +297,67 @@ def test_load_config_table_profile(tmp_path, gaussian):
 
 #: Run in a fresh interpreter: start-up as the CLI sees it, then a table.
 _IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import numpy as np
 import diatomic_waves
 import diatomic_waves.cli
 diatomic_waves.cli.load_config(sys.argv[1])
-heavy = ("scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.linalg")
-at_start = [name for name in heavy if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        diatomic_waves.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[4]]),
+        diatomic_waves.cli.main(["compare", "--config", sys.argv[3], "--out", sys.argv[4]]),
+    ]
+scipy_modules = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 xi = np.linspace(-6.0, 6.0, 41)
 table = diatomic_waves.TableProfile(xi, np.exp(-0.5 * xi * xi))
 print(json.dumps({
     "file": diatomic_waves.__file__,
-    "at_start": at_start,
+    "codes": codes,
+    "scipy_modules": scipy_modules,
     "interpolate_after_table": "scipy.interpolate" in sys.modules,
     "knots": table.value(xi).tolist(),
     "between": float(table.value(0.15)),
 }))
 """
 
+#: delta = 1: the chain, the band quadrature and the short-wave asymptotics
+_SHORTWAVE_PROBE = (
+    BASE.replace("h = 0.008", "h = 0.01").replace("mu = 0.04", "mu = 0.01")
+    .replace("x_min = -0.5", "x_min = -0.3").replace("x_max = 0.5", "x_max = 0.3")
+    .replace("points = 81", "points = 31").replace("values = 0.3", "values = 0.1")
+    .replace("names = gaussian_airy, dalembert", "names = ode, quadrature_full, shortwave_total")
+)
+_LONGWAVE_PROBE = BASE.replace(
+    "names = gaussian_airy, dalembert",
+    "names = quadrature_full, quadrature_acoustic, uas_integral, gaussian_airy, dalembert",
+)
+
 
 def test_start_up_imports_no_heavy_scipy_module(tmp_path):
-    """Importing the package and the CLI and loading a Gaussian scenario must
-    not load ``scipy.optimize`` (with the ``sparse``, ``linalg`` and
-    ``spatial`` it pulls in) or ``scipy.interpolate``: they cost about a third
-    of the start-up time.  A table profile loads the spline module then."""
+    """Importing the package, loading a Gaussian scenario and running the
+    commands the benchmark runs (a ``simulate`` with the chain, the band
+    quadrature and the short-wave asymptotics; a ``compare`` of the long-wave
+    methods) load no scipy module at all: importing ``scipy.fft`` or
+    ``scipy.special`` alone costs about half of the start-up time.  A table
+    profile loads the spline module then."""
     src = str(Path(diatomic_waves.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    args = [
+        str(_write(tmp_path, BASE)),
+        str(_write(tmp_path, _SHORTWAVE_PROBE, "shortwave.ini")),
+        str(_write(tmp_path, _LONGWAVE_PROBE, "longwave.ini")),
+        str(tmp_path / "out"),
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(_write(tmp_path, BASE))],
+        [sys.executable, "-c", _IMPORT_PROBE, *args],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     report = json.loads(proc.stdout)
     assert Path(report["file"]).resolve() == Path(diatomic_waves.__file__).resolve()
-    assert report["at_start"] == []
+    assert report["codes"] == [0, 0]
+    assert len(list((tmp_path / "out").glob("field_*.csv"))) == 3
+    assert (tmp_path / "out" / "compare_report.txt").exists()
+    assert report["scipy_modules"] == []
     assert report["interpolate_after_table"]
     xi = np.linspace(-6.0, 6.0, 41)
     assert_allclose(report["knots"], np.exp(-0.5 * xi * xi), rtol=0, atol=1e-15)

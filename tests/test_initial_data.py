@@ -60,6 +60,26 @@ def test_gaussian_hat_l1_radius_bounds_the_tail(log_tail):
     assert _gaussian_tail(r * (1.0 - 1e-6)) > tail
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(log_tail=st.floats(-303.0, math.log10(1.2)))
+def test_gaussian_hat_l1_radius_matches_erfcinv(log_tail):
+    """The Newton root of ``erfc(y) = tail / sqrt(2 pi)`` is scipy's
+    ``erfcinv`` to a few ulps (both sit 14 to 19 ulps above the 40-digit root
+    once raised by 16 ulps)."""
+    from scipy.special import erfcinv
+
+    tail = 10.0**log_tail
+    expected = math.sqrt(2.0) * erfcinv(tail / math.sqrt(2.0 * math.pi))
+    got = GaussianProfile().hat_l1_radius(tail) / (1.0 + 16.0 * np.finfo(float).eps)
+    assert got == pytest.approx(expected, rel=6.0 * np.finfo(float).eps, abs=0.0)
+
+
+def test_gaussian_hat_l1_radius_past_erfc_range(gaussian):
+    # below tail ~ 2.5e-304 erfc near the root underflows: no bound, no cut
+    assert gaussian.hat_l1_radius(1e-305) == math.inf
+    assert gaussian.hat_l1_radius(5e-324) == math.inf
+
+
 def test_hat_l1_radius_limits(gaussian):
     assert gaussian.hat_l1_radius(0.0) == math.inf
     assert gaussian.hat_l1_radius(math.nan) == math.inf

@@ -395,6 +395,23 @@ def test_propagation_matches_dense_cosine():
         assert_allclose(v[1:-1], v_ref, rtol=0, atol=1e-12 * np.max(np.abs(v_ref)))
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_sine_transform_matches_scipy(kind):
+    """``_dst`` against ``scipy.fft.dst``/``idst`` (``norm="ortho"``) at every
+    length from 1 to 1025: each is an orthonormal map, so the gap is a few
+    eps of ``|x|``."""
+    from scipy.fft import dst, idst
+
+    rng = np.random.default_rng(kind)
+    for n in range(1, 1026):
+        x = rng.standard_normal(n)
+        tol = 8.0 * np.finfo(float).eps * np.linalg.norm(x)
+        assert np.max(np.abs(oracles._dst(x, kind) - dst(x, type=kind, norm="ortho"))) <= tol
+        back = oracles._dst(x, kind, inverse=True)
+        assert np.max(np.abs(back - idst(x, type=kind, norm="ortho"))) <= tol
+        assert_allclose(oracles._dst(oracles._dst(x, kind), kind, inverse=True), x, rtol=0, atol=tol)
+
+
 ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
