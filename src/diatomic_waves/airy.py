@@ -34,7 +34,8 @@ at ``z = -3.5``, 12 from ``zeta`` 5.5 / 7.7 (``z > 0`` / ``z < 0``), 8 from
 10.8 / 12.9, and 4 from 64 / 62.  Each rung starts where its truncation
 error, against the integrals at 30 digits, has fallen below one ulp of
 ``F`` and of the sum that ``Ai'`` takes.  Each point is summed alone, so
-its value does not depend on the array it came in.
+its value does not depend on the array it came in, and long arrays are
+taken 4096 points at a time.
 
 Accuracy against 40-digit mpmath on ``|z| < 50``, in units of the
 envelope ``x^{-1/4} / sqrt(pi)`` (``Ai``) or ``x^{1/4} / sqrt(pi)`` (``Ai'``),
@@ -83,6 +84,10 @@ _SERIES_LOW, _SERIES_HIGH = -3.5, 1.6
 _LADDER_NODES = (40, 32, 24, 20, 16, 12, 10, 8, 6, 5, 4)
 _DECAYING_EDGES = np.array([1.57, 2.27, 2.83, 3.81, 5.52, 7.43, 10.8, 19.6, 30.5, 64.1])
 _OSCILLATING_EDGES = np.array([0.0, 0.0, 4.43, 5.71, 7.74, 9.49, 12.9, 21.4, 32.1, 62.1])
+
+#: Points evaluated together: up to 106 series terms or 40 nodes each, so the
+#: work arrays stay within a few MB whatever the size of the call.
+_BLOCK = 4096
 
 _SQRT_PI = 1.7724538509055160273
 
@@ -196,6 +201,12 @@ def _laplace_oscillating(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _near(z: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
     """``(Ai, Ai')`` for finite ``|z| < _TAIL_SWITCH``; times ``e^{zeta}`` if
     ``scaled``, which needs ``z >= 0``."""
+    if z.size > _BLOCK:
+        flat = z.ravel()
+        ai, aip = np.empty_like(flat), np.empty_like(flat)
+        for i in range(0, flat.size, _BLOCK):
+            ai[i : i + _BLOCK], aip[i : i + _BLOCK] = _near(flat[i : i + _BLOCK], scaled)
+        return ai.reshape(z.shape), aip.reshape(z.shape)
     low, high = z <= _SERIES_LOW, z >= _SERIES_HIGH
     n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
     ai, aip = np.empty_like(z), np.empty_like(z)

@@ -270,6 +270,24 @@ def test_values_do_not_depend_on_the_array():
         assert np.array_equal(airy_ai_pair(z[k:][::-1])[0][-1:], ai[k : k + 1])
 
 
+def test_large_calls_run_in_blocks():
+    # the many-node ends of both integrals: about 0.1 GB of work arrays in one piece
+    import tracemalloc
+
+    z = np.concatenate([np.linspace(1.6, 2.2, 60000), np.linspace(-3.6, -3.4, 60000)]).reshape(2, -1)
+    tracemalloc.start()
+    try:
+        ai, aip = airy_ai_pair(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ai.shape == aip.shape == z.shape
+    assert peak < 20e6  # 13 MB in blocks of 4096 points
+    flat = z.ravel()
+    for i in range(0, flat.size, 9973):
+        assert airy_ai_pair(flat[i : i + 5])[0].tolist() == ai.ravel()[i : i + 5].tolist()
+
+
 def test_nan_in_nan_out():
     ai, aip = airy_ai_pair(np.nan)
     assert np.isnan(ai) and np.isnan(aip)
