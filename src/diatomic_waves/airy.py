@@ -29,13 +29,13 @@ The integrals are generalized Gauss-Laguerre sums.  Their nodes come from
 the Golub-Welsch eigenproblem (``numpy.linalg.eigh``), built once per
 process.  The integrand is singular at ``u = -2 zeta`` (``z > 0``) or
 ``u = 2 i zeta`` (``z < 0``), so the nodes needed fall as ``zeta`` grows,
-and a ladder of rules uses 40 nodes at the series' end ``z = 1.6`` and 24
-at ``z = -3.5``, 12 from ``zeta`` 5.5 / 7.7 (``z > 0`` / ``z < 0``), 8 from
-10.8 / 12.9, and 4 from 64 / 62.  Each rung starts where its truncation
-error, against the integrals at 30 digits, has fallen below one ulp of
-``F`` and of the sum that ``Ai'`` takes.  Each point is summed alone, so
+and a ladder of four rules uses 40 nodes from the series' ends, 16 from
+``zeta`` 3.81 / 5.71 (``z > 0`` / ``z < 0``), 8 from 10.8 / 12.9 and 4 from
+64.1 / 62.1.  Each rung starts where its truncation error, against the
+integrals at 30 digits, has fallen below one ulp of ``F`` and of the sum
+that ``Ai'`` takes.  Each point is summed alone, so
 its value does not depend on the array it came in, and long arrays are
-taken 4096 points at a time.
+taken 2048 points at a time.
 
 Accuracy against 40-digit mpmath on ``|z| < 50``, in units of the
 envelope ``x^{-1/4} / sqrt(pi)`` (``Ai``) or ``x^{1/4} / sqrt(pi)`` (``Ai'``),
@@ -79,15 +79,14 @@ _TAIL_SWITCH = 1e4
 _SERIES_LOW, _SERIES_HIGH = -3.5, 1.6
 
 #: Gauss-Laguerre rungs: the rule of _LADDER_NODES[i] nodes serves zeta from
-#: edges[i - 1] up to edges[i], with one edge table per sign of z (rungs the
-#: oscillating side never reaches have edge 0).
-_LADDER_NODES = (40, 32, 24, 20, 16, 12, 10, 8, 6, 5, 4)
-_DECAYING_EDGES = np.array([1.57, 2.27, 2.83, 3.81, 5.52, 7.43, 10.8, 19.6, 30.5, 64.1])
-_OSCILLATING_EDGES = np.array([0.0, 0.0, 4.43, 5.71, 7.74, 9.49, 12.9, 21.4, 32.1, 62.1])
+#: edges[i - 1] up to edges[i], with one edge table per sign of z.
+_LADDER_NODES = (40, 16, 8, 4)
+_DECAYING_EDGES = np.array([3.81, 10.8, 64.1])
+_OSCILLATING_EDGES = np.array([5.71, 12.9, 62.1])
 
 #: Points evaluated together: up to 106 series terms or 40 nodes each, so the
 #: work arrays stay within a few MB whatever the size of the call.
-_BLOCK = 4096
+_BLOCK = 2048
 
 _SQRT_PI = 1.7724538509055160273
 
@@ -249,19 +248,14 @@ def airy_ai_pair(z) -> tuple[np.ndarray, np.ndarray]:
     Scalar input returns scalar outputs.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.all(np.abs(z_arr) < _TAIL_SWITCH):  # false for NaN
-        ai, aip = _near(z_arr, scaled=False)
-    else:
-        ai, aip = np.full_like(z_arr, np.nan), np.full_like(z_arr, np.nan)
-        near = np.abs(z_arr) < _TAIL_SWITCH
-        if near.any():
-            ai[near], aip[near] = _near(z_arr[near], scaled=False)
-        # e^{-(2/3) z^{3/2}} underflows to 0 from the switch on (z^{3/2} >= 1e6)
-        pos = z_arr >= _TAIL_SWITCH
-        ai[pos], aip[pos] = 0.0, -0.0
-        neg = z_arr <= -_TAIL_SWITCH
-        if neg.any():
-            ai[neg], aip[neg] = _oscillating_tail(z_arr[neg])
+    # the tail's points go through the series at 0 and are overwritten; NaN stays NaN
+    ai, aip = _near(np.where(np.abs(z_arr) >= _TAIL_SWITCH, 0.0, z_arr), scaled=False)
+    # e^{-(2/3) z^{3/2}} underflows to 0 from the switch on (z^{3/2} >= 1e6)
+    pos = z_arr >= _TAIL_SWITCH
+    ai[pos], aip[pos] = 0.0, -0.0
+    neg = z_arr <= -_TAIL_SWITCH
+    if neg.any():
+        ai[neg], aip[neg] = _oscillating_tail(z_arr[neg])
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(ai[0]), float(aip[0])
     return ai, aip
@@ -286,10 +280,7 @@ def airy_ai_scaled(z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < 0.0):
         raise ConfigError("airy_ai_scaled requires z >= 0")
-    out = np.full_like(z_arr, np.nan)
-    near = z_arr < _TAIL_SWITCH
-    if near.any():
-        out[near] = _near(z_arr[near], scaled=True)[0]
+    out = _near(np.where(z_arr >= _TAIL_SWITCH, 0.0, z_arr), scaled=True)[0]
     big = z_arr >= _TAIL_SWITCH
     if big.any():
         out[big] = _decaying_tail(z_arr[big])
@@ -308,14 +299,22 @@ def envelope_amplitude(y, sign: int = +1):
     ``y -> inf``, matching a pure phase ``exp(-/+ i(y - pi/4))``) and the
     Airy-function front.
     """
+    z, finish = _envelope_parts(y, sign)
+    out = finish(*airy_ai_pair(z))
+    if np.isscalar(y) or np.ndim(y) == 0:
+        return complex(out[0])
+    return out
+
+
+def _envelope_parts(y, sign: int = +1):
+    """:func:`envelope_amplitude` in two steps: the Airy argument
+    ``-(3y/2)^{2/3}`` of every ``y``, and the function that finishes
+    ``A_{+/-}(y)`` from ``(Ai, Ai')`` there, so that a caller can evaluate
+    the Airy function for several uses in one call."""
     if sign not in (+1, -1):
         raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr <= 0.0):
         raise ConfigError("envelope_amplitude requires y > 0")
     w = (1.5 * y_arr) ** (1.0 / 6.0)
-    ai, aip = airy_ai_pair(-(w ** 4))
-    out = _SQRT_PI * (w * ai + sign * 1j * aip / w)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return complex(out[0])
-    return out
+    return -(w**4), lambda ai, aip: _SQRT_PI * (w * ai + sign * 1j * aip / w)

@@ -282,7 +282,7 @@ def test_large_calls_run_in_blocks():
     finally:
         tracemalloc.stop()
     assert ai.shape == aip.shape == z.shape
-    assert peak < 20e6  # 13 MB in blocks of 4096 points
+    assert peak < 20e6  # 12 MB in blocks of 2048 points
     flat = z.ravel()
     for i in range(0, flat.size, 9973):
         assert airy_ai_pair(flat[i : i + 5])[0].tolist() == ai.ravel()[i : i + 5].tolist()

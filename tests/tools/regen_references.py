@@ -113,24 +113,12 @@ AIRY_SWITCH_GRID = [
     (1.6, 1.5999999999999999),
     (-3.5, -3.4999999999999996),
     # decaying side (z > 0)
-    (1.7700842629615898, 1.7700842629615896),
-    (2.2633136578815454, 2.263313657881545),
-    (2.6217128923010558, 2.6217128923010553),
     (3.196520469193838, 3.1965204691938376),
-    (4.092797189048431, 4.09279718904843),
-    (4.989458122718426, 4.989458122718425),
     (6.402407948082113, 6.4024079480821126),
-    (9.525728962334716, 9.525728962334714),
-    (12.791674476942232, 12.79167447694223),
     (20.987764981862732, 20.98776498186273),
     # oscillating side (z < 0)
-    (-3.5345163110998428, -3.5345163110998423),
     (-4.18618333892763, -4.186183338927629),
-    (-5.127293124121501, -5.1272931241215005),
-    (-5.873608301710411, -5.87360830171041),
     (-7.207544175768551, -7.20754417576855),
-    (-10.10035616167162, -10.100356161671618),
-    (-13.23521074457285, -13.235210744572848),
     (-20.54889972264527, -20.548899722645267),
 ]
 
