@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .airy import airy_ai_pair, envelope_amplitude
+from .airy import _envelope_parts, airy_ai_pair
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import ConfigError, NumericalError, RegimeError
 from .initial_data import InitialProfile, spectral_vector
@@ -292,6 +292,25 @@ def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
 # Front Airy evaluators
 # ---------------------------------------------------------------------------
 
+def _with_airy(parts: list) -> list:
+    """Finish each ``(z, finish)`` part, ``finish(Ai(z), Ai'(z))``, from one
+    :func:`~diatomic_waves.airy.airy_ai_pair` call over every part's ``z``.
+
+    A call costs a few dozen numpy operations whatever its size, so the
+    evaluators gather their Airy arguments first.  Each value is the one a
+    call of its own would give (:mod:`~diatomic_waves.airy` sums every point
+    alone).
+    """
+    if not parts:
+        return []
+    ai, aip = airy_ai_pair(np.concatenate([z for z, _ in parts]))
+    cuts = np.cumsum([z.size for z, _ in parts])[:-1]
+    return [
+        finish(a, ap)
+        for (_, finish), a, ap in zip(parts, np.split(ai, cuts), np.split(aip, cuts))
+    ]
+
+
 def _front_airy(
     params: LatticeParams,
     profile: InitialProfile,
@@ -300,8 +319,9 @@ def _front_airy(
     t: float,
     front: str,
     branch: int,
-) -> np.ndarray:
-    """Airy form of one branch near its front, about its critical momentum ``p_c``.
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """Airy form of one branch near its front, about its critical momentum ``p_c``,
+    as a part of :func:`_with_airy`.
 
     The branch enters through its front speed ``s``, curvature ``k``,
     ``omega = omega(p_c)``, projector ``P = P(p_c)`` and weight ``n``
@@ -313,7 +333,7 @@ def _front_airy(
     with the splits ``F1``, ``F2`` about ``p_c`` at ``-y/(k t)``, continued
     by the three-point rule beyond the front.  The left front takes
     ``y = -(x + s t)``, ``p_c x - omega t`` and ``-i`` on the ``Ai'`` term.
-    Returns shape ``(len(x), 2)`` (heavy, light components).
+    The field has shape ``(len(x), 2)`` (heavy, light components).
     """
     _require_unit_delta(params, mu)
     _require_positive_time(t)
@@ -341,11 +361,14 @@ def _front_airy(
         phase = (p_c * x_arr - omega_c * t) / mu
         deriv_sign = -1.0
     f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), z)
-    ai, aip = airy_ai_pair(ai_arg)
-    combo = f1 * ai[:, None] + deriv_sign * 1j * cube * f2 * aip[:, None]
-    carrier = np.exp(1j * phase)
-    projected = np.einsum("ij,nj->ni", disp.modal_matrix(p_c, branch), combo)
-    return weight * cube * (carrier[:, None] * projected).real
+
+    def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
+        combo = f1 * ai[:, None] + deriv_sign * 1j * cube * f2 * aip[:, None]
+        carrier = np.exp(1j * phase)
+        projected = np.einsum("ij,nj->ni", disp.modal_matrix(p_c, branch), combo)
+        return weight * cube * (carrier[:, None] * projected).real
+
+    return ai_arg, finish
 
 
 def acoustic_front_airy(
@@ -363,7 +386,7 @@ def acoustic_front_airy(
     even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
     (heavy, light components).
     """
-    return _front_airy(params, profile, mu, x, t, front, ACOUSTIC)
+    return _with_airy([_front_airy(params, profile, mu, x, t, front, ACOUSTIC)])[0]
 
 
 def optical_front_airy(
@@ -381,7 +404,7 @@ def optical_front_airy(
     front ``+``) and weight 2.  The output oscillates at the carrier
     wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
-    return _front_airy(params, profile, mu, x, t, front, OPTICAL)
+    return _with_airy([_front_airy(params, profile, mu, x, t, front, OPTICAL)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +417,11 @@ def _dispatch_uniform(
     *,
     front_speed: float,
     width: float,
-    interior_fn: Callable[[np.ndarray], np.ndarray],
-    front_fn: Callable[[np.ndarray, str], np.ndarray],
+    interior_fn: Callable[[np.ndarray], tuple],
+    front_fn: Callable[[np.ndarray, str], tuple],
 ) -> np.ndarray:
-    """Assemble interior / front-band / outside values on a grid."""
+    """Assemble interior / front-band / outside values on a grid, from the
+    :func:`_with_airy` parts that ``interior_fn`` and ``front_fn`` return."""
     front = front_speed * t
     switch = front - FRONT_SWITCH_WIDTHS * width
     outer = front + CONTINUATION_WIDTHS * width
@@ -405,12 +429,16 @@ def _dispatch_uniform(
     interior = np.abs(x_arr) <= switch
     right_band = (x_arr > switch) & (x_arr <= outer)
     left_band = (x_arr < -switch) & (x_arr >= -outer)
+    masks, parts = [], []
     if np.any(interior):
-        out[interior] = interior_fn(x_arr[interior])
-    if np.any(right_band):
-        out[right_band] = front_fn(x_arr[right_band], "right")
-    if np.any(left_band):
-        out[left_band] = front_fn(x_arr[left_band], "left")
+        masks.append(interior)
+        parts.append(interior_fn(x_arr[interior]))
+    for band, side in ((right_band, "right"), (left_band, "left")):
+        if np.any(band):
+            masks.append(band)
+            parts.append(front_fn(x_arr[band], side))
+    for mask, values in zip(masks, _with_airy(parts)):
+        out[mask] = values
     return out
 
 
@@ -437,16 +465,21 @@ def acoustic_uniform(
     q = disp.dispersion_coefficient
     width = mu ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0)
 
-    def interior(xs: np.ndarray) -> np.ndarray:
+    def interior(xs: np.ndarray) -> tuple:
         sp = acoustic_stationary(params, xs, t)
         p = sp.momenta[:, 0]
         curv = disp.omega1_smooth_derivs(p, 2)[2]
         amp = np.einsum(
             "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
         ) / np.sqrt(t * np.abs(curv))[:, None]
-        a_plus = envelope_amplitude(sp.action / mu, +1)
-        env = np.where(xs >= 0.0, a_plus.conj(), a_plus)  # A_minus = conj(A_plus)
-        return np.sqrt(2.0 * mu / np.pi) * (amp * env[:, None]).real
+        z, envelope = _envelope_parts(sp.action / mu, +1)
+
+        def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
+            a_plus = envelope(ai, aip)
+            env = np.where(xs >= 0.0, a_plus.conj(), a_plus)  # A_minus = conj(A_plus)
+            return np.sqrt(2.0 * mu / np.pi) * (amp * env[:, None]).real
+
+        return z, finish
 
     return _dispatch_uniform(
         x_arr,
@@ -454,7 +487,7 @@ def acoustic_uniform(
         front_speed=disp.sound_speed,
         width=width,
         interior_fn=interior,
-        front_fn=lambda xs, side: acoustic_front_airy(params, profile, mu, xs, t, side),
+        front_fn=lambda xs, side: _front_airy(params, profile, mu, xs, t, side, ACOUSTIC),
     )
 
 
@@ -482,7 +515,7 @@ def optical_uniform(
     crit = disp.critical
     width = mu ** (2.0 / 3.0) * (crit.q_star * t) ** (1.0 / 3.0)
 
-    def interior(xs: np.ndarray) -> np.ndarray:
+    def interior(xs: np.ndarray) -> tuple:
         sp = optical_stationary(params, xs, t)
         p = sp.momenta  # (n, 2): p_minus, p_plus
         curv = disp.omega2_derivs(p, 2)[2]
@@ -494,10 +527,15 @@ def optical_uniform(
         right = (xs >= 0.0)[:, None]
         b_max = np.where(right, b[:, 0], b[:, 1])
         b_min = np.where(right, b[:, 1], b[:, 0])
-        a_plus = envelope_amplitude(sp.action / mu, +1)[:, None]
-        combo = b_max * a_plus + b_min * a_plus.conj()  # A_minus = conj(A_plus)
-        carrier = np.exp(1j * sp.carrier / mu)[:, None]
-        return np.sqrt(2.0 * mu / np.pi) * (carrier * combo).real
+        z, envelope = _envelope_parts(sp.action / mu, +1)
+
+        def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
+            a_plus = envelope(ai, aip)[:, None]
+            combo = b_max * a_plus + b_min * a_plus.conj()  # A_minus = conj(A_plus)
+            carrier = np.exp(1j * sp.carrier / mu)[:, None]
+            return np.sqrt(2.0 * mu / np.pi) * (carrier * combo).real
+
+        return z, finish
 
     return _dispatch_uniform(
         x_arr,
@@ -505,7 +543,7 @@ def optical_uniform(
         front_speed=crit.c_star,
         width=width,
         interior_fn=interior,
-        front_fn=lambda xs, side: optical_front_airy(params, profile, mu, xs, t, side),
+        front_fn=lambda xs, side: _front_airy(params, profile, mu, xs, t, side, OPTICAL),
     )
 
 
