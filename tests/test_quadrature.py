@@ -48,23 +48,13 @@ def uniform_grids(draw) -> np.ndarray:
     return np.linspace(start, stop, m)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 2 * 10**6))
-@example(n=1)
-@example(n=7)
-@example(n=11 * 13)
-@example(n=2**20 + 1)
-def test_next_fast_len_matches_scipy(n):
-    """The numpy chirp-z pads to the 11-smooth lengths scipy.fft would choose."""
+def test_next_fast_len_matches_scipy():
+    """The numpy chirp-z pads to the 11-smooth lengths scipy.fft would choose:
+    every length to 3000, then a spread to 2e6."""
     from scipy.fft import next_fast_len
 
-    assert quad._next_fast_len(n) == next_fast_len(n)
-
-
-def test_next_fast_len_small_lengths_match_scipy():
-    from scipy.fft import next_fast_len
-
-    assert [quad._next_fast_len(n) for n in range(1, 3001)] == [next_fast_len(n) for n in range(1, 3001)]
+    lengths = [*range(1, 3001), *range(3001, 2 * 10**6, 9973), 2**20 + 1, 2 * 10**6]
+    assert [quad._next_fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
 
 
 @SETTINGS
