@@ -207,33 +207,6 @@ def _laplace_oscillating(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (f_re * cw + f_im * sw) / (_SQRT_PI * x4), (h_re * sw - h_im * cw) * (x4 / _SQRT_PI)
 
 
-def _near(z: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(Ai, Ai')`` for finite ``|z| < _TAIL_SWITCH``; times ``e^{zeta}`` if
-    ``scaled``, which needs ``z >= 0``."""
-    if z.size > _BLOCK:
-        flat = z.ravel()
-        ai, aip = np.empty_like(flat), np.empty_like(flat)
-        for i in range(0, flat.size, _BLOCK):
-            ai[i : i + _BLOCK], aip[i : i + _BLOCK] = _near(flat[i : i + _BLOCK], scaled)
-        return ai.reshape(z.shape), aip.reshape(z.shape)
-    low, high = z <= _SERIES_LOW, z >= _SERIES_HIGH
-    n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
-    ai, aip = np.empty_like(z), np.empty_like(z)
-    if n_low + n_high < z.size:
-        series = ~(low | high)
-        zs = z[series]
-        a, ap = _maclaurin(zs)
-        if scaled:
-            factor = np.exp((2.0 / 3.0) * zs**1.5)
-            a, ap = a * factor, ap * factor
-        ai[series], aip[series] = a, ap
-    if n_low:
-        ai[low], aip[low] = _laplace_oscillating(-z[low])
-    if n_high:
-        ai[high], aip[high] = _laplace_decaying(z[high], scaled)
-    return ai, aip
-
-
 def _decaying_tail(z: np.ndarray) -> np.ndarray:
     """``Ai * e^{zeta}`` for ``z >= _TAIL_SWITCH`` (DLMF 9.7.5)."""
     r = 1.0 / ((2.0 / 3.0) * z**1.5)
@@ -252,20 +225,48 @@ def _oscillating_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ai, aip
 
 
+def _evaluate(z: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(Ai, Ai')`` of every real ``z``, each by its branch; times ``e^{zeta}``
+    if ``scaled``, which needs ``z >= 0`` and gives no ``Ai'`` from the tail
+    switch on."""
+    if z.size > _BLOCK:
+        flat = z.ravel()
+        ai, aip = np.empty_like(flat), np.empty_like(flat)
+        for i in range(0, flat.size, _BLOCK):
+            ai[i : i + _BLOCK], aip[i : i + _BLOCK] = _evaluate(flat[i : i + _BLOCK], scaled)
+        return ai.reshape(z.shape), aip.reshape(z.shape)
+    far_low, far_high = z <= -_TAIL_SWITCH, z >= _TAIL_SWITCH
+    low = (z <= _SERIES_LOW) & ~far_low
+    high = (z >= _SERIES_HIGH) & ~far_high
+    series = ~(low | high | far_low | far_high)  # NaN too
+    ai, aip = np.empty_like(z), np.empty_like(z)
+    if series.any():
+        zs = z[series]
+        a, ap = _maclaurin(zs)
+        if scaled:
+            factor = np.exp((2.0 / 3.0) * zs**1.5)
+            a, ap = a * factor, ap * factor
+        ai[series], aip[series] = a, ap
+    if low.any():
+        ai[low], aip[low] = _laplace_oscillating(-z[low])
+    if high.any():
+        ai[high], aip[high] = _laplace_decaying(z[high], scaled)
+    if far_low.any():
+        ai[far_low], aip[far_low] = _oscillating_tail(z[far_low])
+    if scaled:
+        ai[far_high], aip[far_high] = _decaying_tail(z[far_high]), np.nan
+    else:  # e^{-(2/3) z^{3/2}} underflows to 0 from the switch on (z^{3/2} >= 1e6)
+        ai[far_high], aip[far_high] = 0.0, -0.0
+    return ai, aip
+
+
 def airy_ai_pair(z) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``(Ai(z), Ai'(z))`` elementwise for real ``z``.
 
     Scalar input returns scalar outputs.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    # the tail's points go through the series at 0 and are overwritten; NaN stays NaN
-    ai, aip = _near(np.where(np.abs(z_arr) >= _TAIL_SWITCH, 0.0, z_arr), scaled=False)
-    # e^{-(2/3) z^{3/2}} underflows to 0 from the switch on (z^{3/2} >= 1e6)
-    pos = z_arr >= _TAIL_SWITCH
-    ai[pos], aip[pos] = 0.0, -0.0
-    neg = z_arr <= -_TAIL_SWITCH
-    if neg.any():
-        ai[neg], aip[neg] = _oscillating_tail(z_arr[neg])
+    ai, aip = _evaluate(z_arr, scaled=False)
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(ai[0]), float(aip[0])
     return ai, aip
@@ -290,10 +291,7 @@ def airy_ai_scaled(z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < 0.0):
         raise ConfigError("airy_ai_scaled requires z >= 0")
-    out = _near(np.where(z_arr >= _TAIL_SWITCH, 0.0, z_arr), scaled=True)[0]
-    big = z_arr >= _TAIL_SWITCH
-    if big.any():
-        out[big] = _decaying_tail(z_arr[big])
+    out = _evaluate(z_arr, scaled=True)[0]
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out[0])
     return out
@@ -316,7 +314,7 @@ def envelope_amplitude(y, sign: int = +1):
     return out
 
 
-def _envelope_parts(y, sign: int = +1):
+def _envelope_parts(y, sign: int):
     """:func:`envelope_amplitude` in two steps: the Airy argument
     ``-(3y/2)^{2/3}`` of every ``y``, and the function that finishes
     ``A_{+/-}(y)`` from ``(Ai, Ai')`` there, so that a caller can evaluate

@@ -32,6 +32,7 @@ from diatomic_waves import (
     split_about_pstar,
     three_point_continue,
 )
+from diatomic_waves import shortwave
 from diatomic_waves.dispersion import LatticeParams
 
 MU = 0.01
@@ -395,6 +396,27 @@ def test_uniform_even_and_zero_structure(params, disp, gaussian):
     beyond = np.abs(x) > c * T + 5.0 * width
     assert np.count_nonzero(beyond) > 0
     assert np.all(out[beyond] == 0.0)
+
+
+@pytest.mark.parametrize("uniform", [acoustic_uniform, optical_uniform])
+def test_uniform_takes_one_airy_call(params, disp, gaussian, uniform, monkeypatch):
+    # the interior and both front bands share one airy_ai_pair call, and every
+    # value is the one a call per piece gives
+    reach = max(disp.sound_speed, disp.critical.c_star) * T
+    x = np.linspace(-1.2 * reach, 1.2 * reach, 201)
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return airy_ai_pair(z)
+
+    monkeypatch.setattr(shortwave, "airy_ai_pair", counted)
+    batched = uniform(params, gaussian, MU, x, T)
+    assert len(sizes) == 1
+    with_airy = shortwave._with_airy
+    monkeypatch.setattr(shortwave, "_with_airy", lambda parts: [with_airy([p])[0] for p in parts])
+    assert np.array_equal(uniform(params, gaussian, MU, x, T), batched)
+    assert len(sizes) == 1 + 3 and sum(sizes[1:]) == sizes[0]  # interior, right, left
 
 
 def test_acoustic_windowed_error_vs_quadrature(gaussian):
