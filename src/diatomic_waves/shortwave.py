@@ -292,23 +292,31 @@ def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
 # Front Airy evaluators
 # ---------------------------------------------------------------------------
 
-def _with_airy(parts: list) -> list:
-    """Finish each ``(z, finish)`` part, ``finish(Ai(z), Ai'(z))``, from one
-    :func:`~diatomic_waves.airy.airy_ai_pair` call over every part's ``z``.
-
-    A call costs a few dozen numpy operations whatever its size, so the
-    evaluators gather their Airy arguments first.  Each value is the one a
-    call of its own would give (:mod:`~diatomic_waves.airy` sums every point
-    alone).
-    """
-    if not parts:
-        return []
-    ai, aip = airy_ai_pair(np.concatenate([z for z, _ in parts]))
+def _joined(parts: list, assemble: Callable[[list], np.ndarray]) -> tuple:
+    """One part ``(z, finish)`` made of ``parts`` laid end to end; its ``finish``
+    finishes each of them and hands their values, in order, to ``assemble``."""
     cuts = np.cumsum([z.size for z, _ in parts])[:-1]
-    return [
-        finish(a, ap)
-        for (_, finish), a, ap in zip(parts, np.split(ai, cuts), np.split(aip, cuts))
-    ]
+    z = np.concatenate([z for z, _ in parts] + [np.empty(0)])
+
+    def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
+        pieces = zip(parts, np.split(ai, cuts), np.split(aip, cuts))
+        return assemble([part_finish(a, ap) for (_, part_finish), a, ap in pieces])
+
+    return z, finish
+
+
+def _with_airy(part: tuple) -> np.ndarray:
+    """``finish(Ai(z), Ai'(z))`` of a part ``(z, finish)``, from one
+    :func:`~diatomic_waves.airy.airy_ai_pair` call.
+
+    A call costs a few dozen numpy operations whatever its size, so each
+    evaluator returns its Airy arguments with the function that finishes it,
+    and :func:`shortwave_total` joins a time's evaluators into one call.  Each
+    value is the one a call of its own would give (:mod:`~diatomic_waves.airy`
+    sums every point alone).
+    """
+    z, finish = part
+    return finish(*airy_ai_pair(z)) if z.size else finish(z, z)
 
 
 def _front_airy(
@@ -321,7 +329,7 @@ def _front_airy(
     branch: int,
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """Airy form of one branch near its front, about its critical momentum ``p_c``,
-    as a part of :func:`_with_airy`.
+    as a part for :func:`_with_airy`.
 
     The branch enters through its front speed ``s``, curvature ``k``,
     ``omega = omega(p_c)``, projector ``P = P(p_c)`` and weight ``n``
@@ -386,7 +394,7 @@ def acoustic_front_airy(
     even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
     (heavy, light components).
     """
-    return _with_airy([_front_airy(params, profile, mu, x, t, front, ACOUSTIC)])[0]
+    return _with_airy(_front_airy(params, profile, mu, x, t, front, ACOUSTIC))
 
 
 def optical_front_airy(
@@ -404,14 +412,14 @@ def optical_front_airy(
     front ``+``) and weight 2.  The output oscillates at the carrier
     wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
-    return _with_airy([_front_airy(params, profile, mu, x, t, front, OPTICAL)])[0]
+    return _with_airy(_front_airy(params, profile, mu, x, t, front, OPTICAL))
 
 
 # ---------------------------------------------------------------------------
 # Uniform evaluators
 # ---------------------------------------------------------------------------
 
-def _dispatch_uniform(
+def _uniform(
     x_arr: np.ndarray,
     t: float,
     *,
@@ -419,13 +427,12 @@ def _dispatch_uniform(
     width: float,
     interior_fn: Callable[[np.ndarray], tuple],
     front_fn: Callable[[np.ndarray, str], tuple],
-) -> np.ndarray:
-    """Assemble interior / front-band / outside values on a grid, from the
-    :func:`_with_airy` parts that ``interior_fn`` and ``front_fn`` return."""
+) -> tuple:
+    """Interior / front-band / outside values on a grid, as one part for
+    :func:`_with_airy` joined from those ``interior_fn`` and ``front_fn`` return."""
     front = front_speed * t
     switch = front - FRONT_SWITCH_WIDTHS * width
     outer = front + CONTINUATION_WIDTHS * width
-    out = np.zeros(x_arr.shape + (2,), dtype=float)
     interior = np.abs(x_arr) <= switch
     right_band = (x_arr > switch) & (x_arr <= outer)
     left_band = (x_arr < -switch) & (x_arr >= -outer)
@@ -437,9 +444,14 @@ def _dispatch_uniform(
         if np.any(band):
             masks.append(band)
             parts.append(front_fn(x_arr[band], side))
-    for mask, values in zip(masks, _with_airy(parts)):
-        out[mask] = values
-    return out
+
+    def assemble(values: list) -> np.ndarray:
+        out = np.zeros(x_arr.shape + (2,), dtype=float)
+        for mask, value in zip(masks, values):
+            out[mask] = value
+        return out
+
+    return _joined(parts, assemble)
 
 
 def acoustic_uniform(
@@ -458,6 +470,17 @@ def acoustic_uniform(
     envelope widths inside the front ``|x| = c t`` and zero beyond
     ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape ``(n, 2)``.
     """
+    return _with_airy(_acoustic_uniform(params, profile, mu, x, t))
+
+
+def _acoustic_uniform(
+    params: LatticeParams,
+    profile: InitialProfile,
+    mu: float,
+    x,
+    t: float,
+) -> tuple:
+    """:func:`acoustic_uniform` as a part for :func:`_with_airy`."""
     _require_unit_delta(params, mu)
     _require_positive_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -481,7 +504,7 @@ def acoustic_uniform(
 
         return z, finish
 
-    return _dispatch_uniform(
+    return _uniform(
         x_arr,
         t,
         front_speed=disp.sound_speed,
@@ -508,6 +531,17 @@ def optical_uniform(
     zero beyond ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape
     ``(n, 2)``.
     """
+    return _with_airy(_optical_uniform(params, profile, mu, x, t))
+
+
+def _optical_uniform(
+    params: LatticeParams,
+    profile: InitialProfile,
+    mu: float,
+    x,
+    t: float,
+) -> tuple:
+    """:func:`optical_uniform` as a part for :func:`_with_airy`."""
     _require_unit_delta(params, mu)
     _require_positive_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -537,7 +571,7 @@ def optical_uniform(
 
         return z, finish
 
-    return _dispatch_uniform(
+    return _uniform(
         x_arr,
         t,
         front_speed=crit.c_star,
@@ -558,11 +592,14 @@ def shortwave_total(
 
     The slow acoustic profile carries the bulk displacement; the optical
     part superposes a fast carrier oscillation under an Airy envelope
-    near ``|x| = c* t``.
+    near ``|x| = c* t``.  Both take their Airy values from one call.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    total = acoustic_uniform(params, profile, mu, x_arr, t)
-    total = total + optical_uniform(params, profile, mu, x_arr, t)
+    parts = [
+        _acoustic_uniform(params, profile, mu, x_arr, t),
+        _optical_uniform(params, profile, mu, x_arr, t),
+    ]
+    total = _with_airy(_joined(parts, lambda fields: fields[0] + fields[1]))
     return WaveField(
         x=x_arr,
         u=total[:, 0],

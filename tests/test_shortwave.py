@@ -398,10 +398,17 @@ def test_uniform_even_and_zero_structure(params, disp, gaussian):
     assert np.all(out[beyond] == 0.0)
 
 
-@pytest.mark.parametrize("uniform", [acoustic_uniform, optical_uniform])
-def test_uniform_takes_one_airy_call(params, disp, gaussian, uniform, monkeypatch):
-    # the interior and both front bands share one airy_ai_pair call, and every
-    # value is the one a call per piece gives
+def _total_field(*args) -> np.ndarray:
+    field = shortwave_total(*args)
+    return np.stack([field.u, field.v], axis=1)
+
+
+@pytest.mark.parametrize(
+    "evaluate, pieces", [(acoustic_uniform, 3), (optical_uniform, 3), (_total_field, 6)]
+)
+def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, monkeypatch):
+    # the interior and both front bands of each branch share one airy_ai_pair
+    # call, and every value is the one a call per piece gives
     reach = max(disp.sound_speed, disp.critical.c_star) * T
     x = np.linspace(-1.2 * reach, 1.2 * reach, 201)
     sizes = []
@@ -411,12 +418,16 @@ def test_uniform_takes_one_airy_call(params, disp, gaussian, uniform, monkeypatc
         return airy_ai_pair(z)
 
     monkeypatch.setattr(shortwave, "airy_ai_pair", counted)
-    batched = uniform(params, gaussian, MU, x, T)
+    joined = evaluate(params, gaussian, MU, x, T)
     assert len(sizes) == 1
     with_airy = shortwave._with_airy
-    monkeypatch.setattr(shortwave, "_with_airy", lambda parts: [with_airy([p])[0] for p in parts])
-    assert np.array_equal(uniform(params, gaussian, MU, x, T), batched)
-    assert len(sizes) == 1 + 3 and sum(sizes[1:]) == sizes[0]  # interior, right, left
+
+    def one_call_per_part(parts, assemble):
+        return np.empty(0), lambda ai, aip: assemble([with_airy(part) for part in parts])
+
+    monkeypatch.setattr(shortwave, "_joined", one_call_per_part)
+    assert np.array_equal(evaluate(params, gaussian, MU, x, T), joined)
+    assert len(sizes) == 1 + pieces and sum(sizes[1:]) == sizes[0]
 
 
 def test_acoustic_windowed_error_vs_quadrature(gaussian):
