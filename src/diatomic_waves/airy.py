@@ -27,15 +27,15 @@ Evaluation strategy (``x = |z|``, ``zeta = (2/3) x^{3/2}``)
 
 The integrals are generalized Gauss-Laguerre sums.  Their nodes are the
 eigenvalues of the Jacobi matrix (``numpy.linalg.eigvalsh``) and their
-weights come from its recurrence, built once per process.  The integrand is singular at ``u = -2 zeta`` (``z > 0``) or
-``u = 2 i zeta`` (``z < 0``), so the nodes needed fall as ``zeta`` grows,
-and a ladder of four rules uses 40 nodes from the series' ends, 16 from
-``zeta`` 3.81 / 5.71 (``z > 0`` / ``z < 0``), 8 from 10.8 / 12.9 and 4 from
-64.1 / 62.1.  Each rung starts where its truncation error, against the
-integrals at 30 digits, has fallen below one ulp of ``F`` and of the sum
-that ``Ai'`` takes.  Each point is summed alone, so
-its value does not depend on the array it came in, and long arrays are
-taken 2048 points at a time.
+weights come from its recurrence, built once per process.  The integrand is
+singular at ``u = -2 zeta`` (``z > 0``) or ``u = 2 i zeta`` (``z < 0``), so
+the nodes needed fall as ``zeta`` grows, and a ladder of four rules uses 40
+nodes from the series' ends, 16 from ``zeta`` 3.81 / 5.71
+(``z > 0`` / ``z < 0``), 8 from 10.8 / 12.9 and 4 from 64.1 / 62.1.  Each
+rung starts where its truncation error, against the integrals at 30
+digits, has fallen below one ulp of ``F`` and of the sum that ``Ai'``
+takes.  Each point is summed alone, so its value does not depend on the
+array it came in, and long arrays are taken 2048 points at a time.
 
 Accuracy against 40-digit mpmath on ``|z| < 50``, in units of the
 envelope ``x^{-1/4} / sqrt(pi)`` (``Ai``) or ``x^{1/4} / sqrt(pi)`` (``Ai'``),
