@@ -305,6 +305,12 @@ def _check_numerics(
         raise ConfigError(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
 
 
+def _check_time(t: float) -> None:
+    """Raise ``ConfigError`` unless the time ``t`` of a band integral is finite and ``>= 0``."""
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"t must be finite and non-negative, got {t!r}")
+
+
 def synthesize_field(
     kernel: Callable[[np.ndarray], np.ndarray],
     a: float,

@@ -307,22 +307,20 @@ def envelope_amplitude(y, sign: int = +1):
     ``y -> inf``, matching a pure phase ``exp(-/+ i(y - pi/4))``) and the
     Airy-function front.
     """
-    z, finish = _envelope_parts(y, sign)
-    out = finish(*airy_ai_pair(z))
+    if sign not in (+1, -1):
+        raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
+    w = _envelope_root(y)
+    ai, aip = airy_ai_pair(-(w**4))
+    out = _SQRT_PI * (w * ai + sign * 1j * aip / w)
     if np.isscalar(y) or np.ndim(y) == 0:
         return complex(out[0])
     return out
 
 
-def _envelope_parts(y, sign: int):
-    """:func:`envelope_amplitude` in two steps: the Airy argument
-    ``-(3y/2)^{2/3}`` of every ``y``, and the function that finishes
-    ``A_{+/-}(y)`` from ``(Ai, Ai')`` there, so that a caller can evaluate
-    the Airy function for several uses in one call."""
-    if sign not in (+1, -1):
-        raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
+def _envelope_root(y) -> np.ndarray:
+    """``w = (3y/2)^{1/6}`` of every ``y > 0``: ``A_{+/-}(y) = sqrt(pi) (w Ai(-w^4)
+    +/- i Ai'(-w^4) / w)``."""
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr <= 0.0):
         raise ConfigError("envelope_amplitude requires y > 0")
-    w = (1.5 * y_arr) ** (1.0 / 6.0)
-    return -(w**4), lambda ai, aip: _SQRT_PI * (w * ai + sign * 1j * aip / w)
+    return (1.5 * y_arr) ** (1.0 / 6.0)

@@ -19,10 +19,11 @@ optional ``[numerics]`` / ``[compare]``; any other section or key is a
 configuration error.  Every output file echoes the resolved configuration
 in its comment header, so identical configs give byte-identical outputs.
 
-Methods: ``METHODS`` maps each method name to its regime check, its
-evaluator and its aliases.  Every listed method's check runs when the file
-is loaded, before any command does work, and a method listed twice (after
-alias resolution) is a configuration error.
+Methods: ``METHODS`` maps each method name to its check, its evaluator and
+its aliases.  The check refuses the regimes and the times that the evaluator
+refuses, with the evaluator's message.  Every listed method's check runs when
+the file is loaded, before any command does work, and a method listed twice
+(after alias resolution) is a configuration error.
 
 Exit codes: 0 success, 2 configuration/regime error, 3 numerical failure.
 """
@@ -39,13 +40,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._quadrature import _check_numerics
+from ._quadrature import _check_numerics, _check_time
 from .dispersion import Dispersion, LatticeParams
 from .errors import ConfigError, DiatomicWavesError, NumericalError
 from .initial_data import _MAX_SITES, GaussianProfile, InitialProfile, load_profile_table
-from .longwave import classify_regime, uas_dalembert, uas_gaussian_airy, uas_integral
-from .oracles import WaveField, compare_fields, integrate_lattice, solve_quadrature, write_fields_csv
+from .longwave import (
+    _check_airy_time, classify_regime, uas_dalembert, uas_gaussian_airy, uas_integral
+)
+from .oracles import (
+    WaveField, _check_record_times, compare_fields, integrate_lattice, solve_quadrature,
+    write_fields_csv,
+)
 from .shortwave import (
+    _require_positive_time,
     _require_unit_delta,
     acoustic_front_airy,
     acoustic_uniform,
@@ -124,8 +131,15 @@ class ScenarioConfig:
         return out
 
 
-def _any_regime(config: ScenarioConfig, name: str) -> None:
-    """The exact oracles hold at every delta."""
+def _chain(config: ScenarioConfig, name: str) -> None:
+    """The chain oracle holds at every delta and records at increasing times."""
+    _check_record_times(config.times)
+
+
+def _band(config: ScenarioConfig, name: str) -> None:
+    """The band quadrature holds at every delta and every time ``t >= 0``."""
+    for t in config.times:
+        _check_time(t)
 
 
 def _longwave(config: ScenarioConfig, name: str) -> None:
@@ -137,6 +151,11 @@ def _longwave(config: ScenarioConfig, name: str) -> None:
         )
 
 
+def _uas_integral(config: ScenarioConfig, name: str) -> None:
+    _longwave(config, name)
+    _band(config, name)
+
+
 def _gaussian(config: ScenarioConfig, name: str) -> None:
     _longwave(config, name)
     if config.profile_kind != "gaussian":
@@ -144,10 +163,14 @@ def _gaussian(config: ScenarioConfig, name: str) -> None:
             f"method {name!r} is the Gaussian-data closed form; use "
             "uas_integral for tabulated profiles"
         )
+    for t in config.times:
+        _check_airy_time(t)
 
 
 def _shortwave(config: ScenarioConfig, name: str) -> None:
     _require_unit_delta(config.params, config.mu)
+    for t in config.times:
+        _require_positive_time(t)
 
 
 def _quadrature(mode: str) -> Callable:
@@ -155,8 +178,8 @@ def _quadrature(mode: str) -> Callable:
 
 
 class Method(NamedTuple):
-    """A CLI method: its regime check, its evaluator ``(config, x, t)`` (None
-    for the chain oracle, see _fields) and its aliases."""
+    """A CLI method: its check of the regime and the times, its evaluator
+    ``(config, x, t)`` (None for the chain oracle, see _fields) and its aliases."""
 
     check: Callable[[ScenarioConfig, str], None]
     evaluate: Callable | None
@@ -167,11 +190,13 @@ class Method(NamedTuple):
 #: library functions in their bodies, so a rebinding of those module names
 #: (as perfbench's tracer does) is seen.
 METHODS: dict[str, Method] = {
-    "ode": Method(_any_regime, None),
-    "quadrature_full": Method(_any_regime, _quadrature("full")),
-    "quadrature_acoustic": Method(_any_regime, _quadrature("acoustic"), ("quadrature_ac",)),
-    "quadrature_optical": Method(_any_regime, _quadrature("optical"), ("quadrature_opt",)),
-    "uas_integral": Method(_longwave, lambda c, x, t: uas_integral(*c.problem, x, t, **c.band)),
+    "ode": Method(_chain, None),
+    "quadrature_full": Method(_band, _quadrature("full")),
+    "quadrature_acoustic": Method(_band, _quadrature("acoustic"), ("quadrature_ac",)),
+    "quadrature_optical": Method(_band, _quadrature("optical"), ("quadrature_opt",)),
+    "uas_integral": Method(
+        _uas_integral, lambda c, x, t: uas_integral(*c.problem, x, t, **c.band)
+    ),
     "gaussian_airy": Method(
         _gaussian, lambda c, x, t: uas_gaussian_airy(c.params, c.mu, x, t), ("uas_gaussian_airy",)
     ),

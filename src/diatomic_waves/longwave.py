@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import _check_numerics, legendre_bessel_field, synthesize_field
+from ._quadrature import _check_numerics, _check_time, legendre_bessel_field, synthesize_field
 from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
 from .dispersion import Dispersion, LatticeParams
@@ -141,8 +141,7 @@ def uas_integral(
     """
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ConfigError(f"t must be finite and non-negative, got {t!r}")
+    _check_time(t)
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)  # far frames skip synthesize_field
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
@@ -187,6 +186,15 @@ def uas_integral(
     return out
 
 
+def _check_airy_time(t: float) -> None:
+    """Raise ``ConfigError`` unless ``t`` is finite and ``> 0``, as the closed form needs."""
+    if not (np.isfinite(t) and t > 0.0):
+        raise ConfigError(
+            f"the Airy closed form needs a finite t > 0 (got t={t!r}); "
+            "use uas_integral for early times"
+        )
+
+
 def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     """Closed Gaussian/Airy form of :func:`uas_integral` for the Gaussian bump.
 
@@ -205,11 +213,7 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     """
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
-    if not (np.isfinite(t) and t > 0.0):
-        raise ConfigError(
-            f"the Airy closed form needs a finite t > 0 (got t={t!r}); "
-            "use uas_integral for early times"
-        )
+    _check_airy_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._quadrature import _check_numerics, synthesize_field
+from ._quadrature import _check_numerics, _check_time, synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import BoundaryError, ChainSizeError, ConfigError
 from .initial_data import _MAX_SITES, InitialProfile, _band_limits, spectral_vector
@@ -210,6 +210,16 @@ def _propagate(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
         yield sites(np.cos(phase) * z, static), sites(-omega * np.sin(phase) * z, rest)
 
 
+def _check_record_times(times) -> np.ndarray:
+    """``times`` as an array; ``ConfigError`` unless finite, positive and strictly increasing."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ConfigError(f"record times must be finite, got {times!r}")
+    if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
+        raise ConfigError("record times must be strictly increasing and positive")
+    return times
+
+
 def integrate_lattice(
     params: LatticeParams,
     profile: InitialProfile,
@@ -233,11 +243,7 @@ def integrate_lattice(
         front width; the run aborts with :class:`BoundaryError` if the
         solution ever reaches the fixed ends above ``boundary_tol``.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ConfigError(f"record times must be finite, got {times!r}")
-    if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ConfigError("record times must be strictly increasing and positive")
+    times = _check_record_times(times)
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     delta = params.h / mu
@@ -329,8 +335,7 @@ def solve_quadrature(
     """
     if mode not in _QUADRATURE_MODES:
         raise ConfigError(f"mode must be one of {_QUADRATURE_MODES}, got {mode!r}")
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ConfigError(f"t must be finite and non-negative, got {t!r}")
+    _check_time(t)
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)

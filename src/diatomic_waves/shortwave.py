@@ -26,6 +26,12 @@ reproduces the stationary-phase (WKB) limit on both half-lines with the
 correct ``exp(-/+ i pi/4)`` factors and is continuous at ``x = 0`` for
 even data; spelling both half-lines this way avoids tracking the four
 sign conventions of the two printed per-side formulas separately.
+
+Every form is linear in ``(Ai(z), Ai'(z))``: a piece of a field is a record
+``(at, z, c_ai, c_aip)`` of grid indices, Airy arguments and ``(n, 2)``
+complex coefficients, worth ``Re(c_ai Ai(z) + c_aip Ai'(z))`` at ``at``.  The
+evaluators build records, and :func:`_airy_sum` turns a list of them into a
+field with one Airy call.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .airy import _envelope_parts, airy_ai_pair
+from .airy import _envelope_root, airy_ai_pair
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import ConfigError, NumericalError, RegimeError
 from .initial_data import InitialProfile, spectral_vector
@@ -289,47 +295,38 @@ def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
 
 
 # ---------------------------------------------------------------------------
+# Airy records
+# ---------------------------------------------------------------------------
+
+def _airy_sum(size: int, records: list) -> np.ndarray:
+    """The ``(size, 2)`` field of ``records``, from one
+    :func:`~diatomic_waves.airy.airy_ai_pair` call.
+
+    A record ``(at, z, c_ai, c_aip)`` adds ``Re(c_ai Ai(z) + c_aip Ai'(z))``
+    (coefficients of shape ``(n, 2)``) at the grid indices ``at``.  A call
+    costs a few dozen numpy operations whatever its size, so the evaluators
+    only build records and :func:`shortwave_total` sums both branches' in one
+    call.  Each value is the one a call of its own would give
+    (:mod:`~diatomic_waves.airy` sums every point alone).
+    """
+    out = np.zeros((size, 2))
+    if records:
+        at, z, c_ai, c_aip = (np.concatenate(column) for column in zip(*records))
+        ai, aip = airy_ai_pair(z)
+        np.add.at(out, at, (c_ai * ai[:, None] + c_aip * aip[:, None]).real)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Front Airy evaluators
 # ---------------------------------------------------------------------------
 
-def _joined(parts: list, assemble: Callable[[list], np.ndarray]) -> tuple:
-    """One part ``(z, finish)`` made of ``parts`` laid end to end; its ``finish``
-    finishes each of them and hands their values, in order, to ``assemble``."""
-    cuts = np.cumsum([z.size for z, _ in parts])[:-1]
-    z = np.concatenate([z for z, _ in parts] + [np.empty(0)])
-
-    def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
-        pieces = zip(parts, np.split(ai, cuts), np.split(aip, cuts))
-        return assemble([part_finish(a, ap) for (_, part_finish), a, ap in pieces])
-
-    return z, finish
-
-
-def _with_airy(part: tuple) -> np.ndarray:
-    """``finish(Ai(z), Ai'(z))`` of a part ``(z, finish)``, from one
-    :func:`~diatomic_waves.airy.airy_ai_pair` call.
-
-    A call costs a few dozen numpy operations whatever its size, so each
-    evaluator returns its Airy arguments with the function that finishes it,
-    and :func:`shortwave_total` joins a time's evaluators into one call.  Each
-    value is the one a call of its own would give (:mod:`~diatomic_waves.airy`
-    sums every point alone).
-    """
-    z, finish = part
-    return finish(*airy_ai_pair(z)) if z.size else finish(z, z)
-
-
 def _front_airy(
-    params: LatticeParams,
-    profile: InitialProfile,
-    mu: float,
-    x,
-    t: float,
-    front: str,
-    branch: int,
-) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """Airy form of one branch near its front, about its critical momentum ``p_c``,
-    as a part for :func:`_with_airy`.
+    params: LatticeParams, profile: InitialProfile, mu: float, x: np.ndarray, t: float,
+    front: str, branch: int,
+) -> tuple:
+    """``(z, c_ai, c_aip)`` of the Airy form of one branch near its front, about
+    its critical momentum ``p_c``, at the points ``x``.
 
     The branch enters through its front speed ``s``, curvature ``k``,
     ``omega = omega(p_c)``, projector ``P = P(p_c)`` and weight ``n``
@@ -341,13 +338,11 @@ def _front_airy(
     with the splits ``F1``, ``F2`` about ``p_c`` at ``-y/(k t)``, continued
     by the three-point rule beyond the front.  The left front takes
     ``y = -(x + s t)``, ``p_c x - omega t`` and ``-i`` on the ``Ai'`` term.
-    The field has shape ``(len(x), 2)`` (heavy, light components).
     """
     _require_unit_delta(params, mu)
     _require_positive_time(t)
     if front not in ("left", "right"):
         raise ConfigError(f"front must be 'left' or 'right', got {front!r}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
     if branch == ACOUSTIC:  # the carrier is 1
         p_c, omega_c, weight = 0.0, 0.0, 1.0
@@ -359,24 +354,15 @@ def _front_airy(
     width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
     cube = (mu / (curv * t)) ** (1.0 / 3.0)
     if front == "right":
-        z = -(x_arr - speed * t) / (curv * t)
-        ai_arg = (x_arr - speed * t) / width
-        phase = (p_c * x_arr + omega_c * t) / mu
-        deriv_sign = +1.0
+        y, phase, deriv_sign = x - speed * t, (p_c * x + omega_c * t) / mu, 1.0
     else:
-        z = (x_arr + speed * t) / (curv * t)
-        ai_arg = -(x_arr + speed * t) / width
-        phase = (p_c * x_arr - omega_c * t) / mu
-        deriv_sign = -1.0
-    f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), z)
-
-    def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
-        combo = f1 * ai[:, None] + deriv_sign * 1j * cube * f2 * aip[:, None]
-        carrier = np.exp(1j * phase)
-        projected = np.einsum("ij,nj->ni", disp.modal_matrix(p_c, branch), combo)
-        return weight * cube * (carrier[:, None] * projected).real
-
-    return ai_arg, finish
+        y, phase, deriv_sign = -(x + speed * t), (p_c * x - omega_c * t) / mu, -1.0
+    eta = -y / (curv * t)
+    f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), eta)
+    projector = disp.modal_matrix(p_c, branch).T
+    carrier = (weight * cube * np.exp(1j * phase))[:, None]
+    c_aip = (deriv_sign * 1j * cube) * carrier * (f2 @ projector)
+    return y / width, carrier * (f1 @ projector), c_aip
 
 
 def acoustic_front_airy(
@@ -394,7 +380,9 @@ def acoustic_front_airy(
     even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
     (heavy, light components).
     """
-    return _with_airy(_front_airy(params, profile, mu, x, t, front, ACOUSTIC))
+    x_arr = np.asarray(x, dtype=float).ravel()
+    record = (np.arange(x_arr.size), *_front_airy(params, profile, mu, x_arr, t, front, ACOUSTIC))
+    return _airy_sum(x_arr.size, [record])
 
 
 def optical_front_airy(
@@ -412,46 +400,81 @@ def optical_front_airy(
     front ``+``) and weight 2.  The output oscillates at the carrier
     wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
-    return _with_airy(_front_airy(params, profile, mu, x, t, front, OPTICAL))
+    x_arr = np.asarray(x, dtype=float).ravel()
+    record = (np.arange(x_arr.size), *_front_airy(params, profile, mu, x_arr, t, front, OPTICAL))
+    return _airy_sum(x_arr.size, [record])
 
 
 # ---------------------------------------------------------------------------
 # Uniform evaluators
 # ---------------------------------------------------------------------------
 
-def _uniform(
-    x_arr: np.ndarray,
-    t: float,
-    *,
-    front_speed: float,
-    width: float,
-    interior_fn: Callable[[np.ndarray], tuple],
-    front_fn: Callable[[np.ndarray, str], tuple],
+def _interior(
+    disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, t: float, branch: int
 ) -> tuple:
-    """Interior / front-band / outside values on a grid, as one part for
-    :func:`_with_airy` joined from those ``interior_fn`` and ``front_fn`` return."""
-    front = front_speed * t
+    """``(z, c_ai, c_aip)`` of the interior form ``sqrt(2 mu / pi) Re[c_+ A_plus(y)
+    + c_- A_minus(y)]`` of one branch at the points ``x``, ``y`` its action over ``mu``.
+
+    With ``A_pm = sqrt(pi) (w Ai(-w^4) +- i Ai'(-w^4) / w)``, ``w = (3y/2)^{1/6}``,
+    the coefficients are ``c_ai = sqrt(2 mu) w (c_+ + c_-)`` and
+    ``c_aip = sqrt(2 mu) i (c_+ - c_-) / w``.  Acoustic: ``c_- = a(p)`` right of
+    the origin and ``c_+ = a(p)`` left, with
+    ``a(p) = A(p) Vtilde(p) / sqrt(t |omega_1''(p)|)``.  Optical:
+    ``c_+ = e^{i Theta/mu} b(p_max)`` and ``c_- = e^{i Theta/mu} b(p_min)``.
+    """
+    right = (x >= 0.0)[:, None]
+    if branch == ACOUSTIC:
+        sp = acoustic_stationary(disp.params, x, t)
+        p = sp.momenta[:, 0]
+        a = np.einsum(
+            "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
+        ) / np.sqrt(t * np.abs(disp.omega1_smooth_derivs(p, 2)[2]))[:, None]
+        c_plus, c_minus = np.where(right, 0.0, a), np.where(right, a, 0.0)
+    else:
+        sp = optical_stationary(disp.params, x, t)
+        p = sp.momenta  # (n, 2): p_minus, p_plus
+        b = np.einsum(
+            "nkij,nkj->nki", disp.modal_matrix(p, OPTICAL), spectral_vector(profile, 1.0, p)
+        ) / np.sqrt(t * np.abs(disp.omega2_derivs(p, 2)[2]))[..., None]
+        # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
+        # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
+        carrier = np.exp(1j * sp.carrier / mu)[:, None]
+        c_plus = carrier * np.where(right, b[:, 0], b[:, 1])
+        c_minus = carrier * np.where(right, b[:, 1], b[:, 0])
+    w = _envelope_root(sp.action / mu)
+    scale = np.sqrt(2.0 * mu)
+    c_ai = (scale * w)[:, None] * (c_plus + c_minus)
+    return -(w**4), c_ai, (scale * 1j) * (c_plus - c_minus) / w[:, None]
+
+
+def _uniform_records(
+    params: LatticeParams, profile: InitialProfile, mu: float, x: np.ndarray, t: float, branch: int
+) -> list:
+    """Records of one branch's uniform form on the grid ``x``: the interior
+    form up to ``FRONT_SWITCH_WIDTHS`` envelope widths inside the front, the
+    front form from there to ``CONTINUATION_WIDTHS`` widths beyond it on each
+    side, and none (zero) further out."""
+    _require_unit_delta(params, mu)
+    _require_positive_time(t)
+    disp = Dispersion(params)
+    if branch == ACOUSTIC:
+        speed, curv = disp.sound_speed, disp.dispersion_coefficient
+    else:
+        speed, curv = disp.critical.c_star, disp.critical.q_star
+    width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
+    front = speed * t
     switch = front - FRONT_SWITCH_WIDTHS * width
     outer = front + CONTINUATION_WIDTHS * width
-    interior = np.abs(x_arr) <= switch
-    right_band = (x_arr > switch) & (x_arr <= outer)
-    left_band = (x_arr < -switch) & (x_arr >= -outer)
-    masks, parts = [], []
-    if np.any(interior):
-        masks.append(interior)
-        parts.append(interior_fn(x_arr[interior]))
-    for band, side in ((right_band, "right"), (left_band, "left")):
-        if np.any(band):
-            masks.append(band)
-            parts.append(front_fn(x_arr[band], side))
-
-    def assemble(values: list) -> np.ndarray:
-        out = np.zeros(x_arr.shape + (2,), dtype=float)
-        for mask, value in zip(masks, values):
-            out[mask] = value
-        return out
-
-    return _joined(parts, assemble)
+    records = []
+    inside = np.flatnonzero(np.abs(x) <= switch)
+    if inside.size:
+        records.append((inside, *_interior(disp, profile, mu, x[inside], t, branch)))
+    bands = {"right": (x > switch) & (x <= outer), "left": (x < -switch) & (x >= -outer)}
+    for side, band in bands.items():
+        at = np.flatnonzero(band)
+        if at.size:
+            records.append((at, *_front_airy(params, profile, mu, x[at], t, side, branch)))
+    return records
 
 
 def acoustic_uniform(
@@ -470,48 +493,8 @@ def acoustic_uniform(
     envelope widths inside the front ``|x| = c t`` and zero beyond
     ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape ``(n, 2)``.
     """
-    return _with_airy(_acoustic_uniform(params, profile, mu, x, t))
-
-
-def _acoustic_uniform(
-    params: LatticeParams,
-    profile: InitialProfile,
-    mu: float,
-    x,
-    t: float,
-) -> tuple:
-    """:func:`acoustic_uniform` as a part for :func:`_with_airy`."""
-    _require_unit_delta(params, mu)
-    _require_positive_time(t)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    disp = Dispersion(params)
-    q = disp.dispersion_coefficient
-    width = mu ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0)
-
-    def interior(xs: np.ndarray) -> tuple:
-        sp = acoustic_stationary(params, xs, t)
-        p = sp.momenta[:, 0]
-        curv = disp.omega1_smooth_derivs(p, 2)[2]
-        amp = np.einsum(
-            "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
-        ) / np.sqrt(t * np.abs(curv))[:, None]
-        z, envelope = _envelope_parts(sp.action / mu, +1)
-
-        def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
-            a_plus = envelope(ai, aip)
-            env = np.where(xs >= 0.0, a_plus.conj(), a_plus)  # A_minus = conj(A_plus)
-            return np.sqrt(2.0 * mu / np.pi) * (amp * env[:, None]).real
-
-        return z, finish
-
-    return _uniform(
-        x_arr,
-        t,
-        front_speed=disp.sound_speed,
-        width=width,
-        interior_fn=interior,
-        front_fn=lambda xs, side: _front_airy(params, profile, mu, xs, t, side, ACOUSTIC),
-    )
+    x_arr = np.asarray(x, dtype=float).ravel()
+    return _airy_sum(x_arr.size, _uniform_records(params, profile, mu, x_arr, t, ACOUSTIC))
 
 
 def optical_uniform(
@@ -531,54 +514,8 @@ def optical_uniform(
     zero beyond ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape
     ``(n, 2)``.
     """
-    return _with_airy(_optical_uniform(params, profile, mu, x, t))
-
-
-def _optical_uniform(
-    params: LatticeParams,
-    profile: InitialProfile,
-    mu: float,
-    x,
-    t: float,
-) -> tuple:
-    """:func:`optical_uniform` as a part for :func:`_with_airy`."""
-    _require_unit_delta(params, mu)
-    _require_positive_time(t)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    disp = Dispersion(params)
-    crit = disp.critical
-    width = mu ** (2.0 / 3.0) * (crit.q_star * t) ** (1.0 / 3.0)
-
-    def interior(xs: np.ndarray) -> tuple:
-        sp = optical_stationary(params, xs, t)
-        p = sp.momenta  # (n, 2): p_minus, p_plus
-        curv = disp.omega2_derivs(p, 2)[2]
-        b = np.einsum(
-            "nkij,nkj->nki", disp.modal_matrix(p, OPTICAL), spectral_vector(profile, 1.0, p)
-        ) / np.sqrt(t * np.abs(curv))[..., None]
-        # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
-        # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
-        right = (xs >= 0.0)[:, None]
-        b_max = np.where(right, b[:, 0], b[:, 1])
-        b_min = np.where(right, b[:, 1], b[:, 0])
-        z, envelope = _envelope_parts(sp.action / mu, +1)
-
-        def finish(ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
-            a_plus = envelope(ai, aip)[:, None]
-            combo = b_max * a_plus + b_min * a_plus.conj()  # A_minus = conj(A_plus)
-            carrier = np.exp(1j * sp.carrier / mu)[:, None]
-            return np.sqrt(2.0 * mu / np.pi) * (carrier * combo).real
-
-        return z, finish
-
-    return _uniform(
-        x_arr,
-        t,
-        front_speed=crit.c_star,
-        width=width,
-        interior_fn=interior,
-        front_fn=lambda xs, side: _front_airy(params, profile, mu, xs, t, side, OPTICAL),
-    )
+    x_arr = np.asarray(x, dtype=float).ravel()
+    return _airy_sum(x_arr.size, _uniform_records(params, profile, mu, x_arr, t, OPTICAL))
 
 
 def shortwave_total(
@@ -592,18 +529,12 @@ def shortwave_total(
 
     The slow acoustic profile carries the bulk displacement; the optical
     part superposes a fast carrier oscillation under an Airy envelope
-    near ``|x| = c* t``.  Both take their Airy values from one call.
+    near ``|x| = c* t``.  Both branches' records share one Airy call.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    parts = [
-        _acoustic_uniform(params, profile, mu, x_arr, t),
-        _optical_uniform(params, profile, mu, x_arr, t),
+    x_arr = np.asarray(x, dtype=float).ravel()
+    records = [
+        *_uniform_records(params, profile, mu, x_arr, t, ACOUSTIC),
+        *_uniform_records(params, profile, mu, x_arr, t, OPTICAL),
     ]
-    total = _with_airy(_joined(parts, lambda fields: fields[0] + fields[1]))
-    return WaveField(
-        x=x_arr,
-        u=total[:, 0],
-        v=total[:, 1],
-        t=float(t),
-        method="shortwave_total",
-    )
+    total = _airy_sum(x_arr.size, records)
+    return WaveField(x=x_arr, u=total[:, 0], v=total[:, 1], t=float(t), method="shortwave_total")

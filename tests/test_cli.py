@@ -687,6 +687,48 @@ def test_mixed_regime_exits_2_before_any_work(tmp_path, capsys, h, names, comman
 
 
 @pytest.mark.parametrize(
+    "h, mu, times, names, says",
+    [
+        (
+            "0.01", "0.01", "0.0, 0.1", "quadrature_full, shortwave_total",
+            "short-wave asymptotics require finite t > 0, got 0.0",
+        ),
+        (
+            "5e-4", "0.05", "0.0, 0.1", "uas_integral, gaussian_airy",
+            "the Airy closed form needs a finite t > 0 (got t=0.0)",
+        ),
+        (
+            "0.008", "0.04", "0.1, -0.1", "dalembert, quadrature_full",
+            "t must be finite and non-negative, got -0.1",
+        ),
+        (
+            "0.008", "0.04", "0.1, -0.1", "dalembert, uas_integral",
+            "t must be finite and non-negative, got -0.1",
+        ),
+        (
+            "0.04", "0.04", "0.2, 0.1", "quadrature_full, ode",
+            "record times must be strictly increasing and positive",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_refused_times_exit_2_on_load(tmp_path, capsys, h, mu, times, names, says, command):
+    # each method's check refuses the times its evaluator refuses, before any
+    # other method has run or written a file
+    text = (
+        BASE.replace("h = 0.008", f"h = {h}")
+        .replace("mu = 0.04", f"mu = {mu}")
+        .replace("values = 0.3", f"values = {times}")
+        .replace("names = gaussian_airy, dalembert", f"names = {names}")
+    )
+    out_dir = tmp_path / "o"
+    code = cli.main([command, "--config", str(_write(tmp_path, text)), "--out", str(out_dir)])
+    assert code == 2
+    assert says in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "names", ["gaussian_airy, uas_gaussian_airy", "dalembert, gaussian_airy, dalembert"]
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])

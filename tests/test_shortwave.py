@@ -15,6 +15,7 @@ from diatomic_waves import (
     OPTICAL,
     ConfigError,
     Dispersion,
+    GaussianProfile,
     NumericalError,
     RegimeError,
     StationaryPoints,
@@ -23,6 +24,7 @@ from diatomic_waves import (
     acoustic_stationary,
     acoustic_uniform,
     airy_ai_pair,
+    envelope_amplitude,
     optical_front_airy,
     optical_stationary,
     optical_uniform,
@@ -408,7 +410,7 @@ def _total_field(*args) -> np.ndarray:
 )
 def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, monkeypatch):
     # the interior and both front bands of each branch share one airy_ai_pair
-    # call, and every value is the one a call per piece gives
+    # call, and every value is the one a call per record gives
     reach = max(disp.sound_speed, disp.critical.c_star) * T
     x = np.linspace(-1.2 * reach, 1.2 * reach, 201)
     sizes = []
@@ -420,14 +422,157 @@ def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, m
     monkeypatch.setattr(shortwave, "airy_ai_pair", counted)
     joined = evaluate(params, gaussian, MU, x, T)
     assert len(sizes) == 1
-    with_airy = shortwave._with_airy
+    airy_sum = shortwave._airy_sum
 
-    def one_call_per_part(parts, assemble):
-        return np.empty(0), lambda ai, aip: assemble([with_airy(part) for part in parts])
+    def one_call_per_record(size, records):
+        return sum((airy_sum(size, [record]) for record in records), np.zeros((size, 2)))
 
-    monkeypatch.setattr(shortwave, "_joined", one_call_per_part)
+    monkeypatch.setattr(shortwave, "_airy_sum", one_call_per_record)
     assert np.array_equal(evaluate(params, gaussian, MU, x, T), joined)
     assert len(sizes) == 1 + pieces and sum(sizes[1:]) == sizes[0]
+
+
+def _edges(disp, t):
+    """``(switch, outer)`` of the acoustic and of the optical branch at ``t``,
+    formed as the uniform evaluators form them."""
+    out = []
+    for speed, curv in (
+        (disp.sound_speed, disp.dispersion_coefficient),
+        (disp.critical.c_star, disp.critical.q_star),
+    ):
+        width = MU ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
+        front = speed * t
+        out.append((front - shortwave.FRONT_SWITCH_WIDTHS * width,
+                    front + shortwave.CONTINUATION_WIDTHS * width))
+    return out
+
+
+def _continued_split(profile, p_c, eta):
+    """``(F1, F2)`` about ``p_c`` at one ``eta``, by the three-point rule for ``eta < 0``."""
+    if eta >= 0.0:
+        f1, f2 = split_about_pstar(profile, p_c, np.array([eta]))
+        return f1[0], f2[0]
+    return tuple(
+        np.asarray(
+            three_point_continue(
+                lambda s, j=j: split_about_pstar(profile, p_c, np.atleast_1d(-s))[j][0],
+                np.array([-eta]),
+            )
+        ).reshape(2)
+        for j in (0, 1)
+    )
+
+
+def _front_formula(disp, profile, x, t, side, branch):
+    """The front form of the ``_front_airy`` docstring, point by point, and
+    its amplitude scale ``n r max |P F1| + n r^2 max |P F2|``."""
+    if branch == ACOUSTIC:
+        p_c, omega, speed, curv, n = 0.0, 0.0, disp.sound_speed, disp.dispersion_coefficient, 1.0
+    else:
+        crit = disp.critical
+        p_c, speed, curv, n = crit.p_star, crit.c_star, crit.q_star, 2.0
+        omega = disp.omega2_derivs(p_c, 0)[0]
+    w = MU ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
+    r = (MU / (curv * t)) ** (1.0 / 3.0)
+    sign = 1.0 if side == "right" else -1.0
+    proj = disp.modal_matrix(p_c, branch)
+    values, scale = [], 0.0
+    for xi in x:
+        y = xi - speed * t if side == "right" else -(xi + speed * t)
+        f1, f2 = _continued_split(profile, p_c, -y / (curv * t))
+        ai, aip = airy_ai_pair(y / w)
+        carrier = np.exp(1j * (p_c * xi + sign * omega * t) / MU)
+        values.append(n * r * (carrier * (proj @ (f1 * ai + sign * 1j * r * f2 * aip))).real)
+        scale = max(scale, n * r * np.abs(proj @ f1).max() + n * r * r * np.abs(proj @ f2).max())
+    return np.array(values), scale
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "skew"])
+def test_uniform_forms_equal_the_envelope_and_front_formulas(params, disp, gaussian, profile):
+    # the WKB tests above check these forms to 2-5%; here each piece of the
+    # uniform evaluators equals its formula written with envelope_amplitude
+    # and airy_ai_pair, to rounding
+    prof = gaussian if profile == "gaussian" else _skew_profile()
+    (ac_switch, ac_outer), (op_switch, op_outer) = _edges(disp, T)
+    root = np.sqrt(2.0 * MU / np.pi)
+
+    x = np.concatenate([[0.25, -0.25], np.linspace(-ac_switch, ac_switch, 50)])
+    sp = acoustic_stationary(params, x, T)
+    a = []
+    for p in sp.momenta[:, 0]:
+        curv = disp.omega1_smooth_derivs(p, 2)[2]
+        v = spectral_vector(prof, 1.0, p)[0]
+        a.append(disp.modal_matrix(p, ACOUSTIC) @ v / np.sqrt(T * abs(curv)))
+    a = np.array(a)
+    y = sp.action / MU
+    env = np.where(x >= 0.0, envelope_amplitude(y, -1), envelope_amplitude(y, +1))
+    expected = root * (a * env[:, None]).real
+    got = acoustic_uniform(params, prof, MU, x, T)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * root * np.abs(a).max()
+
+    x = np.concatenate([[0.15, -0.15], np.linspace(-op_switch, op_switch, 50)])
+    sp = optical_stationary(params, x, T)
+    b = np.empty((x.size, 2, 2), dtype=complex)
+    for i, pair in enumerate(sp.momenta):
+        for k, p in enumerate(pair):
+            curv = disp.omega2_derivs(p, 2)[2]
+            v = spectral_vector(prof, 1.0, p)[0]
+            b[i, k] = disp.modal_matrix(p, OPTICAL) @ v / np.sqrt(T * abs(curv))
+    right = (x >= 0.0)[:, None]
+    b_max = np.where(right, b[:, 0], b[:, 1])
+    b_min = np.where(right, b[:, 1], b[:, 0])
+    y = sp.action / MU
+    combo = b_max * envelope_amplitude(y, +1)[:, None] + b_min * envelope_amplitude(y, -1)[:, None]
+    expected = root * (np.exp(1j * sp.carrier / MU)[:, None] * combo).real
+    got = optical_uniform(params, prof, MU, x, T)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * root * np.abs(b).sum(axis=1).max()
+
+    for evaluate, branch, switch, outer in (
+        (acoustic_uniform, ACOUSTIC, ac_switch, ac_outer),
+        (optical_uniform, OPTICAL, op_switch, op_outer),
+    ):
+        # one point per call, as in the formula: beyond the front the split F2
+        # at eta = 0 is a difference quotient over p_c -+ 1e-6, whose rounding
+        # (~5e-11 relative) depends on the array the sums came in
+        band = np.linspace(switch, outer, 41)[1:]  # (switch, outer]
+        for side, xs in (("right", band), ("left", -band)):
+            expected, scale = _front_formula(disp, prof, xs, T, side, branch)
+            got = np.concatenate([evaluate(params, prof, MU, [xi], T) for xi in xs])
+            assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+
+_PUBLIC_EVALUATORS = {
+    "acoustic_uniform": acoustic_uniform,
+    "optical_uniform": optical_uniform,
+    "acoustic_front_right": acoustic_front_airy,
+    "acoustic_front_left": lambda *args: acoustic_front_airy(*args, "left"),
+    "optical_front_right": optical_front_airy,
+    "optical_front_left": lambda *args: optical_front_airy(*args, "left"),
+    "shortwave_total": _total_field,
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_evaluators_commute_with_permutations(params, disp, data):
+    # unsorted grids with repeated points and points exactly at the switch and
+    # the outer edge of both branches: every point's value is its own
+    t = data.draw(st.sampled_from([0.1, 0.5]))
+    edges = [s * e for pair in _edges(disp, t) for e in pair for s in (1.0, -1.0)]
+    reach = 1.2 * max(edges)  # beyond both outer edges
+    points = st.one_of(st.sampled_from(edges), st.floats(-reach, reach))
+    base = data.draw(st.lists(points, min_size=1, max_size=25))
+    x = np.array(base + data.draw(st.lists(st.sampled_from(base), max_size=8)))
+    perm = np.array(data.draw(st.permutations(range(x.size))))
+    fields, gaussian = {}, GaussianProfile()
+    for name, evaluate in _PUBLIC_EVALUATORS.items():
+        field = evaluate(params, gaussian, MU, x, t)
+        moved = evaluate(params, gaussian, MU, x[perm], t)
+        assert np.max(np.abs(moved - field[perm])) <= 1e-15 * np.max(np.abs(field))
+        fields[name] = field
+    np.testing.assert_array_equal(
+        fields["shortwave_total"], fields["acoustic_uniform"] + fields["optical_uniform"]
+    )
 
 
 def test_acoustic_windowed_error_vs_quadrature(gaussian):
