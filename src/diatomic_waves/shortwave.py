@@ -74,9 +74,12 @@ CONTINUATION_WIDTHS = 5.0
 
 _Z_FLOOR = 1e-12
 _ROOT_RESIDUAL = 1e-10
-#: Halvings of a stationary bracket (width <= pi/2): 2^-60 pi/2 = 1.4e-18
-#: in momentum, far below what the residual bound and the amplitudes resolve.
-_BISECTIONS = 60
+#: Iteration cap of the stationary-point Newton solve.  Halving alone would
+#: shrink a bracket (width <= pi/2) to 2^-60 pi/2 = 1.4e-18 in that many steps.
+_NEWTON_CAP = 60
+#: A point stops once its residual is at rounding level or its step is this short.
+_RESIDUAL_FLOOR = 4.0 * np.finfo(float).eps
+_STEP_FLOOR = 1e-13
 _GL_PSI_NODES, _GL_PSI_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -189,19 +192,51 @@ class StationaryPoints:
             )
 
 
-def _bisect(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Elementwise root of ``fn``, decreasing through zero on each ``[lo, hi]``.
+def _newton(derivs: Callable, target, sign, p, lo, hi) -> np.ndarray:
+    """Elementwise root of ``f = sign (g - target)``, decreasing on each ``[lo, hi]``.
 
-    Without a sign change a bracket collapses onto an endpoint; the
-    caller's residual check rejects that unless the root is the endpoint
-    (as at ``x = 0``, where ``fn`` there is rounding noise of either sign).
+    ``derivs(p)`` returns ``(g, g')`` from one call; ``p`` is the starting
+    guess, inside the closed bracket.  Each Newton iterate replaces the
+    bracket end of its own sign.  A step that leaves the closed bracket goes
+    to the end it crossed the first time (the root may sit on a bracket end,
+    as at ``x = 0``, and the residual test stops it there) and to the
+    bracket's midpoint after that.  A point stops once ``|f| <= 4 eps`` or
+    its step is at most ``_STEP_FLOOR``, and only its own values decide that,
+    so its root does not depend on the other points.  NaN points never move;
+    the caller's residual check rejects them, as it rejects a point whose
+    bracket held no sign change.  Returns the roots, flattened.
     """
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        above = fn(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    p, lo, hi, target, sign = (
+        np.array(a, dtype=float).ravel() for a in np.broadcast_arrays(p, lo, hi, target, sign)
+    )
+    crossed = np.zeros(p.shape, dtype=bool)
+    live = np.flatnonzero(~np.isnan(p))
+    for _ in range(_NEWTON_CAP):
+        if not live.size:
+            break
+        q = p[live]
+        g, slope = derivs(q)
+        f = sign[live] * (g - target[live])
+        a = np.where(f > 0.0, q, lo[live])
+        b = np.where(f < 0.0, q, hi[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = q - (g - target[live]) / slope
+        out = ~((a <= nxt) & (nxt <= b))
+        first = out & ~crossed[live]
+        end = np.where(nxt > b, b, a)
+        nxt = np.where(out, np.where(first, end, 0.5 * (a + b)), nxt)
+        settled = np.abs(f) <= _RESIDUAL_FLOOR
+        p[live] = np.where(settled, q, nxt)
+        lo[live], hi[live] = a, b
+        crossed[live] |= out
+        live = live[~(settled | (np.abs(nxt - q) <= _STEP_FLOOR))]
+    return p
+
+
+def _dispersion(params: LatticeParams | Dispersion) -> Dispersion:
+    """``params`` itself when it is a :class:`Dispersion` already (so its
+    critical point is solved once), else a new one."""
+    return params if isinstance(params, Dispersion) else Dispersion(params)
 
 
 def _reject_beyond_front(x: np.ndarray, front: float, branch: str, speed: str) -> None:
@@ -213,27 +248,30 @@ def _reject_beyond_front(x: np.ndarray, front: float, branch: str, speed: str) -
         )
 
 
-def acoustic_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
+def acoustic_stationary(params: LatticeParams | Dispersion, x, t: float) -> StationaryPoints:
     """Acoustic stationary momentum ``p`` solving ``omega_1'(p) = |x| / t``.
 
     The group speed of the smooth acoustic branch decreases from ``c``
     at ``p = 0`` to ``0`` at the zone edge ``p = pi/2``, so there is a
     unique root for ``|x| < c t`` (``p -> pi/2`` as ``x -> 0``), found for
-    every point of ``x`` (scalar or array) at once by bisection.  The
-    stored action ``S = omega_1(p) t - p |x|`` is computed in the
-    cancellation-free Legendre form ``t m(p) + p (t omega_1'(p) - |x|)``.
+    every point of ``x`` (scalar or array) at once by bracketed Newton
+    iteration on ``[0, pi/2]`` (:func:`_newton`), started from the front's
+    cubic model ``omega_1' = c - q p^2``.  ``params`` may be a
+    :class:`Dispersion` to reuse.  The stored action
+    ``S = omega_1(p) t - p |x|`` is computed in the cancellation-free
+    Legendre form ``t m(p) + p (t omega_1'(p) - |x|)``.
     """
     _require_positive_time(t)
-    disp = Dispersion(params)
+    disp = _dispersion(params)
     x_arr = np.asarray(x, dtype=float)
     _reject_beyond_front(x_arr, disp.sound_speed * t, "acoustic", "c t")
     ax = np.abs(x_arr)
     target = ax / t
-
-    def residual_fn(p: np.ndarray) -> np.ndarray:
-        return disp.omega1_smooth_derivs(p, 1)[1] - target
-
-    p = _bisect(residual_fn, np.zeros_like(ax), np.full_like(ax, np.pi / 2.0))
+    guess = np.sqrt(np.maximum(disp.sound_speed - target, 0.0) / disp.dispersion_coefficient)
+    p = _newton(
+        lambda s: disp.omega1_smooth_derivs(s, 2)[1:],
+        target, 1.0, np.minimum(guess, np.pi / 2.0), 0.0, np.pi / 2.0,
+    ).reshape(ax.shape)
     omega1_p = disp.omega1_smooth_derivs(p, 1)[1]
     residual = np.max(np.abs(omega1_p - target), initial=0.0)
     if not residual <= _ROOT_RESIDUAL:
@@ -242,14 +280,17 @@ def acoustic_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
     return StationaryPoints(momenta=p[..., None], action=action, carrier=np.zeros_like(action))
 
 
-def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
+def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> StationaryPoints:
     """Optical stationary pair ``p_- < p* < p_+`` with phases ``Theta, Psi``.
 
     Both momenta solve ``omega_2'(p) = -|x| / t`` (the optical group
     speed runs from 0 at the zone centre through ``-c*`` at ``p*`` back
     to 0 at the zone edge); they exist for ``|x| < c* t`` and are found
-    for every point of ``x`` (scalar or array) at once by bisection on
-    ``[0, p*]`` and ``[p*, pi/2]``.  With the side phase
+    for every point of ``x`` (scalar or array) at once by bracketed Newton
+    iteration on ``[0, p*]`` and ``[p*, pi/2]`` (:func:`_newton`), started
+    from the front's cubic model ``omega_2' = -c* + q* (p - p*)^2``.
+    ``params`` may be a :class:`Dispersion` to reuse, with its ``p*``.
+    With the side phase
     ``Phi(p) = p x + omega_2(p) t`` (``x >= 0``) or
     ``p x - omega_2(p) t`` (``x < 0``), the stored values are
     ``Theta = (Phi(p_+) + Phi(p_-)) / 2`` and the non-negative
@@ -258,7 +299,7 @@ def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
     evaluated as an integral to stay accurate as ``p_+- -> p*``).
     """
     _require_positive_time(t)
-    disp = Dispersion(params)
+    disp = _dispersion(params)
     crit = disp.critical
     x_arr = np.asarray(x, dtype=float)
     _reject_beyond_front(x_arr, crit.c_star * t, "optical", "c* t")
@@ -267,16 +308,13 @@ def optical_stationary(params: LatticeParams, x, t: float) -> StationaryPoints:
     # the residual decreasing on both brackets.
     flip = np.array([1.0, -1.0])
     shape = x_arr.shape + (2,)
-
-    def residual_fn(p: np.ndarray) -> np.ndarray:
-        return flip * (disp.omega2_derivs(p, 1)[1] - target)
-
-    momenta = _bisect(
-        residual_fn,
-        np.broadcast_to((0.0, crit.p_star), shape),
-        np.broadcast_to((crit.p_star, np.pi / 2.0), shape),
-    )
-    residual = np.max(np.abs(residual_fn(momenta)), initial=0.0)
+    lo, hi = np.array([0.0, crit.p_star]), np.array([crit.p_star, np.pi / 2.0])
+    shift = np.sqrt(np.maximum(crit.c_star + target, 0.0) / crit.q_star)
+    momenta = _newton(
+        lambda s: disp.omega2_derivs(s, 2)[1:],
+        target, flip, np.clip(crit.p_star - flip * shift, lo, hi), lo, hi,
+    ).reshape(shape)
+    residual = np.max(np.abs(disp.omega2_derivs(momenta, 1)[1] - target), initial=0.0)
     if not residual <= _ROOT_RESIDUAL:
         raise NumericalError(f"optical stationary residual {residual:.3e} > {_ROOT_RESIDUAL}")
     p_minus, p_plus = momenta[..., 0], momenta[..., 1]
@@ -322,7 +360,7 @@ def _airy_sum(size: int, records: list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _front_airy(
-    params: LatticeParams, profile: InitialProfile, mu: float, x: np.ndarray, t: float,
+    disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, t: float,
     front: str, branch: int,
 ) -> tuple:
     """``(z, c_ai, c_aip)`` of the Airy form of one branch near its front, about
@@ -339,11 +377,10 @@ def _front_airy(
     by the three-point rule beyond the front.  The left front takes
     ``y = -(x + s t)``, ``p_c x - omega t`` and ``-i`` on the ``Ai'`` term.
     """
-    _require_unit_delta(params, mu)
+    _require_unit_delta(disp.params, mu)
     _require_positive_time(t)
     if front not in ("left", "right"):
         raise ConfigError(f"front must be 'left' or 'right', got {front!r}")
-    disp = Dispersion(params)
     if branch == ACOUSTIC:  # the carrier is 1
         p_c, omega_c, weight = 0.0, 0.0, 1.0
         speed, curv = disp.sound_speed, disp.dispersion_coefficient
@@ -381,7 +418,10 @@ def acoustic_front_airy(
     (heavy, light components).
     """
     x_arr = np.asarray(x, dtype=float).ravel()
-    record = (np.arange(x_arr.size), *_front_airy(params, profile, mu, x_arr, t, front, ACOUSTIC))
+    record = (
+        np.arange(x_arr.size),
+        *_front_airy(Dispersion(params), profile, mu, x_arr, t, front, ACOUSTIC),
+    )
     return _airy_sum(x_arr.size, [record])
 
 
@@ -401,7 +441,10 @@ def optical_front_airy(
     wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
     x_arr = np.asarray(x, dtype=float).ravel()
-    record = (np.arange(x_arr.size), *_front_airy(params, profile, mu, x_arr, t, front, OPTICAL))
+    record = (
+        np.arange(x_arr.size),
+        *_front_airy(Dispersion(params), profile, mu, x_arr, t, front, OPTICAL),
+    )
     return _airy_sum(x_arr.size, [record])
 
 
@@ -424,14 +467,14 @@ def _interior(
     """
     right = (x >= 0.0)[:, None]
     if branch == ACOUSTIC:
-        sp = acoustic_stationary(disp.params, x, t)
+        sp = acoustic_stationary(disp, x, t)
         p = sp.momenta[:, 0]
         a = np.einsum(
             "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
         ) / np.sqrt(t * np.abs(disp.omega1_smooth_derivs(p, 2)[2]))[:, None]
         c_plus, c_minus = np.where(right, 0.0, a), np.where(right, a, 0.0)
     else:
-        sp = optical_stationary(disp.params, x, t)
+        sp = optical_stationary(disp, x, t)
         p = sp.momenta  # (n, 2): p_minus, p_plus
         b = np.einsum(
             "nkij,nkj->nki", disp.modal_matrix(p, OPTICAL), spectral_vector(profile, 1.0, p)
@@ -473,7 +516,7 @@ def _uniform_records(
     for side, band in bands.items():
         at = np.flatnonzero(band)
         if at.size:
-            records.append((at, *_front_airy(params, profile, mu, x[at], t, side, branch)))
+            records.append((at, *_front_airy(disp, profile, mu, x[at], t, side, branch)))
     return records
 
 

@@ -204,7 +204,35 @@ def _brentq_root(fn, lo, hi):
 
 
 STATIONARY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-_FRACTIONS = st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=12)
+#: ``|frac| <= 0.999`` of the front, plus exact 0 and ``+-(1 - 10^-k)``, k = 3..7:
+#: the uniform forms send points up to ``1 - 1e-5`` of the front to the solvers.
+_NEAR_FRONT = (1.0 - 10.0 ** -np.arange(3.0, 8.0)).tolist()
+_FRACTIONS = st.lists(
+    st.one_of(
+        st.floats(-0.999, 0.999),
+        st.sampled_from([0.0, *_NEAR_FRONT, *(-f for f in _NEAR_FRONT)]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _root_bound(frac, curvature):
+    """Allowed distance from the :func:`_brentq_root` reference: ``1e-12`` for
+    ``|frac| <= 0.999``, and ``1e-12 + 16 eps / |omega''(p)|`` closer to the front.
+
+    The residual ``f(p) = omega'(p) -+ |x|/t`` takes values of size <= 1, so its
+    computed value carries an absolute rounding error ``delta`` of a few eps; take
+    ``delta = 8 eps``.  Every ``p`` with ``|f(p)| <= delta`` is a root to working
+    precision, and by the mean value theorem those ``p`` lie within
+    ``delta / |f'(p)| = 8 eps / |omega''(p)|`` of the true root.  Both solvers
+    stop inside that set, so they agree to twice its half-width.  Near the
+    front ``omega''`` vanishes like the distance to it (``omega''(p) ~ 2 q p``,
+    acoustic; ``~ 2 q* (p - p*)``, optical), and this bound grows past ``1e-12``.
+    """
+    if abs(frac) <= 0.999:
+        return 1e-12
+    return 1e-12 + 16.0 * np.finfo(float).eps / abs(curvature)
 
 
 @STATIONARY_SETTINGS
@@ -215,11 +243,11 @@ def test_acoustic_stationary_grid_properties(params, disp, frac, t):
     assert sp.momenta.shape == x.shape + (1,) and sp.action.shape == x.shape
     p = sp.momenta[:, 0]
     assert np.max(np.abs(disp.omega1_smooth_derivs(p, 1)[1] - np.abs(x) / t)) <= 1e-10
-    ref = [
-        _brentq_root(lambda s, xi=xi: disp.omega1_smooth_derivs(s, 1)[1] - abs(xi) / t, 0.0, np.pi / 2)
-        for xi in x
-    ]
-    assert_allclose(p, ref, rtol=0, atol=1e-12)
+    for fi, xi, root in zip(frac, x, p):
+        ref = _brentq_root(
+            lambda s, xi=xi: disp.omega1_smooth_derivs(s, 1)[1] - abs(xi) / t, 0.0, np.pi / 2
+        )
+        assert abs(root - ref) <= _root_bound(fi, disp.omega1_smooth_derivs(ref, 2)[2])
     assert np.all(sp.action >= 0.0)
     mirrored = acoustic_stationary(params, -x, t)
     np.testing.assert_array_equal(mirrored.momenta, sp.momenta)
@@ -239,12 +267,13 @@ def test_optical_stationary_grid_properties(params, disp, frac, t):
     assert sp.momenta.shape == x.shape + (2,) and sp.action.shape == x.shape
     speed = disp.omega2_derivs(sp.momenta, 1)[1]
     assert np.max(np.abs(speed + np.abs(x)[:, None] / t)) <= 1e-10
-    for xi, (p_minus, p_plus) in zip(x, sp.momenta):
+    for fi, xi, (p_minus, p_plus) in zip(frac, x, sp.momenta):
         def fn(s, xi=xi):
             return disp.omega2_derivs(s, 1)[1] + abs(xi) / t
 
-        assert abs(p_minus - _brentq_root(fn, 0.0, crit.p_star)) <= 1e-12
-        assert abs(p_plus - _brentq_root(fn, crit.p_star, np.pi / 2)) <= 1e-12
+        for p, lo, hi in ((p_minus, 0.0, crit.p_star), (p_plus, crit.p_star, np.pi / 2)):
+            ref = _brentq_root(fn, lo, hi)
+            assert abs(p - ref) <= _root_bound(fi, disp.omega2_derivs(ref, 2)[2])
         assert p_minus < crit.p_star < p_plus
     assert np.all(sp.action >= 0.0)
     mirrored = optical_stationary(params, -x, t)
@@ -257,8 +286,35 @@ def test_optical_stationary_grid_properties(params, disp, frac, t):
     assert_allclose(single.carrier, sp.carrier[0], rtol=1e-15, atol=1e-18)
 
 
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Names of the ``omega1_smooth_derivs`` and ``omega2_derivs`` calls made
+    while the test runs, nested calls included."""
+    calls = []
+    for name in ("omega1_smooth_derivs", "omega2_derivs"):
+        def counted(self, *args, _name=name, _original=getattr(Dispersion, name), **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Dispersion, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver, branch", [(acoustic_stationary, 0), (optical_stationary, 1)])
+def test_stationary_solves_take_few_dispersion_calls(
+    params, disp, solver, branch, derivative_calls
+):
+    # bracketed Newton from the front's cubic model settles every point in a
+    # handful of vectorized steps, from the bracket-end roots at x = 0 out to
+    # the switch to the front form (60 bisection steps took 123 and 72 calls)
+    switch = _edges(disp, T)[branch][0]
+    x = switch * np.arange(-200, 201) / 200.0
+    solver(params, x, T)
+    assert 0 < len(derivative_calls) <= 24
+
+
 @pytest.mark.parametrize("solver", [acoustic_stationary, optical_stationary])
-def test_stationary_nan_input_fails_checks(params, solver):
+def test_stationary_nan_input_fails_checks(params, solver, derivative_calls):
     # NaN compares false against the front, so the residual check must catch it
     with pytest.raises(NumericalError, match="residual"):
         solver(params, np.array([0.1, np.nan]), T)
@@ -266,6 +322,15 @@ def test_stationary_nan_input_fails_checks(params, solver):
         solver(params, np.nan, T)
     with pytest.raises(ConfigError):
         solver(params, 0.1, np.nan)
+    # a NaN point is frozen from the start rather than iterated to the cap
+    clean = np.array([0.02, 0.05, 0.1])
+    derivative_calls.clear()
+    solver(params, clean, T)
+    calls_clean = len(derivative_calls)
+    derivative_calls.clear()
+    with pytest.raises(NumericalError, match="residual"):
+        solver(params, np.append(clean, np.nan), T)
+    assert len(derivative_calls) <= calls_clean
 
 
 def test_stationary_points_validation():
