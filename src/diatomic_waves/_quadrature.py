@@ -12,18 +12,21 @@ grid is below tolerance.
 
 The panels have equal width, so each of the 16 local Gauss-Legendre
 nodes forms a uniform grid across panels.  On a uniform output grid the
-node-by-point contraction therefore splits into 16 chirp-z transforms
-(Rabiner-Schafer-Rader 1969; Bluestein 1970), each costing
-``O((N + M) log(N + M))`` instead of ``O(N M)``; convergence is then
-checked on every output point.  Any other grid is contracted directly,
-and checked on a 33-point probe subset before the final contraction.
+node-by-point contraction is therefore a chirp-z transform
+(Rabiner-Schafer-Rader 1969; Bluestein 1970) of all 16 columns at once:
+one forward and one inverse FFT, costing ``O((N + M) log(N + M))``
+instead of ``O(N M)``; convergence is then checked on every output
+point.  Any other grid is contracted directly, and checked on a 33-point
+probe subset before the final contraction.
 The same chirp-z primitive serves the sublattice sums in
 :mod:`diatomic_waves.initial_data`, whose sites are uniform.
 
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
 weight, halving the work; callers opt in via ``even_fold=True`` and pass
-the half-band ``[0, b]``.
+the half-band ``[0, b]``.  The weight is real, so the folded call
+integrates ``Re kernel`` and returns ``Re F``, which is all its callers
+keep.
 
 Panels sized from the rate cost ``O(rate)`` nodes, which is waste when
 every output point sits far from the band's stationary points, as for
@@ -194,10 +197,12 @@ def _next_fast_len(n: int) -> int:
 def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """Chirp-z transform ``f(h)[i] = sum_j h[j] exp(i alpha j i)`` for ``i < m``.
 
-    ``h`` has shape ``(n, k)``; the result has shape ``(m, k)``.  Bluestein's
-    identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` turns the sum into one
-    linear convolution with the chirp ``exp(-i alpha k^2 / 2)``, done by FFT
-    in ``O((n + m) log(n + m))``; the chirp's transform is computed once here.
+    ``h`` has shape ``(n, k)``, its ``k`` columns being every local-node
+    column of a contraction side by side; the result has shape ``(m, k)``.
+    Bluestein's identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` turns the sum
+    into one linear convolution with the chirp ``exp(-i alpha k^2 / 2)``, done
+    for all columns by one forward and one inverse FFT in
+    ``O(k (n + m) log(n + m))``; the chirp's transform is computed once here.
     """
     half = 0.5 * alpha
     pre = _chirp(half, np.arange(n, dtype=float))
@@ -219,24 +224,31 @@ def _exp_sum(
     transform: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray,
     q: np.ndarray,
-    q0: float,
-    x0: float,
+    q0: np.ndarray | float,
+    x0: np.ndarray | float,
     steps: np.ndarray,
     resid: np.ndarray,
 ) -> np.ndarray:
-    """``out[i] = sum_j g[j] exp(i q[j] x[i])`` on two near-uniform grids.
+    """``out[i, c] = sum_j g[j, c] exp(i q[j, c] x[i, c])`` on near-uniform
+    grids, for ``C`` columns in one transform.
 
-    ``q[j] = q0 + j dq`` up to a few ulps, ``x[i] = x0 + steps[i] + resid[i]``
-    with ``steps[i] = i dx`` and a tiny residual, and ``transform`` is
-    ``_chirp_z(len(q), len(x), dq * dx)``.  ``q[j] x0`` is applied per term
-    and the residual to first order, so what the transform approximates is
-    ``q[j] (x[i] - x0)``, whose size is set by the width of the x grid, not
-    by its offset.  ``g`` has shape ``(n, k)``; the result ``(m, k)``.
+    Column ``c`` has ``q[j, c] = q0[c] + j dq`` up to a few ulps and
+    ``x[i, c] = x0[c] + steps[i] + resid[i, c]`` with ``steps[i] = i dx`` and
+    a tiny residual, and ``transform`` is ``_chirp_z(n, m, dq * dx)``.
+    ``q[j, c] x0[c]`` is applied per term and the residual to first order,
+    so what the transform approximates is ``q[j, c] (x[i, c] - x0[c])``,
+    whose size is set by the width of the x grid, not by its offset.
+    ``g`` has shape ``(n, C, w)``, ``q`` ``(n, C)`` and ``resid`` ``(m,)`` or
+    ``(m, C)``; ``q0``, ``x0`` and a ``C`` of 1 broadcast.  The result has
+    shape ``(m, C, w)``; every column and its ``q``-weighted copy pass through
+    one ``(n, 2 C w)`` transform.
     """
-    h = g * _cis(q * x0)[:, None]
-    s = transform(np.concatenate((h, h * q[:, None]), axis=1))
-    k = g.shape[1]
-    return _cis(q0 * steps)[:, None] * (s[:, :k] + 1j * resid[:, None] * s[:, k:])
+    h = g * _cis(q * x0)[..., None]
+    n, cols, w = h.shape
+    s = transform(np.concatenate((h, h * q[..., None]), axis=2).reshape(n, -1))
+    s = s.reshape(-1, cols, 2 * w)
+    r = resid.reshape(steps.size, -1, 1)
+    return _cis(steps[:, None] * q0)[..., None] * (s[..., :w] + 1j * r * s[..., w:])
 
 
 def _contract_direct(
@@ -257,14 +269,15 @@ def _contract_direct(
 def _contract(
     g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
 ) -> np.ndarray:
-    """As :func:`_contract_direct`, by chirp-z when ``x`` is uniform (see
-    :func:`_output_grid`) and ``p`` panel-strided (one local-node column at a
-    time).
+    """As :func:`_contract_direct`, by one chirp-z transform pair over all 16
+    local-node columns when ``x`` is uniform (see :func:`_output_grid`) and
+    ``p`` panel-strided.
 
     The two agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``: the
     offset ``x[0]`` and the grids' deviations from exact progressions are
     applied exactly or to first order, so only phases of the size of
-    ``p (x - x[0])`` pass through the transforms.
+    ``p (x - x[0])`` pass through the transforms.  The columns are added in
+    order ``c = 0 ... 15``.
     """
     grid = _output_grid(x, float(np.max(np.abs(p), initial=0.0)))
     columns = _panel_columns(p) if grid is not None else None
@@ -277,14 +290,17 @@ def _contract(
     k = g.shape[1]
     g_cols = g.reshape(-1, _ORDER, k)
     p_cols = p.reshape(-1, _ORDER)
+    real = np.isrealobj(g)
+    # sum g 2 cos(p x) = sum g e^{ipx} + conj(sum conj(g) e^{ipx}); a real g is its own conj
+    if even_fold and not real:
+        g_cols = np.concatenate((g_cols, g_cols.conj()), axis=2)
     transform = _chirp_z(p_cols.shape[0], x.size, dp * dx)
+    s = _exp_sum(transform, g_cols, p_cols, p0, x0, steps, resid)
+    if even_fold:
+        s = s + s.conj() if real else s[..., :k] + s[..., k:].conj()
     out = np.zeros((x.size, k), dtype=complex)
     for c in range(_ORDER):
-        g_c = g_cols[:, c]
-        if even_fold:  # sum g 2 cos(p x) = sum g e^{ipx} + conj(sum conj(g) e^{ipx})
-            g_c = np.concatenate((g_c, g_c.conj()), axis=1)
-        s = _exp_sum(transform, g_c, p_cols[:, c], p0[c], x0, steps, resid)
-        out += s[:, :k] + s[:, k:].conj() if even_fold else s
+        out += s[:, c]
     return out
 
 
@@ -335,8 +351,10 @@ def synthesize_field(
         Bound on the total oscillation rate (``max |x|`` plus the rate of
         any oscillatory factor inside the kernel).
     even_fold:
-        If true, evaluate ``int_{-b}^{b}`` of an even kernel folded to
-        ``[a=0, b]`` with a ``2 cos(p x)`` weight.
+        If true, evaluate ``Re int_{-b}^{b}`` of an even kernel folded to
+        ``[a=0, b]`` with a ``2 cos(p x)`` weight: the weight is real, so
+        only ``Re kernel`` is integrated, and the result's imaginary part
+        is zero.  Convergence is judged on that real part.
 
     Returns
     -------
@@ -381,6 +399,8 @@ def synthesize_field(
         require_level(n_panels)
         p, w = panel_nodes(a, b, n_panels)
         vals = np.asarray(kernel(p))
+        if even_fold:
+            vals = vals.real
         if vals.ndim == 1:
             was_1d = True
             vals = vals[:, None]

@@ -333,9 +333,10 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     Vectorized over ``p`` of any shape; always returns a complex array of
     shape ``p.shape`` (exactly real for even profiles, where the folded
     cosine form is used).  ``p`` is summed in flattened order; the sites
-    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
-    chirp-z transforms once ``p.size`` times the number of summed sites
-    reaches ``_CHIRP_MIN_TERMS``, any other ``p`` by a blocked direct sum.
+    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by one
+    chirp-z transform pair over its 16 local-node columns once ``p.size``
+    times the number of summed sites reaches ``_CHIRP_MIN_TERMS``, any
+    other ``p`` by a blocked direct sum.
     """
     p_arr = np.asarray(p, dtype=float).ravel()
     xi = _sublattice_sites(profile, delta, component)
@@ -353,11 +354,8 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         m = p_cols.shape[0]
         steps = np.arange(m) * dp
         transform = _chirp_z(xi.size, m, -2.0 * delta * dp)
-        out = np.empty((m, p0.size), dtype=complex)
-        for c, start in enumerate(p0):
-            resid = (p_cols[:, c] - start) - steps
-            sums = _exp_sum(transform, vals[:, None], -xi, -xi[0], start, steps, resid)
-            out[:, c] = sums[:, 0]
+        resid = (p_cols - p0) - steps[:, None]
+        out = _exp_sum(transform, vals[:, None, None], -xi[:, None], -xi[0], p0, steps, resid)
         out = out.ravel()
         if profile.is_even:
             out = (out.real + w0).astype(complex)

@@ -447,11 +447,9 @@ def write_fields_csv(
         lines.append(f"# {key} = {(header or {})[key]}")
     lines.append("x,u,v,method,t")
     for fld in fields:
-        t_repr = repr(float(fld.t))
-        for xi, ui, vi in zip(fld.x, fld.u, fld.v):
-            lines.append(
-                f"{float(xi)!r},{float(ui)!r},{float(vi)!r},{fld.method},{t_repr}"
-            )
+        tail = f",{fld.method},{float(fld.t)!r}"
+        x, u, v = (np.asarray(a, dtype=float).tolist() for a in (fld.x, fld.u, fld.v))
+        lines.extend(f"{xi!r},{ui!r},{vi!r}{tail}" for xi, ui, vi in zip(x, u, v))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -176,13 +176,16 @@ class StationaryPoints:
     ``momenta`` has shape ``x.shape + (1,)`` holding ``p`` for the
     acoustic mode, or ``x.shape + (2,)`` holding ``(p_minus, p_plus)``
     straddling ``p*`` for the optical mode; ``action`` (shape ``x.shape``)
-    is the non-negative Airy phase (``S`` acoustic, ``Psi`` optical) and
-    ``carrier`` the optical mean phase ``Theta`` (zero for acoustic).
+    is the non-negative Airy phase (``S`` acoustic, ``Psi`` optical),
+    ``carrier`` the optical mean phase ``Theta`` (zero for acoustic) and
+    ``curvature`` the branch's ``omega''`` at each momentum (shape of
+    ``momenta``; the smooth ``omega_1''`` for acoustic).
     """
 
     momenta: np.ndarray
     action: np.ndarray
     carrier: np.ndarray
+    curvature: np.ndarray
 
     def __post_init__(self) -> None:
         if not np.all(self.action >= 0.0):
@@ -272,12 +275,15 @@ def acoustic_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stat
         lambda s: disp.omega1_smooth_derivs(s, 2)[1:],
         target, 1.0, np.minimum(guess, np.pi / 2.0), 0.0, np.pi / 2.0,
     ).reshape(ax.shape)
-    omega1_p = disp.omega1_smooth_derivs(p, 1)[1]
+    _, omega1_p, omega1_pp = disp.omega1_smooth_derivs(p, 2)
     residual = np.max(np.abs(omega1_p - target), initial=0.0)
     if not residual <= _ROOT_RESIDUAL:
         raise NumericalError(f"acoustic stationary residual {residual:.3e} > {_ROOT_RESIDUAL}")
     action = t * disp.legendre_omega1(p) + p * (t * omega1_p - ax)
-    return StationaryPoints(momenta=p[..., None], action=action, carrier=np.zeros_like(action))
+    return StationaryPoints(
+        momenta=p[..., None], action=action, carrier=np.zeros_like(action),
+        curvature=omega1_pp[..., None],
+    )
 
 
 def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> StationaryPoints:
@@ -314,7 +320,8 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stati
         lambda s: disp.omega2_derivs(s, 2)[1:],
         target, flip, np.clip(crit.p_star - flip * shift, lo, hi), lo, hi,
     ).reshape(shape)
-    residual = np.max(np.abs(disp.omega2_derivs(momenta, 1)[1] - target), initial=0.0)
+    omega2, omega2_p, omega2_pp = disp.omega2_derivs(momenta, 2)
+    residual = np.max(np.abs(omega2_p - target), initial=0.0)
     if not residual <= _ROOT_RESIDUAL:
         raise NumericalError(f"optical stationary residual {residual:.3e} > {_ROOT_RESIDUAL}")
     p_minus, p_plus = momenta[..., 0], momenta[..., 1]
@@ -327,9 +334,9 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stati
     psi = -0.5 * t * half * (((p_plus[..., None] - nodes) * w2dd) @ _GL_PSI_WEIGHTS)
 
     sgn = np.where(x_arr >= 0.0, 1.0, -1.0)[..., None]
-    phi = momenta * x_arr[..., None] + sgn * disp.omega2_derivs(momenta, 0)[0] * t
+    phi = momenta * x_arr[..., None] + sgn * omega2 * t
     theta = 0.5 * (phi[..., 1] + phi[..., 0])
-    return StationaryPoints(momenta=momenta, action=psi, carrier=theta)
+    return StationaryPoints(momenta=momenta, action=psi, carrier=theta, curvature=omega2_pp)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +478,14 @@ def _interior(
         p = sp.momenta[:, 0]
         a = np.einsum(
             "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
-        ) / np.sqrt(t * np.abs(disp.omega1_smooth_derivs(p, 2)[2]))[:, None]
+        ) / np.sqrt(t * np.abs(sp.curvature[:, 0]))[:, None]
         c_plus, c_minus = np.where(right, 0.0, a), np.where(right, a, 0.0)
     else:
         sp = optical_stationary(disp, x, t)
         p = sp.momenta  # (n, 2): p_minus, p_plus
         b = np.einsum(
             "nkij,nkj->nki", disp.modal_matrix(p, OPTICAL), spectral_vector(profile, 1.0, p)
-        ) / np.sqrt(t * np.abs(disp.omega2_derivs(p, 2)[2]))[..., None]
+        ) / np.sqrt(t * np.abs(sp.curvature))[..., None]
         # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
         # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
         carrier = np.exp(1j * sp.carrier / mu)[:, None]

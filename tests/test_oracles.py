@@ -512,3 +512,22 @@ def test_fields_csv_round_trip(tmp_path):
         assert_allclose(back.x, orig.x, rtol=0, atol=0)
         assert_allclose(back.u, orig.u, rtol=0, atol=0)
         assert_allclose(back.v, orig.v, rtol=0, atol=0)
+
+
+def test_fields_csv_keeps_shortest_round_trip_bytes(tmp_path):
+    """Rows are the shortest-round-trip ``repr`` of each float64 value, as
+    ``float(value)`` per element gives it: negative zero, subnormals and
+    17-digit values included."""
+    x = np.array([-0.0, 5e-324, 0.1 + 0.2, -1.2345678901234567e-300, 2.0**-1074 * 3])
+    u = np.array([2.2250738585072014e-308, -0.0, 1.0 / 3.0, 1e22, -2.0**-1030])
+    v = np.array([np.nextafter(1.0, 2.0), 123456789.12345679, 0.0, -5e-324, 9007199254740993.0])
+    fields = [WaveField(x, u, v, 0.30000000000000004, "ode"), WaveField(v, x, u, -0.0, "uas")]
+    path = tmp_path / "f.csv"
+    write_fields_csv(path, fields, {"mu": "0.05"})
+    rows = ["# mu = 0.05", "x,u,v,method,t"] + [
+        f"{float(xi)!r},{float(ui)!r},{float(vi)!r},{f.method},{float(f.t)!r}"
+        for f in fields
+        for xi, ui, vi in zip(f.x, f.u, f.v)
+    ]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()

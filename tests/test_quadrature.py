@@ -64,27 +64,34 @@ def test_next_fast_len_matches_scipy():
     width=st.floats(0.1, 10.0),
     n_panels=st.integers(1, 40),
     even_fold=st.booleans(),
+    real=st.booleans(),
     columns=st.sampled_from((1, 2)),
     seed=st.integers(0, 2**16),
 )
 @example(  # one point
-    x=np.array([0.7]), a=-2.0, width=5.0, n_panels=3, even_fold=False, columns=1, seed=0
+    x=np.array([0.7]), a=-2.0, width=5.0, n_panels=3, even_fold=False, real=False, columns=1,
+    seed=0,
 )
 @example(  # one point, at 0
-    x=np.array([0.0]), a=0.0, width=5.0, n_panels=3, even_fold=True, columns=2, seed=1
+    x=np.array([0.0]), a=0.0, width=5.0, n_panels=3, even_fold=True, real=False, columns=2, seed=1
 )
 @example(  # two points
-    x=np.array([-3.0, 4.0]), a=0.0, width=5.0, n_panels=9, even_fold=True, columns=1, seed=2
+    x=np.array([-3.0, 4.0]), a=0.0, width=5.0, n_panels=9, even_fold=True, real=True, columns=1,
+    seed=2,
 )
 @example(  # descending
-    x=np.linspace(6.0, -6.0, 25), a=-3.0, width=6.0, n_panels=20, even_fold=False, columns=2, seed=3
+    x=np.linspace(6.0, -6.0, 25), a=-3.0, width=6.0, n_panels=20, even_fold=False, real=True,
+    columns=2, seed=3,
 )
 @example(  # through 0
-    x=0.25 * np.arange(-8, 9), a=0.0, width=9.0, n_panels=40, even_fold=True, columns=2, seed=4
+    x=0.25 * np.arange(-8, 9), a=0.0, width=9.0, n_panels=40, even_fold=True, real=False,
+    columns=2, seed=4,
 )
-def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, columns, seed):
+def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, real, columns, seed):
     p, w = quad.panel_nodes(a, a + width, n_panels)
     g = _weighted_kernel(p, w, columns, seed)
+    if real:
+        g = g.real.copy()
     assert quad._progression(x[:, None]) is not None
     assert quad._output_grid(x, float(np.max(np.abs(p)))) is not None
     assert quad._panel_columns(p) is not None  # so the chirp-z path is the one tested
@@ -92,6 +99,53 @@ def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, columns, s
     direct = quad._contract_direct(g, p, x, even_fold)
     assert fast.shape == direct.shape == (x.size, columns)
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g))
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_folded_real_kernel_transforms_once(columns):
+    """A real ``g`` is its own conjugate, so the even fold transforms it once;
+    the sum has the bits of the same call on ``g + 0j`` and no imaginary part."""
+    x = np.linspace(-5.0, 7.0, 61)
+    p, w = quad.panel_nodes(0.0, 8.0, 37)
+    g = _weighted_kernel(p, w, columns, 11).real.copy()
+    folded = quad._contract(g, p, x, True)
+    assert np.array_equal(folded, quad._contract(g + 0j, p, x, True))
+    assert np.all(folded.imag == 0.0)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 7])
+@pytest.mark.parametrize("even_fold, real", [(False, False), (True, False), (True, True)])
+def test_contraction_is_one_transform_pair(columns, even_fold, real, monkeypatch):
+    """All 16 local-node columns, of any width, go through one forward and
+    one inverse FFT; the chirp's own transform is the only other one."""
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    p, w = quad.panel_nodes(-1.0, 6.0, 50)
+    g = _weighted_kernel(p, w, columns, 5)
+    quad._contract(g.real.copy() if real else g, p, np.linspace(-3.0, 3.0, 41), even_fold)
+    assert counts["fft"] <= 2 and counts["ifft"] == 1
+
+
+def test_even_fold_of_complex_kernel_is_its_real_part():
+    """The fold integrates ``Re kernel`` against ``2 cos(p x)``, which is
+    ``Re F``: for ``e^{-(1/2 - i a) p^2}`` that is the real part of
+    ``sqrt(pi / (1/2 - i a)) e^{-x^2 / (2 - 4 i a)}``."""
+    a, cut = 0.7, 9.0
+    x = np.linspace(-4.0, 4.0, 81)
+
+    def kernel(p):
+        return np.exp(-(0.5 - 1j * a) * p * p)
+
+    folded = quad.synthesize_field(kernel, 0.0, cut, x, 4.0 + 2.0 * a * cut, even_fold=True)
+    exact = np.sqrt(np.pi / (0.5 - 1j * a)) * np.exp(-x * x / (2.0 - 4j * a))
+    assert np.max(np.abs(exact.imag)) > 0.1  # the dropped part is not small
+    assert np.max(np.abs(folded.real - exact.real)) <= 1e-12
+    assert np.all(folded.imag == 0.0)
 
 
 @pytest.mark.parametrize("even_fold", [False, True])

@@ -313,6 +313,16 @@ def test_stationary_solves_take_few_dispersion_calls(
     assert 0 < len(derivative_calls) <= 24
 
 
+@pytest.mark.parametrize("evaluator, most", [(acoustic_uniform, 17), (optical_uniform, 19)])
+def test_uniform_evaluators_reuse_stationary_derivatives(
+    params, gaussian, evaluator, most, derivative_calls
+):
+    # the residual, the optical phase and the interior curvature come from the
+    # solve's own order-2 derivative call (re-evaluating them took 19 and 21)
+    evaluator(params, gaussian, MU, np.linspace(-0.7, 0.7, 401), T)
+    assert 0 < len(derivative_calls) <= most
+
+
 @pytest.mark.parametrize("solver", [acoustic_stationary, optical_stationary])
 def test_stationary_nan_input_fails_checks(params, solver, derivative_calls):
     # NaN compares false against the front, so the residual check must catch it
@@ -335,7 +345,7 @@ def test_stationary_nan_input_fails_checks(params, solver, derivative_calls):
 
 def test_stationary_points_validation():
     with pytest.raises(NumericalError):
-        StationaryPoints(momenta=(0.3,), action=-1e-3, carrier=0.0)
+        StationaryPoints(momenta=(0.3,), action=-1e-3, carrier=0.0, curvature=(1.0,))
 
 
 # ---------------------------------------------------------------------------
