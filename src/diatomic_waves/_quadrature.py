@@ -13,20 +13,19 @@ grid is below tolerance.
 The panels have equal width, so each of the 16 local Gauss-Legendre
 nodes forms a uniform grid across panels.  On a uniform output grid the
 node-by-point contraction is therefore a chirp-z transform
-(Rabiner-Schafer-Rader 1969; Bluestein 1970) of all 16 columns at once:
-one forward and one inverse FFT, costing ``O((N + M) log(N + M))``
-instead of ``O(N M)``; convergence is then checked on every output
-point.  Any other grid is contracted directly, and checked on a 33-point
-probe subset before the final contraction.
+(Rabiner-Schafer-Rader 1969; Bluestein 1970) of all 16 columns at once
+(in groups past 4 MiB a block): one forward and one inverse FFT, costing
+``O((N + M) log(N + M))`` instead of ``O(N M)``; convergence is then
+checked on every output point.  Any other grid is contracted directly,
+and checked on a 33-point probe subset before the final contraction.
 The same chirp-z primitive serves the sublattice sums in
 :mod:`diatomic_waves.initial_data`, whose sites are uniform.
 
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
 weight, halving the work; callers opt in via ``even_fold=True`` and pass
-the half-band ``[0, b]``.  The weight is real, so the folded call
-integrates ``Re kernel`` and returns ``Re F``, which is all its callers
-keep.
+the half-band ``[0, b]``.  The weight is real, so the fold integrates
+``Re kernel`` and returns ``Re F``, all its callers keep.
 
 Panels sized from the rate cost ``O(rate)`` nodes, which is waste when
 every output point sits far from the band's stationary points, as for
@@ -77,6 +76,9 @@ _LB_ORDERS = (32, 64, 128, 256)
 
 #: ``i**n`` for ``n % 4``, exactly.
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+#: Complex elements (4 MiB) of a chirp-z block that more columns may not pass.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,12 +199,11 @@ def _next_fast_len(n: int) -> int:
 def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """Chirp-z transform ``f(h)[i] = sum_j h[j] exp(i alpha j i)`` for ``i < m``.
 
-    ``h`` has shape ``(n, k)``, its ``k`` columns being every local-node
-    column of a contraction side by side; the result has shape ``(m, k)``.
-    Bluestein's identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` turns the sum
-    into one linear convolution with the chirp ``exp(-i alpha k^2 / 2)``, done
-    for all columns by one forward and one inverse FFT in
-    ``O(k (n + m) log(n + m))``; the chirp's transform is computed once here.
+    ``h`` has shape ``(n, k)``; the result has shape ``(m, k)``.  Bluestein's
+    identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` turns the sum into one
+    linear convolution with the chirp ``exp(-i alpha k^2 / 2)``, done for all
+    ``k`` columns by one FFT pair in ``O(k (n + m) log(n + m))``; the chirp's
+    transform is computed once here.
     """
     half = 0.5 * alpha
     pre = _chirp(half, np.arange(n, dtype=float))
@@ -220,6 +221,13 @@ def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]
     return apply
 
 
+def _column_groups(n: int, m: int, rows: int) -> list[slice]:
+    """The 16 columns in order, in slices whose ``_chirp_z(n, m, .)`` block of
+    ``rows`` per column stays within ``_BLOCK_ELEMENTS`` (or is one column)."""
+    per = max(1, _BLOCK_ELEMENTS // (rows * _next_fast_len(n + m - 1)))
+    return [slice(c, c + per) for c in range(0, _ORDER, per)]
+
+
 def _exp_sum(
     transform: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray,
@@ -230,18 +238,15 @@ def _exp_sum(
     resid: np.ndarray,
 ) -> np.ndarray:
     """``out[i, c] = sum_j g[j, c] exp(i q[j, c] x[i, c])`` on near-uniform
-    grids, for ``C`` columns in one transform.
+    grids, for ``C`` columns in one ``(n, 2 C w)`` transform.
 
     Column ``c`` has ``q[j, c] = q0[c] + j dq`` up to a few ulps and
     ``x[i, c] = x0[c] + steps[i] + resid[i, c]`` with ``steps[i] = i dx`` and
     a tiny residual, and ``transform`` is ``_chirp_z(n, m, dq * dx)``.
     ``q[j, c] x0[c]`` is applied per term and the residual to first order,
-    so what the transform approximates is ``q[j, c] (x[i, c] - x0[c])``,
-    whose size is set by the width of the x grid, not by its offset.
-    ``g`` has shape ``(n, C, w)``, ``q`` ``(n, C)`` and ``resid`` ``(m,)`` or
-    ``(m, C)``; ``q0``, ``x0`` and a ``C`` of 1 broadcast.  The result has
-    shape ``(m, C, w)``; every column and its ``q``-weighted copy pass through
-    one ``(n, 2 C w)`` transform.
+    so the transform sees only ``q[j, c] (x[i, c] - x0[c])``.  ``g`` has
+    shape ``(n, C, w)``, ``q`` ``(n, C)``, ``resid`` ``(m,)`` or ``(m, C)``
+    and the result ``(m, C, w)``; ``q0``, ``x0`` and a ``C`` of 1 broadcast.
     """
     h = g * _cis(q * x0)[..., None]
     n, cols, w = h.shape
@@ -254,15 +259,13 @@ def _exp_sum(
 def _contract_direct(
     g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
 ) -> np.ndarray:
-    """``out[i] = sum_j g[j] * e(p[j] * x[i])`` with ``e = exp(i.)`` or ``2 cos``,
-    one output point at a time."""
+    """``out[i] = sum_j g[j] * e(p[j] * x[i])`` with ``e = exp(i.)``, or with
+    ``e = 2 cos`` on ``Re g`` when ``even_fold``, one output point at a time."""
+    if even_fold:
+        g = np.ascontiguousarray(g.real)  # a strided view would leave BLAS
     out = np.empty((x.size, g.shape[1]), dtype=complex)
     for i in range(x.size):
-        if even_fold:
-            phase = 2.0 * np.cos(p * x[i])
-        else:
-            phase = np.exp(1j * (p * x[i]))
-        out[i] = phase @ g
+        out[i] = (2.0 * np.cos(p * x[i]) if even_fold else np.exp(1j * (p * x[i]))) @ g
     return out
 
 
@@ -271,14 +274,16 @@ def _contract(
 ) -> np.ndarray:
     """As :func:`_contract_direct`, by one chirp-z transform pair over all 16
     local-node columns when ``x`` is uniform (see :func:`_output_grid`) and
-    ``p`` panel-strided.
+    ``p`` panel-strided; past ``_BLOCK_ELEMENTS`` the columns go in groups.
 
     The two agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``: the
     offset ``x[0]`` and the grids' deviations from exact progressions are
     applied exactly or to first order, so only phases of the size of
     ``p (x - x[0])`` pass through the transforms.  The columns are added in
-    order ``c = 0 ... 15``.
+    order ``c = 0 ... 15``, so grouping changes no bit.
     """
+    if even_fold:
+        g = g.real  # the weight 2 cos(p x) is real: the fold integrates Re kernel
     grid = _output_grid(x, float(np.max(np.abs(p), initial=0.0)))
     columns = _panel_columns(p) if grid is not None else None
     if columns is None:
@@ -290,17 +295,14 @@ def _contract(
     k = g.shape[1]
     g_cols = g.reshape(-1, _ORDER, k)
     p_cols = p.reshape(-1, _ORDER)
-    real = np.isrealobj(g)
-    # sum g 2 cos(p x) = sum g e^{ipx} + conj(sum conj(g) e^{ipx}); a real g is its own conj
-    if even_fold and not real:
-        g_cols = np.concatenate((g_cols, g_cols.conj()), axis=2)
     transform = _chirp_z(p_cols.shape[0], x.size, dp * dx)
-    s = _exp_sum(transform, g_cols, p_cols, p0, x0, steps, resid)
-    if even_fold:
-        s = s + s.conj() if real else s[..., :k] + s[..., k:].conj()
     out = np.zeros((x.size, k), dtype=complex)
-    for c in range(_ORDER):
-        out += s[:, c]
+    for cs in _column_groups(p_cols.shape[0], x.size, 2 * k):
+        s = _exp_sum(transform, g_cols[:, cs], p_cols[:, cs], p0[cs], x0, steps, resid)
+        if even_fold:  # sum g 2 cos(p x) = s + conj(s) for a real g
+            s = s + s.conj()
+        for c in range(s.shape[1]):
+            out += s[:, c]
     return out
 
 
@@ -352,9 +354,8 @@ def synthesize_field(
         any oscillatory factor inside the kernel).
     even_fold:
         If true, evaluate ``Re int_{-b}^{b}`` of an even kernel folded to
-        ``[a=0, b]`` with a ``2 cos(p x)`` weight: the weight is real, so
-        only ``Re kernel`` is integrated, and the result's imaginary part
-        is zero.  Convergence is judged on that real part.
+        ``[a=0, b]`` with the real weight ``2 cos(p x)``, so of ``Re kernel``;
+        the imaginary part is zero and convergence is judged on the real part.
 
     Returns
     -------
@@ -399,8 +400,6 @@ def synthesize_field(
         require_level(n_panels)
         p, w = panel_nodes(a, b, n_panels)
         vals = np.asarray(kernel(p))
-        if even_fold:
-            vals = vals.real
         if vals.ndim == 1:
             was_1d = True
             vals = vals[:, None]

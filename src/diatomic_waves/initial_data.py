@@ -37,7 +37,8 @@ import numpy as np
 
 # synthesize_field is no longer called here; the binding stays because
 # perfbench/test_perfbench.py checks that its tracer patches it in this module.
-from ._quadrature import _chirp_z, _exp_sum, _panel_columns, synthesize_field  # noqa: F401
+from ._quadrature import _chirp_z, _column_groups, _exp_sum, _panel_columns
+from ._quadrature import synthesize_field  # noqa: F401
 from .errors import ChainSizeError, ConfigError
 
 __all__ = [
@@ -333,10 +334,10 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     Vectorized over ``p`` of any shape; always returns a complex array of
     shape ``p.shape`` (exactly real for even profiles, where the folded
     cosine form is used).  ``p`` is summed in flattened order; the sites
-    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by one
-    chirp-z transform pair over its 16 local-node columns once ``p.size``
-    times the number of summed sites reaches ``_CHIRP_MIN_TERMS``, any
-    other ``p`` by a blocked direct sum.
+    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
+    chirp-z transforms of its 16 local-node columns side by side once
+    ``p.size`` times the number of summed sites reaches ``_CHIRP_MIN_TERMS``,
+    any other ``p`` by a blocked direct sum.
     """
     p_arr = np.asarray(p, dtype=float).ravel()
     xi = _sublattice_sites(profile, delta, component)
@@ -355,7 +356,10 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         steps = np.arange(m) * dp
         transform = _chirp_z(xi.size, m, -2.0 * delta * dp)
         resid = (p_cols - p0) - steps[:, None]
-        out = _exp_sum(transform, vals[:, None, None], -xi[:, None], -xi[0], p0, steps, resid)
+        g, q = vals[:, None, None], -xi[:, None]
+        out = np.empty((m, p0.size), dtype=complex)
+        for cs in _column_groups(xi.size, m, 2):
+            out[:, cs] = _exp_sum(transform, g, q, q[0], p0[cs], steps, resid[:, cs])[..., 0]
         out = out.ravel()
         if profile.is_even:
             out = (out.real + w0).astype(complex)

@@ -188,6 +188,9 @@ class StationaryPoints:
     curvature: np.ndarray
 
     def __post_init__(self) -> None:
+        shapes = np.shape(self.curvature), np.shape(self.momenta)
+        if shapes[0] != shapes[1]:
+            raise ConfigError("curvature shape {} differs from momenta shape {}".format(*shapes))
         if not np.all(self.action >= 0.0):
             raise NumericalError(
                 f"negative action (min {float(np.min(self.action))!r}): a point lies "

@@ -101,23 +101,29 @@ def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, real, colu
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g))
 
 
-@pytest.mark.parametrize("columns", [1, 2])
-def test_folded_real_kernel_transforms_once(columns):
-    """A real ``g`` is its own conjugate, so the even fold transforms it once;
-    the sum has the bits of the same call on ``g + 0j`` and no imaginary part."""
+@pytest.mark.parametrize("uniform", [True, False])
+def test_even_fold_contracts_the_real_part(uniform):
+    """The fold's weight ``2 cos(p x)`` is real, so both paths contract
+    ``Re g``: a complex ``g``, its real part and that plus ``0j`` give the
+    same bits, with no imaginary part."""
     x = np.linspace(-5.0, 7.0, 61)
+    if not uniform:
+        x[30] += 1e-3
     p, w = quad.panel_nodes(0.0, 8.0, 37)
-    g = _weighted_kernel(p, w, columns, 11).real.copy()
+    g = _weighted_kernel(p, w, 2, 11)
+    assert (quad._output_grid(x, 8.0) is not None) == uniform
     folded = quad._contract(g, p, x, True)
-    assert np.array_equal(folded, quad._contract(g + 0j, p, x, True))
+    assert np.array_equal(folded, quad._contract(g.real.copy(), p, x, True))
+    assert np.array_equal(folded, quad._contract(g.real + 0j, p, x, True))
     assert np.all(folded.imag == 0.0)
 
 
 @pytest.mark.parametrize("columns", [1, 2, 7])
 @pytest.mark.parametrize("even_fold, real", [(False, False), (True, False), (True, True)])
 def test_contraction_is_one_transform_pair(columns, even_fold, real, monkeypatch):
-    """All 16 local-node columns, of any width, go through one forward and
-    one inverse FFT; the chirp's own transform is the only other one."""
+    """Below ``_BLOCK_ELEMENTS`` all 16 local-node columns, of any width, go
+    through one forward and one inverse FFT; the chirp's own transform is the
+    only other one."""
     counts = {"fft": 0, "ifft": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
@@ -129,6 +135,41 @@ def test_contraction_is_one_transform_pair(columns, even_fold, real, monkeypatch
     g = _weighted_kernel(p, w, columns, 5)
     quad._contract(g.real.copy() if real else g, p, np.linspace(-3.0, 3.0, 41), even_fold)
     assert counts["fft"] <= 2 and counts["ifft"] == 1
+
+
+def _count_iffts(monkeypatch) -> list:
+    """Record the element count of every inverse FFT's input."""
+    sizes = []
+    ifft = np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.size)
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("block, groups", [(1, 16), (2000, 4), (3000, 2)])
+@pytest.mark.parametrize("even_fold", [False, True])
+def test_column_groups_keep_the_bits(block, groups, even_fold, monkeypatch):
+    """A smaller block splits the 16 columns into groups, one transform pair
+    each and none past the block unless a single column is; the columns are
+    added in the same order, so the sums keep their bits.  The same holds for
+    the site sums of semi_discrete_ft."""
+    p, w = quad.panel_nodes(-1.0, 6.0, 50)
+    x = np.linspace(-3.0, 3.0, 41)
+    g = _weighted_kernel(p, w, 2, 5)
+    whole = quad._contract(g, p, x, even_fold)
+    gaussian = GaussianProfile()
+    q, _ = quad.panel_nodes(0.0, 40.0, 400)
+    sums = semi_discrete_ft(gaussian, 0.1, q, 1)
+    monkeypatch.setattr(quad, "_BLOCK_ELEMENTS", block)
+    sizes = _count_iffts(monkeypatch)
+    assert np.array_equal(quad._contract(g, p, x, even_fold), whole)
+    assert len(sizes) == groups
+    assert max(sizes) <= max(block, 2 * 2 * quad._next_fast_len(50 + 41 - 1))
+    assert np.array_equal(semi_discrete_ft(gaussian, 0.1, q, 1), sums)
 
 
 def test_even_fold_of_complex_kernel_is_its_real_part():
@@ -189,17 +230,20 @@ def test_travelling_frame_grid_is_uniform_by_its_residual_phase():
     assert quad._output_grid(np.array([0.0, np.nan, 2.0]), 1.0) is None
 
 
-def test_front_size_contraction_matches_direct_sum():
+def test_front_size_contraction_matches_direct_sum(monkeypatch):
     """70,930 panels x 401 points, the long-wave front workload's last level.
 
     The kernel's phase is stationary at an interior grid point, as at a
     front, so errors in the output phases add up instead of cancelling.
+    No transform block passes ``_BLOCK_ELEMENTS``.
     """
     mu = 80 * 2.82e-7
     x = np.linspace(0.5 - 0.0014, 0.5 + 0.0003, 401) / mu
     p, w = quad.panel_nodes(0.0, 8.03, 70_930)
     g = (np.exp(-0.5 * p * p + 1j * (-x[301] * p + 0.03 * p**3)) * w)[:, None]
+    sizes = _count_iffts(monkeypatch)
     fast = quad._contract(g, p, x, True)
+    assert len(sizes) == 16 and max(sizes) <= quad._BLOCK_ELEMENTS
     sample = np.unique(np.r_[np.linspace(0, x.size - 1, 8).astype(int), 300, 301])
     direct = quad._contract_direct(g, p, x[sample], True)
     assert np.max(np.abs(direct)) > 0.5  # the stationary point is sampled

@@ -346,6 +346,8 @@ def test_stationary_nan_input_fails_checks(params, solver, derivative_calls):
 def test_stationary_points_validation():
     with pytest.raises(NumericalError):
         StationaryPoints(momenta=(0.3,), action=-1e-3, carrier=0.0, curvature=(1.0,))
+    with pytest.raises(ConfigError, match="curvature shape"):
+        StationaryPoints(momenta=[[0.3], [0.4]], action=[0.0, 0.0], carrier=0.0, curvature=(1.0,))
 
 
 # ---------------------------------------------------------------------------
