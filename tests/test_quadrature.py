@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import spherical_jn
 
 from diatomic_waves import (
     Dispersion,
@@ -19,6 +23,8 @@ from diatomic_waves import (
 from diatomic_waves import _quadrature as quad
 from diatomic_waves import initial_data
 from diatomic_waves.errors import ConfigError, QuadratureError
+
+from _reference import legendre_bessel_ladder
 
 #: Largest panel level any workload or test builds today (the long-wave front).
 LARGEST_LEVEL_NODES = 70_930 * 16
@@ -248,6 +254,45 @@ def test_front_size_contraction_matches_direct_sum(monkeypatch):
     direct = quad._contract_direct(g, p, x[sample], True)
     assert np.max(np.abs(direct)) > 0.5  # the stationary point is sampled
     assert np.max(np.abs(fast[sample] - direct)) <= 1e-12 * np.sum(np.abs(g))
+
+
+def _traced_peak_mb(call) -> float:
+    """Peak of the memory numpy and Python allocate during ``call()``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("even_fold", [True, False])
+def test_contraction_memory_does_not_grow_with_the_nodes(even_fold):
+    """One chirp-z contraction of 2^17 panels (16 MB of nodes) on 401 points
+    peaks below 16 MB: the uniformity check and ``max|p|`` build no
+    node-sized temporary, and the transform pads, transforms and multiplies
+    one column's block in place."""
+    p, w = quad.panel_nodes(0.0, 8.0, 1 << 17)
+    g = (np.exp(-0.5 * p * p) * w)[:, None]
+    if not even_fold:
+        g = g + 0j
+    x = np.linspace(20.0, 30.0, 401)
+    assert quad._panel_columns(p) is not None  # so the chirp-z path is the one measured
+    assert _traced_peak_mb(lambda: quad._contract(g, p, x, even_fold)) < 16.0
+
+
+def test_progression_checks_every_row(monkeypatch):
+    """The uniformity check goes through the rows in blocks and reads every
+    one of them: a node off its panel column, or a nan, in any block
+    refuses the chirp-z path."""
+    monkeypatch.setattr(quad, "_BLOCK_ELEMENTS", 4 * 16)  # 4 panels a block
+    p, _ = quad.panel_nodes(0.0, 8.0, 21)
+    assert quad._panel_columns(p) is not None
+    for node in (3, 100, 170, p.size - 1):
+        for bad in (p[node] + 1e-12, np.nan):
+            q = p.copy()
+            q[node] = bad
+            assert quad._panel_columns(q) is None
 
 
 def _spy_chirp(monkeypatch) -> list:
@@ -491,8 +536,9 @@ def _frame_kernel(profile, sign: float, t: float, mu: float):
     return kernel, 3.0 * cubic * profile.hat_radius() ** 2
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(
+#: Travelling-frame cases: a Gaussian or skewed table profile, any time and
+#: width, far ahead of or behind the front, either branch sign.
+_FRAME_CASES = dict(
     table=st.booleans(),
     t=st.floats(0.0, 2.0),
     mu=st.floats(0.03, 0.1),
@@ -502,20 +548,78 @@ def _frame_kernel(profile, sign: float, t: float, mu: float):
     ahead=st.booleans(),
     sign=st.sampled_from((1.0, -1.0)),
 )
+_FRAME_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _frame_case(table, t, mu, log_offset, width, m, ahead, sign):
+    """``(kernel, cut, y, spread)``: a frame's kernel on ``[0, cut]``, its grid
+    40 to 160 (table) or 5000 (Gaussian) from the front, and its cubic rate."""
+    profile = _SKEW if table else GaussianProfile()
+    kernel, spread = _frame_kernel(profile, sign, t, mu)
+    offset = 40.0 * (4.0 if table else 125.0) ** log_offset
+    y = (-1.0 if ahead else 1.0) * (offset + np.linspace(0.0, width, m))
+    return kernel, profile.hat_radius(), y, spread
+
+
+@_FRAME_SETTINGS
+@given(**_FRAME_CASES)
 def test_legendre_bessel_matches_quadrature_at_the_frame_rate(
     table, t, mu, log_offset, width, m, ahead, sign
 ):
     """Far from its front the Filon rule gives what the panel quadrature
     gives at that frame's own rate, on either side of the front."""
-    profile = _SKEW if table else GaussianProfile()
-    kernel, spread = _frame_kernel(profile, sign, t, mu)
-    cut = profile.hat_radius()
-    offset = 40.0 * (4.0 if table else 125.0) ** log_offset  # 40 to 160 or 5000
-    y = (-1.0 if ahead else 1.0) * (offset + np.linspace(0.0, width, m))
+    kernel, cut, y, spread = _frame_case(table, t, mu, log_offset, width, m, ahead, sign)
     far = quad.legendre_bessel_field(kernel, 0.0, cut, y)
     assert far is not None
     ref = quad.synthesize_field(kernel, 0.0, cut, y, float(np.max(np.abs(y))) + spread)
     assert np.max(np.abs(far - ref)) <= 1e-13
+
+
+def _assert_matches_ladder(kernel, a: float, b: float, y: np.ndarray) -> None:
+    """The one-recurrence rule against the sequential per-order ladder: None
+    exactly where the ladder gives None, else convergence at the same order
+    (the rule cut to that order converges, cut below it does not) and values
+    within ``8 eps r sum|c_n| max|j_n|`` of the ladder's, ``c_n = 2 i^n a_n``
+    the coefficients of the ``j_n`` the two sum in different orders."""
+    want, k, coef = legendre_bessel_ladder(kernel, a, b, y)
+    got = quad.legendre_bessel_field(kernel, a, b, y)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    orders = quad._LB_ORDERS[: quad._LB_ORDERS.index(k) + 1]
+    with mock.patch.object(quad, "_LB_ORDERS", orders):
+        assert quad.legendre_bessel_field(kernel, a, b, y) is not None
+    with mock.patch.object(quad, "_LB_ORDERS", orders[:-1]):
+        assert quad.legendre_bessel_field(kernel, a, b, y) is None
+    half = 0.5 * (b - a)
+    j_max = max(float(np.max(np.abs(spherical_jn(n, half * y)))) for n in range(k))
+    bound = 8.0 * np.finfo(float).eps * half * np.sum(np.abs(coef)) * j_max
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@_FRAME_SETTINGS
+@given(**_FRAME_CASES)
+def test_legendre_bessel_matches_the_sequential_ladder_on_frames(
+    table, t, mu, log_offset, width, m, ahead, sign
+):
+    kernel, cut, y, _ = _frame_case(table, t, mu, log_offset, width, m, ahead, sign)
+    _assert_matches_ladder(kernel, 0.0, cut, y)
+
+
+@pytest.mark.parametrize(
+    "kernel, y, order",
+    [
+        # smooth, all four orders admitted
+        (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.linspace(1e4, 1.001e4, 9), 64),
+        (lambda p: np.exp(300j * p), np.linspace(1e4, 1.001e4, 9), None),  # unresolved
+        (lambda p: np.exp(-0.5 * p * p), np.array([30.0, 1e4]), None),  # one order admitted
+    ],
+    ids=["converges-at-64", "unresolved", "one-order"],
+)
+def test_legendre_bessel_matches_the_sequential_ladder(kernel, y, order):
+    assert legendre_bessel_ladder(kernel, 0.0, 8.0, y)[1] == order
+    _assert_matches_ladder(kernel, 0.0, 8.0, y)
 
 
 def test_legendre_bessel_refuses_where_its_guard_fails():
@@ -551,3 +655,17 @@ def test_legendre_bessel_refuses_an_unresolved_kernel():
     resolved = quad.legendre_bessel_field(lambda p: np.exp(3j * p), 0.0, 8.0, y)
     exact = (np.exp(8j * (3.0 + y)) - 1.0) / (1j * (3.0 + y))
     assert np.max(np.abs(resolved - exact)) <= 1e-14  # exact's phase 8 y rounds
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda p: np.exp(-0.5 * p * p), lambda p: np.exp(300j * p)],
+    ids=["converges-at-64", "all-four-orders"],
+)
+def test_legendre_bessel_memory_stays_bounded(kernel):
+    """On 2^16 points the far rule peaks within twice the 6.1 MB of the
+    sequential per-order ladder: its partial sums and recurrence state span
+    the grid, but the Bessel rows come in 4096-point chunks; a grid-wide
+    ``(34, m)`` block of rows (17.8 MB) alone would pass the bound."""
+    y = np.linspace(1e4, 2e4, 1 << 16)
+    assert _traced_peak_mb(lambda: quad.legendre_bessel_field(kernel, 0.0, 8.0, y)) <= 12.2

@@ -387,12 +387,65 @@ def branch_table(out: io.StringIO, chain: Chain) -> None:
     out.write("}\n\n")
 
 
+# ---------------------------------------------------------------------------
+# sequential Legendre-Bessel ladder (written out verbatim)
+# ---------------------------------------------------------------------------
+
+#: The far-frame Legendre-Bessel rule as one Bessel recurrence and one sum per
+#: order, term by term: the reference the batched rule in
+#: ``diatomic_waves._quadrature`` is tested against.  Plain numpy, no mpmath.
+LADDER_SOURCE = '''
+
+def bessel_sum(coef, omega):
+    """``sum_n coef[n] j_n(omega)`` with the spherical Bessel ``j_n`` from
+    upward recurrence, which is stable while ``n < |omega|``."""
+    inv = 1.0 / omega
+    j_prev = np.sin(omega) * inv
+    j = (j_prev - np.cos(omega)) * inv
+    total = coef[0] * j_prev + coef[1] * j
+    for n in range(1, coef.size - 1):
+        j_prev, j = j, (2 * n + 1) * inv * j - j_prev
+        total += coef[n + 1] * j
+    return total
+
+
+def legendre_bessel_ladder(kernel, a, b, x, rtol=1e-8, atol=1e-13):
+    """``int_a^b kernel(p) e^{i p x} dp`` as ``r e^{i m x} sum_n c_n j_n(r x)``,
+    ``c_n = 2 i^n a_n`` from ``k``-point Gauss-Legendre, for k = 32, 64, 128,
+    256 while ``min |r x| > 2 k``, until two orders agree to
+    ``atol + rtol * max|F|``.  Returns ``(F, k, c)`` of that order, or
+    ``(None, None, None)``."""
+    x = np.asarray(x, dtype=float)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    omega = half * x
+    least = float(np.min(np.abs(omega)))
+    prev = None
+    for k in (32, 64, 128, 256):
+        if not least > 2.0 * k:
+            break
+        s, w = np.polynomial.legendre.leggauss(k)
+        vander = np.polynomial.legendre.legvander(s, k - 1)
+        project = (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
+        coef = 2.0 * np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(k) % 4] * (
+            project @ kernel(mid + half * s)
+        )
+        f = half * (np.cos(mid * x) + 1j * np.sin(mid * x)) * bessel_sum(coef, omega)
+        if prev is not None and np.max(np.abs(f - prev)) <= atol + rtol * np.max(np.abs(f)):
+            return f, k, coef
+        prev = f
+    return None, None, None
+'''
+
+
 def main() -> None:
     out = io.StringIO()
     out.write('"""Frozen expected values for the test suite.\n\n')
     out.write("Generated by tests/tools/regen_references.py (mpmath, 50 digits,\n")
-    out.write("rounded to float64).  Do not edit by hand; rerun the generator.\n")
+    out.write("rounded to float64), and the sequential Legendre-Bessel ladder the\n")
+    out.write("batched far-frame rule is compared against.  Do not edit by hand;\n")
+    out.write("rerun the generator.\n")
     out.write('"""\n\n')
+    out.write("import numpy as np\n\n")
 
     print("lattice constants ...")
     chain_block(out, "DESK_CONSTANTS", DESK)
@@ -471,6 +524,7 @@ def main() -> None:
         key = f"({fmt(h)}, {fmt(mu)}, {fmt(t)}, {fmt(x)})"
         out.write(f"    {key}: ({fmt(u)}, {fmt(v)}),\n")
     out.write("}\n")
+    out.write(LADDER_SOURCE)
 
     OUT_PATH.write_text(out.getvalue())
     print(f"wrote {OUT_PATH}")
