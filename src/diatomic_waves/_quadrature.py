@@ -16,10 +16,14 @@ node-by-point contraction is therefore a chirp-z transform
 (Rabiner-Schafer-Rader 1969; Bluestein 1970) of all 16 columns at once
 (in groups past 4 MiB a block): one forward and one inverse FFT, costing
 ``O((N + M) log(N + M))`` instead of ``O(N M)``; convergence is then
-checked on every output point.  Any other grid is contracted directly,
-and checked on a 33-point probe subset before the final contraction.
-The same chirp-z primitive serves the sublattice sums in
-:mod:`diatomic_waves.initial_data`, whose sites are uniform.
+checked on every output point.  An output grid that is a progression only
+up to residuals above rounding of its span (a travelling frame
+``(c t - x) / mu``) also transforms a copy of the kernel weighted by the
+nodes, which applies the residuals to first order; a ``linspace`` grid
+does not, and its transform is half as wide.  Any other grid is
+contracted directly, and checked on a 33-point probe subset before the
+final contraction.  The same chirp-z primitive serves the sublattice
+sums in :mod:`diatomic_waves.initial_data`, whose sites are uniform.
 
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
@@ -144,6 +148,13 @@ def _progression(a: np.ndarray) -> tuple[np.ndarray, float] | None:
     return start, step
 
 
+def _residual(r: np.ndarray, span: float) -> np.ndarray | None:
+    """``r``, a grid's residuals from its progression, or None where
+    ``max|r| <= _UNIFORM_ULPS * eps * span``: below rounding of the span,
+    so :func:`_exp_sum` need not apply them (see :func:`_contract`)."""
+    return r if _abs_max(r) > _UNIFORM_ULPS * np.finfo(float).eps * span else None
+
+
 def _output_grid(x: np.ndarray, p_max: float) -> tuple[float, float] | None:
     """``(x0, dx)`` if the 1-D grid ``x`` is ``x0 + i dx`` up to residuals ``r``
     with ``p_max * max|r| <= _RESIDUAL_PHASE``, else None.
@@ -260,29 +271,35 @@ def _exp_sum(
     q0: np.ndarray | float,
     x0: np.ndarray | float,
     steps: np.ndarray,
-    resid: np.ndarray,
+    resid: np.ndarray | None,
 ) -> np.ndarray:
     """``out[i, c] = sum_j g[j, c] exp(i q[j, c] x[i, c])`` on near-uniform
-    grids, for ``C`` columns in one ``(n, 2 C w)`` transform.
+    grids, for ``C`` columns in one ``(n, C w)`` transform, or ``(n, 2 C w)``
+    with a residual.
 
     Column ``c`` has ``q[j, c] = q0[c] + j dq`` up to a few ulps and
     ``x[i, c] = x0[c] + steps[i] + resid[i, c]`` with ``steps[i] = i dx`` and
     a tiny residual, and ``transform`` is ``_chirp_z(n, m, dq * dx)``.
-    ``q[j, c] x0[c]`` is applied per term and the residual to first order,
-    so the transform sees only ``q[j, c] (x[i, c] - x0[c])``.  ``g`` has
-    shape ``(n, C, w)``, ``q`` ``(n, C)``, ``resid`` ``(m,)`` or ``(m, C)``
-    and the result ``(m, C, w)``; ``q0``, ``x0`` and a ``C`` of 1 broadcast.
+    ``q[j, c] x0[c]`` is applied per term, so the transform sees only
+    ``q[j, c] (x[i, c] - x0[c])``.  The residual is applied to first order,
+    by transforming the copy ``q g e^{i q x0}`` next to ``g e^{i q x0}``;
+    a ``resid`` of None (see :func:`_residual`) drops it, and the copy is
+    neither built nor transformed.  ``g`` has shape ``(n, C, w)``, ``q``
+    ``(n, C)``, ``resid`` ``(m,)`` or ``(m, C)`` and the result
+    ``(m, C, w)``; ``q0``, ``x0`` and a ``C`` of 1 broadcast.
     """
     phase = _cis(q * x0)[..., None]
     n, cols, w = np.broadcast_shapes(g.shape, phase.shape)
-    h = np.empty((n, cols, 2 * w), dtype=complex)  # [g e^{i q x0}, the same times q]
+    width = w if resid is None else 2 * w
+    h = np.empty((n, cols, width), dtype=complex)  # [g e^{i q x0}, with resid that times q]
     np.multiply(g, phase, out=h[..., :w])
-    np.multiply(h[..., :w], q[..., None], out=h[..., w:])
+    if resid is not None:
+        np.multiply(h[..., :w], q[..., None], out=h[..., w:])
     del phase  # free before the transform's padded block, which sets the peak
-    s = transform(h.reshape(n, -1))
-    s = s.reshape(-1, cols, 2 * w)
-    r = resid.reshape(steps.size, -1, 1)
-    return _cis(steps[:, None] * q0)[..., None] * (s[..., :w] + 1j * r * s[..., w:])
+    s = transform(h.reshape(n, -1)).reshape(-1, cols, width)
+    if resid is not None:
+        s = s[..., :w] + 1j * resid.reshape(steps.size, -1, 1) * s[..., w:]
+    return _cis(steps[:, None] * q0)[..., None] * s
 
 
 def _contract_direct(
@@ -308,7 +325,14 @@ def _contract(
     The two agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``: the
     offset ``x[0]`` and the grids' deviations from exact progressions are
     applied exactly or to first order, so only phases of the size of
-    ``p (x - x[0])`` pass through the transforms.  The columns are added in
+    ``p (x - x[0])`` pass through the transforms.  Where the residuals
+    ``r = x - (x[0] + i dx)`` stay within ``_UNIFORM_ULPS * eps * span``,
+    ``span = |x[-1] - x[0]|``, they are dropped (:func:`_residual`), and
+    the transform is half as wide.  The dropped first-order term at
+    ``x[i]`` is ``i r[i] sum_j p[j] g[j] e^{i p[j] (x[i] - r[i])}``, so it
+    is at most ``max|r| max|p| sum|g| <= 8 eps max|p| span sum|g|`` (twice
+    that for the fold): of the order of the agreement above.  The columns
+    are grouped by the wider transform's block either way and added in
     order ``c = 0 ... 15``, so grouping changes no bit.
     """
     if even_fold:
@@ -320,19 +344,19 @@ def _contract(
     x0, dx = grid
     p0, dp = columns
     steps = np.arange(x.size) * dx
-    resid = (x - x0) - steps
+    resid = _residual((x - x0) - steps, abs(float(x[-1]) - x0))
     k = g.shape[1]
     g_cols = g.reshape(-1, _ORDER, k)
     p_cols = p.reshape(-1, _ORDER)
     transform = _chirp_z(p_cols.shape[0], x.size, dp * dx)
-    out = np.zeros((x.size, k), dtype=complex)
+    out = np.zeros((x.size, k), dtype=float if even_fold else complex)
     for cs in _column_groups(p_cols.shape[0], x.size, 2 * k):
         s = _exp_sum(transform, g_cols[:, cs], p_cols[:, cs], p0[cs], x0, steps, resid)
-        if even_fold:  # sum g 2 cos(p x) = s + conj(s) for a real g
-            s = s + s.conj()
+        if even_fold:  # sum g 2 cos(p x) = 2 Re s for a real g
+            s = 2.0 * s.real
         for c in range(s.shape[1]):
             out += s[:, c]
-    return out
+    return out.astype(complex, copy=False)
 
 
 def _check_numerics(

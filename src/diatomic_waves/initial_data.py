@@ -37,7 +37,7 @@ import numpy as np
 
 # synthesize_field is no longer called here; the binding stays because
 # perfbench/test_perfbench.py checks that its tracer patches it in this module.
-from ._quadrature import _chirp_z, _column_groups, _exp_sum, _panel_columns
+from ._quadrature import _abs_max, _chirp_z, _column_groups, _exp_sum, _panel_columns, _residual
 from ._quadrature import synthesize_field  # noqa: F401
 from .errors import ChainSizeError, ConfigError
 
@@ -336,8 +336,13 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     cosine form is used).  ``p`` is summed in flattened order; the sites
     are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
     chirp-z transforms of its 16 local-node columns side by side once
-    ``p.size`` times the number of summed sites reaches ``_CHIRP_MIN_TERMS``,
-    any other ``p`` by a blocked direct sum.
+    ``p.size`` times the number of summed sites reaches ``_CHIRP_MIN_TERMS``
+    (with the residuals of the columns from their progressions only where
+    they pass rounding of the columns' span, see ``_quadrature._residual``),
+    any other ``p`` by a blocked direct sum.  That sum reduces each row on
+    its own (``einsum``, not a BLAS product, whose blocking depends on the
+    row count), so each of its values is the one a call at that ``p`` alone
+    gives, to the bit.
     """
     p_arr = np.asarray(p, dtype=float).ravel()
     xi = _sublattice_sites(profile, delta, component)
@@ -355,11 +360,12 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         m = p_cols.shape[0]
         steps = np.arange(m) * dp
         transform = _chirp_z(xi.size, m, -2.0 * delta * dp)
-        resid = (p_cols - p0) - steps[:, None]
+        resid = _residual((p_cols - p0) - steps[:, None], (m - 1) * abs(dp))
         g, q = vals[:, None, None], -xi[:, None]
         out = np.empty((m, p0.size), dtype=complex)
         for cs in _column_groups(xi.size, m, 2):
-            out[:, cs] = _exp_sum(transform, g, q, q[0], p0[cs], steps, resid[:, cs])[..., 0]
+            r = None if resid is None else resid[:, cs]
+            out[:, cs] = _exp_sum(transform, g, q, q[0], p0[cs], steps, r)[..., 0]
         out = out.ravel()
         if profile.is_even:
             out = (out.real + w0).astype(complex)
@@ -368,9 +374,11 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         for start in range(0, p_arr.size, 8192):
             blk = p_arr[start : start + 8192]
             if profile.is_even:
-                out[start : start + 8192] = np.cos(blk[:, None] * xi[None, :]) @ vals + w0
+                terms = np.cos(blk[:, None] * xi[None, :])
+                out[start : start + 8192] = np.einsum("ij,j->i", terms, vals) + w0
             else:
-                out[start : start + 8192] = np.exp(-1j * blk[:, None] * xi[None, :]) @ vals
+                terms = np.exp(-1j * blk[:, None] * xi[None, :])
+                out[start : start + 8192] = np.einsum("ij,j->i", terms, vals)
     if np.isscalar(p) or np.ndim(p) == 0:
         return out[0]
     return out.reshape(np.shape(p))
@@ -388,7 +396,7 @@ def _image_order(profile: InitialProfile, delta: float, p: np.ndarray) -> int | 
     if not isinstance(profile, GaussianProfile):
         return None
     half = _half_span(profile, delta)
-    k_max = np.ceil((np.max(np.abs(p), initial=0.0) + profile.hat_radius()) * delta / np.pi)
+    k_max = np.ceil((_abs_max(p) + profile.hat_radius()) * delta / np.pi)
     return int(k_max) if 2.0 * k_max + 1.0 < half else None  # nan, inf: site sum
 
 

@@ -113,13 +113,18 @@ def split_about_pstar(
     (minus side first, matching the front formulas that consume them), so
     ``V(p* -+ sqrt eta) = F1 +- sqrt(eta) F2``.  At ``p* = 0`` these are the
     even/odd parts of ``V`` in ``eta = p^2``.  Requires ``eta >= 0``.
+
+    Both sides come from one :func:`~diatomic_waves.initial_data.spectral_vector`
+    call, whose site sums give each momentum the value it has alone, so each
+    value depends on its own ``eta`` and not on the array it came in.
+    ``eta`` is floored at ``1e-12``: ``F2(0)`` is still a difference quotient
+    over ``p* -+ 1e-6``, with a rounding of about ``eps / 1e-6`` relative.
     """
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.any(eta_arr < 0.0):
         raise ConfigError("split_about_pstar needs eta >= 0")
     root = np.sqrt(np.maximum(eta_arr, _Z_FLOOR))
-    vm = spectral_vector(profile, 1.0, p_star - root)
-    vp = spectral_vector(profile, 1.0, p_star + root)
+    vm, vp = spectral_vector(profile, 1.0, np.stack((p_star - root, p_star + root)))
     f1 = 0.5 * (vm + vp)
     f2 = (vm - vp) / (2.0 * root[..., None])
     return f1, f2
@@ -146,23 +151,29 @@ def three_point_continue(f: Callable[[np.ndarray], np.ndarray], z):
 
 
 def _split_with_continuation(
-    split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    z: np.ndarray,
+    profile: InitialProfile, p_c: float, eta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a ``z >= 0`` split on a mixed-sign grid.
+    """The splits about ``p_c`` on a mixed-sign ``eta`` grid, from one
+    :func:`split_about_pstar` call.
 
     Negative arguments use :func:`three_point_continue` mirrored,
-    ``g(z) = c0 g(0) + c1 g(-z) + c2 g(-2z)`` (with ``z < 0``, so the
-    sample points ``-z`` and ``-2z`` are on the defined side).
+    ``F(eta) = c0 F(0) + c1 F(-eta) + c2 F(-2 eta)`` (:data:`STENCIL`, with
+    ``eta < 0``, so the sample points are on the defined side).  The
+    non-negative points, ``0`` and both stencil points of every negative one
+    go into the one call, and the stencil is applied to its slices; each
+    split value is its point's own, so every point gets the value a call of
+    its own would give.
     """
-    pos = z >= 0.0
-    v1 = np.empty(z.shape + (2,), dtype=complex)
-    v2 = np.empty_like(v1)
-    if np.any(pos):
-        v1[pos], v2[pos] = split(z[pos])
-    if np.any(~pos):
-        v1[~pos], v2[~pos] = three_point_continue(lambda s: split(-s), -z[~pos])
-    return v1, v2
+    pos = eta >= 0.0
+    z = -eta[~pos]
+    n, m = np.count_nonzero(pos), z.size
+    splits = split_about_pstar(profile, p_c, np.concatenate((eta[pos], [0.0], z, 2.0 * z)))
+    c0, c1, c2 = STENCIL
+    out = np.empty((2,) + eta.shape + (2,), dtype=complex)
+    for f, v in zip(out, splits):
+        f[pos] = v[:n]
+        f[~pos] = c0 * v[n] + c1 * v[n + 1 : n + 1 + m] + c2 * v[n + 1 + m :]
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +416,7 @@ def _front_airy(
     else:
         y, phase, deriv_sign = -(x + speed * t), (p_c * x - omega_c * t) / mu, -1.0
     eta = -y / (curv * t)
-    f1, f2 = _split_with_continuation(lambda s: split_about_pstar(profile, p_c, s), eta)
+    f1, f2 = _split_with_continuation(profile, p_c, eta)
     projector = disp.modal_matrix(p_c, branch).T
     carrier = (weight * cube * np.exp(1j * phase))[:, None]
     c_aip = (deriv_sign * 1j * cube) * carrier * (f2 @ projector)

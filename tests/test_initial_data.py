@@ -235,6 +235,33 @@ def test_semi_discrete_ft_asymmetric_profile_is_complex():
     )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    skew=st.booleans(),
+    delta=st.sampled_from([1.0, 0.5, 0.1]),
+    base=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_each_value_is_its_one_point_call(skew, delta, base, data):
+    """Every element of the site sums is, to the bit, the sum at that p
+    alone, whatever the array's size, order or repeats; so is the band data
+    at delta = 1, where they are the site sums.  The short-wave fronts rely
+    on it to evaluate all their stencil points in one call."""
+    if skew:
+        xi = np.linspace(-6.0, 8.0, 701)
+        profile = TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
+    else:
+        profile = GaussianProfile()
+    p = np.array(base + data.draw(st.lists(st.sampled_from(base), max_size=64 - len(base))))
+    p = p[np.array(data.draw(st.permutations(range(p.size))))]
+    for component in (1, 2):
+        alone = [semi_discrete_ft(profile, delta, q, component) for q in p]
+        np.testing.assert_array_equal(semi_discrete_ft(profile, delta, p, component), alone)
+    if delta == 1.0:
+        alone = [spectral_vector(profile, 1.0, q)[0] for q in p]
+        np.testing.assert_array_equal(spectral_vector(profile, 1.0, p), alone)
+
+
 def test_spectral_vector_shapes(gaussian):
     vec = spectral_vector(gaussian, 1.0, 0.4)
     assert vec.shape == (1, 2)

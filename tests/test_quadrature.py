@@ -178,6 +178,39 @@ def test_column_groups_keep_the_bits(block, groups, even_fold, monkeypatch):
     assert np.array_equal(semi_discrete_ft(gaussian, 0.1, q, 1), sums)
 
 
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("even_fold", [False, True])
+def test_exact_grids_transform_half_the_rows(columns, even_fold, monkeypatch):
+    """A ``linspace`` grid sits within rounding of its progression, so the
+    16 columns of a ``w``-column kernel transform ``16 w`` rows; a frame
+    ``(c t - x) / mu`` keeps its first-order residual and transforms
+    ``2 * 16 w``, the kernel and its copy weighted by the nodes.  Both hold
+    the bound of test_chirp_z_matches_direct_sum.  The site sums' columns,
+    panel nodes, are exact too and transform 16 rows."""
+    mu, ct = 2.256e-05, 0.5008247840889459
+    frame = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
+    p, w = quad.panel_nodes(0.0, 8.5, 60)
+    g = _weighted_kernel(p, w, columns, 5)
+    rows = []
+    ifft = np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    for x, width in ((np.linspace(-70.0, 70.0, 401), 1), (frame, 2)):
+        rows.clear()
+        fast = quad._contract(g, p, x, even_fold)
+        assert rows == [width * quad._ORDER * columns]
+        direct = quad._contract_direct(g, p, x, even_fold)
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g))
+    rows.clear()
+    q, _ = quad.panel_nodes(0.0, 40.0, 400)
+    semi_discrete_ft(GaussianProfile(), 0.1, q, 1)
+    assert rows == [quad._ORDER]
+
+
 def test_even_fold_of_complex_kernel_is_its_real_part():
     """The fold integrates ``Re kernel`` against ``2 cos(p x)``, which is
     ``Re F``: for ``e^{-(1/2 - i a) p^2}`` that is the real part of

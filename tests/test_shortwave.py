@@ -34,7 +34,7 @@ from diatomic_waves import (
     split_about_pstar,
     three_point_continue,
 )
-from diatomic_waves import shortwave
+from diatomic_waves import initial_data, shortwave
 from diatomic_waves.dispersion import LatticeParams
 
 MU = 0.01
@@ -608,14 +608,45 @@ def test_uniform_forms_equal_the_envelope_and_front_formulas(params, disp, gauss
         (acoustic_uniform, ACOUSTIC, ac_switch, ac_outer),
         (optical_uniform, OPTICAL, op_switch, op_outer),
     ):
-        # one point per call, as in the formula: beyond the front the split F2
-        # at eta = 0 is a difference quotient over p_c -+ 1e-6, whose rounding
-        # (~5e-11 relative) depends on the array the sums came in
+        # each whole band in one call, against the formula point by point:
+        # beyond the front the split F2 at eta = 0 is a difference quotient
+        # over p_c -+ 1e-6 (~5e-11 relative rounding), which holds to 1e-13
+        # only because every split value is its own point's
         band = np.linspace(switch, outer, 41)[1:]  # (switch, outer]
         for side, xs in (("right", band), ("left", -band)):
             expected, scale = _front_formula(disp, prof, xs, T, side, branch)
-            got = np.concatenate([evaluate(params, prof, MU, [xi], T) for xi in xs])
+            got = evaluate(params, prof, MU, xs, T)
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+
+def test_front_records_take_one_spectral_evaluation(params, disp, gaussian, monkeypatch):
+    """Every front record evaluates the splits at its points and at all its
+    continuation stencil points in one spectral_vector call, so at most two
+    site sums (one per sublattice); the interior takes one call per branch."""
+    calls = []
+    semi_discrete_ft = initial_data.semi_discrete_ft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return semi_discrete_ft(*args, **kwargs)
+
+    per_record = []
+    front_airy = shortwave._front_airy
+
+    def record(*args, **kwargs):
+        before = len(calls)
+        out = front_airy(*args, **kwargs)
+        per_record.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(initial_data, "semi_discrete_ft", counted)
+    monkeypatch.setattr(shortwave, "_front_airy", record)
+    reach = max(edge for _, edge in _edges(disp, T))
+    x = np.linspace(-1.1 * reach, 1.1 * reach, 401)
+    shortwave_total(params, gaussian, MU, x, T)
+    assert len(per_record) == 4  # both fronts of both branches
+    assert max(per_record) <= 2
+    assert len(calls) <= 2 * (len(per_record) + 2)
 
 
 _PUBLIC_EVALUATORS = {
