@@ -79,8 +79,6 @@ from .shortwave import (
     optical_stationary,
     optical_uniform,
     shortwave_total,
-    split_about_pstar,
-    three_point_continue,
 )
 
 __version__ = "0.1.0"
@@ -132,8 +130,6 @@ __all__ = [
     "shortwave_total",
     "solve_quadrature",
     "spectral_vector",
-    "split_about_pstar",
-    "three_point_continue",
     "uas_dalembert",
     "uas_gaussian_airy",
     "uas_integral",

@@ -70,53 +70,6 @@ _K = np.arange(22)[:, None]
 _FACTORIAL = np.array([float(math.factorial(k)) for k in range(22)])[:, None]
 _MOMENT_SERIES = (-1.0) ** (_K // 2) / (_FACTORIAL * (_K + np.arange(4) + 1.0))
 
-# Cephes' rational approximations of the inverse normal CDF ndtri(y), y <= 1/2:
-# y > e^{-2}, then x = sqrt(-2 log y) < 8, then x >= 8 (leading 1 of each Q implied).
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _x_ratio(x: float, p: tuple, q: tuple) -> float:
-    """``x P(x) / Q(x)``, in Cephes' order of operations."""
-    num, den = 0.0, 1.0
-    for c in p:
-        num = num * x + c
-    for c in q:
-        den = den * x + c
-    return x * num / den
-
-
-def _erfcinv(a: float) -> float:
-    """``erfcinv(a)`` for ``0 < a < 1``: ``-ndtri(a / 2) / sqrt(2)``, operation for
-    operation as ``scipy.special.erfcinv`` computes it, so to the bit."""
-    y = 0.5 * a
-    if y == 0.0:  # a underflowed
-        return math.inf
-    if y > 0.13533528323661269189:  # e^{-2}
-        y -= 0.5
-        x = (y + y * _x_ratio(y * y, _NDTRI_P0, _NDTRI_Q0)) * 2.50662827463100050242
-    else:
-        r = math.sqrt(-2.0 * math.log(y))
-        p, q = (_NDTRI_P1, _NDTRI_Q1) if r < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-        x = -((r - math.log(r) / r) - _x_ratio(1.0 / r, p, q))
-    return -x * 0.7071067811865476
-
-
 class InitialProfile(abc.ABC):
     """A localized initial displacement ``W(xi)`` in profile-width units."""
 
@@ -174,14 +127,32 @@ class GaussianProfile(InitialProfile):
         return self._radius
 
     def hat_l1_radius(self, tail: float) -> float:
-        """``sqrt(2) erfcinv(tail / sqrt(2 pi))``, from ``int_{|p| >= r} e^{-p^2/2} dp =
-        sqrt(2 pi) erfc(r / sqrt(2))``, raised by 16 ulps to cover the rounding of
-        ``erfcinv``; 0 once ``tail`` reaches the whole mass ``sqrt(2 pi)``."""
+        """The root ``r`` of ``int_{|p| >= r} e^{-p^2/2} dp = sqrt(2 pi) erfc(r / sqrt(2)) = tail``,
+        raised by 16 ulps to cover its rounding; 0 once ``tail`` reaches the whole mass
+        ``sqrt(2 pi)``, ``inf`` once ``a = tail / sqrt(2 pi)`` is subnormal.
+
+        Newton's method on ``log erfc(x) = log a``, ``x = r / sqrt(2)``, from ``sqrt(-log a)``,
+        above the root as ``erfc(x) <= e^{-x^2}``: ``log erfc`` is concave, so every step stays
+        above it until rounding stops them.  Below ``x = 1/2`` it is taken as ``log1p(-erf x)``,
+        which keeps its relative accuracy as ``x -> 0``.
+        """
         if not tail > 0.0:  # also nan
             return np.inf
         if tail >= _SQRT_2PI:
             return 0.0
-        return float(np.sqrt(2.0) * _erfcinv(tail / _SQRT_2PI) * (1.0 + 16.0 * np.finfo(float).eps))
+        share = tail / _SQRT_2PI
+        if share < np.finfo(float).tiny:  # erfc(x) and e^{-x^2} would lose their digits
+            return np.inf
+        target, x = math.log(share), math.sqrt(-math.log(share))
+        for _ in range(64):
+            value = math.erfc(x)
+            log_value = math.log1p(-math.erf(x)) if x < 0.5 else math.log(value)
+            # d/dx log erfc(x) = -2 e^{-x^2} / (sqrt(pi) erfc(x))
+            step = (log_value - target) * value * math.sqrt(math.pi) / (2.0 * math.exp(-x * x))
+            if not step < 0.0:
+                break
+            x += step
+        return float(math.sqrt(2.0) * x * (1.0 + 16.0 * np.finfo(float).eps))
 
 
 class TableProfile(InitialProfile):

@@ -45,6 +45,12 @@ __all__ = [
 
 _QUADRATURE_MODES = ("full", "acoustic", "optical")
 
+#: Room (profile widths) the chain of :func:`integrate_lattice` keeps beyond
+#: the causal cone, the profile and the front width.
+_CHAIN_MARGIN = 2.0
+#: Largest displacement of the two end sites that counts as not reached.
+_BOUNDARY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class WaveField:
@@ -225,23 +231,17 @@ def integrate_lattice(
     profile: InitialProfile,
     mu: float,
     times,
-    *,
-    margin: float = 2.0,
-    boundary_tol: float = 1e-10,
 ) -> tuple[list[LatticeState], EnergyReport]:
     """Exact motion of the chain from rest with fixed distant ends.
 
     The chain is propagated mode by mode (see :func:`_propagate`), with no
-    time step; the only error is rounding.
+    time step; the only error is rounding.  A record time at which the ends
+    move by more than ``_BOUNDARY_TOL`` raises :class:`BoundaryError`.
 
     Parameters
     ----------
     times:
         Strictly increasing positive instants at which to record states.
-    margin:
-        Extra room (in profile-width units) beyond the causal cone plus
-        front width; the run aborts with :class:`BoundaryError` if the
-        solution ever reaches the fixed ends above ``boundary_tol``.
     """
     times = _check_record_times(times)
     if not (np.isfinite(mu) and mu > 0.0):
@@ -256,7 +256,7 @@ def integrate_lattice(
         disp.sound_speed * t_max / mu
         + profile.support_radius()
         + front_width
-        + margin
+        + _CHAIN_MARGIN
         + 4.0 * delta
     )
     half = np.ceil(xi_max / delta)
@@ -281,11 +281,10 @@ def integrate_lattice(
         edge_amp = max(
             float(np.max(np.abs(w_t[:2]))), float(np.max(np.abs(w_t[-2:])))
         )
-        if edge_amp > boundary_tol:
+        if edge_amp > _BOUNDARY_TOL:
             raise BoundaryError(
-                f"wave reached the fixed ends at t = {t_next:g} "
-                f"(edge amplitude {edge_amp:.2e} > {boundary_tol:.1e}); "
-                "increase margin"
+                f"wave reached the fixed ends at t = {t_next:g}: edge amplitude "
+                f"{edge_amp:.2e} > {_BOUNDARY_TOL:.1e} on a chain of {index.size} sites"
             )
         energies[i] = _lattice_energy(w_t, v_t, gamma, h)
         states.append(

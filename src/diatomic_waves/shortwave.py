@@ -49,8 +49,6 @@ from .oracles import WaveField
 
 __all__ = [
     "StationaryPoints",
-    "split_about_pstar",
-    "three_point_continue",
     "acoustic_stationary",
     "optical_stationary",
     "acoustic_front_airy",
@@ -59,9 +57,6 @@ __all__ = [
     "optical_uniform",
     "shortwave_total",
 ]
-
-#: Quadratic-extrapolation stencil ``f(z) = c0 f(0) + c1 f(-z) + c2 f(-2z)``.
-STENCIL = (3.0, -3.0, 1.0)
 
 #: Switch from the uniform form to the front form at ``front - 0.01 width``.
 #: The stationary-point machinery stays numerically stable essentially up
@@ -103,76 +98,30 @@ def _require_positive_time(t: float) -> None:
 # Spectral splits and continuation
 # ---------------------------------------------------------------------------
 
-def split_about_pstar(
-    profile: InitialProfile, p_star: float, eta
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric/antisymmetric split about the critical momentum.
+def _splits(profile: InitialProfile, p_c: float, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The splits ``(F1, F2)`` about the critical momentum ``p_c`` at the points ``eta``.
 
-    ``F1(eta) = (V(p* - sqrt eta) + V(p* + sqrt eta)) / 2`` and
-    ``F2(eta) = (V(p* - sqrt eta) - V(p* + sqrt eta)) / (2 sqrt eta)``
+    ``F1(eta) = (V(p_c - sqrt eta) + V(p_c + sqrt eta)) / 2`` and
+    ``F2(eta) = (V(p_c - sqrt eta) - V(p_c + sqrt eta)) / (2 sqrt eta)`` for ``eta >= 0``
     (minus side first, matching the front formulas that consume them), so
-    ``V(p* -+ sqrt eta) = F1 +- sqrt(eta) F2``.  At ``p* = 0`` these are the
-    even/odd parts of ``V`` in ``eta = p^2``.  Requires ``eta >= 0``.
+    ``V(p_c -+ sqrt eta) = F1 +- sqrt(eta) F2``.  A point ``eta < 0`` is continued by the
+    quadratic rule ``F(eta) = 3 F(0) - 3 F(-eta) + F(-2 eta)``, exact to degree 2.
 
-    Both sides come from one :func:`~diatomic_waves.initial_data.spectral_vector`
-    call, whose site sums give each momentum the value it has alone, so each
-    value depends on its own ``eta`` and not on the array it came in.
-    ``eta`` is floored at ``1e-12``: ``F2(0)`` is still a difference quotient
-    over ``p* -+ 1e-6``, with a rounding of about ``eps / 1e-6`` relative.
-    """
-    eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
-    if np.any(eta_arr < 0.0):
-        raise ConfigError("split_about_pstar needs eta >= 0")
-    root = np.sqrt(np.maximum(eta_arr, _Z_FLOOR))
-    vm, vp = spectral_vector(profile, 1.0, np.stack((p_star - root, p_star + root)))
-    f1 = 0.5 * (vm + vp)
-    f2 = (vm - vp) / (2.0 * root[..., None])
-    return f1, f2
-
-
-def three_point_continue(f: Callable[[np.ndarray], np.ndarray], z):
-    """Quadratic extrapolation of ``f`` (defined for ``z <= 0``) to ``z > 0``.
-
-    ``f(z) ~= 3 f(0) - 3 f(-z) + f(-2z)`` (:data:`STENCIL`), exact for
-    polynomials of degree <= 2.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0.0):
-        raise ConfigError("three_point_continue expects z >= 0 (continuation side)")
-    c0, c1, c2 = STENCIL
-    out = (
-        c0 * np.asarray(f(np.zeros_like(z_arr)))
-        + c1 * np.asarray(f(-z_arr))
-        + c2 * np.asarray(f(-2.0 * z_arr))
-    )
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return out[0]
-    return out
-
-
-def _split_with_continuation(
-    profile: InitialProfile, p_c: float, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The splits about ``p_c`` on a mixed-sign ``eta`` grid, from one
-    :func:`split_about_pstar` call.
-
-    Negative arguments use :func:`three_point_continue` mirrored,
-    ``F(eta) = c0 F(0) + c1 F(-eta) + c2 F(-2 eta)`` (:data:`STENCIL`, with
-    ``eta < 0``, so the sample points are on the defined side).  The
-    non-negative points, ``0`` and both stencil points of every negative one
-    go into the one call, and the stencil is applied to its slices; each
-    split value is its point's own, so every point gets the value a call of
-    its own would give.
+    All the momenta, ``0`` and both stencil points of every continued point included, go
+    into one :func:`~diatomic_waves.initial_data.spectral_vector` call, whose site sums
+    give each momentum the value it has alone, so every value is the one a call of its
+    own would give.  ``eta`` is floored at ``1e-12``: ``F2(0)`` is a difference quotient
+    over ``p_c -+ 1e-6``, with a rounding of about ``eps / 1e-6`` relative.
     """
     pos = eta >= 0.0
     z = -eta[~pos]
     n, m = np.count_nonzero(pos), z.size
-    splits = split_about_pstar(profile, p_c, np.concatenate((eta[pos], [0.0], z, 2.0 * z)))
-    c0, c1, c2 = STENCIL
+    root = np.sqrt(np.maximum(np.concatenate((eta[pos], [0.0], z, 2.0 * z)), _Z_FLOOR))
+    vm, vp = spectral_vector(profile, 1.0, np.stack((p_c - root, p_c + root)))
     out = np.empty((2,) + eta.shape + (2,), dtype=complex)
-    for f, v in zip(out, splits):
+    for f, v in zip(out, (0.5 * (vm + vp), (vm - vp) / (2.0 * root[:, None]))):
         f[pos] = v[:n]
-        f[~pos] = c0 * v[n] + c1 * v[n + 1 : n + 1 + m] + c2 * v[n + 1 + m :]
+        f[~pos] = 3.0 * v[n] - 3.0 * v[n + 1 : n + 1 + m] + v[n + 1 + m :]
     return out[0], out[1]
 
 
@@ -380,47 +329,59 @@ def _airy_sum(size: int, records: list) -> np.ndarray:
 # Front Airy evaluators
 # ---------------------------------------------------------------------------
 
+def _front(disp: Dispersion, branch: int) -> tuple[float, float, float, float, float]:
+    """``(p_c, omega, s, k, n)`` of one branch's fronts: its critical momentum,
+    the frequency there, the front speed, the curvature and the weight.
+
+    Acoustic: ``0``, ``omega_1(0) = 0`` (the carrier is 1), ``c``, ``q`` and 1.
+    Optical: ``p*``, ``omega_2(p*)``, ``c*``, ``q*`` and 2 for the pair ``+-p*``.
+    """
+    if branch == ACOUSTIC:
+        return 0.0, 0.0, disp.sound_speed, disp.dispersion_coefficient, 1.0
+    crit = disp.critical
+    return crit.p_star, float(disp.omega2_derivs(crit.p_star, 0)[0]), crit.c_star, crit.q_star, 2.0
+
+
 def _front_airy(
     disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, t: float,
-    front: str, branch: int,
+    side: str, branch: int, front: tuple,
 ) -> tuple:
-    """``(z, c_ai, c_aip)`` of the Airy form of one branch near its front, about
-    its critical momentum ``p_c``, at the points ``x``.
+    """``(z, c_ai, c_aip)`` of the Airy form of one branch near its front
+    (:func:`_front`) on ``side``, at the points ``x``.
 
-    The branch enters through its front speed ``s``, curvature ``k``,
-    ``omega = omega(p_c)``, projector ``P = P(p_c)`` and weight ``n``
-    (acoustic: ``c``, ``q``, ``p_c = 0``, ``omega_1(0) = 0``, ``A(0)``, 1;
-    optical: ``c*``, ``q*``, ``p*``, ``omega_2(p*)``, ``B(p*)``, 2 for the
-    pair ``+-p*``).  With ``y = x - s t``, ``w = mu^{2/3} (k t)^{1/3}`` and
-    ``r = (mu/(k t))^{1/3}``, the right front is
+    With ``(p_c, omega, s, k, n) = front``, ``P = P(p_c)``, ``y = x - s t``,
+    ``w = mu^{2/3} (k t)^{1/3}`` and ``r = (mu/(k t))^{1/3}``, the right front is
     ``n r Re{ e^{i (p_c x + omega t)/mu} P [F1 Ai(y/w) + i r F2 Ai'(y/w)] }``
-    with the splits ``F1``, ``F2`` about ``p_c`` at ``-y/(k t)``, continued
-    by the three-point rule beyond the front.  The left front takes
+    with the splits ``F1``, ``F2`` (:func:`_splits`) about ``p_c`` at
+    ``-y/(k t)``, continued beyond the front.  The left front takes
     ``y = -(x + s t)``, ``p_c x - omega t`` and ``-i`` on the ``Ai'`` term.
     """
-    _require_unit_delta(disp.params, mu)
-    _require_positive_time(t)
-    if front not in ("left", "right"):
-        raise ConfigError(f"front must be 'left' or 'right', got {front!r}")
-    if branch == ACOUSTIC:  # the carrier is 1
-        p_c, omega_c, weight = 0.0, 0.0, 1.0
-        speed, curv = disp.sound_speed, disp.dispersion_coefficient
-    else:
-        crit = disp.critical
-        p_c, speed, curv, weight = crit.p_star, crit.c_star, crit.q_star, 2.0
-        omega_c = float(disp.omega2_derivs(p_c, 0)[0])
+    p_c, omega_c, speed, curv, weight = front
     width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
     cube = (mu / (curv * t)) ** (1.0 / 3.0)
-    if front == "right":
+    if side == "right":
         y, phase, deriv_sign = x - speed * t, (p_c * x + omega_c * t) / mu, 1.0
     else:
         y, phase, deriv_sign = -(x + speed * t), (p_c * x - omega_c * t) / mu, -1.0
-    eta = -y / (curv * t)
-    f1, f2 = _split_with_continuation(profile, p_c, eta)
+    f1, f2 = _splits(profile, p_c, -y / (curv * t))
     projector = disp.modal_matrix(p_c, branch).T
     carrier = (weight * cube * np.exp(1j * phase))[:, None]
     c_aip = (deriv_sign * 1j * cube) * carrier * (f2 @ projector)
     return y / width, carrier * (f1 @ projector), c_aip
+
+
+def _front_field(
+    params: LatticeParams, profile: InitialProfile, mu: float, x, t: float, side: str, branch: int
+) -> np.ndarray:
+    """The ``(n, 2)`` front form of one branch on ``side`` at the points ``x``."""
+    _require_unit_delta(params, mu)
+    _require_positive_time(t)
+    if side not in ("left", "right"):
+        raise ConfigError(f"front must be 'left' or 'right', got {side!r}")
+    disp = Dispersion(params)
+    x_arr = np.asarray(x, dtype=float).ravel()
+    z, c_ai, c_aip = _front_airy(disp, profile, mu, x_arr, t, side, branch, _front(disp, branch))
+    return _airy_sum(x_arr.size, [(np.arange(x_arr.size), z, c_ai, c_aip)])
 
 
 def acoustic_front_airy(
@@ -438,12 +399,7 @@ def acoustic_front_airy(
     even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
     (heavy, light components).
     """
-    x_arr = np.asarray(x, dtype=float).ravel()
-    record = (
-        np.arange(x_arr.size),
-        *_front_airy(Dispersion(params), profile, mu, x_arr, t, front, ACOUSTIC),
-    )
-    return _airy_sum(x_arr.size, [record])
+    return _front_field(params, profile, mu, x, t, front, ACOUSTIC)
 
 
 def optical_front_airy(
@@ -461,12 +417,7 @@ def optical_front_airy(
     front ``+``) and weight 2.  The output oscillates at the carrier
     wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
     """
-    x_arr = np.asarray(x, dtype=float).ravel()
-    record = (
-        np.arange(x_arr.size),
-        *_front_airy(Dispersion(params), profile, mu, x_arr, t, front, OPTICAL),
-    )
-    return _airy_sum(x_arr.size, [record])
+    return _front_field(params, profile, mu, x, t, front, OPTICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -481,30 +432,25 @@ def _interior(
 
     With ``A_pm = sqrt(pi) (w Ai(-w^4) +- i Ai'(-w^4) / w)``, ``w = (3y/2)^{1/6}``,
     the coefficients are ``c_ai = sqrt(2 mu) w (c_+ + c_-)`` and
-    ``c_aip = sqrt(2 mu) i (c_+ - c_-) / w``.  Acoustic: ``c_- = a(p)`` right of
-    the origin and ``c_+ = a(p)`` left, with
-    ``a(p) = A(p) Vtilde(p) / sqrt(t |omega_1''(p)|)``.  Optical:
-    ``c_+ = e^{i Theta/mu} b(p_max)`` and ``c_- = e^{i Theta/mu} b(p_min)``.
+    ``c_aip = sqrt(2 mu) i (c_+ - c_-) / w``.  With the amplitude ``a(p) =
+    P(p) Vtilde(p) / sqrt(t |omega''(p)|)``, acoustic ``c_- = a(p)`` right of the
+    origin and ``c_+ = a(p)`` left; optical ``c_+ = e^{i Theta/mu} a(p_max)`` and
+    ``c_- = e^{i Theta/mu} a(p_min)``.
     """
     right = (x >= 0.0)[:, None]
+    sp = (acoustic_stationary if branch == ACOUSTIC else optical_stationary)(disp, x, t)
+    p = sp.momenta  # (n, 1) acoustic p, (n, 2) optical p_minus, p_plus
+    amp = np.einsum(
+        "nkij,nkj->nki", disp.modal_matrix(p, branch), spectral_vector(profile, 1.0, p)
+    ) / np.sqrt(t * np.abs(sp.curvature))[..., None]
     if branch == ACOUSTIC:
-        sp = acoustic_stationary(disp, x, t)
-        p = sp.momenta[:, 0]
-        a = np.einsum(
-            "nij,nj->ni", disp.modal_matrix(p, ACOUSTIC), spectral_vector(profile, 1.0, p)
-        ) / np.sqrt(t * np.abs(sp.curvature[:, 0]))[:, None]
-        c_plus, c_minus = np.where(right, 0.0, a), np.where(right, a, 0.0)
+        c_plus, c_minus = np.where(right, 0.0, amp[:, 0]), np.where(right, amp[:, 0], 0.0)
     else:
-        sp = optical_stationary(disp, x, t)
-        p = sp.momenta  # (n, 2): p_minus, p_plus
-        b = np.einsum(
-            "nkij,nkj->nki", disp.modal_matrix(p, OPTICAL), spectral_vector(profile, 1.0, p)
-        ) / np.sqrt(t * np.abs(sp.curvature))[..., None]
         # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
         # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
         carrier = np.exp(1j * sp.carrier / mu)[:, None]
-        c_plus = carrier * np.where(right, b[:, 0], b[:, 1])
-        c_minus = carrier * np.where(right, b[:, 1], b[:, 0])
+        c_plus = carrier * np.where(right, amp[:, 0], amp[:, 1])
+        c_minus = carrier * np.where(right, amp[:, 1], amp[:, 0])
     w = _envelope_root(sp.action / mu)
     scale = np.sqrt(2.0 * mu)
     c_ai = (scale * w)[:, None] * (c_plus + c_minus)
@@ -521,14 +467,11 @@ def _uniform_records(
     _require_unit_delta(params, mu)
     _require_positive_time(t)
     disp = Dispersion(params)
-    if branch == ACOUSTIC:
-        speed, curv = disp.sound_speed, disp.dispersion_coefficient
-    else:
-        speed, curv = disp.critical.c_star, disp.critical.q_star
+    front = _front(disp, branch)
+    _, _, speed, curv, _ = front
     width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
-    front = speed * t
-    switch = front - FRONT_SWITCH_WIDTHS * width
-    outer = front + CONTINUATION_WIDTHS * width
+    switch = speed * t - FRONT_SWITCH_WIDTHS * width
+    outer = speed * t + CONTINUATION_WIDTHS * width
     records = []
     inside = np.flatnonzero(np.abs(x) <= switch)
     if inside.size:
@@ -537,7 +480,7 @@ def _uniform_records(
     for side, band in bands.items():
         at = np.flatnonzero(band)
         if at.size:
-            records.append((at, *_front_airy(disp, profile, mu, x[at], t, side, branch)))
+            records.append((at, *_front_airy(disp, profile, mu, x[at], t, side, branch, front)))
     return records
 
 

@@ -60,16 +60,6 @@ def test_gaussian_hat_l1_radius_bounds_the_tail(log_tail):
     assert _gaussian_tail(r * (1.0 - 1e-6)) > tail
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(a=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(-323.0, -1e-12).map(lambda e: 10.0**e)))
-def test_erfcinv_matches_scipy_bit_for_bit(a):
-    """The numpy-free ``erfcinv`` behind the Gaussian band cut is scipy's, so
-    the cut, and every band sum cut there, keep their bits."""
-    from scipy.special import erfcinv
-
-    assert initial_data._erfcinv(a) == erfcinv(a)
-
-
 def test_gaussian_hat_l1_radius_where_the_inverse_underflows(gaussian):
     # tail / sqrt(2 pi) / 2 rounds to 0: no bound, no cut
     assert gaussian.hat_l1_radius(5e-324) == math.inf

@@ -274,11 +274,11 @@ def test_ode_times_validation(desk, gaussian):
         integrate_lattice(params, gaussian, 0.05, [])
 
 
-def test_ode_boundary_guard(desk, gaussian):
-    with pytest.raises(BoundaryError):
-        integrate_lattice(
-            desk(0.05), gaussian, 0.05, [0.1], margin=0.0, boundary_tol=0.0
-        )
+def test_ode_boundary_guard(desk, gaussian, monkeypatch):
+    monkeypatch.setattr(oracles, "_CHAIN_MARGIN", 0.0)
+    monkeypatch.setattr(oracles, "_BOUNDARY_TOL", 0.0)
+    with pytest.raises(BoundaryError, match="reached the fixed ends"):
+        integrate_lattice(desk(0.05), gaussian, 0.05, [0.1])
 
 
 def test_ode_input_guards(desk, gaussian):

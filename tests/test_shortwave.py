@@ -31,8 +31,6 @@ from diatomic_waves import (
     shortwave_total,
     solve_quadrature,
     spectral_vector,
-    split_about_pstar,
-    three_point_continue,
 )
 from diatomic_waves import initial_data, shortwave
 from diatomic_waves.dispersion import LatticeParams
@@ -60,19 +58,36 @@ def _skew_profile():
 # spectral splits and continuation
 # ---------------------------------------------------------------------------
 
+def _split(profile, p_c, eta):
+    """``(F1, F2)`` about ``p_c`` at one ``eta >= 0``, by their definition from two
+    one-point ``spectral_vector`` calls (``eta`` floored at ``1e-12``, as the
+    evaluators floor it)."""
+    root = np.sqrt(max(eta, 1e-12))
+    vm = spectral_vector(profile, 1.0, p_c - root)[0]
+    vp = spectral_vector(profile, 1.0, p_c + root)[0]
+    return 0.5 * (vm + vp), (vm - vp) / (2.0 * root)
+
+
+def _continued_split(profile, p_c, eta):
+    """``(F1, F2)`` at one ``eta``; for ``eta < 0`` by the explicit stencil
+    ``F(eta) = 3 F(0) - 3 F(-eta) + F(-2 eta)``."""
+    if eta >= 0.0:
+        return _split(profile, p_c, eta)
+    f0, f1, f2 = (np.array(_split(profile, p_c, s)) for s in (0.0, -eta, -2.0 * eta))
+    return tuple(3.0 * f0 - 3.0 * f1 + f2)
+
+
 def test_split_even_odd_reconstructs(gaussian):
     # about p_c = 0 (acoustic front) the split gives the even/odd parts of V
     # in eta = p^2: V(p) = F1 - p F2, V(-p) = F1 + p F2
     skew = _skew_profile()
     p = np.array([0.2, 0.8, 1.3])
-    v1, v2 = split_about_pstar(skew, 0.0, p**2)
+    v1, v2 = shortwave._splits(skew, 0.0, p**2)
     assert_allclose(v1 - p[:, None] * v2, spectral_vector(skew, 1.0, p), rtol=1e-12)
     assert_allclose(v1 + p[:, None] * v2, spectral_vector(skew, 1.0, -p), rtol=1e-12)
     # even data has no odd part
-    _, g2 = split_about_pstar(gaussian, 0.0, p**2)
+    _, g2 = shortwave._splits(gaussian, 0.0, p**2)
     assert np.max(np.abs(g2)) < 1e-12
-    with pytest.raises(ConfigError):
-        split_about_pstar(gaussian, 0.0, np.array([-0.1]))
 
 
 def test_split_about_pstar_reconstructs(disp, gaussian):
@@ -81,27 +96,62 @@ def test_split_about_pstar_reconstructs(disp, gaussian):
     eta = np.array([0.01, 0.09, 0.25])
     root = np.sqrt(eta)
     for prof in (gaussian, _skew_profile()):
-        f1, f2 = split_about_pstar(prof, p_star, eta)
+        f1, f2 = shortwave._splits(prof, p_star, eta)
         minus = f1 + root[:, None] * f2
         plus = f1 - root[:, None] * f2
         assert_allclose(minus, spectral_vector(prof, 1.0, p_star - root), rtol=1e-12)
         assert_allclose(plus, spectral_vector(prof, 1.0, p_star + root), rtol=1e-12)
-        with pytest.raises(ConfigError):
-            split_about_pstar(prof, p_star, -0.2)
 
 
-def test_three_point_continue_quadratic_exact():
-    def quad(z):
-        return 1.5 - 0.7 * z + 0.3 * z**2
+@pytest.mark.parametrize("p_c", [0.0, 0.9])
+def test_split_continuation_is_exact_for_quadratic_splits(p_c, monkeypatch):
+    # band data whose splits about p_c are F1 = a0 + a1 eta + a2 eta^2 and
+    # F2 = b0 + b1 eta + b2 eta^2: V(p_c -+ s) = F1(s^2) +- s F2(s^2)
+    a = np.array([[1.0 + 0.5j, -0.4 + 0.2j], [0.7 - 0.3j, 0.2j], [-0.9, 0.6 - 0.1j]])
+    b = np.array([[0.3 - 0.6j, 0.8], [-0.5j, 0.4 + 0.4j], [0.6 + 0.2j, -0.7 + 0.3j]])
 
-    z = np.array([0.3, 1.1, 2.4])
-    assert_allclose(three_point_continue(quad, z), quad(z), rtol=1e-13)
-    # scalar passthrough
-    out = three_point_continue(quad, 0.5)
-    assert np.ndim(out) == 0
-    assert_allclose(out, quad(0.5), rtol=1e-13)
-    with pytest.raises(ConfigError):
-        three_point_continue(quad, -1.0)
+    def quadratic(c, eta):
+        eta = np.asarray(eta)[..., None]
+        return c[0] + c[1] * eta + c[2] * eta * eta
+
+    def fake(profile, delta, p):
+        d = np.asarray(p, dtype=float) - p_c
+        return quadratic(a, d * d) - d[..., None] * quadratic(b, d * d)
+
+    monkeypatch.setattr(shortwave, "spectral_vector", fake)
+    eta = np.array([-0.4, -0.15, -0.02, -1e-5, 0.0, 1e-5, 0.03, 0.2, 0.5])
+    f1, f2 = shortwave._splits(None, p_c, eta)
+    # Each split at s >= 0 carries the rounding of V, a few eps max|V| in F1
+    # and a few eps max|V| / sqrt(max(s, 1e-12)) in F2 (the difference quotient;
+    # at s = 0 it is taken over p_c -+ 1e-6, eps / 1e-6 relative); 8 eps covers
+    # those and the stencil's own rounding.  The stencil 3 F(0) - 3 F(z) + F(2z)
+    # sums three of them, and the floor moves F(0) by |F'(0)| 1e-12 <= max|V| 1e-12.
+    eps, vmax = np.finfo(float).eps, np.abs(a).sum(axis=0) + np.abs(b).sum(axis=0)
+    z = np.abs(eta)
+
+    def quotient(s):
+        return 1.0 / np.sqrt(np.maximum(s, 1e-12))
+
+    for got, c, tail in ((f1, a, lambda s: 1.0), (f2, b, quotient)):
+        spread = np.where(eta < 0.0, 3.0 * tail(0.0) + 3.0 * tail(z) + tail(2.0 * z), tail(z))
+        bound = (8.0 * eps * spread + 3e-12)[:, None] * vmax
+        assert np.all(np.abs(got - quadratic(c, eta)) <= bound)
+    # a linear continuation would miss by |c2| eta^2, far above the bound
+    assert np.max(np.abs(quadratic(b, eta) - (b[0] + b[1] * eta[:, None]))) > 1e3 * bound.max()
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "skew"])
+def test_split_values_are_their_one_point_calls(disp, gaussian, profile):
+    # a mixed-sign grid with repeats and signed zeros: each continued value is
+    # built from the same split values a call for its point alone builds
+    prof = gaussian if profile == "gaussian" else _skew_profile()
+    eta = np.array([0.3, -0.2, 0.0, -1e-14, 1e-14, -0.0, 0.05, -0.2, -0.45, 0.3, 1e-7, -1e-7])
+    for p_c in (0.0, disp.critical.p_star):
+        f1, f2 = shortwave._splits(prof, p_c, eta)
+        for i in range(eta.size):
+            g1, g2 = shortwave._splits(prof, p_c, eta[i : i + 1])
+            np.testing.assert_array_equal(g1[0], f1[i])
+            np.testing.assert_array_equal(g2[0], f2[i])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +363,7 @@ def test_stationary_solves_take_few_dispersion_calls(
     assert 0 < len(derivative_calls) <= 24
 
 
-@pytest.mark.parametrize("evaluator, most", [(acoustic_uniform, 17), (optical_uniform, 19)])
+@pytest.mark.parametrize("evaluator, most", [(acoustic_uniform, 17), (optical_uniform, 18)])
 def test_uniform_evaluators_reuse_stationary_derivatives(
     params, gaussian, evaluator, most, derivative_calls
 ):
@@ -382,19 +432,7 @@ def test_optical_front_matches_hand_assembly(params, disp, gaussian):
     got = optical_front_airy(params, gaussian, MU, x, T)
     b_star = disp.modal_matrix(crit.p_star, OPTICAL)
     for i, (xi, zi) in enumerate(zip(x, z)):
-        if zi >= 0.0:
-            f1, f2 = split_about_pstar(gaussian, crit.p_star, np.array([zi]))
-        else:
-            f1, f2 = (
-                three_point_continue(
-                    lambda s, j=j: split_about_pstar(
-                        gaussian, crit.p_star, np.atleast_1d(-s)
-                    )[j][0],
-                    np.array([-zi]),
-                )
-                for j in (0, 1)
-            )
-        f1, f2 = np.asarray(f1).reshape(2), np.asarray(f2).reshape(2)
+        f1, f2 = _continued_split(gaussian, crit.p_star, zi)
         ai, aip = airy_ai_pair((xi - crit.c_star * T) / width)
         combo = b_star @ (f1 * ai + 1j * cube * f2 * aip)
         phase = np.exp(1j * (crit.p_star * xi + omega2_star * T) / MU)
@@ -522,22 +560,6 @@ def _edges(disp, t):
         out.append((front - shortwave.FRONT_SWITCH_WIDTHS * width,
                     front + shortwave.CONTINUATION_WIDTHS * width))
     return out
-
-
-def _continued_split(profile, p_c, eta):
-    """``(F1, F2)`` about ``p_c`` at one ``eta``, by the three-point rule for ``eta < 0``."""
-    if eta >= 0.0:
-        f1, f2 = split_about_pstar(profile, p_c, np.array([eta]))
-        return f1[0], f2[0]
-    return tuple(
-        np.asarray(
-            three_point_continue(
-                lambda s, j=j: split_about_pstar(profile, p_c, np.atleast_1d(-s))[j][0],
-                np.array([-eta]),
-            )
-        ).reshape(2)
-        for j in (0, 1)
-    )
 
 
 def _front_formula(disp, profile, x, t, side, branch):
@@ -728,8 +750,8 @@ def test_optical_envelope_bound(params, disp, gaussian):
     ai, aip = airy_ai_pair((x - crit.c_star * T) / width)
     for i, zi in enumerate(z):
         eta = max(zi, 0.0)
-        f1, f2 = split_about_pstar(gaussian, crit.p_star, np.array([eta]))
-        envelope = 2.0 * cube * np.abs(b_star @ (f1[0] * ai[i] + 1j * cube * f2[0] * aip[i]))
+        f1, f2 = _split(gaussian, crit.p_star, eta)
+        envelope = 2.0 * cube * np.abs(b_star @ (f1 * ai[i] + 1j * cube * f2 * aip[i]))
         assert np.all(np.abs(got[i]) <= envelope + 1e-6)
 
 
