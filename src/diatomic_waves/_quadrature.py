@@ -12,18 +12,22 @@ grid is below tolerance.
 
 The panels have equal width, so each of the 16 local Gauss-Legendre
 nodes forms a uniform grid across panels.  On a uniform output grid the
-node-by-point contraction is therefore a chirp-z transform
-(Rabiner-Schafer-Rader 1969; Bluestein 1970) of all 16 columns at once
-(in groups past 4 MiB a block): one forward and one inverse FFT, costing
-``O((N + M) log(N + M))`` instead of ``O(N M)``; convergence is then
-checked on every output point.  An output grid that is a progression only
-up to residuals above rounding of its span (a travelling frame
+node-by-point contraction is therefore a sum of 16 chirp-z transforms
+(Rabiner-Schafer-Rader 1969; Bluestein 1970), costing
+``O((N + M) log(N + M))`` instead of ``O(N M)``.  Each column's output
+phase goes into its own copy of the chirp, so the 16 are added in the
+frequency domain: one forward FFT of the columns and their chirps (in
+groups past 4 MiB a block) and one inverse FFT of the sum, whose phases
+stay of the size of ``dp dx (N / 16 + M)``; convergence is then checked
+on every output point.  An output grid that is a progression only up to
+residuals above rounding of its span (a travelling frame
 ``(c t - x) / mu``) also transforms a copy of the kernel weighted by the
 nodes, which applies the residuals to first order; a ``linspace`` grid
-does not, and its transform is half as wide.  Any other grid is
+does not, and its transforms are half as wide.  Any other grid is
 contracted directly, and checked on a 33-point probe subset before the
-final contraction.  The same chirp-z primitive serves the sublattice
-sums in :mod:`diatomic_waves.initial_data`, whose sites are uniform.
+final contraction.  The same Bluestein set-up serves the sublattice sums
+in :mod:`diatomic_waves.initial_data`, whose sites are uniform; there the
+16 columns are separate outputs, each transformed on its own.
 
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
@@ -36,9 +40,10 @@ every output point sits far from the band's stationary points, as for
 the trailing frame of a travelling wave.  There
 :func:`legendre_bessel_field` expands the kernel alone in Legendre
 polynomials and integrates each term against ``exp(i p x)`` exactly
-(a Filon-type rule), so its cost does not depend on ``x``.  It applies
-only where ``|x|`` is large next to its polynomial degree and returns
-None otherwise, leaving such grids to :func:`synthesize_field`.  One
+(a Filon-type rule), so its cost does not depend on ``x``; its
+Gauss-Legendre rules come from Newton's method, without an eigensolver.
+It applies only where ``|x|`` is large next to its polynomial degree and
+returns None otherwise, leaving such grids to :func:`synthesize_field`.  One
 upward Bessel recurrence serves all of its orders, and every matrix
 product in it is real: the projection of complex kernel values, as one
 complex operand, cost a complex matrix-vector product of milliseconds
@@ -48,6 +53,7 @@ complex operand, cost a complex matrix-vector product of milliseconds
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -183,28 +189,45 @@ def _panel_columns(p: np.ndarray) -> tuple[np.ndarray, float] | None:
     return _progression(p.reshape(-1, _ORDER))
 
 
-def _cis(theta: np.ndarray) -> np.ndarray:
-    """``exp(i theta)`` for real ``theta``, without a complex ``exp``."""
-    out = np.empty(theta.shape, dtype=complex)
+def _cis(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``exp(i theta)`` for real ``theta``, without a complex ``exp``, into
+    ``out`` if given."""
+    if out is None:
+        out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
 
 
 def _chirp(half: float, k: np.ndarray) -> np.ndarray:
-    """``exp(i half k^2)`` for integer-valued ``k``.
+    """The phase ``half k^2`` modulo 2 pi, for integer-valued ``k``.
 
     ``half * k^2`` can exceed the phases of the sum itself by orders of
-    magnitude, so it is reduced modulo 2 pi before rounding: ``half`` is
-    split so that its leading part times ``k^2`` is exact, and that product
-    is reduced with the two-part 2 pi.
+    magnitude, so it is reduced before rounding: ``half`` is split so that
+    its leading part times ``k^2`` is exact, and that product is reduced
+    with the two-part 2 pi.  The result is within a few units of pi.
     """
     k2 = k * k
     shift = int(np.frexp(half)[1]) - 53 + int(np.max(k2, initial=0.0)).bit_length()
     lead = np.ldexp(np.round(np.ldexp(half, -shift)), shift)
     t = lead * k2
     n = np.round(t / (2.0 * np.pi))
-    return _cis((t - n * _TWO_PI_HI) - n * _TWO_PI_LO + (half - lead) * k2)
+    return (t - n * _TWO_PI_HI) - n * _TWO_PI_LO + (half - lead) * k2
+
+
+def _cis_ramp(theta: np.ndarray, start: float, count: int) -> np.ndarray:
+    """``exp(i theta[c] (start + q))`` for ``q < count``, shape ``(theta.size, count)``.
+
+    With ``start + q = (start + b u) + v``, ``0 <= v < b`` and ``b`` about
+    ``sqrt(count)``, it is the product of two tables of about ``sqrt(count)``
+    points, ``exp(i theta (start + b u))`` and ``exp(i theta v)``, instead of
+    a cosine and a sine per element; each value is within a few roundings of
+    ``exp(i theta (start + q))``.
+    """
+    b = isqrt(max(count - 1, 0)) + 1
+    hi = _cis(theta[:, None] * (start + b * np.arange(-(-count // b))))
+    lo = _cis(theta[:, None] * np.arange(b))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(theta.size, -1)[:, :count]
 
 
 @lru_cache(maxsize=None)
@@ -228,21 +251,35 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def _bluestein(n: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phases ``(pre, post, chirp)`` of the chirp-z transform of ``n`` terms
+    to ``m`` points at step ``alpha``.
+
+    Bluestein's identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` gives
+    ``sum_j h[j] e^{i alpha j i} = e^{i post[i]} sum_j h[j] e^{i pre[j]}
+    e^{i chirp[i - j]}``, one linear convolution, done as a cyclic one of
+    the 11-smooth length ``chirp.size >= n + m - 1``: ``chirp`` holds
+    ``-alpha l^2 / 2`` at the lags ``l = 0 ... m - 1``, then
+    ``m - size ... -1`` (see :func:`_chirp`).
+    """
+    half = 0.5 * alpha
+    size = _next_fast_len(n + m - 1)
+    lags = np.concatenate((np.arange(m), np.arange(m - size, 0)), dtype=float)
+    pre = _chirp(half, np.arange(n, dtype=float))
+    return pre, _chirp(half, np.arange(m, dtype=float)), _chirp(-half, lags)
+
+
 def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """Chirp-z transform ``f(h)[i] = sum_j h[j] exp(i alpha j i)`` for ``i < m``.
 
-    ``h`` has shape ``(n, k)``; the result has shape ``(m, k)``.  Bluestein's
-    identity ``j i = (j^2 + i^2 - (i - j)^2) / 2`` turns the sum into one
-    linear convolution with the chirp ``exp(-i alpha k^2 / 2)``, done for all
-    ``k`` columns by one FFT pair in ``O(k (n + m) log(n + m))``; the chirp's
-    transform is computed once here.
+    ``h`` has shape ``(n, k)``; the result has shape ``(m, k)``.  The
+    convolution of :func:`_bluestein` is done for all ``k`` columns by one
+    FFT pair in ``O(k (n + m) log(n + m))``; the chirp's transform is
+    computed once here.
     """
-    half = 0.5 * alpha
-    pre = _chirp(half, np.arange(n, dtype=float))
-    size = _next_fast_len(n + m - 1)
-    k = np.concatenate((np.arange(m), np.arange(m - size, 0)), dtype=float)
-    chirp_hat = np.fft.fft(_chirp(-half, k))
-    post = _chirp(half, np.arange(m, dtype=float))
+    pre, post, chirp = _bluestein(n, m, alpha)
+    pre, post, size = _cis(pre), _cis(post), chirp.size
+    chirp_hat = np.fft.fft(_cis(chirp))
 
     def apply(h: np.ndarray) -> np.ndarray:
         # numpy.fft runs fastest along a contiguous last axis: transform h.T,
@@ -258,8 +295,9 @@ def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]
 
 
 def _column_groups(n: int, m: int, rows: int) -> list[slice]:
-    """The 16 columns in order, in slices whose ``_chirp_z(n, m, .)`` block of
-    ``rows`` per column stays within ``_BLOCK_ELEMENTS`` (or is one column)."""
+    """The 16 columns in order, in slices whose block of ``rows`` transforms
+    per column, each of the padded length of :func:`_bluestein`, stays within
+    ``_BLOCK_ELEMENTS`` (or is one column)."""
     per = max(1, _BLOCK_ELEMENTS // (rows * _next_fast_len(n + m - 1)))
     return [slice(c, c + per) for c in range(0, _ORDER, per)]
 
@@ -318,22 +356,36 @@ def _contract_direct(
 def _contract(
     g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
 ) -> np.ndarray:
-    """As :func:`_contract_direct`, by one chirp-z transform pair over all 16
-    local-node columns when ``x`` is uniform (see :func:`_output_grid`) and
-    ``p`` panel-strided; past ``_BLOCK_ELEMENTS`` the columns go in groups.
+    """As :func:`_contract_direct`, by one chirp-z transform of the sum of all
+    16 local-node columns when ``x`` is uniform (see :func:`_output_grid`)
+    and ``p`` panel-strided.
 
-    The two agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``: the
-    offset ``x[0]`` and the grids' deviations from exact progressions are
-    applied exactly or to first order, so only phases of the size of
-    ``p (x - x[0])`` pass through the transforms.  Where the residuals
-    ``r = x - (x[0] + i dx)`` stay within ``_UNIFORM_ULPS * eps * span``,
-    ``span = |x[-1] - x[0]|``, they are dropped (:func:`_residual`), and
-    the transform is half as wide.  The dropped first-order term at
-    ``x[i]`` is ``i r[i] sum_j p[j] g[j] e^{i p[j] (x[i] - r[i])}``, so it
-    is at most ``max|r| max|p| sum|g| <= 8 eps max|p| span sum|g|`` (twice
-    that for the fold): of the order of the agreement above.  The columns
-    are grouped by the wider transform's block either way and added in
-    order ``c = 0 ... 15``, so grouping changes no bit.
+    Column ``c`` has nodes ``p0[c] + j dp`` and the grid is ``x0 + i dx``,
+    so with ``alpha = dp dx`` and ``theta_c = dx (p0[c] - p0[0])``, in
+    ``[0, alpha)`` up to sign, the sum is ``e^{i p0[0] i dx}`` times
+    ``sum_c e^{i theta_c i} sum_j h_c[j] e^{i alpha j i}`` with
+    ``h_c[j] = g[j, c] e^{i p[j, c] x0}``.  Splitting ``theta_c i`` as
+    ``theta_c j + theta_c (i - j)`` moves each column's output phase into
+    its terms and into its own copy of the Bluestein chirp
+    (:func:`_bluestein`), so every column is a convolution of the same
+    length: the 16 are transformed, multiplied and added in the frequency
+    domain, and one inverse FFT of ``w`` rows (a ``w``-column ``g``) gives
+    the whole sum.  The column groups of :func:`_column_groups` bound the
+    forward block, and the spectra are added in order ``c = 0 ... 15``
+    into one accumulator, so grouping changes no bit.
+
+    The two paths agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``:
+    the offsets ``x0`` and ``p0[0]`` are applied per term and per point,
+    and ``theta_c`` is measured from the first column, so only phases of
+    the size of ``alpha (n + m)`` (reduced chirps aside) pass through the
+    transforms.  A grid's residuals ``r = x - (x0 + i dx)`` are applied to
+    first order, by transforming the copy ``p h_c`` next to ``h_c`` (``2 w``
+    rows); where they stay within ``_UNIFORM_ULPS * eps * span``,
+    ``span = |x[-1] - x[0]|``, they are dropped (:func:`_residual`).  The
+    dropped first-order term at ``x[i]`` is
+    ``i r[i] sum_j p[j] g[j] e^{i p[j] (x[i] - r[i])}``, at most
+    ``max|r| max|p| sum|g| <= 8 eps max|p| span sum|g|`` (twice that for
+    the fold): of the order of the agreement above.
     """
     if even_fold:
         g = g.real  # the weight 2 cos(p x) is real: the fold integrates Re kernel
@@ -343,20 +395,55 @@ def _contract(
         return _contract_direct(g, p, x, even_fold)
     x0, dx = grid
     p0, dp = columns
-    steps = np.arange(x.size) * dx
+    n, m, k = p.size // _ORDER, x.size, g.shape[1]
+    steps = np.arange(m) * dx
     resid = _residual((x - x0) - steps, abs(float(x[-1]) - x0))
-    k = g.shape[1]
-    g_cols = g.reshape(-1, _ORDER, k)
-    p_cols = p.reshape(-1, _ORDER)
-    transform = _chirp_z(p_cols.shape[0], x.size, dp * dx)
-    out = np.zeros((x.size, k), dtype=float if even_fold else complex)
-    for cs in _column_groups(p_cols.shape[0], x.size, 2 * k):
-        s = _exp_sum(transform, g_cols[:, cs], p_cols[:, cs], p0[cs], x0, steps, resid)
-        if even_fold:  # sum g 2 cos(p x) = 2 Re s for a real g
-            s = 2.0 * s.real
-        for c in range(s.shape[1]):
-            out += s[:, c]
-    return out.astype(complex, copy=False)
+    width = k if resid is None else 2 * k
+    pre, post, chirp = _bluestein(n, m, dp * dx)
+    size = chirp.size
+    kernel = _cis(chirp)
+    del chirp
+    theta = dx * (p0 - p0[0])
+    j = np.arange(n, dtype=float)
+    g_cols = g.reshape(n, _ORDER, k)
+    p_cols = p.reshape(n, _ORDER)
+    groups = _column_groups(n, m, 2 * k + 1)
+    # per column of a group: row 0 its chirp, rows 1 ... k its terms and,
+    # with a residual, rows k + 1 ... 2 k those times p; padded to ``size``
+    block = np.empty((1 + width, min(groups[0].stop, _ORDER), size), dtype=complex)
+    spectrum = np.zeros((width, size), dtype=complex)
+    for cs in groups:
+        th = theta[cs]
+        cols = block[:, : th.size]
+        # e^{i theta_c l} at the lags m - size ... m - 1, put in chirp order
+        shift = _cis_ramp(th, m - size, size)
+        np.multiply(shift[:, size - m :], kernel[:m], out=cols[0, :, :m])
+        np.multiply(shift[:, : size - m], kernel[m:], out=cols[0, :, m:])
+        del shift
+        arg = th[:, None] * j
+        arg += pre
+        arg += p_cols[:, cs].T * x0
+        _cis(arg, out=cols[1, :, :n])  # e^{i (p x0 + pre + theta_c j)}
+        del arg
+        for c in reversed(range(k)):  # row 1, the phase, last
+            np.multiply(g_cols[:, cs, c].T, cols[1, :, :n], out=cols[1 + c, :, :n])
+        if resid is not None:
+            np.multiply(cols[1 : 1 + k, :, :n], p_cols[:, cs].T, out=cols[1 + k :, :, :n])
+        cols[1:, :, n:] = 0.0
+        np.fft.fft(cols, out=cols)
+        cols[1:] *= cols[0]
+        for c in range(th.size):  # in column order, whatever the groups
+            spectrum += cols[1:, c]
+    del block, cols
+    np.fft.ifft(spectrum, out=spectrum)
+    s = spectrum[:, :m].T
+    if resid is not None:
+        s = s[:, :k] + 1j * resid[:, None] * s[:, k:]
+    post += steps * p0[0]
+    s = s * _cis(post)[:, None]
+    if even_fold:  # sum g 2 cos(p x) = 2 Re s for a real g
+        s = 2.0 * s.real
+    return s.astype(complex, copy=False)
 
 
 def _check_numerics(
@@ -480,11 +567,34 @@ def synthesize_field(
     )
 
 
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k``-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    The nodes come from Newton's method on ``P_k``, started at
+    ``cos(pi (i - 1/4) / (k + 1/2))``, and the weights from
+    ``2 / ((1 - s^2) P_k'(s)^2)``, with ``P_k`` and ``P_{k-1}`` from the
+    three-term recurrence: no LAPACK eigensolver runs, as in ``leggauss``,
+    nor the start-up of its BLAS threads.  Both are made symmetric in ``s``.
+    """
+    s = np.cos(np.pi * (np.arange(k, 0, -1) - 0.25) / (k + 0.5))
+    for _ in range(100):
+        prev, cur = np.ones(k), s.copy()
+        for n in range(1, k):  # (n + 1) P_{n+1} = (2 n + 1) s P_n - n P_{n-1}
+            prev, cur = cur, ((2 * n + 1) * s * cur - n * prev) / (n + 1)
+        slope = k * (s * cur - prev) / (s * s - 1.0)  # P_k'
+        step = cur / slope
+        s -= step
+        if np.max(np.abs(step)) <= np.finfo(float).eps:
+            break
+    w = 2.0 / ((1.0 - s * s) * slope * slope)
+    return 0.5 * (s - s[::-1]), 0.5 * (w + w[::-1])
+
+
 @lru_cache(maxsize=None)
 def _legendre_projection(k: int) -> tuple[np.ndarray, np.ndarray]:
     """``k``-point Gauss-Legendre nodes on [-1, 1] and the ``(k, k)`` matrix
     that takes values there to Legendre coefficients of degree < ``k``."""
-    s, w = np.polynomial.legendre.leggauss(k)
+    s, w = _gauss_legendre(k)
     vander = np.polynomial.legendre.legvander(s, k - 1)  # vander[j, n] = P_n(s_j)
     return s, (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
 

@@ -574,22 +574,20 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
     print(f"wrote {path}")
 
 
+#: The scenario commands, each a function of the loaded configuration and
+#: the output directory.
+_COMMANDS = {"dispersion": cmd_dispersion, "simulate": cmd_simulate, "compare": cmd_compare}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diatomic-waves",
         description="Diatomic-chain wave scenarios: dispersion reports, "
         "field snapshots, and method comparisons.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("dispersion", cmd_dispersion),
-        ("simulate", cmd_simulate),
-        ("compare", cmd_compare),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="scenario configuration file")
-        p.add_argument("--out", default=".", help="output directory (created if needed)")
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=_COMMANDS, help="what to compute")
+    parser.add_argument("--config", required=True, help="scenario configuration file")
+    parser.add_argument("--out", default=".", help="output directory (created if needed)")
     return parser
 
 
@@ -600,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_scenario(config, sys.stdout)
-        args.func(config, out_dir)
+        _COMMANDS[args.command](config, out_dir)
     except ConfigError as exc:  # includes RegimeError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -523,6 +523,32 @@ def test_bad_config_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["dispersion", "simulate", "compare"])
+def test_each_command_parses_and_dispatches(tmp_path, monkeypatch, command):
+    """One parser takes the command and its options; ``main`` hands the
+    loaded configuration and the output directory to that command alone."""
+    args = cli._build_parser().parse_args([command, "--config", "s.ini"])
+    assert (args.command, args.config, args.out) == (command, "s.ini", ".")
+    calls = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda config, out, _name=name: calls.append(_name))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(_write(tmp_path, BASE)), "--out", str(out)]) == 0
+    assert calls == [command] and out.is_dir()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus", "--config", "s.ini"], ["simulate"], ["compare", "--out", "o"], ["--config", "s.ini"]],
+    ids=["unknown-command", "no-config", "no-config-with-out", "no-command"],
+)
+def test_unknown_command_or_missing_config_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: diatomic-waves" in capsys.readouterr().err
+
+
 def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     # an evaluator that runs out of memory is a numerical failure, not a traceback
     def exhausted(config, x, t):

@@ -93,6 +93,14 @@ def test_next_fast_len_matches_scipy():
     x=0.25 * np.arange(-8, 9), a=0.0, width=9.0, n_panels=40, even_fold=True, real=False,
     columns=2, seed=4,
 )
+@example(  # many panels on an off-centre band, a grid far from 0
+    x=np.linspace(100.0, 140.0, 41), a=-30.0, width=60.0, n_panels=4000, even_fold=False,
+    real=False, columns=2, seed=5,
+)
+@example(  # the same, folded
+    x=np.linspace(100.0, 140.0, 41), a=-30.0, width=60.0, n_panels=4000, even_fold=True,
+    real=False, columns=1, seed=6,
+)
 def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, real, columns, seed):
     p, w = quad.panel_nodes(a, a + width, n_panels)
     g = _weighted_kernel(p, w, columns, seed)
@@ -128,41 +136,35 @@ def test_even_fold_contracts_the_real_part(uniform):
 @pytest.mark.parametrize("even_fold, real", [(False, False), (True, False), (True, True)])
 def test_contraction_is_one_transform_pair(columns, even_fold, real, monkeypatch):
     """Below ``_BLOCK_ELEMENTS`` all 16 local-node columns, of any width, go
-    through one forward and one inverse FFT; the chirp's own transform is the
-    only other one."""
-    counts = {"fft": 0, "ifft": 0}
-    for name in counts:
-        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+    through one forward FFT, their 16 chirps with them, and their sum through
+    one inverse FFT."""
+    shapes = _spy_transforms(monkeypatch)
     p, w = quad.panel_nodes(-1.0, 6.0, 50)
     g = _weighted_kernel(p, w, columns, 5)
     quad._contract(g.real.copy() if real else g, p, np.linspace(-3.0, 3.0, 41), even_fold)
-    assert counts["fft"] <= 2 and counts["ifft"] == 1
+    assert len(shapes["fft"]) == 1 and len(shapes["ifft"]) == 1
 
 
-def _count_iffts(monkeypatch) -> list:
-    """Record the element count of every inverse FFT's input."""
-    sizes = []
-    ifft = np.fft.ifft
+def _spy_transforms(monkeypatch) -> dict[str, list]:
+    """Record the shape of the input of every forward and inverse FFT."""
+    shapes = {"fft": [], "ifft": []}
+    for name, seen in shapes.items():
+        def spy(a, *args, _seen=seen, _original=getattr(np.fft, name), **kwargs):
+            _seen.append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
-    def spy(a, *args, **kwargs):
-        sizes.append(a.size)
-        return ifft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifft", spy)
-    return sizes
+        monkeypatch.setattr(np.fft, name, spy)
+    return shapes
 
 
-@pytest.mark.parametrize("block, groups", [(1, 16), (2000, 4), (3000, 2)])
+@pytest.mark.parametrize("block, groups", [(1, 16), (2000, 4), (3000, 3)])
 @pytest.mark.parametrize("even_fold", [False, True])
 def test_column_groups_keep_the_bits(block, groups, even_fold, monkeypatch):
-    """A smaller block splits the 16 columns into groups, one transform pair
-    each and none past the block unless a single column is; the columns are
-    added in the same order, so the sums keep their bits.  The same holds for
-    the site sums of semi_discrete_ft."""
+    """A smaller block splits the 16 columns into groups, one forward
+    transform each and none past the block unless a single column is; their
+    spectra are added in the same order, and one inverse transform follows,
+    so the sums keep their bits.  The same holds for the site sums of
+    semi_discrete_ft."""
     p, w = quad.panel_nodes(-1.0, 6.0, 50)
     x = np.linspace(-3.0, 3.0, 41)
     g = _weighted_kernel(p, w, 2, 5)
@@ -171,20 +173,41 @@ def test_column_groups_keep_the_bits(block, groups, even_fold, monkeypatch):
     q, _ = quad.panel_nodes(0.0, 40.0, 400)
     sums = semi_discrete_ft(gaussian, 0.1, q, 1)
     monkeypatch.setattr(quad, "_BLOCK_ELEMENTS", block)
-    sizes = _count_iffts(monkeypatch)
+    shapes = _spy_transforms(monkeypatch)
     assert np.array_equal(quad._contract(g, p, x, even_fold), whole)
-    assert len(sizes) == groups
-    assert max(sizes) <= max(block, 2 * 2 * quad._next_fast_len(50 + 41 - 1))
+    assert len(shapes["fft"]) == groups and len(shapes["ifft"]) == 1
+    # a column's block: its chirp and the kernel's two columns with their copies
+    column = (1 + 2 * 2) * quad._next_fast_len(50 + 41 - 1)
+    assert max(np.prod(shape) for shape in shapes["fft"]) <= max(block, column)
     assert np.array_equal(semi_discrete_ft(gaussian, 0.1, q, 1), sums)
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("block", [None, 1])
+def test_inverse_transform_rows_are_the_kernel_width(columns, block, monkeypatch):
+    """The 16 local-node columns are added before the inverse transform, so
+    it runs once on as many rows as the kernel has columns (twice that with
+    a frame's residual), whatever the grouping of the forward transforms."""
+    if block is not None:
+        monkeypatch.setattr(quad, "_BLOCK_ELEMENTS", block)
+    mu, ct = 2.256e-05, 0.5008247840889459
+    frame = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
+    p, w = quad.panel_nodes(0.0, 8.5, 60)
+    g = _weighted_kernel(p, w, columns, 7)
+    shapes = _spy_transforms(monkeypatch)
+    for x, width in ((np.linspace(-70.0, 70.0, 401), columns), (frame, 2 * columns)):
+        shapes["ifft"].clear()
+        quad._contract(g, p, x, False)
+        assert [shape[0] for shape in shapes["ifft"]] == [width]
 
 
 @pytest.mark.parametrize("columns", [1, 2])
 @pytest.mark.parametrize("even_fold", [False, True])
 def test_exact_grids_transform_half_the_rows(columns, even_fold, monkeypatch):
     """A ``linspace`` grid sits within rounding of its progression, so the
-    16 columns of a ``w``-column kernel transform ``16 w`` rows; a frame
-    ``(c t - x) / mu`` keeps its first-order residual and transforms
-    ``2 * 16 w``, the kernel and its copy weighted by the nodes.  Both hold
+    sum of the 16 columns of a ``w``-column kernel is inverse-transformed on
+    ``w`` rows; a frame ``(c t - x) / mu`` keeps its first-order residual and
+    on ``2 w``, the kernel and its copy weighted by the nodes.  Both hold
     the bound of test_chirp_z_matches_direct_sum.  The site sums' columns,
     panel nodes, are exact too and transform 16 rows."""
     mu, ct = 2.256e-05, 0.5008247840889459
@@ -202,7 +225,7 @@ def test_exact_grids_transform_half_the_rows(columns, even_fold, monkeypatch):
     for x, width in ((np.linspace(-70.0, 70.0, 401), 1), (frame, 2)):
         rows.clear()
         fast = quad._contract(g, p, x, even_fold)
-        assert rows == [width * quad._ORDER * columns]
+        assert rows == [width * columns]
         direct = quad._contract_direct(g, p, x, even_fold)
         assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g))
     rows.clear()
@@ -274,15 +297,17 @@ def test_front_size_contraction_matches_direct_sum(monkeypatch):
 
     The kernel's phase is stationary at an interior grid point, as at a
     front, so errors in the output phases add up instead of cancelling.
-    No transform block passes ``_BLOCK_ELEMENTS``.
+    No transform block passes ``_BLOCK_ELEMENTS``, and the 16 columns are
+    summed before one inverse transform.
     """
     mu = 80 * 2.82e-7
     x = np.linspace(0.5 - 0.0014, 0.5 + 0.0003, 401) / mu
     p, w = quad.panel_nodes(0.0, 8.03, 70_930)
     g = (np.exp(-0.5 * p * p + 1j * (-x[301] * p + 0.03 * p**3)) * w)[:, None]
-    sizes = _count_iffts(monkeypatch)
+    shapes = _spy_transforms(monkeypatch)
     fast = quad._contract(g, p, x, True)
-    assert len(sizes) == 16 and max(sizes) <= quad._BLOCK_ELEMENTS
+    assert len(shapes["ifft"]) == 1
+    assert max(np.prod(shape) for shape in shapes["fft"] + shapes["ifft"]) <= quad._BLOCK_ELEMENTS
     sample = np.unique(np.r_[np.linspace(0, x.size - 1, 8).astype(int), 300, 301])
     direct = quad._contract_direct(g, p, x[sample], True)
     assert np.max(np.abs(direct)) > 0.5  # the stationary point is sampled
@@ -303,8 +328,8 @@ def _traced_peak_mb(call) -> float:
 def test_contraction_memory_does_not_grow_with_the_nodes(even_fold):
     """One chirp-z contraction of 2^17 panels (16 MB of nodes) on 401 points
     peaks below 16 MB: the uniformity check and ``max|p|`` build no
-    node-sized temporary, and the transform pads, transforms and multiplies
-    one column's block in place."""
+    node-sized temporary, and one column's block at a time is formed,
+    transformed and multiplied in place, into one reused buffer."""
     p, w = quad.panel_nodes(0.0, 8.0, 1 << 17)
     g = (np.exp(-0.5 * p * p) * w)[:, None]
     if not even_fold:
@@ -640,15 +665,17 @@ def test_legendre_bessel_matches_the_sequential_ladder_on_frames(
     _assert_matches_ladder(kernel, 0.0, cut, y)
 
 
+#: ``(kernel, y, order)``: the ladder's order of convergence, or None.
+_LADDER_CASES = [
+    # smooth, all four orders admitted
+    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.linspace(1e4, 1.001e4, 9), 64),
+    (lambda p: np.exp(300j * p), np.linspace(1e4, 1.001e4, 9), None),  # unresolved
+    (lambda p: np.exp(-0.5 * p * p), np.array([30.0, 1e4]), None),  # one order admitted
+]
+
+
 @pytest.mark.parametrize(
-    "kernel, y, order",
-    [
-        # smooth, all four orders admitted
-        (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.linspace(1e4, 1.001e4, 9), 64),
-        (lambda p: np.exp(300j * p), np.linspace(1e4, 1.001e4, 9), None),  # unresolved
-        (lambda p: np.exp(-0.5 * p * p), np.array([30.0, 1e4]), None),  # one order admitted
-    ],
-    ids=["converges-at-64", "unresolved", "one-order"],
+    "kernel, y, order", _LADDER_CASES, ids=["converges-at-64", "unresolved", "one-order"]
 )
 def test_legendre_bessel_matches_the_sequential_ladder(kernel, y, order):
     assert legendre_bessel_ladder(kernel, 0.0, 8.0, y)[1] == order
@@ -702,3 +729,40 @@ def test_legendre_bessel_memory_stays_bounded(kernel):
     ``(34, m)`` block of rows (17.8 MB) alone would pass the bound."""
     y = np.linspace(1e4, 2e4, 1 << 16)
     assert _traced_peak_mb(lambda: quad.legendre_bessel_field(kernel, 0.0, 8.0, y)) <= 12.2
+
+
+@pytest.mark.parametrize("k", quad._LB_ORDERS)
+def test_gauss_legendre_rule_matches_leggauss(k):
+    """The Newton-built rule has ``leggauss``'s nodes to 4 ulps, in the same
+    ascending, symmetric order, and integrates ``P_n``, ``n < 2 k``, to
+    ``16 eps``: 2 for ``n = 0``, else 0 (``leggauss``'s own weights miss
+    that by up to 1.3e-14 at these orders)."""
+    s, w = quad._gauss_legendre(k)
+    nodes, _ = np.polynomial.legendre.leggauss(k)
+    assert np.all(np.abs(s - nodes) <= 4 * np.spacing(np.abs(nodes)))
+    assert np.all(np.diff(s) > 0) and np.array_equal(s, -s[::-1])
+    moments = w @ np.polynomial.legendre.legvander(s, 2 * k - 1)
+    assert abs(moments[0] - 2.0) <= 16 * np.finfo(float).eps
+    assert np.max(np.abs(moments[1:])) <= 16 * np.finfo(float).eps
+
+
+def test_legendre_bessel_needs_no_eigensolver(monkeypatch):
+    """With the eigensolver behind ``leggauss`` refusing every call and the
+    rules' cache emptied, every Legendre-Bessel check above still passes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    quad._legendre_projection.cache_clear()
+    try:
+        test_legendre_bessel_matches_quadrature_at_the_frame_rate()
+        test_legendre_bessel_matches_the_sequential_ladder_on_frames()
+        for case in _LADDER_CASES:
+            test_legendre_bessel_matches_the_sequential_ladder(*case)
+        test_legendre_bessel_refuses_where_its_guard_fails()
+        test_legendre_bessel_refuses_an_unresolved_kernel()
+        assert quad._legendre_projection.cache_info().currsize == len(quad._LB_ORDERS)
+    finally:
+        quad._legendre_projection.cache_clear()

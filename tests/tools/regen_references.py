@@ -414,7 +414,11 @@ def legendre_bessel_ladder(kernel, a, b, x, rtol=1e-8, atol=1e-13):
     ``c_n = 2 i^n a_n`` from ``k``-point Gauss-Legendre, for k = 32, 64, 128,
     256 while ``min |r x| > 2 k``, until two orders agree to
     ``atol + rtol * max|F|``.  Returns ``(F, k, c)`` of that order, or
-    ``(None, None, None)``."""
+    ``(None, None, None)``.  The nodes and weights are the far rule's own
+    (``leggauss``'s weights are off by up to 2e-11 at k = 256), so the two
+    differ only in the order of summation."""
+    from diatomic_waves._quadrature import _gauss_legendre
+
     x = np.asarray(x, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     omega = half * x
@@ -423,7 +427,7 @@ def legendre_bessel_ladder(kernel, a, b, x, rtol=1e-8, atol=1e-13):
     for k in (32, 64, 128, 256):
         if not least > 2.0 * k:
             break
-        s, w = np.polynomial.legendre.leggauss(k)
+        s, w = _gauss_legendre(k)
         vander = np.polynomial.legendre.legvander(s, k - 1)
         project = (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
         coef = 2.0 * np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(k) % 4] * (
