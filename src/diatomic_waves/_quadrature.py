@@ -29,6 +29,12 @@ final contraction.  The same Bluestein set-up serves the sublattice sums
 in :mod:`diatomic_waves.initial_data`, whose sites are uniform; there the
 16 columns are separate outputs, each transformed on its own.
 
+A kernel may return groups of columns, ``(n, g, m)``: the fields of one
+band at ``g`` times, say, which share their nodes and differ only in a
+phase factor.  They share one panel ladder sized by the largest rate, one
+kernel call and one contraction of all ``g m`` columns per level, and
+convergence is judged on each group against its own scale.
+
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
 weight, halving the work; callers opt in via ``even_fold=True`` and pass
@@ -487,11 +493,14 @@ def synthesize_field(
     Parameters
     ----------
     kernel:
-        Maps node array ``(n,)`` to values ``(n,)`` or ``(n, m)``; may be
-        complex.  Must be smooth on ``[a, b]``.
+        Maps node array ``(n,)`` to values ``(n,)``, ``(n, m)`` or
+        ``(n, g, m)``; may be complex.  Must be smooth on ``[a, b]``.  A
+        3-D kernel is ``g`` groups of ``m`` columns (one group per time of
+        :func:`~diatomic_waves.oracles.solve_quadrature`), all contracted
+        together on one panel ladder.
     rate:
         Bound on the total oscillation rate (``max |x|`` plus the rate of
-        any oscillatory factor inside the kernel).
+        any oscillatory factor inside the kernel), of every group.
     even_fold:
         If true, evaluate ``Re int_{-b}^{b}`` of an even kernel folded to
         ``[a=0, b]`` with the real weight ``2 cos(p x)``, so of ``Re kernel``;
@@ -499,9 +508,14 @@ def synthesize_field(
 
     Returns
     -------
-    Complex array of shape ``(len(x), m)`` (``m = 1`` kernels keep a
-    trailing axis only if the kernel returned one).  An empty ``x`` gives
-    an empty 1-D array without calling the kernel.
+    Complex array of shape ``(len(x),) + kernel(p).shape[1:]``: ``(len(x),)``,
+    ``(len(x), m)`` or ``(len(x), g, m)``.  An empty ``x`` gives an empty
+    1-D array without calling the kernel.
+
+    Convergence is judged per group: a doubling is accepted once
+    ``max|f2 - f1| <= atol + rtol * max|f2|`` holds on the checked points of
+    every group on its own (a 1-D or 2-D kernel is one group), so a small
+    group is held to its own scale, not to the largest group's.
 
     Raises
     ------
@@ -513,7 +527,7 @@ def synthesize_field(
         doubling is checked before the kernel is called), or if doubling
         the panel count ``max_doublings`` times never brings the change on
         the checked points (every point of a uniform grid, else a probe
-        subset) below ``atol + rtol * scale``.
+        subset) of every group below ``atol + rtol * scale``.
     """
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -526,7 +540,7 @@ def synthesize_field(
         probe_idx = np.unique(np.round(np.linspace(0, x.size - 1, n_probe)).astype(int))
         x_check = x[probe_idx]
 
-    was_1d = False
+    shape = ()  # the kernel's value shape past the node axis
 
     def require_level(n_panels: int) -> None:
         if n_panels * _ORDER > _MAX_NODES:
@@ -536,31 +550,36 @@ def synthesize_field(
             )
 
     def weighted(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal was_1d
+        nonlocal shape
         require_level(n_panels)
         p, w = panel_nodes(a, b, n_panels)
         vals = np.asarray(kernel(p))
-        if vals.ndim == 1:
-            was_1d = True
-            vals = vals[:, None]
-        return p, vals * w[:, None]
+        shape = vals.shape[1:]
+        return p, vals.reshape(p.size, -1) * w[:, None]
+
+    def change(f1: np.ndarray, f2: np.ndarray) -> tuple[float, float, float]:
+        """``(err, scale, target)`` of the group furthest past its target."""
+        groups = shape[0] if len(shape) == 2 else 1
+        err = np.max(np.abs(f2 - f1).reshape(f2.shape[0], groups, -1), axis=(0, 2))
+        scale = np.max(np.abs(f2).reshape(f2.shape[0], groups, -1), axis=(0, 2))
+        target = atol + rtol * scale
+        worst = int(np.argmax(err - target))  # a nan comes first, and never passes
+        return float(err[worst]), float(scale[worst]), float(target[worst])
 
     panels = oscillation_panels(rate, a, b, nodes_per_cycle)
     require_level(2 * panels)  # every return follows at least one doubling
-    p1, g1 = weighted(panels)
-    f1 = _contract(g1, p1, x_check, even_fold)
-    err = float("inf")  # no doubling attempted yet: convergence unverified
-    scale = float(np.max(np.abs(f1)))
+    p, g = weighted(panels)
+    f1 = _contract(g, p, x_check, even_fold)
     for _ in range(max_doublings):
+        del p, g  # the next level compares with this one's contraction only
         panels2 = 2 * panels
-        p2, g2 = weighted(panels2)
-        f2 = _contract(g2, p2, x_check, even_fold)
-        err = float(np.max(np.abs(f2 - f1)))
-        scale = float(np.max(np.abs(f2)))
-        if err <= atol + rtol * scale:
-            full = f2 if x_check is x else _contract(g2, p2, x, even_fold)
-            return full[:, 0] if was_1d else full
-        panels, p1, g1, f1 = panels2, p2, g2, f2
+        p, g = weighted(panels2)
+        f2 = _contract(g, p, x_check, even_fold)
+        err, scale, target = change(f1, f2)
+        if err <= target:
+            full = f2 if x_check is x else _contract(g, p, x, even_fold)
+            return full.reshape((x.size,) + shape)
+        panels, f1 = panels2, f2
     raise QuadratureError(
         f"panel refinement stalled at {panels} panels: change {err:.3e} "
         f"exceeds target {atol:.1e} + {rtol:.1e} * {scale:.3e}"

@@ -48,8 +48,8 @@ from .longwave import (
     _check_airy_time, classify_regime, uas_dalembert, uas_gaussian_airy, uas_integral
 )
 from .oracles import (
-    WaveField, _check_record_times, compare_fields, integrate_lattice, solve_quadrature,
-    write_fields_csv,
+    WaveField, _check_record_times, _reprs, _write_csv, compare_fields, integrate_lattice,
+    solve_quadrature,
 )
 from .shortwave import (
     _require_positive_time,
@@ -174,12 +174,18 @@ def _shortwave(config: ScenarioConfig, name: str) -> None:
 
 
 def _quadrature(mode: str) -> Callable:
-    return lambda c, x, t: solve_quadrature(*c.problem, x, t, mode, **c.band)
+    return lambda c, x, times: solve_quadrature(*c.problem, x, times, mode, **c.band)
+
+
+def _each_time(evaluate: Callable) -> Callable:
+    """An evaluator ``(config, x, times)`` from one of a single time ``(config, x, t)``."""
+    return lambda c, x, times: [evaluate(c, x, t) for t in times]
 
 
 class Method(NamedTuple):
     """A CLI method: its check of the regime and the times, its evaluator
-    ``(config, x, t)`` (None for the chain oracle, see _fields) and its aliases."""
+    ``(config, x, times)``, which returns one output per time (None for the
+    chain oracle, see _fields), and its aliases."""
 
     check: Callable[[ScenarioConfig, str], None]
     evaluate: Callable | None
@@ -188,30 +194,41 @@ class Method(NamedTuple):
 
 #: Every method the CLI runs, by canonical name.  The evaluators name the
 #: library functions in their bodies, so a rebinding of those module names
-#: (as perfbench's tracer does) is seen.
+#: (as perfbench's tracer does) is seen.  The band quadratures take every
+#: time in one call; the others run once per time.
 METHODS: dict[str, Method] = {
     "ode": Method(_chain, None),
     "quadrature_full": Method(_band, _quadrature("full")),
     "quadrature_acoustic": Method(_band, _quadrature("acoustic"), ("quadrature_ac",)),
     "quadrature_optical": Method(_band, _quadrature("optical"), ("quadrature_opt",)),
     "uas_integral": Method(
-        _uas_integral, lambda c, x, t: uas_integral(*c.problem, x, t, **c.band)
+        _uas_integral, _each_time(lambda c, x, t: uas_integral(*c.problem, x, t, **c.band))
     ),
     "gaussian_airy": Method(
-        _gaussian, lambda c, x, t: uas_gaussian_airy(c.params, c.mu, x, t), ("uas_gaussian_airy",)
+        _gaussian,
+        _each_time(lambda c, x, t: uas_gaussian_airy(c.params, c.mu, x, t)),
+        ("uas_gaussian_airy",),
     ),
     "dalembert": Method(
-        _longwave, lambda c, x, t: uas_dalembert(*c.problem, x, t), ("uas_dalembert",)
+        _longwave, _each_time(lambda c, x, t: uas_dalembert(*c.problem, x, t)), ("uas_dalembert",)
     ),
-    "acoustic_uniform": Method(_shortwave, lambda c, x, t: acoustic_uniform(*c.problem, x, t)),
-    "optical_uniform": Method(_shortwave, lambda c, x, t: optical_uniform(*c.problem, x, t)),
+    "acoustic_uniform": Method(
+        _shortwave, _each_time(lambda c, x, t: acoustic_uniform(*c.problem, x, t))
+    ),
+    "optical_uniform": Method(
+        _shortwave, _each_time(lambda c, x, t: optical_uniform(*c.problem, x, t))
+    ),
     "acoustic_front": Method(
-        _shortwave, lambda c, x, t: acoustic_front_airy(*c.problem, x, t, c.front_side)
+        _shortwave,
+        _each_time(lambda c, x, t: acoustic_front_airy(*c.problem, x, t, c.front_side)),
     ),
     "optical_front": Method(
-        _shortwave, lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side)
+        _shortwave,
+        _each_time(lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side)),
     ),
-    "shortwave_total": Method(_shortwave, lambda c, x, t: shortwave_total(*c.problem, x, t)),
+    "shortwave_total": Method(
+        _shortwave, _each_time(lambda c, x, t: shortwave_total(*c.problem, x, t))
+    ),
 }
 
 
@@ -228,8 +245,9 @@ def _fields(
     config: ScenarioConfig, method: str, x: np.ndarray | None, rows: bool = False
 ) -> list[WaveField]:
     """``method``'s field on ``x`` at every configured time (``rows``: ``u`` at
-    the heavy site ``x``, ``v`` at the light site ``x + h``).  The chain oracle
-    ignores ``x``; it integrates once and keeps its cells in the grid window."""
+    the heavy site ``x``, ``v`` at the light site ``x + h``), from one evaluator
+    call, and every field on the one array ``x``.  The chain oracle ignores
+    ``x``; it integrates once and keeps its cells in the grid window."""
     evaluate = METHODS[method].evaluate
     if evaluate is None:
         states, _ = integrate_lattice(config.params, config.profile, config.mu, config.times)
@@ -237,11 +255,12 @@ def _fields(
         keep = (cells[0].x >= config.x_min) & (cells[0].x <= config.x_max)  # same sites at every t
         if not keep.any():
             raise ConfigError("the [grid] window holds no cell of the chain (x = 2 k h); widen it")
-        return [WaveField(c.x[keep], c.u[keep], c.v[keep], c.t, c.method) for c in cells]
+        x = cells[0].x[keep]
+        return [WaveField(x, c.u[keep], c.v[keep], c.t, c.method) for c in cells]
     sites = np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
     out = []
-    for t in config.times:
-        u, v = _components(evaluate(config, sites, t))
+    for t, value in zip(config.times, evaluate(config, sites, config.times)):
+        u, v = _components(value)
         if rows:
             u, v = u[0::2], v[1::2]
         out.append(WaveField(x=x, u=u, v=v, t=t, method=method))
@@ -540,9 +559,11 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     # The chain is integrated first, so its failures leave no file.
     ode = _fields(config, "ode", None) if "ode" in config.methods else None
     for method in config.methods:
-        for fld in ode if method == "ode" else _fields(config, method, x):
+        fields = ode if method == "ode" else _fields(config, method, x)
+        x_text = _reprs(fields[0].x)  # a method's fields share one x (see _fields)
+        for fld in fields:
             name = f"field_{method}_t{fld.t:g}.csv"
-            write_fields_csv(out_dir / name, [fld], header)
+            _write_csv(out_dir / name, [(fld, x_text)], header)
             print(f"wrote {out_dir / name}")
 
 

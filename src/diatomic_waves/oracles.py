@@ -301,25 +301,49 @@ def integrate_lattice(
     return states, EnergyReport(times=times, energy=energies, initial=e0, drift=drift)
 
 
+def _check_times(t) -> np.ndarray:
+    """``t``, one time or a 1-D sequence of them, as a 1-D array; ``ConfigError``
+    if it is empty or has more dimensions, or a time fails :func:`_check_time`."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ConfigError(f"t must be one time or a 1-D sequence of times, got {t!r}")
+    times = times.ravel()
+    for value in times:
+        _check_time(value)
+    return times
+
+
 def solve_quadrature(
     params: LatticeParams,
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
+    t,
     mode: str = "full",
     *,
     rtol: float = 1e-8,
     atol: float = 1e-13,
     nodes_per_cycle: float = 10.0,
     max_doublings: int = 6,
-) -> WaveField:
+) -> WaveField | list[WaveField]:
     """Mode synthesis of the exact lattice solution over the reduced band.
 
     ``U(x, t) = Re (delta/pi) int_B [ A(delta p) e^{i omega_1 t / h}
     + B(delta p) e^{i omega_2 t / h} ] Vtilde(p) e^{i p x / mu} dp``
     with ``omega_{1,2}`` evaluated at ``delta p``; ``mode`` keeps both
     branch terms ("full") or a single one ("acoustic"/"optical").
+
+    ``t`` is one time, which gives one :class:`WaveField`, or a 1-D sequence
+    of times, which gives a list of fields in its order.  Only the factors
+    ``e^{i omega t / h}`` depend on the time, so every time comes from one
+    :func:`~diatomic_waves._quadrature.synthesize_field` call: its panel
+    ladder is sized by the largest time's rate ``(max|x| + max(t) speed) /
+    mu``, each level evaluates ``Vtilde``, ``A``, ``B`` and ``omega`` once
+    and contracts the ``2 T`` columns of the ``T`` times together, and
+    convergence is judged on each time's field against its own peak.  A
+    time's field in a sequence therefore sits on at least as many nodes as
+    its own call would; one time alone, as a float or a one-element
+    sequence, gives the same bits either way.
 
     The band is cut to ``|p| <= cut`` where the data provably vanish.  By
     AM-GM ``|A_01| <= sqrt(gamma1 / gamma2) / 2`` and ``|A_10| <=
@@ -331,10 +355,13 @@ def solve_quadrature(
     sqrt(2))``, ``cut ~ 7.68`` on the desk lattice at the default ``atol``).
     A table profile, ``atol = 0`` or a band narrower than ``cut`` keeps the
     whole band, bit for bit.
+
+    Raises ``ConfigError`` for an unknown ``mode``, an empty or 2-D ``t``, a
+    negative or non-finite time or ``mu``, or out-of-range numerics.
     """
     if mode not in _QUADRATURE_MODES:
         raise ConfigError(f"mode must be one of {_QUADRATURE_MODES}, got {mode!r}")
-    _check_time(t)
+    times = _check_times(t)
     if not (np.isfinite(mu) and mu > 0.0):
         raise ConfigError(f"mu must be positive and finite, got {mu!r}")
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
@@ -345,26 +372,33 @@ def solve_quadrature(
     gain = 2.0 + np.sqrt(params.gamma2 / params.gamma1)  # row sums of |A| + |B|
     a, b = _band_limits(profile, delta, 0.5 * atol * np.pi / (delta * gain))
     disp = Dispersion(params)
-    t_over_h = t / params.h
+    t_over_h = times / params.h
     if mode == "optical":
         speed = disp.critical.c_star
     else:
         speed = disp.sound_speed
-    rate = (float(np.max(np.abs(x_arr), initial=0.0)) + t * speed) / mu
+    rate = (float(np.max(np.abs(x_arr), initial=0.0)) + float(np.max(times)) * speed) / mu
+    branches = [
+        (branch, omega)
+        for branch, omega, name in (
+            (ACOUSTIC, disp.omega1, "acoustic"), (OPTICAL, disp.omega2, "optical")
+        )
+        if mode in ("full", name)
+    ]
 
     def kern(p: np.ndarray) -> np.ndarray:
+        """``(n, T, 2)`` values: the band data once, then a phase per time,
+        one time at a time so no temporary grows with ``T``."""
         s = delta * p
         vt = spectral_vector(profile, delta, p)
-        out = np.zeros_like(vt)
-        if mode in ("full", "acoustic"):
-            a_mat = disp.modal_matrix(s, ACOUSTIC)
-            phase = np.exp(1j * disp.omega1(s) * t_over_h)
-            out += np.einsum("nij,nj->ni", a_mat, vt) * phase[:, None]
-        if mode in ("full", "optical"):
-            b_mat = disp.modal_matrix(s, OPTICAL)
-            phase = np.exp(1j * disp.omega2(s) * t_over_h)
-            out += np.einsum("nij,nj->ni", b_mat, vt) * phase[:, None]
-        return (delta / np.pi) * out
+        out = np.zeros((p.size, times.size, 2), dtype=complex)
+        for branch, omega in branches:
+            modes = np.einsum("nij,nj->ni", disp.modal_matrix(s, branch), vt)
+            frequency = omega(s)
+            for k, th in enumerate(t_over_h):
+                out[:, k] += modes * np.exp(1j * frequency * th)[:, None]
+        out *= delta / np.pi
+        return out
 
     # An even profile folds the band onto [0, b] (see synthesize_field).
     field = synthesize_field(
@@ -378,14 +412,18 @@ def solve_quadrature(
         nodes_per_cycle=nodes_per_cycle,
         max_doublings=max_doublings,
         even_fold=profile.is_even,
-    ).reshape(x_arr.size, 2)  # an empty grid comes back 1-D
-    return WaveField(
-        x=x_arr,
-        u=field[:, 0].real,
-        v=field[:, 1].real,
-        t=float(t),
-        method=f"quadrature_{mode}",
-    )
+    ).reshape(x_arr.size, times.size, 2)  # an empty grid comes back 1-D
+    fields = [
+        WaveField(
+            x=x_arr,
+            u=field[:, k, 0].real,
+            v=field[:, k, 1].real,
+            t=float(time),
+            method=f"quadrature_{mode}",
+        )
+        for k, time in enumerate(times)
+    ]
+    return fields if np.ndim(t) else fields[0]
 
 
 @dataclass(frozen=True)
@@ -441,14 +479,27 @@ def write_fields_csv(
     rows are ``x,u,v,method,t`` with shortest-roundtrip float formatting.
     Output depends only on the inputs (no timestamps or environment).
     """
+    _write_csv(path, [(fld, _reprs(fld.x)) for fld in fields], header)
+
+
+def _reprs(a) -> list[str]:
+    """The shortest round-trip text of every value of ``a``, as CSV cells."""
+    return [repr(value) for value in np.asarray(a, dtype=float).tolist()]
+
+
+def _write_csv(
+    path: str | Path, fields: list[tuple[WaveField, list[str]]], header: dict[str, str] | None
+) -> None:
+    """:func:`write_fields_csv` of ``(field, x column)`` pairs, the column as
+    :func:`_reprs` formats ``field.x``, so snapshots on one grid format it once."""
     lines: list[str] = []
     for key in sorted(header or {}):
         lines.append(f"# {key} = {(header or {})[key]}")
     lines.append("x,u,v,method,t")
-    for fld in fields:
+    for fld, x in fields:
         tail = f",{fld.method},{float(fld.t)!r}"
-        x, u, v = (np.asarray(a, dtype=float).tolist() for a in (fld.x, fld.u, fld.v))
-        lines.extend(f"{xi!r},{ui!r},{vi!r}{tail}" for xi, ui, vi in zip(x, u, v))
+        u, v = (np.asarray(a, dtype=float).tolist() for a in (fld.u, fld.v))
+        lines.extend(f"{xi},{ui!r},{vi!r}{tail}" for xi, ui, vi in zip(x, u, v))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -31,7 +31,9 @@ Every form is linear in ``(Ai(z), Ai'(z))``: a piece of a field is a record
 ``(at, z, c_ai, c_aip)`` of grid indices, Airy arguments and ``(n, 2)``
 complex coefficients, worth ``Re(c_ai Ai(z) + c_aip Ai'(z))`` at ``at``.  The
 evaluators build records, and :func:`_airy_sum` turns a list of them into a
-field with one Airy call.
+field with one Airy call.  The pieces of one branch (interior and both front
+bands) first name the momenta at which they need the band data, and
+:func:`_records` evaluates all of them in one ``spectral_vector`` call.
 """
 
 from __future__ import annotations
@@ -98,8 +100,11 @@ def _require_positive_time(t: float) -> None:
 # Spectral splits and continuation
 # ---------------------------------------------------------------------------
 
-def _splits(profile: InitialProfile, p_c: float, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The splits ``(F1, F2)`` about the critical momentum ``p_c`` at the points ``eta``.
+def _splits(p_c: float, eta: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The splits ``(F1, F2)`` about the critical momentum ``p_c`` at the points ``eta``,
+    as ``(momenta, splits)``: the momenta at which they need the band data ``V`` and the
+    function that takes ``V`` there (``spectral_vector`` values, shape
+    ``momenta.shape + (2,)``) to ``(F1, F2)``.
 
     ``F1(eta) = (V(p_c - sqrt eta) + V(p_c + sqrt eta)) / 2`` and
     ``F2(eta) = (V(p_c - sqrt eta) - V(p_c + sqrt eta)) / (2 sqrt eta)`` for ``eta >= 0``
@@ -107,22 +112,27 @@ def _splits(profile: InitialProfile, p_c: float, eta: np.ndarray) -> tuple[np.nd
     ``V(p_c -+ sqrt eta) = F1 +- sqrt(eta) F2``.  A point ``eta < 0`` is continued by the
     quadratic rule ``F(eta) = 3 F(0) - 3 F(-eta) + F(-2 eta)``, exact to degree 2.
 
-    All the momenta, ``0`` and both stencil points of every continued point included, go
-    into one :func:`~diatomic_waves.initial_data.spectral_vector` call, whose site sums
-    give each momentum the value it has alone, so every value is the one a call of its
-    own would give.  ``eta`` is floored at ``1e-12``: ``F2(0)`` is a difference quotient
-    over ``p_c -+ 1e-6``, with a rounding of about ``eps / 1e-6`` relative.
+    The momenta hold every point, ``0`` and both stencil points of every continued
+    point.  The site sums of :func:`~diatomic_waves.initial_data.spectral_vector` give
+    each momentum the value it has alone, however they are evaluated together, so every
+    split is the one a call of its own would give.  ``eta`` is floored at ``1e-12``:
+    ``F2(0)`` is a difference quotient over ``p_c -+ 1e-6``, with a rounding of about
+    ``eps / 1e-6`` relative.
     """
     pos = eta >= 0.0
     z = -eta[~pos]
     n, m = np.count_nonzero(pos), z.size
     root = np.sqrt(np.maximum(np.concatenate((eta[pos], [0.0], z, 2.0 * z)), _Z_FLOOR))
-    vm, vp = spectral_vector(profile, 1.0, np.stack((p_c - root, p_c + root)))
-    out = np.empty((2,) + eta.shape + (2,), dtype=complex)
-    for f, v in zip(out, (0.5 * (vm + vp), (vm - vp) / (2.0 * root[:, None]))):
-        f[pos] = v[:n]
-        f[~pos] = 3.0 * v[n] - 3.0 * v[n + 1 : n + 1 + m] + v[n + 1 + m :]
-    return out[0], out[1]
+
+    def splits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vm, vp = v
+        out = np.empty((2,) + eta.shape + (2,), dtype=complex)
+        for f, w in zip(out, (0.5 * (vm + vp), (vm - vp) / (2.0 * root[:, None]))):
+            f[pos] = w[:n]
+            f[~pos] = 3.0 * w[n] - 3.0 * w[n + 1 : n + 1 + m] + w[n + 1 + m :]
+        return out[0], out[1]
+
+    return np.stack((p_c - root, p_c + root)), splits
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +335,25 @@ def _airy_sum(size: int, records: list) -> np.ndarray:
     return out
 
 
+def _records(profile: InitialProfile, pieces: list) -> list:
+    """Airy records (see :func:`_airy_sum`) of ``pieces``, from one
+    :func:`~diatomic_waves.initial_data.spectral_vector` call.
+
+    A piece ``(at, momenta, finish)`` holds grid indices, the momenta at which
+    its form needs the band data, and the function that takes the data there
+    (shape ``momenta.shape + (2,)``) to its record's ``(z, c_ai, c_aip)``.
+    """
+    if not pieces:
+        return []
+    v = spectral_vector(profile, 1.0, np.concatenate([piece[1].ravel() for piece in pieces]))
+    records, start = [], 0
+    for at, momenta, finish in pieces:
+        stop = start + momenta.size
+        records.append((at, *finish(v[start:stop].reshape(momenta.shape + (2,)))))
+        start = stop
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Front Airy evaluators
 # ---------------------------------------------------------------------------
@@ -343,11 +372,10 @@ def _front(disp: Dispersion, branch: int) -> tuple[float, float, float, float, f
 
 
 def _front_airy(
-    disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, t: float,
-    side: str, branch: int, front: tuple,
-) -> tuple:
-    """``(z, c_ai, c_aip)`` of the Airy form of one branch near its front
-    (:func:`_front`) on ``side``, at the points ``x``.
+    disp: Dispersion, mu: float, x: np.ndarray, t: float, side: str, branch: int, front: tuple
+) -> tuple[np.ndarray, Callable]:
+    """The Airy form of one branch near its front (:func:`_front`) on ``side``,
+    at the points ``x``, as a piece ``(momenta, finish)`` of :func:`_records`.
 
     With ``(p_c, omega, s, k, n) = front``, ``P = P(p_c)``, ``y = x - s t``,
     ``w = mu^{2/3} (k t)^{1/3}`` and ``r = (mu/(k t))^{1/3}``, the right front is
@@ -363,11 +391,16 @@ def _front_airy(
         y, phase, deriv_sign = x - speed * t, (p_c * x + omega_c * t) / mu, 1.0
     else:
         y, phase, deriv_sign = -(x + speed * t), (p_c * x - omega_c * t) / mu, -1.0
-    f1, f2 = _splits(profile, p_c, -y / (curv * t))
+    momenta, splits = _splits(p_c, -y / (curv * t))
     projector = disp.modal_matrix(p_c, branch).T
     carrier = (weight * cube * np.exp(1j * phase))[:, None]
-    c_aip = (deriv_sign * 1j * cube) * carrier * (f2 @ projector)
-    return y / width, carrier * (f1 @ projector), c_aip
+
+    def finish(v: np.ndarray) -> tuple:
+        f1, f2 = splits(v)
+        c_aip = (deriv_sign * 1j * cube) * carrier * (f2 @ projector)
+        return y / width, carrier * (f1 @ projector), c_aip
+
+    return momenta, finish
 
 
 def _front_field(
@@ -380,8 +413,8 @@ def _front_field(
         raise ConfigError(f"front must be 'left' or 'right', got {side!r}")
     disp = Dispersion(params)
     x_arr = np.asarray(x, dtype=float).ravel()
-    z, c_ai, c_aip = _front_airy(disp, profile, mu, x_arr, t, side, branch, _front(disp, branch))
-    return _airy_sum(x_arr.size, [(np.arange(x_arr.size), z, c_ai, c_aip)])
+    piece = _front_airy(disp, mu, x_arr, t, side, branch, _front(disp, branch))
+    return _airy_sum(x_arr.size, _records(profile, [(np.arange(x_arr.size), *piece)]))
 
 
 def acoustic_front_airy(
@@ -424,11 +457,10 @@ def optical_front_airy(
 # Uniform evaluators
 # ---------------------------------------------------------------------------
 
-def _interior(
-    disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, t: float, branch: int
-) -> tuple:
-    """``(z, c_ai, c_aip)`` of the interior form ``sqrt(2 mu / pi) Re[c_+ A_plus(y)
-    + c_- A_minus(y)]`` of one branch at the points ``x``, ``y`` its action over ``mu``.
+def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: float, branch: int) -> tuple:
+    """The interior form ``sqrt(2 mu / pi) Re[c_+ A_plus(y) + c_- A_minus(y)]`` of one
+    branch at the points ``x``, ``y`` its action over ``mu``, as a piece
+    ``(momenta, finish)`` of :func:`_records`: the momenta are the stationary points.
 
     With ``A_pm = sqrt(pi) (w Ai(-w^4) +- i Ai'(-w^4) / w)``, ``w = (3y/2)^{1/6}``,
     the coefficients are ``c_ai = sqrt(2 mu) w (c_+ + c_-)`` and
@@ -440,21 +472,25 @@ def _interior(
     right = (x >= 0.0)[:, None]
     sp = (acoustic_stationary if branch == ACOUSTIC else optical_stationary)(disp, x, t)
     p = sp.momenta  # (n, 1) acoustic p, (n, 2) optical p_minus, p_plus
-    amp = np.einsum(
-        "nkij,nkj->nki", disp.modal_matrix(p, branch), spectral_vector(profile, 1.0, p)
-    ) / np.sqrt(t * np.abs(sp.curvature))[..., None]
-    if branch == ACOUSTIC:
-        c_plus, c_minus = np.where(right, 0.0, amp[:, 0]), np.where(right, amp[:, 0], 0.0)
-    else:
-        # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
-        # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
-        carrier = np.exp(1j * sp.carrier / mu)[:, None]
-        c_plus = carrier * np.where(right, amp[:, 0], amp[:, 1])
-        c_minus = carrier * np.where(right, amp[:, 1], amp[:, 0])
-    w = _envelope_root(sp.action / mu)
-    scale = np.sqrt(2.0 * mu)
-    c_ai = (scale * w)[:, None] * (c_plus + c_minus)
-    return -(w**4), c_ai, (scale * 1j) * (c_plus - c_minus) / w[:, None]
+    projector = disp.modal_matrix(p, branch)
+
+    def finish(v: np.ndarray) -> tuple:
+        amp = np.einsum("nkij,nkj->nki", projector, v)
+        amp /= np.sqrt(t * np.abs(sp.curvature))[..., None]
+        if branch == ACOUSTIC:
+            c_plus, c_minus = np.where(right, 0.0, amp[:, 0]), np.where(right, amp[:, 0], 0.0)
+        else:
+            # Phi is maximal at p_minus for x >= 0 and at p_plus for x < 0; the
+            # maximum pairs with A_plus (stationary phase: local max -> e^{-i pi/4}).
+            carrier = np.exp(1j * sp.carrier / mu)[:, None]
+            c_plus = carrier * np.where(right, amp[:, 0], amp[:, 1])
+            c_minus = carrier * np.where(right, amp[:, 1], amp[:, 0])
+        w = _envelope_root(sp.action / mu)
+        scale = np.sqrt(2.0 * mu)
+        c_ai = (scale * w)[:, None] * (c_plus + c_minus)
+        return -(w**4), c_ai, (scale * 1j) * (c_plus - c_minus) / w[:, None]
+
+    return p, finish
 
 
 def _uniform_records(
@@ -463,7 +499,8 @@ def _uniform_records(
     """Records of one branch's uniform form on the grid ``x``: the interior
     form up to ``FRONT_SWITCH_WIDTHS`` envelope widths inside the front, the
     front form from there to ``CONTINUATION_WIDTHS`` widths beyond it on each
-    side, and none (zero) further out."""
+    side, and none (zero) further out.  All three pieces take their band data
+    from one spectral evaluation (:func:`_records`)."""
     _require_unit_delta(params, mu)
     _require_positive_time(t)
     disp = Dispersion(params)
@@ -472,16 +509,16 @@ def _uniform_records(
     width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
     switch = speed * t - FRONT_SWITCH_WIDTHS * width
     outer = speed * t + CONTINUATION_WIDTHS * width
-    records = []
+    pieces = []
     inside = np.flatnonzero(np.abs(x) <= switch)
     if inside.size:
-        records.append((inside, *_interior(disp, profile, mu, x[inside], t, branch)))
+        pieces.append((inside, *_interior(disp, mu, x[inside], t, branch)))
     bands = {"right": (x > switch) & (x <= outer), "left": (x < -switch) & (x >= -outer)}
     for side, band in bands.items():
         at = np.flatnonzero(band)
         if at.size:
-            records.append((at, *_front_airy(disp, profile, mu, x[at], t, side, branch, front)))
-    return records
+            pieces.append((at, *_front_airy(disp, mu, x[at], t, side, branch, front)))
+    return _records(profile, pieces)
 
 
 def acoustic_uniform(

@@ -832,6 +832,66 @@ def test_every_method_writes_its_library_field(tmp_path, gaussian, method):
     assert np.max(np.abs(np.concatenate([u, v]))) > 1e-3  # a field, not zeros
 
 
+def test_quadrature_takes_every_time_in_one_band_pass(tmp_path, gaussian, monkeypatch):
+    """Each band-quadrature method makes one synthesize_field call for all its
+    times, and each CSV it writes is within 1e-12 of the peak of the library's
+    one-time call (the bound of the benchmark's wiring check)."""
+    from diatomic_waves import oracles
+
+    calls = []
+    synthesize_field = oracles.synthesize_field
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].size)
+        return synthesize_field(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "synthesize_field", counted)
+    times = (0.1, 0.2, 0.3)
+    text = (
+        BASE.replace("h = 0.008", "h = 0.04")
+        .replace("points = 81", "points = 41")
+        .replace("values = 0.3", "values = " + ", ".join(map(repr, times)))
+        .replace("names = gaussian_airy, dalembert", "names = quadrature_full, quadrature_acoustic")
+    )
+    out_dir = tmp_path / "o"
+    path = _write(tmp_path, text)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert calls == [41, 41]
+    params = LatticeParams(gamma1=0.82, gamma2=1.27, h=0.04)
+    for mode in ("full", "acoustic"):
+        for t in times:
+            (fld,), _ = read_fields_csv(out_dir / f"field_quadrature_{mode}_t{t:g}.csv")
+            alone = solve_quadrature(params, gaussian, 0.04, np.linspace(-0.5, 0.5, 41), t, mode)
+            peak = max(np.max(np.abs(alone.u)), np.max(np.abs(alone.v)))
+            assert fld.t == t and np.array_equal(fld.x, alone.x)
+            diff = max(np.max(np.abs(fld.u - alone.u)), np.max(np.abs(fld.v - alone.v)))
+            assert diff <= 1e-12 * peak
+
+
+def test_simulate_writes_the_bytes_of_write_fields_csv(tmp_path):
+    """simulate formats each method's shared x column once; every file it
+    writes has the bytes write_fields_csv gives its one field."""
+    text = (
+        BASE.replace("h = 0.008", "h = 0.04")
+        .replace("points = 81", "points = 41")
+        .replace("values = 0.3", "values = 0.1, 0.3")
+        .replace("gaussian_airy, dalembert", "ode, quadrature_full, shortwave_total")
+    )
+    path = _write(tmp_path, text)
+    out_dir = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+    config = cli.load_config(path)
+    x = np.linspace(config.x_min, config.x_max, config.points)
+    written = 0
+    for method in config.methods:
+        for fld in cli._fields(config, method, None if method == "ode" else x):
+            name = f"field_{method}_t{fld.t:g}.csv"
+            diatomic_waves.write_fields_csv(tmp_path / name, [fld], config.header())
+            assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+            written += 1
+    assert written == 6 == len(list(out_dir.glob("field_*.csv")))
+
+
 def _even_table():
     half = np.linspace(0.0, 9.0, 181)
     xi = np.concatenate((-half[:0:-1], half))  # 361 knots, exactly mirrored
@@ -885,7 +945,8 @@ def test_even_profile_gives_even_field(gaussian, method):
                 mirrors = [np.array([row.get(int(-c - s), -1) for c in k]) for s in (0, 1)]
                 worst, peak = _asymmetry(cells.u, cells.v, mirrors)
             else:
-                u, v = cli._components(evaluate(config, x, t))
+                (out,) = evaluate(config, x, config.times)
+                u, v = cli._components(out)
                 mirror = np.arange(x.size)[::-1]
                 worst, peak = _asymmetry(u, v, (mirror, mirror))
             assert peak > 0.0  # (the optical part at delta = 0.05 is ~2e-5)

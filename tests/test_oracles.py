@@ -223,6 +223,62 @@ def test_quadrature_validation(desk, gaussian):
         solve_quadrature(params, gaussian, -0.05, [0.0], 0.1)
 
 
+@pytest.mark.parametrize("t", [[], np.zeros(0), [[0.1, 0.2]], np.full((1, 1), 0.1)])
+def test_quadrature_refuses_empty_or_2d_times(desk, gaussian, t):
+    with pytest.raises(ConfigError, match="1-D sequence of times"):
+        solve_quadrature(desk(0.05), gaussian, 0.05, [0.0], t)
+
+
+@pytest.mark.parametrize("t", [[0.1, -0.1], [np.nan, 0.1], (0.2, np.inf)])
+def test_quadrature_refuses_a_bad_time_in_a_sequence(desk, gaussian, t):
+    with pytest.raises(ConfigError, match="finite and non-negative"):
+        solve_quadrature(desk(0.05), gaussian, 0.05, [0.0], t)
+
+
+def test_largest_time_keeps_the_bits_of_its_own_call(desk, gaussian):
+    """On the short-wave grid the times share the ladder of the largest one,
+    whose field is its own call's bit for bit; a one-element sequence is the
+    float call, as a list."""
+    params, x = desk(0.01), np.linspace(-0.7, 0.7, 401)
+    fields = solve_quadrature(params, gaussian, 0.01, x, (0.1, 0.25, 0.5))
+    assert isinstance(fields, list) and [f.t for f in fields] == [0.1, 0.25, 0.5]
+    alone = solve_quadrature(params, gaussian, 0.01, x, 0.5)
+    assert isinstance(alone, WaveField)
+    for field in (fields[-1], *solve_quadrature(params, gaussian, 0.01, x, [0.5])):
+        assert field.method == alone.method and field.t == alone.t
+        np.testing.assert_array_equal(field.u, alone.u)
+        np.testing.assert_array_equal(field.v, alone.v)
+
+
+#: A table of a Gaussian centred at 0.7: an odd part, so no fold.
+_SKEW_KNOTS = np.linspace(-9.0, 10.0, 175)
+_SKEW_TABLE = TableProfile(_SKEW_KNOTS, np.exp(-0.5 * (_SKEW_KNOTS - 0.7) ** 2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    times=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4).map(sorted),
+    mode=st.sampled_from(["full", "acoustic", "optical"]),
+    delta=st.sampled_from([0.05, 1.0]),
+    even=st.booleans(),
+)
+def test_time_sequence_matches_one_time_calls(times, mode, delta, even):
+    """Every field of a sorted time sequence is within ``atol + rtol scale`` of
+    its own call, ``scale`` that field's peak: each time is converged on its
+    own scale, on at least the nodes its own call takes."""
+    mu = 0.01 if delta == 1.0 else 0.05
+    params = LatticeParams(0.82, 1.27, delta * mu)
+    profile = GaussianProfile() if even else _SKEW_TABLE
+    x = np.linspace(-0.7, 0.7, 81)
+    fields = solve_quadrature(params, profile, mu, x, times, mode)
+    assert [f.t for f in fields] == times
+    for t, field in zip(times, fields):
+        alone = solve_quadrature(params, profile, mu, x, t, mode)
+        scale = max(np.max(np.abs(alone.u)), np.max(np.abs(alone.v)))
+        diff = max(np.max(np.abs(field.u - alone.u)), np.max(np.abs(field.v - alone.v)))
+        assert diff <= 1e-13 + 1e-8 * scale
+
+
 # ---------------------------------------------------------------------------
 # lattice integration
 # ---------------------------------------------------------------------------

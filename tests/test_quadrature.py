@@ -766,3 +766,91 @@ def test_legendre_bessel_needs_no_eigensolver(monkeypatch):
         assert quad._legendre_projection.cache_info().currsize == len(quad._LB_ORDERS)
     finally:
         quad._legendre_projection.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Grouped (3-D) kernels: several fields on one panel ladder
+# ---------------------------------------------------------------------------
+
+
+def _grouped_kernel(groups: list[str], calls: list[int]):
+    """A ``(n, len(groups), 1)`` kernel: ``"big"`` a Gaussian of peak 1 that
+    the first level resolves, ``"small"`` a Lorentzian of peak 1e-6 and
+    width 0.1 that the first levels do not."""
+    values = {
+        "big": lambda p: np.exp(-0.5 * p * p),
+        "small": lambda p: 1e-6 * 0.01 / (0.01 + p * p),
+    }
+
+    def kernel(p):
+        calls.append(p.size)
+        return np.stack([values[g](p) for g in groups], axis=1)[:, :, None]
+
+    return kernel
+
+
+def test_each_group_converges_against_its_own_scale():
+    """A small group that is not yet resolved holds the ladder back on its own
+    scale: the pair takes the levels of its slowest group, and each group's
+    values are those of its own call.  One check over both groups would stop
+    at the big group's level, since the small group's change is far below
+    ``rtol`` times the big group's peak (``atol = 0`` makes both targets
+    relative)."""
+    x = np.linspace(-3.0, 3.0, 61)
+    alone = {}
+    for group in ("big", "small"):
+        calls = []
+        kernel = _grouped_kernel([group], calls)
+        alone[group] = quad.synthesize_field(kernel, -8.0, 8.0, x, 3.0, atol=0.0)[:, 0], calls
+    assert len(alone["small"][1]) > len(alone["big"][1])  # the case tests something
+    calls = []
+    kernel = _grouped_kernel(["big", "small"], calls)
+    both = quad.synthesize_field(kernel, -8.0, 8.0, x, 3.0, atol=0.0)
+    assert both.shape == (x.size, 2, 1)
+    assert calls == alone["small"][1]
+    np.testing.assert_array_equal(both[:, 1], alone["small"][0])
+    big_scale = float(np.max(np.abs(alone["big"][0])))
+    assert np.max(np.abs(both[:, 0] - alone["big"][0])) <= 1e-8 * big_scale
+
+
+def test_grouped_kernel_stall_names_the_unconverged_group():
+    """When no level settles a group, the refusal reports that group's change
+    and scale, not the largest group's."""
+    kernel = _grouped_kernel(["big", "small"], [])
+    with pytest.raises(QuadratureError, match=r"\* 3\.\d+e-07$"):
+        quad.synthesize_field(
+            kernel, -8.0, 8.0, np.linspace(-3.0, 3.0, 61), 3.0, atol=0.0, max_doublings=1
+        )
+
+
+@pytest.mark.parametrize("times", [(0.3,), (0.1, 0.3, 0.5)])
+def test_times_share_one_kernel_call_and_inverse_transform_per_level(times, monkeypatch):
+    """``solve_quadrature`` over ``T`` times evaluates the band data once per
+    panel level, and each level is one contraction, whose one inverse FFT
+    runs on the ``2 T`` columns of the ``T`` fields."""
+    from diatomic_waves import oracles
+
+    levels, spectral, rows = [], [], []
+    panel_nodes, spectral_vector, ifft = quad.panel_nodes, oracles.spectral_vector, np.fft.ifft
+
+    def level(*args):
+        levels.append(args)
+        return panel_nodes(*args)
+
+    def band_data(*args):
+        spectral.append(np.size(args[2]))
+        return spectral_vector(*args)
+
+    def inverse(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "panel_nodes", level)
+    monkeypatch.setattr(oracles, "spectral_vector", band_data)
+    monkeypatch.setattr(np.fft, "ifft", inverse)
+    params = LatticeParams(0.82, 1.27, 0.01)
+    fields = solve_quadrature(params, GaussianProfile(), 0.01, np.linspace(-0.7, 0.7, 201), times)
+    assert [f.t for f in fields] == list(times)
+    assert len(levels) >= 2
+    assert spectral == [quad._ORDER * n_panels for _, _, n_panels in levels]
+    assert rows == [2 * len(times)] * len(levels)

@@ -58,6 +58,14 @@ def _skew_profile():
 # spectral splits and continuation
 # ---------------------------------------------------------------------------
 
+def _splits(profile, p_c, eta):
+    """``(F1, F2)`` about ``p_c`` at the points ``eta``, as the evaluators form them:
+    the band data at the momenta of ``shortwave._splits`` from one call of
+    ``shortwave.spectral_vector`` (so a test may replace it)."""
+    momenta, splits = shortwave._splits(p_c, eta)
+    return splits(shortwave.spectral_vector(profile, 1.0, momenta))
+
+
 def _split(profile, p_c, eta):
     """``(F1, F2)`` about ``p_c`` at one ``eta >= 0``, by their definition from two
     one-point ``spectral_vector`` calls (``eta`` floored at ``1e-12``, as the
@@ -82,11 +90,11 @@ def test_split_even_odd_reconstructs(gaussian):
     # in eta = p^2: V(p) = F1 - p F2, V(-p) = F1 + p F2
     skew = _skew_profile()
     p = np.array([0.2, 0.8, 1.3])
-    v1, v2 = shortwave._splits(skew, 0.0, p**2)
+    v1, v2 = _splits(skew, 0.0, p**2)
     assert_allclose(v1 - p[:, None] * v2, spectral_vector(skew, 1.0, p), rtol=1e-12)
     assert_allclose(v1 + p[:, None] * v2, spectral_vector(skew, 1.0, -p), rtol=1e-12)
     # even data has no odd part
-    _, g2 = shortwave._splits(gaussian, 0.0, p**2)
+    _, g2 = _splits(gaussian, 0.0, p**2)
     assert np.max(np.abs(g2)) < 1e-12
 
 
@@ -96,7 +104,7 @@ def test_split_about_pstar_reconstructs(disp, gaussian):
     eta = np.array([0.01, 0.09, 0.25])
     root = np.sqrt(eta)
     for prof in (gaussian, _skew_profile()):
-        f1, f2 = shortwave._splits(prof, p_star, eta)
+        f1, f2 = _splits(prof, p_star, eta)
         minus = f1 + root[:, None] * f2
         plus = f1 - root[:, None] * f2
         assert_allclose(minus, spectral_vector(prof, 1.0, p_star - root), rtol=1e-12)
@@ -120,7 +128,7 @@ def test_split_continuation_is_exact_for_quadratic_splits(p_c, monkeypatch):
 
     monkeypatch.setattr(shortwave, "spectral_vector", fake)
     eta = np.array([-0.4, -0.15, -0.02, -1e-5, 0.0, 1e-5, 0.03, 0.2, 0.5])
-    f1, f2 = shortwave._splits(None, p_c, eta)
+    f1, f2 = _splits(None, p_c, eta)
     # Each split at s >= 0 carries the rounding of V, a few eps max|V| in F1
     # and a few eps max|V| / sqrt(max(s, 1e-12)) in F2 (the difference quotient;
     # at s = 0 it is taken over p_c -+ 1e-6, eps / 1e-6 relative); 8 eps covers
@@ -147,9 +155,9 @@ def test_split_values_are_their_one_point_calls(disp, gaussian, profile):
     prof = gaussian if profile == "gaussian" else _skew_profile()
     eta = np.array([0.3, -0.2, 0.0, -1e-14, 1e-14, -0.0, 0.05, -0.2, -0.45, 0.3, 1e-7, -1e-7])
     for p_c in (0.0, disp.critical.p_star):
-        f1, f2 = shortwave._splits(prof, p_c, eta)
+        f1, f2 = _splits(prof, p_c, eta)
         for i in range(eta.size):
-            g1, g2 = shortwave._splits(prof, p_c, eta[i : i + 1])
+            g1, g2 = _splits(prof, p_c, eta[i : i + 1])
             np.testing.assert_array_equal(g1[0], f1[i])
             np.testing.assert_array_equal(g2[0], f2[i])
 
@@ -641,34 +649,48 @@ def test_uniform_forms_equal_the_envelope_and_front_formulas(params, disp, gauss
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
 
-def test_front_records_take_one_spectral_evaluation(params, disp, gaussian, monkeypatch):
-    """Every front record evaluates the splits at its points and at all its
-    continuation stencil points in one spectral_vector call, so at most two
-    site sums (one per sublattice); the interior takes one call per branch."""
-    calls = []
+def test_uniform_records_take_one_spectral_evaluation(params, disp, gaussian, monkeypatch):
+    """The interior and both front bands of a branch, with every continuation
+    stencil point, take their band data from one spectral_vector call per
+    _uniform_records, so two site sums (one per sublattice) per branch; and
+    every value is the one a call per piece gives."""
+    calls, per_branch = [], []
     semi_discrete_ft = initial_data.semi_discrete_ft
+    spectral_vector = shortwave.spectral_vector
+    uniform_records = shortwave._uniform_records
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append("semi_discrete_ft")
         return semi_discrete_ft(*args, **kwargs)
 
-    per_record = []
-    front_airy = shortwave._front_airy
+    def spectral(*args):
+        calls.append("spectral_vector")
+        return spectral_vector(*args)
 
-    def record(*args, **kwargs):
+    def branch(*args):
         before = len(calls)
-        out = front_airy(*args, **kwargs)
-        per_record.append(len(calls) - before)
+        out = uniform_records(*args)
+        per_branch.append((calls[before:].count("spectral_vector"), len(out)))
         return out
 
     monkeypatch.setattr(initial_data, "semi_discrete_ft", counted)
-    monkeypatch.setattr(shortwave, "_front_airy", record)
+    monkeypatch.setattr(shortwave, "spectral_vector", spectral)
+    monkeypatch.setattr(shortwave, "_uniform_records", branch)
     reach = max(edge for _, edge in _edges(disp, T))
     x = np.linspace(-1.1 * reach, 1.1 * reach, 401)
-    shortwave_total(params, gaussian, MU, x, T)
-    assert len(per_record) == 4  # both fronts of both branches
-    assert max(per_record) <= 2
-    assert len(calls) <= 2 * (len(per_record) + 2)
+    joined = shortwave_total(params, gaussian, MU, x, T)
+    assert per_branch == [(1, 3), (1, 3)]  # the interior and both fronts of each branch
+    assert calls.count("semi_discrete_ft") == 4
+    records = shortwave._records
+
+    def one_call_per_piece(profile, pieces):
+        return [record for piece in pieces for record in records(profile, [piece])]
+
+    monkeypatch.setattr(shortwave, "_records", one_call_per_piece)
+    apart = shortwave_total(params, gaussian, MU, x, T)
+    assert calls.count("spectral_vector") == 2 + 6
+    np.testing.assert_array_equal(apart.u, joined.u)
+    np.testing.assert_array_equal(apart.v, joined.v)
 
 
 _PUBLIC_EVALUATORS = {
