@@ -169,8 +169,7 @@ def _gaussian(config: ScenarioConfig, name: str) -> None:
 
 def _shortwave(config: ScenarioConfig, name: str) -> None:
     _require_unit_delta(config.params, config.mu)
-    for t in config.times:
-        _require_positive_time(t)
+    _require_positive_time(config.times)
 
 
 def _quadrature(mode: str) -> Callable:
@@ -194,8 +193,9 @@ class Method(NamedTuple):
 
 #: Every method the CLI runs, by canonical name.  The evaluators name the
 #: library functions in their bodies, so a rebinding of those module names
-#: (as perfbench's tracer does) is seen.  The band quadratures take every
-#: time in one call; the others run once per time.
+#: (as perfbench's tracer does) is seen.  The band quadratures and the
+#: short-wave uniform forms take every time in one call; the long-wave and
+#: front forms run once per time.
 METHODS: dict[str, Method] = {
     "ode": Method(_chain, None),
     "quadrature_full": Method(_band, _quadrature("full")),
@@ -213,10 +213,10 @@ METHODS: dict[str, Method] = {
         _longwave, _each_time(lambda c, x, t: uas_dalembert(*c.problem, x, t)), ("uas_dalembert",)
     ),
     "acoustic_uniform": Method(
-        _shortwave, _each_time(lambda c, x, t: acoustic_uniform(*c.problem, x, t))
+        _shortwave, lambda c, x, times: acoustic_uniform(*c.problem, x, times)
     ),
     "optical_uniform": Method(
-        _shortwave, _each_time(lambda c, x, t: optical_uniform(*c.problem, x, t))
+        _shortwave, lambda c, x, times: optical_uniform(*c.problem, x, times)
     ),
     "acoustic_front": Method(
         _shortwave,
@@ -227,7 +227,7 @@ METHODS: dict[str, Method] = {
         _each_time(lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side)),
     ),
     "shortwave_total": Method(
-        _shortwave, _each_time(lambda c, x, t: shortwave_total(*c.problem, x, t))
+        _shortwave, lambda c, x, times: shortwave_total(*c.problem, x, times)
     ),
 }
 

@@ -308,7 +308,7 @@ def _check_times(t) -> np.ndarray:
     if times.ndim > 1 or times.size == 0:
         raise ConfigError(f"t must be one time or a 1-D sequence of times, got {t!r}")
     times = times.ravel()
-    for value in times:
+    for value in times.tolist():
         _check_time(value)
     return times
 

@@ -31,9 +31,17 @@ Every form is linear in ``(Ai(z), Ai'(z))``: a piece of a field is a record
 ``(at, z, c_ai, c_aip)`` of grid indices, Airy arguments and ``(n, 2)``
 complex coefficients, worth ``Re(c_ai Ai(z) + c_aip Ai'(z))`` at ``at``.  The
 evaluators build records, and :func:`_airy_sum` turns a list of them into a
-field with one Airy call.  The pieces of one branch (interior and both front
-bands) first name the momenta at which they need the band data, and
-:func:`_records` evaluates all of them in one ``spectral_vector`` call.
+field with one Airy call.  The pieces of a call (interior and both front
+bands of each branch) first name the momenta at which they need the band
+data, and :func:`_records` evaluates all of them in one ``spectral_vector``
+call.
+
+The uniform evaluators take ``t`` as one time or as a 1-D sequence of times
+(one time gives one result, a sequence a list in its order).  A sequence is
+one pass on the grid ``x`` repeated once per time, each point with its own
+time: one stationary solve per branch, one ``spectral_vector`` call and one
+Airy call for every time.  No step mixes points, so each time's field has the
+bits of its own call.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .airy import _envelope_root, airy_ai_pair
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import ConfigError, NumericalError, RegimeError
 from .initial_data import InitialProfile, spectral_vector
-from .oracles import WaveField
+from .oracles import WaveField, _check_times
 
 __all__ = [
     "StationaryPoints",
@@ -91,9 +99,15 @@ def _require_unit_delta(params: LatticeParams, mu: float) -> None:
         )
 
 
-def _require_positive_time(t: float) -> None:
-    if not (np.isfinite(t) and t > 0.0):
-        raise ConfigError(f"short-wave asymptotics require finite t > 0, got {t!r}")
+def _require_positive_time(t) -> None:
+    """``ConfigError`` naming the first time of ``t`` (one time or an array) that
+    is not finite and positive."""
+    times = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(times) & (times > 0.0))
+    if np.any(bad):
+        raise ConfigError(
+            f"short-wave asymptotics require finite t > 0, got {float(times[bad][0])!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +155,7 @@ def _splits(p_c: float, eta: np.ndarray) -> tuple[np.ndarray, Callable]:
 
 @dataclass(frozen=True)
 class StationaryPoints:
-    """Stationary-phase data of one mode at the points ``x`` at one ``t``.
+    """Stationary-phase data of one mode at the points ``x``, each at its time ``t``.
 
     ``momenta`` has shape ``x.shape + (1,)`` holding ``p`` for the
     acoustic mode, or ``x.shape + (2,)`` holding ``(p_minus, p_plus)``
@@ -215,16 +229,21 @@ def _dispersion(params: LatticeParams | Dispersion) -> Dispersion:
     return params if isinstance(params, Dispersion) else Dispersion(params)
 
 
-def _reject_beyond_front(x: np.ndarray, front: float, branch: str, speed: str) -> None:
+def _reject_beyond_front(x: np.ndarray, front: np.ndarray, branch: str, speed: str) -> None:
     beyond = np.abs(x) >= front
     if np.any(beyond):
         raise NumericalError(
             f"x={float(x[beyond][0])!r} is on or beyond the {branch} front |x| = {speed} = "
-            f"{front!r}; use {branch}_front_airy there"
+            f"{float(front[beyond][0])!r}; use {branch}_front_airy there"
         )
 
 
-def acoustic_stationary(params: LatticeParams | Dispersion, x, t: float) -> StationaryPoints:
+def _points(x, t) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``t`` as float arrays broadcast against each other."""
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+
+
+def acoustic_stationary(params: LatticeParams | Dispersion, x, t) -> StationaryPoints:
     """Acoustic stationary momentum ``p`` solving ``omega_1'(p) = |x| / t``.
 
     The group speed of the smooth acoustic branch decreases from ``c``
@@ -232,14 +251,15 @@ def acoustic_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stat
     unique root for ``|x| < c t`` (``p -> pi/2`` as ``x -> 0``), found for
     every point of ``x`` (scalar or array) at once by bracketed Newton
     iteration on ``[0, pi/2]`` (:func:`_newton`), started from the front's
-    cubic model ``omega_1' = c - q p^2``.  ``params`` may be a
+    cubic model ``omega_1' = c - q p^2``.  ``t`` is one time or an array of
+    times that broadcasts against ``x``, one per point.  ``params`` may be a
     :class:`Dispersion` to reuse.  The stored action
     ``S = omega_1(p) t - p |x|`` is computed in the cancellation-free
     Legendre form ``t m(p) + p (t omega_1'(p) - |x|)``.
     """
     _require_positive_time(t)
     disp = _dispersion(params)
-    x_arr = np.asarray(x, dtype=float)
+    x_arr, t = _points(x, t)
     _reject_beyond_front(x_arr, disp.sound_speed * t, "acoustic", "c t")
     ax = np.abs(x_arr)
     target = ax / t
@@ -259,7 +279,7 @@ def acoustic_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stat
     )
 
 
-def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> StationaryPoints:
+def optical_stationary(params: LatticeParams | Dispersion, x, t) -> StationaryPoints:
     """Optical stationary pair ``p_- < p* < p_+`` with phases ``Theta, Psi``.
 
     Both momenta solve ``omega_2'(p) = -|x| / t`` (the optical group
@@ -268,6 +288,7 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stati
     for every point of ``x`` (scalar or array) at once by bracketed Newton
     iteration on ``[0, p*]`` and ``[p*, pi/2]`` (:func:`_newton`), started
     from the front's cubic model ``omega_2' = -c* + q* (p - p*)^2``.
+    ``t`` is one time or an array of times that broadcasts against ``x``.
     ``params`` may be a :class:`Dispersion` to reuse, with its ``p*``.
     With the side phase
     ``Phi(p) = p x + omega_2(p) t`` (``x >= 0``) or
@@ -280,7 +301,7 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stati
     _require_positive_time(t)
     disp = _dispersion(params)
     crit = disp.critical
-    x_arr = np.asarray(x, dtype=float)
+    x_arr, t = _points(x, t)
     _reject_beyond_front(x_arr, crit.c_star * t, "optical", "c* t")
     target = (-np.abs(x_arr) / t)[..., None]
     # omega_2' falls on [0, p*] and rises on [p*, pi/2]; the sign flip makes
@@ -304,10 +325,12 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t: float) -> Stati
     mid = 0.5 * (p_plus + p_minus)
     nodes = mid[..., None] + half[..., None] * _GL_PSI_NODES
     w2dd = disp.omega2_derivs(nodes, 2)[2]
-    psi = -0.5 * t * half * (((p_plus[..., None] - nodes) * w2dd) @ _GL_PSI_WEIGHTS)
+    # einsum, not a BLAS product, so a point's sum does not depend on the batch size
+    psi = -0.5 * t * half * np.einsum("...k,k->...", (p_plus[..., None] - nodes) * w2dd,
+                                      _GL_PSI_WEIGHTS)
 
     sgn = np.where(x_arr >= 0.0, 1.0, -1.0)[..., None]
-    phi = momenta * x_arr[..., None] + sgn * omega2 * t
+    phi = momenta * x_arr[..., None] + sgn * omega2 * t[..., None]
     theta = 0.5 * (phi[..., 1] + phi[..., 0])
     return StationaryPoints(momenta=momenta, action=psi, carrier=theta, curvature=omega2_pp)
 
@@ -371,11 +394,24 @@ def _front(disp: Dispersion, branch: int) -> tuple[float, float, float, float, f
     return crit.p_star, float(disp.omega2_derivs(crit.p_star, 0)[0]), crit.c_star, crit.q_star, 2.0
 
 
+def _front_scales(mu: float, curv: float, times) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope width ``w = mu^{2/3} (k t)^{1/3}`` and ``r = (mu / (k t))^{1/3}``
+    of a front of curvature ``k`` at each of ``times``, formed one time at a time in
+    Python floats: numpy's vector power rounds some values otherwise than the scalar
+    one, and the band edges ``s t -+ c w`` are to be the scalar formula's."""
+    times = [float(t) for t in times]
+    width = [mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0) for t in times]
+    return np.array(width), np.array([(mu / (curv * t)) ** (1.0 / 3.0) for t in times])
+
+
 def _front_airy(
-    disp: Dispersion, mu: float, x: np.ndarray, t: float, side: str, branch: int, front: tuple
+    disp: Dispersion, mu: float, x: np.ndarray, t: np.ndarray, scales: tuple,
+    side: str, branch: int, front: tuple,
 ) -> tuple[np.ndarray, Callable]:
     """The Airy form of one branch near its front (:func:`_front`) on ``side``,
-    at the points ``x``, as a piece ``(momenta, finish)`` of :func:`_records`.
+    at the points ``x``, each at its time ``t`` with its ``(w, r)`` of
+    :func:`_front_scales` in ``scales``, as a piece ``(momenta, finish)`` of
+    :func:`_records`.
 
     With ``(p_c, omega, s, k, n) = front``, ``P = P(p_c)``, ``y = x - s t``,
     ``w = mu^{2/3} (k t)^{1/3}`` and ``r = (mu/(k t))^{1/3}``, the right front is
@@ -385,20 +421,20 @@ def _front_airy(
     ``y = -(x + s t)``, ``p_c x - omega t`` and ``-i`` on the ``Ai'`` term.
     """
     p_c, omega_c, speed, curv, weight = front
-    width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
-    cube = (mu / (curv * t)) ** (1.0 / 3.0)
+    width, cube = scales
     if side == "right":
         y, phase, deriv_sign = x - speed * t, (p_c * x + omega_c * t) / mu, 1.0
     else:
         y, phase, deriv_sign = -(x + speed * t), (p_c * x - omega_c * t) / mu, -1.0
     momenta, splits = _splits(p_c, -y / (curv * t))
-    projector = disp.modal_matrix(p_c, branch).T
+    projector = disp.modal_matrix(p_c, branch)
     carrier = (weight * cube * np.exp(1j * phase))[:, None]
 
     def finish(v: np.ndarray) -> tuple:
-        f1, f2 = splits(v)
-        c_aip = (deriv_sign * 1j * cube) * carrier * (f2 @ projector)
-        return y / width, carrier * (f1 @ projector), c_aip
+        # einsum, not a BLAS product, so a point's value does not depend on the batch size
+        f1, f2 = (np.einsum("ij,nj->ni", projector, f) for f in splits(v))
+        c_aip = (deriv_sign * 1j * cube)[:, None] * carrier * f2
+        return y / width, carrier * f1, c_aip
 
     return momenta, finish
 
@@ -413,7 +449,10 @@ def _front_field(
         raise ConfigError(f"front must be 'left' or 'right', got {side!r}")
     disp = Dispersion(params)
     x_arr = np.asarray(x, dtype=float).ravel()
-    piece = _front_airy(disp, mu, x_arr, t, side, branch, _front(disp, branch))
+    front = _front(disp, branch)
+    t_arr = np.full(x_arr.shape, float(t))
+    scales = tuple(np.repeat(a, x_arr.size) for a in _front_scales(mu, front[3], [t]))
+    piece = _front_airy(disp, mu, x_arr, t_arr, scales, side, branch, front)
     return _airy_sum(x_arr.size, _records(profile, [(np.arange(x_arr.size), *piece)]))
 
 
@@ -457,10 +496,11 @@ def optical_front_airy(
 # Uniform evaluators
 # ---------------------------------------------------------------------------
 
-def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: float, branch: int) -> tuple:
+def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: np.ndarray, branch: int) -> tuple:
     """The interior form ``sqrt(2 mu / pi) Re[c_+ A_plus(y) + c_- A_minus(y)]`` of one
-    branch at the points ``x``, ``y`` its action over ``mu``, as a piece
-    ``(momenta, finish)`` of :func:`_records`: the momenta are the stationary points.
+    branch at the points ``x``, each at its time ``t``, ``y`` its action over ``mu``, as
+    a piece ``(momenta, finish)`` of :func:`_records`: the momenta are the stationary
+    points.
 
     With ``A_pm = sqrt(pi) (w Ai(-w^4) +- i Ai'(-w^4) / w)``, ``w = (3y/2)^{1/6}``,
     the coefficients are ``c_ai = sqrt(2 mu) w (c_+ + c_-)`` and
@@ -476,7 +516,7 @@ def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: float, branch: int)
 
     def finish(v: np.ndarray) -> tuple:
         amp = np.einsum("nkij,nkj->nki", projector, v)
-        amp /= np.sqrt(t * np.abs(sp.curvature))[..., None]
+        amp /= np.sqrt(t[:, None] * np.abs(sp.curvature))[..., None]
         if branch == ACOUSTIC:
             c_plus, c_minus = np.where(right, 0.0, amp[:, 0]), np.where(right, amp[:, 0], 0.0)
         else:
@@ -494,31 +534,53 @@ def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: float, branch: int)
 
 
 def _uniform_records(
-    params: LatticeParams, profile: InitialProfile, mu: float, x: np.ndarray, t: float, branch: int
+    disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, times: np.ndarray,
+    branches: tuple,
 ) -> list:
-    """Records of one branch's uniform form on the grid ``x``: the interior
-    form up to ``FRONT_SWITCH_WIDTHS`` envelope widths inside the front, the
-    front form from there to ``CONTINUATION_WIDTHS`` widths beyond it on each
-    side, and none (zero) further out.  All three pieces take their band data
-    from one spectral evaluation (:func:`_records`)."""
-    _require_unit_delta(params, mu)
-    _require_positive_time(t)
-    disp = Dispersion(params)
-    front = _front(disp, branch)
-    _, _, speed, curv, _ = front
-    width = mu ** (2.0 / 3.0) * (curv * t) ** (1.0 / 3.0)
-    switch = speed * t - FRONT_SWITCH_WIDTHS * width
-    outer = speed * t + CONTINUATION_WIDTHS * width
+    """Records of the uniform forms of ``branches`` on the grid ``x`` at every time
+    of ``times``, on the stacked grid ``tile(x, T)`` (index ``k n + i`` holds the
+    point ``x[i]`` at ``times[k]``).
+
+    Each branch takes the interior form up to ``FRONT_SWITCH_WIDTHS`` envelope
+    widths inside its front, the front form from there to ``CONTINUATION_WIDTHS``
+    widths beyond it on each side, and none (zero) further out; the edges are
+    formed per time and repeated over its points.  Every piece of every branch and
+    time takes its band data from one spectral evaluation (:func:`_records`)."""
+    n = x.size
+    stack = np.repeat(np.arange(times.size), n)
+    xs, ts = np.tile(x, times.size), times[stack]
     pieces = []
-    inside = np.flatnonzero(np.abs(x) <= switch)
-    if inside.size:
-        pieces.append((inside, *_interior(disp, mu, x[inside], t, branch)))
-    bands = {"right": (x > switch) & (x <= outer), "left": (x < -switch) & (x >= -outer)}
-    for side, band in bands.items():
-        at = np.flatnonzero(band)
-        if at.size:
-            pieces.append((at, *_front_airy(disp, mu, x[at], t, side, branch, front)))
+    for branch in branches:
+        front = _front(disp, branch)
+        _, _, speed, curv, _ = front
+        width, cube = _front_scales(mu, curv, times)
+        switch = (speed * times - FRONT_SWITCH_WIDTHS * width)[stack]
+        outer = (speed * times + CONTINUATION_WIDTHS * width)[stack]
+        inside = np.flatnonzero(np.abs(xs) <= switch)
+        if inside.size:
+            pieces.append((inside, *_interior(disp, mu, xs[inside], ts[inside], branch)))
+        bands = {"right": (xs > switch) & (xs <= outer), "left": (xs < -switch) & (xs >= -outer)}
+        for side, band in bands.items():
+            at = np.flatnonzero(band)
+            if at.size:
+                scales = (width[stack[at]], cube[stack[at]])
+                piece = _front_airy(disp, mu, xs[at], ts[at], scales, side, branch, front)
+                pieces.append((at, *piece))
     return _records(profile, pieces)
+
+
+def _uniform(
+    params: LatticeParams, profile: InitialProfile, mu: float, x, t, branches: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, times, fields)``: the grid, the checked times and the ``(T, n, 2)`` sum
+    of the uniform forms of ``branches`` on it at each time, from one Airy call."""
+    _require_unit_delta(params, mu)
+    times = _check_times(t)
+    _require_positive_time(times)
+    x_arr = np.asarray(x, dtype=float).ravel()
+    records = _uniform_records(Dispersion(params), profile, mu, x_arr, times, branches)
+    shape = (times.size, x_arr.size, 2)
+    return x_arr, times, _airy_sum(times.size * x_arr.size, records).reshape(shape)
 
 
 def acoustic_uniform(
@@ -526,8 +588,8 @@ def acoustic_uniform(
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
-) -> np.ndarray:
+    t,
+) -> np.ndarray | list[np.ndarray]:
     """Uniform acoustic evaluator on the whole line.
 
     ``sqrt(2 mu / pi) Re[ A(p) Vtilde(p) A_pm(S/mu) ] / sqrt(t |omega_1''(p)|)``
@@ -535,10 +597,11 @@ def acoustic_uniform(
     ``A_plus`` left; both sides meet continuously at ``x = 0``), handed
     over to :func:`acoustic_front_airy` from ``FRONT_SWITCH_WIDTHS``
     envelope widths inside the front ``|x| = c t`` and zero beyond
-    ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape ``(n, 2)``.
+    ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape ``(n, 2)``
+    for one time ``t``, and a list of them for a 1-D sequence of times.
     """
-    x_arr = np.asarray(x, dtype=float).ravel()
-    return _airy_sum(x_arr.size, _uniform_records(params, profile, mu, x_arr, t, ACOUSTIC))
+    _, _, fields = _uniform(params, profile, mu, x, t, (ACOUSTIC,))
+    return list(fields) if np.ndim(t) else fields[0]
 
 
 def optical_uniform(
@@ -546,8 +609,8 @@ def optical_uniform(
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
-) -> np.ndarray:
+    t,
+) -> np.ndarray | list[np.ndarray]:
     """Uniform optical evaluator on the whole line.
 
     ``sqrt(2 mu / pi) Re{ e^{i Theta/mu} [ b(p_max) A_plus(Psi/mu)
@@ -556,10 +619,11 @@ def optical_uniform(
     pair, handed over to :func:`optical_front_airy` from
     ``FRONT_SWITCH_WIDTHS`` envelope widths inside ``|x| = c* t`` and
     zero beyond ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape
-    ``(n, 2)``.
+    ``(n, 2)`` for one time ``t``, and a list of them for a 1-D sequence
+    of times.
     """
-    x_arr = np.asarray(x, dtype=float).ravel()
-    return _airy_sum(x_arr.size, _uniform_records(params, profile, mu, x_arr, t, OPTICAL))
+    _, _, fields = _uniform(params, profile, mu, x, t, (OPTICAL,))
+    return list(fields) if np.ndim(t) else fields[0]
 
 
 def shortwave_total(
@@ -567,18 +631,19 @@ def shortwave_total(
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
-) -> WaveField:
+    t,
+) -> WaveField | list[WaveField]:
     """Sum of the uniform acoustic and optical evaluators as a field.
 
     The slow acoustic profile carries the bulk displacement; the optical
     part superposes a fast carrier oscillation under an Airy envelope
-    near ``|x| = c* t``.  Both branches' records share one Airy call.
+    near ``|x| = c* t``.  Both branches' records share one spectral
+    evaluation and one Airy call.  One time ``t`` gives one field, a 1-D
+    sequence of times a list of fields in its order.
     """
-    x_arr = np.asarray(x, dtype=float).ravel()
-    records = [
-        *_uniform_records(params, profile, mu, x_arr, t, ACOUSTIC),
-        *_uniform_records(params, profile, mu, x_arr, t, OPTICAL),
+    x_arr, times, totals = _uniform(params, profile, mu, x, t, (ACOUSTIC, OPTICAL))
+    fields = [
+        WaveField(x=x_arr, u=total[:, 0], v=total[:, 1], t=float(time), method="shortwave_total")
+        for time, total in zip(times, totals)
     ]
-    total = _airy_sum(x_arr.size, records)
-    return WaveField(x=x_arr, u=total[:, 0], v=total[:, 1], t=float(t), method="shortwave_total")
+    return fields if np.ndim(t) else fields[0]

@@ -868,6 +868,39 @@ def test_quadrature_takes_every_time_in_one_band_pass(tmp_path, gaussian, monkey
             assert diff <= 1e-12 * peak
 
 
+def test_shortwave_uniform_methods_take_every_time_in_one_call(tmp_path, monkeypatch):
+    """Each short-wave uniform method makes one library call for all its
+    times, and writes the bytes of that function's one-time calls."""
+    names = ("acoustic_uniform", "optical_uniform", "shortwave_total")
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(cli, name)):
+            calls.append((_name, args[-1]))
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    times = (0.1, 0.2, 0.3)
+    text = (
+        BASE.replace("mu = 0.04", "mu = 0.008")
+        .replace("values = 0.3", "values = " + ", ".join(map(repr, times)))
+        .replace("names = gaussian_airy, dalembert", "names = " + ", ".join(names))
+    )
+    out_dir = tmp_path / "o"
+    path = _write(tmp_path, text)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert calls == [(name, times) for name in names]
+    config = cli.load_config(path)
+    x = np.linspace(config.x_min, config.x_max, config.points)
+    for name, evaluate in zip(names, (acoustic_uniform, optical_uniform, shortwave_total)):
+        for t in times:
+            u, v = cli._components(evaluate(*config.problem, x, t))
+            file = f"field_{name}_t{t:g}.csv"
+            alone = diatomic_waves.WaveField(x=x, u=u, v=v, t=t, method=name)
+            diatomic_waves.write_fields_csv(tmp_path / file, [alone], config.header())
+            assert (out_dir / file).read_bytes() == (tmp_path / file).read_bytes()
+    assert len(list(out_dir.glob("field_*.csv"))) == 9
+
+
 def test_simulate_writes_the_bytes_of_write_fields_csv(tmp_path):
     """simulate formats each method's shared x column once; every file it
     writes has the bytes write_fields_csv gives its one field."""

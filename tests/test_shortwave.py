@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from diatomic_waves import (
     RegimeError,
     StationaryPoints,
     TableProfile,
+    WaveField,
     acoustic_front_airy,
     acoustic_stationary,
     acoustic_uniform,
@@ -52,6 +55,11 @@ def disp(params):
 def _skew_profile():
     xi = np.linspace(-6.0, 8.0, 701)
     return TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
+
+
+@pytest.fixture(scope="module")
+def skew():
+    return _skew_profile()
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +531,27 @@ def test_uniform_even_and_zero_structure(params, disp, gaussian):
     assert np.all(out[beyond] == 0.0)
 
 
-def _total_field(*args) -> np.ndarray:
+def _as_array(out) -> np.ndarray:
+    """A uniform evaluator's output at one time as an ``(n, 2)`` array."""
+    return np.stack([out.u, out.v], axis=1) if isinstance(out, WaveField) else out
+
+
+def _total_field(*args) -> np.ndarray | list[np.ndarray]:
     field = shortwave_total(*args)
-    return np.stack([field.u, field.v], axis=1)
+    return [_as_array(f) for f in field] if isinstance(field, list) else _as_array(field)
 
 
+#: One time, and three unsorted ones: every count below is per call, not per time.
+_TIMES = pytest.mark.parametrize("times", [T, (0.25, 0.1, T)], ids=["1 time", "3 times"])
+
+
+@_TIMES
 @pytest.mark.parametrize(
     "evaluate, pieces", [(acoustic_uniform, 3), (optical_uniform, 3), (_total_field, 6)]
 )
-def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, monkeypatch):
-    # the interior and both front bands of each branch share one airy_ai_pair
-    # call, and every value is the one a call per record gives
+def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, times, monkeypatch):
+    # the interior and both front bands of each branch at every time share one
+    # airy_ai_pair call, and every value is the one a call per record gives
     reach = max(disp.sound_speed, disp.critical.c_star) * T
     x = np.linspace(-1.2 * reach, 1.2 * reach, 201)
     sizes = []
@@ -543,7 +561,7 @@ def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, m
         return airy_ai_pair(z)
 
     monkeypatch.setattr(shortwave, "airy_ai_pair", counted)
-    joined = evaluate(params, gaussian, MU, x, T)
+    joined = evaluate(params, gaussian, MU, x, times)
     assert len(sizes) == 1
     airy_sum = shortwave._airy_sum
 
@@ -551,7 +569,7 @@ def test_uniform_takes_one_airy_call(params, disp, gaussian, evaluate, pieces, m
         return sum((airy_sum(size, [record]) for record in records), np.zeros((size, 2)))
 
     monkeypatch.setattr(shortwave, "_airy_sum", one_call_per_record)
-    assert np.array_equal(evaluate(params, gaussian, MU, x, T), joined)
+    assert np.array_equal(evaluate(params, gaussian, MU, x, times), joined)
     assert len(sizes) == 1 + pieces and sum(sizes[1:]) == sizes[0]
 
 
@@ -649,15 +667,16 @@ def test_uniform_forms_equal_the_envelope_and_front_formulas(params, disp, gauss
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
 
-def test_uniform_records_take_one_spectral_evaluation(params, disp, gaussian, monkeypatch):
-    """The interior and both front bands of a branch, with every continuation
-    stencil point, take their band data from one spectral_vector call per
-    _uniform_records, so two site sums (one per sublattice) per branch; and
-    every value is the one a call per piece gives."""
-    calls, per_branch = [], []
+@_TIMES
+def test_uniform_records_take_one_spectral_evaluation(params, disp, gaussian, times, monkeypatch):
+    """The interior and both front bands of both branches at every time, with
+    every continuation stencil point, take their band data from one
+    spectral_vector call per shortwave_total call, so two site sums (one per
+    sublattice); and every value is the one a call per piece gives."""
+    calls, pieces = [], []
     semi_discrete_ft = initial_data.semi_discrete_ft
     spectral_vector = shortwave.spectral_vector
-    uniform_records = shortwave._uniform_records
+    records = shortwave._records
 
     def counted(*args, **kwargs):
         calls.append("semi_discrete_ft")
@@ -667,30 +686,135 @@ def test_uniform_records_take_one_spectral_evaluation(params, disp, gaussian, mo
         calls.append("spectral_vector")
         return spectral_vector(*args)
 
-    def branch(*args):
-        before = len(calls)
-        out = uniform_records(*args)
-        per_branch.append((calls[before:].count("spectral_vector"), len(out)))
-        return out
+    def recorded(profile, given):
+        pieces.append(len(given))
+        return records(profile, given)
 
     monkeypatch.setattr(initial_data, "semi_discrete_ft", counted)
     monkeypatch.setattr(shortwave, "spectral_vector", spectral)
-    monkeypatch.setattr(shortwave, "_uniform_records", branch)
+    monkeypatch.setattr(shortwave, "_records", recorded)
     reach = max(edge for _, edge in _edges(disp, T))
     x = np.linspace(-1.1 * reach, 1.1 * reach, 401)
-    joined = shortwave_total(params, gaussian, MU, x, T)
-    assert per_branch == [(1, 3), (1, 3)]  # the interior and both fronts of each branch
-    assert calls.count("semi_discrete_ft") == 4
-    records = shortwave._records
+    joined = _total_field(params, gaussian, MU, x, times)
+    assert pieces == [6]  # the interior and both fronts of each branch, every time in each
+    assert calls == ["spectral_vector", "semi_discrete_ft", "semi_discrete_ft"]
 
-    def one_call_per_piece(profile, pieces):
-        return [record for piece in pieces for record in records(profile, [piece])]
+    def one_call_per_piece(profile, given):
+        return [record for piece in given for record in records(profile, [piece])]
 
     monkeypatch.setattr(shortwave, "_records", one_call_per_piece)
-    apart = shortwave_total(params, gaussian, MU, x, T)
-    assert calls.count("spectral_vector") == 2 + 6
-    np.testing.assert_array_equal(apart.u, joined.u)
-    np.testing.assert_array_equal(apart.v, joined.v)
+    calls.clear()
+    apart = _total_field(params, gaussian, MU, x, times)
+    assert calls.count("spectral_vector") == 6
+    np.testing.assert_array_equal(apart, joined)
+
+
+@_TIMES
+def test_shortwave_total_makes_one_dispersion_and_one_solve_per_branch(
+    params, gaussian, times, monkeypatch
+):
+    # one Dispersion, so one critical-point solve, and one stationary-point
+    # Newton solve per branch, over every (time, point) pair of the call
+    made, solved, solves = [], [], []
+    newton = shortwave._newton
+
+    class Counted(Dispersion):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+        @cached_property
+        def critical(self):
+            solved.append(self)
+            return Dispersion.critical.func(self)
+
+    def counted(*args):
+        solves.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(shortwave, "Dispersion", Counted)
+    monkeypatch.setattr(shortwave, "_newton", counted)
+    shortwave_total(params, gaussian, MU, np.linspace(-0.7, 0.7, 133), times)
+    assert len(made) == 1 and solved == made
+    assert len(solves) == 2
+
+
+_UNIFORM_EVALUATORS = {
+    "acoustic_uniform": acoustic_uniform,
+    "optical_uniform": optical_uniform,
+    "shortwave_total": shortwave_total,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIFORM_EVALUATORS))
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ([], r"1-D sequence of times, got \[\]"),
+        ([[0.1, 0.2]], r"1-D sequence of times, got \[\[0.1, 0.2\]\]"),
+        ([0.1, 0.0], r"t > 0, got 0.0"),
+        ([0.1, -0.2], r"non-negative, got -0.2"),
+        ((0.2, np.nan), r"non-negative, got nan"),
+        ([np.inf, 0.1], r"non-negative, got inf"),
+        (0.0, r"t > 0, got 0.0"),
+        (-np.inf, r"non-negative, got -inf"),
+    ],
+)
+def test_uniform_evaluators_refuse_bad_times(params, gaussian, name, t, message):
+    with pytest.raises(ConfigError, match=message):
+        _UNIFORM_EVALUATORS[name](params, gaussian, MU, [0.1], t)
+
+
+@pytest.mark.parametrize("name", sorted(_UNIFORM_EVALUATORS))
+def test_one_time_as_float_or_sequence_gives_the_same_bits(params, gaussian, name):
+    evaluate, x = _UNIFORM_EVALUATORS[name], np.linspace(-0.7, 0.7, 133)
+    alone = evaluate(params, gaussian, MU, x, T)
+    assert not isinstance(alone, list)
+    for listed in ([T], (T,), np.array([T])):
+        (field,) = evaluate(params, gaussian, MU, x, listed)
+        np.testing.assert_array_equal(_as_array(field), _as_array(alone))
+    np.testing.assert_array_equal(
+        _as_array(evaluate(params, gaussian, MU, x, np.float64(T))), _as_array(alone)
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_pass_equals_one_call_per_time(params, disp, skew, data):
+    # 1-4 times, unsorted and repeated, on grids holding every time's switch and
+    # outer edges of both branches and the next float beyond each outer edge:
+    # one call for all times has every time's bits from a call of its own,
+    # permuting x permutes every time's field, and each branch's edges are the
+    # scalar formula's (_edges), so its field reaches each outer edge and is
+    # zero the next float beyond it
+    times = data.draw(
+        st.lists(st.sampled_from([0.1, 0.25, 0.5]) | st.floats(0.05, 0.6), min_size=1, max_size=4)
+    )
+    edges = [s * e for t in times for pair in _edges(disp, t) for e in pair for s in (1.0, -1.0)]
+    beyond = [
+        np.nextafter(s * outer, s * np.inf) for t in times for _, outer in _edges(disp, t)
+        for s in (1.0, -1.0)
+    ]
+    reach = 1.2 * max(edges)
+    base = data.draw(st.lists(st.floats(-reach, reach), max_size=20))
+    x = np.array(edges + beyond + base)
+    perm = np.array(data.draw(st.permutations(range(x.size))))
+    profile = data.draw(st.sampled_from([GaussianProfile(), skew]))
+    for name, evaluate in _UNIFORM_EVALUATORS.items():
+        joined = evaluate(params, profile, MU, x, times)
+        moved = evaluate(params, profile, MU, x[perm], times)
+        assert len(joined) == len(moved) == len(times)
+        for t, field, permuted in zip(times, joined, moved):
+            alone = evaluate(params, profile, MU, x, t)
+            if isinstance(alone, WaveField):
+                assert field.t == alone.t == t and field.method == alone.method
+            np.testing.assert_array_equal(_as_array(field), _as_array(alone))
+            np.testing.assert_array_equal(_as_array(permuted), _as_array(alone)[perm])
+            if name != "shortwave_total":
+                outer = _edges(disp, t)[name == "optical_uniform"][1]
+                for s in (1.0, -1.0):
+                    assert field[x == s * outer].any(axis=1).all()
+                    assert not field[x == np.nextafter(s * outer, s * np.inf)].any()
 
 
 _PUBLIC_EVALUATORS = {
@@ -720,11 +844,24 @@ def test_evaluators_commute_with_permutations(params, disp, data):
     for name, evaluate in _PUBLIC_EVALUATORS.items():
         field = evaluate(params, gaussian, MU, x, t)
         moved = evaluate(params, gaussian, MU, x[perm], t)
-        assert np.max(np.abs(moved - field[perm])) <= 1e-15 * np.max(np.abs(field))
+        np.testing.assert_array_equal(moved, field[perm])
         fields[name] = field
     np.testing.assert_array_equal(
         fields["shortwave_total"], fields["acoustic_uniform"] + fields["optical_uniform"]
     )
+
+
+@pytest.mark.parametrize("evaluate, edges", [(acoustic_uniform, 0), (optical_uniform, 1)])
+def test_one_point_pieces_keep_their_bits_in_one_pass(params, disp, skew, evaluate, edges):
+    # x holds each time's outer edges of the branch: alone, a time's front
+    # bands hold one point each and its interior at most four, against several
+    # in the pass, so a contraction whose bits depend on its row count (a BLAS
+    # product of one row is rounded otherwise than of many) would show here;
+    # the skewed profile's complex band data make every product count
+    times = (0.1, 0.25, 0.5)
+    x = np.array([s * _edges(disp, t)[edges][1] for t in times for s in (1.0, -1.0)])
+    for t, field in zip(times, evaluate(params, skew, MU, x, times)):
+        np.testing.assert_array_equal(field, evaluate(params, skew, MU, x, t))
 
 
 def test_acoustic_windowed_error_vs_quadrature(gaussian):
