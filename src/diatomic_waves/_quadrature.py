@@ -25,9 +25,10 @@ residuals above rounding of its span (a travelling frame
 nodes, which applies the residuals to first order; a ``linspace`` grid
 does not, and its transforms are half as wide.  Any other grid is
 contracted directly, and checked on a 33-point probe subset before the
-final contraction.  The same Bluestein set-up serves the sublattice sums
-in :mod:`diatomic_waves.initial_data`, whose sites are uniform; there the
-16 columns are separate outputs, each transformed on its own.
+final contraction.  :func:`_site_sums` computes the sublattice sums of
+:mod:`diatomic_waves.initial_data` with the same Bluestein set-up: the
+sites are the uniform summed grid, and each of the 16 columns of
+panel-strided momenta is an output grid of its own, transformed on its own.
 
 A kernel may return groups of columns, ``(n, g, m)``: the fields of one
 band at ``g`` times, say, which share their nodes and differ only in a
@@ -86,7 +87,7 @@ _TWO_PI_LO = 3.968374318722162e-09
 _UNIFORM_ULPS = 8.0
 
 #: Largest ``max|p| * max|r|`` for an output grid's residuals ``r`` from a
-#: progression: :func:`_exp_sum` applies the phase ``p r`` to first order, so
+#: progression: :func:`_contract` applies the phase ``p r`` to first order, so
 #: its neglected second-order term stays below ``5e-17`` of each term.
 _RESIDUAL_PHASE = 1e-8
 
@@ -163,7 +164,7 @@ def _progression(a: np.ndarray) -> tuple[np.ndarray, float] | None:
 def _residual(r: np.ndarray, span: float) -> np.ndarray | None:
     """``r``, a grid's residuals from its progression, or None where
     ``max|r| <= _UNIFORM_ULPS * eps * span``: below rounding of the span,
-    so :func:`_exp_sum` need not apply them (see :func:`_contract`)."""
+    so :func:`_contract` and :func:`_site_sums` need not apply them."""
     return r if _abs_max(r) > _UNIFORM_ULPS * np.finfo(float).eps * span else None
 
 
@@ -275,31 +276,6 @@ def _bluestein(n: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np
     return pre, _chirp(half, np.arange(m, dtype=float)), _chirp(-half, lags)
 
 
-def _chirp_z(n: int, m: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Chirp-z transform ``f(h)[i] = sum_j h[j] exp(i alpha j i)`` for ``i < m``.
-
-    ``h`` has shape ``(n, k)``; the result has shape ``(m, k)``.  The
-    convolution of :func:`_bluestein` is done for all ``k`` columns by one
-    FFT pair in ``O(k (n + m) log(n + m))``; the chirp's transform is
-    computed once here.
-    """
-    pre, post, chirp = _bluestein(n, m, alpha)
-    pre, post, size = _cis(pre), _cis(post), chirp.size
-    chirp_hat = np.fft.fft(_cis(chirp))
-
-    def apply(h: np.ndarray) -> np.ndarray:
-        # numpy.fft runs fastest along a contiguous last axis: transform h.T,
-        # zero-padded to ``size``, in place
-        spectrum = np.zeros((h.shape[1], size), dtype=complex)
-        np.multiply(h.T, pre, out=spectrum[:, :n])
-        np.fft.fft(spectrum, out=spectrum)
-        spectrum *= chirp_hat
-        np.fft.ifft(spectrum, out=spectrum)
-        return (post * spectrum[:, :m]).T
-
-    return apply
-
-
 def _column_groups(n: int, m: int, rows: int) -> list[slice]:
     """The 16 columns in order, in slices whose block of ``rows`` transforms
     per column, each of the padded length of :func:`_bluestein`, stays within
@@ -308,42 +284,56 @@ def _column_groups(n: int, m: int, rows: int) -> list[slice]:
     return [slice(c, c + per) for c in range(0, _ORDER, per)]
 
 
-def _exp_sum(
-    transform: Callable[[np.ndarray], np.ndarray],
-    g: np.ndarray,
-    q: np.ndarray,
-    q0: np.ndarray | float,
-    x0: np.ndarray | float,
-    steps: np.ndarray,
-    resid: np.ndarray | None,
-) -> np.ndarray:
-    """``out[i, c] = sum_j g[j, c] exp(i q[j, c] x[i, c])`` on near-uniform
-    grids, for ``C`` columns in one ``(n, C w)`` transform, or ``(n, 2 C w)``
-    with a residual.
+def _site_sums(w: np.ndarray, q: np.ndarray, dq: float, y: np.ndarray) -> np.ndarray | None:
+    """``out[i] = sum_j w[j] exp(i q[j] y[i])`` for real ``w`` at uniform
+    ``q[j] = q[0] + j dq`` (a sublattice's sites), if ``y`` is panel-strided
+    (:func:`_panel_columns`), else None.
 
-    Column ``c`` has ``q[j, c] = q0[c] + j dq`` up to a few ulps and
-    ``x[i, c] = x0[c] + steps[i] + resid[i, c]`` with ``steps[i] = i dx`` and
-    a tiny residual, and ``transform`` is ``_chirp_z(n, m, dq * dx)``.
-    ``q[j, c] x0[c]`` is applied per term, so the transform sees only
-    ``q[j, c] (x[i, c] - x0[c])``.  The residual is applied to first order,
-    by transforming the copy ``q g e^{i q x0}`` next to ``g e^{i q x0}``;
-    a ``resid`` of None (see :func:`_residual`) drops it, and the copy is
-    neither built nor transformed.  ``g`` has shape ``(n, C, w)``, ``q``
-    ``(n, C)``, ``resid`` ``(m,)`` or ``(m, C)`` and the result
-    ``(m, C, w)``; ``q0``, ``x0`` and a ``C`` of 1 broadcast.
+    Column ``c`` of ``y.reshape(-1, 16)`` is ``y0[c] + i dy`` up to residuals
+    ``r``, so with ``h_c[j] = w[j] e^{i q[j] y0[c]}`` its sums are
+    ``e^{i q[0] i dy} sum_j h_c[j] e^{i dq dy j i}``: a chirp-z transform
+    (:func:`_bluestein`) of ``h_c``, which sees only phases of the size of
+    ``dq dy (n + m)``.  The 16 columns are separate outputs, each transformed
+    on its own, in the groups of :func:`_column_groups`; a group's terms are
+    formed in its zero-padded block, which is transformed and multiplied in
+    place.  Residuals past rounding of the columns' span (:func:`_residual`)
+    are applied to first order, by transforming the copy ``q h_c`` next to
+    ``h_c``.  Grouping changes no bit.
     """
-    phase = _cis(q * x0)[..., None]
-    n, cols, w = np.broadcast_shapes(g.shape, phase.shape)
-    width = w if resid is None else 2 * w
-    h = np.empty((n, cols, width), dtype=complex)  # [g e^{i q x0}, with resid that times q]
-    np.multiply(g, phase, out=h[..., :w])
-    if resid is not None:
-        np.multiply(h[..., :w], q[..., None], out=h[..., w:])
-    del phase  # free before the transform's padded block, which sets the peak
-    s = transform(h.reshape(n, -1)).reshape(-1, cols, width)
-    if resid is not None:
-        s = s[..., :w] + 1j * resid.reshape(steps.size, -1, 1) * s[..., w:]
-    return _cis(steps[:, None] * q0)[..., None] * s
+    columns = _panel_columns(y)
+    if columns is None:
+        return None
+    y0, dy = columns
+    n, m = q.size, y.size // _ORDER
+    steps = np.arange(m) * dy
+    resid = _residual((y.reshape(m, _ORDER) - y0) - steps[:, None], (m - 1) * abs(dy))
+    width = 1 if resid is None else 2
+    pre, post, chirp = map(_cis, _bluestein(n, m, dq * dy))
+    size = chirp.size
+    np.fft.fft(chirp, out=chirp)  # its spectrum, in place
+    shift = _cis(steps * q[0])
+    del steps
+    groups = _column_groups(n, m, 2)
+    # per column of a group: row 0 its terms and, with a residual, row 1 those
+    # times q, padded to ``size``; numpy.fft runs fastest along the last axis
+    block = np.empty((min(groups[0].stop, _ORDER), width, size), dtype=complex)
+    out = np.empty((m, _ORDER), dtype=complex)
+    for cs in groups:
+        cols = block[: y0[cs].size]
+        terms = cols[:, :, :n]
+        np.multiply(w, _cis(y0[cs, None] * q), out=terms[:, 0])
+        if resid is not None:
+            np.multiply(terms[:, 0], q, out=terms[:, 1])
+        terms *= pre
+        cols[:, :, n:] = 0.0
+        rows = cols.reshape(-1, size)
+        np.fft.fft(rows, out=rows)
+        rows *= chirp
+        np.fft.ifft(rows, out=rows)
+        s = np.multiply(post, cols[:, :, :m], out=cols[:, :, :m])
+        s = s[:, 0] if resid is None else s[:, 0] + 1j * resid[:, cs].T * s[:, 1]
+        out[:, cs] = np.multiply(shift, s, out=s).T
+    return out.ravel()
 
 
 def _contract_direct(
@@ -467,6 +457,12 @@ def _check_numerics(
         raise ConfigError(f"nodes_per_cycle must be > 0 and finite, got {nodes_per_cycle!r}")
     if not (isinstance(max_doublings, (int, np.integer)) and max_doublings >= 1):
         raise ConfigError(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
+
+
+def _check_mu(mu: float) -> None:
+    """Raise ``ConfigError`` unless the perturbation scale ``mu`` is finite and ``> 0``."""
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
 
 
 def _check_time(t: float) -> None:

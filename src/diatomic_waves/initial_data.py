@@ -37,7 +37,7 @@ import numpy as np
 
 # synthesize_field is no longer called here; the binding stays because
 # perfbench/test_perfbench.py checks that its tracer patches it in this module.
-from ._quadrature import _abs_max, _chirp_z, _column_groups, _exp_sum, _panel_columns, _residual
+from ._quadrature import _abs_max, _site_sums
 from ._quadrature import synthesize_field  # noqa: F401
 from .errors import ChainSizeError, ConfigError
 
@@ -305,12 +305,10 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
     Vectorized over ``p`` of any shape; always returns a complex array of
     shape ``p.shape`` (exactly real for even profiles, where the folded
     cosine form is used).  ``p`` is summed in flattened order; the sites
-    are uniform, so panel-strided ``p`` (quadrature nodes) is summed by
-    chirp-z transforms of its 16 local-node columns side by side once
-    ``p.size`` times the number of summed sites reaches ``_CHIRP_MIN_TERMS``
-    (with the residuals of the columns from their progressions only where
-    they pass rounding of the columns' span, see ``_quadrature._residual``),
-    any other ``p`` by a blocked direct sum.  That sum reduces each row on
+    are uniform, so once ``p.size`` times the number of summed sites reaches
+    ``_CHIRP_MIN_TERMS``, panel-strided ``p`` (quadrature nodes) is summed by
+    ``_quadrature._site_sums``, one chirp-z transform per local-node column,
+    and any other ``p`` by a blocked direct sum.  That sum reduces each row on
     its own (``einsum``, not a BLAS product, whose blocking depends on the
     row count), so each of its values is the one a call at that ``p`` alone
     gives, to the bit.
@@ -322,22 +320,10 @@ def semi_discrete_ft(profile: InitialProfile, delta: float, p, component: int) -
         w0 = float(vals[np.abs(xi) < 0.5 * delta].sum())  # site at xi = 0, if present
         pos = xi > 0.0
         xi, vals = xi[pos], 2.0 * vals[pos]
-    columns = _panel_columns(p_arr) if p_arr.size * xi.size >= _CHIRP_MIN_TERMS else None
-    if columns is not None:
-        # Roles swapped: the sites are the summed grid and each local-node
-        # column of p an output grid; exp(-i p xi) = exp(i (-xi) p).
-        p0, dp = columns
-        p_cols = p_arr.reshape(-1, p0.size)
-        m = p_cols.shape[0]
-        steps = np.arange(m) * dp
-        transform = _chirp_z(xi.size, m, -2.0 * delta * dp)
-        resid = _residual((p_cols - p0) - steps[:, None], (m - 1) * abs(dp))
-        g, q = vals[:, None, None], -xi[:, None]
-        out = np.empty((m, p0.size), dtype=complex)
-        for cs in _column_groups(xi.size, m, 2):
-            r = None if resid is None else resid[:, cs]
-            out[:, cs] = _exp_sum(transform, g, q, q[0], p0[cs], steps, r)[..., 0]
-        out = out.ravel()
+    out = None
+    if p_arr.size * xi.size >= _CHIRP_MIN_TERMS:  # exp(-i p xi) = exp(i (-xi) p)
+        out = _site_sums(vals, -xi, -2.0 * delta, p_arr)
+    if out is not None:
         if profile.is_even:
             out = (out.real + w0).astype(complex)
     else:

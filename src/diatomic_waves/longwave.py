@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import _check_numerics, _check_time, legendre_bessel_field, synthesize_field
+from ._quadrature import _check_mu, _check_numerics, _check_time
+from ._quadrature import legendre_bessel_field, synthesize_field
 from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
 from .dispersion import Dispersion, LatticeParams
@@ -79,8 +80,7 @@ def classify_regime(params: LatticeParams, mu: float) -> LongwaveRegime:
     breaks down (``strong_dispersion``) and callers should use the
     full-band or short-wave evaluators instead.
     """
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_mu(mu)
     with np.errstate(over="ignore", divide="ignore"):  # mu**3 past the float range
         ratio = float(np.float64(params.h) ** 2 / np.float64(mu) ** 3)
     if ratio < REGIME_BAND[0]:
@@ -139,8 +139,7 @@ def uas_integral(
     :meth:`TableProfile.hat_radius`).  Both displacement components equal
     this amplitude up to ``O(delta^2)``.
     """
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_mu(mu)
     _check_time(t)
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)  # far frames skip synthesize_field
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -211,8 +210,7 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     ``lam^2`` underflows the form is at its ``lam -> 0`` limit to rounding,
     the d'Alembert half-sum ``(e^{-a_+^2/2} + e^{-a_-^2/2}) / 2``.
     """
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_mu(mu)
     _check_airy_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
@@ -257,8 +255,7 @@ def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, 
     the plain wave equation, hence accurate to ``O(t h^2/mu^3)`` in the
     ``wave_equation`` regime.
     """
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_mu(mu)
     if not np.isfinite(t):
         raise ConfigError(f"t must be finite, got {t!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -296,8 +293,7 @@ def residual_pde_check(
     """
     if equation not in ("wave", "dispersive6"):
         raise ConfigError(f"equation must be 'wave' or 'dispersive6', got {equation!r}")
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_mu(mu)
     x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed

@@ -51,6 +51,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._quadrature import _check_mu
 from .airy import _envelope_root, airy_ai_pair
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import ConfigError, NumericalError, RegimeError
@@ -89,8 +90,7 @@ _GL_PSI_NODES, _GL_PSI_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _require_unit_delta(params: LatticeParams, mu: float) -> None:
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigError(f"mu must be positive and finite, got {mu!r}")
+    _check_mu(mu)
     if abs(params.h - mu) > 1e-9 * mu:
         raise RegimeError(
             f"short-wave evaluators require delta = h/mu = 1, got "
@@ -579,8 +579,9 @@ def _uniform(
     _require_positive_time(times)
     x_arr = np.asarray(x, dtype=float).ravel()
     records = _uniform_records(Dispersion(params), profile, mu, x_arr, times, branches)
-    shape = (times.size, x_arr.size, 2)
-    return x_arr, times, _airy_sum(times.size * x_arr.size, records).reshape(shape)
+    fields = _airy_sum(times.size * x_arr.size, records).reshape(times.size, x_arr.size, 2)
+    fields[:, np.isnan(x_arr)] = np.nan  # a NaN point is in no piece; NaN, as in the front forms
+    return x_arr, times, fields
 
 
 def acoustic_uniform(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
@@ -22,11 +23,13 @@ from diatomic_waves import (
     WaveField,
     acoustic_front_airy,
     acoustic_uniform,
+    classify_regime,
     compare_fields,
     integrate_lattice,
     optical_front_airy,
     optical_uniform,
     read_fields_csv,
+    residual_pde_check,
     shortwave_total,
     solve_quadrature,
     uas_dalembert,
@@ -502,6 +505,49 @@ def test_exact_oracle_tiny_time_returns_samples(gamma1, ratio, delta, t):
     profile = GaussianProfile()
     (state,), _ = integrate_lattice(params, profile, mu, [t])
     assert_allclose(state.displacement, profile.value(state.xi), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scale mu
+# ---------------------------------------------------------------------------
+
+_MU_ENTRY_POINTS = {
+    "classify_regime": lambda params, profile, mu: classify_regime(params, mu),
+    "uas_integral": lambda params, profile, mu: uas_integral(params, profile, mu, [0.1], 0.5),
+    "uas_gaussian_airy": lambda params, profile, mu: uas_gaussian_airy(params, mu, [0.1], 0.5),
+    "uas_dalembert": lambda params, profile, mu: uas_dalembert(params, profile, mu, [0.1], 0.5),
+    "residual_pde_check": lambda params, profile, mu: residual_pde_check(
+        lambda x, t: np.zeros_like(x), params, mu, np.linspace(-1.0, 1.0, 41), 0.5
+    ),
+    "integrate_lattice": lambda params, profile, mu: integrate_lattice(params, profile, mu, [0.5]),
+    "solve_quadrature": lambda params, profile, mu: solve_quadrature(
+        params, profile, mu, [0.1], 0.5
+    ),
+    "acoustic_front_airy": lambda params, profile, mu: acoustic_front_airy(
+        params, profile, mu, [0.1], 0.5
+    ),
+    "optical_front_airy": lambda params, profile, mu: optical_front_airy(
+        params, profile, mu, [0.1], 0.5
+    ),
+    "acoustic_uniform": lambda params, profile, mu: acoustic_uniform(
+        params, profile, mu, [0.1], 0.5
+    ),
+    "optical_uniform": lambda params, profile, mu: optical_uniform(
+        params, profile, mu, [0.1], 0.5
+    ),
+    "shortwave_total": lambda params, profile, mu: shortwave_total(params, profile, mu, [0.1], 0.5),
+}
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(_MU_ENTRY_POINTS))
+def test_entry_points_refuse_a_bad_mu(desk, gaussian, name, mu):
+    """Every entry point that takes ``mu`` refuses a zero, negative or
+    non-finite one with the same message (the short-wave evaluators through
+    their delta = 1 check)."""
+    message = re.escape(f"mu must be positive and finite, got {mu!r}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        _MU_ENTRY_POINTS[name](desk(0.01), gaussian, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -354,16 +354,24 @@ def test_progression_checks_every_row(monkeypatch):
 
 
 def _spy_chirp(monkeypatch) -> list:
-    """Record the panel count of every chirp-z transform semi_discrete_ft builds."""
+    """Record the panel count of every chirp-z site sum semi_discrete_ft computes."""
     calls = []
-    chirp_z = initial_data._chirp_z
+    site_sums = initial_data._site_sums
 
-    def spy(n, m, step):
-        calls.append(m)
-        return chirp_z(n, m, step)
+    def spy(w, q, dq, y):
+        out = site_sums(w, q, dq, y)
+        if out is not None:
+            calls.append(y.size // quad._ORDER)
+        return out
 
-    monkeypatch.setattr(initial_data, "_chirp_z", spy)
+    monkeypatch.setattr(initial_data, "_site_sums", spy)
     return calls
+
+
+def _skew_table() -> TableProfile:
+    """An asymmetric tabulated profile: a unit Gaussian centred at 0.7 on 701 knots."""
+    xi = np.linspace(-6.0, 8.0, 701)
+    return TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
 
 
 def _summed_sites(profile, delta: float, component: int) -> int:
@@ -371,9 +379,23 @@ def _summed_sites(profile, delta: float, component: int) -> int:
     return int(np.count_nonzero(initial_data._sublattice_sites(profile, delta, component) > 0))
 
 
-@pytest.mark.parametrize("delta", [0.005, 0.1, 1.0])
+#: Bands of 400 panels whose columns sit off their progressions by more than
+#: rounding of their span, so the site sums apply the residuals; about
+#: ``pi / delta`` the sums repeat their peak at ``p = 0``, where a dropped
+#: first-order term would exceed the bound below.
+_RESIDUAL_BANDS = {
+    0.005: [(100.0, 101.0), (np.pi / 0.005 - 0.5, np.pi / 0.005 + 0.5)],
+    0.05: [(20.0, 20.5)],
+}
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.05, 0.1, 1.0])
 @pytest.mark.parametrize("component", [1, 2])
 def test_strided_semi_discrete_ft_matches_blocked_sum(delta, component, monkeypatch):
+    """The chirp-z site sums agree with the blocked sum on the band and the
+    half-band, and on the bands of ``_RESIDUAL_BANDS``, for the Gaussian and
+    a skew table; there each column and its copy weighted by the sites is
+    inverse-transformed, 2 x 16 rows."""
     gaussian = GaussianProfile()
     edge = np.pi / (2.0 * delta)
     chirps = _spy_chirp(monkeypatch)
@@ -392,6 +414,19 @@ def test_strided_semi_discrete_ft_matches_blocked_sum(delta, component, monkeypa
         assert np.max(np.abs(fast - blocked)) <= 1e-12 * scale
         assert np.all(fast.imag == 0.0)
         assert np.all(blocked.imag == 0.0)
+    rows = _spy_transforms(monkeypatch)["ifft"]
+    for a, b in _RESIDUAL_BANDS.get(delta, []):
+        p, _ = quad.panel_nodes(a, b, 400)
+        for profile in (gaussian, _skew_table()):
+            chirps.clear()
+            rows.clear()
+            fast = semi_discrete_ft(profile, delta, p, component)
+            assert chirps == [400]
+            assert [shape[0] for shape in rows] == [2 * quad._ORDER]
+            blocked = semi_discrete_ft(profile, delta, np.append(p, 0.0), component)[:-1]
+            sites = initial_data._sublattice_sites(profile, delta, component)
+            scale = np.sum(np.abs(profile.value(sites)))
+            assert np.max(np.abs(fast - blocked)) <= 2e-14 * scale
 
 
 @pytest.mark.parametrize("n_panels", [1, 2, 31, "below", "above"])
@@ -421,7 +456,7 @@ def test_few_panels_take_the_blocked_sum(n_panels, delta, monkeypatch):
 
 def test_strided_semi_discrete_ft_of_asymmetric_profile(monkeypatch):
     xi = np.linspace(-6.0, 8.0, 701)
-    skew = TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
+    skew = _skew_table()
     chirps = _spy_chirp(monkeypatch)
     p, _ = quad.panel_nodes(-np.pi, np.pi, 256)  # 4096 nodes x 19-20 sites
     for component in (1, 2):
@@ -431,6 +466,15 @@ def test_strided_semi_discrete_ft_of_asymmetric_profile(monkeypatch):
         blocked = semi_discrete_ft(skew, 0.5, np.append(p, 0.0), component)[:-1]
         assert np.max(np.abs(fast - blocked)) <= 1e-12 * np.sum(np.abs(skew.value(xi)))
         assert np.max(np.abs(fast.imag)) > 1e-3
+
+
+def test_site_sum_memory_stays_near_its_output():
+    """The skew table's site sums at delta = 0.005 on 2^15 panels (an 8 MB
+    output) peak below 16 MB: one column group's block at a time is formed,
+    transformed and multiplied in place, in one reused buffer."""
+    skew = _skew_table()
+    p, _ = quad.panel_nodes(-np.pi / 0.01, np.pi / 0.01, 1 << 15)
+    assert _traced_peak_mb(lambda: semi_discrete_ft(skew, 0.005, p, 1)) < 16.0
 
 
 def test_uniform_grid_is_verified_on_every_point(monkeypatch):

@@ -778,6 +778,24 @@ def test_one_time_as_float_or_sequence_gives_the_same_bits(params, gaussian, nam
     )
 
 
+@pytest.mark.parametrize("times", [T, [0.3, T, 0.7]])
+@pytest.mark.parametrize("name", sorted(_UNIFORM_EVALUATORS))
+def test_uniform_evaluators_give_nan_at_a_nan_point(params, gaussian, name, times):
+    """A NaN point lies in none of the pieces of the uniform forms; it reads NaN
+    at every time, as in the front forms they hand over to, and every other
+    point keeps the bits of a call without it."""
+    evaluate = _UNIFORM_EVALUATORS[name]
+    x = np.array([0.1, np.nan, 0.3])
+    fields, alone = (evaluate(params, gaussian, MU, grid, times) for grid in (x, x[[0, 2]]))
+    if np.ndim(times) == 0:
+        fields, alone = [fields], [alone]
+    assert len(fields) == np.size(times)
+    for field, clean in zip(fields, alone):
+        values = _as_array(field)
+        assert np.all(np.isnan(values[1]))
+        np.testing.assert_array_equal(values[[0, 2]], _as_array(clean))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_one_pass_equals_one_call_per_time(params, disp, skew, data):
