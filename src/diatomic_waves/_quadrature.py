@@ -168,20 +168,30 @@ def _residual(r: np.ndarray, span: float) -> np.ndarray | None:
     return r if _abs_max(r) > _UNIFORM_ULPS * np.finfo(float).eps * span else None
 
 
-def _output_grid(x: np.ndarray, p_max: float) -> tuple[float, float] | None:
-    """``(x0, dx)`` if the 1-D grid ``x`` is ``x0 + i dx`` up to residuals ``r``
-    with ``p_max * max|r| <= _RESIDUAL_PHASE``, else None.
+def _output_grid(
+    x: np.ndarray, p_max: float
+) -> tuple[float, float, np.ndarray, np.ndarray | None] | None:
+    """``(x0, dx, steps, r)`` if the 1-D grid ``x`` is ``x0 + steps``,
+    ``steps = i dx``, up to residuals with ``p_max * max|r| <= _RESIDUAL_PHASE``,
+    else None; ``r`` is None where :func:`_residual` drops them.
 
     The test is on the phase the residuals carry, not on ulps of ``max|x|``:
     a grid formed as ``(c t - x) / mu`` sits hundreds of ulps off a
-    progression, which the first-order correction still makes exact.
+    progression, which the first-order correction still makes exact.  The
+    test holds for every ``p_max`` below the one it passed, so
+    :func:`synthesize_field` makes it once, at the band's ``max(|a|, |b|)``,
+    and hands the result to each contraction of its ladder.
     """
     n = x.size
     if n == 0:
         return None
     step = float(x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
     dev = float(np.max(np.abs(x - (x[0] + step * np.arange(n)))))
-    return (float(x[0]), step) if p_max * dev <= _RESIDUAL_PHASE else None
+    if not p_max * dev <= _RESIDUAL_PHASE:  # also refuses nan
+        return None
+    x0 = float(x[0])
+    steps = np.arange(n) * step
+    return x0, step, steps, _residual((x - x0) - steps, abs(float(x[-1]) - x0))
 
 
 def _panel_columns(p: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -350,11 +360,12 @@ def _contract_direct(
 
 
 def _contract(
-    g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool
+    g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool, grid: tuple | None = None
 ) -> np.ndarray:
     """As :func:`_contract_direct`, by one chirp-z transform of the sum of all
     16 local-node columns when ``x`` is uniform (see :func:`_output_grid`)
-    and ``p`` panel-strided.
+    and ``p`` panel-strided.  ``grid`` is ``_output_grid(x, p_max)`` for some
+    ``p_max >= max|p|``, if the caller has it; without it ``x`` is tested here.
 
     Column ``c`` has nodes ``p0[c] + j dp`` and the grid is ``x0 + i dx``,
     so with ``alpha = dp dx`` and ``theta_c = dx (p0[c] - p0[0])``, in
@@ -385,15 +396,14 @@ def _contract(
     """
     if even_fold:
         g = g.real  # the weight 2 cos(p x) is real: the fold integrates Re kernel
-    grid = _output_grid(x, _abs_max(p))
+    if grid is None:
+        grid = _output_grid(x, _abs_max(p))
     columns = _panel_columns(p) if grid is not None else None
     if columns is None:
         return _contract_direct(g, p, x, even_fold)
-    x0, dx = grid
+    x0, dx, steps, resid = grid
     p0, dp = columns
     n, m, k = p.size // _ORDER, x.size, g.shape[1]
-    steps = np.arange(m) * dx
-    resid = _residual((x - x0) - steps, abs(float(x[-1]) - x0))
     width = k if resid is None else 2 * k
     pre, post, chirp = _bluestein(n, m, dp * dx)
     size = chirp.size
@@ -471,6 +481,18 @@ def _check_time(t: float) -> None:
         raise ConfigError(f"t must be finite and non-negative, got {t!r}")
 
 
+def _check_times(t) -> np.ndarray:
+    """``t``, one time or a 1-D sequence of them, as a 1-D array; ``ConfigError``
+    if it is empty or has more dimensions, or a time fails :func:`_check_time`."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ConfigError(f"t must be one time or a 1-D sequence of times, got {t!r}")
+    times = times.ravel()
+    for value in times.tolist():
+        _check_time(value)
+    return times
+
+
 def synthesize_field(
     kernel: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -529,7 +551,8 @@ def synthesize_field(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         return np.zeros(0, dtype=complex)
-    if _output_grid(x, max(abs(a), abs(b))) is not None:
+    grid = _output_grid(x, max(abs(a), abs(b)))
+    if grid is not None:
         x_check = x
     else:
         n_probe = min(x.size, 33)
@@ -565,12 +588,12 @@ def synthesize_field(
     panels = oscillation_panels(rate, a, b, nodes_per_cycle)
     require_level(2 * panels)  # every return follows at least one doubling
     p, g = weighted(panels)
-    f1 = _contract(g, p, x_check, even_fold)
+    f1 = _contract(g, p, x_check, even_fold, grid)
     for _ in range(max_doublings):
         del p, g  # the next level compares with this one's contraction only
         panels2 = 2 * panels
         p, g = weighted(panels2)
-        f2 = _contract(g, p, x_check, even_fold)
+        f2 = _contract(g, p, x_check, even_fold, grid)
         err, scale, target = change(f1, f2)
         if err <= target:
             full = f2 if x_check is x else _contract(g, p, x, even_fold)

@@ -193,16 +193,18 @@ class Method(NamedTuple):
 
 #: Every method the CLI runs, by canonical name.  The evaluators name the
 #: library functions in their bodies, so a rebinding of those module names
-#: (as perfbench's tracer does) is seen.  The band quadratures and the
-#: short-wave uniform forms take every time in one call; the long-wave and
-#: front forms run once per time.
+#: (as perfbench's tracer does) is seen.  The band quadratures
+#: (``quadrature_*``), ``uas_integral`` and the short-wave uniform forms
+#: (``acoustic_uniform``, ``optical_uniform``, ``shortwave_total``) take every
+#: time in one call; ``gaussian_airy``, ``dalembert`` and the front forms run
+#: once per time.
 METHODS: dict[str, Method] = {
     "ode": Method(_chain, None),
     "quadrature_full": Method(_band, _quadrature("full")),
     "quadrature_acoustic": Method(_band, _quadrature("acoustic"), ("quadrature_ac",)),
     "quadrature_optical": Method(_band, _quadrature("optical"), ("quadrature_opt",)),
     "uas_integral": Method(
-        _uas_integral, _each_time(lambda c, x, t: uas_integral(*c.problem, x, t, **c.band))
+        _uas_integral, lambda c, x, times: uas_integral(*c.problem, x, times, **c.band)
     ),
     "gaussian_airy": Method(
         _gaussian,

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import _check_mu, _check_numerics, _check_time
+from ._quadrature import _check_mu, _check_numerics, _check_times
 from ._quadrature import legendre_bessel_field, synthesize_field
 from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
@@ -101,7 +101,7 @@ def uas_integral(
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
+    t,
     *,
     rtol: float = 1e-8,
     atol: float = 1e-13,
@@ -133,56 +133,88 @@ def uas_integral(
     * when both frames are of that kind and the profile is even, one
       folded call on ``x/mu`` at the larger rate serves both.
 
+    ``t`` is one time, which gives one array (a float for a scalar ``x``),
+    or a 1-D sequence of times, which gives a list in its order.  Each time
+    tries its own two frames.  The times whose frames both fold share one
+    folded call: its panel ladder is sized by the largest of them, each
+    level evaluates ``What`` once and then one phase column per time, and
+    convergence is judged per time.  A folded time below the largest thus
+    sits on at least as many nodes as its own call would, and differs from
+    it at rounding level; the largest time, and one time alone, keep the
+    bits of their own call.  The other times take their frames one time at
+    a time.  The price is memory, O(T n) for ``n`` final nodes of the
+    folded call.
+
     The tail is truncated at ``profile.hat_radius()``.  For a table that
     radius comes from a windowed scan, and whatever of ``What`` lies past
     it is dropped (the spline's alias peaks near ``2 pi k / step``; see
     :meth:`TableProfile.hat_radius`).  Both displacement components equal
     this amplitude up to ``O(delta^2)``.
+
+    Raises ``ConfigError`` for an empty or 2-D ``t``, a negative or
+    non-finite time or ``mu``, or out-of-range numerics.
     """
     _check_mu(mu)
-    _check_time(t)
+    times = _check_times(t)
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)  # far frames skip synthesize_field
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
     cut = profile.hat_radius()
-    transport = t * c / mu
-    with np.errstate(over="ignore"):  # mu**3 past the float range: no cubic phase
-        cubic = float(t * q * params.h**2 / (3.0 * np.float64(mu) ** 3))
-    spread = 3.0 * cubic * cut**2
     kw = dict(rtol=rtol, atol=atol, nodes_per_cycle=nodes_per_cycle, max_doublings=max_doublings)
 
-    def kern(sign: float, drift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """``What(sign p) e^{i (drift p - cubic p^3)} / sqrt(2 pi)``."""
+    def kern(sign: float, cubic: float) -> Callable[[np.ndarray], np.ndarray]:
+        """``What(sign p) e^{-i cubic p^3} / sqrt(2 pi)``."""
         return lambda p: _INV_SQRT_2PI * profile.fourier_hat(sign * p) * np.exp(
-            1j * (drift * p - cubic * p**3)
+            -1j * (cubic * p**3)
         )
 
-    # (ct +- x)/mu formed as one quotient: ct/mu +- x/mu would round terms of
-    # size ct/mu and move the front by ~eps ct/mu.
-    offsets = {sign: (c * t + sign * x_arr) / mu for sign in (1.0, -1.0)}
-    frames = {
-        sign: legendre_bessel_field(kern(sign, 0.0), 0.0, cut, y, rtol=rtol, atol=atol)
-        for sign, y in offsets.items()
-    }
-    if profile.is_even and frames[1.0] is None and frames[-1.0] is None:
-        # What is real and even, so the - half-line folds onto the + one
-        # with a 2 cos(p x / mu) weight, at the larger of the two rates.
-        rate = float(np.max(np.abs(x_arr), initial=0.0)) / mu + transport + spread
-        out = synthesize_field(
-            kern(1.0, transport), 0.0, cut, x_arr / mu, rate, even_fold=True, **kw
-        ).real
-    else:
+    outs: list[np.ndarray | None] = []
+    folded = []  # (index, transport, cubic, rate) of each time both of whose frames fold
+    for time in times.tolist():
+        transport = time * c / mu
+        with np.errstate(over="ignore"):  # mu**3 past the float range: no cubic phase
+            cubic = float(time * q * params.h**2 / (3.0 * np.float64(mu) ** 3))
+        spread = 3.0 * cubic * cut**2
+        # (ct +- x)/mu formed as one quotient: ct/mu +- x/mu would round terms
+        # of size ct/mu and move the front by ~eps ct/mu.
+        offsets = {sign: (c * time + sign * x_arr) / mu for sign in (1.0, -1.0)}
+        frames = {
+            sign: legendre_bessel_field(kern(sign, cubic), 0.0, cut, y, rtol=rtol, atol=atol)
+            for sign, y in offsets.items()
+        }
+        if profile.is_even and frames[1.0] is None and frames[-1.0] is None:
+            rate = float(np.max(np.abs(x_arr), initial=0.0)) / mu + transport + spread
+            folded.append((len(outs), transport, cubic, rate))
+            outs.append(None)
+            continue
         out = np.zeros(x_arr.size)
         for sign, field in frames.items():
             if field is None:
                 rate = float(np.max(np.abs(offsets[sign]), initial=0.0)) + spread
-                field = synthesize_field(kern(sign, 0.0), 0.0, cut, offsets[sign], rate, **kw)
+                field = synthesize_field(kern(sign, cubic), 0.0, cut, offsets[sign], rate, **kw)
             out += field.real
+        outs.append(out)
+    if folded:
+        # What is real and even, so the - half-line folds onto the + one with a
+        # 2 cos(p x / mu) weight, at the largest time's rate: What once per
+        # level, then one phase column per time.
+        def folded_kern(p: np.ndarray) -> np.ndarray:
+            what = _INV_SQRT_2PI * profile.fourier_hat(p)
+            out = np.empty((p.size, len(folded), 1), dtype=complex)
+            for k, (_, transport, cubic, _) in enumerate(folded):
+                out[:, k, 0] = what * np.exp(1j * (transport * p - cubic * p**3))
+            return out
+
+        rate = max(f[3] for f in folded)
+        field = synthesize_field(folded_kern, 0.0, cut, x_arr / mu, rate, even_fold=True, **kw)
+        field = field.reshape(x_arr.size, len(folded))  # an empty grid comes back 1-D
+        for k, (i, *_) in enumerate(folded):
+            outs[i] = field[:, k].real
     if _scalar_in(x):
-        return float(out[0])
-    return out
+        outs = [float(out[0]) for out in outs]
+    return outs if np.ndim(t) else outs[0]
 
 
 def _check_airy_time(t: float) -> None:

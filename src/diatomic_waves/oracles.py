@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._quadrature import _check_mu, _check_numerics, _check_time, synthesize_field
+from ._quadrature import _check_mu, _check_numerics, _check_times, synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import BoundaryError, ChainSizeError, ConfigError
 from .initial_data import _MAX_SITES, InitialProfile, _band_limits, spectral_vector
@@ -298,18 +298,6 @@ def integrate_lattice(
         )
     drift = float(np.max(np.abs(energies - e0)) / e0)
     return states, EnergyReport(times=times, energy=energies, initial=e0, drift=drift)
-
-
-def _check_times(t) -> np.ndarray:
-    """``t``, one time or a 1-D sequence of them, as a 1-D array; ``ConfigError``
-    if it is empty or has more dimensions, or a time fails :func:`_check_time`."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or times.size == 0:
-        raise ConfigError(f"t must be one time or a 1-D sequence of times, got {t!r}")
-    times = times.ravel()
-    for value in times.tolist():
-        _check_time(value)
-    return times
 
 
 def solve_quadrature(

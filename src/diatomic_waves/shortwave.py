@@ -51,12 +51,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import _check_mu
+from ._quadrature import _check_mu, _check_times
 from .airy import _envelope_root, airy_ai_pair
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import ConfigError, NumericalError, RegimeError
 from .initial_data import InitialProfile, spectral_vector
-from .oracles import WaveField, _check_times
+from .oracles import WaveField
 
 __all__ = [
     "StationaryPoints",
@@ -131,7 +131,7 @@ def _splits(p_c: float, eta: np.ndarray) -> tuple[np.ndarray, Callable]:
     each momentum the value it has alone, however they are evaluated together, so every
     split is the one a call of its own would give.  ``eta`` is floored at ``1e-12``:
     ``F2(0)`` is a difference quotient over ``p_c -+ 1e-6``, with a rounding of about
-    ``eps / 1e-6`` relative.
+    ``eps / 1e-6`` relative.  A nan point gets nan splits, without a warning.
     """
     pos = eta >= 0.0
     z = -eta[~pos]
@@ -141,7 +141,9 @@ def _splits(p_c: float, eta: np.ndarray) -> tuple[np.ndarray, Callable]:
     def splits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vm, vp = v
         out = np.empty((2,) + eta.shape + (2,), dtype=complex)
-        for f, w in zip(out, (0.5 * (vm + vp), (vm - vp) / (2.0 * root[:, None]))):
+        with np.errstate(invalid="ignore"):  # a nan point's root is nan, and so is its F2
+            odd = (vm - vp) / (2.0 * root[:, None])
+        for f, w in zip(out, (0.5 * (vm + vp), odd)):
             f[pos] = w[:n]
             f[~pos] = 3.0 * w[n] - 3.0 * w[n + 1 : n + 1 + m] + w[n + 1 + m :]
         return out[0], out[1]

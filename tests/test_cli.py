@@ -901,6 +901,48 @@ def test_shortwave_uniform_methods_take_every_time_in_one_call(tmp_path, monkeyp
     assert len(list(out_dir.glob("field_*.csv"))) == 9
 
 
+def test_uas_integral_takes_every_time_in_one_call(tmp_path, monkeypatch):
+    """compare makes one uas_integral call for all its times, and the largest
+    time's report lines are those of a one-time library call."""
+    calls = []
+    original = cli.uas_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "uas_integral", counted)
+    times = (0.1, 0.2, 0.3)
+    text = BASE.replace("values = 0.3", "values = 0.1, 0.2, 0.3").replace(
+        "names = gaussian_airy, dalembert", "names = gaussian_airy, uas_integral"
+    )
+    out_dir = tmp_path / "o"
+    path = _write(tmp_path, text)
+    assert cli.main(["compare", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert calls == [times]
+    monkeypatch.undo()
+    report = (out_dir / "compare_report.txt").read_text().splitlines()
+    config = cli.load_config(path)
+    x = np.linspace(config.x_min, config.x_max, config.points)
+    t = times[-1]
+    ref = uas_gaussian_airy(config.params, config.mu, x, t)
+    alone = uas_integral(*config.problem, x, t, **config.band)
+    metrics = diatomic_waves.compare_fields(
+        diatomic_waves.WaveField(x=x, u=ref, v=ref, t=t, method="gaussian_airy"),
+        diatomic_waves.WaveField(x=x, u=alone, v=alone, t=t, method="uas_integral"),
+    )
+    tag = f"uas_integral.t={t:g}"
+    expected = [
+        f"{tag}.l_inf = {metrics.l_inf!r}",
+        f"{tag}.l2 = {metrics.l2!r}",
+        f"{tag}.rel_l_inf = {metrics.rel_l_inf!r}",
+        f"{tag}.ref_peak = {metrics.ref_peak!r}",
+        f"{tag}.n_points = {metrics.n_points}",
+    ]
+    assert [line for line in report if line.startswith(tag + ".")] == expected
+    assert sum(line.startswith("uas_integral.t=") for line in report) == 15
+
+
 def test_simulate_writes_the_bytes_of_write_fields_csv(tmp_path):
     """simulate formats each method's shared x column once; every file it
     writes has the bytes write_fields_csv gives its one field."""

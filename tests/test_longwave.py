@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _reference as ref
@@ -221,6 +224,129 @@ def test_front_zoom_near_frame_takes_the_chirp_path(nacl_params, monkeypatch):
     got = uas_integral(nacl_params, GaussianProfile(), mu, x, t)
     assert not direct
     assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 2e-14
+
+
+# ---------------------------------------------------------------------------
+# the integral over a sequence of times
+# ---------------------------------------------------------------------------
+
+#: The ``longwave_bandsum`` benchmark's lattice, scale and grid: both fronts
+#: inside the grid at every time, so every frame folds.
+BANDSUM_H, BANDSUM_MU = 2.5e-4, 0.05
+BANDSUM_X = np.linspace(-0.7, 0.7, 401)
+
+
+def test_integral_largest_time_keeps_the_bits_of_its_own_call(desk, gaussian):
+    """The folded times share the largest one's ladder, so the largest time's
+    field is its own call's bit for bit; a one-element sequence is the float
+    call, as a list."""
+    params = desk(BANDSUM_H)
+    fields = uas_integral(params, gaussian, BANDSUM_MU, BANDSUM_X, (0.1, 0.25, 0.5))
+    assert isinstance(fields, list) and len(fields) == 3
+    alone = uas_integral(params, gaussian, BANDSUM_MU, BANDSUM_X, 0.5)
+    np.testing.assert_array_equal(fields[-1], alone)
+    (single,) = uas_integral(params, gaussian, BANDSUM_MU, BANDSUM_X, [0.5])
+    np.testing.assert_array_equal(single, alone)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    times=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4),
+    grid=st.sampled_from(["wide", "window"]),
+    table=st.booleans(),
+)
+def test_integral_over_times_matches_one_time_calls(times, grid, table):
+    """Every field of a time sequence (unsorted, repeats allowed) is within
+    ``atol + rtol * scale`` of its own call, with the default ``atol = 1e-13``,
+    ``rtol = 1e-8`` and ``scale`` that call's peak: the target each time's
+    ladder meets on its own, as a folded time is converged on its own scale
+    on at least the nodes its own call takes.  The wide grid folds every
+    time; the window on one front mixes far, near and folded frames; the
+    skew table never folds."""
+    params = LatticeParams(0.82, 1.27, FRAME_H)
+    profile = SKEW if table else GaussianProfile()
+    x = np.linspace(-0.7, 0.7, 81) if grid == "wide" else _frame_grids(2.0)["right"]
+    fields = uas_integral(params, profile, FRAME_MU, x, times)
+    assert isinstance(fields, list) and len(fields) == len(times)
+    for t, field in zip(times, fields):
+        alone = uas_integral(params, profile, FRAME_MU, x, t)
+        assert np.max(np.abs(field - alone)) <= 1e-13 + 1e-8 * np.max(np.abs(alone))
+
+
+def test_integral_mixing_near_and_far_frames_keeps_every_bit(monkeypatch):
+    """On a window on one front, each time takes its own frames (far, near, or
+    a fold for the one time whose frames both miss the far rule), and every
+    field is its own call's bit for bit."""
+    params, x = LatticeParams(0.82, 1.27, FRAME_H), _frame_grids(2.0)["right"]
+    times = (2.0, 0.0, 1.0, 2.5)
+    paths = []
+    far_rule, quadrature = longwave.legendre_bessel_field, longwave.synthesize_field
+
+    def far_spy(*args, **kwargs):
+        out = far_rule(*args, **kwargs)
+        paths.append("far" if out is not None else "-")
+        return out
+
+    def near_spy(*args, **kwargs):
+        paths.append("fold" if kwargs.get("even_fold") else "near")
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(longwave, "legendre_bessel_field", far_spy)
+    monkeypatch.setattr(longwave, "synthesize_field", near_spy)
+    fields = uas_integral(params, GaussianProfile(), FRAME_MU, x, times)
+    monkeypatch.undo()
+    assert {"far", "near", "fold"} <= set(paths)
+    for t, field in zip(times, fields):
+        alone = uas_integral(params, GaussianProfile(), FRAME_MU, x, t)
+        np.testing.assert_array_equal(field, alone)
+
+
+def test_integral_over_times_on_an_empty_or_scalar_grid(desk, gaussian):
+    """An empty grid gives one empty array per time, a scalar ``x`` one float
+    per time, each its own call's value."""
+    params, times = desk(0.02), [0.1, 0.5, 0.3]
+    empty = uas_integral(params, gaussian, 0.2, np.array([]), times)
+    assert len(empty) == 3
+    assert all(isinstance(f, np.ndarray) and f.shape == (0,) for f in empty)
+    scalar = uas_integral(params, gaussian, 0.2, 0.45, times)
+    assert all(isinstance(f, float) for f in scalar)
+    assert scalar[times.index(0.5)] == uas_integral(params, gaussian, 0.2, 0.45, 0.5)
+    for t, value in zip(times, scalar):
+        alone = uas_integral(params, gaussian, 0.2, 0.45, t)
+        assert abs(value - alone) <= 1e-13 + 1e-8 * abs(alone)
+
+
+@pytest.mark.parametrize(
+    "t, says",
+    [
+        ([], "1-D sequence of times"),
+        (np.zeros(0), "1-D sequence of times"),
+        ([[0.1, 0.2]], "1-D sequence of times"),
+        (np.full((1, 1), 0.1), "1-D sequence of times"),
+        (-0.2, "t must be finite and non-negative, got -0.2"),
+        ([0.1, -0.1], "t must be finite and non-negative, got -0.1"),
+        ([np.nan, 0.1], "t must be finite and non-negative, got nan"),
+        ((0.2, np.inf), "t must be finite and non-negative, got inf"),
+    ],
+)
+def test_integral_refuses_bad_times(desk, gaussian, t, says):
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        uas_integral(desk(0.02), gaussian, 0.2, [0.0], t)
+
+
+def test_folded_times_share_one_synthesize_call(monkeypatch, desk, gaussian):
+    """Every time of a sequence folds on the bandsum grid: one synthesize_field
+    call serves them all, with one column per time."""
+    shapes = []
+    quadrature = longwave.synthesize_field
+
+    def spy(kernel, *args, **kwargs):
+        shapes.append(np.shape(kernel(np.linspace(0.0, 1.0, 16))))
+        return quadrature(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(longwave, "synthesize_field", spy)
+    uas_integral(desk(BANDSUM_H), gaussian, BANDSUM_MU, BANDSUM_X, (0.1, 0.25, 0.5))
+    assert shapes == [(16, 3, 1)]
 
 
 # ---------------------------------------------------------------------------

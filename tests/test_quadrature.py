@@ -486,9 +486,9 @@ def test_uniform_grid_is_verified_on_every_point(monkeypatch):
     sizes = []
     contract = quad._contract
 
-    def spy(g, p, x, even_fold):
+    def spy(g, p, x, even_fold, grid=None):
         sizes.append(x.size)
-        return contract(g, p, x, even_fold)
+        return contract(g, p, x, even_fold, grid)
 
     def kernel(p):
         return np.exp(-0.5 * p * p)
@@ -503,6 +503,42 @@ def test_uniform_grid_is_verified_on_every_point(monkeypatch):
     keep = np.arange(x.size) != 50
     assert np.max(np.abs(uniform - exact)) < 1e-12
     assert np.max(np.abs(uniform[keep] - bent[keep])) < 1e-13
+
+
+def test_uniform_grid_is_analysed_once_per_call(monkeypatch):
+    """synthesize_field tests a uniform grid once, at the band's largest
+    momentum, and hands the result to every contraction of its ladder; on a
+    grid it refuses, each contraction tests its own points, as before."""
+    x = np.linspace(-3.0, 3.0, 101)
+    x_bent = x.copy()
+    x_bent[50] += 1e-7
+    grids, contractions = [], []
+    output_grid, contract = quad._output_grid, quad._contract
+
+    def grid_spy(x, p_max):
+        grids.append(x.size)
+        return output_grid(x, p_max)
+
+    def contract_spy(g, p, x, even_fold, grid=None):
+        contractions.append(grid is not None)
+        return contract(g, p, x, even_fold, grid)
+
+    def kernel(p):
+        return np.exp(-0.5 * p * p)
+
+    monkeypatch.setattr(quad, "_output_grid", grid_spy)
+    monkeypatch.setattr(quad, "_contract", contract_spy)
+    uniform = quad.synthesize_field(kernel, 0.0, 9.0, x, 40.0, even_fold=True)
+    assert grids == [101] and len(contractions) >= 2 and all(contractions)
+    grids.clear(), contractions.clear()
+    quad.synthesize_field(kernel, 0.0, 9.0, x_bent, 40.0, even_fold=True)
+    assert grids == [101] + [33] * (len(contractions) - 1) + [101]
+    assert not any(contractions)
+    # each contraction testing its own grid, as before, gives the same bits
+    monkeypatch.setattr(
+        quad, "_contract", lambda g, p, x, even_fold, grid=None: contract(g, p, x, even_fold)
+    )
+    assert np.array_equal(uniform, quad.synthesize_field(kernel, 0.0, 9.0, x, 40.0, even_fold=True))
 
 
 def test_node_count_guard_fails_before_building_the_level():

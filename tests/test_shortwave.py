@@ -796,6 +796,18 @@ def test_uniform_evaluators_give_nan_at_a_nan_point(params, gaussian, name, time
         np.testing.assert_array_equal(values[[0, 2]], _as_array(clean))
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("evaluate", [acoustic_front_airy, optical_front_airy])
+def test_front_forms_give_nan_at_a_nan_point_without_a_warning(params, gaussian, evaluate, side):
+    """A NaN point's split is NaN: its front form reads NaN there, without the
+    "invalid value" warning this suite turns into an error, and every other
+    point keeps the bits of a call without it."""
+    x = np.array([0.1, np.nan, 0.3])
+    field = evaluate(params, gaussian, MU, x, T, side)
+    assert np.all(np.isnan(field[1]))
+    np.testing.assert_array_equal(field[[0, 2]], evaluate(params, gaussian, MU, x[[0, 2]], T, side))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_one_pass_equals_one_call_per_time(params, disp, skew, data):
