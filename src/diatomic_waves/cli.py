@@ -197,7 +197,9 @@ class Method(NamedTuple):
 #: (``quadrature_*``), ``uas_integral`` and the short-wave uniform forms
 #: (``acoustic_uniform``, ``optical_uniform``, ``shortwave_total``) take every
 #: time in one call; ``gaussian_airy``, ``dalembert`` and the front forms run
-#: once per time.
+#: once per time.  ``simulate`` and ``compare`` run all configured
+#: ``quadrature_*`` methods together, in one ``solve_quadrature`` call over
+#: their modes (see _band_fields); their evaluators here serve single calls.
 METHODS: dict[str, Method] = {
     "ode": Method(_chain, None),
     "quadrature_full": Method(_band, _quadrature("full")),
@@ -259,9 +261,35 @@ def _fields(
             raise ConfigError("the [grid] window holds no cell of the chain (x = 2 k h); widen it")
         x = cells[0].x[keep]
         return [WaveField(x, c.u[keep], c.v[keep], c.t, c.method) for c in cells]
-    sites = np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
+    values = evaluate(config, _sites(config, x, rows), config.times)
+    return _wave_fields(config, method, x, values, rows)
+
+
+def _band_fields(
+    config: ScenarioConfig, x: np.ndarray, rows: bool = False
+) -> dict[str, list[WaveField]]:
+    """The fields of every configured ``quadrature_*`` method, as :func:`_fields`
+    gives them, from one ``solve_quadrature`` call over all their modes."""
+    names = [m for m in config.methods if m.startswith("quadrature_")]
+    if not names:
+        return {}
+    modes = [name.removeprefix("quadrature_") for name in names]
+    sites = _sites(config, x, rows)
+    values = solve_quadrature(*config.problem, sites, config.times, modes, **config.band)
+    return {name: _wave_fields(config, name, x, value, rows) for name, value in zip(names, values)}
+
+
+def _sites(config: ScenarioConfig, x: np.ndarray, rows: bool) -> np.ndarray:
+    """``x``, or with ``rows`` each heavy site ``x`` followed by its light site ``x + h``."""
+    return np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
+
+
+def _wave_fields(
+    config: ScenarioConfig, method: str, x: np.ndarray, values, rows: bool
+) -> list[WaveField]:
+    """``method``'s fields on ``x`` from its outputs on :func:`_sites`, one per time."""
     out = []
-    for t, value in zip(config.times, evaluate(config, sites, config.times)):
+    for t, value in zip(config.times, values):
         u, v = _components(value)
         if rows:
             u, v = u[0::2], v[1::2]
@@ -558,10 +586,11 @@ def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     header = config.header()
     x = np.linspace(config.x_min, config.x_max, config.points)
-    # The chain is integrated first, so its failures leave no file.
+    # The chain and the band quadratures run first, so their failures leave no file.
     ode = _fields(config, "ode", None) if "ode" in config.methods else None
+    band = _band_fields(config, x)
     for method in config.methods:
-        fields = ode if method == "ode" else _fields(config, method, x)
+        fields = ode if method == "ode" else band.get(method) or _fields(config, method, x)
         x_text = _reprs(fields[0].x)  # a method's fields share one x (see _fields)
         for fld in fields:
             name = f"field_{method}_t{fld.t:g}.csv"
@@ -576,7 +605,10 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
     ode = _fields(config, "ode", None) if "ode" in config.methods else None
     rows = ode is not None
     x = ode[0].x if rows else np.linspace(config.x_min, config.x_max, config.points)
-    fields = {m: ode if m == "ode" else _fields(config, m, x, rows) for m in config.methods}
+    band = _band_fields(config, x, rows)
+    fields = {
+        m: ode if m == "ode" else band.get(m) or _fields(config, m, x, rows) for m in config.methods
+    }
     header = config.header()
     lines = [f"# {k} = {header[k]}" for k in sorted(header)]
     reference_name = config.methods[0]

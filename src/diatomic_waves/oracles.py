@@ -300,19 +300,39 @@ def integrate_lattice(
     return states, EnergyReport(times=times, energy=energies, initial=e0, drift=drift)
 
 
+def _check_modes(mode) -> tuple[str, ...]:
+    """``mode``, one quadrature mode or a 1-D sequence of them, as a tuple;
+    ``ConfigError`` naming the bad value otherwise."""
+    if isinstance(mode, str):
+        if mode not in _QUADRATURE_MODES:
+            raise ConfigError(f"mode must be one of {_QUADRATURE_MODES}, got {mode!r}")
+        return (mode,)
+    modes = np.asarray(mode, dtype=object)
+    if modes.ndim != 1 or modes.size == 0:
+        raise ConfigError(
+            f"mode must be one of {_QUADRATURE_MODES} or a 1-D sequence of them, got {mode!r}"
+        )
+    for entry in modes.tolist():
+        if not isinstance(entry, str) or entry not in _QUADRATURE_MODES:
+            raise ConfigError(
+                f"every mode must be one of {_QUADRATURE_MODES}, got {entry!r} in {mode!r}"
+            )
+    return tuple(modes.tolist())
+
+
 def solve_quadrature(
     params: LatticeParams,
     profile: InitialProfile,
     mu: float,
     x,
     t,
-    mode: str = "full",
+    mode="full",
     *,
     rtol: float = 1e-8,
     atol: float = 1e-13,
     nodes_per_cycle: float = 10.0,
     max_doublings: int = 6,
-) -> WaveField | list[WaveField]:
+) -> WaveField | list:
     """Mode synthesis of the exact lattice solution over the reduced band.
 
     ``U(x, t) = Re (delta/pi) int_B [ A(delta p) e^{i omega_1 t / h}
@@ -321,21 +341,35 @@ def solve_quadrature(
     branch terms ("full") or a single one ("acoustic"/"optical").
 
     ``t`` is one time, which gives one :class:`WaveField`, or a 1-D sequence
-    of times, which gives a list of fields in its order.  Only the factors
-    ``e^{i omega t / h}`` depend on the time, so every time comes from one
-    :func:`~diatomic_waves._quadrature.synthesize_field` call: its panel
-    ladder is sized by the largest time's rate ``(max|x| + max(t) speed) /
-    mu``, each level evaluates ``Vtilde``, ``A``, ``B`` and ``omega`` once
-    and contracts the ``2 T`` columns of the ``T`` times together, and
-    convergence is judged on each time's field against its own peak.  A
-    time's field in a sequence therefore sits on at least as many nodes as
-    its own call would; one time alone, as a float or a one-element
-    sequence, gives the same bits either way.  The price is memory, O(T n)
-    for ``n`` final nodes: the ``(n, T, 2)`` band values and their weighted
-    copy are held at once, and each contraction block holds ``1 + 2 * 2T``
-    rows per column (on the ``longwave_front`` zoom, ~1M final nodes,
-    ``tracemalloc`` peaks at 215.7 MB for one time and 281.9 MB for three).
-    Nothing caps ``T``; calls over fewer times bound it.
+    of times, which gives a list of fields in its order.  ``mode`` is one
+    mode, which gives that result, or a 1-D sequence of modes, which gives a
+    list of results in its order, each what its mode alone gives (a field,
+    or a list of fields for a time sequence).  Only the factors ``e^{i omega
+    t / h}`` depend on the time, and a mode only chooses which branch terms
+    it adds, so every mode and time comes from one
+    :func:`~diatomic_waves._quadrature.synthesize_field` call with ``M T``
+    groups: its panel ladder is sized by the largest time's rate ``(max|x| +
+    max(t) speed) / mu``, each level evaluates ``Vtilde`` and each branch's
+    ``A`` or ``B`` and ``omega`` once, forms each branch's term once per time
+    and adds it into every mode that keeps the branch (acoustic first, as a
+    one-mode call adds them), contracts the ``2 M T`` columns together, and
+    judges convergence on each group against its own peak.  ``speed`` is the
+    sound speed, or the optical front speed ``c_star < c`` when every mode is
+    "optical"; so an optical field in a sequence with another mode sits on
+    the finer sound-speed ladder and moves within its tolerance of its own
+    call, and every other field sits on at least as many nodes as its own
+    call would.  One time and one mode alone, as scalars or one-element
+    sequences, give the same bits either way.
+
+    The price is memory, O(M T n) for ``n`` final nodes: the ``(n, M T, 2)``
+    band values and their weighted copy are held at once, and each
+    contraction block holds ``1 + 2 * 2 M T`` rows per column.  On the
+    ``longwave_front`` zoom (~1M final nodes) ``tracemalloc`` peaks at
+    191.5 MB for "acoustic" at one time and 295.8 MB at three, and at one
+    time at 269.6 MB for "full" alone against 304.3 MB for ("full",
+    "acoustic") in one call, which took 1.90 s where the two calls took
+    1.64 + 1.02 s (medians of five interleaved calls, 2-vCPU Xeon).  Nothing
+    caps ``M T``; calls over fewer modes or times bound it.
 
     The band is cut to ``|p| <= cut`` where the data provably vanish.  By
     AM-GM ``|A_01| <= sqrt(gamma1 / gamma2) / 2`` and ``|A_10| <=
@@ -348,11 +382,11 @@ def solve_quadrature(
     A table profile, ``atol = 0`` or a band narrower than ``cut`` keeps the
     whole band, bit for bit.
 
-    Raises ``ConfigError`` for an unknown ``mode``, an empty or 2-D ``t``, a
-    negative or non-finite time or ``mu``, or out-of-range numerics.
+    Raises ``ConfigError`` for an unknown, non-string, empty or 2-D ``mode``,
+    an empty or 2-D ``t``, a negative or non-finite time or ``mu``, or
+    out-of-range numerics.
     """
-    if mode not in _QUADRATURE_MODES:
-        raise ConfigError(f"mode must be one of {_QUADRATURE_MODES}, got {mode!r}")
+    modes = _check_modes(mode)
     times = _check_times(t)
     _check_mu(mu)
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
@@ -364,32 +398,36 @@ def solve_quadrature(
     a, b = _band_limits(profile, delta, 0.5 * atol * np.pi / (delta * gain))
     disp = Dispersion(params)
     t_over_h = times / params.h
-    if mode == "optical":
+    if set(modes) == {"optical"}:
         speed = disp.critical.c_star
     else:
         speed = disp.sound_speed
     rate = (float(np.max(np.abs(x_arr), initial=0.0)) + float(np.max(times)) * speed) / mu
+    # each branch some mode keeps, with the positions in ``modes`` that keep it
     branches = [
-        (branch, omega)
+        (branch, omega, keep)
         for branch, omega, name in (
             (ACOUSTIC, disp.omega1, "acoustic"), (OPTICAL, disp.omega2, "optical")
         )
-        if mode in ("full", name)
+        if (keep := [i for i, m in enumerate(modes) if m in ("full", name)])
     ]
 
     def kern(p: np.ndarray) -> np.ndarray:
-        """``(n, T, 2)`` values: the band data once, then a phase per time,
-        one time at a time so no temporary grows with ``T``."""
+        """``(n, M T, 2)`` values, mode-major: the band data once, then each
+        branch's term once per time, added into every mode that keeps it, one
+        time at a time so no temporary grows with ``T``."""
         s = delta * p
         vt = spectral_vector(profile, delta, p)
-        out = np.zeros((p.size, times.size, 2), dtype=complex)
-        for branch, omega in branches:
-            modes = np.einsum("nij,nj->ni", disp.modal_matrix(s, branch), vt)
+        out = np.zeros((p.size, len(modes), times.size, 2), dtype=complex)
+        for branch, omega, keep in branches:
+            vectors = np.einsum("nij,nj->ni", disp.modal_matrix(s, branch), vt)
             frequency = omega(s)
             for k, th in enumerate(t_over_h):
-                out[:, k] += modes * np.exp(1j * frequency * th)[:, None]
+                term = vectors * np.exp(1j * frequency * th)[:, None]
+                for i in keep:
+                    out[:, i, k] += term
         out *= delta / np.pi
-        return out
+        return out.reshape(p.size, len(modes) * times.size, 2)
 
     # An even profile folds the band onto [0, b] (see synthesize_field).
     field = synthesize_field(
@@ -403,18 +441,21 @@ def solve_quadrature(
         nodes_per_cycle=nodes_per_cycle,
         max_doublings=max_doublings,
         even_fold=profile.is_even,
-    ).reshape(x_arr.size, times.size, 2)  # an empty grid comes back 1-D
-    fields = [
-        WaveField(
-            x=x_arr,
-            u=field[:, k, 0].real,
-            v=field[:, k, 1].real,
-            t=float(time),
-            method=f"quadrature_{mode}",
-        )
-        for k, time in enumerate(times)
-    ]
-    return fields if np.ndim(t) else fields[0]
+    ).reshape(x_arr.size, len(modes), times.size, 2)  # an empty grid comes back 1-D
+    results = []
+    for i, name in enumerate(modes):
+        fields = [
+            WaveField(
+                x=x_arr,
+                u=field[:, i, k, 0].real,
+                v=field[:, i, k, 1].real,
+                t=float(time),
+                method=f"quadrature_{name}",
+            )
+            for k, time in enumerate(times)
+        ]
+        results.append(fields if np.ndim(t) else fields[0])
+    return results[0] if isinstance(mode, str) else results
 
 
 @dataclass(frozen=True)

@@ -833,9 +833,10 @@ def test_every_method_writes_its_library_field(tmp_path, gaussian, method):
 
 
 def test_quadrature_takes_every_time_in_one_band_pass(tmp_path, gaussian, monkeypatch):
-    """Each band-quadrature method makes one synthesize_field call for all its
-    times, and each CSV it writes is within 1e-12 of the peak of the library's
-    one-time call (the bound of the benchmark's wiring check)."""
+    """All band-quadrature methods make one synthesize_field call for all their
+    modes and times, and each CSV they write is within 1e-12 of the peak of the
+    library's one-mode, one-time call (the bound of the benchmark's wiring
+    check), the optical one too, though it sits on the sound-speed ladder."""
     from diatomic_waves import oracles
 
     calls = []
@@ -847,18 +848,20 @@ def test_quadrature_takes_every_time_in_one_band_pass(tmp_path, gaussian, monkey
 
     monkeypatch.setattr(oracles, "synthesize_field", counted)
     times = (0.1, 0.2, 0.3)
+    modes = ("full", "acoustic", "optical")
+    names = ", ".join(f"quadrature_{mode}" for mode in modes)
     text = (
         BASE.replace("h = 0.008", "h = 0.04")
         .replace("points = 81", "points = 41")
         .replace("values = 0.3", "values = " + ", ".join(map(repr, times)))
-        .replace("names = gaussian_airy, dalembert", "names = quadrature_full, quadrature_acoustic")
+        .replace("names = gaussian_airy, dalembert", "names = " + names)
     )
     out_dir = tmp_path / "o"
     path = _write(tmp_path, text)
     assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
-    assert calls == [41, 41]
+    assert calls == [41]
     params = LatticeParams(gamma1=0.82, gamma2=1.27, h=0.04)
-    for mode in ("full", "acoustic"):
+    for mode in modes:
         for t in times:
             (fld,), _ = read_fields_csv(out_dir / f"field_quadrature_{mode}_t{t:g}.csv")
             alone = solve_quadrature(params, gaussian, 0.04, np.linspace(-0.5, 0.5, 41), t, mode)
@@ -866,6 +869,36 @@ def test_quadrature_takes_every_time_in_one_band_pass(tmp_path, gaussian, monkey
             assert fld.t == t and np.array_equal(fld.x, alone.x)
             diff = max(np.max(np.abs(fld.u - alone.u)), np.max(np.abs(fld.v - alone.v)))
             assert diff <= 1e-12 * peak
+
+
+def test_main_keeps_no_band_state_between_calls(tmp_path):
+    """Two main calls back to back on one grid but two lattices each write
+    their own lattice's library fields: nothing of the first call's band
+    pass (ladder, band data, modal matrices) serves the second."""
+    text = (
+        BASE.replace("h = 0.008", "h = 0.04")
+        .replace("points = 81", "points = 41")
+        .replace("values = 0.3", "values = 0.1, 0.3")
+        .replace("names = gaussian_airy, dalembert", "names = quadrature_full, quadrature_acoustic")
+    )
+    written = []
+    for i, lattice in enumerate(("gamma2 = 1.27", "gamma2 = 2.5")):
+        path = _write(tmp_path, text.replace("gamma2 = 1.27", lattice), f"s{i}.ini")
+        out_dir = tmp_path / f"o{i}"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+        config = cli.load_config(path)
+        x = np.linspace(config.x_min, config.x_max, config.points)
+        library = solve_quadrature(
+            *config.problem, x, config.times, ["full", "acoustic"], **config.band
+        )
+        for mode, fields in zip(("full", "acoustic"), library):
+            for fld in fields:
+                (got,), _ = read_fields_csv(out_dir / f"field_quadrature_{mode}_t{fld.t:g}.csv")
+                np.testing.assert_array_equal(got.u, fld.u)
+                np.testing.assert_array_equal(got.v, fld.v)
+                written.append(got)
+    first, second = written[:4], written[4:]
+    assert all(not np.array_equal(a.u, b.u) for a, b in zip(first, second))
 
 
 def test_shortwave_uniform_methods_take_every_time_in_one_call(tmp_path, monkeypatch):

@@ -282,6 +282,125 @@ def test_time_sequence_matches_one_time_calls(times, mode, delta, even):
         assert diff <= 1e-13 + 1e-8 * scale
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    modes=st.lists(st.sampled_from(["full", "acoustic", "optical"]), min_size=1, max_size=3),
+    times=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3),
+    delta=st.sampled_from([0.05, 1.0]),
+    even=st.booleans(),
+)
+def test_mode_sequence_matches_one_mode_calls(modes, times, delta, even):
+    """Each entry of a mode sequence (any order, subset or repeat) is its
+    one-mode call's result over the same times: bit for bit where the sequence
+    uses that mode's own speed, else within ``atol + rtol peak``.
+
+    Bits: the ladder takes the sound speed unless every mode is optical, so a
+    full or acoustic entry, and an optical one in an all-optical sequence,
+    sits on its own call's panels; its values are formed by its own call's
+    operations in their order, and on these grids every group passes at the
+    doubling its own call stops at.
+
+    Bound, for an optical entry on the finer sound-speed ladder: let ``e(n)``
+    be the error of ``n`` panels.  The own call stops at ``2 n_o`` panels after
+    a change ``d = |F(2 n_o) - F(n_o)| <= tau = atol + rtol scale``, ``scale``
+    the largest ``|f|`` of the group.  The panels converge geometrically,
+    ``e(2 n) <= e(n) / rho``, so ``e(n_o) <= d + e(2 n_o)`` gives ``e(2 n_o) <=
+    tau / (rho - 1)``; the sequence stops past ``2 n_o`` panels, whose error is
+    no larger.  The two differ by at most ``2 tau / (rho - 1)``, which is at
+    most ``atol + rtol peak`` (``peak`` the largest real ``|u|``, ``|v|``, so
+    ``peak <= scale``) once ``rho >= 1 + 2 scale / peak``; a 16-point panel
+    gains far more than that per doubling once it resolves the phase.  What
+    is left is the rounding of two contractions on different nodes, which
+    ``atol`` covers where the optical peak is small."""
+    mu = 0.01 if delta == 1.0 else 0.05
+    params = LatticeParams(0.82, 1.27, delta * mu)
+    profile = GaussianProfile() if even else _SKEW_TABLE
+    x = np.linspace(-0.7, 0.7, 81)
+    results = solve_quadrature(params, profile, mu, x, times, modes)
+    assert isinstance(results, list) and len(results) == len(modes)
+    for mode, fields in zip(modes, results):
+        alone = solve_quadrature(params, profile, mu, x, times, mode)
+        assert [(f.method, f.t) for f in fields] == [(f.method, f.t) for f in alone]
+        if mode != "optical" or set(modes) == {"optical"}:
+            for field, own in zip(fields, alone):
+                np.testing.assert_array_equal(field.u, own.u)
+                np.testing.assert_array_equal(field.v, own.v)
+            continue
+        for field, own in zip(fields, alone):
+            peak = max(np.max(np.abs(own.u)), np.max(np.abs(own.v)))
+            diff = max(np.max(np.abs(field.u - own.u)), np.max(np.abs(field.v - own.v)))
+            assert diff <= 1e-13 + 1e-8 * peak
+
+
+@pytest.mark.parametrize(
+    "modes, branches",
+    [(["acoustic", "full"], 2), (["optical", "full", "acoustic"], 2), (["acoustic"] * 2, 1)],
+)
+def test_mode_sequence_is_one_band_pass(modes, branches, monkeypatch):
+    """A mode sequence is one synthesize_field call whose levels each evaluate
+    the band data once and each branch's modal matrix once, for every mode."""
+    from diatomic_waves import _quadrature as quad
+
+    calls, levels, spectral, modal = [], [], [], []
+    synthesize, panel_nodes = oracles.synthesize_field, quad.panel_nodes
+    band_data, modal_matrix = oracles.spectral_vector, Dispersion.modal_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    def level(*args):
+        levels.append(args[2])
+        return panel_nodes(*args)
+
+    def vector(*args):
+        spectral.append(np.size(args[2]))
+        return band_data(*args)
+
+    def matrix(self, s, branch):
+        modal.append(branch)
+        return modal_matrix(self, s, branch)
+
+    monkeypatch.setattr(oracles, "synthesize_field", counted)
+    monkeypatch.setattr(quad, "panel_nodes", level)
+    monkeypatch.setattr(oracles, "spectral_vector", vector)
+    monkeypatch.setattr(Dispersion, "modal_matrix", matrix)
+    params = LatticeParams(0.82, 1.27, 0.01)
+    results = solve_quadrature(
+        params, GaussianProfile(), 0.01, np.linspace(-0.7, 0.7, 201), (0.1, 0.3), modes
+    )
+    assert [[f.method for f in fields] for fields in results] == [
+        [f"quadrature_{mode}"] * 2 for mode in modes
+    ]
+    assert len(calls) == 1 and len(levels) >= 2
+    assert spectral == [quad._ORDER * n_panels for n_panels in levels]
+    assert len(modal) == branches * len(levels)
+
+
+@pytest.mark.parametrize(
+    "mode, named",
+    [
+        ("sideways", "got 'sideways'"),
+        ([], "got []"),
+        (np.array([], dtype=str), "got array([]"),
+        (np.array([["full", "optical"]]), "got array([['full', 'optical']]"),
+        ([["full"]], "got [['full']]"),
+        (["full", 3], "got 3 in ['full', 3]"),
+        ((None,), "got None in (None,)"),
+        (["acoustic", "sideways"], "got 'sideways' in ['acoustic', 'sideways']"),
+        (None, "got None"),
+        (2, "got 2"),
+    ],
+)
+def test_quadrature_refuses_bad_modes(desk, gaussian, mode, named):
+    """Bad mode input is a ConfigError that names the bad value, never a
+    TypeError; a plain string keeps the one-mode message."""
+    with pytest.raises(ConfigError, match=re.escape(named)) as err:
+        solve_quadrature(desk(0.05), gaussian, 0.05, [0.0], 0.1, mode)
+    if isinstance(mode, str):
+        assert str(err.value) == f"mode must be one of ('full', 'acoustic', 'optical'), got {mode!r}"
+
+
 # ---------------------------------------------------------------------------
 # lattice integration
 # ---------------------------------------------------------------------------
