@@ -35,9 +35,10 @@ class QuadratureError(NumericalError):
 
 class BoundaryError(NumericalError):
     """The lattice simulation domain was too small: the wave packet
-    reached the fixed boundary sites within the requested time span."""
+    reached the ends of the returned window of sites within the requested
+    time span, past which the ring that stands in for the lattice closes."""
 
 
 class ChainSizeError(NumericalError):
     """A lattice an oracle would need exceeds the site limit: the time-domain
-    chain for the requested times, or the sites a sublattice sum spans."""
+    ring for the requested times, or the sites a sublattice sum spans."""

@@ -55,10 +55,10 @@ __all__ = [
 _HALF_SQRT_2PI = np.sqrt(np.pi / 2.0)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-#: Most lattice sites a sublattice sum or the time-domain chain may span.
+#: Most lattice sites a sublattice sum or the time-domain ring may span.
 #: One time of ``integrate_lattice`` on the ``longwave_front`` zoom (NaCl,
-#: ``n_atoms = 80``, t = 0.5008: 3,554,197 sites) peaks at 611 MB under
-#: ``tracemalloc``, about 172 bytes per site.
+#: ``n_atoms = 80``, t = 0.5008: a ring of 3,556,224 sites) peaks at 299 MB
+#: under ``tracemalloc``, about 84 bytes per site.
 _MAX_SITES = 2**22
 
 # Node-site terms (p.size x summed sites) from which semi_discrete_ft sums

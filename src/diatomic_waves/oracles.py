@@ -3,9 +3,9 @@
 Two independent routes to the "true" lattice motion:
 
 * :func:`integrate_lattice` — exact propagation of the equations of
-  motion on a finite chain with fixed distant ends, by a sine transform
-  per sublattice and ``cos(Omega t)`` per 2x2 mode block (the time-domain
-  oracle; no time step, energy-tracked);
+  motion on a periodic chain (a ring) wide enough that the wave never
+  reaches around it, by a real FFT per sublattice and ``cos(Omega t)`` per
+  2x2 Bloch block (the time-domain oracle; no time step, energy-tracked);
 * :func:`solve_quadrature` — numerically exact mode synthesis over the
   reduced band (the frequency-domain oracle), optionally restricted to
   the acoustic or optical branch.
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._quadrature import _check_mu, _check_numerics, _check_times, synthesize_field
+from ._quadrature import _check_mu, _check_numerics, _check_times, _next_fast_len, synthesize_field
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import BoundaryError, ChainSizeError, ConfigError
 from .initial_data import _MAX_SITES, InitialProfile, _band_limits, spectral_vector
@@ -48,7 +48,7 @@ _QUADRATURE_MODES = ("full", "acoustic", "optical")
 #: Room (profile widths) the chain of :func:`integrate_lattice` keeps beyond
 #: the causal cone, the profile and the front width.
 _CHAIN_MARGIN = 2.0
-#: Largest displacement of the two end sites that counts as not reached.
+#: Largest displacement at either end of the returned window that counts as not reached.
 _BOUNDARY_TOL = 1e-10
 
 
@@ -130,90 +130,55 @@ class EnergyReport:
     drift: float
 
 
-def _lattice_energy(
-    w: np.ndarray, v: np.ndarray, gamma: np.ndarray, h: float
-) -> float:
-    kinetic = float(np.sum(h * h * v * v / (2.0 * gamma)))
+def _lattice_energy(w: np.ndarray, v: np.ndarray, gamma1: float, gamma2: float, h: float) -> float:
+    """Energy of a ring of sites, heavy at even positions; the last spring joins the ends."""
+    kinetic = float(v[0::2] @ v[0::2]) / gamma1 + float(v[1::2] @ v[1::2]) / gamma2
     d = np.diff(w)
-    return kinetic + 0.5 * float(np.sum(d * d))
+    return 0.5 * (h * h * kinetic + float(d @ d) + (w[0] - w[-1]) ** 2)
 
 
-def _chain_modes(g1: float, g2: float, n: int):
-    """Frequencies and rotations of the 2x2 blocks of a chain of ``2n + 1``
-    sites with heavy ends.
-
-    Mode ``m = 1..n-1`` (``phi = pi m / (2n)``) pairs the heavy amplitude
-    ``sqrt(g1) y1 sin(2k phi)`` with the light one ``sqrt(g2) y2
-    sin((2k-1) phi)`` through the symmetric block ``[[2 g1, -2 c r], [-2 c r,
-    2 g2]]``, ``c = cos phi``, ``r = sqrt(g1 g2)``.  Returns the optical and
-    acoustic frequencies and ``(cos theta, sin theta)``, the optical
-    eigenvector in ``(y1, y2)``.  The acoustic eigenvalue is taken as
-    ``det / lambda_+`` with ``det = 4 g1 g2 sin^2 phi``: the difference
-    ``tr/2 - disc`` would lose the low modes to cancellation.
-    """
-    phi = np.pi * np.arange(1, n) / (2 * n)
-    off = -2.0 * np.cos(phi) * np.sqrt(g1 * g2)
-    lam_plus = (g1 + g2) + np.hypot(g1 - g2, off)
-    lam_minus = 4.0 * g1 * g2 * np.sin(phi) ** 2 / lam_plus
-    theta = 0.5 * np.arctan2(off, g1 - g2)
-    return np.sqrt(lam_plus), np.sqrt(lam_minus), np.cos(theta), np.sin(theta)
-
-
-def _dst(x: np.ndarray, kind: int, inverse: bool = False) -> np.ndarray:
-    """Orthonormal DST-I (``kind = 1``, its own inverse) or DST-II of ``x``, or
-    the inverse of the latter (DST-III), as ``scipy.fft.dst``/``idst`` with
-    ``norm="ortho"`` define them.  Each is one real FFT of a zero-padded
-    sequence: ``sum_m v_m sin(2 pi k m / L) = -Im rfft(v)[k]``.
-    """
-    n = x.size
-    if kind == 1:  # sqrt(2 / (n + 1)) sum_j x_j sin(pi (j + 1)(k + 1) / (n + 1))
-        v = np.zeros(2 * n + 2)
-        v[1 : n + 1] = x
-        return -np.fft.rfft(v)[1 : n + 1].imag * np.sqrt(2.0 / (n + 1))
-    # 2 f_k sum_j x_j sin(pi (k + 1)(2 j + 1) / (2 n)), f_k = 1 / sqrt(2 n) but 1 / sqrt(4 n) at k = n - 1
-    scale = np.full(n, np.sqrt(2.0 / n))
-    scale[-1] = np.sqrt(1.0 / n)
-    v = np.zeros(4 * n)
-    if inverse:  # the transpose: k and j swap roles
-        v[1 : n + 1] = x * scale
-        return -np.fft.rfft(v)[1 : 2 * n : 2].imag
-    v[1 : 2 * n : 2] = x
-    return -np.fft.rfft(v)[1 : n + 1].imag * scale
+def _ring_modes(g1: float, g2: float, cells: int):
+    """``cos(theta / 2)``, ``sin(theta / 2)``, ``gap`` and the optical and acoustic
+    frequencies at ``theta = 2 pi k / N``, ``k <= N / 2`` (see :func:`_propagate`)."""
+    half = np.pi * np.arange(cells // 2 + 1) / cells
+    c, s = np.cos(half), np.sin(half)
+    gap = np.hypot(g2 - g1, 2.0 * np.sqrt(g1 * g2) * c)
+    om_plus = np.sqrt(g1 + g2 + gap)
+    return c, s, gap, om_plus, 2.0 * np.sqrt(g1 * g2) * s / om_plus  # sqrt(det / lambda_+)
 
 
 def _propagate(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
-    """Exact motion from rest of a chain of ``2n + 1`` sites, heavy at even
-    positions, with both end sites held at their initial values.
+    """Exact motion from rest of a ring of ``N = w0.size // 2`` cells, cell
+    ``k`` holding the heavy site ``2k`` and the light site ``2k + 1``.
 
-    The linear interpolation between the end values is a static solution;
-    the rest has zero ends and splits into 2x2 blocks under a sine
-    transform per sublattice (DST-I on the heavy interior sites, DST-II on
-    the light sites; mode ``n`` is light only, ``Omega^2 = 2 g2``).  Each
-    block evolves by ``cos(Omega t)``.  Yields ``(displacement, velocity)``
-    per time.
+    A real FFT per sublattice gives the Bloch amplitudes ``X`` at ``theta = 2
+    pi k / N``, ``k <= N / 2``, where ``X'' = -M X``, ``M = [[2 g1, -g1 (1 +
+    e^{-i theta})], [-g2 (1 + e^{i theta}), 2 g2]]``, with eigenvalues
+    ``lambda_+- = g1 + g2 +- gap``, ``gap = hypot(g2 - g1, 2 sqrt(g1 g2)
+    cos(theta / 2))``.  Then ``f(M) X = f(lambda_-) X + (f(lambda_+) -
+    f(lambda_-)) P X`` with the optical projector ``P = (M - lambda_-) / (2
+    gap)``, no entry above ``max(1, sqrt(g2 / g1) / 2)``, for ``f(lambda) =
+    cos(sqrt(lambda) t)`` (displacement) and ``-sqrt(lambda) sin(sqrt(lambda)
+    t)`` (velocity).  ``lambda_- = det / lambda_+``, ``det = 4 g1 g2
+    sin^2(theta / 2)``, and ``P_11 = (gap - g2 + g1) / (2 gap)`` are taken
+    without the differences, which would lose the low modes to cancellation.
+    Yields ``(displacement, velocity)`` on the ring per time.
     """
-    n = (w0.size - 1) // 2
-    s = np.arange(w0.size) / (2 * n)
-    static = w0[0] * (1.0 - s) + w0[-1] * s  # exact at both ends
-    free = w0 - static
-    r1, r2 = np.sqrt(g1), np.sqrt(g2)
-    y1 = _dst(free[2:-1:2] / r1, 1)
-    y2 = _dst(free[1::2] / r2, 2)
-    om_opt, om_ac, cs, sn = _chain_modes(g1, g2, n)
-    omega = np.concatenate([om_opt, om_ac, [np.sqrt(2.0 * g2)]])
-    z = np.concatenate([cs * y1 + sn * y2[:-1], cs * y2[:-1] - sn * y1, y2[-1:]])
+    cells = w0.size // 2
+    c, s, gap, om_plus, om_minus = _ring_modes(g1, g2, cells)
+    diff = g2 - g1
+    x = np.fft.rfft(w0.reshape(cells, 2).T)  # heavy and light rows
+    a, b = x
+    e = c * (c - 1j * s)  # (1 + e^{-i theta}) / 2
+    opt_a = (2.0 * g1 * g2 * c * c / (gap + diff) * a - g1 * e * b) / gap
+    opt = np.array([opt_a, (0.5 * (gap + diff) * b - g2 * e.conj() * a) / gap])  # P X
 
-    def sites(coeff: np.ndarray, base: np.ndarray) -> np.ndarray:
-        opt, ac, top = coeff[: n - 1], coeff[n - 1 : 2 * n - 2], coeff[2 * n - 2 :]
-        out = base.copy()
-        out[2:-1:2] += r1 * _dst(cs * opt - sn * ac, 1)
-        out[1::2] += r2 * _dst(np.concatenate([sn * opt + cs * ac, top]), 2, inverse=True)
-        return out
+    def sites(f_plus: np.ndarray, f_minus: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(f_minus * x + (f_plus - f_minus) * opt, cells).T.ravel()
 
-    rest = np.zeros_like(w0)
     for t in times:
-        phase = omega * t
-        yield sites(np.cos(phase) * z, static), sites(-omega * np.sin(phase) * z, rest)
+        p, m = om_plus * t, om_minus * t  # optical and acoustic phases
+        yield sites(np.cos(p), np.cos(m)), sites(-om_plus * np.sin(p), -om_minus * np.sin(m))
 
 
 def _check_record_times(times) -> np.ndarray:
@@ -232,11 +197,15 @@ def integrate_lattice(
     mu: float,
     times,
 ) -> tuple[list[LatticeState], EnergyReport]:
-    """Exact motion of the chain from rest with fixed distant ends.
+    """Exact motion of the lattice from rest, on a ring standing in for it.
 
-    The chain is propagated mode by mode (see :func:`_propagate`), with no
-    time step; the only error is rounding.  A record time at which the ends
-    move by more than ``_BOUNDARY_TOL`` raises :class:`BoundaryError`.
+    The sites ``-n .. n`` (``n`` even) cover the causal cone, the profile, the
+    front width and a margin.  Zeros pad them to a ring of ``N >= n + 1`` cells,
+    ``N`` a fast FFT length, moved mode by mode (:func:`_propagate`; no time
+    step, only rounding).  The states share one read-only ``index``; the energy
+    is the whole ring's.  :class:`BoundaryError` once the two sites at either
+    end of the window move by more than ``_BOUNDARY_TOL``; :class:`ChainSizeError`
+    before allocating a ring above ``_MAX_SITES`` sites.
 
     Parameters
     ----------
@@ -258,44 +227,34 @@ def integrate_lattice(
         + _CHAIN_MARGIN
         + 4.0 * delta
     )
-    half = np.ceil(xi_max / delta)
-    # 2 n_half + 1 sites once n_half is rounded up to even; a nan fails too
-    if not 2.0 * half + 3.0 <= _MAX_SITES:
+    half = 2.0 * np.ceil(0.5 * xi_max / delta)  # sites each side, even: heavy ends
+    cells = _next_fast_len(int(half) + 1) if half < _MAX_SITES else half  # a nan too
+    if not 2 * cells <= _MAX_SITES:
         raise ChainSizeError(
-            f"the chain would need about {2.0 * half:.3g} sites "
+            f"the ring would need about {2.0 * cells:.3g} sites "
             f"(limit {_MAX_SITES}); reduce the times or increase mu"
         )
-    n_half = int(half)
-    n_half += n_half % 2  # even endpoints
-    index = np.arange(-n_half, n_half + 1)
-    gamma = np.where(index % 2 == 0, params.gamma1, params.gamma2)
-    h = params.h
-    w = profile.value(index * delta)
+    index = np.arange(-int(half), int(half) + 1)
+    index.flags.writeable = False
+    g1, g2, h = params.gamma1, params.gamma2, params.h
+    w = np.zeros(2 * cells)
+    w[: index.size] = profile.value(index * delta)
 
-    e0 = _lattice_energy(w, np.zeros_like(w), gamma, h)
+    e0 = _lattice_energy(w, np.zeros(2), g1, g2, h)  # from rest
     states: list[LatticeState] = []
     energies = np.empty(times.size)
-    motion = _propagate(w, params.gamma1 / (h * h), params.gamma2 / (h * h), times)
+    motion = _propagate(w, g1 / (h * h), g2 / (h * h), times)
     for i, (t_next, (w_t, v_t)) in enumerate(zip(times, motion)):
-        edge_amp = max(
-            float(np.max(np.abs(w_t[:2]))), float(np.max(np.abs(w_t[-2:])))
-        )
+        energies[i] = _lattice_energy(w_t, v_t, g1, g2, h)
+        w_t, v_t = w_t[: index.size], v_t[: index.size]
+        edge_amp = float(np.max(np.abs(w_t[[0, 1, -2, -1]])))
         if edge_amp > _BOUNDARY_TOL:
             raise BoundaryError(
-                f"wave reached the fixed ends at t = {t_next:g}: edge amplitude "
-                f"{edge_amp:.2e} > {_BOUNDARY_TOL:.1e} on a chain of {index.size} sites"
+                f"wave reached the ends of the returned window, sites -{index[-1]} and "
+                f"{index[-1]}, at t = {t_next:g}: edge amplitude {edge_amp:.2e} > "
+                f"{_BOUNDARY_TOL:.1e} on {index.size} sites"
             )
-        energies[i] = _lattice_energy(w_t, v_t, gamma, h)
-        states.append(
-            LatticeState(
-                delta=delta,
-                mu=mu,
-                index=index.copy(),
-                displacement=w_t,
-                velocity=v_t,
-                t=float(t_next),
-            )
-        )
+        states.append(LatticeState(delta, mu, index, w_t, v_t, float(t_next)))
     drift = float(np.max(np.abs(energies - e0)) / e0)
     return states, EnergyReport(times=times, energy=energies, initial=e0, drift=drift)
 

@@ -1,9 +1,10 @@
 """Frozen expected values for the test suite.
 
 Generated by tests/tools/regen_references.py (mpmath, 50 digits,
-rounded to float64), and the sequential Legendre-Bessel ladder the
-batched far-frame rule is compared against.  Do not edit by hand;
-rerun the generator.
+rounded to float64), the sequential Legendre-Bessel ladder the
+batched far-frame rule is compared against, and the held-end chain
+the ring of integrate_lattice is compared against.  Do not edit by
+hand; rerun the generator.
 """
 
 import numpy as np
@@ -221,3 +222,86 @@ def legendre_bessel_ladder(kernel, a, b, x, rtol=1e-8, atol=1e-13):
             return f, k, coef
         prev = f
     return None, None, None
+
+
+# The held-end chain the ring of ``diatomic_waves.oracles.integrate_lattice``
+# replaced: the chain of ``2n + 1`` sites with both end sites held, split by
+# sine transforms.  The ring is tested against it on the sites ``-n .. n``.
+
+
+def chain_modes(g1: float, g2: float, n: int):
+    """Frequencies and rotations of the 2x2 blocks of a chain of ``2n + 1``
+    sites with heavy ends.
+
+    Mode ``m = 1..n-1`` (``phi = pi m / (2n)``) pairs the heavy amplitude
+    ``sqrt(g1) y1 sin(2k phi)`` with the light one ``sqrt(g2) y2
+    sin((2k-1) phi)`` through the symmetric block ``[[2 g1, -2 c r], [-2 c r,
+    2 g2]]``, ``c = cos phi``, ``r = sqrt(g1 g2)``.  Returns the optical and
+    acoustic frequencies and ``(cos theta, sin theta)``, the optical
+    eigenvector in ``(y1, y2)``.  The acoustic eigenvalue is taken as
+    ``det / lambda_+`` with ``det = 4 g1 g2 sin^2 phi``: the difference
+    ``tr/2 - disc`` would lose the low modes to cancellation.
+    """
+    phi = np.pi * np.arange(1, n) / (2 * n)
+    off = -2.0 * np.cos(phi) * np.sqrt(g1 * g2)
+    lam_plus = (g1 + g2) + np.hypot(g1 - g2, off)
+    lam_minus = 4.0 * g1 * g2 * np.sin(phi) ** 2 / lam_plus
+    theta = 0.5 * np.arctan2(off, g1 - g2)
+    return np.sqrt(lam_plus), np.sqrt(lam_minus), np.cos(theta), np.sin(theta)
+
+
+def dst(x: np.ndarray, kind: int, inverse: bool = False) -> np.ndarray:
+    """Orthonormal DST-I (``kind = 1``, its own inverse) or DST-II of ``x``, or
+    the inverse of the latter (DST-III), as ``scipy.fft.dst``/``idst`` with
+    ``norm="ortho"`` define them.  Each is one real FFT of a zero-padded
+    sequence: ``sum_m v_m sin(2 pi k m / L) = -Im rfft(v)[k]``.
+    """
+    n = x.size
+    if kind == 1:  # sqrt(2 / (n + 1)) sum_j x_j sin(pi (j + 1)(k + 1) / (n + 1))
+        v = np.zeros(2 * n + 2)
+        v[1 : n + 1] = x
+        return -np.fft.rfft(v)[1 : n + 1].imag * np.sqrt(2.0 / (n + 1))
+    # 2 f_k sum_j x_j sin(pi (k + 1)(2 j + 1) / (2 n)), f_k = 1 / sqrt(2 n) but 1 / sqrt(4 n) at k = n - 1
+    scale = np.full(n, np.sqrt(2.0 / n))
+    scale[-1] = np.sqrt(1.0 / n)
+    v = np.zeros(4 * n)
+    if inverse:  # the transpose: k and j swap roles
+        v[1 : n + 1] = x * scale
+        return -np.fft.rfft(v)[1 : 2 * n : 2].imag
+    v[1 : 2 * n : 2] = x
+    return -np.fft.rfft(v)[1 : n + 1].imag * scale
+
+
+def propagate_held_ends(w0: np.ndarray, g1: float, g2: float, times: np.ndarray):
+    """Exact motion from rest of a chain of ``2n + 1`` sites, heavy at even
+    positions, with both end sites held at their initial values.
+
+    The linear interpolation between the end values is a static solution;
+    the rest has zero ends and splits into 2x2 blocks under a sine
+    transform per sublattice (DST-I on the heavy interior sites, DST-II on
+    the light sites; mode ``n`` is light only, ``Omega^2 = 2 g2``).  Each
+    block evolves by ``cos(Omega t)``.  Yields ``(displacement, velocity)``
+    per time.
+    """
+    n = (w0.size - 1) // 2
+    s = np.arange(w0.size) / (2 * n)
+    static = w0[0] * (1.0 - s) + w0[-1] * s  # exact at both ends
+    free = w0 - static
+    r1, r2 = np.sqrt(g1), np.sqrt(g2)
+    y1 = dst(free[2:-1:2] / r1, 1)
+    y2 = dst(free[1::2] / r2, 2)
+    om_opt, om_ac, cs, sn = chain_modes(g1, g2, n)
+    omega = np.concatenate([om_opt, om_ac, [np.sqrt(2.0 * g2)]])
+    z = np.concatenate([cs * y1 + sn * y2[:-1], cs * y2[:-1] - sn * y1, y2[-1:]])
+
+    def sites(coeff: np.ndarray, base: np.ndarray) -> np.ndarray:
+        opt, ac, top = coeff[: n - 1], coeff[n - 1 : 2 * n - 2], coeff[2 * n - 2 :]
+        out = base.copy()
+        out[2:-1:2] += r1 * dst(cs * opt - sn * ac, 1)
+        out[1::2] += r2 * dst(np.concatenate([sn * opt + cs * ac, top]), 2, inverse=True)
+        return out
+
+    rest = np.zeros_like(w0)
+    for t in times:
+        phase = omega * t
+        yield sites(np.cos(phase) * z, static), sites(-omega * np.sin(phase) * z, rest)

@@ -455,7 +455,7 @@ def test_ode_times_validation(desk, gaussian):
 def test_ode_boundary_guard(desk, gaussian, monkeypatch):
     monkeypatch.setattr(oracles, "_CHAIN_MARGIN", 0.0)
     monkeypatch.setattr(oracles, "_BOUNDARY_TOL", 0.0)
-    with pytest.raises(BoundaryError, match="reached the fixed ends"):
+    with pytest.raises(BoundaryError, match="reached the ends of the returned window"):
         integrate_lattice(desk(0.05), gaussian, 0.05, [0.1])
 
 
@@ -511,7 +511,8 @@ def test_ode_matches_quadrature_longwave(desk, gaussian):
 
 
 # ---------------------------------------------------------------------------
-# exact modal propagation against dense linear algebra (21-site chain)
+# the held-end chain of tests/_reference.py against dense linear algebra
+# (21-site chain)
 # ---------------------------------------------------------------------------
 
 G1, G2 = 0.82 / 0.05**2, 1.27 / 0.05**2
@@ -527,7 +528,7 @@ def _dense_interior():
 
 def test_chain_modes_match_tridiagonal_eigenvalues():
     _, diag, off = _dense_interior()
-    omega_opt, omega_ac, _, _ = oracles._chain_modes(G1, G2, N_HALF)
+    omega_opt, omega_ac, _, _ = ref.chain_modes(G1, G2, N_HALF)
     blocks = np.concatenate([omega_opt**2, omega_ac**2, [2.0 * G2]])
     expected = eigh_tridiagonal(diag, off, eigvals_only=True)
     assert_allclose(np.sort(blocks), expected, rtol=1e-13, atol=1e-12 * expected[-1])
@@ -540,7 +541,7 @@ def test_chain_modes_keep_low_acoustic_modes():
 
     mpmath.mp.dps = 40
     n = 4000
-    omega_opt, omega_ac, _, _ = oracles._chain_modes(G1, G2, n)
+    omega_opt, omega_ac, _, _ = ref.chain_modes(G1, G2, n)
     for m in (1, 2, 3, n // 2, n - 1):
         c = mpmath.cos(mpmath.pi * m / (2 * n))
         root = mpmath.sqrt((mpmath.mpf(G1) - G2) ** 2 + 4 * c**2 * G1 * G2)
@@ -564,7 +565,7 @@ def test_propagation_matches_dense_cosine():
     x_eq = np.linalg.solve(lap, rhs)
     y0 = q.T @ ((w0[1:-1] - x_eq) / np.sqrt(g))
     times = np.array([1e-3, 0.03, 0.4, 2.0])
-    for t, (w, v) in zip(times, oracles._propagate(w0, G1, G2, times)):
+    for t, (w, v) in zip(times, ref.propagate_held_ends(w0, G1, G2, times)):
         w_ref = x_eq + np.sqrt(g) * (q @ (np.cos(omega * t) * y0))
         v_ref = np.sqrt(g) * (q @ (-omega * np.sin(omega * t) * y0))
         assert (w[0], w[-1]) == (w0[0], w0[-1])
@@ -575,19 +576,19 @@ def test_propagation_matches_dense_cosine():
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_sine_transform_matches_scipy(kind):
-    """``_dst`` against ``scipy.fft.dst``/``idst`` (``norm="ortho"``) at every
-    length from 1 to 1025: each is an orthonormal map, so the gap is a few
-    eps of ``|x|``."""
+    """The reference ``dst`` against ``scipy.fft.dst``/``idst`` (``norm="ortho"``)
+    at every length from 1 to 1025: each is an orthonormal map, so the gap is a
+    few eps of ``|x|``."""
     from scipy.fft import dst, idst
 
     rng = np.random.default_rng(kind)
     for n in range(1, 1026):
         x = rng.standard_normal(n)
         tol = 8.0 * np.finfo(float).eps * np.linalg.norm(x)
-        assert np.max(np.abs(oracles._dst(x, kind) - dst(x, type=kind, norm="ortho"))) <= tol
-        back = oracles._dst(x, kind, inverse=True)
+        assert np.max(np.abs(ref.dst(x, kind) - dst(x, type=kind, norm="ortho"))) <= tol
+        back = ref.dst(x, kind, inverse=True)
         assert np.max(np.abs(back - idst(x, type=kind, norm="ortho"))) <= tol
-        assert_allclose(oracles._dst(oracles._dst(x, kind), kind, inverse=True), x, rtol=0, atol=tol)
+        assert_allclose(ref.dst(ref.dst(x, kind), kind, inverse=True), x, rtol=0, atol=tol)
 
 
 ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -624,6 +625,139 @@ def test_exact_oracle_tiny_time_returns_samples(gamma1, ratio, delta, t):
     profile = GaussianProfile()
     (state,), _ = integrate_lattice(params, profile, mu, [t])
     assert_allclose(state.displacement, profile.value(state.xi), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the ring of integrate_lattice on its own terms and against the held-end chain
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cells", [12, 13])
+def test_ring_matches_dense_cosine(cells):
+    """The ring of ``cells`` cells against ``numpy.linalg.eigh`` of its
+    mass-symmetrized circulant stiffness: diagonal ``2 g_j``, ``-sqrt(g1 g2)``
+    between neighbours, the last site joined to the first."""
+    rng = np.random.default_rng(cells)
+    w0 = rng.standard_normal(2 * cells)
+    g = np.where(np.arange(2 * cells) % 2 == 0, G1, G2)
+    stiff = np.diag(2.0 * g)
+    for j in range(2 * cells):
+        k = (j + 1) % (2 * cells)
+        stiff[j, k] = stiff[k, j] = -np.sqrt(G1 * G2)
+    lam, q = np.linalg.eigh(stiff)
+    omega = np.sqrt(np.clip(lam, 0.0, None))  # the translation mode is 0 up to rounding
+    y0 = q.T @ (w0 / np.sqrt(g))
+    times = np.array([1e-3, 0.03, 0.4, 2.0])
+    for t, (w, v) in zip(times, oracles._propagate(w0, G1, G2, times)):
+        w_ref = np.sqrt(g) * (q @ (np.cos(omega * t) * y0))
+        v_ref = np.sqrt(g) * (q @ (-omega * np.sin(omega * t) * y0))
+        assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+        assert_allclose(v, v_ref, rtol=0, atol=1e-12 * np.max(np.abs(v_ref)))
+
+
+def test_ring_modes_keep_low_acoustic_modes():
+    # as for the held-end chain: the lowest acoustic eigenvalues of a ring of
+    # 4000 cells, ~1e-7 of the optical ones, against a 40-digit reference
+    import mpmath
+
+    mpmath.mp.dps = 40
+    cells = 4000
+    _, _, _, omega_opt, omega_ac = oracles._ring_modes(G1, G2, cells)
+    for m in (1, 2, 3, cells // 4, cells // 2):
+        c = mpmath.cos(mpmath.pi * m / cells)  # cos(theta / 2), theta = 2 pi m / N
+        root = mpmath.sqrt((mpmath.mpf(G1) - G2) ** 2 + 4 * c**2 * G1 * G2)
+        lam_plus, lam_minus = float(G1 + G2 + root), float(mpmath.mpf(G1) + G2 - root)
+        assert omega_opt[m] ** 2 == pytest.approx(lam_plus, rel=1e-14, abs=0)
+        assert omega_ac[m] ** 2 == pytest.approx(lam_minus, rel=1e-13, abs=0)
+
+
+def test_ring_length_is_fast_on_the_zoom(nacl_params, gaussian, monkeypatch):
+    """On the ``longwave_front`` zoom (NaCl, ``mu = 80 h``, t = 0.5008) the ring
+    has ``N >= n + 1`` cells, ``N`` 2·3·5·7·11-smooth, so no transform takes
+    pocketfft's Bluestein path.  The propagation itself is skipped."""
+    ring = []
+
+    def at_rest(w0, g1, g2, times):
+        ring.append(w0.size // 2)
+        for _ in times:
+            yield np.zeros(w0.size), np.zeros(w0.size)
+
+    monkeypatch.setattr(oracles, "_propagate", at_rest)
+    (state,), _ = integrate_lattice(nacl_params, gaussian, 80 * nacl_params.h, [0.5008])
+    (cells,) = ring
+    n = int(state.index[-1])
+    assert state.index.size == 2 * n + 1 > 3_000_000
+    assert cells >= n + 1
+    rest_of = cells
+    for prime in (2, 3, 5, 7, 11):
+        while rest_of % prime == 0:
+            rest_of //= prime
+    assert rest_of == 1, f"N = {cells} has a prime factor above 11"
+
+
+@ORACLE_SETTINGS
+@given(
+    gamma1=st.floats(0.1, 2.0),
+    ratio=st.floats(1.01, 20.0),
+    delta=st.floats(0.005, 1.0),
+    mu=st.floats(0.02, 0.2),
+    times=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_ring_matches_held_end_chain(gamma1, ratio, delta, mu, times):
+    """The ring against the held-end chain of ``tests/_reference.py`` from the
+    same samples, on the returned sites ``-n .. n``.
+
+    Rounding, in the 2-norm (which bounds every site) per chain, ``u = eps / 2``:
+
+    * transforms: an FFT of length ``L`` is off by at most ``~7 u log2 L`` of
+      its input's norm (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, Thm 24.2).  Each chain takes a forward and an inverse
+      transform of ``L <= 2 (2n + 1)`` points, and the maps between its
+      sublattice and modal amplitudes amplify by at most ``1 + sqrt(gamma2 /
+      gamma1)``: ``16 u log2 L (1 + sqrt(gamma2 / gamma1)) |w0|``;
+    * phases: each ``Omega`` carries a few ``u`` of relative rounding, so
+      ``cos(Omega t)`` is off by ``4 u Omega t`` at most per mode, and
+      ``sum Omega^2 |y|^2 = 2 E`` in mass-scaled modal amplitudes ``y``, ``E``
+      the initial energy; back on the sites, ``sqrt(g2) = sqrt(gamma2) / h``
+      bounds the scaling: ``8 u t sqrt(2 E gamma2) / h``.
+
+    The displacement bound is twice the sum (two chains).  The velocity
+    multiplies every amplitude by ``Omega <= Omega_max = sqrt(2 (gamma1 +
+    gamma2)) / h`` and ``Omega sin(Omega t)`` adds ``4 u Omega`` per mode:
+    ``Omega_max`` times the displacement bound plus ``16 u sqrt(2 E gamma2) /
+    h``.
+
+    Beyond rounding, the two differ where the wave has reached the window's
+    ends, below the guard's tolerance.  Both ends are heavy, so by images the
+    held chain departs from the infinite lattice at a site by the lattice's
+    field as far beyond the nearer end, and the ring by the field across the
+    seam; the tail ahead of a front falls away from it, so each is at most
+    ``edge``, the largest value on the two sites at either end of the window
+    (``integrate_lattice``'s guard).  Each site may differ by ``2 edge`` more,
+    of the displacement or of the velocity.  Apart from that the largest
+    displacement gap is held to ``1e-12`` of the field's peak.
+    """
+    profile = GaussianProfile()
+    gamma2 = gamma1 * ratio
+    params = LatticeParams(gamma1, gamma2, delta * mu)
+    h = params.h
+    states, energy = integrate_lattice(params, profile, mu, times)
+    index = states[0].index
+    w0 = profile.value(index * delta)
+    held = ref.propagate_held_ends(w0, gamma1 / h**2, gamma2 / h**2, np.asarray(times))
+    u = np.finfo(float).eps / 2.0
+    spread = np.sqrt(2.0 * energy.initial * gamma2) / h
+    omega_max = np.sqrt(2.0 * (gamma1 + gamma2)) / h
+    transforms = 16.0 * u * np.log2(2 * index.size) * (1.0 + np.sqrt(ratio)) * np.linalg.norm(w0)
+    ends = [0, 1, -2, -1]
+    for state, (w, v) in zip(states, held):
+        bound = 2.0 * (transforms + 8.0 * u * state.t * spread)
+        edge = 2.0 * np.max(np.abs(state.displacement[ends]))
+        gap = np.max(np.abs(state.displacement - w))
+        assert gap <= bound + edge
+        assert gap <= 1e-12 * np.max(np.abs(w)) + edge
+        edge_v = 2.0 * np.max(np.abs(state.velocity[ends]))
+        bound_v = omega_max * bound + 16.0 * u * spread
+        assert np.max(np.abs(state.velocity - v)) <= bound_v + edge_v
 
 
 # ---------------------------------------------------------------------------
