@@ -50,9 +50,15 @@ polynomials and integrates each term against ``exp(i p x)`` exactly
 (a Filon-type rule), so its cost does not depend on ``x``; its
 Gauss-Legendre rules come from Newton's method, without an eigensolver.
 It applies only where ``|x|`` is large next to its polynomial degree and
-returns None otherwise, leaving such grids to :func:`synthesize_field`.  One
-upward Bessel recurrence serves all of its orders, and every matrix
-product in it is real: the projection of complex kernel values, as one
+returns None otherwise, leaving such grids to :func:`synthesize_field`.  It
+has two regimes.  Where ``min |r x|`` (``r`` the band's half-width) is at
+least ``K (K - 1) / 2`` for its largest admitted order ``K``, each order's
+sum is the finite endpoint sum of repeated integration by parts, from the
+polynomial's derivatives at both ends: its terms fall at least as ``1 / j!``,
+and a tail bound stops it after ``J`` of them (5 on a far travelling frame
+at ``r x = 1.78e5``, at most 19), so it costs ``O(J m)`` on ``m`` points.
+Nearer, one upward Bessel recurrence serves all of its orders.  Every matrix
+product in either is real: the projection of complex kernel values, as one
 complex operand, cost a complex matrix-vector product of milliseconds
 (and a spinning BLAS thread) where the real one takes microseconds.
 """
@@ -99,6 +105,11 @@ _LB_ORDERS = (32, 64, 128, 256)
 #: Output points :func:`legendre_bessel_field` runs its recurrence on at once,
 #: so its Bessel rows stay a fixed block while the grid grows.
 _LB_CHUNK = 4096
+
+#: Terms of the endpoint sum of :func:`legendre_bessel_field` tabulated: at its
+#: threshold the bound on term ``j`` is ``1 / j!`` of the first, which is below
+#: ``eps / 2`` from ``j = 19`` on.
+_LB_TERMS = 20
 
 #: ``i**n`` for ``n % 4``, exactly.
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -653,6 +664,112 @@ def _bessel_rows(j: np.ndarray, omega: np.ndarray, n0: int) -> None:
         j[r] -= j[r - 2]
 
 
+def _recurrence_fields(amps: list[np.ndarray], omega: np.ndarray):
+    """Yield each order's ``int_{-1}^{1} P(s) e^{i omega s} ds = sum_n c_n j_n(omega)``,
+    ``P = sum_n a_n P_n``, ``a_n = re + i im`` from ``amps``, ``c_n = 2 i^n a_n``,
+    from one upward recurrence: blocks of ``_LB_ORDERS[0]`` rows on at most
+    ``_LB_CHUNK`` points at a time, each added into the partial sums of every
+    order not yet complete by one real matrix product.  The recurrence advances
+    only as far as the fields are taken."""
+    orders = [re.size for re, _ in amps]
+    # Rows 2 i and 2 i + 1: Re and Im of order i's c_n, zero from n = k.
+    coef = np.zeros((2 * len(orders), orders[-1]))
+    for i, (re, im) in enumerate(amps):
+        c = 2.0 * _I_POWERS[np.arange(re.size) % 4] * (re + 1j * im)
+        coef[2 * i, : re.size], coef[2 * i + 1, : re.size] = c.real, c.imag
+    m = omega.size
+    rows = _LB_ORDERS[0]
+    sums = np.zeros((2 * len(orders), m))
+    state = np.empty((2, m))  # j_{n-2}, j_{n-1} where the recurrence stands
+    block = np.empty((2 + rows, min(m, _LB_CHUNK)))
+    done = 0
+    for i, k in enumerate(orders):
+        for n0 in range(done, k, rows):
+            for lo in range(0, m, _LB_CHUNK):
+                cut = slice(lo, lo + _LB_CHUNK)
+                j = block[:, : omega[cut].size]
+                j[:2] = state[:, cut]
+                _bessel_rows(j, omega[cut], n0)
+                state[:, cut] = j[-2:]
+                sums[2 * i :, cut] += coef[2 * i :, n0 : n0 + rows] @ j[2:]
+        done = k
+        f = np.empty(m, dtype=complex)
+        f.real, f.imag = sums[2 * i], sums[2 * i + 1]
+        yield f
+
+
+def _endpoint_threshold(k: int) -> float:
+    """Least ``min |omega|`` at which order ``k`` takes :func:`_endpoint_fields`:
+    past it each bound on an endpoint term is at most ``1 / (j + 1)`` of the one
+    before, where below it the terms would grow before they fall, and cancel."""
+    return 0.5 * k * (k - 1)
+
+
+@lru_cache(maxsize=None)
+def _endpoint_table(k: int) -> np.ndarray:
+    """``T[j, n] = P_n^(j)(1) = (n + j)! / (2^j j! (n - j)!)`` for ``j < _LB_TERMS``,
+    ``n < k``, zero for ``j > n``: integers, from ``T[0, n] = 1`` and
+    ``T[j + 1, n] = T[j, n] (n + j + 1) (n - j) / (2 (j + 1))`` in exact integer
+    arithmetic, each rounded once."""
+    table = np.empty((_LB_TERMS, k))
+    row = [1] * k  # one row of integers at a time: the table's are up to 1e69
+    for j in range(_LB_TERMS):
+        table[j] = row
+        row = [t * (n + j + 1) * (n - j) // (2 * j + 2) for n, t in enumerate(row)]
+    return table
+
+
+def _endpoint_fields(amps: list[np.ndarray], omega: np.ndarray, least: float):
+    """Yield each order's ``int_{-1}^{1} P(s) e^{i omega s} ds``, ``P = sum_n a_n P_n``,
+    ``a_n = re + i im`` from ``amps``, by its finite endpoint sum
+    ``sum_{j<J} (-1)^j [P^(j)(1) e^{i omega} - P^(j)(-1) e^{-i omega}] / (i omega)^(j+1)``.
+
+    ``P^(j)(+-1) = sum_n a_n (+-1)^(n+j) T[j, n]`` (:func:`_endpoint_table`), for
+    every order by one real matrix product.  With ``v = 1 / omega`` the sum is
+    ``-i v [e^{i omega} A(v) - e^{-i omega} B(v)]``, ``A_j = i^j P^(j)(1)`` and
+    ``B_j = i^j P^(j)(-1)``: polynomials in ``v`` that Horner's rule takes for
+    every order at once, in real arithmetic, on ``_LB_CHUNK`` points at a time.
+    ``J`` is the largest over the orders of the least ``j >= 1`` with
+    ``S_j / |omega|^j <= (eps / 2) S_0``, ``S_j = sum_n |a_n| T[j, n]`` and
+    ``|omega| = least``, and ``_LB_TERMS`` at most (the bound is in
+    :func:`legendre_bessel_field`).
+    """
+    k = amps[-1].shape[1]
+    # [a_n, (-1)^n a_n][Re, Im][order][n]: d[:, 1] is (-1)^j P^(j)(-1)
+    a = np.zeros((2, 2, len(amps), k))
+    for i, amp in enumerate(amps):
+        a[0, :, i, : amp.shape[1]] = amp
+    a[1] = a[0] * (1.0 - 2.0 * (np.arange(k) % 2))
+    table = _endpoint_table(k)
+    d = (table @ a.reshape(-1, k).T).reshape(_LB_TERMS, 2, 2, len(amps))
+    powers = np.arange(_LB_TERMS)[:, None]
+    plus = _I_POWERS[powers % 4] * (d[:, 0, 0] + 1j * d[:, 0, 1])  # A_j
+    minus = _I_POWERS[-powers % 4] * (d[:, 1, 0] + 1j * d[:, 1, 1])  # B_j
+    with np.errstate(over="ignore"):
+        scaled = (table @ np.hypot(a[0, 0], a[0, 1]).T) / least ** powers  # S_j / |omega|^j
+    small = scaled[1:] <= 0.5 * np.finfo(float).eps * scaled[0]
+    terms = int(np.max(np.where(small.any(axis=0), 1 + np.argmax(small, axis=0), _LB_TERMS)))
+    # rows Re(A - B), Im(A + B), Im(A - B), Re(A + B) of every order, powers last
+    diff, total = plus[:terms] - minus[:terms], plus[:terms] + minus[:terms]
+    poly = np.moveaxis(np.stack((diff.real, total.imag, diff.imag, total.real)), 1, -1)
+    fields = [np.empty(omega.size, dtype=complex) for _ in amps]
+    block = np.empty((4, len(amps), min(omega.size, _LB_CHUNK)))
+    for lo in range(0, omega.size, _LB_CHUNK):
+        w = omega[lo : lo + _LB_CHUNK]
+        v = 1.0 / w
+        p = block[:, :, : w.size]
+        p[:] = poly[:, :, -1:]
+        for j in range(terms - 2, -1, -1):
+            p *= v
+            p += poly[:, :, j : j + 1]
+        p *= v
+        c, s = np.cos(w), np.sin(w)
+        re, im = c * p[2] + s * p[3], s * p[1] - c * p[0]  # -i v (e^{i w} A - e^{-i w} B)
+        for f, f_re, f_im in zip(fields, re, im):
+            f[lo : lo + _LB_CHUNK].real, f[lo : lo + _LB_CHUNK].imag = f_re, f_im
+    yield from fields
+
+
 def legendre_bessel_field(
     kernel: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -674,19 +791,41 @@ def legendre_bessel_field(
     previous one is returned.  Its accuracy depends on how well degree
     ``k - 1`` resolves the kernel, not on ``x``.
 
-    The ``j_n`` come from upward recurrence, so order ``k`` is admitted
-    only where ``min |r x| > 2 k``.  The kernel is called once at each
+    Order ``k`` is admitted only where ``min |r x| > 2 k``, where the upward
+    recurrence of ``j_n`` is stable.  The kernel is called once at each
     admitted order's nodes, in ladder order, and each order's ``a_n`` are
-    the real product of its projection with the values' real and
-    imaginary parts.  One recurrence then runs ``j_0, j_1, ...`` in blocks
-    of 32 rows (on at most ``_LB_CHUNK`` points at a time) and adds each
-    block into the partial sums of every order not yet complete, by one
-    real matrix product; as it passes ``n = k`` that order's field is
-    checked against the previous one, and the recurrence stops at
-    convergence.  The rule returns None when no order is admitted
-    (without calling the kernel) or the last admitted one has not
-    converged.  The guard also makes it cheaper than
-    :func:`synthesize_field`, which needs about ``10 r |x| / pi`` nodes.
+    the real product of its projection with the values' real and imaginary
+    parts.  As each order's field comes, it is checked against the previous
+    one.  The rule returns None when no order is admitted (without calling
+    the kernel) or the last admitted one has not converged.  The guard also
+    makes it cheaper than :func:`synthesize_field`, which needs about
+    ``10 r |x| / pi`` nodes.  The fields come from one of two regimes, chosen
+    once per call by ``w = min |r x|`` and the largest admitted order ``K``:
+
+    * ``w >= K (K - 1) / 2`` (:func:`_endpoint_threshold`): the endpoint sum
+      (:func:`_endpoint_fields`).  For a polynomial, integration by parts
+      ends: ``int_{-1}^{1} P e^{i w s} ds = sum_{j<k} (-1)^j [P^(j)(1) e^{i w}
+      - P^(j)(-1) e^{-i w}] / (i w)^(j+1)`` (DLMF 10.49; Iserles and Norsett,
+      Proc. R. Soc. A 461, 2005).  Term ``j`` is at most ``2 S_j / w^(j+1)``,
+      ``S_j = sum_n |a_n| P_n^(j)(1)``, and ``P_n^(j+1)(1) / P_n^(j)(1) =
+      (n (n + 1) - j (j + 1)) / (2 (j + 1)) <= k (k - 1) / (2 (j + 1))`` for
+      ``n < k``, so past the threshold each bound is at most ``1 / (j + 1)``
+      of the one before: they sum to at most ``e`` times the first,
+      ``2 S_0 / w``, ``S_0 = sum_n |a_n|``.  The sum stops at the least ``J``
+      with ``S_J / w^J <= (eps / 2) S_0``; the dropped tail is at most
+      ``(2 S_J / w^(J+1)) (J + 1) / J <= 2 eps S_0 / w``, and rounding adds
+      about an ulp of the ``2 e S_0 / w`` the terms sum to.  ``J`` is 5 on
+      the ``longwave_front`` far frame (``w = 1.78e5``) and 19 at most at
+      the threshold.  The cost is ``O(J m)`` for ``m`` points.
+    * below it: one recurrence (:func:`_recurrence_fields`) runs ``j_0,
+      j_1, ...`` in blocks of 32 rows (on at most ``_LB_CHUNK`` points at a
+      time) and adds each block into the partial sums of every order not
+      yet complete, by one real matrix product, and it stops at
+      convergence.  There the endpoint terms would grow before they fall,
+      and cancel.
+
+    Both run on at most ``_LB_CHUNK`` points at a time, so no temporary
+    grows with the grid past the fields themselves.
 
     ``kernel`` maps ``(n,)`` nodes to ``(n,)`` values.  An empty ``x``
     gives an empty array without calling the kernel.  Out-of-range
@@ -702,35 +841,20 @@ def legendre_bessel_field(
     orders = [k for k in _LB_ORDERS if least > 2.0 * k]  # also refuses nan
     if not orders:
         return None
-    # Rows 2 i and 2 i + 1: Re and Im of order i's 2 i^n a_n, zero from n = k.
-    # The projection is real and the values are split: a complex operand
-    # would send it through a complex matrix-vector product.
-    coef = np.zeros((2 * len(orders), orders[-1]))
-    for i, k in enumerate(orders):
+    # Each order's a_n as (Re, Im): the projection is real and the values are
+    # split, as a complex operand would send it through a complex product.
+    amps = []
+    for k in orders:
         s, project = _legendre_projection(k)
         v = np.asarray(kernel(mid + half * s))
-        re, im = (project @ np.stack((v.real, v.imag), axis=1)).T
-        c = 2.0 * _I_POWERS[np.arange(k) % 4] * (re + 1j * im)
-        coef[2 * i, :k], coef[2 * i + 1, :k] = c.real, c.imag
-
-    rows = _LB_ORDERS[0]
-    sums = np.zeros((2 * len(orders), x.size))
-    state = np.empty((2, x.size))  # j_{n-2}, j_{n-1} where the recurrence stands
-    block = np.empty((2 + rows, min(x.size, _LB_CHUNK)))
+        amps.append((project @ np.stack((v.real, v.imag), axis=1)).T)
+    if least >= _endpoint_threshold(orders[-1]):
+        fields = _endpoint_fields(amps, omega, least)
+    else:
+        fields = _recurrence_fields(amps, omega)
     phase = half * _cis(mid * x)
-    done, prev = 0, None
-    for i, k in enumerate(orders):
-        for n0 in range(done, k, rows):
-            for lo in range(0, x.size, _LB_CHUNK):
-                cut = slice(lo, lo + _LB_CHUNK)
-                j = block[:, : x[cut].size]
-                j[:2] = state[:, cut]
-                _bessel_rows(j, omega[cut], n0)
-                state[:, cut] = j[-2:]
-                sums[2 * i :, cut] += coef[2 * i :, n0 : n0 + rows] @ j[2:]
-        done = k
-        f = np.empty(x.size, dtype=complex)
-        f.real, f.imag = sums[2 * i], sums[2 * i + 1]
+    prev = None
+    for f in fields:
         f *= phase
         if prev is not None:
             prev -= f

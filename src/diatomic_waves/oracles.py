@@ -21,6 +21,7 @@ component ``u`` and light-sublattice component ``v`` on a common
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,25 @@ _QUADRATURE_MODES = ("full", "acoustic", "optical")
 _CHAIN_MARGIN = 2.0
 #: Largest displacement at either end of the returned window that counts as not reached.
 _BOUNDARY_TOL = 1e-10
+
+
+def _airy_tail_root(tol: float) -> float:
+    """The ``z`` at which ``exp(-zeta) / (4 sqrt(pi) z^(3/4))``, ``zeta = 2 z^(3/2) / 3``,
+    falls to ``tol``: the leading term of ``(1/2) int_z^inf Ai``, which lies above
+    it (the next term of the expansion is negative; the tests check the root by
+    quadrature).  By fixed-point iteration on ``zeta = log(1 / (4 sqrt(pi) tol))
+    - (3/4) log z``, whose slope ``3 / (4 z^(3/2))`` at the root is below 1 for
+    ``tol < 1e-2``."""
+    target = math.log(1.0 / (4.0 * math.sqrt(math.pi) * tol))
+    z = 1.0
+    for _ in range(50):
+        z = (1.5 * (target - 0.75 * math.log(z))) ** (2.0 / 3.0)
+    return z
+
+
+#: Airy scales ahead of the front at which its tail, for a profile of peak 1, is
+#: below ``_BOUNDARY_TOL`` (9.46; see :func:`integrate_lattice`).
+_FRONT_WIDTHS = _airy_tail_root(_BOUNDARY_TOL)
 
 
 @dataclass(frozen=True)
@@ -200,12 +220,19 @@ def integrate_lattice(
     """Exact motion of the lattice from rest, on a ring standing in for it.
 
     The sites ``-n .. n`` (``n`` even) cover the causal cone, the profile, the
-    front width and a margin.  Zeros pad them to a ring of ``N >= n + 1`` cells,
-    ``N`` a fast FFT length, moved mode by mode (:func:`_propagate`; no time
-    step, only rounding).  The states share one read-only ``index``; the energy
-    is the whole ring's.  :class:`BoundaryError` once the two sites at either
-    end of the window move by more than ``_BOUNDARY_TOL``; :class:`ChainSizeError`
-    before allocating a ring above ``_MAX_SITES`` sites.
+    front width and a margin.  The front width is ``z = _FRONT_WIDTHS`` Airy
+    scales ``s = delta^(2/3) (q t / mu)^(1/3)``: in the long-wave limit each
+    front is ``W / 2`` convolved with ``Ai((xi - c t / mu) / s) / s``, so
+    ``R + z s`` ahead of it (``R`` the profile's support radius) every point of
+    the profile sits at an Airy argument past ``z`` and the field is at most
+    ``max|W| / 2 int_z^inf Ai``, which :func:`_airy_tail_root` bounds by
+    ``_BOUNDARY_TOL`` for ``max|W| <= 1``.  Zeros pad the sites to a ring of
+    ``N >= n + 1`` cells, ``N`` a fast FFT length, moved mode by mode
+    (:func:`_propagate`; no time step, only rounding).  The states share one
+    read-only ``index``; the energy is the whole ring's.  :class:`BoundaryError`
+    once the two sites at either end of the window move by more than
+    ``_BOUNDARY_TOL``; :class:`ChainSizeError` before allocating a ring above
+    ``_MAX_SITES`` sites.
 
     Parameters
     ----------
@@ -217,7 +244,7 @@ def integrate_lattice(
     delta = params.h / mu
     disp = Dispersion(params)
     t_max = float(times[-1])
-    front_width = 5.0 * delta ** (2.0 / 3.0) * (
+    front_width = _FRONT_WIDTHS * delta ** (2.0 / 3.0) * (
         disp.dispersion_coefficient * t_max / mu
     ) ** (1.0 / 3.0)
     xi_max = (

@@ -226,6 +226,29 @@ def test_front_zoom_near_frame_takes_the_chirp_path(nacl_params, monkeypatch):
     assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 2e-14
 
 
+def test_front_zoom_far_frame_takes_the_endpoint_sum(nacl_params, monkeypatch):
+    """On the long-wave front benchmark's grid (NaCl, delta = 0.0125, t = 0.5,
+    the window ``[ct - 0.0014, ct + 0.0003]``, ``c = 1``) the trailing frame
+    sits at ``|r y| >= 1.78e5``, past the endpoint threshold of every order:
+    its field comes from the endpoint sum and no Bessel row is run.  It is the
+    recurrence's to 1e-19: they differ by 1.0e-20, within the bound
+    ``16 eps r sum|a_n| / min|r y| = 6.2e-20`` (the wave's peak is 9.0e-6)."""
+    rows, endpoint = [], []
+    bessel_rows, endpoint_fields = quad._bessel_rows, quad._endpoint_fields
+    monkeypatch.setattr(quad, "_bessel_rows", lambda *a: rows.append(1) or bessel_rows(*a))
+    monkeypatch.setattr(
+        quad, "_endpoint_fields", lambda *a: endpoint.append(1) or endpoint_fields(*a)
+    )
+    mu, t = 80.0 * nacl_params.h, 0.5
+    x = np.linspace(t - 0.0014, t + 0.0003, 401)
+    got = uas_integral(nacl_params, GaussianProfile(), mu, x, t)
+    assert endpoint == [1] and rows == []
+    monkeypatch.setattr(quad, "_endpoint_threshold", lambda k: np.inf)
+    recurrence = uas_integral(nacl_params, GaussianProfile(), mu, x, t)
+    assert rows and endpoint == [1]
+    assert np.max(np.abs(got - recurrence)) <= 1e-19
+
+
 # ---------------------------------------------------------------------------
 # the integral over a sequence of times
 # ---------------------------------------------------------------------------

@@ -459,6 +459,35 @@ def test_ode_boundary_guard(desk, gaussian, monkeypatch):
         integrate_lattice(desk(0.05), gaussian, 0.05, [0.1])
 
 
+def test_front_widths_bound_the_airy_tail():
+    """Half the Airy mass past ``_FRONT_WIDTHS`` (9.46), the tail a front of
+    peak 1 keeps there, is within 3 % below ``_BOUNDARY_TOL``."""
+    from scipy.integrate import quad
+    from scipy.special import airy
+
+    tail = 0.5 * quad(lambda u: airy(u)[0], oracles._FRONT_WIDTHS, np.inf)[0]
+    assert 0.97 * oracles._BOUNDARY_TOL <= tail <= oracles._BOUNDARY_TOL
+
+
+def test_chain_holds_the_front_at_a_large_mass_ratio():
+    """delta = 1, gamma2 / gamma1 = 14.9, mu = 0.02, t = 0.5: five Airy scales
+    ahead of the front, the chain's ends saw 1.86e-10 on 153 sites; sized by
+    ``_FRONT_WIDTHS`` it has 181 and the guard holds."""
+    params = LatticeParams(2.0, 29.75, 0.02)
+    (state,), energy = integrate_lattice(params, GaussianProfile(), 0.02, [0.5])
+    assert state.index.size == 181
+    assert energy.drift <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("ratio", [15.0, 17.5, 20.0])
+@pytest.mark.parametrize("gamma1", [0.1, 0.5, 1.0, 1.6, 1.9, 2.0])
+def test_chain_holds_the_front_at_the_domain_edges(gamma1, ratio, t):
+    """The oracle tests' domain at its widest fronts: delta = 1, mu = 0.02,
+    large mass ratios and the latest times, swept on a fixed grid."""
+    integrate_lattice(LatticeParams(gamma1, gamma1 * ratio, 0.02), GaussianProfile(), 0.02, [t])
+
+
 def test_ode_input_guards(desk, gaussian):
     params = desk(0.05)
     for mu, times in ((np.nan, [0.1]), (np.inf, [0.1]), (0.05, [np.nan]), (0.05, [0.1, np.inf])):
