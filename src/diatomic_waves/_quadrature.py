@@ -49,18 +49,17 @@ the trailing frame of a travelling wave.  There
 polynomials and integrates each term against ``exp(i p x)`` exactly
 (a Filon-type rule), so its cost does not depend on ``x``; its
 Gauss-Legendre rules come from Newton's method, without an eigensolver.
-It applies only where ``|x|`` is large next to its polynomial degree and
-returns None otherwise, leaving such grids to :func:`synthesize_field`.  It
-has two regimes.  Where ``min |r x|`` (``r`` the band's half-width) is at
-least ``K (K - 1) / 2`` for its largest admitted order ``K``, each order's
-sum is the finite endpoint sum of repeated integration by parts, from the
-polynomial's derivatives at both ends: its terms fall at least as ``1 / j!``,
-and a tail bound stops it after ``J`` of them (5 on a far travelling frame
-at ``r x = 1.78e5``, at most 19), so it costs ``O(J m)`` on ``m`` points.
-Nearer, one upward Bessel recurrence serves all of its orders.  Every matrix
-product in either is real: the projection of complex kernel values, as one
-complex operand, cost a complex matrix-vector product of milliseconds
-(and a spinning BLAS thread) where the real one takes microseconds.
+Each order's sum is the finite endpoint sum of repeated integration by
+parts, from the polynomial's derivatives at both ends.  Order ``k`` is
+admitted only where ``min |r x|`` (``r`` the band's half-width) is at least
+``k (k - 1) / 2``; there the sum's terms fall at least as ``1 / j!``, and a
+tail bound stops it after ``J`` of them (5 on a far travelling frame at
+``r x = 1.78e5``, at most 19), so it costs ``O(J m)`` on ``m`` points.  With
+fewer than two orders admitted the rule returns None, leaving the grid to
+:func:`synthesize_field`.  Every matrix product in it is real: the
+projection of complex kernel values, as one complex operand, cost a complex
+matrix-vector product of milliseconds (and a spinning BLAS thread) where
+the real one takes microseconds.
 """
 
 from __future__ import annotations
@@ -98,12 +97,11 @@ _UNIFORM_ULPS = 8.0
 _RESIDUAL_PHASE = 1e-8
 
 #: Legendre orders :func:`legendre_bessel_field` tries, each checked
-#: against the one before; each is a multiple of the first, the rows its
-#: recurrence adds per block.
+#: against the one before.
 _LB_ORDERS = (32, 64, 128, 256)
 
-#: Output points :func:`legendre_bessel_field` runs its recurrence on at once,
-#: so its Bessel rows stay a fixed block while the grid grows.
+#: Output points :func:`legendre_bessel_field` sums at once, so its block of
+#: Horner sums stays fixed while the grid grows.
 _LB_CHUNK = 4096
 
 #: Terms of the endpoint sum of :func:`legendre_bessel_field` tabulated: at its
@@ -550,7 +548,8 @@ def synthesize_field(
     ------
     ConfigError
         If ``rtol``, ``atol``, ``nodes_per_cycle`` or ``max_doublings`` is
-        out of range (see :func:`_check_numerics`); checked before anything else.
+        out of range (see :func:`_check_numerics`), or ``x`` holds a nan or an
+        infinity (the first is named); checked before anything else.
     QuadratureError
         If a panel level would exceed ``_MAX_NODES`` nodes (the first level's
         doubling is checked before the kernel is called), or if doubling
@@ -560,6 +559,8 @@ def synthesize_field(
     """
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(_abs_max(x)):
+        raise ConfigError(f"x must be finite, got {float(x.flat[np.argmin(np.isfinite(x))])!r}")
     if x.size == 0:
         return np.zeros(0, dtype=complex)
     grid = _output_grid(x, max(abs(a), abs(b)))
@@ -648,60 +649,11 @@ def _legendre_projection(k: int) -> tuple[np.ndarray, np.ndarray]:
     return s, (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
 
 
-def _bessel_rows(j: np.ndarray, omega: np.ndarray, n0: int) -> None:
-    """Fill ``j[2:]`` with the spherical Bessel ``j_n(omega)``, ``n = n0, n0 + 1, ...``,
-    by upward recurrence from ``j_{n0-2}, j_{n0-1}`` in ``j[:2]`` (unused for
-    ``n0 = 0``).  Stable while ``n < |omega|``."""
-    inv = 1.0 / omega
-    first = 2
-    if n0 == 0:
-        np.multiply(np.sin(omega), inv, out=j[2])
-        np.multiply(j[2] - np.cos(omega), inv, out=j[3])
-        first = 4
-    for r in range(first, j.shape[0]):  # j_n = (2 n - 1) j_{n-1} / omega - j_{n-2}
-        np.multiply(2 * (n0 + r - 2) - 1, inv, out=j[r])
-        j[r] *= j[r - 1]
-        j[r] -= j[r - 2]
-
-
-def _recurrence_fields(amps: list[np.ndarray], omega: np.ndarray):
-    """Yield each order's ``int_{-1}^{1} P(s) e^{i omega s} ds = sum_n c_n j_n(omega)``,
-    ``P = sum_n a_n P_n``, ``a_n = re + i im`` from ``amps``, ``c_n = 2 i^n a_n``,
-    from one upward recurrence: blocks of ``_LB_ORDERS[0]`` rows on at most
-    ``_LB_CHUNK`` points at a time, each added into the partial sums of every
-    order not yet complete by one real matrix product.  The recurrence advances
-    only as far as the fields are taken."""
-    orders = [re.size for re, _ in amps]
-    # Rows 2 i and 2 i + 1: Re and Im of order i's c_n, zero from n = k.
-    coef = np.zeros((2 * len(orders), orders[-1]))
-    for i, (re, im) in enumerate(amps):
-        c = 2.0 * _I_POWERS[np.arange(re.size) % 4] * (re + 1j * im)
-        coef[2 * i, : re.size], coef[2 * i + 1, : re.size] = c.real, c.imag
-    m = omega.size
-    rows = _LB_ORDERS[0]
-    sums = np.zeros((2 * len(orders), m))
-    state = np.empty((2, m))  # j_{n-2}, j_{n-1} where the recurrence stands
-    block = np.empty((2 + rows, min(m, _LB_CHUNK)))
-    done = 0
-    for i, k in enumerate(orders):
-        for n0 in range(done, k, rows):
-            for lo in range(0, m, _LB_CHUNK):
-                cut = slice(lo, lo + _LB_CHUNK)
-                j = block[:, : omega[cut].size]
-                j[:2] = state[:, cut]
-                _bessel_rows(j, omega[cut], n0)
-                state[:, cut] = j[-2:]
-                sums[2 * i :, cut] += coef[2 * i :, n0 : n0 + rows] @ j[2:]
-        done = k
-        f = np.empty(m, dtype=complex)
-        f.real, f.imag = sums[2 * i], sums[2 * i + 1]
-        yield f
-
-
 def _endpoint_threshold(k: int) -> float:
-    """Least ``min |omega|`` at which order ``k`` takes :func:`_endpoint_fields`:
-    past it each bound on an endpoint term is at most ``1 / (j + 1)`` of the one
-    before, where below it the terms would grow before they fall, and cancel."""
+    """Least ``min |omega|`` at which :func:`legendre_bessel_field` admits order
+    ``k``: past it each bound on an endpoint term is at most ``1 / (j + 1)`` of
+    the one before, where below it the terms would grow before they fall, and
+    cancel."""
     return 0.5 * k * (k - 1)
 
 
@@ -719,8 +671,10 @@ def _endpoint_table(k: int) -> np.ndarray:
     return table
 
 
-def _endpoint_fields(amps: list[np.ndarray], omega: np.ndarray, least: float):
-    """Yield each order's ``int_{-1}^{1} P(s) e^{i omega s} ds``, ``P = sum_n a_n P_n``,
+def _endpoint_fields(
+    amps: list[np.ndarray], omega: np.ndarray, least: float
+) -> list[np.ndarray]:
+    """Each order's ``int_{-1}^{1} P(s) e^{i omega s} ds``, ``P = sum_n a_n P_n``,
     ``a_n = re + i im`` from ``amps``, by its finite endpoint sum
     ``sum_{j<J} (-1)^j [P^(j)(1) e^{i omega} - P^(j)(-1) e^{-i omega}] / (i omega)^(j+1)``.
 
@@ -732,7 +686,8 @@ def _endpoint_fields(amps: list[np.ndarray], omega: np.ndarray, least: float):
     ``J`` is the largest over the orders of the least ``j >= 1`` with
     ``S_j / |omega|^j <= (eps / 2) S_0``, ``S_j = sum_n |a_n| T[j, n]`` and
     ``|omega| = least``, and ``_LB_TERMS`` at most (the bound is in
-    :func:`legendre_bessel_field`).
+    :func:`legendre_bessel_field`, and needs ``least`` past every order's
+    :func:`_endpoint_threshold`).
     """
     k = amps[-1].shape[1]
     # [a_n, (-1)^n a_n][Re, Im][order][n]: d[:, 1] is (-1)^j P^(j)(-1)
@@ -767,7 +722,7 @@ def _endpoint_fields(amps: list[np.ndarray], omega: np.ndarray, least: float):
         re, im = c * p[2] + s * p[3], s * p[1] - c * p[0]  # -i v (e^{i w} A - e^{-i w} B)
         for f, f_re, f_im in zip(fields, re, im):
             f[lo : lo + _LB_CHUNK].real, f[lo : lo + _LB_CHUNK].imag = f_re, f_im
-    yield from fields
+    return fields
 
 
 def legendre_bessel_field(
@@ -783,49 +738,40 @@ def legendre_bessel_field(
     or None where this rule does not apply.
 
     With ``p = m + r s`` (``m``, ``r`` the band's midpoint and half-width)
-    and the kernel's Legendre expansion ``sum_n a_n P_n(s)``, the identity
-    ``int_{-1}^{1} P_n(s) e^{i w s} ds = 2 i^n j_n(w)`` gives
-    ``F(x) = r e^{i m x} sum_n a_n 2 i^n j_n(r x)`` exactly.  The ``a_n``
-    come from ``k``-point Gauss-Legendre for ``k`` = 32, 64, 128, 256, and
-    the first ``k`` whose result is within ``atol + rtol * max|F|`` of the
-    previous one is returned.  Its accuracy depends on how well degree
-    ``k - 1`` resolves the kernel, not on ``x``.
+    and the kernel's Legendre expansion ``P(s) = sum_n a_n P_n(s)``,
+    ``F(x) = r e^{i m x} int_{-1}^{1} P(s) e^{i w s} ds``, ``w = r x``.  The
+    ``a_n`` come from ``k``-point Gauss-Legendre for ``k`` = 32, 64, 128,
+    256, and the first ``k`` whose result is within ``atol + rtol * max|F|``
+    of the previous one is returned.  Its accuracy depends on how well
+    degree ``k - 1`` resolves the kernel, not on ``x``.
 
-    Order ``k`` is admitted only where ``min |r x| > 2 k``, where the upward
-    recurrence of ``j_n`` is stable.  The kernel is called once at each
-    admitted order's nodes, in ladder order, and each order's ``a_n`` are
-    the real product of its projection with the values' real and imaginary
-    parts.  As each order's field comes, it is checked against the previous
-    one.  The rule returns None when no order is admitted (without calling
-    the kernel) or the last admitted one has not converged.  The guard also
-    makes it cheaper than :func:`synthesize_field`, which needs about
-    ``10 r |x| / pi`` nodes.  The fields come from one of two regimes, chosen
-    once per call by ``w = min |r x|`` and the largest admitted order ``K``:
+    Each order's integral is the finite endpoint sum of repeated integration
+    by parts (:func:`_endpoint_fields`): for a polynomial it ends,
+    ``int_{-1}^{1} P e^{i w s} ds = sum_{j<k} (-1)^j [P^(j)(1) e^{i w}
+    - P^(j)(-1) e^{-i w}] / (i w)^(j+1)`` (DLMF 10.49; Iserles and Norsett,
+    Proc. R. Soc. A 461, 2005).  Term ``j`` is at most ``2 S_j / w^(j+1)``,
+    ``S_j = sum_n |a_n| P_n^(j)(1)``, and ``P_n^(j+1)(1) / P_n^(j)(1) =
+    (n (n + 1) - j (j + 1)) / (2 (j + 1)) <= k (k - 1) / (2 (j + 1))`` for
+    ``n < k``.  So order ``k`` is admitted only where ``min |w| >= k (k - 1)
+    / 2`` (:func:`_endpoint_threshold`: 496, 2,016, 8,128 and 32,640), where
+    each bound is at most ``1 / (j + 1)`` of the one before: they sum to at
+    most ``e`` times the first, ``2 S_0 / w``, ``S_0 = sum_n |a_n|``.  The sum
+    stops at the least ``J`` with ``S_J / w^J <= (eps / 2) S_0``; the dropped
+    tail is at most ``(2 S_J / w^(J+1)) (J + 1) / J <= 2 eps S_0 / w``, and
+    rounding adds about an ulp of the ``2 e S_0 / w`` the terms sum to.  ``J``
+    is 5 on the ``longwave_front`` far frame (``w = 1.78e5``) and 19 at most
+    at a threshold.  The cost is ``O(J m)`` for ``m`` points, on at most
+    ``_LB_CHUNK`` of them at a time, so no temporary grows with the grid past
+    the fields themselves; :func:`synthesize_field` would need about
+    ``10 r |x| / pi`` nodes.
 
-    * ``w >= K (K - 1) / 2`` (:func:`_endpoint_threshold`): the endpoint sum
-      (:func:`_endpoint_fields`).  For a polynomial, integration by parts
-      ends: ``int_{-1}^{1} P e^{i w s} ds = sum_{j<k} (-1)^j [P^(j)(1) e^{i w}
-      - P^(j)(-1) e^{-i w}] / (i w)^(j+1)`` (DLMF 10.49; Iserles and Norsett,
-      Proc. R. Soc. A 461, 2005).  Term ``j`` is at most ``2 S_j / w^(j+1)``,
-      ``S_j = sum_n |a_n| P_n^(j)(1)``, and ``P_n^(j+1)(1) / P_n^(j)(1) =
-      (n (n + 1) - j (j + 1)) / (2 (j + 1)) <= k (k - 1) / (2 (j + 1))`` for
-      ``n < k``, so past the threshold each bound is at most ``1 / (j + 1)``
-      of the one before: they sum to at most ``e`` times the first,
-      ``2 S_0 / w``, ``S_0 = sum_n |a_n|``.  The sum stops at the least ``J``
-      with ``S_J / w^J <= (eps / 2) S_0``; the dropped tail is at most
-      ``(2 S_J / w^(J+1)) (J + 1) / J <= 2 eps S_0 / w``, and rounding adds
-      about an ulp of the ``2 e S_0 / w`` the terms sum to.  ``J`` is 5 on
-      the ``longwave_front`` far frame (``w = 1.78e5``) and 19 at most at
-      the threshold.  The cost is ``O(J m)`` for ``m`` points.
-    * below it: one recurrence (:func:`_recurrence_fields`) runs ``j_0,
-      j_1, ...`` in blocks of 32 rows (on at most ``_LB_CHUNK`` points at a
-      time) and adds each block into the partial sums of every order not
-      yet complete, by one real matrix product, and it stops at
-      convergence.  There the endpoint terms would grow before they fall,
-      and cancel.
-
-    Both run on at most ``_LB_CHUNK`` points at a time, so no temporary
-    grows with the grid past the fields themselves.
+    The kernel is called once at each admitted order's nodes, in ladder
+    order, and each order's ``a_n`` are the real product of its projection
+    with the values' real and imaginary parts.  Each order's field is then
+    checked against the previous one.  The rule returns None, without
+    calling the kernel, when fewer than two orders are admitted (one has
+    nothing to be checked against) or ``x`` holds a nan or an infinity, and
+    None when the last admitted order has not converged.
 
     ``kernel`` maps ``(n,)`` nodes to ``(n,)`` values.  An empty ``x``
     gives an empty array without calling the kernel.  Out-of-range
@@ -835,11 +781,13 @@ def legendre_bessel_field(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         return np.zeros(0, dtype=complex)
+    if not np.isfinite(_abs_max(x)):
+        return None
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     omega = half * x
     least = float(np.min(np.abs(omega)))
-    orders = [k for k in _LB_ORDERS if least > 2.0 * k]  # also refuses nan
-    if not orders:
+    orders = [k for k in _LB_ORDERS if least >= _endpoint_threshold(k)]
+    if len(orders) < 2:
         return None
     # Each order's a_n as (Re, Im): the projection is real and the values are
     # split, as a complex operand would send it through a complex product.
@@ -848,13 +796,9 @@ def legendre_bessel_field(
         s, project = _legendre_projection(k)
         v = np.asarray(kernel(mid + half * s))
         amps.append((project @ np.stack((v.real, v.imag), axis=1)).T)
-    if least >= _endpoint_threshold(orders[-1]):
-        fields = _endpoint_fields(amps, omega, least)
-    else:
-        fields = _recurrence_fields(amps, omega)
     phase = half * _cis(mid * x)
     prev = None
-    for f in fields:
+    for f in _endpoint_fields(amps, omega, least):
         f *= phase
         if prev is not None:
             prev -= f

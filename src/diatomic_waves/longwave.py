@@ -124,9 +124,9 @@ def uas_integral(
 
     * a frame far from its front on the whole grid goes to
       :func:`~diatomic_waves._quadrature.legendre_bessel_field`, whose cost
-      does not depend on ``y``; its guard ``min |y| cut / 2 > 2 k`` (for
-      Legendre order ``k``) and its own convergence check decide where
-      it applies;
+      does not depend on ``y``; its guard ``min |y| cut / 2 >= k (k - 1) / 2``
+      (for Legendre order ``k``, on at least two orders) and its own
+      convergence check decide where it applies;
     * any other frame is a :func:`synthesize_field` call on its own grid
       ``y``, formed as ``(c t +- x) / mu`` so the front is not moved by the
       rounding of ``c t / mu``;

@@ -141,18 +141,21 @@ def _wave_peak(table: bool, t: float) -> float:
 
 
 #: Path each frame takes: "far" (the Legendre-Bessel rule), "near" (its own
-#: synthesize_field call) or "fold" (one even-fold call for both).
+#: synthesize_field call) or "fold" (one even-fold call for both).  No frame
+#: here is far: the t = 2 trailing frames sit at ``|r y|`` from about 320, below
+#: the 2,016 from which the rule admits two orders (the NaCl windows below
+#: take it).
 FRAME_CASES = [
     pytest.param(t, grid, gaussian_paths, table_paths, id=f"t{t:g}-{grid}")
     for t, grid, gaussian_paths, table_paths in (
         (0.0, "right", "fold", "near near"),
         (0.0, "two_front", "fold", "near near"),
         (0.0, "scalar", "fold", "near near"),
-        (2.0, "right", "far near", "far near"),
-        (2.0, "left", "near far", "near far"),
+        (2.0, "right", "fold", "near near"),
+        (2.0, "left", "fold", "near near"),
         (2.0, "two_front", "fold", "near near"),
-        (2.0, "ahead", "far near", "far near"),
-        (2.0, "scalar", "far near", "far near"),
+        (2.0, "ahead", "fold", "near near"),
+        (2.0, "scalar", "fold", "near near"),
     )
 ]
 
@@ -226,27 +229,63 @@ def test_front_zoom_near_frame_takes_the_chirp_path(nacl_params, monkeypatch):
     assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 2e-14
 
 
+def _far_frames(monkeypatch) -> list:
+    """Patch ``uas_integral``'s far rule to record ``(kernel, a, b, y, field)``
+    of every call, the field None where the rule does not apply."""
+    calls = []
+    far_rule = longwave.legendre_bessel_field
+
+    def far_spy(kernel, a, b, y, **kwargs):
+        out = far_rule(kernel, a, b, y, **kwargs)
+        calls.append((kernel, a, b, y, out))
+        return out
+
+    monkeypatch.setattr(longwave, "legendre_bessel_field", far_spy)
+    return calls
+
+
 def test_front_zoom_far_frame_takes_the_endpoint_sum(nacl_params, monkeypatch):
     """On the long-wave front benchmark's grid (NaCl, delta = 0.0125, t = 0.5,
     the window ``[ct - 0.0014, ct + 0.0003]``, ``c = 1``) the trailing frame
     sits at ``|r y| >= 1.78e5``, past the endpoint threshold of every order:
-    its field comes from the endpoint sum and no Bessel row is run.  It is the
-    recurrence's to 1e-19: they differ by 1.0e-20, within the bound
-    ``16 eps r sum|a_n| / min|r y| = 6.2e-20`` (the wave's peak is 9.0e-6)."""
-    rows, endpoint = [], []
-    bessel_rows, endpoint_fields = quad._bessel_rows, quad._endpoint_fields
-    monkeypatch.setattr(quad, "_bessel_rows", lambda *a: rows.append(1) or bessel_rows(*a))
+    its field comes from one endpoint sum.  It is the sequential ladder's (the
+    upward Bessel recurrence on the same Gauss-Legendre coefficients) to
+    1e-19: they differ by 6.3e-20 (the wave's peak is 9.0e-6)."""
+    endpoint = []
+    endpoint_fields = quad._endpoint_fields
     monkeypatch.setattr(
         quad, "_endpoint_fields", lambda *a: endpoint.append(1) or endpoint_fields(*a)
     )
+    frames = _far_frames(monkeypatch)
     mu, t = 80.0 * nacl_params.h, 0.5
     x = np.linspace(t - 0.0014, t + 0.0003, 401)
+    uas_integral(nacl_params, GaussianProfile(), mu, x, t)
+    assert endpoint == [1]
+    (kernel, a, b, y, far), (*_, near) = frames
+    assert far is not None and near is None
+    assert np.max(np.abs(far - ref.legendre_bessel_ladder(kernel, a, b, y)[0])) <= 1e-19
+
+
+#: ``(n_atoms, t)`` of the NaCl front windows ``mu = n_atoms h``,
+#: ``x in [ct - 0.0014 n_atoms / 80, ct + 0.0003 n_atoms / 80]``: the trailing
+#: frame sits at ``min |r y|`` from 2,531 (1280, 0.125) to 177,709 (80, 0.5).
+NACL_WINDOWS = [(n, t) for n in (80, 160, 320, 640, 1280) for t in (0.125, 0.5)]
+
+
+@pytest.mark.parametrize("n_atoms, t", NACL_WINDOWS)
+def test_nacl_windows_take_the_far_rule(nacl_params, monkeypatch, n_atoms, t):
+    """On a zoom of the right-moving front at every NaCl scale from 80 to 1280
+    atoms per perturbation width, the far rule returns the trailing frame's
+    field and leaves the leading one to the panels, and the integral meets the
+    closed form to 1e-12 (2.0e-14 at most, at 640 atoms and t = 0.125)."""
+    frames = _far_frames(monkeypatch)
+    mu = n_atoms * nacl_params.h
+    x = np.linspace(t - 0.0014 * n_atoms / 80, t + 0.0003 * n_atoms / 80, 401)
     got = uas_integral(nacl_params, GaussianProfile(), mu, x, t)
-    assert endpoint == [1] and rows == []
-    monkeypatch.setattr(quad, "_endpoint_threshold", lambda k: np.inf)
-    recurrence = uas_integral(nacl_params, GaussianProfile(), mu, x, t)
-    assert rows and endpoint == [1]
-    assert np.max(np.abs(got - recurrence)) <= 1e-19
+    monkeypatch.undo()
+    (*_, trailing), (*_, leading) = frames
+    assert trailing is not None and leading is None
+    assert np.max(np.abs(got - uas_gaussian_airy(nacl_params, mu, x, t))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +323,7 @@ def test_integral_over_times_matches_one_time_calls(times, grid, table):
     ``rtol = 1e-8`` and ``scale`` that call's peak: the target each time's
     ladder meets on its own, as a folded time is converged on its own scale
     on at least the nodes its own call takes.  The wide grid folds every
-    time; the window on one front mixes far, near and folded frames; the
+    time; the window on one front mixes near and folded frames; the
     skew table never folds."""
     params = LatticeParams(0.82, 1.27, FRAME_H)
     profile = SKEW if table else GaussianProfile()
@@ -296,12 +335,14 @@ def test_integral_over_times_matches_one_time_calls(times, grid, table):
         assert np.max(np.abs(field - alone)) <= 1e-13 + 1e-8 * np.max(np.abs(alone))
 
 
-def test_integral_mixing_near_and_far_frames_keeps_every_bit(monkeypatch):
-    """On a window on one front, each time takes its own frames (far, near, or
-    a fold for the one time whose frames both miss the far rule), and every
-    field is its own call's bit for bit."""
-    params, x = LatticeParams(0.82, 1.27, FRAME_H), _frame_grids(2.0)["right"]
-    times = (2.0, 0.0, 1.0, 2.5)
+def test_integral_mixing_near_and_far_frames_keeps_every_bit(nacl_params, monkeypatch):
+    """On a window on one front (NaCl at 1280 atoms per width, the window of
+    t = 0.125), each time takes its own frames (far, near, or a fold for the
+    one time whose frames both miss the far rule), and every field is its own
+    call's bit for bit."""
+    params, mu = nacl_params, 1280 * nacl_params.h
+    x = np.linspace(0.125 - 0.0014 * 16, 0.125 + 0.0003 * 16, 401)
+    times = (0.125, 0.0, 0.25, 0.5)
     paths = []
     far_rule, quadrature = longwave.legendre_bessel_field, longwave.synthesize_field
 
@@ -316,11 +357,11 @@ def test_integral_mixing_near_and_far_frames_keeps_every_bit(monkeypatch):
 
     monkeypatch.setattr(longwave, "legendre_bessel_field", far_spy)
     monkeypatch.setattr(longwave, "synthesize_field", near_spy)
-    fields = uas_integral(params, GaussianProfile(), FRAME_MU, x, times)
+    fields = uas_integral(params, GaussianProfile(), mu, x, times)
     monkeypatch.undo()
     assert {"far", "near", "fold"} <= set(paths)
     for t, field in zip(times, fields):
-        alone = uas_integral(params, GaussianProfile(), FRAME_MU, x, t)
+        alone = uas_integral(params, GaussianProfile(), mu, x, t)
         np.testing.assert_array_equal(field, alone)
 
 

@@ -24,7 +24,7 @@ from diatomic_waves import _quadrature as quad
 from diatomic_waves import initial_data
 from diatomic_waves.errors import ConfigError, QuadratureError
 
-from _reference import legendre_bessel_ladder
+from _reference import bessel_sum, legendre_bessel_ladder
 
 #: Largest panel level any workload or test builds today (the long-wave front).
 LARGEST_LEVEL_NODES = 70_930 * 16
@@ -600,14 +600,14 @@ class _CountingGaussian(GaussianProfile):
 
 _DESK_FINE = LatticeParams(gamma1=0.82, gamma2=1.27, h=0.002)
 _EVALUATORS = {
-    "solve_quadrature": lambda prof, **kw: solve_quadrature(
-        _DESK_FINE, prof, 0.04, np.linspace(-0.5, 0.5, 41), 0.3, **kw
+    "solve_quadrature": lambda prof, x=np.linspace(-0.5, 0.5, 41), **kw: solve_quadrature(
+        _DESK_FINE, prof, 0.04, x, 0.3, **kw
     ),
-    "uas_integral": lambda prof, **kw: uas_integral(
-        _DESK_FINE, prof, 0.04, np.linspace(-0.5, 0.5, 41), 0.3, **kw
+    "uas_integral": lambda prof, x=np.linspace(-0.5, 0.5, 41), **kw: uas_integral(
+        _DESK_FINE, prof, 0.04, x, 0.3, **kw
     ),
-    "synthesize_field": lambda prof, **kw: quad.synthesize_field(
-        prof.fourier_hat, 0.0, 8.0, np.linspace(-2.0, 2.0, 41), 10.0, **kw
+    "synthesize_field": lambda prof, x=np.linspace(-2.0, 2.0, 41), **kw: quad.synthesize_field(
+        prof.fourier_hat, 0.0, 8.0, x, 10.0, **kw
     ),
 }
 _BAD_NUMERICS = [
@@ -638,6 +638,22 @@ def test_nonsense_numerics_raise_before_any_kernel_call(name, key, value):
     profile = _CountingGaussian()
     with pytest.raises(ConfigError, match=key):
         _EVALUATORS[name](profile, **{key: value})
+    assert profile.calls == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+def test_non_finite_points_raise_before_any_kernel_call(name, bad):
+    """A nan or an infinity among the output points is refused up front with
+    ``ConfigError`` naming it, without a warning or a profile evaluation: the
+    panel ladder would spend every doubling on a nan, and an infinity warns in
+    the grid's analysis.  ``uas_integral``'s far rule gives None for it first
+    (see ``test_legendre_bessel_refuses_where_its_guard_fails``)."""
+    profile = _CountingGaussian()
+    x = np.linspace(-0.5, 0.5, 41)
+    x[7] = bad
+    with pytest.raises(ConfigError, match=f"x must be finite, got {bad!r}"):
+        _EVALUATORS[name](profile, x=x)
     assert profile.calls == 0
 
 
@@ -689,23 +705,33 @@ _FRAME_CASES = dict(
 _FRAME_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
-def _frame_case(table, t, mu, log_offset, width, m, ahead, sign):
+def _frame_case(table, t, mu, log_offset, width, m, ahead, sign, high=5e4):
     """``(kernel, cut, y, spread)``: a frame's kernel on ``[0, cut]``, its grid
-    40 to 160 (table) or 5000 (Gaussian) from the front, and its cubic rate."""
+    at ``min |omega| = min |cut y / 2|`` up to ``high``, ahead of or behind its
+    front, and its cubic rate.  The least ``min |omega|`` is the endpoint
+    threshold of the order the ladder converges at, 64 for the Gaussian
+    (2,016) and 128 for the table (8,128): below it the rule returns None."""
     profile = _SKEW if table else GaussianProfile()
     kernel, spread = _frame_kernel(profile, sign, t, mu)
-    offset = 40.0 * (4.0 if table else 125.0) ** log_offset
+    cut = profile.hat_radius()
+    low = quad._endpoint_threshold(128 if table else 64)
+    offset = low * (high / low) ** log_offset / (0.5 * cut)
     y = (-1.0 if ahead else 1.0) * (offset + np.linspace(0.0, width, m))
-    return kernel, profile.hat_radius(), y, spread
+    return kernel, cut, y, spread
 
 
 @_FRAME_SETTINGS
-@given(**_FRAME_CASES)
+@given(**{**_FRAME_CASES, "table": st.just(False)})
+@example(table=True, t=2.0, mu=0.03, log_offset=0.0, width=20.0, m=40, ahead=False, sign=1.0)
+@example(table=True, t=0.5, mu=0.1, log_offset=0.0, width=0.0, m=1, ahead=True, sign=-1.0)
 def test_legendre_bessel_matches_quadrature_at_the_frame_rate(
     table, t, mu, log_offset, width, m, ahead, sign
 ):
     """Far from its front the Filon rule gives what the panel quadrature
-    gives at that frame's own rate, on either side of the front."""
+    gives at that frame's own rate, on either side of the front.  The table
+    frames, admitted from ``min |r y|`` = 8,128 on, take over a second each in
+    the panels (the spline transform on 78,000 nodes), so two explicit ones
+    stand next to the drawn Gaussian frames."""
     kernel, cut, y, spread = _frame_case(table, t, mu, log_offset, width, m, ahead, sign)
     far = quad.legendre_bessel_field(kernel, 0.0, cut, y)
     assert far is not None
@@ -714,14 +740,16 @@ def test_legendre_bessel_matches_quadrature_at_the_frame_rate(
 
 
 def _assert_matches_ladder(kernel, a: float, b: float, y: np.ndarray) -> None:
-    """The one-recurrence rule against the sequential per-order ladder: None
-    exactly where the ladder gives None, else convergence at the same order
-    (the rule cut to that order converges, cut below it does not) and values
-    within ``8 eps r sum|c_n| max|j_n|`` of the ladder's, ``c_n = 2 i^n a_n``
-    the coefficients of the ``j_n`` the two sum in different orders."""
+    """The rule against the sequential per-order ladder, which admits order
+    ``k`` from ``min |r y| > 2 k`` on: where the rule admits the ladder's order
+    of convergence, convergence at that order (the rule cut to it converges,
+    cut below it does not) and values within ``8 eps r sum|c_n| max|j_n|`` of
+    the ladder's, ``c_n = 2 i^n a_n`` the coefficients of the ``j_n`` the two
+    sum in different ways; None everywhere else."""
     want, k, coef = legendre_bessel_ladder(kernel, a, b, y)
     got = quad.legendre_bessel_field(kernel, a, b, y)
-    if want is None:
+    half = 0.5 * (b - a)
+    if want is None or float(np.min(np.abs(half * y))) < quad._endpoint_threshold(k):
         assert got is None
         return
     assert got is not None
@@ -730,7 +758,6 @@ def _assert_matches_ladder(kernel, a: float, b: float, y: np.ndarray) -> None:
         assert quad.legendre_bessel_field(kernel, a, b, y) is not None
     with mock.patch.object(quad, "_LB_ORDERS", orders[:-1]):
         assert quad.legendre_bessel_field(kernel, a, b, y) is None
-    half = 0.5 * (b - a)
     j_max = max(float(np.max(np.abs(spherical_jn(n, half * y)))) for n in range(k))
     bound = 8.0 * np.finfo(float).eps * half * np.sum(np.abs(coef)) * j_max
     assert np.max(np.abs(got - want)) <= bound
@@ -751,49 +778,35 @@ _LADDER_CASES = [
     (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.linspace(1e4, 1.001e4, 9), 64),
     (lambda p: np.exp(300j * p), np.linspace(1e4, 1.001e4, 9), None),  # unresolved
     (lambda p: np.exp(-0.5 * p * p), np.array([30.0, 1e4]), None),  # one order admitted
+    # the ladder converges at 64, which the rule admits only from 2,016
+    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.array([250.0, 1e4]), 64),
 ]
 
 
 @pytest.mark.parametrize(
-    "kernel, y, order", _LADDER_CASES, ids=["converges-at-64", "unresolved", "one-order"]
+    "kernel, y, order",
+    _LADDER_CASES,
+    ids=["converges-at-64", "unresolved", "one-order", "below-the-rule"],
 )
 def test_legendre_bessel_matches_the_sequential_ladder(kernel, y, order):
     assert legendre_bessel_ladder(kernel, 0.0, 8.0, y)[1] == order
     _assert_matches_ladder(kernel, 0.0, 8.0, y)
 
 
-def _endpoint_case(table, t, mu, log_offset, width, m, ahead, sign):
-    """``(kernel, cut, y)``: a frame's kernel on ``[0, cut]`` and its grid, at
-    ``min |omega| = min |cut y / 2|`` from the endpoint threshold of the highest
-    order (32,640) to 1e7, ahead of or behind its front."""
-    profile = _SKEW if table else GaussianProfile()
-    kernel, _ = _frame_kernel(profile, sign, t, mu)
-    cut = profile.hat_radius()
-    low = quad._endpoint_threshold(quad._LB_ORDERS[-1])
-    offset = low * (1e7 / low) ** log_offset / (0.5 * cut)
-    y = (-1.0 if ahead else 1.0) * (offset + np.linspace(0.0, width, m))
-    return kernel, cut, y
-
-
-def _regime_run(kernel, cut: float, y: np.ndarray, regime: str):
-    """``(F, sums, amps)``: the far rule's field with the regime ``regime``
-    (``"_endpoint_fields"``, or ``"_recurrence_fields"`` forced by an infinite
-    threshold), the Legendre sums it yielded before the phase ``r e^{i m x}``,
-    one per order taken, and the orders' ``(Re a_n, Im a_n)``."""
+def _spied_run(kernel, cut: float, y: np.ndarray):
+    """``(F, sums, amps)``: the far rule's field, the Legendre sums
+    :func:`_endpoint_fields` gave it before the phase ``r e^{i m x}``, one per
+    admitted order, and the orders' ``(Re a_n, Im a_n)``."""
     sums, amps = [], []
-    regime_fields = getattr(quad, regime)
+    endpoint_fields = quad._endpoint_fields
 
     def spy(orders_amps, *args):
         amps.extend(orders_amps)
-        for f in regime_fields(orders_amps, *args):
-            sums.append(f.copy())  # the rule scales f in place
-            yield f
+        fields = endpoint_fields(orders_amps, *args)
+        sums.extend(f.copy() for f in fields)  # the rule scales each f in place
+        return fields
 
-    forced = regime == "_recurrence_fields"
-    threshold = (lambda k: np.inf) if forced else quad._endpoint_threshold
-    with mock.patch.object(quad, regime, spy), mock.patch.object(
-        quad, "_endpoint_threshold", threshold
-    ):
+    with mock.patch.object(quad, "_endpoint_fields", spy):
         return quad.legendre_bessel_field(kernel, 0.0, cut, y), sums, amps
 
 
@@ -802,51 +815,68 @@ def _regime_run(kernel, cut: float, y: np.ndarray, regime: str):
 def test_endpoint_sum_matches_the_recurrence_past_its_threshold(
     table, t, mu, log_offset, width, m, ahead, sign
 ):
-    """Past its threshold the endpoint sum gives every order's Legendre sum
-    that the recurrence gives on the same coefficients, stops at the same
-    order, and the fields agree to ``16 eps r S_0 / w``, ``S_0 = sum|a_n|`` of
-    that order and ``w = min |r y|``:
+    """Past the thresholds the endpoint sum gives every admitted order's
+    Legendre sum that the upward Bessel recurrence (``bessel_sum``) gives on
+    the same coefficients ``c_n = 2 i^n a_n``, the rule stops at the same
+    order as those sums would, and the fields agree to ``16 eps r S_0 / w``,
+    ``S_0 = sum|a_n|`` of that order and ``w = min |r y|`` (from the
+    threshold of the order each profile converges at to 1e7):
 
     * endpoint sum: its ``J`` leaves a tail of at most ``2 eps S_0 / w``, and
       its terms, each at most ``2 S_j / w^(j+1) <= 2 S_0 / (j! w)``, sum to at
       most ``2 e S_0 / w``, of which the sums ``T a`` and Horner's rule lose
       about an ulp: ``(2 + 2 e) eps S_0 / w``;
-    * recurrence: each ``c_n = 2 i^n a_n`` multiplies a ``j_n(w)`` of size up
-      to ``1 / w`` here (``n^2 < 2 w``) that it carries to a few ulps: about
+    * recurrence: each ``c_n`` multiplies a ``j_n(w)`` of size up to ``1 / w``
+      here (``n^2 < 2 w``) that it carries to a few ulps: about
       ``8 eps S_0 / w``.
 
     The two sum to about ``16 eps S_0 / w``; the phase multiplies by ``r``.
-    These examples read at most 3.2 ``eps r S_0 / w``, 600 random frames 4.1."""
-    kernel, cut, y = _endpoint_case(table, t, mu, log_offset, width, m, ahead, sign)
-    end, end_sums, amps = _regime_run(kernel, cut, y, "_endpoint_fields")
-    rec, rec_sums, _ = _regime_run(kernel, cut, y, "_recurrence_fields")
-    assert end_sums and len(end_sums) == len(rec_sums)
-    assert (end is None) == (rec is None)
+    300 random frames read at most 7.2 ``eps r S_0 / w``."""
+    kernel, cut, y, _ = _frame_case(table, t, mu, log_offset, width, m, ahead, sign, high=1e7)
+    got, sums, amps = _spied_run(kernel, cut, y)
+    assert len(sums) >= 2
     half = 0.5 * cut
-    scale = 16.0 * np.finfo(float).eps * half / float(np.min(np.abs(half * y)))
-    for f_end, f_rec, amp in zip(end_sums, rec_sums, amps):
-        bound = scale * np.sum(np.hypot(*amp))
-        assert np.max(np.abs(half * (f_end - f_rec))) <= bound
-    if end is not None:
-        assert np.max(np.abs(end - rec)) <= bound
+    omega = half * y
+    phase = half * quad._cis(half * y)  # the rule's own, for a = 0
+    scale = 16.0 * np.finfo(float).eps * half / float(np.min(np.abs(omega)))
+    want = prev = None
+    for f_end, (re, im) in zip(sums, amps):
+        coef = 2.0 * quad._I_POWERS[np.arange(re.size) % 4] * (re + 1j * im)
+        f_ref = bessel_sum(coef, omega)
+        bound = scale * np.sum(np.hypot(re, im))
+        assert np.max(np.abs(half * (f_end - f_ref))) <= bound
+        f_ref *= phase
+        if prev is not None:
+            if np.max(np.abs(f_ref - prev)) <= 1e-13 + 1e-8 * np.max(np.abs(f_ref)):
+                want = f_ref
+                break
+        prev = f_ref
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.max(np.abs(got - want)) <= bound
 
 
 def test_legendre_bessel_refuses_where_its_guard_fails():
-    """Order k needs min |(b - a) x / 2| > 2 k: below 64 the kernel is never
-    called, and between 64 and 128 the 32-point result has nothing to be
-    checked against, so it is not returned."""
+    """Order k needs min |(b - a) x / 2| >= k (k - 1) / 2: 496 for 32 and 2,016
+    for 64.  Below 2,016 at most one order is admitted, which has nothing to be
+    checked against, so the kernel is never called; from 2,016 on it is called
+    at 32 and 64 points.  A nan or an infinity in ``x`` gives None, without a
+    kernel call or a warning."""
     calls = []
 
     def kernel(p):
         calls.append(p.size)
         return np.exp(-0.5 * p * p)
 
-    for y in (np.linspace(-50.0, 50.0, 11), np.array([16.0, 1e4])):  # min omega 0, 64
+    for least in (0.0, 64.0, 495.0, 496.0, 2015.5):  # min omega
+        y = np.array([least / 4.0, 1e4])
         assert quad.legendre_bessel_field(kernel, 0.0, 8.0, y) is None
     assert calls == []
-    assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([30.0, 1e4])) is None
-    assert calls == [32]
-    assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([np.nan, 1e4])) is None
+    for bad in (np.nan, np.inf, -np.inf):
+        assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([1e4, bad])) is None
+    assert calls == []
+    assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([504.0, 1e4])) is not None
+    assert calls == [32, 64]
 
 
 def test_legendre_bessel_refuses_an_unresolved_kernel():
@@ -873,9 +903,10 @@ def test_legendre_bessel_refuses_an_unresolved_kernel():
 )
 def test_legendre_bessel_memory_stays_bounded(kernel):
     """On 2^16 points the far rule peaks within twice the 6.1 MB of the
-    sequential per-order ladder: its partial sums and recurrence state span
-    the grid, but the Bessel rows come in 4096-point chunks; a grid-wide
-    ``(34, m)`` block of rows (17.8 MB) alone would pass the bound."""
+    sequential per-order ladder (7.6 and 6.9 MB here): its four fields span
+    the grid (4.2 MB), but the Horner sums come in 4096-point chunks; a
+    grid-wide block of them (16 rows, 8.4 MB) with the fields would pass
+    the bound."""
     y = np.linspace(1e4, 2e4, 1 << 16)
     assert _traced_peak_mb(lambda: quad.legendre_bessel_field(kernel, 0.0, 8.0, y)) <= 12.2
 
