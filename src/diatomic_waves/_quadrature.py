@@ -11,10 +11,16 @@ then verified by doubling the panel count until the change on the output
 grid is below tolerance.
 
 The panels have equal width, so each of the 16 local Gauss-Legendre
-nodes forms a uniform grid across panels.  On a uniform output grid the
-node-by-point contraction is therefore a sum of 16 chirp-z transforms
-(Rabiner-Schafer-Rader 1969; Bluestein 1970), costing
-``O((N + M) log(N + M))`` instead of ``O(N M)``.  Each column's output
+nodes forms a uniform grid across panels: :func:`panel_nodes` lays out
+column ``c`` as the exact progression ``p0[c] + j dp``.  On a uniform output
+grid the node-by-point contraction is therefore a sum of 16 chirp-z
+transforms (Rabiner-Schafer-Rader 1969; Bluestein 1970), costing
+``O((N + M) log(N + M))`` instead of ``O(N M)``.  Each level of the ladder
+is built once: :func:`synthesize_field` hands :func:`_contract` the level's
+``(p0, dp)`` and its 16 column weights with the unweighted kernel values,
+so the contraction neither re-tests the nodes nor forms a weighted copy of
+the values; each column's weight goes into that column's phase row of
+``N / 16`` entries.  Each column's output
 phase goes into its own copy of the chirp, so the 16 are added in the
 frequency domain: one forward FFT of the columns and their chirps (in
 groups past 4 MiB a block) and one inverse FFT of the sum, whose phases
@@ -47,8 +53,11 @@ every output point sits far from the band's stationary points, as for
 the trailing frame of a travelling wave.  There
 :func:`legendre_bessel_field` expands the kernel alone in Legendre
 polynomials and integrates each term against ``exp(i p x)`` exactly
-(a Filon-type rule), so its cost does not depend on ``x``; its
-Gauss-Legendre rules come from Newton's method, without an eigensolver.
+(a Filon-type rule), so its cost does not depend on ``x``.  Its
+Gauss-Legendre rules, like the panels' 16-point rule and the short-wave
+32-point one, come from Newton's method (:func:`_gauss_legendre`), without
+an eigensolver, and its Legendre matrices from the three-term recurrence:
+``numpy.polynomial`` is never imported.
 Each order's sum is the finite endpoint sum of repeated integration by
 parts, from the polynomial's derivatives at both ends.  Order ``k`` is
 admitted only where ``min |r x|`` (``r`` the band's half-width) is at least
@@ -76,7 +85,6 @@ __all__ = ["panel_nodes", "oscillation_panels", "synthesize_field", "legendre_be
 
 _ORDER = 16
 _MIN_PANELS = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 
 #: Largest panel level :func:`synthesize_field` builds; past it the rate is
 #: out of reach in memory and time, so the call fails instead of hanging.
@@ -116,16 +124,50 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _BLOCK_ELEMENTS = 1 << 18
 
 
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k``-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    The nodes come from Newton's method on ``P_k``, started at
+    ``cos(pi (i - 1/4) / (k + 1/2))``, and the weights from
+    ``2 / ((1 - s^2) P_k'(s)^2)``, with ``P_k`` and ``P_{k-1}`` from the
+    three-term recurrence: no LAPACK eigensolver runs, as in ``leggauss``,
+    nor the start-up of its BLAS threads.  Both are made symmetric in ``s``.
+    """
+    s = np.cos(np.pi * (np.arange(k, 0, -1) - 0.25) / (k + 0.5))
+    for _ in range(100):
+        prev, cur = np.ones(k), s.copy()
+        for n in range(1, k):  # (n + 1) P_{n+1} = (2 n + 1) s P_n - n P_{n-1}
+            prev, cur = cur, ((2 * n + 1) * s * cur - n * prev) / (n + 1)
+        slope = k * (s * cur - prev) / (s * s - 1.0)  # P_k'
+        step = cur / slope
+        s -= step
+        if np.max(np.abs(step)) <= np.finfo(float).eps:
+            break
+    w = 2.0 / ((1.0 - s * s) * slope * slope)
+    return 0.5 * (s - s[::-1]), 0.5 * (w + w[::-1])
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_ORDER)
+
+
+def _panel_level(a: float, b: float, n_panels: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(p0, dp, wc)`` of ``n_panels`` composite 16-point GL panels on [a, b]:
+    node ``c`` of panel ``j`` is ``p0[c] + j dp`` and has weight ``wc[c]``, with
+    ``p0 = a + half (1 + s)``, ``dp = 2 half`` and ``wc = half W`` for the
+    Gauss-Legendre nodes ``s`` and weights ``W`` and ``half = (b - a) / (2 n_panels)``."""
+    half = 0.5 * ((b - a) / n_panels)
+    return a + half * (1.0 + _GL_NODES), 2.0 * half, half * _GL_WEIGHTS
+
+
 def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``n_panels`` composite 16-point GL panels on [a, b]."""
+    """Nodes and weights of ``n_panels`` composite 16-point GL panels on [a, b],
+    panel by panel: column ``c`` of ``nodes.reshape(-1, 16)`` is the exact
+    progression ``p0[c] + j dp`` of :func:`_panel_level`."""
     if n_panels < 1:
         raise ValueError(f"n_panels must be >= 1, got {n_panels}")
-    edges = np.linspace(a, b, n_panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_WEIGHTS, (n_panels, _ORDER)).ravel()
-    return nodes, weights.copy()
+    p0, dp, wc = _panel_level(a, b, n_panels)
+    nodes = p0 + dp * np.arange(n_panels, dtype=float)[:, None]
+    return nodes.ravel(), np.tile(wc, n_panels)
 
 
 def oscillation_panels(rate: float, a: float, b: float, nodes_per_cycle: float = 10.0) -> int:
@@ -286,13 +328,17 @@ def _bluestein(n: int, m: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np
     e^{i chirp[i - j]}``, one linear convolution, done as a cyclic one of
     the 11-smooth length ``chirp.size >= n + m - 1``: ``chirp`` holds
     ``-alpha l^2 / 2`` at the lags ``l = 0 ... m - 1``, then
-    ``m - size ... -1`` (see :func:`_chirp`).
+    ``m - size ... -1``.  All three are read from one table of
+    ``alpha k^2 / 2`` (:func:`_chirp`) over ``k < max(m, size - m + 1)``,
+    which covers every lag and ``k < n``; ``pre`` and ``post`` are views of
+    it, and ``chirp`` has the bits of its own :func:`_chirp` call.
     """
-    half = 0.5 * alpha
     size = _next_fast_len(n + m - 1)
-    lags = np.concatenate((np.arange(m), np.arange(m - size, 0)), dtype=float)
-    pre = _chirp(half, np.arange(n, dtype=float))
-    return pre, _chirp(half, np.arange(m, dtype=float)), _chirp(-half, lags)
+    table = _chirp(0.5 * alpha, np.arange(max(m, size - m + 1), dtype=float))
+    chirp = np.empty(size)
+    np.negative(table[:m], out=chirp[:m])
+    np.negative(table[size - m : 0 : -1], out=chirp[m:])
+    return table[:n], table[:m], chirp
 
 
 def _column_groups(n: int, m: int, rows: int) -> list[slice]:
@@ -369,18 +415,31 @@ def _contract_direct(
 
 
 def _contract(
-    g: np.ndarray, p: np.ndarray, x: np.ndarray, even_fold: bool, grid: tuple | None = None
+    g: np.ndarray,
+    p: np.ndarray,
+    level: tuple,
+    x: np.ndarray,
+    even_fold: bool,
+    grid: tuple | None = None,
 ) -> np.ndarray:
-    """As :func:`_contract_direct`, by one chirp-z transform of the sum of all
-    16 local-node columns when ``x`` is uniform (see :func:`_output_grid`)
-    and ``p`` panel-strided.  ``grid`` is ``_output_grid(x, p_max)`` for some
-    ``p_max >= max|p|``, if the caller has it; without it ``x`` is tested here.
+    """As :func:`_contract_direct` on the weighted values, by one chirp-z
+    transform of the sum of all 16 local-node columns when ``x`` is uniform
+    (see :func:`_output_grid`).  ``grid`` is ``_output_grid(x, p_max)`` for
+    some ``p_max >= max|p|``, if the caller has it; without it ``x`` is
+    tested here.
+
+    ``p`` is the level :func:`panel_nodes` builds and ``level`` its
+    ``(p0, dp, wc)`` (:func:`_panel_level`), so ``p`` is not tested.  ``g``
+    holds the kernel values without the weights: the weight ``wc[c]`` of
+    column ``c`` goes into that column's ``n``-entry phase row below (the
+    direct path weighs the values itself), so no weighted copy of ``g`` is
+    made.
 
     Column ``c`` has nodes ``p0[c] + j dp`` and the grid is ``x0 + i dx``,
     so with ``alpha = dp dx`` and ``theta_c = dx (p0[c] - p0[0])``, in
     ``[0, alpha)`` up to sign, the sum is ``e^{i p0[0] i dx}`` times
     ``sum_c e^{i theta_c i} sum_j h_c[j] e^{i alpha j i}`` with
-    ``h_c[j] = g[j, c] e^{i p[j, c] x0}``.  Splitting ``theta_c i`` as
+    ``h_c[j] = wc[c] g[j, c] e^{i p[j, c] x0}``.  Splitting ``theta_c i`` as
     ``theta_c j + theta_c (i - j)`` moves each column's output phase into
     its terms and into its own copy of the Bluestein chirp
     (:func:`_bluestein`), so every column is a convolution of the same
@@ -390,8 +449,8 @@ def _contract(
     forward block, and the spectra are added in order ``c = 0 ... 15``
     into one accumulator, so grouping changes no bit.
 
-    The two paths agree to about ``eps * max|p| * (x[-1] - x[0]) * sum|g|``:
-    the offsets ``x0`` and ``p0[0]`` are applied per term and per point,
+    With ``G`` the weighted values, the two paths agree to about
+    ``eps * max|p| * (x[-1] - x[0]) * sum|G|``: the offsets ``x0`` and ``p0[0]`` are applied per term and per point,
     and ``theta_c`` is measured from the first column, so only phases of
     the size of ``alpha (n + m)`` (reduced chirps aside) pass through the
     transforms.  A grid's residuals ``r = x - (x0 + i dx)`` are applied to
@@ -399,19 +458,19 @@ def _contract(
     rows); where they stay within ``_UNIFORM_ULPS * eps * span``,
     ``span = |x[-1] - x[0]|``, they are dropped (:func:`_residual`).  The
     dropped first-order term at ``x[i]`` is
-    ``i r[i] sum_j p[j] g[j] e^{i p[j] (x[i] - r[i])}``, at most
-    ``max|r| max|p| sum|g| <= 8 eps max|p| span sum|g|`` (twice that for
+    ``i r[i] sum_j p[j] G[j] e^{i p[j] (x[i] - r[i])}``, at most
+    ``max|r| max|p| sum|G| <= 8 eps max|p| span sum|G|`` (twice that for
     the fold): of the order of the agreement above.
     """
     if even_fold:
         g = g.real  # the weight 2 cos(p x) is real: the fold integrates Re kernel
     if grid is None:
         grid = _output_grid(x, _abs_max(p))
-    columns = _panel_columns(p) if grid is not None else None
-    if columns is None:
+    p0, dp, wc = level
+    if grid is None:
+        g = (g.reshape(-1, _ORDER, g.shape[1]) * wc[:, None]).reshape(p.size, -1)
         return _contract_direct(g, p, x, even_fold)
     x0, dx, steps, resid = grid
-    p0, dp = columns
     n, m, k = p.size // _ORDER, x.size, g.shape[1]
     width = k if resid is None else 2 * k
     pre, post, chirp = _bluestein(n, m, dp * dx)
@@ -438,10 +497,11 @@ def _contract(
         arg = th[:, None] * j
         arg += pre
         arg += p_cols[:, cs].T * x0
-        _cis(arg, out=cols[1, :, :n])  # e^{i (p x0 + pre + theta_c j)}
+        phase = _cis(arg, out=cols[1, :, :n])  # e^{i (p x0 + pre + theta_c j)}
         del arg
+        phase *= wc[cs, None]
         for c in reversed(range(k)):  # row 1, the phase, last
-            np.multiply(g_cols[:, cs, c].T, cols[1, :, :n], out=cols[1 + c, :, :n])
+            np.multiply(g_cols[:, cs, c].T, phase, out=cols[1 + c, :, :n])
         if resid is not None:
             np.multiply(cols[1 : 1 + k, :, :n], p_cols[:, cs].T, out=cols[1 + k :, :, :n])
         cols[1:, :, n:] = 0.0
@@ -454,8 +514,7 @@ def _contract(
     s = spectrum[:, :m].T
     if resid is not None:
         s = s[:, :k] + 1j * resid[:, None] * s[:, k:]
-    post += steps * p0[0]
-    s = s * _cis(post)[:, None]
+    s = s * _cis(post + steps * p0[0])[:, None]
     if even_fold:  # sum g 2 cos(p x) = 2 Re s for a real g
         s = 2.0 * s.real
     return s.astype(complex, copy=False)
@@ -488,6 +547,15 @@ def _check_time(t: float) -> None:
     """Raise ``ConfigError`` unless the time ``t`` of a band integral is finite and ``>= 0``."""
     if not (np.isfinite(t) and t >= 0.0):
         raise ConfigError(f"t must be finite and non-negative, got {t!r}")
+
+
+def _finite_grid(x) -> np.ndarray:
+    """``x`` as an array of at least one dimension; ``ConfigError`` naming its
+    first nan or infinity, if it holds one."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(_abs_max(x)):
+        raise ConfigError(f"x must be finite, got {float(x.flat[np.argmin(np.isfinite(x))])!r}")
+    return x
 
 
 def _check_times(t) -> np.ndarray:
@@ -539,6 +607,13 @@ def synthesize_field(
     ``(len(x), m)`` or ``(len(x), g, m)``.  An empty ``x`` gives an empty
     1-D array without calling the kernel.
 
+    Each level is built once: :func:`panel_nodes` gives its nodes (column
+    ``c`` of ``p.reshape(-1, 16)`` the exact progression ``p0[c] + j dp``),
+    the kernel is called on them, and :func:`_contract` receives the values
+    unweighted with ``(p0, dp)`` and the 16 column weights
+    (:func:`_panel_level`), so it neither re-tests the layout nor builds a
+    weighted copy of the values.
+
     Convergence is judged per group: a doubling is accepted once
     ``max|f2 - f1| <= atol + rtol * max|f2|`` holds on the checked points of
     every group on its own (a 1-D or 2-D kernel is one group), so a small
@@ -558,9 +633,7 @@ def synthesize_field(
         subset) of every group below ``atol + rtol * scale``.
     """
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.isfinite(_abs_max(x)):
-        raise ConfigError(f"x must be finite, got {float(x.flat[np.argmin(np.isfinite(x))])!r}")
+    x = _finite_grid(x)
     if x.size == 0:
         return np.zeros(0, dtype=complex)
     grid = _output_grid(x, max(abs(a), abs(b)))
@@ -580,13 +653,14 @@ def synthesize_field(
                 f"nodes, above the limit of {_MAX_NODES}"
             )
 
-    def weighted(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    def values(n_panels: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The level's nodes, kernel values (unweighted) and layout."""
         nonlocal shape
         require_level(n_panels)
-        p, w = panel_nodes(a, b, n_panels)
+        p, _ = panel_nodes(a, b, n_panels)
         vals = np.asarray(kernel(p))
         shape = vals.shape[1:]
-        return p, vals.reshape(p.size, -1) * w[:, None]
+        return p, vals.reshape(p.size, -1), _panel_level(a, b, n_panels)
 
     def change(f1: np.ndarray, f2: np.ndarray) -> tuple[float, float, float]:
         """``(err, scale, target)`` of the group furthest past its target."""
@@ -599,16 +673,16 @@ def synthesize_field(
 
     panels = oscillation_panels(rate, a, b, nodes_per_cycle)
     require_level(2 * panels)  # every return follows at least one doubling
-    p, g = weighted(panels)
-    f1 = _contract(g, p, x_check, even_fold, grid)
+    p, g, level = values(panels)
+    f1 = _contract(g, p, level, x_check, even_fold, grid)
     for _ in range(max_doublings):
         del p, g  # the next level compares with this one's contraction only
         panels2 = 2 * panels
-        p, g = weighted(panels2)
-        f2 = _contract(g, p, x_check, even_fold, grid)
+        p, g, level = values(panels2)
+        f2 = _contract(g, p, level, x_check, even_fold, grid)
         err, scale, target = change(f1, f2)
         if err <= target:
-            full = f2 if x_check is x else _contract(g, p, x, even_fold)
+            full = f2 if x_check is x else _contract(g, p, level, x, even_fold)
             return full.reshape((x.size,) + shape)
         panels, f1 = panels2, f2
     raise QuadratureError(
@@ -617,36 +691,25 @@ def synthesize_field(
     )
 
 
-def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``k``-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    The nodes come from Newton's method on ``P_k``, started at
-    ``cos(pi (i - 1/4) / (k + 1/2))``, and the weights from
-    ``2 / ((1 - s^2) P_k'(s)^2)``, with ``P_k`` and ``P_{k-1}`` from the
-    three-term recurrence: no LAPACK eigensolver runs, as in ``leggauss``,
-    nor the start-up of its BLAS threads.  Both are made symmetric in ``s``.
-    """
-    s = np.cos(np.pi * (np.arange(k, 0, -1) - 0.25) / (k + 0.5))
-    for _ in range(100):
-        prev, cur = np.ones(k), s.copy()
-        for n in range(1, k):  # (n + 1) P_{n+1} = (2 n + 1) s P_n - n P_{n-1}
-            prev, cur = cur, ((2 * n + 1) * s * cur - n * prev) / (n + 1)
-        slope = k * (s * cur - prev) / (s * s - 1.0)  # P_k'
-        step = cur / slope
-        s -= step
-        if np.max(np.abs(step)) <= np.finfo(float).eps:
-            break
-    w = 2.0 / ((1.0 - s * s) * slope * slope)
-    return 0.5 * (s - s[::-1]), 0.5 * (w + w[::-1])
-
-
 @lru_cache(maxsize=None)
 def _legendre_projection(k: int) -> tuple[np.ndarray, np.ndarray]:
     """``k``-point Gauss-Legendre nodes on [-1, 1] and the ``(k, k)`` matrix
     that takes values there to Legendre coefficients of degree < ``k``."""
     s, w = _gauss_legendre(k)
-    vander = np.polynomial.legendre.legvander(s, k - 1)  # vander[j, n] = P_n(s_j)
-    return s, (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
+    return s, (np.arange(k) + 0.5)[:, None] * (_legendre_vander(s, k) * w[:, None]).T
+
+
+def _legendre_vander(s: np.ndarray, k: int) -> np.ndarray:
+    """``V[j, n] = P_n(s[j])`` for ``n < k``, by the three-term recurrence
+    ``n P_n = (2 n - 1) s P_{n-1} - (n - 1) P_{n-2}`` in the order of
+    operations of ``numpy.polynomial.legendre.legvander``, so bit-equal to it."""
+    v = np.empty((k, s.size))
+    v[0] = 1.0
+    if k > 1:
+        v[1] = s
+    for n in range(2, k):
+        v[n] = (v[n - 1] * s * (2 * n - 1) - v[n - 2] * (n - 1)) / n
+    return v.T
 
 
 def _endpoint_threshold(k: int) -> float:

@@ -448,11 +448,22 @@ def _parse_methods(cfg: configparser.ConfigParser) -> tuple[str, ...]:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and resolve a scenario configuration file."""
+    """Parse and resolve a scenario configuration file.
+
+    Whatever ``configparser`` refuses (no section header, a repeated section
+    or key, a ``%`` that is no interpolation) raises ``ConfigError`` with the
+    parser's message, as every other malformed input does."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cfg.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cfg.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        return _resolve_config(cfg)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {str(path)!r}: {exc}") from None
+
+
+def _resolve_config(cfg: configparser.ConfigParser) -> ScenarioConfig:
+    """The scenario a parsed configuration file describes (see :func:`load_config`)."""
     _reject_unknown_keys(cfg)
     params = _parse_lattice(cfg)
     mu = _parse_mu(cfg, params)

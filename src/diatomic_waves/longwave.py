@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import _check_mu, _check_numerics, _check_times
+from ._quadrature import _check_mu, _check_numerics, _check_times, _finite_grid
 from ._quadrature import legendre_bessel_field, synthesize_field
 from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
@@ -152,12 +152,13 @@ def uas_integral(
     this amplitude up to ``O(delta^2)``.
 
     Raises ``ConfigError`` for an empty or 2-D ``t``, a negative or
-    non-finite time or ``mu``, or out-of-range numerics.
+    non-finite time or ``mu``, out-of-range numerics, or a nan or an
+    infinity in ``x``.
     """
     _check_mu(mu)
     times = _check_times(t)
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)  # far frames skip synthesize_field
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _finite_grid(x)
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
@@ -241,10 +242,12 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     which has no cancellation (it is ``-a^2/2`` at ``r = 1``).  Once
     ``lam^2`` underflows the form is at its ``lam -> 0`` limit to rounding,
     the d'Alembert half-sum ``(e^{-a_+^2/2} + e^{-a_-^2/2}) / 2``.
+
+    A nan or an infinity in ``x`` raises ``ConfigError``, as in :func:`uas_integral`.
     """
     _check_mu(mu)
     _check_airy_time(t)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _finite_grid(x)
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
@@ -285,12 +288,13 @@ def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, 
 
     ``U_as(x, t) = (W((x + c t)/mu) + W((x - c t)/mu)) / 2``; exact for
     the plain wave equation, hence accurate to ``O(t h^2/mu^3)`` in the
-    ``wave_equation`` regime.
+    ``wave_equation`` regime.  A nan or an infinity in ``x`` raises
+    ``ConfigError``, as in :func:`uas_integral`.
     """
     _check_mu(mu)
     if not np.isfinite(t):
         raise ConfigError(f"t must be finite, got {t!r}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _finite_grid(x)
     ct = Dispersion(params).sound_speed * t
     out = 0.5 * (
         profile.value((x_arr + ct) / mu) + profile.value((x_arr - ct) / mu)

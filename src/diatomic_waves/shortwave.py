@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import _check_mu, _check_times
+from ._quadrature import _check_mu, _check_times, _gauss_legendre
 from .airy import _envelope_root, airy_ai_pair
 from .dispersion import ACOUSTIC, OPTICAL, Dispersion, LatticeParams
 from .errors import ConfigError, NumericalError, RegimeError
@@ -86,7 +86,7 @@ _NEWTON_CAP = 60
 #: A point stops once its residual is at rounding level or its step is this short.
 _RESIDUAL_FLOOR = 4.0 * np.finfo(float).eps
 _STEP_FLOOR = 1e-13
-_GL_PSI_NODES, _GL_PSI_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_PSI_NODES, _GL_PSI_WEIGHTS = _gauss_legendre(32)
 
 
 def _require_unit_delta(params: LatticeParams, mu: float) -> None:

@@ -364,6 +364,28 @@ def test_start_up_imports_no_heavy_scipy_module(tmp_path):
     assert abs(report["between"] - np.exp(-0.5 * 0.15**2)) < 1e-3
 
 
+_POLYNOMIAL_PROBE = """
+import json, sys
+import diatomic_waves
+import diatomic_waves.cli
+diatomic_waves.cli.load_config(sys.argv[1])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))))
+"""
+
+
+def test_start_up_imports_no_numpy_polynomial(tmp_path):
+    """The Gauss-Legendre rules and the far rule's Legendre matrices come from
+    the package's own recurrences, so importing it and loading a scenario
+    never imports ``numpy.polynomial`` (nor runs the eigensolver of ``leggauss``)."""
+    src = str(Path(diatomic_waves.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _POLYNOMIAL_PROBE, str(_write(tmp_path, BASE))],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == []
+
+
 def test_package_exports_match_the_modules():
     """The package re-exports exactly its modules' public API and the error
     classes, and every name resolves: a deleted function leaves no stale export."""
@@ -1196,3 +1218,24 @@ def test_inputs_that_raised_tracebacks_exit_cleanly(
     assert says in capsys.readouterr().err
     if code:
         assert not any(out_dir.glob("*"))  # no partial results
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("gamma1 = 0.82\n" + BASE, "File contains no section headers"),
+        (BASE + "\n[grid]\npoints = 41\n", "section 'grid' already exists"),
+        (BASE.replace("mu = 0.04", "mu = 0.04\nmu = 0.05"), "option 'mu' in section 'scale'"),
+        (_table_at("a%b.csv")(BASE), "'%' must be followed by '%' or '('"),
+    ],
+    ids=["no_section_header", "repeated_section", "repeated_key", "percent_in_value"],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, text, says):
+    """What configparser refuses is a configuration error with the parser's
+    message, exit 2 before any output, not a traceback."""
+    path = _write(tmp_path, text)
+    out_dir = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and says in err
+    assert not out_dir.exists()

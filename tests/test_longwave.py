@@ -398,6 +398,21 @@ def test_integral_refuses_bad_times(desk, gaussian, t, says):
         uas_integral(desk(0.02), gaussian, 0.2, [0.0], t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_long_wave_evaluators_refuse_non_finite_x(desk, gaussian, bad):
+    """The integral and both closed forms refuse a nan or an infinity in x
+    with one message, before any warning (pytest turns those into errors)."""
+    params, x = desk(0.002), np.array([0.0, bad, 0.1])
+    evaluators = (
+        lambda: uas_integral(params, gaussian, 0.04, x, 0.3),
+        lambda: uas_gaussian_airy(params, 0.04, x, 0.3),
+        lambda: uas_dalembert(params, gaussian, 0.04, x, 0.3),
+    )
+    for evaluate in evaluators:
+        with pytest.raises(ConfigError, match=re.escape(f"x must be finite, got {bad!r}")):
+            evaluate()
+
+
 def test_folded_times_share_one_synthesize_call(monkeypatch, desk, gaussian):
     """Every time of a sequence folds on the bandsum grid: one synthesize_field
     call serves them all, with one column per time."""

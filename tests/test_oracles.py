@@ -878,6 +878,19 @@ def test_compare_fields_mismatch_errors():
         compare_fields(a, other_t)
 
 
+def test_compare_fields_tests_distinct_grids():
+    """One grid array is shared untested; an equal but distinct array still
+    passes the grid test, and a shifted one still fails it."""
+    a = _toy_field()
+    same = WaveField(x=a.x, u=a.u + 1e-3, v=a.v, t=a.t, method="x")
+    equal = WaveField(x=a.x.copy(), u=same.u, v=a.v, t=a.t, method="x")
+    assert compare_fields(a, same) == compare_fields(a, equal)
+    assert compare_fields(a, equal).l_inf == pytest.approx(1e-3)
+    shifted = WaveField(x=a.x + 1e-6, u=a.u, v=a.v, t=a.t, method="x")
+    with pytest.raises(ConfigError, match="share one x grid"):
+        compare_fields(a, shifted)
+
+
 def test_fields_csv_round_trip(tmp_path):
     fields = [_toy_field(t=0.1), _toy_field(t=0.2, method="quadrature_full")]
     header = {"mu": "0.05", "profile": "gaussian"}

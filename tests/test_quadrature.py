@@ -32,14 +32,21 @@ LARGEST_LEVEL_NODES = 70_930 * 16
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
-def _weighted_kernel(p: np.ndarray, w: np.ndarray, columns: int, seed: int) -> np.ndarray:
-    """Smooth complex kernel values times weights, shape ``(len(p), columns)``."""
+def _kernel(p: np.ndarray, columns: int, seed: int) -> np.ndarray:
+    """Smooth complex kernel values, shape ``(len(p), columns)``."""
     rng = np.random.default_rng(seed)
     out = np.empty((p.size, columns), dtype=complex)
     for c in range(columns):
         width, freq, shift = rng.uniform(0.5, 3.0), rng.uniform(-4.0, 4.0), rng.uniform(-1, 1)
-        out[:, c] = np.exp(-0.5 * ((p - shift) / width) ** 2 + 1j * freq * p) * w
+        out[:, c] = np.exp(-0.5 * ((p - shift) / width) ** 2 + 1j * freq * p)
     return out
+
+
+def _level(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A panel level as synthesize_field builds it: its nodes, their weights
+    as a column (to weigh kernel values for the direct sum) and its layout."""
+    p, w = quad.panel_nodes(a, b, n_panels)
+    return p, w[:, None], quad._panel_level(a, b, n_panels)
 
 
 @st.composite
@@ -102,17 +109,17 @@ def test_next_fast_len_matches_scipy():
     real=False, columns=1, seed=6,
 )
 def test_chirp_z_matches_direct_sum(x, a, width, n_panels, even_fold, real, columns, seed):
-    p, w = quad.panel_nodes(a, a + width, n_panels)
-    g = _weighted_kernel(p, w, columns, seed)
+    p, w, level = _level(a, a + width, n_panels)
+    g = _kernel(p, columns, seed)
     if real:
         g = g.real.copy()
     assert quad._progression(x[:, None]) is not None
+    # so the chirp-z path is the one tested
     assert quad._output_grid(x, float(np.max(np.abs(p)))) is not None
-    assert quad._panel_columns(p) is not None  # so the chirp-z path is the one tested
-    fast = quad._contract(g, p, x, even_fold)
-    direct = quad._contract_direct(g, p, x, even_fold)
+    fast = quad._contract(g, p, level, x, even_fold)
+    direct = quad._contract_direct(g * w, p, x, even_fold)
     assert fast.shape == direct.shape == (x.size, columns)
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g))
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g * w))
 
 
 @pytest.mark.parametrize("uniform", [True, False])
@@ -123,12 +130,12 @@ def test_even_fold_contracts_the_real_part(uniform):
     x = np.linspace(-5.0, 7.0, 61)
     if not uniform:
         x[30] += 1e-3
-    p, w = quad.panel_nodes(0.0, 8.0, 37)
-    g = _weighted_kernel(p, w, 2, 11)
+    p, _, level = _level(0.0, 8.0, 37)
+    g = _kernel(p, 2, 11)
     assert (quad._output_grid(x, 8.0) is not None) == uniform
-    folded = quad._contract(g, p, x, True)
-    assert np.array_equal(folded, quad._contract(g.real.copy(), p, x, True))
-    assert np.array_equal(folded, quad._contract(g.real + 0j, p, x, True))
+    folded = quad._contract(g, p, level, x, True)
+    assert np.array_equal(folded, quad._contract(g.real.copy(), p, level, x, True))
+    assert np.array_equal(folded, quad._contract(g.real + 0j, p, level, x, True))
     assert np.all(folded.imag == 0.0)
 
 
@@ -139,9 +146,9 @@ def test_contraction_is_one_transform_pair(columns, even_fold, real, monkeypatch
     through one forward FFT, their 16 chirps with them, and their sum through
     one inverse FFT."""
     shapes = _spy_transforms(monkeypatch)
-    p, w = quad.panel_nodes(-1.0, 6.0, 50)
-    g = _weighted_kernel(p, w, columns, 5)
-    quad._contract(g.real.copy() if real else g, p, np.linspace(-3.0, 3.0, 41), even_fold)
+    p, _, level = _level(-1.0, 6.0, 50)
+    g = _kernel(p, columns, 5)
+    quad._contract(g.real.copy() if real else g, p, level, np.linspace(-3.0, 3.0, 41), even_fold)
     assert len(shapes["fft"]) == 1 and len(shapes["ifft"]) == 1
 
 
@@ -165,16 +172,16 @@ def test_column_groups_keep_the_bits(block, groups, even_fold, monkeypatch):
     spectra are added in the same order, and one inverse transform follows,
     so the sums keep their bits.  The same holds for the site sums of
     semi_discrete_ft."""
-    p, w = quad.panel_nodes(-1.0, 6.0, 50)
+    p, _, level = _level(-1.0, 6.0, 50)
     x = np.linspace(-3.0, 3.0, 41)
-    g = _weighted_kernel(p, w, 2, 5)
-    whole = quad._contract(g, p, x, even_fold)
+    g = _kernel(p, 2, 5)
+    whole = quad._contract(g, p, level, x, even_fold)
     gaussian = GaussianProfile()
     q, _ = quad.panel_nodes(0.0, 40.0, 400)
     sums = semi_discrete_ft(gaussian, 0.1, q, 1)
     monkeypatch.setattr(quad, "_BLOCK_ELEMENTS", block)
     shapes = _spy_transforms(monkeypatch)
-    assert np.array_equal(quad._contract(g, p, x, even_fold), whole)
+    assert np.array_equal(quad._contract(g, p, level, x, even_fold), whole)
     assert len(shapes["fft"]) == groups and len(shapes["ifft"]) == 1
     # a column's block: its chirp and the kernel's two columns with their copies
     column = (1 + 2 * 2) * quad._next_fast_len(50 + 41 - 1)
@@ -192,12 +199,12 @@ def test_inverse_transform_rows_are_the_kernel_width(columns, block, monkeypatch
         monkeypatch.setattr(quad, "_BLOCK_ELEMENTS", block)
     mu, ct = 2.256e-05, 0.5008247840889459
     frame = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
-    p, w = quad.panel_nodes(0.0, 8.5, 60)
-    g = _weighted_kernel(p, w, columns, 7)
+    p, _, level = _level(0.0, 8.5, 60)
+    g = _kernel(p, columns, 7)
     shapes = _spy_transforms(monkeypatch)
     for x, width in ((np.linspace(-70.0, 70.0, 401), columns), (frame, 2 * columns)):
         shapes["ifft"].clear()
-        quad._contract(g, p, x, False)
+        quad._contract(g, p, level, x, False)
         assert [shape[0] for shape in shapes["ifft"]] == [width]
 
 
@@ -212,8 +219,8 @@ def test_exact_grids_transform_half_the_rows(columns, even_fold, monkeypatch):
     panel nodes, are exact too and transform 16 rows."""
     mu, ct = 2.256e-05, 0.5008247840889459
     frame = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
-    p, w = quad.panel_nodes(0.0, 8.5, 60)
-    g = _weighted_kernel(p, w, columns, 5)
+    p, w, level = _level(0.0, 8.5, 60)
+    g = _kernel(p, columns, 5)
     rows = []
     ifft = np.fft.ifft
 
@@ -224,10 +231,10 @@ def test_exact_grids_transform_half_the_rows(columns, even_fold, monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", spy)
     for x, width in ((np.linspace(-70.0, 70.0, 401), 1), (frame, 2)):
         rows.clear()
-        fast = quad._contract(g, p, x, even_fold)
+        fast = quad._contract(g, p, level, x, even_fold)
         assert rows == [width * columns]
-        direct = quad._contract_direct(g, p, x, even_fold)
-        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g))
+        direct = quad._contract_direct(g * w, p, x, even_fold)
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(g * w))
     rows.clear()
     q, _ = quad.panel_nodes(0.0, 40.0, 400)
     semi_discrete_ft(GaussianProfile(), 0.1, q, 1)
@@ -255,12 +262,12 @@ def test_even_fold_of_complex_kernel_is_its_real_part():
 def test_non_uniform_grid_takes_the_direct_path(even_fold):
     rng = np.random.default_rng(7)
     x = np.sort(rng.uniform(-5.0, 5.0, 41))
-    p, w = quad.panel_nodes(0.0, 6.0, 12)
-    g = _weighted_kernel(p, w, 2, 3)
+    p, w, level = _level(0.0, 6.0, 12)
+    g = _kernel(p, 2, 3)
     assert quad._progression(x[:, None]) is None
     assert quad._output_grid(x, 6.0) is None
     assert np.array_equal(
-        quad._contract(g, p, x, even_fold), quad._contract_direct(g, p, x, even_fold)
+        quad._contract(g, p, level, x, even_fold), quad._contract_direct(g * w, p, x, even_fold)
     )
 
 
@@ -279,12 +286,13 @@ def test_travelling_frame_grid_is_uniform_by_its_residual_phase():
     first-order correction keeps exact; a residual phase past 1e-8 is refused."""
     mu, ct = 2.256e-05, 0.5008247840889459
     y = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
-    p, w = quad.panel_nodes(0.0, 8.5, 60)
+    p, w, level = _level(0.0, 8.5, 60)
     assert quad._progression(y[:, None]) is None
     assert quad._output_grid(y, 8.5) is not None
-    g = _weighted_kernel(p, w, 1, 5)
-    fast = quad._contract(g, p, y, False)
-    assert np.max(np.abs(fast - quad._contract_direct(g, p, y, False))) <= 1e-13 * np.sum(np.abs(g))
+    g = _kernel(p, 1, 5)
+    fast = quad._contract(g, p, level, y, False)
+    direct = quad._contract_direct(g * w, p, y, False)
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.sum(np.abs(g * w))
     bent = np.linspace(-1.0, 1.0, 11)
     bent[5] += 2e-9
     assert quad._output_grid(bent, 4.0) is not None
@@ -302,13 +310,14 @@ def test_front_size_contraction_matches_direct_sum(monkeypatch):
     """
     mu = 80 * 2.82e-7
     x = np.linspace(0.5 - 0.0014, 0.5 + 0.0003, 401) / mu
-    p, w = quad.panel_nodes(0.0, 8.03, 70_930)
-    g = (np.exp(-0.5 * p * p + 1j * (-x[301] * p + 0.03 * p**3)) * w)[:, None]
+    p, w, level = _level(0.0, 8.03, 70_930)
+    g = np.exp(-0.5 * p * p + 1j * (-x[301] * p + 0.03 * p**3))[:, None]
     shapes = _spy_transforms(monkeypatch)
-    fast = quad._contract(g, p, x, True)
+    fast = quad._contract(g, p, level, x, True)
     assert len(shapes["ifft"]) == 1
     assert max(np.prod(shape) for shape in shapes["fft"] + shapes["ifft"]) <= quad._BLOCK_ELEMENTS
     sample = np.unique(np.r_[np.linspace(0, x.size - 1, 8).astype(int), 300, 301])
+    g *= w
     direct = quad._contract_direct(g, p, x[sample], True)
     assert np.max(np.abs(direct)) > 0.5  # the stationary point is sampled
     assert np.max(np.abs(fast[sample] - direct)) <= 1e-12 * np.sum(np.abs(g))
@@ -330,13 +339,13 @@ def test_contraction_memory_does_not_grow_with_the_nodes(even_fold):
     peaks below 16 MB: the uniformity check and ``max|p|`` build no
     node-sized temporary, and one column's block at a time is formed,
     transformed and multiplied in place, into one reused buffer."""
-    p, w = quad.panel_nodes(0.0, 8.0, 1 << 17)
-    g = (np.exp(-0.5 * p * p) * w)[:, None]
+    p, _, level = _level(0.0, 8.0, 1 << 17)
+    g = np.exp(-0.5 * p * p)[:, None]
     if not even_fold:
         g = g + 0j
     x = np.linspace(20.0, 30.0, 401)
-    assert quad._panel_columns(p) is not None  # so the chirp-z path is the one measured
-    assert _traced_peak_mb(lambda: quad._contract(g, p, x, even_fold)) < 16.0
+    assert quad._output_grid(x, 8.0) is not None  # so the chirp-z path is the one measured
+    assert _traced_peak_mb(lambda: quad._contract(g, p, level, x, even_fold)) < 16.0
 
 
 def test_progression_checks_every_row(monkeypatch):
@@ -477,18 +486,80 @@ def test_site_sum_memory_stays_near_its_output():
     assert _traced_peak_mb(lambda: semi_discrete_ft(skew, 0.005, p, 1)) < 16.0
 
 
+@pytest.mark.parametrize("a, b, n_panels", [(0.0, 8.0, 1), (0.0, 9.0, 37), (-3.7, 11.2, 4001)])
+def test_panel_columns_are_exact_progressions(a, b, n_panels):
+    """Column c of a level's nodes is p0[c] + j dp to the bit, and its weight
+    wc[c], with p0 = a + half (1 + s), dp = 2 half and wc = half W for the
+    16-point rule (s, W), half = (b - a) / (2 n_panels): the layout the chirp-z
+    contraction assumes, handed to it without a test."""
+    p, w = quad.panel_nodes(a, b, n_panels)
+    p0, dp, wc = quad._panel_level(a, b, n_panels)
+    half = (b - a) / (2 * n_panels)
+    s, weights = quad._gauss_legendre(quad._ORDER)
+    assert dp == 2.0 * half
+    assert np.array_equal(p0, a + half * (1.0 + s)) and np.array_equal(wc, half * weights)
+    j = np.arange(n_panels, dtype=float)[:, None]
+    assert np.array_equal(p.reshape(n_panels, quad._ORDER), p0 + j * dp)
+    assert np.array_equal(w.reshape(n_panels, quad._ORDER), np.broadcast_to(wc, (n_panels, 16)))
+    assert a < p[0] and p[-1] < b
+    assert abs(p[-1] - (b - half * (1.0 - s[-1]))) <= 8 * np.spacing(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (19, 401), (608, 401), (70_930, 401)])
+def test_bluestein_phases_share_one_table(n, m):
+    """pre, post and the lag chirp come from one table; the lag chirp has the
+    bits of its own reduction over the lags, and pre and post are that of
+    alpha k^2 / 2 over k < n and k < m to rounding of the reduced phase."""
+    alpha = 3e-3  # phases up to 7.5e6 rad at k = 70,930
+    pre, post, chirp = quad._bluestein(n, m, alpha)
+    size = quad._next_fast_len(n + m - 1)
+    lags = np.concatenate((np.arange(m), np.arange(m - size, 0)), dtype=float)
+    assert chirp.size == size and pre.size == n and post.size == m
+    assert np.array_equal(chirp, quad._chirp(-0.5 * alpha, lags))
+    for phase, count in ((pre, n), (post, m)):
+        k = np.arange(count, dtype=float)
+        own = quad._chirp(0.5 * alpha, k)
+        assert np.max(np.abs(np.exp(1j * phase) - np.exp(1j * own))) <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("even_fold", [False, True])
+def test_level_weights_per_column_match_weighted_direct_sum(columns, even_fold):
+    """A level handed over as (p0, dp, wc) with unweighted values, each
+    column's weight applied to its phase row, matches the direct sum of the
+    weighted values within the chirp-z bound, on a linspace grid and on a
+    travelling frame; on a non-uniform grid the direct path applies the
+    weights itself, to the bit of the weighted direct sum."""
+    mu, ct = 2.256e-05, 0.5008247840889459
+    frame = (ct - np.linspace(0.4994252139422566, 0.5011252139422566, 401)) / mu
+    bent = np.linspace(-5.0, 7.0, 61)
+    bent[30] += 1e-3
+    n_panels = 60
+    p, w, level = _level(0.0, 8.5, n_panels)
+    g = _kernel(p, columns, 9)
+    weighted = g * w
+    for x in (np.linspace(-70.0, 70.0, 401), frame):
+        fast = quad._contract(g, p, level, x, even_fold)
+        direct = quad._contract_direct(weighted, p, x, even_fold)
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.sum(np.abs(weighted))
+    direct = quad._contract_direct(weighted.real if even_fold else weighted, p, bent, even_fold)
+    assert np.array_equal(quad._contract(g, p, level, bent, even_fold), direct)
+
+
 def test_uniform_grid_is_verified_on_every_point(monkeypatch):
     """A uniform grid is checked on all points and returned as verified; a
-    non-uniform one on probes, then contracted once more in full."""
+    non-uniform one on probes, then contracted once more in full.  Every
+    contraction is handed its panel level."""
     x = np.linspace(-3.0, 3.0, 101)
     x_bent = x.copy()
     x_bent[50] += 1e-7
     sizes = []
     contract = quad._contract
 
-    def spy(g, p, x, even_fold, grid=None):
+    def spy(g, p, level, x, even_fold, grid=None):
+        assert level is not None
         sizes.append(x.size)
-        return contract(g, p, x, even_fold, grid)
+        return contract(g, p, level, x, even_fold, grid)
 
     def kernel(p):
         return np.exp(-0.5 * p * p)
@@ -519,9 +590,9 @@ def test_uniform_grid_is_analysed_once_per_call(monkeypatch):
         grids.append(x.size)
         return output_grid(x, p_max)
 
-    def contract_spy(g, p, x, even_fold, grid=None):
+    def contract_spy(g, p, level, x, even_fold, grid=None):
         contractions.append(grid is not None)
-        return contract(g, p, x, even_fold, grid)
+        return contract(g, p, level, x, even_fold, grid)
 
     def kernel(p):
         return np.exp(-0.5 * p * p)
@@ -536,7 +607,9 @@ def test_uniform_grid_is_analysed_once_per_call(monkeypatch):
     assert not any(contractions)
     # each contraction testing its own grid, as before, gives the same bits
     monkeypatch.setattr(
-        quad, "_contract", lambda g, p, x, even_fold, grid=None: contract(g, p, x, even_fold)
+        quad,
+        "_contract",
+        lambda g, p, level, x, even_fold, grid=None: contract(g, p, level, x, even_fold),
     )
     assert np.array_equal(uniform, quad.synthesize_field(kernel, 0.0, 9.0, x, 40.0, even_fold=True))
 
@@ -911,12 +984,13 @@ def test_legendre_bessel_memory_stays_bounded(kernel):
     assert _traced_peak_mb(lambda: quad.legendre_bessel_field(kernel, 0.0, 8.0, y)) <= 12.2
 
 
-@pytest.mark.parametrize("k", quad._LB_ORDERS)
+@pytest.mark.parametrize("k", [quad._ORDER, 32, *quad._LB_ORDERS])
 def test_gauss_legendre_rule_matches_leggauss(k):
     """The Newton-built rule has ``leggauss``'s nodes to 4 ulps, in the same
     ascending, symmetric order, and integrates ``P_n``, ``n < 2 k``, to
     ``16 eps``: 2 for ``n = 0``, else 0 (``leggauss``'s own weights miss
-    that by up to 1.3e-14 at these orders)."""
+    that by up to 1.3e-14 at the far rule's orders).  The panels' 16-point
+    rule and the short-wave 32-point one are among them."""
     s, w = quad._gauss_legendre(k)
     nodes, _ = np.polynomial.legendre.leggauss(k)
     assert np.all(np.abs(s - nodes) <= 4 * np.spacing(np.abs(nodes)))
@@ -924,6 +998,14 @@ def test_gauss_legendre_rule_matches_leggauss(k):
     moments = w @ np.polynomial.legendre.legvander(s, 2 * k - 1)
     assert abs(moments[0] - 2.0) <= 16 * np.finfo(float).eps
     assert np.max(np.abs(moments[1:])) <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, *quad._LB_ORDERS])
+def test_legendre_vandermonde_is_legvander(k):
+    """The far rule's Vandermonde matrix runs legvander's recurrence, in its
+    order of operations, so it is legvander's to the bit."""
+    s, _ = quad._gauss_legendre(k)
+    assert np.array_equal(quad._legendre_vander(s, k), np.polynomial.legendre.legvander(s, k - 1))
 
 
 def test_legendre_bessel_needs_no_eigensolver(monkeypatch):
