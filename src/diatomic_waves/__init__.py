@@ -14,6 +14,11 @@ ratio ``delta = h / mu`` of lattice step to excitation width:
   branch frequencies and modal projectors, semi-discrete spectral data,
   and the Airy function (series, Laplace integral and large-argument tail,
   all in numpy).
+
+The package holds what these computations and the ``diatomic-waves``
+command use.  The checks no command runs (finite-difference PDE residuals,
+the sampling-gap report, ``Ai'`` alone) live with the tests, in
+``tests/_diagnostics.py``.
 """
 
 from .airy import (
@@ -21,7 +26,6 @@ from .airy import (
     AIRY_AI_ZERO,
     airy_ai,
     airy_ai_pair,
-    airy_ai_prime,
     airy_ai_scaled,
     envelope_amplitude,
 )
@@ -42,19 +46,16 @@ from .errors import (
     RegimeError,
 )
 from .initial_data import (
-    GapReport,
     GaussianProfile,
     InitialProfile,
     TableProfile,
     load_profile_table,
-    poisson_gap,
     semi_discrete_ft,
     spectral_vector,
 )
 from .longwave import (
     LongwaveRegime,
     classify_regime,
-    residual_pde_check,
     uas_dalembert,
     uas_gaussian_airy,
     uas_integral,
@@ -96,7 +97,6 @@ __all__ = [
     "Dispersion",
     "EnergyReport",
     "FieldComparison",
-    "GapReport",
     "GaussianProfile",
     "InitialProfile",
     "LatticeParams",
@@ -110,7 +110,6 @@ __all__ = [
     "WaveField",
     "airy_ai",
     "airy_ai_pair",
-    "airy_ai_prime",
     "airy_ai_scaled",
     "acoustic_front_airy",
     "acoustic_stationary",
@@ -123,9 +122,7 @@ __all__ = [
     "optical_front_airy",
     "optical_stationary",
     "optical_uniform",
-    "poisson_gap",
     "read_fields_csv",
-    "residual_pde_check",
     "semi_discrete_ft",
     "shortwave_total",
     "solve_quadrature",

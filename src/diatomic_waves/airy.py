@@ -62,7 +62,6 @@ __all__ = [
     "AIRY_AI_ZERO",
     "AIRY_AI_PRIME_ZERO",
     "airy_ai",
-    "airy_ai_prime",
     "airy_ai_pair",
     "airy_ai_scaled",
     "envelope_amplitude",
@@ -275,11 +274,6 @@ def airy_ai_pair(z) -> tuple[np.ndarray, np.ndarray]:
 def airy_ai(z):
     """``Ai(z)`` for real ``z`` (see :func:`airy_ai_pair`)."""
     return airy_ai_pair(z)[0]
-
-
-def airy_ai_prime(z):
-    """``Ai'(z)`` for real ``z`` (see :func:`airy_ai_pair`)."""
-    return airy_ai_pair(z)[1]
 
 
 def airy_ai_scaled(z):

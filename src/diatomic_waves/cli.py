@@ -19,8 +19,9 @@ optional ``[numerics]`` / ``[compare]``; any other section or key is a
 configuration error.  Every output file echoes the resolved configuration
 in its comment header, so identical configs give byte-identical outputs.
 
-Methods: ``METHODS`` maps each method name to its check, its evaluator and
-its aliases.  The check refuses the regimes and the times that the evaluator
+Methods: ``METHODS`` maps each method name to its check, its evaluator (none
+for the chain and the band quadratures, see ``_method_fields``) and its
+aliases.  The check refuses the regimes and the times that the evaluator
 refuses, with the evaluator's message.  Every listed method's check runs when
 the file is loaded, before any command does work, and a method listed twice
 (after alias resolution) is a configuration error.
@@ -172,10 +173,6 @@ def _shortwave(config: ScenarioConfig, name: str) -> None:
     _require_positive_time(config.times)
 
 
-def _quadrature(mode: str) -> Callable:
-    return lambda c, x, times: solve_quadrature(*c.problem, x, times, mode, **c.band)
-
-
 def _each_time(evaluate: Callable) -> Callable:
     """An evaluator ``(config, x, times)`` from one of a single time ``(config, x, t)``."""
     return lambda c, x, times: [evaluate(c, x, t) for t in times]
@@ -184,7 +181,8 @@ def _each_time(evaluate: Callable) -> Callable:
 class Method(NamedTuple):
     """A CLI method: its check of the regime and the times, its evaluator
     ``(config, x, times)``, which returns one output per time (None for the
-    chain oracle, see _fields), and its aliases."""
+    chain oracle and the band quadratures, which :func:`_method_fields` runs
+    itself), and its aliases."""
 
     check: Callable[[ScenarioConfig, str], None]
     evaluate: Callable | None
@@ -193,18 +191,18 @@ class Method(NamedTuple):
 
 #: Every method the CLI runs, by canonical name.  The evaluators name the
 #: library functions in their bodies, so a rebinding of those module names
-#: (as perfbench's tracer does) is seen.  The band quadratures
-#: (``quadrature_*``), ``uas_integral`` and the short-wave uniform forms
-#: (``acoustic_uniform``, ``optical_uniform``, ``shortwave_total``) take every
-#: time in one call; ``gaussian_airy``, ``dalembert`` and the front forms run
-#: once per time.  ``simulate`` and ``compare`` run all configured
-#: ``quadrature_*`` methods together, in one ``solve_quadrature`` call over
-#: their modes (see _band_fields); their evaluators here serve single calls.
+#: (as perfbench's tracer does) is seen.  ``uas_integral`` and the short-wave
+#: uniform forms (``acoustic_uniform``, ``optical_uniform``,
+#: ``shortwave_total``) take every time in one call; ``gaussian_airy``,
+#: ``dalembert`` and the front forms run once per time.  The chain (``ode``)
+#: and the band quadratures (``quadrature_*``) have no evaluator:
+#: :func:`_method_fields` integrates the chain once and runs every configured
+#: ``quadrature_*`` method in one ``solve_quadrature`` call over their modes.
 METHODS: dict[str, Method] = {
     "ode": Method(_chain, None),
-    "quadrature_full": Method(_band, _quadrature("full")),
-    "quadrature_acoustic": Method(_band, _quadrature("acoustic"), ("quadrature_ac",)),
-    "quadrature_optical": Method(_band, _quadrature("optical"), ("quadrature_opt",)),
+    "quadrature_full": Method(_band, None),
+    "quadrature_acoustic": Method(_band, None, ("quadrature_ac",)),
+    "quadrature_optical": Method(_band, None, ("quadrature_opt",)),
     "uas_integral": Method(
         _uas_integral, lambda c, x, times: uas_integral(*c.problem, x, times, **c.band)
     ),
@@ -245,56 +243,46 @@ def _components(out) -> tuple[np.ndarray, np.ndarray]:
     return out, out
 
 
-def _fields(
-    config: ScenarioConfig, method: str, x: np.ndarray | None, rows: bool = False
-) -> list[WaveField]:
-    """``method``'s field on ``x`` at every configured time (``rows``: ``u`` at
-    the heavy site ``x``, ``v`` at the light site ``x + h``), from one evaluator
-    call, and every field on the one array ``x``.  The chain oracle ignores
-    ``x``; it integrates once and keeps its cells in the grid window."""
-    evaluate = METHODS[method].evaluate
-    if evaluate is None:
+def _method_fields(config: ScenarioConfig, rows: bool = False) -> dict[str, list[WaveField]]:
+    """Every configured method's fields, one per time, by method in the order
+    of ``config.methods``; a method's fields share one ``x`` array.
+
+    The chain oracle (``ode``) is integrated once and keeps its cells in the
+    grid window.  Every other method is evaluated on the ``[grid]`` points,
+    or with ``rows`` (``ode`` must be configured) on the chain's cells, ``u``
+    at the heavy site ``x`` and ``v`` at the light site ``x + h``: all
+    ``quadrature_*`` methods in one ``solve_quadrature`` call over their
+    modes, every other method in one call of its evaluator."""
+    fields: dict[str, list[WaveField]] = {}
+    if "ode" in config.methods:
         states, _ = integrate_lattice(config.params, config.profile, config.mu, config.times)
         cells = [state.to_staggered_field() for state in states]
         keep = (cells[0].x >= config.x_min) & (cells[0].x <= config.x_max)  # same sites at every t
         if not keep.any():
             raise ConfigError("the [grid] window holds no cell of the chain (x = 2 k h); widen it")
         x = cells[0].x[keep]
-        return [WaveField(x, c.u[keep], c.v[keep], c.t, c.method) for c in cells]
-    values = evaluate(config, _sites(config, x, rows), config.times)
-    return _wave_fields(config, method, x, values, rows)
-
-
-def _band_fields(
-    config: ScenarioConfig, x: np.ndarray, rows: bool = False
-) -> dict[str, list[WaveField]]:
-    """The fields of every configured ``quadrature_*`` method, as :func:`_fields`
-    gives them, from one ``solve_quadrature`` call over all their modes."""
-    names = [m for m in config.methods if m.startswith("quadrature_")]
-    if not names:
-        return {}
-    modes = [name.removeprefix("quadrature_") for name in names]
-    sites = _sites(config, x, rows)
-    values = solve_quadrature(*config.problem, sites, config.times, modes, **config.band)
-    return {name: _wave_fields(config, name, x, value, rows) for name, value in zip(names, values)}
-
-
-def _sites(config: ScenarioConfig, x: np.ndarray, rows: bool) -> np.ndarray:
-    """``x``, or with ``rows`` each heavy site ``x`` followed by its light site ``x + h``."""
-    return np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
-
-
-def _wave_fields(
-    config: ScenarioConfig, method: str, x: np.ndarray, values, rows: bool
-) -> list[WaveField]:
-    """``method``'s fields on ``x`` from its outputs on :func:`_sites`, one per time."""
-    out = []
-    for t, value in zip(config.times, values):
-        u, v = _components(value)
-        if rows:
-            u, v = u[0::2], v[1::2]
-        out.append(WaveField(x=x, u=u, v=v, t=t, method=method))
-    return out
+        fields["ode"] = [WaveField(x, c.u[keep], c.v[keep], c.t, c.method) for c in cells]
+    if not rows:
+        x = np.linspace(config.x_min, config.x_max, config.points)
+    sites = np.stack([x, x + config.params.h], axis=1).ravel() if rows else x
+    band = [m for m in config.methods if m.startswith("quadrature_")]
+    outputs = {}
+    if band:
+        modes = [name.removeprefix("quadrature_") for name in band]
+        values = solve_quadrature(*config.problem, sites, config.times, modes, **config.band)
+        outputs = dict(zip(band, values))
+    for method in config.methods:
+        if method == "ode":
+            continue
+        if method not in outputs:
+            outputs[method] = METHODS[method].evaluate(config, sites, config.times)
+        fields[method] = []
+        for t, value in zip(config.times, outputs[method]):
+            u, v = _components(value)
+            if rows:
+                u, v = u[0::2], v[1::2]
+            fields[method].append(WaveField(x=x, u=u, v=v, t=t, method=method))
+    return {method: fields[method] for method in config.methods}
 
 
 #: Every section and key a scenario file may set.
@@ -596,13 +584,9 @@ def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> None:
 
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     header = config.header()
-    x = np.linspace(config.x_min, config.x_max, config.points)
-    # The chain and the band quadratures run first, so their failures leave no file.
-    ode = _fields(config, "ode", None) if "ode" in config.methods else None
-    band = _band_fields(config, x)
-    for method in config.methods:
-        fields = ode if method == "ode" else band.get(method) or _fields(config, method, x)
-        x_text = _reprs(fields[0].x)  # a method's fields share one x (see _fields)
+    # Every field is computed before any file is written, so a failure leaves no file.
+    for method, fields in _method_fields(config).items():
+        x_text = _reprs(fields[0].x)  # a method's fields share one x
         for fld in fields:
             name = f"field_{method}_t{fld.t:g}.csv"
             _write_csv(out_dir / name, [(fld, x_text)], header)
@@ -612,14 +596,8 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
 def cmd_compare(config: ScenarioConfig, out_dir: Path) -> None:
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods (first is the reference)")
-    # With ode, the chain is integrated once and every method sampled on its sites.
-    ode = _fields(config, "ode", None) if "ode" in config.methods else None
-    rows = ode is not None
-    x = ode[0].x if rows else np.linspace(config.x_min, config.x_max, config.points)
-    band = _band_fields(config, x, rows)
-    fields = {
-        m: ode if m == "ode" else band.get(m) or _fields(config, m, x, rows) for m in config.methods
-    }
+    # With ode, every method is sampled on the chain's sites.
+    fields = _method_fields(config, rows="ode" in config.methods)
     header = config.header()
     lines = [f"# {k} = {header[k]}" for k in sorted(header)]
     reference_name = config.methods[0]

@@ -7,9 +7,8 @@ sublattices at rest (zero initial velocity), sampled at lattice sites
 * profile objects (analytic Gaussian, or tabulated with natural cubic
   spline interpolation), exposing values and continuum Fourier data;
 * the semi-discrete Fourier transforms of the even-site and odd-site
-  samples over the reduced band ``B = [-pi/(2 delta), pi/(2 delta)]``;
-* the spectral "gap" diagnostics quantifying how fast the discrete sums
-  approach the continuum transform as ``delta -> 0``.
+  samples over the reduced band ``B = [-pi/(2 delta), pi/(2 delta)]``, and
+  the band data the quadrature integrates.
 
 Conventions.  The continuum transform is unitary-angular:
 ``what(p) = (1/sqrt(2 pi)) * int W(xi) exp(-i p xi) dxi`` so the standard
@@ -19,10 +18,9 @@ Poisson summation formula each equals ``(sqrt(2 pi) / (2 delta)) sum_k
 (+-1)^k what(p + k pi / delta)`` (sign ``(-1)^k`` on the odd sites), so inside
 the band it approaches ``(1/delta) sqrt(pi/2) what(p)`` up to aliases that
 vanish faster than any power of ``delta`` for smooth rapidly-decaying
-profiles.  :func:`semi_discrete_ft` is always the site sum (and
-:func:`poisson_gap` measures it); the band data of :func:`spectral_vector`
-take the Gaussian's sums from the few images instead wherever they are fewer
-than the sites.
+profiles.  :func:`semi_discrete_ft` is always the site sum; the band data
+of :func:`spectral_vector` take the Gaussian's sums from the few images
+instead wherever they are fewer than the sites.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import abc
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +45,8 @@ __all__ = [
     "load_profile_table",
     "semi_discrete_ft",
     "spectral_vector",
-    "GapReport",
-    "poisson_gap",
 ]
 
-_HALF_SQRT_2PI = np.sqrt(np.pi / 2.0)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: Most lattice sites a sublattice sum or the time-domain ring may span.
@@ -404,35 +398,3 @@ def _band_limits(profile: InitialProfile, delta: float, allowed: float) -> tuple
     edge = np.pi / (2.0 * delta)
     cut = min(edge, profile.hat_l1_radius(allowed * 2.0 * delta / _SQRT_2PI))
     return (0.0 if profile.is_even else -cut), cut
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Sup-norm distances between band data and the continuum transform.
-
-    ``gap_even``/``gap_odd``: distance of each sublattice sum from
-    ``(1/delta) sqrt(pi/2) what(p)`` over the reduced band.
-    ``gap_between``: distance between the two sublattice sums.
-    All three vanish faster than any power of ``delta`` for smooth
-    rapidly-decaying profiles.
-    """
-
-    delta: float
-    gap_even: float
-    gap_odd: float
-    gap_between: float
-
-
-def poisson_gap(profile: InitialProfile, delta: float, n_grid: int = 1001) -> GapReport:
-    """Measure the spectral gaps on a uniform grid over the reduced band."""
-    edge = np.pi / (2.0 * delta)
-    p = np.linspace(-edge, edge, n_grid)
-    s_even = semi_discrete_ft(profile, delta, p, 1)
-    s_odd = semi_discrete_ft(profile, delta, p, 2)
-    continuum = (_HALF_SQRT_2PI / delta) * profile.fourier_hat(p)
-    return GapReport(
-        delta=delta,
-        gap_even=float(np.max(np.abs(s_even - continuum))),
-        gap_odd=float(np.max(np.abs(s_odd - continuum))),
-        gap_between=float(np.max(np.abs(s_even - s_odd))),
-    )

@@ -16,21 +16,17 @@ scalar amplitude three ways:
 
 Which evaluator is honest depends on the accumulated cubic phase, of
 order ``t * h^2 / mu^3``; :func:`classify_regime` reports that ratio and
-the band the CLI uses to label it.  :func:`residual_pde_check` verifies
-any smooth evaluator against the governing continuum equation by
-high-order finite differences.
+the band the CLI uses to label it.  (The tests check these evaluators
+against the governing continuum equation by finite differences.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from ._quadrature import _check_mu, _check_numerics, _check_times, _finite_grid
 from ._quadrature import legendre_bessel_field, synthesize_field
-from ._stencils import fd_weights
 from .airy import airy_ai, airy_ai_scaled
 from .dispersion import Dispersion, LatticeParams
 from .errors import ConfigError
@@ -42,7 +38,6 @@ __all__ = [
     "uas_integral",
     "uas_gaussian_airy",
     "uas_dalembert",
-    "residual_pde_check",
 ]
 
 _SQRT_HALF_PI = float(np.sqrt(np.pi / 2.0))
@@ -302,63 +297,3 @@ def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, 
     if _scalar_in(x):
         return float(out[0])
     return out
-
-
-def residual_pde_check(
-    field_fn: Callable[[np.ndarray, float], np.ndarray],
-    params: LatticeParams,
-    mu: float,
-    x_grid,
-    t: float,
-    *,
-    equation: str = "dispersive6",
-) -> float:
-    """Normalized finite-difference residual of a continuum evaluator.
-
-    ``equation="wave"`` tests ``U_tt = c^2 U_xx``; ``"dispersive6"``
-    tests the sixth-order model
-    ``U_tt = c^2 U_xx + (2/3) c q h^2 U_4x + (1/9) q^2 h^4 U_6x``
-    (whose symbol is the exact square of the cubic phase ``c k - q h^2
-    k^3 / 3``).  Spatial derivatives use 13-point central stencils and
-    the time derivative a 7-point stencil, sampled by extra calls to
-    ``field_fn``.  The space step is an eighth of the narrower of ``mu``
-    and the Airy width ``h^{2/3} (q t)^{1/3}``; the time step is half the
-    time the sound takes to cross it, and at most ``t / 8``.  The sup-norm
-    residual is normalized by the larger of the ``U_tt`` and ``c^2 U_xx``
-    scales so the result is dimensionless.
-    """
-    if equation not in ("wave", "dispersive6"):
-        raise ConfigError(f"equation must be 'wave' or 'dispersive6', got {equation!r}")
-    _check_mu(mu)
-    x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    disp = Dispersion(params)
-    c = disp.sound_speed
-    q = disp.dispersion_coefficient
-    width = mu
-    if t > 0.0:
-        width = min(width, params.h ** (2.0 / 3.0) * (q * t) ** (1.0 / 3.0))
-    dx = width / 8.0
-    dt = dx / (2.0 * c)
-    if t > 0.0:
-        dt = min(dt, t / 8.0)
-
-    x_off = np.arange(-6, 7)
-    t_off = np.arange(-3, 4)
-    space = np.stack([field_fn(x_arr + j * dx, t) for j in x_off])
-    times = np.stack([field_fn(x_arr, t + k * dt) for k in t_off])
-
-    u_tt = (fd_weights(t_off, 2) @ times) / dt**2
-    u_xx = (fd_weights(x_off, 2) @ space) / dx**2
-    residual = u_tt - c**2 * u_xx
-    if equation == "dispersive6":
-        u_4x = (fd_weights(x_off, 4) @ space) / dx**4
-        u_6x = (fd_weights(x_off, 6) @ space) / dx**6
-        residual = (
-            residual
-            - (2.0 / 3.0) * c * q * params.h**2 * u_4x
-            - (1.0 / 9.0) * q**2 * params.h**4 * u_6x
-        )
-    scale = max(float(np.max(np.abs(u_tt))), float(c**2 * np.max(np.abs(u_xx))))
-    if scale == 0.0:
-        raise ConfigError("field is identically zero on the grid; nothing to check")
-    return float(np.max(np.abs(residual)) / scale)

@@ -348,14 +348,17 @@ def solve_quadrature(
     sequences, give the same bits either way.
 
     The price is memory, O(M T n) for ``n`` final nodes: the ``(n, M T, 2)``
-    band values and their weighted copy are held at once, and each
-    contraction block holds ``1 + 2 * 2 M T`` rows per column.  On the
-    ``longwave_front`` zoom (~1M final nodes) ``tracemalloc`` peaks at
-    191.5 MB for "acoustic" at one time and 295.8 MB at three, and at one
-    time at 269.6 MB for "full" alone against 304.3 MB for ("full",
-    "acoustic") in one call, which took 1.90 s where the two calls took
-    1.64 + 1.02 s (medians of five interleaved calls, 2-vCPU Xeon).  Nothing
-    caps ``M T``; calls over fewer modes or times bound it.
+    band values are held once (the quadrature weights enter the
+    contraction's phase rows, so no weighted copy is made), and each
+    contraction block holds ``1 + 2 M T`` rows per column, ``1 + 2 * 2 M T``
+    on a grid with residuals (see ``_contract``).  On the ``longwave_front``
+    zoom (NaCl, ``delta = 0.0125``, t = 0.5008, 401 points; ~1M final nodes)
+    ``tracemalloc`` peaks at 191.5 MB for "acoustic" at one time and
+    295.7 MB at three (t/3, 2t/3, t), and at one time at 269.4 MB for
+    "full" alone against 304.2 MB for ("full", "acoustic") in one call,
+    which took 1.44 s where the two calls took 1.08 + 0.72 s (medians of
+    three interleaved calls, 2-vCPU Xeon).  Nothing caps ``M T``; calls over
+    fewer modes or times bound it.
 
     The band is cut to ``|p| <= cut`` where the data provably vanish.  By
     AM-GM ``|A_01| <= sqrt(gamma1 / gamma2) / 2`` and ``|A_10| <=

@@ -17,11 +17,8 @@ from diatomic_waves import (
     GaussianProfile,
     LatticeParams,
     airy_ai,
-    airy_ai_prime,
     envelope_amplitude,
     integrate_lattice,
-    poisson_gap,
-    residual_pde_check,
     solve_quadrature,
     acoustic_uniform,
     optical_uniform,
@@ -31,6 +28,7 @@ from diatomic_waves import (
 )
 
 import conftest
+from _diagnostics import airy_ai_prime, poisson_gap, residual_pde_check
 from conftest import NACL_INPUTS
 
 GAUSSIAN = GaussianProfile()

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import _reference as ref
+from _diagnostics import airy_ai_prime
 from diatomic_waves import airy
 from diatomic_waves import (
     AIRY_AI_PRIME_ZERO,
@@ -18,7 +19,6 @@ from diatomic_waves import (
     ConfigError,
     airy_ai,
     airy_ai_pair,
-    airy_ai_prime,
     airy_ai_scaled,
     envelope_amplitude,
 )

@@ -188,7 +188,7 @@ def test_bad_compare_window_is_refused_on_load(tmp_path, capsys, window, named):
 
 
 def _count_work(monkeypatch) -> list[str]:
-    """Record every evaluator call and every chain integration the CLI makes."""
+    """Record every evaluator call, band pass and chain integration the CLI makes."""
     calls: list[str] = []
     for name, method in list(cli.METHODS.items()):
         if method.evaluate is not None:
@@ -202,7 +202,12 @@ def _count_work(monkeypatch) -> list[str]:
         calls.append("ode")
         return integrate_lattice(*args, **kwargs)
 
+    def band(*args, **kwargs):
+        calls.append("quadrature")
+        return solve_quadrature(*args, **kwargs)
+
     monkeypatch.setattr(cli, "integrate_lattice", integrate)
+    monkeypatch.setattr(cli, "solve_quadrature", band)
     return calls
 
 
@@ -582,6 +587,22 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure: out of memory" in err and "Traceback" not in err
+
+
+def test_failing_method_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """simulate computes every field before it writes one: a method that fails
+    after the band pass has run leaves no file of any method behind."""
+    def exhausted(config, x, t):
+        raise MemoryError
+
+    method = cli.METHODS["gaussian_airy"]._replace(evaluate=exhausted)
+    monkeypatch.setitem(cli.METHODS, "gaussian_airy", method)
+    text = BASE.replace("names = gaussian_airy, dalembert", "names = quadrature_full, gaussian_airy")
+    out_dir = tmp_path / "o"
+    code = cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out_dir)])
+    assert code == 3
+    assert "numerical failure: out of memory" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -1011,10 +1032,9 @@ def test_simulate_writes_the_bytes_of_write_fields_csv(tmp_path):
     out_dir = tmp_path / "o"
     assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
     config = cli.load_config(path)
-    x = np.linspace(config.x_min, config.x_max, config.points)
     written = 0
-    for method in config.methods:
-        for fld in cli._fields(config, method, None if method == "ode" else x):
+    for method, fields in cli._method_fields(config).items():
+        for fld in fields:
             name = f"field_{method}_t{fld.t:g}.csv"
             diatomic_waves.write_fields_csv(tmp_path / name, [fld], config.header())
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -1037,51 +1057,57 @@ def _asymmetry(u, v, rows_mirror):
     return worst, float(np.max(np.abs(np.concatenate([u, v]))))
 
 
+def _cell_mirrors(x: np.ndarray, h: float) -> list[np.ndarray]:
+    """Row of the mirror of each heavy and each light site of the cells ``x = 2 k h``
+    (-1 where it falls outside): cell ``k`` holds the heavy site ``2k`` and the light
+    site ``2k + 1``, whose mirrors are the heavy site of cell ``-k`` and the light
+    site of cell ``-k - 1``."""
+    k = np.rint(x / (2.0 * h)).astype(int)
+    row = {int(c): i for i, c in enumerate(k)}
+    return [np.array([row.get(int(-c - s), -1) for c in k]) for s in (0, 1)]
+
+
 @pytest.mark.parametrize(
     "method", sorted(set(cli.METHODS) - {"acoustic_front", "optical_front"})
 )
 def test_even_profile_gives_even_field(gaussian, method):
-    """Every two-sided method maps even data to an even field: ``u`` and ``v``
-    at ``-x`` equal those at ``x``.  On the chain, cell ``k`` holds the heavy
-    site ``2k`` and the light site ``2k + 1``, whose mirrors are the heavy site
-    of cell ``-k`` and the light site of cell ``-k - 1``."""
+    """Every two-sided method maps even data to an even field, as the commands
+    compute it (``cli._method_fields``): ``u`` and ``v`` at ``-x`` equal those
+    at ``x``, on the ``[grid]`` points and, next to ``ode``, on the chain's
+    cells, the rows ``compare`` samples (see :func:`_cell_mirrors`)."""
     mu, t = 0.04, 0.3
-    half = np.linspace(0.0, 0.5, 41)
-    x = np.concatenate((-half[:0:-1], half))
     ran = 0
     for kind, profile in (("gaussian", gaussian), ("table", _even_table())):
         for delta in (0.05, 1.0):
-            config = cli.ScenarioConfig(
-                params=LatticeParams(gamma1=0.82, gamma2=1.27, h=delta * mu),
-                profile=profile,
-                profile_kind=kind,
-                mu=mu,
-                x_min=-0.5,
-                x_max=0.5,
-                points=x.size,
-                times=(t,),
-                methods=(method,),
-            )
-            try:
-                cli.METHODS[method].check(config, method)
-            except ConfigError:
-                continue  # outside the method's regime
-            evaluate = cli.METHODS[method].evaluate
-            if evaluate is None:
-                (state,), _ = integrate_lattice(config.params, profile, mu, (t,))
-                cells = state.to_staggered_field()
-                k = np.rint(cells.x / (2.0 * config.params.h)).astype(int)
-                row = {int(c): i for i, c in enumerate(k)}
-                mirrors = [np.array([row.get(int(-c - s), -1) for c in k]) for s in (0, 1)]
-                worst, peak = _asymmetry(cells.u, cells.v, mirrors)
-            else:
-                (out,) = evaluate(config, x, config.times)
-                u, v = cli._components(out)
-                mirror = np.arange(x.size)[::-1]
-                worst, peak = _asymmetry(u, v, (mirror, mirror))
-            assert peak > 0.0  # (the optical part at delta = 0.05 is ~2e-5)
-            assert worst <= 1e-12 * peak, (kind, delta, worst, peak)
-            ran += 1
+            for methods in [(method,)] if method == "ode" else [(method,), ("ode", method)]:
+                config = cli.ScenarioConfig(
+                    params=LatticeParams(gamma1=0.82, gamma2=1.27, h=delta * mu),
+                    profile=profile,
+                    profile_kind=kind,
+                    mu=mu,
+                    x_min=-0.5,
+                    x_max=0.5,
+                    points=81,
+                    times=(t,),
+                    methods=methods,
+                )
+                try:
+                    for name in config.methods:
+                        cli.METHODS[name].check(config, name)
+                except ConfigError:
+                    continue  # outside the method's regime
+                rows = "ode" in config.methods
+                (fld,) = cli._method_fields(config, rows)[method]
+                if rows:
+                    mirrors = _cell_mirrors(fld.x, config.params.h)
+                else:
+                    mirror = np.arange(fld.x.size)[::-1]
+                    assert np.max(np.abs(fld.x + fld.x[mirror])) <= 1e-15  # linspace rounding
+                    mirrors = [mirror, mirror]
+                worst, peak = _asymmetry(fld.u, fld.v, mirrors)
+                assert peak > 0.0  # (the optical part at delta = 0.05 is ~2e-5)
+                assert worst <= 1e-12 * peak, (kind, delta, rows, worst, peak)
+                ran += 1
     assert ran > 0
 
 

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import _reference as ref
+from _diagnostics import poisson_gap
 from diatomic_waves import (
     ChainSizeError,
     ConfigError,
@@ -20,7 +21,6 @@ from diatomic_waves import (
     LatticeParams,
     TableProfile,
     load_profile_table,
-    poisson_gap,
     semi_discrete_ft,
     solve_quadrature,
     spectral_vector,

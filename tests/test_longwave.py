@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _reference as ref
+from _diagnostics import residual_pde_check
 from diatomic_waves import (
     ConfigError,
     Dispersion,
@@ -20,7 +21,6 @@ from diatomic_waves import (
     LongwaveRegime,
     TableProfile,
     classify_regime,
-    residual_pde_check,
     uas_dalembert,
     uas_gaussian_airy,
     uas_integral,

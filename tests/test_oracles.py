@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
 import _reference as ref
+from _diagnostics import residual_pde_check
 from diatomic_waves import (
     BoundaryError,
     ChainSizeError,
@@ -29,7 +30,6 @@ from diatomic_waves import (
     optical_front_airy,
     optical_uniform,
     read_fields_csv,
-    residual_pde_check,
     shortwave_total,
     solve_quadrature,
     uas_dalembert,
