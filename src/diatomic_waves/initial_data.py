@@ -66,6 +66,33 @@ _K = np.arange(22)[:, None]
 _FACTORIAL = np.array([float(math.factorial(k)) for k in range(22)])[:, None]
 _MOMENT_SERIES = (-1.0) ** (_K // 2) / (_FACTORIAL * (_K + np.arange(4) + 1.0))
 
+
+def _natural_spline(gaps: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficients ``w_j`` (row j, one column per knot interval) of the natural cubic
+    spline ``sum_j w_j s^j``, ``s`` measured from the interval's left knot.
+
+    Its second derivatives ``M_i`` at the knots solve, with ``M_0 = M_n = 0``,
+    ``a_i M_{i-1} + 2 M_i + (1 - a_i) M_{i+1} = 6 [x_{i-1}, x_i, x_{i+1}] W``,
+    ``a_i = d_{i-1} / (d_{i-1} + d_i)`` for knot gaps ``d`` (de Boor, *A Practical Guide
+    to Splines*, ch. IV): one Thomas sweep, whose pivots ``2 - a_i u_{i-1}`` (``u`` the
+    reduced upper diagonal, at most 1) stay at or above 1.
+    """
+    slopes = np.diff(values) / gaps
+    spans = gaps[:-1] + gaps[1:]
+    lower, rhs = (gaps[:-1] / spans).tolist(), (6.0 * np.diff(slopes) / spans).tolist()
+    upper, forward = [0.0], [0.0]
+    for a, r in zip(lower, rhs):
+        pivot = 2.0 - a * upper[-1]
+        upper.append((1.0 - a) / pivot)
+        forward.append((r - a * forward[-1]) / pivot)
+    second = [0.0] * (len(lower) + 2)
+    for i in range(len(lower), 0, -1):
+        second[i] = forward[i] - upper[i] * second[i + 1]
+    m = np.array(second)
+    slopes -= gaps * (2.0 * m[:-1] + m[1:]) / 6.0
+    return np.stack([values[:-1], slopes, 0.5 * m[:-1], (m[1:] - m[:-1]) / (6.0 * gaps)])
+
+
 class InitialProfile(abc.ABC):
     """A localized initial displacement ``W(xi)`` in profile-width units."""
 
@@ -154,6 +181,10 @@ class GaussianProfile(InitialProfile):
 class TableProfile(InitialProfile):
     """Profile given by samples, interpolated with a natural cubic spline.
 
+    :meth:`value` and :meth:`fourier_hat` read one table of cubic coefficients
+    (:func:`_natural_spline`); knots so close that it or the transform weights are
+    not finite (gaps of ~1e-300) are refused with ``ConfigError``.
+
     Outside the tabulated interval the profile is identically zero, so
     tables should decay to (near) zero at both ends: end values ``W_0``,
     ``W_n`` leave a transform tail up to ``(|W_0| + |W_n|) / (sqrt(2 pi) |p|)``,
@@ -174,14 +205,14 @@ class TableProfile(InitialProfile):
             raise ConfigError("profile table abscissae must be strictly increasing")
         self._xi = xi
         self._values = values
-        # imported here: only tables need the spline module, a heavy import
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(xi, values, bc_type="natural")
         self._gaps = np.diff(xi)
-        # spline.c[3 - j] is w_j; per interval, w_j d^(j+1) and the series of their sum
-        self._weights = self._spline.c[::-1] * self._gaps ** np.arange(1, 5)[:, None]
-        self._series = _MOMENT_SERIES @ self._weights
+        with np.errstate(all="ignore"):  # knot gaps near underflow: refused below, not warned
+            self._coef = _natural_spline(self._gaps, values)
+            # per interval, w_j d^(j+1) and the series of their sum
+            self._weights = self._coef * self._gaps ** np.arange(1, 5)[:, None]
+            self._series = _MOMENT_SERIES @ self._weights
+        if not all(np.all(np.isfinite(a)) for a in (self._coef, self._weights, self._series)):
+            raise ConfigError("profile table knots are too close: its spline is not finite")
         self._radius = float(max(abs(xi[0]), abs(xi[-1])))
         # evenness: symmetric grid and mirrored values within tolerance
         scale = float(np.max(np.abs(values))) or 1.0
@@ -199,7 +230,12 @@ class TableProfile(InitialProfile):
         out = np.zeros_like(xi, dtype=float)
         inside = (xi >= self._xi[0]) & (xi <= self._xi[-1])
         if np.any(inside):
-            out[inside] = self._spline(xi[inside])
+            x = xi[inside]
+            # the interval's left knot; the last knot ends the last cubic
+            cell = np.searchsorted(self._xi[1:-1], x, side="right")
+            s = x - self._xi[cell]
+            w0, w1, w2, w3 = (row.take(cell) for row in self._coef)
+            out[inside] = ((w3 * s + w2) * s + w1) * s + w0
         return out
 
     def fourier_hat(self, p):

@@ -300,9 +300,11 @@ def test_load_config_table_profile(tmp_path, gaussian):
         )
 
 
-#: Run in a fresh interpreter: start-up as the CLI sees it, then a table.
+#: Run in a fresh interpreter with scipy unimportable: start-up as the CLI sees
+#: it, the benchmark's commands, a table scenario, then a table built directly.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule raises ImportError
 import numpy as np
 import diatomic_waves
 import diatomic_waves.cli
@@ -311,10 +313,14 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         diatomic_waves.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[4]]),
         diatomic_waves.cli.main(["compare", "--config", sys.argv[3], "--out", sys.argv[4]]),
+        diatomic_waves.cli.main(["simulate", "--config", sys.argv[5], "--out", sys.argv[6]]),
     ]
-scipy_modules = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 xi = np.linspace(-6.0, 6.0, 41)
 table = diatomic_waves.TableProfile(xi, np.exp(-0.5 * xi * xi))
+scipy_modules = sorted(
+    name for name, module in sys.modules.items()
+    if name.split(".")[0] == "scipy" and module is not None
+)
 print(json.dumps({
     "file": diatomic_waves.__file__,
     "codes": codes,
@@ -338,20 +344,30 @@ _LONGWAVE_PROBE = BASE.replace(
 )
 
 
-def test_start_up_imports_no_heavy_scipy_module(tmp_path):
-    """Importing the package, loading a Gaussian scenario and running the
-    commands the benchmark runs (a ``simulate`` with the chain, the band
-    quadrature and the short-wave asymptotics; a ``compare`` of the long-wave
-    methods) load no scipy module at all: importing ``scipy.fft`` or
-    ``scipy.special`` alone costs about half of the start-up time.  A table
-    profile loads the spline module then."""
+def test_start_up_imports_no_heavy_scipy_module(tmp_path, gaussian):
+    """With scipy unimportable, importing the package, loading a Gaussian
+    scenario, running the commands the benchmark runs (a ``simulate`` with the
+    chain, the band quadrature and the short-wave asymptotics; a ``compare`` of
+    the long-wave methods), a table ``simulate`` and building a table all
+    succeed and load no scipy module: numpy is the only run-time dependency."""
     src = str(Path(diatomic_waves.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    xi = np.linspace(-6.0, 6.0, 201)
+    table_path = tmp_path / "bump.csv"
+    table_path.write_text(
+        "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(xi, gaussian.value(xi))) + "\n"
+    )
+    table_ini = _LONGWAVE_PROBE.replace(
+        "names = quadrature_full, quadrature_acoustic, uas_integral, gaussian_airy, dalembert",
+        "names = ode, quadrature_full, dalembert",
+    ) + f"\n[profile]\nkind = table\npath = {table_path}\n"
     args = [
         str(_write(tmp_path, BASE)),
         str(_write(tmp_path, _SHORTWAVE_PROBE, "shortwave.ini")),
         str(_write(tmp_path, _LONGWAVE_PROBE, "longwave.ini")),
         str(tmp_path / "out"),
+        str(_write(tmp_path, table_ini, "table.ini")),
+        str(tmp_path / "table_out"),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *args],
@@ -359,11 +375,12 @@ def test_start_up_imports_no_heavy_scipy_module(tmp_path):
     )
     report = json.loads(proc.stdout)
     assert Path(report["file"]).resolve() == Path(diatomic_waves.__file__).resolve()
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert len(list((tmp_path / "out").glob("field_*.csv"))) == 3
     assert (tmp_path / "out" / "compare_report.txt").exists()
+    assert len(list((tmp_path / "table_out").glob("field_*.csv"))) == 3
     assert report["scipy_modules"] == []
-    assert report["interpolate_after_table"]
+    assert not report["interpolate_after_table"]
     xi = np.linspace(-6.0, 6.0, 41)
     assert_allclose(report["knots"], np.exp(-0.5 * xi * xi), rtol=0, atol=1e-15)
     assert abs(report["between"] - np.exp(-0.5 * 0.15**2)) < 1e-3
@@ -1231,6 +1248,9 @@ def _table_at(path: str):
         ),
         ("simulate", _narrow_ode_window, 2, "no cell of the chain"),
         ("compare", _narrow_ode_window, 2, "no cell of the chain"),
+        # knot gaps of 1e-300 gave the spline nan transform weights (and overflow
+        # warnings); the quadrature doubled to its panel cap and exited 3 on "change nan"
+        ("simulate", lambda s: _table_at("close.csv")(_quadrature(s)), 2, "spline is not finite"),
     ],
 )
 def test_inputs_that_raised_tracebacks_exit_cleanly(
@@ -1238,6 +1258,7 @@ def test_inputs_that_raised_tracebacks_exit_cleanly(
 ):
     monkeypatch.chdir(tmp_path)  # table paths are relative to it
     (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81,\x92\n" * 8)
+    (tmp_path / "close.csv").write_text("0.0,0.0\n1e-300,1.0\n2e-300,0.0\n1.0,1.0\n2.0,0.0\n")
     path = _write(tmp_path, mutate(BASE))
     out_dir = tmp_path / "o"
     assert cli.main([command, "--config", str(path), "--out", str(out_dir)]) == code

@@ -133,6 +133,47 @@ def test_table_profile_validation():
         TableProfile(np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.4, 0.1]))
     with pytest.raises(ConfigError):
         TableProfile(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, np.nan, 0.4, 0.1]))
+    # gaps of 1e-300 built nan transform weights, with overflow warnings
+    with pytest.raises(ConfigError, match="spline is not finite"):
+        TableProfile(np.array([0.0, 1e-300, 2e-300, 1.0, 2.0]), np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
+
+
+def _oracle_table(name: str) -> TableProfile:
+    if name == "skew":  # the 175-knot table of the long-wave, chain and quadrature tests
+        xi = np.linspace(-9.0, 10.0, 175)
+        return TableProfile(xi, np.exp(-0.5 * (xi - 0.7) ** 2))
+    return _spline_table(name)
+
+
+@pytest.mark.parametrize("name", ["uniform", "graded", "skew"])
+def test_table_spline_matches_scipy_natural_spline(name):
+    from scipy.interpolate import CubicSpline
+
+    table = _oracle_table(name)
+    xi, w = table._xi, table._values
+    bound = 4.0 * np.finfo(float).eps * np.max(np.abs(w))
+    x = np.linspace(xi[0], xi[-1], 100_001)
+    assert np.max(np.abs(table.value(x) - CubicSpline(xi, w, bc_type="natural")(x))) <= bound
+    # every knot but the last, which ends the last cubic, is its value to the bit
+    np.testing.assert_array_equal(table.value(xi[:-1]), w[:-1])
+    assert abs(table.value(xi[-1]) - w[-1]) <= bound
+
+
+@pytest.mark.parametrize("name", ["uniform", "graded", "skew"])
+def test_table_spline_is_natural_and_twice_continuous(name):
+    table = _oracle_table(name)
+    (w0, w1, w2, w3), d = table._coef, np.diff(table._xi)
+    ends = {  # value, slope and second derivative at each interval's right knot
+        "value": (w0 + d * (w1 + d * (w2 + d * w3)), w0),
+        "slope": (w1 + d * (2.0 * w2 + 3.0 * d * w3), w1),
+        "second": (2.0 * w2 + 6.0 * w3 * d, 2.0 * w2),
+    }
+    eps = np.finfo(float).eps
+    for left, right in ends.values():
+        assert np.max(np.abs(left[:-1] - right[1:])) <= 4.0 * eps * np.max(np.abs(right))
+    second_end, second = ends["second"]
+    assert second[0] == 0.0
+    assert abs(second_end[-1]) <= 4.0 * eps * np.max(np.abs(second))
 
 
 def test_load_profile_table(tmp_path, gaussian):

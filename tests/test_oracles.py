@@ -459,6 +459,30 @@ def test_ode_boundary_guard(desk, gaussian, monkeypatch):
         integrate_lattice(desk(0.05), gaussian, 0.05, [0.1])
 
 
+def test_boundary_guard_scales_with_the_data(desk):
+    """The motion is linear: data scaled by 2^20 move exactly 2^20 times as far,
+    to the bit, and the guard scales with them (an absolute 1e-10 saw the
+    rounding noise of the scaled ends, 2.2e-10 at t = 0.3, as a reached end)."""
+    xi = np.linspace(-6.0, 6.0, 141)
+    w = np.exp(-0.5 * xi * xi)
+    params, scale = desk(0.002), 2.0**20
+    states, energy = integrate_lattice(params, TableProfile(xi, w), 0.04, [0.3, 1.0])
+    scaled, scaled_energy = integrate_lattice(params, TableProfile(xi, scale * w), 0.04, [0.3, 1.0])
+    for state, big in zip(states, scaled):
+        np.testing.assert_array_equal(big.displacement, scale * state.displacement)
+        np.testing.assert_array_equal(big.velocity, scale * state.velocity)
+    np.testing.assert_array_equal(scaled_energy.energy, scale * scale * energy.energy)
+    assert scaled_energy.drift == energy.drift
+
+
+def test_zero_data_stay_at_rest_with_no_drift(desk):
+    # the drift was 0 / 0: nan, and a RuntimeWarning, an error under this suite's filters
+    xi = np.linspace(-6.0, 6.0, 141)
+    states, energy = integrate_lattice(desk(0.002), TableProfile(xi, np.zeros_like(xi)), 0.04, [0.3])
+    assert energy.initial == 0.0 and energy.drift == 0.0
+    assert not np.any(states[0].displacement) and not np.any(states[0].velocity)
+
+
 def test_front_widths_bound_the_airy_tail():
     """Half the Airy mass past ``_FRONT_WIDTHS`` (9.46), the tail a front of
     peak 1 keeps there, is within 3 % below ``_BOUNDARY_TOL``."""
