@@ -6,17 +6,23 @@ All continuum fields in this package are inverse transforms of the form
 
 with a smooth (often complex, vector-valued) kernel and a phase whose
 local frequency is bounded by a known ``rate``.  They are evaluated with
-composite 16-point Gauss-Legendre panels sized from the oscillation rate,
-then verified by doubling the panel count until the change on the output
-grid is below tolerance.
+composite 16-point Gauss-Legendre panels sized from the oscillation rate.
+Each level checks itself, with an error estimate made from its own kernel
+values (:func:`_level_error`): the phase's part is a bound on the 16-point
+rule's error on ``P_k(s) e^{i omega s}`` from the Legendre expansion of
+the phase, and the kernel's Legendre coefficients past degree 15 are
+extrapolated from the decay of its degrees 8 to 15 (Trefethen,
+*Approximation Theory and Approximation Practice*, ch. 19; Aurentz and
+Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).  The first
+level that passes is returned; a level that fails is doubled.
 
 The panels have equal width, so each of the 16 local Gauss-Legendre
 nodes forms a uniform grid across panels: :func:`panel_nodes` lays out
 column ``c`` as the exact progression ``p0[c] + j dp``.  On a uniform output
 grid the node-by-point contraction is therefore a sum of 16 chirp-z
 transforms (Rabiner-Schafer-Rader 1969; Bluestein 1970), costing
-``O((N + M) log(N + M))`` instead of ``O(N M)``.  Each level of the ladder
-is built once: :func:`synthesize_field` hands :func:`_contract` the level's
+``O((N + M) log(N + M))`` instead of ``O(N M)``.  Each level is built
+once: :func:`synthesize_field` hands :func:`_contract` the level's
 ``(p0, dp)`` and its 16 column weights with the unweighted kernel values,
 so the contraction neither re-tests the nodes nor forms a weighted copy of
 the values; each column's weight goes into that column's phase row of
@@ -24,23 +30,22 @@ the values; each column's weight goes into that column's phase row of
 phase goes into its own copy of the chirp, so the 16 are added in the
 frequency domain: one forward FFT of the columns and their chirps (in
 groups past 4 MiB a block) and one inverse FFT of the sum, whose phases
-stay of the size of ``dp dx (N / 16 + M)``; convergence is then checked
-on every output point.  An output grid that is a progression only up to
-residuals above rounding of its span (a travelling frame
-``(c t - x) / mu``) also transforms a copy of the kernel weighted by the
-nodes, which applies the residuals to first order; a ``linspace`` grid
+stay of the size of ``dp dx (N / 16 + M)``.  An output grid that is a
+progression only up to residuals above rounding of its span (a travelling
+frame ``(c t - x) / mu``) also transforms a copy of the kernel weighted by
+the nodes, which applies the residuals to first order; a ``linspace`` grid
 does not, and its transforms are half as wide.  Any other grid is
-contracted directly, and checked on a 33-point probe subset before the
-final contraction.  :func:`_site_sums` computes the sublattice sums of
-:mod:`diatomic_waves.initial_data` with the same Bluestein set-up: the
+contracted directly, once per level: the estimate holds at every point,
+so no probe subset is needed.  :func:`_site_sums` computes the sublattice
+sums of :mod:`diatomic_waves.initial_data` with the same Bluestein set-up: the
 sites are the uniform summed grid, and each of the 16 columns of
 panel-strided momenta is an output grid of its own, transformed on its own.
 
 A kernel may return groups of columns, ``(n, g, m)``: the fields of one
 band at ``g`` times, say, which share their nodes and differ only in a
-phase factor.  They share one panel ladder sized by the largest rate, one
-kernel call and one contraction of all ``g m`` columns per level, and
-convergence is judged on each group against its own scale.
+phase factor.  They share panel levels sized by the largest rate, one
+kernel call and one contraction of all ``g m`` columns per level, and each
+group's estimate is judged against that group's own scale.
 
 For kernels that are even functions of ``p`` the integral over a
 symmetric band folds exactly onto ``[0, b]`` with a ``2 cos(p x)``
@@ -74,7 +79,7 @@ the real one takes microseconds.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log, log2
 from typing import Callable
 
 import numpy as np
@@ -147,7 +152,56 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s - s[::-1]), 0.5 * (w + w[::-1])
 
 
+def _legendre_vander(s: np.ndarray, k: int) -> np.ndarray:
+    """``V[j, n] = P_n(s[j])`` for ``n < k``, by the three-term recurrence
+    ``n P_n = (2 n - 1) s P_{n-1} - (n - 1) P_{n-2}`` in the order of
+    operations of ``numpy.polynomial.legendre.legvander``, so bit-equal to it."""
+    v = np.empty((k, s.size))
+    v[0] = 1.0
+    if k > 1:
+        v[1] = s
+    for n in range(2, k):
+        v[n] = (v[n - 1] * s * (2 * n - 1) - v[n - 2] * (n - 1)) / n
+    return v.T
+
+
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(_ORDER)
+
+#: Takes a panel's 16 values to the Legendre coefficients ``c_0 ... c_15`` of
+#: their interpolant, ``c_k = (k + 1/2) sum_i W_i P_k(s_i) f_i`` (exact, as
+#: ``P_k f`` has degree at most 30).  Built here rather than by
+#: :func:`_legendre_projection`, whose cache holds the far rule's orders.
+_PANEL_PROJECTION = (np.arange(_ORDER) + 0.5)[:, None] * (
+    _legendre_vander(_GL_NODES, _ORDER) * _GL_WEIGHTS[:, None]
+).T
+
+#: Orders ``l = 64 ... 1`` of the phase's Legendre series, and ``log((2 l -
+#: 1)!! / 4)`` less ``log 2`` at ``l = 64``: :func:`_phase_weights` reads
+#: ``4 u_l = exp(l log omega - shift)``, ``u_l = omega^l / (2 l - 1)!!``,
+#: with ``u_64`` counted twice.
+_PHASE_ORDERS = np.arange(64.0, 0.0, -1.0)
+_PHASE_SHIFT = np.cumsum(np.log(2.0 * _PHASE_ORDERS[::-1] - 1.0))[::-1] - np.log(4.0)
+_PHASE_SHIFT[0] -= np.log(2.0)
+
+#: Coefficients at most this many ulps of their column's largest are rounding
+#: (the projection's row ``k`` sums to at most ``2 k + 1 <= 31`` times a
+#: value's ulp), and :func:`_level_error` counts them as resolved.
+_PLATEAU_ULPS = 32.0
+
+#: Largest ratio of successive coefficients :func:`_level_error` extrapolates
+#: with: a tail that does not decay counts as about 16 more terms at its
+#: level, a finite estimate that a tiny tail still passes.
+_TAIL_RATIO = 15.0 / 16.0
+
+#: ``r^1 ... r^16`` and ``r^17 / (1 - r)`` at the steps ``r = (j / 64)
+#: _TAIL_RATIO``, ``j = 0 ... 64``: times the phase weights of orders
+#: 16 ... 32, the tail sums :func:`_level_error` reads.
+_TAIL_STEPS = 64
+_TAIL_POWERS = np.power.outer(
+    np.arange(_TAIL_STEPS + 1) * (_TAIL_RATIO / _TAIL_STEPS), np.arange(1, 18)
+)
+_TAIL_POWERS[:, -1] /= 1.0 - _TAIL_POWERS[:, 0]
+_TAIL_FOURTHS = _TAIL_POWERS[:, 3].copy()  # r^4 at each step
 
 
 def _panel_level(a: float, b: float, n_panels: int) -> tuple[np.ndarray, float, np.ndarray]:
@@ -231,7 +285,7 @@ def _output_grid(
     progression, which the first-order correction still makes exact.  The
     test holds for every ``p_max`` below the one it passed, so
     :func:`synthesize_field` makes it once, at the band's ``max(|a|, |b|)``,
-    and hands the result to each contraction of its ladder.
+    and hands the result to the contraction of each level it builds.
     """
     n = x.size
     if n == 0:
@@ -520,14 +574,101 @@ def _contract(
     return s.astype(complex, copy=False)
 
 
+def _phase_weights(omega: float) -> np.ndarray:
+    """``w_k = 4 min(1, T_{32-k}(omega))`` for ``k <= 32``, ``T_n(omega) =
+    sum_{l >= n} (2 l + 1) |j_l(omega)|``: the 16-point rule's error on
+    ``P_k(s) e^{i omega' s}`` is at most ``w_k`` for every ``|omega'| <= omega``,
+    and ``w_32 = 4`` bounds it for every ``k >= 32``.
+
+    With ``e^{i omega s} = sum_l i^l (2 l + 1) j_l(omega) P_l(s)`` (DLMF
+    10.60.7) the rule is exact on ``P_k P_l`` for ``k + l <= 31`` and errs by
+    at most ``2 + 2`` on any other, and by at most 4 on ``P_k e^{i omega s}``
+    itself.  ``T_n`` is bounded with ``(2 l + 1) |j_l(omega)| <= u_l =
+    omega^l / (2 l - 1)!!`` (DLMF 10.14.4 with 10.47.3), which grows with
+    ``omega``: its terms past ``l = 64`` fall by ``omega / (2 l + 1) < 1 / 4``
+    each below ``omega = 32``, so they add at most ``u_64`` again, and from
+    ``omega = 32`` on ``T_32 >= u_32 > 1``, so every weight is 4.
+    """
+    w = np.full(33, 4.0)
+    if omega < 32.0:
+        terms = np.exp(_PHASE_ORDERS * log(max(omega, np.finfo(float).tiny)) - _PHASE_SHIFT)
+        np.minimum(4.0, np.cumsum(terms)[32:], out=w[:32])  # 4 T_32 ... 4 T_1
+    return w
+
+
+def _level_error(g: np.ndarray, half: float, omega: float, even_fold: bool) -> np.ndarray:
+    """Estimated error of one panel level at every output point, per column
+    of the kernel values ``g`` (unweighted, panel by panel as
+    :func:`panel_nodes` lays them out).
+
+    On a panel of half-width ``half`` the kernel is ``sum_k c_k P_k(s)`` and
+    the phase ``e^{i x (m + half s)}``; ``c_k`` adds at most ``w_k |c_k|``
+    (:func:`_phase_weights` at ``omega = half max|x|``, 4 past ``k = 31``) to
+    the rule's error on ``int_{-1}^{1}``.  ``c_0 ... c_15`` come from the
+    panel's 16 values by one real product with ``_PANEL_PROJECTION``, and
+    ``|Re c_k| + |Im c_k|`` stands for ``|c_k|``.  Past them ``|c_k|`` is
+    taken as ``hi r^(k-15)``, with ``hi`` the largest of ``|c_12| ... |c_15|``
+    and ``r^4`` its ratio to the largest of ``|c_8| ... |c_11|``, at most
+    ``_TAIL_RATIO^4``; a ``hi`` at most ``_PLATEAU_ULPS`` ulps of the column's
+    largest coefficient is rounding, and the tail is then 0.  The tail's sum
+    ``hi sum_{k>=16} w_k r^(k-15)`` grows with ``r``, so it is read from
+    ``_TAIL_POWERS`` at the step of ``r`` at or above the panel's.  The
+    panels' bounds, each times ``half``, add up to the column's estimate,
+    twice that for ``even_fold``, which integrates ``Re g``.  Only the
+    phase's part is a proof; the tail is extrapolated, and a kernel that no
+    16 values resolve can fool it.
+
+    Each ``w_k``, ``k < 16``, also holds ``2 eps log2 N`` for the
+    contraction's rounding on ``N`` nodes: ``2 sum_k |c_k|`` bounds the
+    panel's ``int |g|``, and the error of an FFT of length ``N`` grows as
+    ``eps log2 N`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 24.1).  So a target below what the sum can
+    reach is refused, not met by a level that only truncates less.
+    """
+    n = g.shape[0] // _ORDER
+    if even_fold:
+        g = g.real
+    cplx = g.dtype.kind == "c"
+    # a complex g as (re, im) pairs of real columns, each estimated on its own
+    if cplx:
+        parts = np.ascontiguousarray(g, dtype=complex).view(float)
+    else:
+        parts = g.astype(float, copy=False)
+    # rows: the 16 local nodes; columns: part-major, then panel
+    cols = parts.reshape(n, _ORDER, -1).transpose(1, 2, 0).reshape(_ORDER, -1)
+    size = np.abs(_PANEL_PROJECTION @ cols).reshape(_ORDER, -1, n)  # |c_k|, part, panel
+    w = _phase_weights(omega)
+    known = w[:_ORDER] + 2.0 * np.finfo(float).eps * log2(g.shape[0])
+    est = (known @ size.reshape(_ORDER, -1)).reshape(-1, n)
+    lo, hi = np.max(size[8:].reshape(2, 4, -1, n), axis=1)
+    plateau = np.max(np.max(size, axis=0), axis=1)
+    if cplx:  # rounding follows the modulus: a pair shares its plateau
+        plateau = np.repeat(np.maximum(plateau[0::2], plateau[1::2]), 2)
+    plateau *= _PLATEAU_ULPS * np.finfo(float).eps
+    hi[hi <= plateau[:, None]] = 0.0
+    lo = np.maximum(lo, hi * _TAIL_RATIO**-4, out=lo)
+    lo += np.finfo(float).tiny
+    ratio = np.divide(hi, lo, out=lo)  # r^4, at most _TAIL_RATIO^4
+    step = np.searchsorted(_TAIL_FOURTHS, ratio)
+    tail = np.take(_TAIL_POWERS @ w[_ORDER:], step, mode="clip")
+    tail *= hi
+    est += tail
+    total = np.sum(est, axis=1)
+    if cplx:  # |c| <= |Re c| + |Im c|
+        total = total[0::2] + total[1::2]
+    return (2.0 * half if even_fold else half) * total
+
+
 def _check_numerics(
     rtol: float = 1e-8, atol: float = 1e-13, nodes_per_cycle: float = 10.0, max_doublings: int = 6
 ) -> None:
     """Raise ``ConfigError`` unless ``rtol`` and ``atol`` are finite and
     ``>= 0``, ``nodes_per_cycle`` is finite and ``> 0`` and ``max_doublings``
     is an integer ``>= 1``.  Negative tolerances would only spend doublings up
-    to the cap, a non-positive node density would silently build the minimum
-    panel level, and without a doubling no result is ever returned."""
+    to the cap, and a non-positive node density would silently build the
+    minimum panel level.  ``nodes_per_cycle`` is the first level's density and
+    ``max_doublings`` the number of doublings allowed past it, so a level the
+    estimate refuses always has one refinement to try."""
     for name, value in (("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
@@ -592,14 +733,14 @@ def synthesize_field(
         ``(n, g, m)``; may be complex.  Must be smooth on ``[a, b]``.  A
         3-D kernel is ``g`` groups of ``m`` columns (one group per time of
         :func:`~diatomic_waves.oracles.solve_quadrature`), all contracted
-        together on one panel ladder.
+        together on the same panel levels.
     rate:
         Bound on the total oscillation rate (``max |x|`` plus the rate of
         any oscillatory factor inside the kernel), of every group.
     even_fold:
         If true, evaluate ``Re int_{-b}^{b}`` of an even kernel folded to
         ``[a=0, b]`` with the real weight ``2 cos(p x)``, so of ``Re kernel``;
-        the imaginary part is zero and convergence is judged on the real part.
+        the imaginary part is zero and the estimate is made on ``Re kernel``.
 
     Returns
     -------
@@ -614,10 +755,16 @@ def synthesize_field(
     (:func:`_panel_level`), so it neither re-tests the layout nor builds a
     weighted copy of the values.
 
-    Convergence is judged per group: a doubling is accepted once
-    ``max|f2 - f1| <= atol + rtol * max|f2|`` holds on the checked points of
-    every group on its own (a 1-D or 2-D kernel is one group), so a small
-    group is held to its own scale, not to the largest group's.
+    Each level checks itself: it is returned once the error estimate of
+    :func:`_level_error`, made from its own kernel values, is at most
+    ``atol + rtol * scale`` in every group on its own, ``scale`` the group's
+    ``max|F|`` on the grid (a 1-D or 2-D kernel is one group; the estimate
+    holds at every point, so a non-uniform grid is contracted once, in
+    full).  A small group is thus held to its own scale, not to the largest
+    group's.  The first level has ``oscillation_panels(rate, a, b,
+    nodes_per_cycle)`` panels, made even on a band ``a = -b`` so that
+    ``p = 0``, where a kernel of ``|p|`` has its kink, is a panel edge; a
+    level that fails is doubled, at most ``max_doublings`` times.
 
     Raises
     ------
@@ -626,68 +773,46 @@ def synthesize_field(
         out of range (see :func:`_check_numerics`), or ``x`` holds a nan or an
         infinity (the first is named); checked before anything else.
     QuadratureError
-        If a panel level would exceed ``_MAX_NODES`` nodes (the first level's
-        doubling is checked before the kernel is called), or if doubling
-        the panel count ``max_doublings`` times never brings the change on
-        the checked points (every point of a uniform grid, else a probe
-        subset) of every group below ``atol + rtol * scale``.
+        If a panel level would exceed ``_MAX_NODES`` nodes (checked before
+        that level is built, so the kernel is not called for it), or if no
+        level up to ``max_doublings`` doublings brings the error estimate of
+        every group below ``atol + rtol * scale``.
     """
     _check_numerics(rtol, atol, nodes_per_cycle, max_doublings)
     x = _finite_grid(x)
     if x.size == 0:
         return np.zeros(0, dtype=complex)
     grid = _output_grid(x, max(abs(a), abs(b)))
-    if grid is not None:
-        x_check = x
-    else:
-        n_probe = min(x.size, 33)
-        probe_idx = np.unique(np.round(np.linspace(0, x.size - 1, n_probe)).astype(int))
-        x_check = x[probe_idx]
-
-    shape = ()  # the kernel's value shape past the node axis
-
-    def require_level(n_panels: int) -> None:
-        if n_panels * _ORDER > _MAX_NODES:
+    x_max = _abs_max(x)
+    panels = oscillation_panels(rate, a, b, nodes_per_cycle)
+    if a == -b:
+        panels += panels % 2
+    for doublings in range(max_doublings + 1):
+        if doublings:
+            panels *= 2
+        if panels * _ORDER > _MAX_NODES:
             raise QuadratureError(
-                f"oscillation rate {rate:.3e} needs {n_panels * _ORDER} quadrature "
+                f"oscillation rate {rate:.3e} needs {panels * _ORDER} quadrature "
                 f"nodes, above the limit of {_MAX_NODES}"
             )
-
-    def values(n_panels: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The level's nodes, kernel values (unweighted) and layout."""
-        nonlocal shape
-        require_level(n_panels)
-        p, _ = panel_nodes(a, b, n_panels)
+        p, _ = panel_nodes(a, b, panels)
         vals = np.asarray(kernel(p))
         shape = vals.shape[1:]
-        return p, vals.reshape(p.size, -1), _panel_level(a, b, n_panels)
-
-    def change(f1: np.ndarray, f2: np.ndarray) -> tuple[float, float, float]:
-        """``(err, scale, target)`` of the group furthest past its target."""
+        g = vals.reshape(p.size, -1)
+        level = _panel_level(a, b, panels)
+        half = 0.5 * level[1]
         groups = shape[0] if len(shape) == 2 else 1
-        err = np.max(np.abs(f2 - f1).reshape(f2.shape[0], groups, -1), axis=(0, 2))
-        scale = np.max(np.abs(f2).reshape(f2.shape[0], groups, -1), axis=(0, 2))
+        err = np.max(_level_error(g, half, half * x_max, even_fold).reshape(groups, -1), axis=1)
+        f = _contract(g, p, level, x, even_fold, grid)
+        scale = np.max(np.max(np.abs(f), axis=0).reshape(groups, -1), axis=1)
         target = atol + rtol * scale
-        worst = int(np.argmax(err - target))  # a nan comes first, and never passes
-        return float(err[worst]), float(scale[worst]), float(target[worst])
-
-    panels = oscillation_panels(rate, a, b, nodes_per_cycle)
-    require_level(2 * panels)  # every return follows at least one doubling
-    p, g, level = values(panels)
-    f1 = _contract(g, p, level, x_check, even_fold, grid)
-    for _ in range(max_doublings):
-        del p, g  # the next level compares with this one's contraction only
-        panels2 = 2 * panels
-        p, g, level = values(panels2)
-        f2 = _contract(g, p, level, x_check, even_fold, grid)
-        err, scale, target = change(f1, f2)
-        if err <= target:
-            full = f2 if x_check is x else _contract(g, p, level, x, even_fold)
-            return full.reshape((x.size,) + shape)
-        panels, f1 = panels2, f2
+        if np.all(err <= target):  # a nan never passes
+            return f.reshape((x.size,) + shape)
+        del p, vals, g, f  # before the next level is built
+    worst = int(np.argmax(err - target))  # a nan comes first
     raise QuadratureError(
-        f"panel refinement stalled at {panels} panels: change {err:.3e} "
-        f"exceeds target {atol:.1e} + {rtol:.1e} * {scale:.3e}"
+        f"panel refinement stalled at {panels} panels: error estimate "
+        f"{err[worst]:.3e} exceeds target {atol:.1e} + {rtol:.1e} * {scale[worst]:.3e}"
     )
 
 
@@ -697,19 +822,6 @@ def _legendre_projection(k: int) -> tuple[np.ndarray, np.ndarray]:
     that takes values there to Legendre coefficients of degree < ``k``."""
     s, w = _gauss_legendre(k)
     return s, (np.arange(k) + 0.5)[:, None] * (_legendre_vander(s, k) * w[:, None]).T
-
-
-def _legendre_vander(s: np.ndarray, k: int) -> np.ndarray:
-    """``V[j, n] = P_n(s[j])`` for ``n < k``, by the three-term recurrence
-    ``n P_n = (2 n - 1) s P_{n-1} - (n - 1) P_{n-2}`` in the order of
-    operations of ``numpy.polynomial.legendre.legvander``, so bit-equal to it."""
-    v = np.empty((k, s.size))
-    v[0] = 1.0
-    if k > 1:
-        v[1] = s
-    for n in range(2, k):
-        v[n] = (v[n - 1] * s * (2 * n - 1) - v[n - 2] * (n - 1)) / n
-    return v.T
 
 
 def _endpoint_threshold(k: int) -> float:

@@ -30,7 +30,7 @@ class NumericalError(DiatomicWavesError):
 
 
 class QuadratureError(NumericalError):
-    """Panel refinement did not converge within the doubling budget."""
+    """No panel level's error estimate met its target within the doubling budget."""
 
 
 class BoundaryError(NumericalError):

@@ -131,9 +131,9 @@ def uas_integral(
     ``t`` is one time, which gives one array (a float for a scalar ``x``),
     or a 1-D sequence of times, which gives a list in its order.  Each time
     tries its own two frames.  The times whose frames both fold share one
-    folded call: its panel ladder is sized by the largest of them, each
+    folded call: its panel levels are sized by the largest of them, each
     level evaluates ``What`` once and then one phase column per time, and
-    convergence is judged per time.  A folded time below the largest thus
+    each time is judged on its own.  A folded time below the largest thus
     sits on at least as many nodes as its own call would, and differs from
     it at rounding level; the largest time, and one time alone, keep the
     bits of their own call.  The other times take their frames one time at

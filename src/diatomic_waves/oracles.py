@@ -336,16 +336,16 @@ def solve_quadrature(
     t / h}`` depend on the time, and a mode only chooses which branch terms
     it adds, so every mode and time comes from one
     :func:`~diatomic_waves._quadrature.synthesize_field` call with ``M T``
-    groups: its panel ladder is sized by the largest time's rate ``(max|x| +
+    groups: its panel levels are sized by the largest time's rate ``(max|x| +
     max(t) speed) / mu``, each level evaluates ``Vtilde`` and each branch's
     ``A`` or ``B`` and ``omega`` once, forms each branch's term once per time
     and adds it into every mode that keeps the branch (acoustic first, as a
     one-mode call adds them), contracts the ``2 M T`` columns together, and
-    judges convergence on each group against its own peak.  ``speed`` is the
-    sound speed, or the optical front speed ``c_star < c`` when every mode is
-    "optical"; so an optical field in a sequence with another mode sits on
-    the finer sound-speed ladder and moves within its tolerance of its own
-    call, and every other field sits on at least as many nodes as its own
+    judges each level's error estimate on each group against its own peak.
+    ``speed`` is the sound speed, or the optical front speed ``c_star < c``
+    when every mode is "optical"; so an optical field in a sequence with
+    another mode sits on the finer sound-speed levels and moves within its
+    tolerance of its own call, and every other field sits on at least as many nodes as its own
     call would.  One time and one mode alone, as scalars or one-element
     sequences, give the same bits either way.
 

@@ -1286,3 +1286,49 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text, says):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and says in err
     assert not out_dir.exists()
+
+
+def _benchmark_scenarios():
+    """``perfbench/scenarios.py``, loaded from its file (the benchmark is not a package here)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["longwave_front", "longwave_bandsum", "shortwave_lattice"])
+def test_benchmark_scenarios_build_one_level_per_band_integral(workload, tmp_path, monkeypatch):
+    """Each benchmark scenario, at seed 0, runs through ``cli.main`` with every
+    band integral returning its first level: one ``panel_nodes`` call per
+    ``synthesize_field`` call."""
+    from diatomic_waves import _quadrature as quad
+    from diatomic_waves import longwave, oracles
+
+    scenarios = _benchmark_scenarios()
+    levels, per_call = [], []
+    panel_nodes = quad.panel_nodes
+
+    def level(*args):
+        levels.append(args[2])
+        return panel_nodes(*args)
+
+    def counted(synthesize):
+        def call(*args, **kwargs):
+            before = len(levels)
+            field = synthesize(*args, **kwargs)
+            per_call.append(len(levels) - before)
+            return field
+
+        return call
+
+    monkeypatch.setattr(quad, "panel_nodes", level)
+    for module in (oracles, longwave):
+        monkeypatch.setattr(module, "synthesize_field", counted(module.synthesize_field))
+    config = _write(tmp_path, scenarios.scenario_ini(workload, 0))
+    command = scenarios.WORKLOADS[workload].command
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert per_call and per_call == [1] * len(per_call)

@@ -332,13 +332,50 @@ def test_mode_sequence_matches_one_mode_calls(modes, times, delta, even):
             assert diff <= 1e-13 + 1e-8 * peak
 
 
+def test_symmetric_band_keeps_the_acoustic_kink_on_a_panel_edge(monkeypatch):
+    """A non-even profile integrates ``[-b, b]``, and the acoustic branch's
+    ``|sin(delta p)|`` has a kink at p = 0.  A band with ``a = -b`` starts on
+    an even panel count, so p = 0 is a panel edge: at a rate whose start
+    count is odd (63) the call builds one level of 64 panels and returns it,
+    within ``atol + rtol * scale`` of a level four times finer."""
+    from diatomic_waves import _quadrature as quad
+
+    calls, levels = [], []
+    synthesize, panel_nodes = oracles.synthesize_field, quad.panel_nodes
+
+    def recorded(kernel, a, b, y, rate, **options):
+        field = synthesize(kernel, a, b, y, rate, **options)
+        calls.append((kernel, a, b, y, rate, field))
+        return field
+
+    def level(*args):
+        levels.append(args[2])
+        return panel_nodes(*args)
+
+    monkeypatch.setattr(oracles, "synthesize_field", recorded)
+    monkeypatch.setattr(quad, "panel_nodes", level)
+    params = LatticeParams(0.82, 1.27, 0.1 * 0.05)  # delta = 0.1
+    solve_quadrature(params, _SKEW_TABLE, 0.05, np.linspace(-0.7, 0.7, 41), 0.3, "acoustic")
+    (kernel, a, b, y, rate, field), = calls
+    start = quad.oscillation_panels(rate, a, b)
+    assert a == -b and start % 2 == 1  # the case tests something
+    assert levels == [start + 1]
+    fine = 4 * (start + 1)
+    p, _ = panel_nodes(a, b, fine)
+    values = kernel(p).reshape(p.size, -1)
+    reference = quad._contract(values, p, quad._panel_level(a, b, fine), y, False)
+    scale = np.max(np.abs(field))
+    assert np.max(np.abs(field.reshape(reference.shape) - reference)) <= 1e-13 + 1e-8 * scale
+
+
 @pytest.mark.parametrize(
     "modes, branches",
     [(["acoustic", "full"], 2), (["optical", "full", "acoustic"], 2), (["acoustic"] * 2, 1)],
 )
 def test_mode_sequence_is_one_band_pass(modes, branches, monkeypatch):
-    """A mode sequence is one synthesize_field call whose levels each evaluate
-    the band data once and each branch's modal matrix once, for every mode."""
+    """A mode sequence is one synthesize_field call whose one level, which
+    checks itself, evaluates the band data once and each branch's modal
+    matrix once, for every mode."""
     from diatomic_waves import _quadrature as quad
 
     calls, levels, spectral, modal = [], [], [], []
@@ -372,7 +409,7 @@ def test_mode_sequence_is_one_band_pass(modes, branches, monkeypatch):
     assert [[f.method for f in fields] for fields in results] == [
         [f"quadrature_{mode}"] * 2 for mode in modes
     ]
-    assert len(calls) == 1 and len(levels) >= 2
+    assert len(calls) == 1 and len(levels) == 1
     assert spectral == [quad._ORDER * n_panels for n_panels in levels]
     assert len(modal) == branches * len(levels)
 

@@ -21,7 +21,7 @@ from diatomic_waves import (
     uas_integral,
 )
 from diatomic_waves import _quadrature as quad
-from diatomic_waves import initial_data
+from diatomic_waves import initial_data, oracles
 from diatomic_waves.errors import ConfigError, QuadratureError
 
 from _reference import bessel_sum, legendre_bessel_ladder
@@ -547,9 +547,9 @@ def test_level_weights_per_column_match_weighted_direct_sum(columns, even_fold):
 
 
 def test_uniform_grid_is_verified_on_every_point(monkeypatch):
-    """A uniform grid is checked on all points and returned as verified; a
-    non-uniform one on probes, then contracted once more in full.  Every
-    contraction is handed its panel level."""
+    """A level checks itself, so a uniform grid and a non-uniform one are each
+    contracted once, on every point, with no probe subset and no second
+    contraction.  Every contraction is handed its panel level."""
     x = np.linspace(-3.0, 3.0, 101)
     x_bent = x.copy()
     x_bent[50] += 1e-7
@@ -566,10 +566,10 @@ def test_uniform_grid_is_verified_on_every_point(monkeypatch):
 
     monkeypatch.setattr(quad, "_contract", spy)
     uniform = quad.synthesize_field(kernel, 0.0, 9.0, x, 3.0, even_fold=True)
-    assert sizes == [101, 101]
+    assert sizes == [101]
     sizes.clear()
     bent = quad.synthesize_field(kernel, 0.0, 9.0, x_bent, 3.0, even_fold=True)
-    assert sizes == [33, 33, 101]
+    assert sizes == [101]
     exact = np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x)
     keep = np.arange(x.size) != 50
     assert np.max(np.abs(uniform - exact)) < 1e-12
@@ -578,8 +578,8 @@ def test_uniform_grid_is_verified_on_every_point(monkeypatch):
 
 def test_uniform_grid_is_analysed_once_per_call(monkeypatch):
     """synthesize_field tests a uniform grid once, at the band's largest
-    momentum, and hands the result to every contraction of its ladder; on a
-    grid it refuses, each contraction tests its own points, as before."""
+    momentum, and hands the result to its level's one contraction; on a grid
+    it refuses, that contraction tests its own points, as before."""
     x = np.linspace(-3.0, 3.0, 101)
     x_bent = x.copy()
     x_bent[50] += 1e-7
@@ -600,11 +600,10 @@ def test_uniform_grid_is_analysed_once_per_call(monkeypatch):
     monkeypatch.setattr(quad, "_output_grid", grid_spy)
     monkeypatch.setattr(quad, "_contract", contract_spy)
     uniform = quad.synthesize_field(kernel, 0.0, 9.0, x, 40.0, even_fold=True)
-    assert grids == [101] and len(contractions) >= 2 and all(contractions)
+    assert grids == [101] and contractions == [True]
     grids.clear(), contractions.clear()
     quad.synthesize_field(kernel, 0.0, 9.0, x_bent, 40.0, even_fold=True)
-    assert grids == [101] + [33] * (len(contractions) - 1) + [101]
-    assert not any(contractions)
+    assert grids == [101, 101] and contractions == [False]
     # each contraction testing its own grid, as before, gives the same bits
     monkeypatch.setattr(
         quad,
@@ -622,27 +621,41 @@ def test_node_count_guard_fails_before_building_the_level():
         calls.append(p.size)
         return np.ones_like(p)
 
-    # 1e9: the first level is past the cap; 5e5: its 6.37M nodes fit, but the
-    # 12.7M-node doubling that must verify it does not, so neither is built
-    for rate, message in ((1e9, "quadrature nodes"), (5e5, "needs 12732416 quadrature nodes")):
-        with pytest.raises(QuadratureError, match=message):
-            quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), rate)
+    # 1e9: the first level is past the cap, so it is not built
+    with pytest.raises(QuadratureError, match="quadrature nodes"):
+        quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), 1e9)
     assert calls == []
+    # 5e5: its 6,366,208-node first level fits, is built and checks itself;
+    # no doubling (12.7M nodes, past the cap) is needed to verify it
+    x = np.linspace(0.0, 1.0, 5)
+    field = quad.synthesize_field(kernel, 0.0, 8.0, x, 5e5)
+    assert calls == [6_366_208]
+    exact = np.full(x.size, 8.0 + 0.0j)  # int_0^8 e^{i p x} dp
+    exact[1:] = (np.exp(8j * x[1:]) - 1.0) / (1j * x[1:])
+    assert np.max(np.abs(field - exact)) <= 1e-13 + 1e-8 * 8.0
 
 
 @pytest.mark.parametrize(
     "rate, message",
     [
-        (1e9, "needs 25464790912 quadrature nodes"),
-        (1e14, "needs 2546479089470336 quadrature nodes"),
+        (1e9, "needs 12732395456 quadrature nodes"),
+        (1e14, "needs 1273239544735168 quadrature nodes"),
         (np.inf, "oscillation rate inf is not finite"),
         (np.nan, "oscillation rate nan is not finite"),
     ],
 )
 def test_refusal_names_the_node_count_it_needs(rate, message):
-    """Past the cap the refusal names the verifying doubling's true node
-    count (not the cap), and a non-finite rate is refused as such; either
-    way no level is built and the kernel is never called."""
+    """Past the cap the refusal names the first level's true node count (not
+    the cap), and a non-finite rate is refused as such; either way no level
+    is built and the kernel is never called.
+
+    On ``[0, 8]`` at 10 nodes per cycle the first level has
+    ``ceil(rate * 8 / (2 pi) * 10 / 16)`` panels of 16 nodes: at rate 1e9,
+    ``ceil(795,774,715.46) = 795,774,716`` panels, 12,732,395,456 nodes; at
+    1e14, ``ceil(79,577,471,545,947.67) = 79,577,471,545,948`` panels,
+    1,273,239,544,735,168 nodes.  (A level verified by its doubling needed
+    twice that: 25,464,790,912 and 2,546,479,089,470,336.)
+    """
     calls = []
 
     def kernel(p):
@@ -1087,9 +1100,10 @@ def test_grouped_kernel_stall_names_the_unconverged_group():
 
 @pytest.mark.parametrize("times", [(0.3,), (0.1, 0.3, 0.5)])
 def test_times_share_one_kernel_call_and_inverse_transform_per_level(times, monkeypatch):
-    """``solve_quadrature`` over ``T`` times evaluates the band data once per
-    panel level, and each level is one contraction, whose one inverse FFT
-    runs on the ``2 T`` columns of the ``T`` fields."""
+    """``solve_quadrature`` over ``T`` times evaluates the band data once on
+    its one panel level, which checks itself, and that level is one
+    contraction, whose one inverse FFT runs on the ``2 T`` columns of the
+    ``T`` fields."""
     from diatomic_waves import oracles
 
     levels, spectral, rows = [], [], []
@@ -1113,6 +1127,171 @@ def test_times_share_one_kernel_call_and_inverse_transform_per_level(times, monk
     params = LatticeParams(0.82, 1.27, 0.01)
     fields = solve_quadrature(params, GaussianProfile(), 0.01, np.linspace(-0.7, 0.7, 201), times)
     assert [f.t for f in fields] == list(times)
-    assert len(levels) >= 2
+    assert len(levels) == 1
     assert spectral == [quad._ORDER * n_panels for _, _, n_panels in levels]
     assert rows == [2 * len(times)] * len(levels)
+
+
+# ---------------------------------------------------------------------------
+# Each level checks itself: the error estimate of one panel level
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-3, 0.5, 2.5, 5.0, 12.6, 20.0, 31.9, 32.0, 50.0])
+def test_phase_weights_bound_the_bessel_tails(omega):
+    """``_phase_weights`` never falls below ``4 min(1, T_{32-k}(omega))``, with
+    ``T_n`` summed from scipy's spherical Bessel functions, and is 4 past k = 31."""
+    orders = np.arange(400)
+    terms = (2 * orders + 1) * np.abs(spherical_jn(orders, omega))
+    tails = np.cumsum(terms[::-1])[::-1]  # tails[n] = T_n
+    exact = np.append(4.0 * np.minimum(1.0, tails[32:0:-1]), 4.0)
+    weights = quad._phase_weights(omega)
+    assert weights.shape == (33,) and weights[32] == 4.0
+    assert np.all(weights >= exact * (1.0 - 1e-12))
+    assert np.all(weights <= 4.0)
+
+
+#: A table of a Gaussian centred at 0.7: an odd part, so no fold.
+_SKEW_KNOTS = np.linspace(-9.0, 10.0, 175)
+_SKEW_TABLE = TableProfile(_SKEW_KNOTS, np.exp(-0.5 * (_SKEW_KNOTS - 0.7) ** 2))
+
+
+class _Levels:
+    """Counts the panel levels :func:`synthesize_field` builds, by their panel
+    counts, while it is active."""
+
+    def __enter__(self):
+        self.built, self._panel_nodes = [], quad.panel_nodes
+
+        def spy(a, b, n_panels):
+            self.built.append(n_panels)
+            return self._panel_nodes(a, b, n_panels)
+
+        quad.panel_nodes = spy
+        return self
+
+    def __exit__(self, *exc):
+        quad.panel_nodes = self._panel_nodes
+
+
+def _one_level(kernel, a, b, x, n_panels, even_fold=False):
+    """One unchecked level of ``n_panels`` panels, shaped as synthesize_field's result."""
+    p, _ = quad.panel_nodes(a, b, n_panels)
+    vals = np.asarray(kernel(p))
+    level = quad._panel_level(a, b, n_panels)
+    f = quad._contract(vals.reshape(p.size, -1), p, level, x, even_fold)
+    return f.reshape((x.size,) + vals.shape[1:])
+
+
+def _assert_within_target(field, reference, rtol=1e-8, atol=1e-13):
+    """Every group of ``field`` lies within ``atol + rtol * scale`` of
+    ``reference``, ``scale`` the group's own ``max|field|``."""
+    groups = field.shape[1] if field.ndim == 3 else 1
+    f = field.reshape(field.shape[0], groups, -1)
+    err = np.max(np.abs(f - reference.reshape(f.shape)), axis=(0, 2))
+    scale = np.max(np.abs(f), axis=(0, 2))
+    assert np.all(err <= atol + rtol * scale), (err, scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["chirp", "lorentzian", "band"]),
+    nodes_per_cycle=st.floats(2.0, 10.0),
+    data=st.data(),
+)
+def test_an_accepted_level_is_within_its_target(kind, nodes_per_cycle, data):
+    """Whatever the kernel and the start density, a level that its own
+    estimate accepts lies within ``atol + rtol * scale`` of the exact field (a
+    Gaussian times a chirp ``e^{i alpha p^2}``) or of a level four times finer
+    (a narrow Lorentzian; the band kernel of ``solve_quadrature`` at a random
+    ``delta``, time and mode, for the Gaussian and a non-even table).  A
+    stall is allowed; an accepted level that misses its target is not."""
+    kw = dict(nodes_per_cycle=nodes_per_cycle)
+    if kind == "band":
+        delta = data.draw(st.floats(0.005, 1.0), label="delta")
+        even = data.draw(st.booleans(), label="gaussian") or delta < 0.05
+        profile = GaussianProfile() if even else _SKEW_TABLE
+        t = data.draw(st.floats(0.0, 1.0), label="t")
+        mode = data.draw(st.sampled_from(["full", "acoustic", "optical"]), label="mode")
+        calls = []
+        synthesize = oracles.synthesize_field
+
+        def recorded(kernel, a, b, x, rate, **options):
+            field = synthesize(kernel, a, b, x, rate, **options)
+            calls.append((kernel, a, b, x, options["even_fold"], field))
+            return field
+
+        oracles.synthesize_field = recorded
+        try:
+            with _Levels() as levels:
+                solve_quadrature(
+                    LatticeParams(0.82, 1.27, delta * 0.05), profile, 0.05,
+                    np.linspace(-0.7, 0.7, 41), t, mode, **kw,
+                )
+        except QuadratureError:
+            return
+        finally:
+            oracles.synthesize_field = synthesize
+        (kernel, a, b, x, even_fold, field), = calls
+        reference = _one_level(kernel, a, b, x, 4 * levels.built[-1], even_fold)
+        _assert_within_target(field, reference)
+        return
+    x = np.linspace(-data.draw(st.floats(1.0, 20.0), label="x_max"), 0.0, 61)
+    if kind == "chirp":
+        alpha = data.draw(st.floats(0.0, 2.0), label="alpha")
+        kernel = lambda p: np.exp(-(0.5 - 1j * alpha) * p * p)  # noqa: E731
+        a, b, rate = -9.0, 9.0, abs(x[0]) + 2.0 * alpha * 9.0
+    else:
+        width = data.draw(st.floats(0.1, 1.0), label="width")
+        kernel = lambda p: width**2 / (width**2 + p * p)  # noqa: E731
+        a, b, rate = -8.0, 8.0, abs(x[0])
+    with _Levels() as levels:
+        try:
+            field = quad.synthesize_field(kernel, a, b, x, rate, **kw)
+        except QuadratureError:
+            return
+    if kind == "chirp":  # int e^{-(1/2 - i alpha) p^2 + i p x} dp over the line
+        c = 0.5 - 1j * alpha
+        reference = np.sqrt(np.pi / c) * np.exp(-x * x / (4.0 * c))
+    else:
+        reference = _one_level(kernel, a, b, x, 4 * levels.built[-1])
+    _assert_within_target(field, reference)
+
+
+def test_a_kernel_resolved_to_rounding_is_accepted_at_its_first_level():
+    """On narrow panels a Gaussian's coefficients past the first few are
+    rounding noise, which does not decay.  Counted as resolved, they let the
+    first level pass a target of 1e-14 of the peak, and it is that accurate;
+    extrapolated as a tail, they would fail every doubling, since each adds
+    more of them."""
+    x = np.linspace(-3.0, 3.0, 61)
+    with _Levels() as levels:
+        field = quad.synthesize_field(
+            lambda p: np.exp(-0.5 * p * p), 0.0, 9.0, x, 200.0, rtol=1e-14, atol=0.0, even_fold=True
+        )
+    assert levels.built == [quad.oscillation_panels(200.0, 0.0, 9.0)]
+    _assert_within_target(field, np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x), rtol=1e-14, atol=0.0)
+
+
+def test_optical_band_of_a_non_even_profile_at_t0_does_not_stall():
+    """The optical branch of a non-even table at t = 0 and delta = 0.05: on
+    panels where the coefficients fall slowly, or not at all, but stay tiny,
+    the tail's estimate is finite and tiny too, and the first level passes."""
+    params = LatticeParams(0.82, 1.27, 0.05 * 0.05)
+    x = np.linspace(-0.7, 0.7, 41)
+    with _Levels() as levels:
+        field = solve_quadrature(params, _SKEW_TABLE, 0.05, x, 0.0, "optical")
+    assert len(levels.built) == 1
+    assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
+
+
+def test_the_phase_bound_alone_refuses_an_unresolved_phase():
+    """A constant kernel has no Legendre tail, so only the phase's part of the
+    estimate can see that 1 node per cycle under-resolves ``e^{i p x}``: the
+    first level is refused, and the level that passes is within its target of
+    the exact ``int_0^8 e^{i p x} dp``."""
+    x = np.linspace(1.0, 50.0, 99)
+    with _Levels() as levels:
+        field = quad.synthesize_field(np.ones_like, 0.0, 8.0, x, 50.0, nodes_per_cycle=1.0)
+    assert len(levels.built) > 1
+    _assert_within_target(field, (np.exp(8j * x) - 1.0) / (1j * x))
