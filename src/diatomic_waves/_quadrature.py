@@ -622,8 +622,8 @@ def _level_error(g: np.ndarray, half: float, omega: float, even_fold: bool) -> n
     contraction's rounding on ``N`` nodes: ``2 sum_k |c_k|`` bounds the
     panel's ``int |g|``, and the error of an FFT of length ``N`` grows as
     ``eps log2 N`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 24.1).  So a target below what the sum can
-    reach is refused, not met by a level that only truncates less.
+    Algorithms*, 2nd ed., section 24.1): an estimate, not a bound, as against a
+    long-double sum :func:`_contract` erred by 7.8-23 ``eps sum |w g|``, the term 16-16.5.
     """
     n = g.shape[0] // _ORDER
     if even_fold:
@@ -699,15 +699,15 @@ def _finite_grid(x) -> np.ndarray:
     return x
 
 
-def _check_times(t) -> np.ndarray:
+def _check_times(t, check: Callable[[float], None] = _check_time) -> np.ndarray:
     """``t``, one time or a 1-D sequence of them, as a 1-D array; ``ConfigError``
-    if it is empty or has more dimensions, or a time fails :func:`_check_time`."""
+    if it is empty or has more dimensions, or a time fails ``check``."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ConfigError(f"t must be one time or a 1-D sequence of times, got {t!r}")
     times = times.ravel()
     for value in times.tolist():
-        _check_time(value)
+        check(value)
     return times
 
 

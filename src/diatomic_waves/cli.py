@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._quadrature import _check_numerics, _check_time
+from ._quadrature import _check_numerics, _check_times
 from .dispersion import Dispersion, LatticeParams
 from .errors import ConfigError, DiatomicWavesError, NumericalError
 from .initial_data import _MAX_SITES, GaussianProfile, InitialProfile, load_profile_table
@@ -139,8 +139,7 @@ def _chain(config: ScenarioConfig, name: str) -> None:
 
 def _band(config: ScenarioConfig, name: str) -> None:
     """The band quadrature holds at every delta and every time ``t >= 0``."""
-    for t in config.times:
-        _check_time(t)
+    _check_times(config.times)
 
 
 def _longwave(config: ScenarioConfig, name: str) -> None:
@@ -164,8 +163,7 @@ def _gaussian(config: ScenarioConfig, name: str) -> None:
             f"method {name!r} is the Gaussian-data closed form; use "
             "uas_integral for tabulated profiles"
         )
-    for t in config.times:
-        _check_airy_time(t)
+    _check_times(config.times, _check_airy_time)
 
 
 def _shortwave(config: ScenarioConfig, name: str) -> None:
@@ -173,16 +171,11 @@ def _shortwave(config: ScenarioConfig, name: str) -> None:
     _require_positive_time(config.times)
 
 
-def _each_time(evaluate: Callable) -> Callable:
-    """An evaluator ``(config, x, times)`` from one of a single time ``(config, x, t)``."""
-    return lambda c, x, times: [evaluate(c, x, t) for t in times]
-
-
 class Method(NamedTuple):
     """A CLI method: its check of the regime and the times, its evaluator
-    ``(config, x, times)``, which returns one output per time (None for the
-    chain oracle and the band quadratures, which :func:`_method_fields` runs
-    itself), and its aliases."""
+    ``(config, x, times)``, one library call that returns one output per time
+    (None for the chain oracle and the band quadratures, which
+    :func:`_method_fields` runs itself), and its aliases."""
 
     check: Callable[[ScenarioConfig, str], None]
     evaluate: Callable | None
@@ -191,13 +184,12 @@ class Method(NamedTuple):
 
 #: Every method the CLI runs, by canonical name.  The evaluators name the
 #: library functions in their bodies, so a rebinding of those module names
-#: (as perfbench's tracer does) is seen.  ``uas_integral`` and the short-wave
-#: uniform forms (``acoustic_uniform``, ``optical_uniform``,
-#: ``shortwave_total``) take every time in one call; ``gaussian_airy``,
-#: ``dalembert`` and the front forms run once per time.  The chain (``ode``)
-#: and the band quadratures (``quadrature_*``) have no evaluator:
-#: :func:`_method_fields` integrates the chain once and runs every configured
-#: ``quadrature_*`` method in one ``solve_quadrature`` call over their modes.
+#: (as perfbench's tracer does) is seen.  Each evaluator is one library call
+#: over all ``[times]``: every evaluated method takes a 1-D sequence of times
+#: and returns a list in its order.  The chain (``ode``) and the band
+#: quadratures (``quadrature_*``) have no evaluator: :func:`_method_fields`
+#: integrates the chain once and runs every configured ``quadrature_*``
+#: method in one ``solve_quadrature`` call over their modes.
 METHODS: dict[str, Method] = {
     "ode": Method(_chain, None),
     "quadrature_full": Method(_band, None),
@@ -207,12 +199,11 @@ METHODS: dict[str, Method] = {
         _uas_integral, lambda c, x, times: uas_integral(*c.problem, x, times, **c.band)
     ),
     "gaussian_airy": Method(
-        _gaussian,
-        _each_time(lambda c, x, t: uas_gaussian_airy(c.params, c.mu, x, t)),
+        _gaussian, lambda c, x, times: uas_gaussian_airy(c.params, c.mu, x, times),
         ("uas_gaussian_airy",),
     ),
     "dalembert": Method(
-        _longwave, _each_time(lambda c, x, t: uas_dalembert(*c.problem, x, t)), ("uas_dalembert",)
+        _longwave, lambda c, x, times: uas_dalembert(*c.problem, x, times), ("uas_dalembert",)
     ),
     "acoustic_uniform": Method(
         _shortwave, lambda c, x, times: acoustic_uniform(*c.problem, x, times)
@@ -221,12 +212,10 @@ METHODS: dict[str, Method] = {
         _shortwave, lambda c, x, times: optical_uniform(*c.problem, x, times)
     ),
     "acoustic_front": Method(
-        _shortwave,
-        _each_time(lambda c, x, t: acoustic_front_airy(*c.problem, x, t, c.front_side)),
+        _shortwave, lambda c, x, times: acoustic_front_airy(*c.problem, x, times, c.front_side)
     ),
     "optical_front": Method(
-        _shortwave,
-        _each_time(lambda c, x, t: optical_front_airy(*c.problem, x, t, c.front_side)),
+        _shortwave, lambda c, x, times: optical_front_airy(*c.problem, x, times, c.front_side)
     ),
     "shortwave_total": Method(
         _shortwave, lambda c, x, times: shortwave_total(*c.problem, x, times)

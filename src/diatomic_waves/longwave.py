@@ -87,8 +87,12 @@ def classify_regime(params: LatticeParams, mu: float) -> LongwaveRegime:
     return LongwaveRegime(h=params.h, mu=mu, ratio=ratio, regime=regime)
 
 
-def _scalar_in(x) -> bool:
-    return np.isscalar(x) or np.ndim(x) == 0
+def _per_time(x, t, outs: list):
+    """``outs``, one array per time, as floats for a scalar ``x``; a list for a
+    sequence ``t``, its one output for one time."""
+    if np.ndim(x) == 0:
+        outs = [float(out[0]) for out in outs]
+    return outs if np.ndim(t) else outs[0]
 
 
 def uas_integral(
@@ -208,9 +212,7 @@ def uas_integral(
         field = field.reshape(x_arr.size, len(folded))  # an empty grid comes back 1-D
         for k, (i, *_) in enumerate(folded):
             outs[i] = field[:, k].real
-    if _scalar_in(x):
-        outs = [float(out[0]) for out in outs]
-    return outs if np.ndim(t) else outs[0]
+    return _per_time(x, t, outs)
 
 
 def _check_airy_time(t: float) -> None:
@@ -222,7 +224,7 @@ def _check_airy_time(t: float) -> None:
         )
 
 
-def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
+def uas_gaussian_airy(params: LatticeParams, mu: float, x, t):
     """Closed Gaussian/Airy form of :func:`uas_integral` for the Gaussian bump.
 
     ``U_as = sqrt(pi/2) * lam^{-1/3} * e^{1/(12 lam^2)} * [T(a_+) + T(a_-)]``
@@ -238,20 +240,18 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
     ``lam^2`` underflows the form is at its ``lam -> 0`` limit to rounding,
     the d'Alembert half-sum ``(e^{-a_+^2/2} + e^{-a_-^2/2}) / 2``.
 
-    A nan or an infinity in ``x`` raises ``ConfigError``, as in :func:`uas_integral`.
+    ``t`` is one time or a 1-D sequence of them, as in :func:`uas_integral`;
+    each time keeps the bits of its own call.  ``ConfigError`` for an empty or
+    2-D ``t``, a time not finite and ``> 0``, or a nan or an infinity in ``x``.
     """
     _check_mu(mu)
-    _check_airy_time(t)
+    times = _check_times(t, _check_airy_time)
     x_arr = _finite_grid(x)
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
-    with np.errstate(over="ignore"):
-        lam = float(q * t * np.float64(params.h) ** 2 / np.float64(mu) ** 3)
-    if not np.isfinite(lam):
-        raise ConfigError(f"lam = q t h^2 / mu^3 overflows (t={t!r}, mu={mu!r})")
 
-    def term(a: np.ndarray) -> np.ndarray:
+    def term(a: np.ndarray, lam: float) -> np.ndarray:
         log_pre = np.log(_SQRT_HALF_PI) - np.log(lam) / 3.0
         z = -((a - 0.25 / lam) / np.cbrt(lam))
         out = np.empty_like(a)
@@ -267,33 +267,41 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t: float):
             out[~grow] = np.exp(expo) * airy_ai(z[~grow])
         return out
 
-    ct = c * t
-    a_plus, a_minus = (x_arr + ct) / mu, -(x_arr - ct) / mu
-    if lam * lam < _TINY:
-        out = 0.5 * (np.exp(-0.5 * a_plus**2) + np.exp(-0.5 * a_minus**2))
-    else:
-        out = term(a_plus) + term(a_minus)
-    if _scalar_in(x):
-        return float(out[0])
-    return out
+    outs = []
+    for time in times.tolist():
+        with np.errstate(over="ignore"):
+            lam = float(q * time * np.float64(params.h) ** 2 / np.float64(mu) ** 3)
+        if not np.isfinite(lam):
+            raise ConfigError(f"lam = q t h^2 / mu^3 overflows (t={time!r}, mu={mu!r})")
+        ct = c * time
+        a_plus, a_minus = (x_arr + ct) / mu, -(x_arr - ct) / mu
+        if lam * lam < _TINY:
+            outs.append(0.5 * (np.exp(-0.5 * a_plus**2) + np.exp(-0.5 * a_minus**2)))
+        else:
+            outs.append(term(a_plus, lam) + term(a_minus, lam))
+    return _per_time(x, t, outs)
 
 
-def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, t: float):
+def _check_finite_time(t: float) -> None:
+    """Raise ``ConfigError`` unless ``t`` is finite, as the d'Alembert form needs."""
+    if not np.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t!r}")
+
+
+def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, t):
     """Non-dispersive limit: half-sum of the two translated profiles.
 
     ``U_as(x, t) = (W((x + c t)/mu) + W((x - c t)/mu)) / 2``; exact for
     the plain wave equation, hence accurate to ``O(t h^2/mu^3)`` in the
-    ``wave_equation`` regime.  A nan or an infinity in ``x`` raises
-    ``ConfigError``, as in :func:`uas_integral`.
+    ``wave_equation`` regime.  ``t`` is as in :func:`uas_gaussian_airy`, but
+    any finite time; a nan or an infinity in ``t`` or ``x`` raises ``ConfigError``.
     """
     _check_mu(mu)
-    if not np.isfinite(t):
-        raise ConfigError(f"t must be finite, got {t!r}")
+    times = _check_times(t, _check_finite_time)
     x_arr = _finite_grid(x)
-    ct = Dispersion(params).sound_speed * t
-    out = 0.5 * (
-        profile.value((x_arr + ct) / mu) + profile.value((x_arr - ct) / mu)
-    )
-    if _scalar_in(x):
-        return float(out[0])
-    return out
+    c = Dispersion(params).sound_speed
+    outs = [
+        0.5 * (profile.value((x_arr + c * time) / mu) + profile.value((x_arr - c * time) / mu))
+        for time in times.tolist()
+    ]
+    return _per_time(x, t, outs)

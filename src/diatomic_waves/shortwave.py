@@ -36,12 +36,13 @@ bands of each branch) first name the momenta at which they need the band
 data, and :func:`_records` evaluates all of them in one ``spectral_vector``
 call.
 
-The uniform evaluators take ``t`` as one time or as a 1-D sequence of times
-(one time gives one result, a sequence a list in its order).  A sequence is
-one pass on the grid ``x`` repeated once per time, each point with its own
-time: one stationary solve per branch, one ``spectral_vector`` call and one
-Airy call for every time.  No step mixes points, so each time's field has the
-bits of its own call.
+Every public evaluator, front or uniform, takes ``t`` as one time or as a 1-D
+sequence of times (one time gives one result, a sequence a list in its order).
+A sequence is one pass on the grid ``x`` repeated once per time, each point
+with its own time (:func:`_stacked`): one ``spectral_vector`` call and one
+Airy call for every time, and for the uniform forms one stationary solve per
+branch.  No step mixes points, so each time's field has the bits of its own
+call.
 """
 
 from __future__ import annotations
@@ -441,39 +442,23 @@ def _front_airy(
     return momenta, finish
 
 
-def _front_field(
-    params: LatticeParams, profile: InitialProfile, mu: float, x, t: float, side: str, branch: int
-) -> np.ndarray:
-    """The ``(n, 2)`` front form of one branch on ``side`` at the points ``x``."""
-    _require_unit_delta(params, mu)
-    _require_positive_time(t)
-    if side not in ("left", "right"):
-        raise ConfigError(f"front must be 'left' or 'right', got {side!r}")
-    disp = Dispersion(params)
-    x_arr = np.asarray(x, dtype=float).ravel()
-    front = _front(disp, branch)
-    t_arr = np.full(x_arr.shape, float(t))
-    scales = tuple(np.repeat(a, x_arr.size) for a in _front_scales(mu, front[3], [t]))
-    piece = _front_airy(disp, mu, x_arr, t_arr, scales, side, branch, front)
-    return _airy_sum(x_arr.size, _records(profile, [(np.arange(x_arr.size), *piece)]))
-
-
 def acoustic_front_airy(
     params: LatticeParams,
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
+    t,
     front: str = "right",
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Airy representation of the acoustic mode near a front ``x = +-ct``.
 
     :func:`_front_airy` about ``p_c = 0``: speed ``c``, curvature ``q``,
     projector ``A(0)``, carrier 1 and weight 1.  The splits about 0 are the
     even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
-    (heavy, light components).
+    (heavy, light components) for one time ``t``, and a list of them for a
+    1-D sequence of times.
     """
-    return _front_field(params, profile, mu, x, t, front, ACOUSTIC)
+    return _front_fields(params, profile, mu, x, t, front, ACOUSTIC)
 
 
 def optical_front_airy(
@@ -481,17 +466,18 @@ def optical_front_airy(
     profile: InitialProfile,
     mu: float,
     x,
-    t: float,
+    t,
     front: str = "right",
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Airy-envelope representation of the optical mode near ``x = +-c*t``.
 
     :func:`_front_airy` about ``p*``: speed ``c*``, curvature ``q*``,
     projector ``B(p*)``, carrier ``e^{i (p* x +- omega_2(p*) t)/mu}`` (right
     front ``+``) and weight 2.  The output oscillates at the carrier
-    wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``.
+    wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``
+    for one time ``t``, and a list of them for a 1-D sequence of times.
     """
-    return _front_field(params, profile, mu, x, t, front, OPTICAL)
+    return _front_fields(params, profile, mu, x, t, front, OPTICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +521,20 @@ def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: np.ndarray, branch:
     return p, finish
 
 
-def _uniform_records(
+def _stacked_records(
     disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, times: np.ndarray,
-    branches: tuple,
+    branches: tuple, side: str | None,
 ) -> list:
-    """Records of the uniform forms of ``branches`` on the grid ``x`` at every time
-    of ``times``, on the stacked grid ``tile(x, T)`` (index ``k n + i`` holds the
-    point ``x[i]`` at ``times[k]``).
+    """Records of the forms of ``branches`` at every time of ``times`` on the
+    stacked grid ``tile(x, T)`` (index ``k n + i`` holds ``x[i]`` at ``times[k]``):
+    the front form on ``side`` at every point, or for no ``side`` the uniform form.
 
-    Each branch takes the interior form up to ``FRONT_SWITCH_WIDTHS`` envelope
-    widths inside its front, the front form from there to ``CONTINUATION_WIDTHS``
-    widths beyond it on each side, and none (zero) further out; the edges are
-    formed per time and repeated over its points.  Every piece of every branch and
-    time takes its band data from one spectral evaluation (:func:`_records`)."""
+    The uniform form of a branch is the interior form up to
+    ``FRONT_SWITCH_WIDTHS`` envelope widths inside its front, the front form
+    from there to ``CONTINUATION_WIDTHS`` widths beyond it on each side, and
+    none (zero) further out; the edges are formed per time and repeated over
+    its points.  Every piece of every branch and time takes its band data from
+    one spectral evaluation (:func:`_records`)."""
     n = x.size
     stack = np.repeat(np.arange(times.size), n)
     xs, ts = np.tile(x, times.size), times[stack]
@@ -556,34 +543,50 @@ def _uniform_records(
         front = _front(disp, branch)
         _, _, speed, curv, _ = front
         width, cube = _front_scales(mu, curv, times)
-        switch = (speed * times - FRONT_SWITCH_WIDTHS * width)[stack]
-        outer = (speed * times + CONTINUATION_WIDTHS * width)[stack]
-        inside = np.flatnonzero(np.abs(xs) <= switch)
-        if inside.size:
-            pieces.append((inside, *_interior(disp, mu, xs[inside], ts[inside], branch)))
-        bands = {"right": (xs > switch) & (xs <= outer), "left": (xs < -switch) & (xs >= -outer)}
-        for side, band in bands.items():
+        if side is None:
+            switch = (speed * times - FRONT_SWITCH_WIDTHS * width)[stack]
+            outer = (speed * times + CONTINUATION_WIDTHS * width)[stack]
+            inside = np.flatnonzero(np.abs(xs) <= switch)
+            if inside.size:
+                pieces.append((inside, *_interior(disp, mu, xs[inside], ts[inside], branch)))
+            right, left = (xs > switch) & (xs <= outer), (xs < -switch) & (xs >= -outer)
+            bands = {"right": right, "left": left}
+        else:
+            bands = {side: np.full(xs.shape, True)}
+        for band_side, band in bands.items():
             at = np.flatnonzero(band)
             if at.size:
                 scales = (width[stack[at]], cube[stack[at]])
-                piece = _front_airy(disp, mu, xs[at], ts[at], scales, side, branch, front)
+                piece = _front_airy(disp, mu, xs[at], ts[at], scales, band_side, branch, front)
                 pieces.append((at, *piece))
     return _records(profile, pieces)
 
 
-def _uniform(
-    params: LatticeParams, profile: InitialProfile, mu: float, x, t, branches: tuple
+def _stacked(
+    params: LatticeParams, profile: InitialProfile, mu: float, x, t, branches: tuple,
+    side: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(x, times, fields)``: the grid, the checked times and the ``(T, n, 2)`` sum
-    of the uniform forms of ``branches`` on it at each time, from one Airy call."""
+    of the forms of ``branches`` (:func:`_stacked_records`) on it at each time,
+    from one Airy call."""
     _require_unit_delta(params, mu)
     times = _check_times(t)
     _require_positive_time(times)
     x_arr = np.asarray(x, dtype=float).ravel()
-    records = _uniform_records(Dispersion(params), profile, mu, x_arr, times, branches)
+    records = _stacked_records(Dispersion(params), profile, mu, x_arr, times, branches, side)
     fields = _airy_sum(times.size * x_arr.size, records).reshape(times.size, x_arr.size, 2)
-    fields[:, np.isnan(x_arr)] = np.nan  # a NaN point is in no piece; NaN, as in the front forms
+    fields[:, np.isnan(x_arr)] = np.nan  # NaN x: in no uniform piece, NaN as in the front forms
     return x_arr, times, fields
+
+
+def _front_fields(
+    params: LatticeParams, profile: InitialProfile, mu: float, x, t, side: str, branch: int
+) -> np.ndarray | list[np.ndarray]:
+    """The front form of ``branch`` on ``side``, as :func:`acoustic_front_airy` returns it."""
+    if side not in ("left", "right"):
+        raise ConfigError(f"front must be 'left' or 'right', got {side!r}")
+    _, _, fields = _stacked(params, profile, mu, x, t, (branch,), side)
+    return list(fields) if np.ndim(t) else fields[0]
 
 
 def acoustic_uniform(
@@ -603,7 +606,7 @@ def acoustic_uniform(
     ``CONTINUATION_WIDTHS`` widths outside it.  Returns shape ``(n, 2)``
     for one time ``t``, and a list of them for a 1-D sequence of times.
     """
-    _, _, fields = _uniform(params, profile, mu, x, t, (ACOUSTIC,))
+    _, _, fields = _stacked(params, profile, mu, x, t, (ACOUSTIC,))
     return list(fields) if np.ndim(t) else fields[0]
 
 
@@ -625,7 +628,7 @@ def optical_uniform(
     ``(n, 2)`` for one time ``t``, and a list of them for a 1-D sequence
     of times.
     """
-    _, _, fields = _uniform(params, profile, mu, x, t, (OPTICAL,))
+    _, _, fields = _stacked(params, profile, mu, x, t, (OPTICAL,))
     return list(fields) if np.ndim(t) else fields[0]
 
 
@@ -644,7 +647,7 @@ def shortwave_total(
     evaluation and one Airy call.  One time ``t`` gives one field, a 1-D
     sequence of times a list of fields in its order.
     """
-    x_arr, times, totals = _uniform(params, profile, mu, x, t, (ACOUSTIC, OPTICAL))
+    x_arr, times, totals = _stacked(params, profile, mu, x, t, (ACOUSTIC, OPTICAL))
     fields = [
         WaveField(x=x_arr, u=total[:, 0], v=total[:, 1], t=float(time), method="shortwave_total")
         for time, total in zip(times, totals)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -961,79 +962,81 @@ def test_main_keeps_no_band_state_between_calls(tmp_path):
     assert all(not np.array_equal(a.u, b.u) for a, b in zip(first, second))
 
 
-def test_shortwave_uniform_methods_take_every_time_in_one_call(tmp_path, monkeypatch):
-    """Each short-wave uniform method makes one library call for all its
-    times, and writes the bytes of that function's one-time calls."""
-    names = ("acoustic_uniform", "optical_uniform", "shortwave_total")
-    calls = []
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(cli, name)):
-            calls.append((_name, args[-1]))
-            return _original(*args)
-
-        monkeypatch.setattr(cli, name, counted)
-    times = (0.1, 0.2, 0.3)
-    text = (
-        BASE.replace("mu = 0.04", "mu = 0.008")
-        .replace("values = 0.3", "values = " + ", ".join(map(repr, times)))
-        .replace("names = gaussian_airy, dalembert", "names = " + ", ".join(names))
-    )
-    out_dir = tmp_path / "o"
-    path = _write(tmp_path, text)
-    assert cli.main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
-    assert calls == [(name, times) for name in names]
-    config = cli.load_config(path)
-    x = np.linspace(config.x_min, config.x_max, config.points)
-    for name, evaluate in zip(names, (acoustic_uniform, optical_uniform, shortwave_total)):
-        for t in times:
-            u, v = cli._components(evaluate(*config.problem, x, t))
-            file = f"field_{name}_t{t:g}.csv"
-            alone = diatomic_waves.WaveField(x=x, u=u, v=v, t=t, method=name)
-            diatomic_waves.write_fields_csv(tmp_path / file, [alone], config.header())
-            assert (out_dir / file).read_bytes() == (tmp_path / file).read_bytes()
-    assert len(list(out_dir.glob("field_*.csv"))) == 9
+#: The library function each CLI-evaluated method calls, by method: every
+#: method with an evaluator, and the band quadrature, which _method_fields
+#: calls itself.
+_LIBRARY_CALLS = {
+    "quadrature_full": "solve_quadrature",
+    "uas_integral": "uas_integral",
+    "gaussian_airy": "uas_gaussian_airy",
+    "dalembert": "uas_dalembert",
+    "acoustic_uniform": "acoustic_uniform",
+    "optical_uniform": "optical_uniform",
+    "acoustic_front": "acoustic_front_airy",
+    "optical_front": "optical_front_airy",
+    "shortwave_total": "shortwave_total",
+}
 
 
-def test_uas_integral_takes_every_time_in_one_call(tmp_path, monkeypatch):
-    """compare makes one uas_integral call for all its times, and the largest
-    time's report lines are those of a one-time library call."""
-    calls = []
-    original = cli.uas_integral
+@pytest.mark.parametrize("method", sorted(_LIBRARY_CALLS))
+def test_every_method_takes_every_time_in_one_call(tmp_path, monkeypatch, method):
+    """simulate and compare each make one library call for all of a method's
+    times; every field file holds the bytes of a one-time library call written
+    by write_fields_csv, and every report line is that call's against the
+    reference (quadrature_full, and shortwave_total for quadrature_full
+    itself).  uas_integral's smaller times share its largest time's folded
+    ladder, so they are held to 1e-13 of their peak, its largest to the bit."""
+    evaluated = {name for name, entry in cli.METHODS.items() if entry.evaluate is not None}
+    assert evaluated | {"quadrature_full"} == set(_LIBRARY_CALLS)
+    name = _LIBRARY_CALLS[method]
+    original, calls = getattr(cli, name), []
 
     def counted(*args, **kwargs):
-        calls.append(args[4])
+        calls.append(inspect.signature(original).bind(*args, **kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "uas_integral", counted)
+    monkeypatch.setattr(cli, name, counted)
     times = (0.1, 0.2, 0.3)
-    text = BASE.replace("values = 0.3", "values = 0.1, 0.2, 0.3").replace(
-        "names = gaussian_airy, dalembert", "names = gaussian_airy, uas_integral"
+    h = "0.008" if method in ("uas_integral", "gaussian_airy", "dalembert") else "0.04"
+    reference = "shortwave_total" if method == "quadrature_full" else "quadrature_full"
+    text = (
+        BASE.replace("h = 0.008", f"h = {h}")
+        .replace("values = 0.3", "values = 0.1, 0.2, 0.3")
+        .replace("names = gaussian_airy, dalembert", f"names = {reference}, {method}")
     )
-    out_dir = tmp_path / "o"
     path = _write(tmp_path, text)
-    assert cli.main(["compare", "--config", str(path), "--out", str(out_dir)]) == 0
-    assert calls == [times]
-    monkeypatch.undo()
-    report = (out_dir / "compare_report.txt").read_text().splitlines()
+    for command in ("simulate", "compare"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    assert [call.arguments["t"] for call in calls] == [times, times]
     config = cli.load_config(path)
-    x = np.linspace(config.x_min, config.x_max, config.points)
-    t = times[-1]
-    ref = uas_gaussian_airy(config.params, config.mu, x, t)
-    alone = uas_integral(*config.problem, x, t, **config.band)
-    metrics = diatomic_waves.compare_fields(
-        diatomic_waves.WaveField(x=x, u=ref, v=ref, t=t, method="gaussian_airy"),
-        diatomic_waves.WaveField(x=x, u=alone, v=alone, t=t, method="uas_integral"),
-    )
-    tag = f"uas_integral.t={t:g}"
-    expected = [
-        f"{tag}.l_inf = {metrics.l_inf!r}",
-        f"{tag}.l2 = {metrics.l2!r}",
-        f"{tag}.rel_l_inf = {metrics.rel_l_inf!r}",
-        f"{tag}.ref_peak = {metrics.ref_peak!r}",
-        f"{tag}.n_points = {metrics.n_points}",
-    ]
-    assert [line for line in report if line.startswith(tag + ".")] == expected
-    assert sum(line.startswith("uas_integral.t=") for line in report) == 15
+    report = (tmp_path / "compare" / "compare_report.txt").read_text().splitlines()
+    call = calls[0]
+    for t in times:
+        call.arguments["t"] = t
+        out = original(*call.args, **call.kwargs)
+        u, v = cli._components(out[0] if method == "quadrature_full" else out)  # one mode
+        alone = diatomic_waves.WaveField(x=call.arguments["x"], u=u, v=v, t=t, method=method)
+        file = f"field_{method}_t{t:g}.csv"
+        diatomic_waves.write_fields_csv(tmp_path / file, [alone], config.header())
+        (ref_field,), _ = read_fields_csv(tmp_path / "simulate" / f"field_{reference}_t{t:g}.csv")
+        metrics = diatomic_waves.compare_fields(ref_field, alone)
+        tag = f"{method}.t={t:g}"
+        lines = [line for line in report if line.startswith(tag + ".")]
+        if method == "uas_integral" and t < max(times):
+            (got,), _ = read_fields_csv(tmp_path / "simulate" / file)
+            assert np.max(np.abs(got.u - u)) <= 1e-13 * np.max(np.abs(u))
+            assert len(lines) == 5
+            continue
+        assert (tmp_path / "simulate" / file).read_bytes() == (tmp_path / file).read_bytes()
+        assert lines == [
+            f"{tag}.l_inf = {metrics.l_inf!r}",
+            f"{tag}.l2 = {metrics.l2!r}",
+            f"{tag}.rel_l_inf = {metrics.rel_l_inf!r}",
+            f"{tag}.ref_peak = {metrics.ref_peak!r}",
+            f"{tag}.n_points = {metrics.n_points}",
+        ]
+    assert len(list((tmp_path / "simulate").glob(f"field_{method}_t*.csv"))) == 3
+    assert sum(line.startswith(f"{method}.t=") for line in report) == 15
 
 
 def test_simulate_writes_the_bytes_of_write_fields_csv(tmp_path):

@@ -497,6 +497,37 @@ def test_closed_form_finite_at_physical_scale(desk):
     assert trailing.size > 10 and np.min(trailing) < 0.0
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    times=st.lists(st.floats(1e-6, 2.5) | st.sampled_from([0.3, 1.0]), min_size=1, max_size=4),
+    signs=st.lists(st.sampled_from([1.0, -1.0, 0.0]), min_size=4, max_size=4),
+    h=st.sampled_from([1e-300, 2.5e-4, 0.008]),
+    scalar=st.booleans(),
+    table=st.booleans(),
+)
+def test_closed_forms_over_times_equal_one_time_calls(times, signs, h, scalar, table):
+    """A time sequence (unsorted, repeats allowed) gives, time by time, the
+    bits of one-time calls of either closed form, on a grid or at a scalar
+    ``x`` (floats then), and on both sides of the ``lam^2`` underflow;
+    ``uas_dalembert`` also over times of either sign and zero."""
+    params, mu = LatticeParams(0.82, 1.27, h), 0.04
+    x = 0.15 if scalar else np.linspace(-0.7, 0.7, 81)
+    profile = SKEW if table else GaussianProfile()
+    signed = [s * t for s, t in zip(signs, times)]
+    for evaluate, ts in (
+        (lambda t: uas_gaussian_airy(params, mu, x, t), times),
+        (lambda t: uas_dalembert(params, profile, mu, x, t), signed),
+    ):
+        fields = evaluate(ts)
+        assert isinstance(fields, list) and len(fields) == len(ts)
+        for t, field in zip(ts, fields):
+            alone = evaluate(t)
+            assert type(field) is type(alone)
+            np.testing.assert_array_equal(field, alone)
+        (single,) = evaluate(np.array(ts[:1]))
+        np.testing.assert_array_equal(single, evaluate(ts[0]))
+
+
 # ---------------------------------------------------------------------------
 # dispersionless reference
 # ---------------------------------------------------------------------------

@@ -585,6 +585,50 @@ def test_field_entry_points_reject_non_finite(desk, gaussian, entry, bad):
         _FIELD_ENTRY_POINTS[entry](desk(0.01), gaussian, kwargs["mu"], [0.1], kwargs["t"])
 
 
+@pytest.mark.parametrize(
+    "t, says",
+    [
+        ([], "got []"),
+        (np.zeros(0), "got array([]"),
+        ([[0.1, 0.2]], "got [[0.1, 0.2]]"),
+        ([0.2, np.nan], "nan"),
+        ((np.inf, 0.1), "inf"),
+    ],
+)
+@pytest.mark.parametrize("entry", sorted(_FIELD_ENTRY_POINTS))
+def test_field_entry_points_refuse_bad_time_sequences(desk, gaussian, entry, t, says):
+    """Every field entry point takes one time or a 1-D sequence of them; an
+    empty or 2-D sequence, or one holding a non-finite time, raises
+    ``ConfigError`` naming it, not a numpy error."""
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        _FIELD_ENTRY_POINTS[entry](desk(0.01), gaussian, 0.01, [0.1], t)
+
+
+#: The entry points whose forms need ``t > 0``; the others take ``t >= 0``,
+#: and ``uas_dalembert`` any finite ``t``.
+_POSITIVE_TIME_ENTRY_POINTS = {
+    "uas_gaussian_airy", "acoustic_front_airy", "optical_front_airy", "acoustic_uniform",
+    "optical_uniform", "shortwave_total",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FIELD_ENTRY_POINTS))
+def test_field_entry_points_refuse_the_times_their_forms_refuse(desk, gaussian, entry):
+    """In a sequence, a zero time is refused where the form needs ``t > 0`` and
+    a negative one everywhere but in ``uas_dalembert``, each by a
+    ``ConfigError`` naming it; an accepted sequence gives one output per time."""
+    evaluate = _FIELD_ENTRY_POINTS[entry]
+    for t, refused in (
+        ([0.1, 0.0], entry in _POSITIVE_TIME_ENTRY_POINTS),
+        ([0.1, -0.2], entry != "uas_dalembert"),
+    ):
+        if refused:
+            with pytest.raises(ConfigError, match=re.escape(f"{t[1]!r}")):
+                evaluate(desk(0.01), gaussian, 0.01, [0.1], t)
+        else:
+            assert len(evaluate(desk(0.01), gaussian, 0.01, [0.1], t)) == 2
+
+
 def test_ode_matches_quadrature_longwave(desk, gaussian):
     # delta = 0.005: ~8k sites, out of reach of a time-stepping oracle
     h, mu = 2.5e-4, 0.05

@@ -862,8 +862,13 @@ _PUBLIC_EVALUATORS = {
 @given(data=st.data())
 def test_evaluators_commute_with_permutations(params, disp, data):
     # unsorted grids with repeated points and points exactly at the switch and
-    # the outer edge of both branches: every point's value is its own
+    # the outer edge of both branches: every point's value is its own; and a
+    # sequence of times (unsorted, repeats allowed) gives, time by time, the
+    # bits of one-time calls
     t = data.draw(st.sampled_from([0.1, 0.5]))
+    times = data.draw(
+        st.lists(st.sampled_from([t, 0.25]) | st.floats(0.05, 0.6), min_size=1, max_size=3)
+    )
     edges = [s * e for pair in _edges(disp, t) for e in pair for s in (1.0, -1.0)]
     reach = 1.2 * max(edges)  # beyond both outer edges
     points = st.one_of(st.sampled_from(edges), st.floats(-reach, reach))
@@ -876,9 +881,37 @@ def test_evaluators_commute_with_permutations(params, disp, data):
         moved = evaluate(params, gaussian, MU, x[perm], t)
         np.testing.assert_array_equal(moved, field[perm])
         fields[name] = field
+        joined = evaluate(params, gaussian, MU, x, times)
+        assert len(joined) == len(times)
+        for time, one in zip(times, joined):
+            np.testing.assert_array_equal(one, evaluate(params, gaussian, MU, x, time))
     np.testing.assert_array_equal(
         fields["shortwave_total"], fields["acoustic_uniform"] + fields["optical_uniform"]
     )
+
+
+@_TIMES
+@pytest.mark.parametrize("evaluate", [acoustic_front_airy, optical_front_airy])
+def test_front_forms_take_one_spectral_and_one_airy_call(
+    params, gaussian, evaluate, times, monkeypatch
+):
+    """A front form goes through the uniform forms' stacked grid: one
+    spectral_vector call and one airy_ai_pair call whatever the number of times."""
+    calls = []
+    spectral_vector, airy_ai_pair = shortwave.spectral_vector, shortwave.airy_ai_pair
+
+    def spectral(*args):
+        calls.append("spectral_vector")
+        return spectral_vector(*args)
+
+    def airy(z):
+        calls.append("airy_ai_pair")
+        return airy_ai_pair(z)
+
+    monkeypatch.setattr(shortwave, "spectral_vector", spectral)
+    monkeypatch.setattr(shortwave, "airy_ai_pair", airy)
+    evaluate(params, gaussian, MU, np.linspace(-0.7, 0.7, 133), times, "left")
+    assert calls == ["spectral_vector", "airy_ai_pair"]
 
 
 @pytest.mark.parametrize("evaluate, edges", [(acoustic_uniform, 0), (optical_uniform, 1)])
