@@ -53,7 +53,7 @@ from .oracles import (
     solve_quadrature,
 )
 from .shortwave import (
-    _require_positive_time,
+    _check_shortwave_time,
     _require_unit_delta,
     acoustic_front_airy,
     acoustic_uniform,
@@ -82,7 +82,6 @@ class ScenarioConfig:
     atol: float = 1e-13
     nodes_per_cycle: float = 10.0
     max_doublings: int = 6
-    front_side: str = "right"
     dispersion_points: int = 201
     compare_window: tuple[float, float] | None = None
 
@@ -124,7 +123,6 @@ class ScenarioConfig:
             "numerics.atol": repr(self.atol),
             "numerics.nodes_per_cycle": repr(self.nodes_per_cycle),
             "numerics.max_doublings": repr(self.max_doublings),
-            "numerics.front_side": self.front_side,
             "numerics.dispersion_points": repr(self.dispersion_points),
         }
         if self.compare_window is not None:
@@ -168,14 +166,15 @@ def _gaussian(config: ScenarioConfig, name: str) -> None:
 
 def _shortwave(config: ScenarioConfig, name: str) -> None:
     _require_unit_delta(config.params, config.mu)
-    _require_positive_time(config.times)
+    _check_times(config.times, _check_shortwave_time)
 
 
 class Method(NamedTuple):
     """A CLI method: its check of the regime and the times, its evaluator
     ``(config, x, times)``, one library call that returns one output per time
-    (None for the chain oracle and the band quadratures, which
-    :func:`_method_fields` runs itself), and its aliases."""
+    and reads of ``config`` only the problem and the band keywords (None for
+    the chain oracle and the band quadratures, which :func:`_method_fields`
+    runs itself), and its aliases."""
 
     check: Callable[[ScenarioConfig, str], None]
     evaluate: Callable | None
@@ -186,7 +185,9 @@ class Method(NamedTuple):
 #: library functions in their bodies, so a rebinding of those module names
 #: (as perfbench's tracer does) is seen.  Each evaluator is one library call
 #: over all ``[times]``: every evaluated method takes a 1-D sequence of times
-#: and returns a list in its order.  The chain (``ode``) and the band
+#: and returns a list in its order.  The front forms (``*_front``) give both
+#: fronts, each point its own side's (``x >= 0`` right, ``x < 0`` left), as
+#: the uniform forms' front bands do.  The chain (``ode``) and the band
 #: quadratures (``quadrature_*``) have no evaluator: :func:`_method_fields`
 #: integrates the chain once and runs every configured ``quadrature_*``
 #: method in one ``solve_quadrature`` call over their modes.
@@ -212,10 +213,10 @@ METHODS: dict[str, Method] = {
         _shortwave, lambda c, x, times: optical_uniform(*c.problem, x, times)
     ),
     "acoustic_front": Method(
-        _shortwave, lambda c, x, times: acoustic_front_airy(*c.problem, x, times, c.front_side)
+        _shortwave, lambda c, x, times: acoustic_front_airy(*c.problem, x, times)
     ),
     "optical_front": Method(
-        _shortwave, lambda c, x, times: optical_front_airy(*c.problem, x, times, c.front_side)
+        _shortwave, lambda c, x, times: optical_front_airy(*c.problem, x, times)
     ),
     "shortwave_total": Method(
         _shortwave, lambda c, x, times: shortwave_total(*c.problem, x, times)
@@ -282,9 +283,7 @@ _KNOWN_KEYS = {
     "grid": ("x_min", "x_max", "points"),
     "times": ("values",),
     "methods": ("names",),
-    "numerics": (
-        "rtol", "atol", "nodes_per_cycle", "max_doublings", "dispersion_points", "front_side",
-    ),
+    "numerics": ("rtol", "atol", "nodes_per_cycle", "max_doublings", "dispersion_points"),
     "compare": ("window_min", "window_max"),
 }
 
@@ -477,11 +476,6 @@ def _resolve_config(cfg: configparser.ConfigParser) -> ScenarioConfig:
                 raise ConfigError(
                     f"[numerics] dispersion_points must be >= 2 and <= {_MAX_SITES}, got {n!r}"
                 )
-        if "front_side" in num:
-            side = num["front_side"].strip()
-            if side not in ("left", "right"):
-                raise ConfigError(f"[numerics] front_side must be left or right, got {side!r}")
-            kw["front_side"] = side
     if cfg.has_section("compare"):
         cmp_sec = cfg["compare"]
         if "window_min" in cmp_sec or "window_max" in cmp_sec:

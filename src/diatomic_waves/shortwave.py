@@ -13,10 +13,12 @@ the small parameter ``mu = h``:
   stationary-phase data and the envelope amplitudes ``A_pm(y)`` (which
   reduce to WKB away from the front and to the front Airy forms at it).
 
-Public evaluators dispatch between them: interior points use the
-uniform form, a band around the front uses the front form (with the
-quadratic three-point continuation of the spectral amplitudes beyond
-the front), and points beyond the continuation margin return zero.
+The public front evaluators give each point its own side's front form
+(``x >= 0`` the right front, ``x < 0`` the left).  The uniform evaluators
+dispatch between the two: interior points use the uniform form, a band
+around each front uses its front form (with the quadratic three-point
+continuation of the spectral amplitudes beyond the front), and points
+beyond the continuation margin return zero.
 
 The uniform optical form is assembled as
 ``sqrt(2 mu / pi) Re e^{i Theta / mu} [ b(p_max) A_plus(Psi/mu)
@@ -100,15 +102,11 @@ def _require_unit_delta(params: LatticeParams, mu: float) -> None:
         )
 
 
-def _require_positive_time(t) -> None:
-    """``ConfigError`` naming the first time of ``t`` (one time or an array) that
-    is not finite and positive."""
-    times = np.asarray(t, dtype=float)
-    bad = ~(np.isfinite(times) & (times > 0.0))
-    if np.any(bad):
-        raise ConfigError(
-            f"short-wave asymptotics require finite t > 0, got {float(times[bad][0])!r}"
-        )
+def _check_shortwave_time(t: float) -> None:
+    """Raise ``ConfigError`` unless ``t`` is finite and ``> 0``, as the short-wave
+    asymptotics need (a check of :func:`~diatomic_waves._quadrature._check_times`)."""
+    if not 0.0 < t < np.inf:
+        raise ConfigError(f"short-wave asymptotics require finite t > 0, got {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +252,13 @@ def acoustic_stationary(params: LatticeParams | Dispersion, x, t) -> StationaryP
     unique root for ``|x| < c t`` (``p -> pi/2`` as ``x -> 0``), found for
     every point of ``x`` (scalar or array) at once by bracketed Newton
     iteration on ``[0, pi/2]`` (:func:`_newton`), started from the front's
-    cubic model ``omega_1' = c - q p^2``.  ``t`` is one time or an array of
-    times that broadcasts against ``x``, one per point.  ``params`` may be a
-    :class:`Dispersion` to reuse.  The stored action
+    cubic model ``omega_1' = c - q p^2``.  ``t`` is one time or a 1-D array
+    of times, one per point.  ``params`` may be a :class:`Dispersion` to
+    reuse.  The stored action
     ``S = omega_1(p) t - p |x|`` is computed in the cancellation-free
     Legendre form ``t m(p) + p (t omega_1'(p) - |x|)``.
     """
-    _require_positive_time(t)
+    _check_times(t, _check_shortwave_time)
     disp = _dispersion(params)
     x_arr, t = _points(x, t)
     _reject_beyond_front(x_arr, disp.sound_speed * t, "acoustic", "c t")
@@ -291,7 +289,7 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t) -> StationaryPo
     for every point of ``x`` (scalar or array) at once by bracketed Newton
     iteration on ``[0, p*]`` and ``[p*, pi/2]`` (:func:`_newton`), started
     from the front's cubic model ``omega_2' = -c* + q* (p - p*)^2``.
-    ``t`` is one time or an array of times that broadcasts against ``x``.
+    ``t`` is one time or a 1-D array of times, one per point.
     ``params`` may be a :class:`Dispersion` to reuse, with its ``p*``.
     With the side phase
     ``Phi(p) = p x + omega_2(p) t`` (``x >= 0``) or
@@ -301,7 +299,7 @@ def optical_stationary(params: LatticeParams | Dispersion, x, t) -> StationaryPo
     (equal to half the phase spread ``|Phi(p_max) - Phi(p_min)|``,
     evaluated as an integral to stay accurate as ``p_+- -> p*``).
     """
-    _require_positive_time(t)
+    _check_times(t, _check_shortwave_time)
     disp = _dispersion(params)
     crit = disp.critical
     x_arr, t = _points(x, t)
@@ -448,17 +446,18 @@ def acoustic_front_airy(
     mu: float,
     x,
     t,
-    front: str = "right",
 ) -> np.ndarray | list[np.ndarray]:
-    """Airy representation of the acoustic mode near a front ``x = +-ct``.
+    """Airy representation of the acoustic mode near its fronts ``x = +-ct``.
 
     :func:`_front_airy` about ``p_c = 0``: speed ``c``, curvature ``q``,
-    projector ``A(0)``, carrier 1 and weight 1.  The splits about 0 are the
-    even/odd parts of the spectral vector in ``p^2``.  Returns shape ``(n, 2)``
-    (heavy, light components) for one time ``t``, and a list of them for a
-    1-D sequence of times.
+    projector ``A(0)``, carrier 1 and weight 1, each point on its own side's
+    front (``x >= 0`` the right front ``ct``, ``x < 0`` the left ``-ct``).  The
+    splits about 0 are the even/odd parts of the spectral vector in ``p^2``.
+    Returns shape ``(n, 2)`` (heavy, light components) for one time ``t``, and
+    a list of them for a 1-D sequence of times.
     """
-    return _front_fields(params, profile, mu, x, t, front, ACOUSTIC)
+    _, _, fields = _stacked(params, profile, mu, x, t, (ACOUSTIC,), uniform=False)
+    return list(fields) if np.ndim(t) else fields[0]
 
 
 def optical_front_airy(
@@ -467,17 +466,19 @@ def optical_front_airy(
     mu: float,
     x,
     t,
-    front: str = "right",
 ) -> np.ndarray | list[np.ndarray]:
-    """Airy-envelope representation of the optical mode near ``x = +-c*t``.
+    """Airy-envelope representation of the optical mode near its fronts ``x = +-c*t``.
 
     :func:`_front_airy` about ``p*``: speed ``c*``, curvature ``q*``,
-    projector ``B(p*)``, carrier ``e^{i (p* x +- omega_2(p*) t)/mu}`` (right
-    front ``+``) and weight 2.  The output oscillates at the carrier
-    wavelength ``~ mu / p*`` under an Airy envelope.  Returns shape ``(n, 2)``
-    for one time ``t``, and a list of them for a 1-D sequence of times.
+    projector ``B(p*)``, carrier ``e^{i (p* x +- omega_2(p*) t)/mu}`` and
+    weight 2, each point on its own side's front (``x >= 0`` the right front
+    ``c*t`` with ``+``, ``x < 0`` the left ``-c*t`` with ``-``).  The output
+    oscillates at the carrier wavelength ``~ mu / p*`` under an Airy envelope.
+    Returns shape ``(n, 2)`` for one time ``t``, and a list of them for a 1-D
+    sequence of times.
     """
-    return _front_fields(params, profile, mu, x, t, front, OPTICAL)
+    _, _, fields = _stacked(params, profile, mu, x, t, (OPTICAL,), uniform=False)
+    return list(fields) if np.ndim(t) else fields[0]
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +524,12 @@ def _interior(disp: Dispersion, mu: float, x: np.ndarray, t: np.ndarray, branch:
 
 def _stacked_records(
     disp: Dispersion, profile: InitialProfile, mu: float, x: np.ndarray, times: np.ndarray,
-    branches: tuple, side: str | None,
+    branches: tuple, uniform: bool,
 ) -> list:
     """Records of the forms of ``branches`` at every time of ``times`` on the
     stacked grid ``tile(x, T)`` (index ``k n + i`` holds ``x[i]`` at ``times[k]``):
-    the front form on ``side`` at every point, or for no ``side`` the uniform form.
+    the uniform form, or without ``uniform`` the front form of each point's own
+    side (``x >= 0`` right, ``x < 0`` left; a NaN point in neither).
 
     The uniform form of a branch is the interior form up to
     ``FRONT_SWITCH_WIDTHS`` envelope widths inside its front, the front form
@@ -543,50 +545,38 @@ def _stacked_records(
         front = _front(disp, branch)
         _, _, speed, curv, _ = front
         width, cube = _front_scales(mu, curv, times)
-        if side is None:
+        if uniform:
             switch = (speed * times - FRONT_SWITCH_WIDTHS * width)[stack]
             outer = (speed * times + CONTINUATION_WIDTHS * width)[stack]
             inside = np.flatnonzero(np.abs(xs) <= switch)
             if inside.size:
                 pieces.append((inside, *_interior(disp, mu, xs[inside], ts[inside], branch)))
             right, left = (xs > switch) & (xs <= outer), (xs < -switch) & (xs >= -outer)
-            bands = {"right": right, "left": left}
         else:
-            bands = {side: np.full(xs.shape, True)}
-        for band_side, band in bands.items():
+            right, left = xs >= 0.0, xs < 0.0
+        for side, band in (("right", right), ("left", left)):
             at = np.flatnonzero(band)
             if at.size:
                 scales = (width[stack[at]], cube[stack[at]])
-                piece = _front_airy(disp, mu, xs[at], ts[at], scales, band_side, branch, front)
+                piece = _front_airy(disp, mu, xs[at], ts[at], scales, side, branch, front)
                 pieces.append((at, *piece))
     return _records(profile, pieces)
 
 
 def _stacked(
     params: LatticeParams, profile: InitialProfile, mu: float, x, t, branches: tuple,
-    side: str | None = None,
+    uniform: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(x, times, fields)``: the grid, the checked times and the ``(T, n, 2)`` sum
     of the forms of ``branches`` (:func:`_stacked_records`) on it at each time,
     from one Airy call."""
     _require_unit_delta(params, mu)
-    times = _check_times(t)
-    _require_positive_time(times)
+    times = _check_times(t, _check_shortwave_time)
     x_arr = np.asarray(x, dtype=float).ravel()
-    records = _stacked_records(Dispersion(params), profile, mu, x_arr, times, branches, side)
+    records = _stacked_records(Dispersion(params), profile, mu, x_arr, times, branches, uniform)
     fields = _airy_sum(times.size * x_arr.size, records).reshape(times.size, x_arr.size, 2)
-    fields[:, np.isnan(x_arr)] = np.nan  # NaN x: in no uniform piece, NaN as in the front forms
+    fields[:, np.isnan(x_arr)] = np.nan  # NaN x: in no piece of either form
     return x_arr, times, fields
-
-
-def _front_fields(
-    params: LatticeParams, profile: InitialProfile, mu: float, x, t, side: str, branch: int
-) -> np.ndarray | list[np.ndarray]:
-    """The front form of ``branch`` on ``side``, as :func:`acoustic_front_airy` returns it."""
-    if side not in ("left", "right"):
-        raise ConfigError(f"front must be 'left' or 'right', got {side!r}")
-    _, _, fields = _stacked(params, profile, mu, x, t, (branch,), side)
-    return list(fields) if np.ndim(t) else fields[0]
 
 
 def acoustic_uniform(

@@ -105,7 +105,6 @@ rtol = 1e-9
 atol = 1e-14
 nodes_per_cycle = 12
 max_doublings = 4
-front_side = left
 dispersion_points = 11
 
 [compare]
@@ -121,7 +120,6 @@ window_max = 0.2
     assert config.times == (0.3,)
     assert config.methods == ("gaussian_airy", "dalembert")
     assert config.rtol == 1e-9
-    assert config.front_side == "left"
     assert config.dispersion_points == 11
     assert config.compare_window == (-0.2, 0.2)
     header = config.header()
@@ -721,8 +719,10 @@ def test_nonsense_tolerances_exit_2_before_any_work(tmp_path, capsys, setting, n
         (
             "\n[numerics]\nstencil = 3, -3, 1\n",
             "unknown key 'stencil' in [numerics]; known keys: rtol, atol, nodes_per_cycle, "
-            "max_doublings, dispersion_points, front_side",
+            "max_doublings, dispersion_points",
         ),
+        # the front forms take each point's own front: no key picks one
+        ("\n[numerics]\nfront_side = left\n", "unknown key 'front_side' in [numerics]"),
     ],
 )
 def test_unknown_config_keys_exit_2(tmp_path, capsys, extra, named):
@@ -835,7 +835,6 @@ rtol = 1e-9
 atol = 1e-14
 nodes_per_cycle = 12
 max_doublings = 5
-front_side = left
 """
 
 
@@ -864,8 +863,8 @@ def _library_field(method, params, profile, mu, x, t):
     pair = {
         "acoustic_uniform": lambda: acoustic_uniform(params, profile, mu, x, t),
         "optical_uniform": lambda: optical_uniform(params, profile, mu, x, t),
-        "acoustic_front": lambda: acoustic_front_airy(params, profile, mu, x, t, "left"),
-        "optical_front": lambda: optical_front_airy(params, profile, mu, x, t, "left"),
+        "acoustic_front": lambda: acoustic_front_airy(params, profile, mu, x, t),
+        "optical_front": lambda: optical_front_airy(params, profile, mu, x, t),
     }[method]()
     return x, pair[:, 0], pair[:, 1]
 
@@ -1140,15 +1139,23 @@ _FUZZ_PATHS = ("missing", "binary", "directory")
 
 
 def _fuzz_scenario(table: str, kind: str) -> dict:
-    """A small valid scenario as ``(section, key) -> value``."""
+    """A small valid scenario as ``(section, key) -> value``: long-wave
+    (``gaussian``, ``table``) or short-wave (``shortwave``, delta = 1, with the
+    chain and every front form)."""
+    h, mu = "0.008", "0.04"
     names = "gaussian_airy, uas_integral, dalembert, quadrature_full"
     if kind == "table":
         names = "quadrature_full, dalembert"  # the table's transform decays too slowly for uas_*
+    if kind == "shortwave":
+        h, mu, kind = "0.01", "0.01", "gaussian"
+        names = (
+            "ode, quadrature_full, acoustic_front, optical_front, optical_uniform, shortwave_total"
+        )
     return {
         ("lattice", "gamma1"): "0.82",
         ("lattice", "gamma2"): "1.27",
-        ("lattice", "h"): "0.008",
-        ("scale", "mu"): "0.04",
+        ("lattice", "h"): h,
+        ("scale", "mu"): mu,
         ("profile", "kind"): kind,
         ("profile", "path"): table,
         ("grid", "x_min"): "-0.5",
@@ -1161,12 +1168,11 @@ def _fuzz_scenario(table: str, kind: str) -> dict:
         ("numerics", "nodes_per_cycle"): "10",
         ("numerics", "max_doublings"): "6",
         ("numerics", "dispersion_points"): "11",
-        ("numerics", "front_side"): "right",
     }
 
 
 @settings(
-    max_examples=60,
+    max_examples=150,
     deadline=None,
     derandomize=True,
     database=None,
@@ -1187,7 +1193,8 @@ def test_no_ini_input_gives_a_traceback(tmp_path, data):
         "binary": str(tmp_path / "binary.csv"),
         "directory": str(tmp_path),
     }
-    values = _fuzz_scenario(str(table), data.draw(st.sampled_from(["gaussian", "table"])))
+    kind = data.draw(st.sampled_from(["gaussian", "table", "shortwave"]))
+    values = _fuzz_scenario(str(table), kind)
     keys = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3, unique=True))
     for key in keys:
         token = data.draw(st.sampled_from(_FUZZ_TOKENS + _FUZZ_PATHS))
@@ -1197,7 +1204,7 @@ def test_no_ini_input_gives_a_traceback(tmp_path, data):
         sections.setdefault(section, []).append(f"{key} = {value}")
     text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in sections.items())
     config = _write(tmp_path, text)
-    for command in ("simulate", "dispersion"):
+    for command in ("simulate", "compare", "dispersion"):
         out_dir = tmp_path / f"out_{command}"
         assert cli.main([command, "--config", str(config), "--out", str(out_dir)]) in (0, 2, 3)
 

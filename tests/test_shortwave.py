@@ -432,8 +432,8 @@ def test_acoustic_front_value_closed_form(params, disp, gaussian):
     got = acoustic_front_airy(params, gaussian, MU, np.array([c * T]), T)[0]
     assert_allclose(got, expected, rtol=1e-12)
     assert_allclose(got[0], got[1], rtol=1e-12)
-    # left front mirrors the right one for even data
-    left = acoustic_front_airy(params, gaussian, MU, np.array([-c * T]), T, "left")[0]
+    # the left front, where x < 0 reads it, mirrors the right one for even data
+    left = acoustic_front_airy(params, gaussian, MU, np.array([-c * T]), T)[0]
     assert_allclose(left, got, rtol=1e-12)
 
 
@@ -456,8 +456,6 @@ def test_optical_front_matches_hand_assembly(params, disp, gaussian):
 
 
 def test_front_argument_validation(params, gaussian):
-    with pytest.raises(ConfigError):
-        acoustic_front_airy(params, gaussian, MU, [0.5], T, "sideways")
     with pytest.raises(ConfigError):
         optical_front_airy(params, gaussian, MU, [0.2], 0.0)
     with pytest.raises(RegimeError):
@@ -667,6 +665,27 @@ def test_uniform_forms_equal_the_envelope_and_front_formulas(params, disp, gauss
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "skew"])
+@pytest.mark.parametrize(
+    "evaluate, branch", [(acoustic_front_airy, ACOUSTIC), (optical_front_airy, OPTICAL)]
+)
+def test_front_forms_take_each_points_own_front(
+    params, disp, gaussian, skew, profile, evaluate, branch
+):
+    # one call over points about both fronts at several times: x >= 0 (-0.0
+    # too) reads the right front's formula, x < 0 the left's, at every time
+    prof = gaussian if profile == "gaussian" else skew
+    times = (0.25, T)
+    speed = disp.sound_speed if branch == ACOUSTIC else disp.critical.c_star
+    offsets = MU ** (2.0 / 3.0) * np.linspace(-3.0, 5.0, 9)
+    x = np.concatenate([s * (speed * t + offsets) for t in times for s in (1.0, -1.0)])
+    x = np.append(x, -0.0)
+    for t, field in zip(times, evaluate(params, prof, MU, x, times)):
+        for side, at in (("right", x >= 0.0), ("left", x < 0.0)):
+            expected, scale = _front_formula(disp, prof, x[at], t, side, branch)
+            assert np.max(np.abs(field[at] - expected)) <= 1e-13 * scale
+
+
 @_TIMES
 def test_uniform_records_take_one_spectral_evaluation(params, disp, gaussian, times, monkeypatch):
     """The interior and both front bands of both branches at every time, with
@@ -753,14 +772,15 @@ _UNIFORM_EVALUATORS = {
         ([], r"1-D sequence of times, got \[\]"),
         ([[0.1, 0.2]], r"1-D sequence of times, got \[\[0.1, 0.2\]\]"),
         ([0.1, 0.0], r"t > 0, got 0.0"),
-        ([0.1, -0.2], r"non-negative, got -0.2"),
-        ((0.2, np.nan), r"non-negative, got nan"),
-        ([np.inf, 0.1], r"non-negative, got inf"),
+        ([0.1, -0.2], r"finite t > 0, got -0.2"),
+        ((0.2, np.nan), r"finite t > 0, got nan"),
+        ([np.inf, 0.1], r"finite t > 0, got inf"),
         (0.0, r"t > 0, got 0.0"),
-        (-np.inf, r"non-negative, got -inf"),
+        (-np.inf, r"finite t > 0, got -inf"),
     ],
 )
 def test_uniform_evaluators_refuse_bad_times(params, gaussian, name, t, message):
+    # one check, one message, for a zero, a negative and a non-finite time
     with pytest.raises(ConfigError, match=message):
         _UNIFORM_EVALUATORS[name](params, gaussian, MU, [0.1], t)
 
@@ -799,13 +819,13 @@ def test_uniform_evaluators_give_nan_at_a_nan_point(params, gaussian, name, time
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("evaluate", [acoustic_front_airy, optical_front_airy])
 def test_front_forms_give_nan_at_a_nan_point_without_a_warning(params, gaussian, evaluate, side):
-    """A NaN point's split is NaN: its front form reads NaN there, without the
+    """A NaN point is on neither side: its front form reads NaN there, without the
     "invalid value" warning this suite turns into an error, and every other
-    point keeps the bits of a call without it."""
-    x = np.array([0.1, np.nan, 0.3])
-    field = evaluate(params, gaussian, MU, x, T, side)
+    point, right or left of the origin, keeps the bits of a call without it."""
+    x = (1.0 if side == "right" else -1.0) * np.array([0.1, np.nan, 0.3])
+    field = evaluate(params, gaussian, MU, x, T)
     assert np.all(np.isnan(field[1]))
-    np.testing.assert_array_equal(field[[0, 2]], evaluate(params, gaussian, MU, x[[0, 2]], T, side))
+    np.testing.assert_array_equal(field[[0, 2]], evaluate(params, gaussian, MU, x[[0, 2]], T))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -850,10 +870,8 @@ def test_one_pass_equals_one_call_per_time(params, disp, skew, data):
 _PUBLIC_EVALUATORS = {
     "acoustic_uniform": acoustic_uniform,
     "optical_uniform": optical_uniform,
-    "acoustic_front_right": acoustic_front_airy,
-    "acoustic_front_left": lambda *args: acoustic_front_airy(*args, "left"),
-    "optical_front_right": optical_front_airy,
-    "optical_front_left": lambda *args: optical_front_airy(*args, "left"),
+    "acoustic_front": acoustic_front_airy,
+    "optical_front": optical_front_airy,
     "shortwave_total": _total_field,
 }
 
@@ -896,7 +914,8 @@ def test_front_forms_take_one_spectral_and_one_airy_call(
     params, gaussian, evaluate, times, monkeypatch
 ):
     """A front form goes through the uniform forms' stacked grid: one
-    spectral_vector call and one airy_ai_pair call whatever the number of times."""
+    spectral_vector call and one airy_ai_pair call for both fronts, whatever the
+    number of times."""
     calls = []
     spectral_vector, airy_ai_pair = shortwave.spectral_vector, shortwave.airy_ai_pair
 
@@ -910,7 +929,7 @@ def test_front_forms_take_one_spectral_and_one_airy_call(
 
     monkeypatch.setattr(shortwave, "spectral_vector", spectral)
     monkeypatch.setattr(shortwave, "airy_ai_pair", airy)
-    evaluate(params, gaussian, MU, np.linspace(-0.7, 0.7, 133), times, "left")
+    evaluate(params, gaussian, MU, np.linspace(-0.7, 0.7, 133), times)  # both fronts
     assert calls == ["spectral_vector", "airy_ai_pair"]
 
 
