@@ -229,12 +229,15 @@ def oscillation_panels(rate: float, a: float, b: float, nodes_per_cycle: float =
 
     ``rate`` is the maximum of ``|d(phase)/dp|`` over the band; one cycle
     spans ``2 pi / rate``.  The count is not capped: :func:`synthesize_field`
-    refuses a level past ``_MAX_NODES`` and names what it would need.
+    refuses a level past ``_MAX_NODES`` and names what it would need.  A rate
+    or a node count past the float range raises ``QuadratureError`` here.
     """
     if not np.isfinite(rate):
         raise QuadratureError(f"oscillation rate {rate!r} is not finite")
     cycles = abs(rate) * (b - a) / (2.0 * np.pi)
     need = cycles * nodes_per_cycle / _ORDER
+    if not np.isfinite(need):  # exactly when the node count cycles * nodes_per_cycle is not
+        raise QuadratureError(f"oscillation rate {rate:.3e} needs more nodes than a float counts")
     if need <= _MIN_PANELS:
         return _MIN_PANELS
     return int(np.ceil(need))
@@ -701,12 +704,12 @@ def _finite_grid(x) -> np.ndarray:
 
 def _check_times(t, check: Callable[[float], None] = _check_time) -> np.ndarray:
     """``t``, one time or a 1-D sequence of them, as a 1-D array; ``ConfigError``
-    if it is empty or has more dimensions, or a time fails ``check``."""
+    if it is empty or has more dimensions, or a time fails ``check`` (each distinct one once)."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ConfigError(f"t must be one time or a 1-D sequence of times, got {t!r}")
     times = times.ravel()
-    for value in times.tolist():
+    for value in dict.fromkeys(times.tolist()):
         check(value)
     return times
 
@@ -792,7 +795,7 @@ def synthesize_field(
             panels *= 2
         if panels * _ORDER > _MAX_NODES:
             raise QuadratureError(
-                f"oscillation rate {rate:.3e} needs {panels * _ORDER} quadrature "
+                f"oscillation rate {rate:.3e} needs {panels * _ORDER:.3e} quadrature "
                 f"nodes, above the limit of {_MAX_NODES}"
             )
         p, _ = panel_nodes(a, b, panels)

@@ -47,7 +47,8 @@ error is at most 19 ulps of the envelope (``scipy.special``: 96), and the
 scaled ``Ai`` is within 13 ulps everywhere (``scipy.special.airye``: 172
 near ``z = 2``).
 
-A NaN argument gives NaN.
+The scaled ``Ai`` is ``Ai e^{zeta}`` for ``z >= 0`` and the bits of ``Ai`` for
+``z < 0``, so one call serves both sides of a turning point.  NaN gives NaN.
 """
 
 from __future__ import annotations
@@ -225,9 +226,9 @@ def _oscillating_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(z: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(Ai, Ai')`` of every real ``z``, each by its branch; times ``e^{zeta}``
-    if ``scaled``, which needs ``z >= 0`` and gives no ``Ai'`` from the tail
-    switch on."""
+    """``(Ai, Ai')`` of every real ``z``, each by its branch; if ``scaled``, times
+    ``e^{zeta}`` for ``z >= 0`` (the bits of the unscaled pair for ``z < 0``),
+    with no ``Ai'`` from the tail switch on."""
     if z.size > _BLOCK:
         flat = z.ravel()
         ai, aip = np.empty_like(flat), np.empty_like(flat)
@@ -242,8 +243,8 @@ def _evaluate(z: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
     if series.any():
         zs = z[series]
         a, ap = _maclaurin(zs)
-        if scaled:
-            factor = np.exp((2.0 / 3.0) * zs**1.5)
+        if scaled:  # e^0 = 1 for z < 0, where Ai does not decay
+            factor = np.exp((2.0 / 3.0) * np.maximum(zs, 0.0) ** 1.5)
             a, ap = a * factor, ap * factor
         ai[series], aip[series] = a, ap
     if low.any():
@@ -277,14 +278,13 @@ def airy_ai(z):
 
 
 def airy_ai_scaled(z):
-    """``Ai(z) * exp((2/3) z^{3/2})`` for ``z >= 0``, overflow-free.
+    """``Ai(z) * exp((2/3) max(z, 0)^{3/2})`` for real ``z``, overflow-free; for
+    ``z < 0`` the bits of :func:`airy_ai`.
 
     Used by the long-wave closed form, whose prefactor carries a large
     positive exponent that cancels the Airy decay analytically.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0.0):
-        raise ConfigError("airy_ai_scaled requires z >= 0")
     out = _evaluate(z_arr, scaled=True)[0]
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out[0])

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._quadrature import _check_mu, _check_numerics, _check_times, _finite_grid
 from ._quadrature import legendre_bessel_field, synthesize_field
-from .airy import airy_ai, airy_ai_scaled
+from .airy import airy_ai_scaled
 from .dispersion import Dispersion, LatticeParams
 from .errors import ConfigError
 from .initial_data import InitialProfile
@@ -232,9 +232,9 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t):
     ``-(x - c t) / mu``, and
     ``T(a) = e^{-a/(2 lam)} Ai(-lam^{-1/3} (a - 1/(4 lam)))``.
 
-    Where the Airy argument ``z`` is non-negative the product uses the
-    scaled tail ``Ai(z) e^{(2/3) z^{3/2}}``, and with ``r = sqrt(1 - 4 lam a)``
-    the three exponents combine exactly into
+    Both fronts of every time go through one :func:`airy_ai_scaled` call, which
+    scales ``Ai(z)`` by ``e^{(2/3) z^{3/2}}`` where ``z >= 0``; there, with
+    ``r = sqrt(1 - 4 lam a)``, the three exponents combine exactly into
     ``1/(12 lam^2) - a/(2 lam) - (2/3) z^{3/2} = -(2/3) a^2 (1 + 2r) / (1 + r)^2``,
     which has no cancellation (it is ``-a^2/2`` at ``r = 1``).  Once
     ``lam^2`` underflows the form is at its ``lam -> 0`` limit to rounding,
@@ -250,36 +250,35 @@ def uas_gaussian_airy(params: LatticeParams, mu: float, x, t):
     disp = Dispersion(params)
     c = disp.sound_speed
     q = disp.dispersion_coefficient
-
-    def term(a: np.ndarray, lam: float) -> np.ndarray:
-        log_pre = np.log(_SQRT_HALF_PI) - np.log(lam) / 3.0
-        z = -((a - 0.25 / lam) / np.cbrt(lam))
-        out = np.empty_like(a)
-        grow = z >= 0.0
-        if np.any(grow):
-            ag = a[grow]
-            r = np.sqrt(np.maximum(1.0 - 4.0 * lam * ag, 0.0))
-            expo = log_pre - (2.0 / 3.0) * ag**2 * (1.0 + 2.0 * r) / (1.0 + r) ** 2
-            out[grow] = np.exp(expo) * airy_ai_scaled(z[grow])
-        if np.any(~grow):
-            ad = a[~grow]
-            expo = log_pre + (1.0 - 6.0 * lam * ad) / (12.0 * lam * lam)  # 4 lam a > 1
-            out[~grow] = np.exp(expo) * airy_ai(z[~grow])
-        return out
-
-    outs = []
-    for time in times.tolist():
+    # Each Airy time's 4 lam, 6 lam, 12 lam^2, log prefactor, lam^{1/3} and 1/(4 lam), in
+    # Python floats one time at a time: numpy's vector log and cbrt can round otherwise.
+    rows, airy = [], np.zeros(times.size, dtype=bool)
+    for i, time in enumerate(times.tolist()):
         with np.errstate(over="ignore"):
             lam = float(q * time * np.float64(params.h) ** 2 / np.float64(mu) ** 3)
         if not np.isfinite(lam):
             raise ConfigError(f"lam = q t h^2 / mu^3 overflows (t={time!r}, mu={mu!r})")
-        ct = c * time
-        a_plus, a_minus = (x_arr + ct) / mu, -(x_arr - ct) / mu
-        if lam * lam < _TINY:
-            outs.append(0.5 * (np.exp(-0.5 * a_plus**2) + np.exp(-0.5 * a_minus**2)))
-        else:
-            outs.append(term(a_plus, lam) + term(a_minus, lam))
-    return _per_time(x, t, outs)
+        airy[i] = lam * lam >= _TINY
+        if airy[i]:
+            log_pre = np.log(_SQRT_HALF_PI) - np.log(lam) / 3.0
+            rows.append((4.0 * lam, 6.0 * lam, 12.0 * lam * lam, log_pre, np.cbrt(lam), 0.25 / lam))
+    ct = c * times[:, None]
+    a = np.stack([(x_arr + ct) / mu, -(x_arr - ct) / mu], axis=1)  # (time, a_+ a_-, x)
+    out = np.empty((times.size, x_arr.size))
+    e = np.exp(-0.5 * a[~airy] ** 2)
+    out[~airy] = 0.5 * (e[:, 0] + e[:, 1])
+    if rows:
+        four, six, twelve, log_pre, root, quarter = np.repeat(np.transpose(rows), a[0].size, axis=1)
+        a = a[airy].ravel()
+        z = -((a - quarter) / root)  # never nan: x and the times are finite
+        grow, decay = z >= 0.0, z < 0.0
+        expo = np.empty_like(z)
+        r = np.sqrt(np.maximum(1.0 - four[grow] * a[grow], 0.0))
+        expo[grow] = log_pre[grow] - (2.0 / 3.0) * a[grow] ** 2 * (1.0 + 2.0 * r) / (1.0 + r) ** 2
+        expo[decay] = log_pre[decay] + (1.0 - six[decay] * a[decay]) / twelve[decay]
+        terms = (np.exp(expo) * airy_ai_scaled(z)).reshape(len(rows), 2, x_arr.size)
+        out[airy] = terms[:, 0] + terms[:, 1]
+    return _per_time(x, t, list(out))
 
 
 def _check_finite_time(t: float) -> None:
@@ -291,17 +290,15 @@ def _check_finite_time(t: float) -> None:
 def uas_dalembert(params: LatticeParams, profile: InitialProfile, mu: float, x, t):
     """Non-dispersive limit: half-sum of the two translated profiles.
 
-    ``U_as(x, t) = (W((x + c t)/mu) + W((x - c t)/mu)) / 2``; exact for
-    the plain wave equation, hence accurate to ``O(t h^2/mu^3)`` in the
-    ``wave_equation`` regime.  ``t`` is as in :func:`uas_gaussian_airy`, but
-    any finite time; a nan or an infinity in ``t`` or ``x`` raises ``ConfigError``.
+    ``U_as(x, t) = (W((x + c t)/mu) + W((x - c t)/mu)) / 2``, all fronts in one
+    ``profile.value`` call; exact for the plain wave equation, so accurate to
+    ``O(t h^2/mu^3)`` in the ``wave_equation`` regime.  ``t`` is as in :func:`uas_gaussian_airy`,
+    but any finite time; a nan or an infinity in ``t`` or ``x`` raises ``ConfigError``.
     """
     _check_mu(mu)
     times = _check_times(t, _check_finite_time)
     x_arr = _finite_grid(x)
     c = Dispersion(params).sound_speed
-    outs = [
-        0.5 * (profile.value((x_arr + c * time) / mu) + profile.value((x_arr - c * time) / mu))
-        for time in times.tolist()
-    ]
-    return _per_time(x, t, outs)
+    ct = c * times[:, None]
+    both = profile.value(np.stack([(x_arr + ct) / mu, (x_arr - ct) / mu]))
+    return _per_time(x, t, list(0.5 * (both[0] + both[1])))

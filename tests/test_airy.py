@@ -94,8 +94,13 @@ def test_scaled_variant():
     assert_allclose(airy_ai_scaled(z), expected, rtol=1e-9)
     # overflow-free far beyond the plain evaluator's range
     assert np.isfinite(airy_ai_scaled(1e6))
-    with pytest.raises(ConfigError):
-        airy_ai_scaled(-0.5)
+    # unscaled where Ai does not decay: the bits of airy_ai on every branch of z < 0
+    # (series, either side of its switch at -3.5, integrals, tail)
+    negative = np.array([-0.5, -3.4, -3.6, -50.0, -2e4])
+    assert airy_ai_scaled(negative).tobytes() == airy_ai(negative).tobytes()
+    for z in negative.tolist():
+        assert airy_ai_scaled(z) == airy_ai(z)
+    assert np.isnan(airy_ai_scaled(np.array([-1.0, np.nan]))[1])
 
 
 def test_scaled_consistency_with_plain():

@@ -1225,6 +1225,20 @@ def _table_at(path: str):
     return lambda s: s + f"\n[profile]\nkind = table\npath = {path}\n"
 
 
+def _shortwave_at_the_float_range(nodes_per_cycle: str):
+    """The delta = 1 desk lattice with both quadrature methods on a grid to
+    +-1e300: the band integrals need 2.5e302 nodes, or more than a float can
+    count at ``nodes_per_cycle``."""
+    def mutate(s: str) -> str:
+        s = s.replace("h = 0.008", "h = 0.01").replace("mu = 0.04", "mu = 0.01")
+        s = s.replace("x_min = -0.5", "x_min = -1e300").replace("x_max = 0.5", "x_max = 1e300")
+        s = s.replace("points = 81", "points = 5")
+        s = s.replace("names = gaussian_airy, dalembert", "names = quadrature_full, shortwave_total")
+        return s + f"\n[numerics]\nnodes_per_cycle = {nodes_per_cycle}\n"
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "command, mutate, code, says",
     [
@@ -1261,6 +1275,20 @@ def _table_at(path: str):
         # knot gaps of 1e-300 gave the spline nan transform weights (and overflow
         # warnings); the quadrature doubled to its panel cap and exited 3 on "change nan"
         ("simulate", lambda s: _table_at("close.csv")(_quadrature(s)), 2, "spline is not finite"),
+        # an OverflowError traceback from the panel count
+        (
+            "simulate",
+            _shortwave_at_the_float_range("1e300"),
+            3,
+            "oscillation rate 1.000e+302 needs more nodes than a float counts\n",
+        ),
+        # a node count of about 300 digits
+        (
+            "simulate",
+            _shortwave_at_the_float_range("10"),
+            3,
+            "needs 2.500e+302 quadrature nodes, above the limit of 8388608\n",
+        ),
     ],
 )
 def test_inputs_that_raised_tracebacks_exit_cleanly(
@@ -1272,8 +1300,10 @@ def test_inputs_that_raised_tracebacks_exit_cleanly(
     path = _write(tmp_path, mutate(BASE))
     out_dir = tmp_path / "o"
     assert cli.main([command, "--config", str(path), "--out", str(out_dir)]) == code
-    assert says in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err
     if code:
+        assert err.count("\n") == 1  # one line
         assert not any(out_dir.glob("*"))  # no partial results
 
 

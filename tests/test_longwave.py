@@ -25,7 +25,7 @@ from diatomic_waves import (
     uas_gaussian_airy,
     uas_integral,
 )
-from diatomic_waves import longwave
+from diatomic_waves import airy, longwave
 from diatomic_waves import _quadrature as quad
 from diatomic_waves._quadrature import synthesize_field
 
@@ -465,6 +465,30 @@ def test_closed_form_tends_to_dalembert_as_lam_vanishes(desk, h, t):
     ct = Dispersion(params).sound_speed * t
     half_sum = 0.5 * (np.exp(-0.5 * ((x + ct) / mu) ** 2) + np.exp(-0.5 * ((x - ct) / mu) ** 2))
     assert np.max(np.abs(uas_gaussian_airy(params, mu, x, t) - half_sum)) <= 1e-13
+
+
+@pytest.mark.parametrize("times", [0.3, [0.5, 0.1, 0.3]], ids=["1 time", "3 times"])
+def test_closed_form_takes_one_airy_call(desk, times, monkeypatch):
+    # both fronts of every time, z of either sign, go through one Airy evaluation
+    params, mu = desk(0.008), 0.04
+    x = np.linspace(-0.7, 0.7, 141)
+    calls = []
+
+    def counted(z, scaled):
+        calls.append((z.size, scaled))
+        return evaluate(z, scaled)
+
+    evaluate = airy._evaluate
+    monkeypatch.setattr(airy, "_evaluate", counted)
+    uas_gaussian_airy(params, mu, x, times)
+    assert calls == [(2 * x.size * np.size(times), True)]
+    disp = Dispersion(params)
+    for t in np.atleast_1d(times).tolist():
+        # z = (1/(4 lam) - a) / lam^{1/3} takes both signs at every time
+        lam = disp.dispersion_coefficient * t * 0.008**2 / mu**3
+        ct = disp.sound_speed * t
+        a = np.concatenate([(x + ct) / mu, -(x - ct) / mu])
+        assert np.any(a < 0.25 / lam) and np.any(a > 0.25 / lam)
 
 
 def test_closed_form_symmetry_and_validation(desk):

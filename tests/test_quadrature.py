@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -638,23 +639,27 @@ def test_node_count_guard_fails_before_building_the_level():
 @pytest.mark.parametrize(
     "rate, message",
     [
-        (1e9, "needs 12732395456 quadrature nodes"),
-        (1e14, "needs 1273239544735168 quadrature nodes"),
+        (1e9, "needs 1.273e+10 quadrature nodes, above the limit of 8388608"),
+        (1e14, "needs 1.273e+15 quadrature nodes, above the limit of 8388608"),
+        (1e302, "needs 1.273e+303 quadrature nodes, above the limit of 8388608"),
+        (1e308, "oscillation rate 1.000e+308 needs more nodes than a float counts"),
         (np.inf, "oscillation rate inf is not finite"),
         (np.nan, "oscillation rate nan is not finite"),
     ],
 )
 def test_refusal_names_the_node_count_it_needs(rate, message):
     """Past the cap the refusal names the first level's true node count (not
-    the cap), and a non-finite rate is refused as such; either way no level
-    is built and the kernel is never called.
+    the cap) to four digits, and a non-finite rate, or a node count past the
+    float range, is refused as such; either way no level is built, the kernel
+    is never called and the message is one short line.
 
     On ``[0, 8]`` at 10 nodes per cycle the first level has
     ``ceil(rate * 8 / (2 pi) * 10 / 16)`` panels of 16 nodes: at rate 1e9,
     ``ceil(795,774,715.46) = 795,774,716`` panels, 12,732,395,456 nodes; at
     1e14, ``ceil(79,577,471,545,947.67) = 79,577,471,545,948`` panels,
     1,273,239,544,735,168 nodes.  (A level verified by its doubling needed
-    twice that: 25,464,790,912 and 2,546,479,089,470,336.)
+    twice that: 25,464,790,912 and 2,546,479,089,470,336.)  At 1e302 the
+    count is 1.273e303, and at 1e308 it is past the float range.
     """
     calls = []
 
@@ -662,9 +667,10 @@ def test_refusal_names_the_node_count_it_needs(rate, message):
         calls.append(p.size)
         return np.ones_like(p)
 
-    with pytest.raises(QuadratureError, match=message):
+    with pytest.raises(QuadratureError, match=re.escape(message)) as exc:
         quad.synthesize_field(kernel, 0.0, 8.0, np.linspace(0.0, 1.0, 5), rate)
     assert calls == []
+    assert "\n" not in str(exc.value) and len(str(exc.value)) < 160
 
 
 class _CountingGaussian(GaussianProfile):
