@@ -23,7 +23,8 @@ grid the node-by-point contraction is therefore a sum of 16 chirp-z
 transforms (Rabiner-Schafer-Rader 1969; Bluestein 1970), costing
 ``O((N + M) log(N + M))`` instead of ``O(N M)``.  Each level is built
 once: :func:`synthesize_field` hands :func:`_contract` the level's
-``(p0, dp)`` and its 16 column weights with the unweighted kernel values,
+``(p0, dp)`` and its 16 column weights, as :func:`panel_nodes` returns
+them with the nodes, and the unweighted kernel values,
 so the contraction neither re-tests the nodes nor forms a weighted copy of
 the values; each column's weight goes into that column's phase row of
 ``N / 16`` entries.  Each column's output
@@ -63,13 +64,17 @@ Gauss-Legendre rules, like the panels' 16-point rule and the short-wave
 32-point one, come from Newton's method (:func:`_gauss_legendre`), without
 an eigensolver, and its Legendre matrices from the three-term recurrence:
 ``numpy.polynomial`` is never imported.
-Each order's sum is the finite endpoint sum of repeated integration by
-parts, from the polynomial's derivatives at both ends.  Order ``k`` is
-admitted only where ``min |r x|`` (``r`` the band's half-width) is at least
+The sum is the finite endpoint sum of repeated integration by parts, from
+the polynomial's derivatives at both ends.  Order ``k`` is admitted only
+where ``min |r x|`` (``r`` the band's half-width) is at least
 ``k (k - 1) / 2``; there the sum's terms fall at least as ``1 / j!``, and a
 tail bound stops it after ``J`` of them (5 on a far travelling frame at
-``r x = 1.78e5``, at most 19), so it costs ``O(J m)`` on ``m`` points.  With
-fewer than two orders admitted the rule returns None, leaving the grid to
+``r x = 1.78e5``, at most 19), so it costs ``O(J m)`` on ``m`` points.  The
+rule takes the largest admitted order, calls the kernel once at its nodes,
+and checks it as a panel level is checked, from its own values: the field
+of the upper half of its Legendre coefficients, summed in the same pass,
+must be within the target.  With no order admitted, or an order that
+fails its check, the rule returns None, leaving the grid to
 :func:`synthesize_field`.  Every matrix product in it is real: the
 projection of complex kernel values, as one complex operand, cost a complex
 matrix-vector product of milliseconds (and a spinning BLAS thread) where
@@ -109,8 +114,8 @@ _UNIFORM_ULPS = 8.0
 #: its neglected second-order term stays below ``5e-17`` of each term.
 _RESIDUAL_PHASE = 1e-8
 
-#: Legendre orders :func:`legendre_bessel_field` tries, each checked
-#: against the one before.
+#: Legendre orders :func:`legendre_bessel_field` admits: it takes the largest
+#: that its guard allows.
 _LB_ORDERS = (32, 64, 128, 256)
 
 #: Output points :func:`legendre_bessel_field` sums at once, so its block of
@@ -204,24 +209,22 @@ _TAIL_POWERS[:, -1] /= 1.0 - _TAIL_POWERS[:, 0]
 _TAIL_FOURTHS = _TAIL_POWERS[:, 3].copy()  # r^4 at each step
 
 
-def _panel_level(a: float, b: float, n_panels: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """``(p0, dp, wc)`` of ``n_panels`` composite 16-point GL panels on [a, b]:
-    node ``c`` of panel ``j`` is ``p0[c] + j dp`` and has weight ``wc[c]``, with
-    ``p0 = a + half (1 + s)``, ``dp = 2 half`` and ``wc = half W`` for the
-    Gauss-Legendre nodes ``s`` and weights ``W`` and ``half = (b - a) / (2 n_panels)``."""
-    half = 0.5 * ((b - a) / n_panels)
-    return a + half * (1.0 + _GL_NODES), 2.0 * half, half * _GL_WEIGHTS
-
-
-def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``n_panels`` composite 16-point GL panels on [a, b],
-    panel by panel: column ``c`` of ``nodes.reshape(-1, 16)`` is the exact
-    progression ``p0[c] + j dp`` of :func:`_panel_level`."""
+def panel_nodes(
+    a: float, b: float, n_panels: int
+) -> tuple[np.ndarray, tuple[np.ndarray, float, np.ndarray]]:
+    """Nodes of ``n_panels`` composite 16-point GL panels on [a, b], panel by
+    panel, and the level ``(p0, dp, wc)`` they lay out: node ``c`` of panel
+    ``j`` is ``p0[c] + j dp`` and has weight ``wc[c]``, so column ``c`` of
+    ``nodes.reshape(-1, 16)`` is an exact progression.  ``p0 = a + half (1 +
+    s)``, ``dp = 2 half`` and ``wc = half W`` for the Gauss-Legendre nodes
+    ``s`` and weights ``W`` and ``half = (b - a) / (2 n_panels)``; the weight
+    of every node is ``np.tile(wc, n_panels)``."""
     if n_panels < 1:
         raise ValueError(f"n_panels must be >= 1, got {n_panels}")
-    p0, dp, wc = _panel_level(a, b, n_panels)
+    half = 0.5 * ((b - a) / n_panels)
+    p0, dp, wc = a + half * (1.0 + _GL_NODES), 2.0 * half, half * _GL_WEIGHTS
     nodes = p0 + dp * np.arange(n_panels, dtype=float)[:, None]
-    return nodes.ravel(), np.tile(wc, n_panels)
+    return nodes.ravel(), (p0, dp, wc)
 
 
 def oscillation_panels(rate: float, a: float, b: float, nodes_per_cycle: float = 10.0) -> int:
@@ -485,8 +488,8 @@ def _contract(
     some ``p_max >= max|p|``, if the caller has it; without it ``x`` is
     tested here.
 
-    ``p`` is the level :func:`panel_nodes` builds and ``level`` its
-    ``(p0, dp, wc)`` (:func:`_panel_level`), so ``p`` is not tested.  ``g``
+    ``p`` and ``level``, its ``(p0, dp, wc)``, are what :func:`panel_nodes`
+    returns, so ``p`` is not tested.  ``g``
     holds the kernel values without the weights: the weight ``wc[c]`` of
     column ``c`` goes into that column's ``n``-entry phase row below (the
     direct path weighs the values itself), so no weighted copy of ``g`` is
@@ -752,11 +755,11 @@ def synthesize_field(
     1-D array without calling the kernel.
 
     Each level is built once: :func:`panel_nodes` gives its nodes (column
-    ``c`` of ``p.reshape(-1, 16)`` the exact progression ``p0[c] + j dp``),
-    the kernel is called on them, and :func:`_contract` receives the values
-    unweighted with ``(p0, dp)`` and the 16 column weights
-    (:func:`_panel_level`), so it neither re-tests the layout nor builds a
-    weighted copy of the values.
+    ``c`` of ``p.reshape(-1, 16)`` the exact progression ``p0[c] + j dp``)
+    with ``(p0, dp)`` and the 16 column weights, the kernel is called on the
+    nodes, and :func:`_contract` receives the values unweighted with that
+    level, so it neither re-tests the layout nor builds a weighted copy of
+    the values, and no node-sized weight array is made.
 
     Each level checks itself: it is returned once the error estimate of
     :func:`_level_error`, made from its own kernel values, is at most
@@ -798,11 +801,10 @@ def synthesize_field(
                 f"oscillation rate {rate:.3e} needs {panels * _ORDER:.3e} quadrature "
                 f"nodes, above the limit of {_MAX_NODES}"
             )
-        p, _ = panel_nodes(a, b, panels)
+        p, level = panel_nodes(a, b, panels)
         vals = np.asarray(kernel(p))
         shape = vals.shape[1:]
         g = vals.reshape(p.size, -1)
-        level = _panel_level(a, b, panels)
         half = 0.5 * level[1]
         groups = shape[0] if len(shape) == 2 else 1
         err = np.max(_level_error(g, half, half * x_max, even_fold).reshape(groups, -1), axis=1)
@@ -850,43 +852,44 @@ def _endpoint_table(k: int) -> np.ndarray:
 
 
 def _endpoint_fields(
-    amps: list[np.ndarray], omega: np.ndarray, least: float
-) -> list[np.ndarray]:
-    """Each order's ``int_{-1}^{1} P(s) e^{i omega s} ds``, ``P = sum_n a_n P_n``,
-    ``a_n = re + i im`` from ``amps``, by its finite endpoint sum
+    amps: np.ndarray, omega: np.ndarray, least: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``int_{-1}^{1} P(s) e^{i omega s} ds`` of ``P = sum_{n<k} a_n P_n``,
+    ``a_n = re + i im`` from the rows of ``amps``, and of its upper half
+    ``sum_{n>=k/2} a_n P_n``, each by its finite endpoint sum
     ``sum_{j<J} (-1)^j [P^(j)(1) e^{i omega} - P^(j)(-1) e^{-i omega}] / (i omega)^(j+1)``.
 
     ``P^(j)(+-1) = sum_n a_n (+-1)^(n+j) T[j, n]`` (:func:`_endpoint_table`), for
-    every order by one real matrix product.  With ``v = 1 / omega`` the sum is
+    both polynomials by one real matrix product.  With ``v = 1 / omega`` the sum is
     ``-i v [e^{i omega} A(v) - e^{-i omega} B(v)]``, ``A_j = i^j P^(j)(1)`` and
     ``B_j = i^j P^(j)(-1)``: polynomials in ``v`` that Horner's rule takes for
-    every order at once, in real arithmetic, on ``_LB_CHUNK`` points at a time.
-    ``J`` is the largest over the orders of the least ``j >= 1`` with
-    ``S_j / |omega|^j <= (eps / 2) S_0``, ``S_j = sum_n |a_n| T[j, n]`` and
-    ``|omega| = least``, and ``_LB_TERMS`` at most (the bound is in
-    :func:`legendre_bessel_field`, and needs ``least`` past every order's
-    :func:`_endpoint_threshold`).
+    both at once, in real arithmetic, on ``_LB_CHUNK`` points at a time.
+    ``J`` is the least ``j >= 1`` with ``S_j / |omega|^j <= (eps / 2) S_0``,
+    ``S_j = sum_n |a_n| T[j, n]`` and ``|omega| = least``, and ``_LB_TERMS`` at
+    most (the bound is in :func:`legendre_bessel_field`, and needs ``least``
+    past :func:`_endpoint_threshold` of ``k``).  The upper half's ``S_j`` are
+    at most the whole's, so its dropped tail is within the whole's bound.
     """
-    k = amps[-1].shape[1]
-    # [a_n, (-1)^n a_n][Re, Im][order][n]: d[:, 1] is (-1)^j P^(j)(-1)
-    a = np.zeros((2, 2, len(amps), k))
-    for i, amp in enumerate(amps):
-        a[0, :, i, : amp.shape[1]] = amp
+    k = amps.shape[1]
+    # [a_n, (-1)^n a_n][Re, Im][whole, upper half][n]: d[:, 1] is (-1)^j P^(j)(-1)
+    a = np.zeros((2, 2, 2, k))
+    a[0, :, 0] = amps
+    a[0, :, 1, k // 2 :] = amps[:, k // 2 :]
     a[1] = a[0] * (1.0 - 2.0 * (np.arange(k) % 2))
     table = _endpoint_table(k)
-    d = (table @ a.reshape(-1, k).T).reshape(_LB_TERMS, 2, 2, len(amps))
+    d = (table @ a.reshape(-1, k).T).reshape(_LB_TERMS, 2, 2, 2)
     powers = np.arange(_LB_TERMS)[:, None]
     plus = _I_POWERS[powers % 4] * (d[:, 0, 0] + 1j * d[:, 0, 1])  # A_j
     minus = _I_POWERS[-powers % 4] * (d[:, 1, 0] + 1j * d[:, 1, 1])  # B_j
     with np.errstate(over="ignore"):
-        scaled = (table @ np.hypot(a[0, 0], a[0, 1]).T) / least ** powers  # S_j / |omega|^j
+        scaled = (table @ np.hypot(*amps)) / least ** powers[:, 0]  # S_j / |omega|^j
     small = scaled[1:] <= 0.5 * np.finfo(float).eps * scaled[0]
-    terms = int(np.max(np.where(small.any(axis=0), 1 + np.argmax(small, axis=0), _LB_TERMS)))
-    # rows Re(A - B), Im(A + B), Im(A - B), Re(A + B) of every order, powers last
+    terms = 1 + int(np.argmax(small)) if small.any() else _LB_TERMS
+    # rows Re(A - B), Im(A + B), Im(A - B), Re(A + B) of both, powers last
     diff, total = plus[:terms] - minus[:terms], plus[:terms] + minus[:terms]
     poly = np.moveaxis(np.stack((diff.real, total.imag, diff.imag, total.real)), 1, -1)
-    fields = [np.empty(omega.size, dtype=complex) for _ in amps]
-    block = np.empty((4, len(amps), min(omega.size, _LB_CHUNK)))
+    fields = np.empty((2, omega.size), dtype=complex)
+    block = np.empty((4, 2, min(omega.size, _LB_CHUNK)))
     for lo in range(0, omega.size, _LB_CHUNK):
         w = omega[lo : lo + _LB_CHUNK]
         v = 1.0 / w
@@ -897,10 +900,9 @@ def _endpoint_fields(
             p += poly[:, :, j : j + 1]
         p *= v
         c, s = np.cos(w), np.sin(w)
-        re, im = c * p[2] + s * p[3], s * p[1] - c * p[0]  # -i v (e^{i w} A - e^{-i w} B)
-        for f, f_re, f_im in zip(fields, re, im):
-            f[lo : lo + _LB_CHUNK].real, f[lo : lo + _LB_CHUNK].imag = f_re, f_im
-    return fields
+        f = fields[:, lo : lo + _LB_CHUNK]
+        f.real, f.imag = c * p[2] + s * p[3], s * p[1] - c * p[0]  # -i v (e^{i w} A - e^{-i w} B)
+    return fields[0], fields[1]
 
 
 def legendre_bessel_field(
@@ -918,13 +920,17 @@ def legendre_bessel_field(
     With ``p = m + r s`` (``m``, ``r`` the band's midpoint and half-width)
     and the kernel's Legendre expansion ``P(s) = sum_n a_n P_n(s)``,
     ``F(x) = r e^{i m x} int_{-1}^{1} P(s) e^{i w s} ds``, ``w = r x``.  The
-    ``a_n`` come from ``k``-point Gauss-Legendre for ``k`` = 32, 64, 128,
-    256, and the first ``k`` whose result is within ``atol + rtol * max|F|``
-    of the previous one is returned.  Its accuracy depends on how well
-    degree ``k - 1`` resolves the kernel, not on ``x``.
+    ``a_n``, ``n < k``, come from ``k``-point Gauss-Legendre at the largest
+    order ``k`` of ``_LB_ORDERS`` (32, 64, 128, 256) that the guard below
+    admits, from one kernel call.  The order checks itself, as a panel level
+    does: its field is returned when the field of its upper half, ``a_{k/2}
+    ... a_{k-1}`` (what a ``k/2``-point rule would mostly lack), is within
+    ``atol + rtol * max|F|``, and None is returned otherwise.  Its accuracy
+    depends on how well degree ``k - 1`` resolves the kernel, not on ``x``.
 
-    Each order's integral is the finite endpoint sum of repeated integration
-    by parts (:func:`_endpoint_fields`): for a polynomial it ends,
+    The integral is the finite endpoint sum of repeated integration by parts
+    (:func:`_endpoint_fields`, which sums the upper half in the same Horner
+    pass): for a polynomial it ends,
     ``int_{-1}^{1} P e^{i w s} ds = sum_{j<k} (-1)^j [P^(j)(1) e^{i w}
     - P^(j)(-1) e^{-i w}] / (i w)^(j+1)`` (DLMF 10.49; Iserles and Norsett,
     Proc. R. Soc. A 461, 2005).  Term ``j`` is at most ``2 S_j / w^(j+1)``,
@@ -940,16 +946,13 @@ def legendre_bessel_field(
     is 5 on the ``longwave_front`` far frame (``w = 1.78e5``) and 19 at most
     at a threshold.  The cost is ``O(J m)`` for ``m`` points, on at most
     ``_LB_CHUNK`` of them at a time, so no temporary grows with the grid past
-    the fields themselves; :func:`synthesize_field` would need about
+    the two fields themselves; :func:`synthesize_field` would need about
     ``10 r |x| / pi`` nodes.
 
-    The kernel is called once at each admitted order's nodes, in ladder
-    order, and each order's ``a_n`` are the real product of its projection
-    with the values' real and imaginary parts.  Each order's field is then
-    checked against the previous one.  The rule returns None, without
-    calling the kernel, when fewer than two orders are admitted (one has
-    nothing to be checked against) or ``x`` holds a nan or an infinity, and
-    None when the last admitted order has not converged.
+    The ``a_n`` are the real product of the order's projection with the
+    values' real and imaginary parts.  The rule returns None, without
+    calling the kernel, when no order is admitted or ``x`` holds a nan or an
+    infinity.
 
     ``kernel`` maps ``(n,)`` nodes to ``(n,)`` values.  An empty ``x``
     gives an empty array without calling the kernel.  Out-of-range
@@ -965,22 +968,15 @@ def legendre_bessel_field(
     omega = half * x
     least = float(np.min(np.abs(omega)))
     orders = [k for k in _LB_ORDERS if least >= _endpoint_threshold(k)]
-    if len(orders) < 2:
+    if not orders:
         return None
-    # Each order's a_n as (Re, Im): the projection is real and the values are
-    # split, as a complex operand would send it through a complex product.
-    amps = []
-    for k in orders:
-        s, project = _legendre_projection(k)
-        v = np.asarray(kernel(mid + half * s))
-        amps.append((project @ np.stack((v.real, v.imag), axis=1)).T)
-    phase = half * _cis(mid * x)
-    prev = None
-    for f in _endpoint_fields(amps, omega, least):
-        f *= phase
-        if prev is not None:
-            prev -= f
-            if np.max(np.abs(prev)) <= atol + rtol * np.max(np.abs(f)):
-                return f
-        prev = f
+    s, project = _legendre_projection(orders[-1])
+    v = np.asarray(kernel(mid + half * s))
+    # The projection is real and the values are split, as a complex operand
+    # would send it through a complex product.
+    amps = (project @ np.stack((v.real, v.imag), axis=1)).T
+    field, upper = _endpoint_fields(amps, omega, least)
+    field *= half * _cis(mid * x)
+    if half * np.max(np.abs(upper)) <= atol + rtol * np.max(np.abs(field)):
+        return field
     return None

@@ -23,6 +23,8 @@ against the governing continuum equation by finite differences.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from ._quadrature import _check_mu, _check_numerics, _check_times, _finite_grid
@@ -124,8 +126,8 @@ def uas_integral(
     * a frame far from its front on the whole grid goes to
       :func:`~diatomic_waves._quadrature.legendre_bessel_field`, whose cost
       does not depend on ``y``; its guard ``min |y| cut / 2 >= k (k - 1) / 2``
-      (for Legendre order ``k``, on at least two orders) and its own
-      convergence check decide where it applies;
+      (for Legendre order ``k``) admits orders, and the largest admitted
+      order's check on its own upper half decides where it applies;
     * any other frame is a :func:`synthesize_field` call on its own grid
       ``y``, formed as ``(c t +- x) / mu`` so the front is not moved by the
       rounding of ``c t / mu``;

@@ -25,7 +25,7 @@ from diatomic_waves import _quadrature as quad
 from diatomic_waves import initial_data, oracles
 from diatomic_waves.errors import ConfigError, QuadratureError
 
-from _reference import bessel_sum, legendre_bessel_ladder
+from _reference import bessel_sum, legendre_bessel_ladder, legendre_bessel_order
 
 #: Largest panel level any workload or test builds today (the long-wave front).
 LARGEST_LEVEL_NODES = 70_930 * 16
@@ -46,8 +46,8 @@ def _kernel(p: np.ndarray, columns: int, seed: int) -> np.ndarray:
 def _level(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """A panel level as synthesize_field builds it: its nodes, their weights
     as a column (to weigh kernel values for the direct sum) and its layout."""
-    p, w = quad.panel_nodes(a, b, n_panels)
-    return p, w[:, None], quad._panel_level(a, b, n_panels)
+    p, level = quad.panel_nodes(a, b, n_panels)
+    return p, np.tile(level[2], n_panels)[:, None], level
 
 
 @st.composite
@@ -493,15 +493,13 @@ def test_panel_columns_are_exact_progressions(a, b, n_panels):
     wc[c], with p0 = a + half (1 + s), dp = 2 half and wc = half W for the
     16-point rule (s, W), half = (b - a) / (2 n_panels): the layout the chirp-z
     contraction assumes, handed to it without a test."""
-    p, w = quad.panel_nodes(a, b, n_panels)
-    p0, dp, wc = quad._panel_level(a, b, n_panels)
+    p, (p0, dp, wc) = quad.panel_nodes(a, b, n_panels)
     half = (b - a) / (2 * n_panels)
     s, weights = quad._gauss_legendre(quad._ORDER)
     assert dp == 2.0 * half
     assert np.array_equal(p0, a + half * (1.0 + s)) and np.array_equal(wc, half * weights)
     j = np.arange(n_panels, dtype=float)[:, None]
     assert np.array_equal(p.reshape(n_panels, quad._ORDER), p0 + j * dp)
-    assert np.array_equal(w.reshape(n_panels, quad._ORDER), np.broadcast_to(wc, (n_panels, 16)))
     assert a < p[0] and p[-1] < b
     assert abs(p[-1] - (b - half * (1.0 - s[-1]))) <= 8 * np.spacing(max(abs(a), abs(b)))
 
@@ -801,8 +799,9 @@ def _frame_case(table, t, mu, log_offset, width, m, ahead, sign, high=5e4):
     """``(kernel, cut, y, spread)``: a frame's kernel on ``[0, cut]``, its grid
     at ``min |omega| = min |cut y / 2|`` up to ``high``, ahead of or behind its
     front, and its cubic rate.  The least ``min |omega|`` is the endpoint
-    threshold of the order the ladder converges at, 64 for the Gaussian
-    (2,016) and 128 for the table (8,128): below it the rule returns None."""
+    threshold of the least order that resolves the kernel, 64 for the
+    Gaussian (2,016) and 128 for the table (8,128): below it the rule's
+    largest admitted order fails its own check and it returns None."""
     profile = _SKEW if table else GaussianProfile()
     kernel, spread = _frame_kernel(profile, sign, t, mu)
     cut = profile.hat_radius()
@@ -831,28 +830,44 @@ def test_legendre_bessel_matches_quadrature_at_the_frame_rate(
     assert np.max(np.abs(far - ref)) <= 1e-13
 
 
-def _assert_matches_ladder(kernel, a: float, b: float, y: np.ndarray) -> None:
-    """The rule against the sequential per-order ladder, which admits order
-    ``k`` from ``min |r y| > 2 k`` on: where the rule admits the ladder's order
-    of convergence, convergence at that order (the rule cut to it converges,
-    cut below it does not) and values within ``8 eps r sum|c_n| max|j_n|`` of
-    the ladder's, ``c_n = 2 i^n a_n`` the coefficients of the ``j_n`` the two
-    sum in different ways; None everywhere else."""
-    want, k, coef = legendre_bessel_ladder(kernel, a, b, y)
+def _rule_order(half: float, y: np.ndarray) -> int | None:
+    """The largest order of ``_LB_ORDERS`` the far rule admits on ``y``, or None."""
+    least = float(np.min(np.abs(half * y)))
+    admitted = [k for k in quad._LB_ORDERS if least >= quad._endpoint_threshold(k)]
+    return admitted[-1] if admitted else None
+
+
+def _upper_half(coef: np.ndarray) -> np.ndarray:
+    """``coef`` with its lower half, ``n < k / 2``, set to 0."""
+    upper = coef.copy()
+    upper[: coef.size // 2] = 0.0
+    return upper
+
+
+def _assert_matches_ladder(kernel, a: float, b: float, y: np.ndarray) -> int | None:
+    """The rule against the sequential per-order sum
+    (:func:`legendre_bessel_order`, the ladder's step) at the rule's own
+    order ``k``, the largest it admits: it returns a field exactly where the
+    reference's upper-half field, of ``c_{k/2} ... c_{k-1}``, is within
+    ``atol + rtol * max|F|``, and that field is within ``8 eps r sum|c_n|
+    max|j_n|`` of the reference's, ``c_n = 2 i^n a_n`` the coefficients of the
+    ``j_n`` the two sum in different ways; None where no order is admitted.
+    Returns the order of the field, or None."""
     got = quad.legendre_bessel_field(kernel, a, b, y)
     half = 0.5 * (b - a)
-    if want is None or float(np.min(np.abs(half * y))) < quad._endpoint_threshold(k):
+    k = _rule_order(half, y)
+    if k is None:
         assert got is None
-        return
-    assert got is not None
-    orders = quad._LB_ORDERS[: quad._LB_ORDERS.index(k) + 1]
-    with mock.patch.object(quad, "_LB_ORDERS", orders):
-        assert quad.legendre_bessel_field(kernel, a, b, y) is not None
-    with mock.patch.object(quad, "_LB_ORDERS", orders[:-1]):
-        assert quad.legendre_bessel_field(kernel, a, b, y) is None
+        return None
+    want, coef = legendre_bessel_order(kernel, a, b, y, k)
+    upper = half * np.max(np.abs(bessel_sum(_upper_half(coef), half * y)))
+    assert (got is not None) == (upper <= 1e-13 + 1e-8 * np.max(np.abs(want)))
+    if got is None:
+        return None
     j_max = max(float(np.max(np.abs(spherical_jn(n, half * y)))) for n in range(k))
     bound = 8.0 * np.finfo(float).eps * half * np.sum(np.abs(coef)) * j_max
     assert np.max(np.abs(got - want)) <= bound
+    return k
 
 
 @_FRAME_SETTINGS
@@ -864,38 +879,40 @@ def test_legendre_bessel_matches_the_sequential_ladder_on_frames(
     _assert_matches_ladder(kernel, 0.0, cut, y)
 
 
-#: ``(kernel, y, order)``: the ladder's order of convergence, or None.
+#: ``(kernel, y, ladder, rule)``: the order the sequential ladder converges
+#: at, and the order whose field the rule returns, each None for none.
 _LADDER_CASES = [
     # smooth, all four orders admitted
-    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.linspace(1e4, 1.001e4, 9), 64),
-    (lambda p: np.exp(300j * p), np.linspace(1e4, 1.001e4, 9), None),  # unresolved
-    (lambda p: np.exp(-0.5 * p * p), np.array([30.0, 1e4]), None),  # one order admitted
-    # the ladder converges at 64, which the rule admits only from 2,016
-    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.array([250.0, 1e4]), 64),
+    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.linspace(1e4, 1.001e4, 9), 64, 256),
+    (lambda p: np.exp(300j * p), np.linspace(1e4, 1.001e4, 9), None, None),  # unresolved
+    (lambda p: np.exp(-0.5 * p * p), np.array([30.0, 1e4]), None, None),  # one order admitted
+    # the ladder converges at 64, which the rule admits only from 2,016; 32
+    # does not resolve the kernel
+    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), np.array([250.0, 1e4]), 64, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "kernel, y, order",
+    "kernel, y, ladder, rule",
     _LADDER_CASES,
     ids=["converges-at-64", "unresolved", "one-order", "below-the-rule"],
 )
-def test_legendre_bessel_matches_the_sequential_ladder(kernel, y, order):
-    assert legendre_bessel_ladder(kernel, 0.0, 8.0, y)[1] == order
-    _assert_matches_ladder(kernel, 0.0, 8.0, y)
+def test_legendre_bessel_matches_the_sequential_ladder(kernel, y, ladder, rule):
+    assert legendre_bessel_ladder(kernel, 0.0, 8.0, y)[1] == ladder
+    assert _assert_matches_ladder(kernel, 0.0, 8.0, y) == rule
 
 
 def _spied_run(kernel, cut: float, y: np.ndarray):
-    """``(F, sums, amps)``: the far rule's field, the Legendre sums
-    :func:`_endpoint_fields` gave it before the phase ``r e^{i m x}``, one per
-    admitted order, and the orders' ``(Re a_n, Im a_n)``."""
+    """``(F, sums, amps)``: the far rule's field, the Legendre sums of its
+    order and of that order's upper half that :func:`_endpoint_fields` gave
+    it before the phase ``r e^{i m x}``, and the order's ``(Re a_n, Im a_n)``."""
     sums, amps = [], []
     endpoint_fields = quad._endpoint_fields
 
-    def spy(orders_amps, *args):
-        amps.extend(orders_amps)
-        fields = endpoint_fields(orders_amps, *args)
-        sums.extend(f.copy() for f in fields)  # the rule scales each f in place
+    def spy(order_amps, *args):
+        amps.extend(order_amps)
+        fields = endpoint_fields(order_amps, *args)
+        sums.extend(f.copy() for f in fields)  # the rule scales the field in place
         return fields
 
     with mock.patch.object(quad, "_endpoint_fields", spy):
@@ -907,12 +924,13 @@ def _spied_run(kernel, cut: float, y: np.ndarray):
 def test_endpoint_sum_matches_the_recurrence_past_its_threshold(
     table, t, mu, log_offset, width, m, ahead, sign
 ):
-    """Past the thresholds the endpoint sum gives every admitted order's
-    Legendre sum that the upward Bessel recurrence (``bessel_sum``) gives on
-    the same coefficients ``c_n = 2 i^n a_n``, the rule stops at the same
-    order as those sums would, and the fields agree to ``16 eps r S_0 / w``,
-    ``S_0 = sum|a_n|`` of that order and ``w = min |r y|`` (from the
-    threshold of the order each profile converges at to 1e7):
+    """Past the thresholds the endpoint sum gives the Legendre sum of the
+    rule's order, and of its upper half, that the upward Bessel recurrence
+    (``bessel_sum``) gives on the same coefficients ``c_n = 2 i^n a_n``, the
+    rule returns a field exactly where the recurrence's upper half passes its
+    target, and the fields agree to ``16 eps r S_0 / w``, ``S_0 = sum|a_n|`` of
+    the order and ``w = min |r y|`` (from the threshold of the order each
+    profile converges at to 1e7):
 
     * endpoint sum: its ``J`` leaves a tail of at most ``2 eps S_0 / w``, and
       its terms, each at most ``2 S_j / w^(j+1) <= 2 S_0 / (j! w)``, sum to at
@@ -923,57 +941,95 @@ def test_endpoint_sum_matches_the_recurrence_past_its_threshold(
       ``8 eps S_0 / w``.
 
     The two sum to about ``16 eps S_0 / w``; the phase multiplies by ``r``.
-    300 random frames read at most 7.2 ``eps r S_0 / w``."""
+    The upper half's ``S_j`` are at most the order's, so the same bound holds
+    for it.  300 random frames read at most 7.2 ``eps r S_0 / w``."""
     kernel, cut, y, _ = _frame_case(table, t, mu, log_offset, width, m, ahead, sign, high=1e7)
-    got, sums, amps = _spied_run(kernel, cut, y)
-    assert len(sums) >= 2
+    got, (f_end, upper_end), (re, im) = _spied_run(kernel, cut, y)
     half = 0.5 * cut
+    assert re.size == _rule_order(half, y)
     omega = half * y
-    phase = half * quad._cis(half * y)  # the rule's own, for a = 0
-    scale = 16.0 * np.finfo(float).eps * half / float(np.min(np.abs(omega)))
-    want = prev = None
-    for f_end, (re, im) in zip(sums, amps):
-        coef = 2.0 * quad._I_POWERS[np.arange(re.size) % 4] * (re + 1j * im)
-        f_ref = bessel_sum(coef, omega)
-        bound = scale * np.sum(np.hypot(re, im))
-        assert np.max(np.abs(half * (f_end - f_ref))) <= bound
-        f_ref *= phase
-        if prev is not None:
-            if np.max(np.abs(f_ref - prev)) <= 1e-13 + 1e-8 * np.max(np.abs(f_ref)):
-                want = f_ref
-                break
-        prev = f_ref
-    assert (got is None) == (want is None)
+    coef = 2.0 * quad._I_POWERS[np.arange(re.size) % 4] * (re + 1j * im)
+    bound = 16.0 * np.finfo(float).eps * half / float(np.min(np.abs(omega)))
+    bound *= np.sum(np.hypot(re, im))
+    f_ref, upper_ref = bessel_sum(coef, omega), bessel_sum(_upper_half(coef), omega)
+    assert np.max(np.abs(half * (f_end - f_ref))) <= bound
+    assert np.max(np.abs(half * (upper_end - upper_ref))) <= bound
+    want = half * quad._cis(half * y) * f_ref  # the rule's own phase, for a = 0
+    converged = half * np.max(np.abs(upper_ref)) <= 1e-13 + 1e-8 * np.max(np.abs(want))
+    assert (got is not None) == converged
     if got is not None:
         assert np.max(np.abs(got - want)) <= bound
 
 
+#: ``(kernel, b, field)``: a kernel on ``[0, b]`` and whether order 32 resolves it.
+_ORDER_32_CASES = [
+    (lambda p: np.exp(-0.5 * p * p + 0.01j * p**3), 3.0, True),
+    (lambda p: np.exp(3j * p), 2.0, True),
+    (lambda p: 1.0 / (1.0 + p * p), 1.0, True),
+    (lambda p: 1.0 / (1.0 + p * p), 2.0, False),
+    (lambda p: np.exp(-0.5 * p * p), 8.0, False),  # the Gaussian frames' band
+]
+
+
+@pytest.mark.parametrize("kernel, b, field", _ORDER_32_CASES)
+@pytest.mark.parametrize("least", [496.0, 1000.0, 2015.5])
+def test_order_32_alone_is_taken_where_it_checks_itself(kernel, b, field, least):
+    """Where only order 32 is admitted (``496 <= min |r y| < 2,016``) the rule
+    calls the kernel once, at 32 nodes, and returns its field or None by its
+    own check.  A field is within ``(atol + rtol max|F|) + (atol' + rtol'
+    max|F'|)`` of ``synthesize_field``'s ``F'`` at ``rtol' = 1e-11``, ``atol' =
+    1e-15``: the rule's neglected degrees, ``a_n`` at ``n >= 32`` and their
+    aliases in ``a_0 ... a_31``, fall below its upper half ``a_16 ... a_31``
+    where the ``a_n`` decay, so the upper half's field, held to ``atol + rtol
+    max|F|``, bounds the rule's error, as the panels' estimate bounds the
+    reference's by its own target."""
+    calls = []
+
+    def counted(p):
+        calls.append(p.size)
+        return kernel(p)
+
+    y = least / (0.5 * b) + np.linspace(0.0, 50.0, 81)
+    got = quad.legendre_bessel_field(counted, 0.0, b, y)
+    assert calls == [32]
+    assert (got is not None) == field
+    if got is not None:
+        rate = float(np.max(np.abs(y))) + 10.0
+        ref = quad.synthesize_field(kernel, 0.0, b, y, rate, rtol=1e-11, atol=1e-15)
+        bound = (1e-13 + 1e-8 * np.max(np.abs(got))) + (1e-15 + 1e-11 * np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) <= bound
+
+
 def test_legendre_bessel_refuses_where_its_guard_fails():
     """Order k needs min |(b - a) x / 2| >= k (k - 1) / 2: 496 for 32 and 2,016
-    for 64.  Below 2,016 at most one order is admitted, which has nothing to be
-    checked against, so the kernel is never called; from 2,016 on it is called
-    at 32 and 64 points.  A nan or an infinity in ``x`` gives None, without a
-    kernel call or a warning."""
+    for 64.  Below 496 no order is admitted, so the kernel is never called;
+    from 496 on it is called once, at 32 points, and from 2,016 on once, at
+    64 points.  A nan or an infinity in ``x`` gives None, without a kernel
+    call or a warning."""
     calls = []
 
     def kernel(p):
         calls.append(p.size)
         return np.exp(-0.5 * p * p)
 
-    for least in (0.0, 64.0, 495.0, 496.0, 2015.5):  # min omega
+    for least in (0.0, 64.0, 495.0):  # min omega
         y = np.array([least / 4.0, 1e4])
         assert quad.legendre_bessel_field(kernel, 0.0, 8.0, y) is None
     assert calls == []
     for bad in (np.nan, np.inf, -np.inf):
         assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([1e4, bad])) is None
     assert calls == []
+    for least in (496.0, 2015.5):
+        quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([least / 4.0, 1e4]))
+    assert calls == [32, 32]
     assert quad.legendre_bessel_field(kernel, 0.0, 8.0, np.array([504.0, 1e4])) is not None
-    assert calls == [32, 64]
+    assert calls == [32, 32, 64]
 
 
 def test_legendre_bessel_refuses_an_unresolved_kernel():
     """A kernel that degree 255 cannot resolve gives None, not a value,
-    even where the guard holds for every order."""
+    even where the guard holds for every order, from one kernel call at the
+    largest order's 256 nodes."""
     calls = []
 
     def kernel(p):
@@ -982,7 +1038,7 @@ def test_legendre_bessel_refuses_an_unresolved_kernel():
 
     y = np.linspace(1e4, 1.001e4, 9)
     assert quad.legendre_bessel_field(kernel, 0.0, 8.0, y) is None
-    assert calls == [32, 64, 128, 256]
+    assert calls == [256]
     resolved = quad.legendre_bessel_field(lambda p: np.exp(3j * p), 0.0, 8.0, y)
     exact = (np.exp(8j * (3.0 + y)) - 1.0) / (1j * (3.0 + y))
     assert np.max(np.abs(resolved - exact)) <= 1e-14  # exact's phase 8 y rounds
@@ -995,10 +1051,10 @@ def test_legendre_bessel_refuses_an_unresolved_kernel():
 )
 def test_legendre_bessel_memory_stays_bounded(kernel):
     """On 2^16 points the far rule peaks within twice the 6.1 MB of the
-    sequential per-order ladder (7.6 and 6.9 MB here): its four fields span
-    the grid (4.2 MB), but the Horner sums come in 4096-point chunks; a
-    grid-wide block of them (16 rows, 8.4 MB) with the fields would pass
-    the bound."""
+    sequential per-order ladder (4.0 MB here): its two fields, of the order
+    and of its upper half, span the grid (2 MB), and the Horner sums come in
+    4096-point chunks.  A grid-wide block of them (8 rows, 4 MB) would peak
+    at 11.0 MB, still within the bound; one for four orders did not."""
     y = np.linspace(1e4, 2e4, 1 << 16)
     assert _traced_peak_mb(lambda: quad.legendre_bessel_field(kernel, 0.0, 8.0, y)) <= 12.2
 
@@ -1029,7 +1085,9 @@ def test_legendre_vandermonde_is_legvander(k):
 
 def test_legendre_bessel_needs_no_eigensolver(monkeypatch):
     """With the eigensolver behind ``leggauss`` refusing every call and the
-    rules' cache emptied, every Legendre-Bessel check above still passes."""
+    rules' cache emptied, every Legendre-Bessel check above still passes,
+    and the cache holds only the orders used: 32 and 64 for the guard's
+    check, all four once every check has run."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("an eigensolver was called")
@@ -1038,15 +1096,39 @@ def test_legendre_bessel_needs_no_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     quad._legendre_projection.cache_clear()
     try:
+        test_legendre_bessel_refuses_where_its_guard_fails()
+        assert quad._legendre_projection.cache_info().currsize == 2
         test_legendre_bessel_matches_quadrature_at_the_frame_rate()
         test_legendre_bessel_matches_the_sequential_ladder_on_frames()
         for case in _LADDER_CASES:
             test_legendre_bessel_matches_the_sequential_ladder(*case)
-        test_legendre_bessel_refuses_where_its_guard_fails()
         test_legendre_bessel_refuses_an_unresolved_kernel()
         assert quad._legendre_projection.cache_info().currsize == len(quad._LB_ORDERS)
     finally:
         quad._legendre_projection.cache_clear()
+
+
+def test_a_cold_far_frame_builds_one_order():
+    """From empty caches, one far frame past every order's threshold
+    (``min |r y| >= 32,640``) builds one projection and one endpoint table,
+    those of order 256, and calls the kernel once."""
+    calls = []
+
+    def kernel(p):
+        calls.append(p.size)
+        return np.exp(-0.5 * p * p + 0.01j * p**3)
+
+    quad._legendre_projection.cache_clear()
+    quad._endpoint_table.cache_clear()
+    try:
+        y = np.linspace(8160.0, 8200.0, 41)  # min |4 y| = 32,640
+        assert quad.legendre_bessel_field(kernel, 0.0, 8.0, y) is not None
+        assert calls == [256]
+        for cached in (quad._legendre_projection, quad._endpoint_table):
+            assert cached.cache_info().misses == 1 and cached.cache_info().currsize == 1
+    finally:
+        quad._legendre_projection.cache_clear()
+        quad._endpoint_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1182,9 +1264,8 @@ class _Levels:
 
 def _one_level(kernel, a, b, x, n_panels, even_fold=False):
     """One unchecked level of ``n_panels`` panels, shaped as synthesize_field's result."""
-    p, _ = quad.panel_nodes(a, b, n_panels)
+    p, level = quad.panel_nodes(a, b, n_panels)
     vals = np.asarray(kernel(p))
-    level = quad._panel_level(a, b, n_panels)
     f = quad._contract(vals.reshape(p.size, -1), p, level, x, even_fold)
     return f.reshape((x.size,) + vals.shape[1:])
 

@@ -392,7 +392,7 @@ def branch_table(out: io.StringIO, chain: Chain) -> None:
 # ---------------------------------------------------------------------------
 
 #: The far-frame Legendre-Bessel rule as one Bessel recurrence and one sum per
-#: order, term by term: the reference the batched rule in
+#: order, term by term: the reference the endpoint-sum rule in
 #: ``diatomic_waves._quadrature`` is tested against.  Plain numpy, no mpmath.
 LADDER_SOURCE = '''
 
@@ -409,31 +409,36 @@ def bessel_sum(coef, omega):
     return total
 
 
-def legendre_bessel_ladder(kernel, a, b, x, rtol=1e-8, atol=1e-13):
-    """``int_a^b kernel(p) e^{i p x} dp`` as ``r e^{i m x} sum_n c_n j_n(r x)``,
-    ``c_n = 2 i^n a_n`` from ``k``-point Gauss-Legendre, for k = 32, 64, 128,
-    256 while ``min |r x| > 2 k``, until two orders agree to
-    ``atol + rtol * max|F|``.  Returns ``(F, k, c)`` of that order, or
-    ``(None, None, None)``.  The nodes and weights are the far rule's own
-    (``leggauss``'s weights are off by up to 2e-11 at k = 256), so the two
-    differ only in the order of summation."""
+def legendre_bessel_order(kernel, a, b, x, k):
+    """``(F, c)``: ``int_a^b kernel(p) e^{i p x} dp`` as ``r e^{i m x} sum_{n<k}
+    c_n j_n(r x)``, ``c_n = 2 i^n a_n`` from ``k``-point Gauss-Legendre.  The
+    nodes, weights and real projection of the values' real and imaginary
+    parts are the far rule's own (``leggauss``'s weights are off by up to
+    2e-11 at k = 256), so the two have the same ``c_n`` and differ only in
+    the order of summation."""
     from diatomic_waves._quadrature import _gauss_legendre
 
     x = np.asarray(x, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    omega = half * x
-    least = float(np.min(np.abs(omega)))
+    s, w = _gauss_legendre(k)
+    vander = np.polynomial.legendre.legvander(s, k - 1)
+    project = (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
+    v = kernel(mid + half * s)
+    re, im = (project @ np.stack((v.real, v.imag), axis=1)).T
+    coef = 2.0 * np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(k) % 4] * (re + 1j * im)
+    return half * (np.cos(mid * x) + 1j * np.sin(mid * x)) * bessel_sum(coef, half * x), coef
+
+
+def legendre_bessel_ladder(kernel, a, b, x, rtol=1e-8, atol=1e-13):
+    """:func:`legendre_bessel_order` for k = 32, 64, 128, 256 while
+    ``min |r x| > 2 k``, until two orders agree to ``atol + rtol * max|F|``.
+    Returns ``(F, k, c)`` of that order, or ``(None, None, None)``."""
+    least = float(np.min(np.abs(0.5 * (b - a) * np.asarray(x, dtype=float))))
     prev = None
     for k in (32, 64, 128, 256):
         if not least > 2.0 * k:
             break
-        s, w = _gauss_legendre(k)
-        vander = np.polynomial.legendre.legvander(s, k - 1)
-        project = (np.arange(k) + 0.5)[:, None] * (vander * w[:, None]).T
-        coef = 2.0 * np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(k) % 4] * (
-            project @ kernel(mid + half * s)
-        )
-        f = half * (np.cos(mid * x) + 1j * np.sin(mid * x)) * bessel_sum(coef, omega)
+        f, coef = legendre_bessel_order(kernel, a, b, x, k)
         if prev is not None and np.max(np.abs(f - prev)) <= atol + rtol * np.max(np.abs(f)):
             return f, k, coef
         prev = f
@@ -534,7 +539,7 @@ def main() -> None:
     out.write('"""Frozen expected values for the test suite.\n\n')
     out.write("Generated by tests/tools/regen_references.py (mpmath, 50 digits,\n")
     out.write("rounded to float64), the sequential Legendre-Bessel ladder the\n")
-    out.write("batched far-frame rule is compared against, and the held-end chain\n")
+    out.write("endpoint-sum far-frame rule is compared against, and the held-end chain\n")
     out.write("the ring of integrate_lattice is compared against.  Do not edit by\n")
     out.write("hand; rerun the generator.\n")
     out.write('"""\n\n')
